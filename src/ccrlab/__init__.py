@@ -38,7 +38,6 @@ from .analytic import (
 )
 from .weyl import (
     WeylResidualRecord,
-    convergence_sweep,
     exp_commutator_residual,
     expm,
     shift_identity_residual,

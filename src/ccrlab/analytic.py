@@ -51,17 +51,6 @@ class SeriesReport:
     k_max: int
     tail_estimate: float | None = None
 
-    def to_json_obj(self) -> dict:
-        return {
-            "t": self.t,
-            "terms": self.terms,
-            "partial_sums": self.partial_sums,
-            "ratios": self.ratios,
-            "verdict": self.verdict,
-            "k_max": self.k_max,
-            "tail_estimate": self.tail_estimate,
-        }
-
 
 def _verdict(ratios: list[float]) -> str:
     window = ratios[-VERDICT_WINDOW:]
@@ -138,18 +127,12 @@ def analytic_series(A: np.ndarray, xi: FockState, t: float, k_max: int = DEFAULT
     )
 
 
-def taylor_exp(
-    A: np.ndarray,
-    t: float,
-    xi: FockState,
-    k_max: int = DEFAULT_K_MAX,
-    with_report: bool = False,
-):
+def taylor_exp(A: np.ndarray, t: float, xi: FockState, k_max: int = DEFAULT_K_MAX) -> FockState:
     """sum_{k<=k_max} t^k/k! A^k xi, guarded by the series verdict.
 
     Refuses (ConvergenceError) unless analytic_series(A, |t|, xi, k_max)
     reports converged; the report, including its tail estimate, is
-    attached to the error and optionally returned alongside the state.
+    attached to the error.
     """
     report = analytic_series(A, xi, abs(t), k_max)
     if report.verdict != "converged":
@@ -165,10 +148,7 @@ def taylor_exp(
     for k in range(1, k_max + 1):
         w = (t / k) * (A @ w)
         acc += w
-    state = FockState(acc)
-    if with_report:
-        return state, report
-    return state
+    return FockState(acc)
 
 
 def corrected_growth_bound(dim: int, mode_bound: int, k: int) -> float:
@@ -217,10 +197,6 @@ class SinglePowerBoundReport:
     direct_norm: float
     triangle_sum: float
     nominal_bound: float
-
-    @property
-    def direct_ratio(self) -> float:
-        return self.direct_norm / self.nominal_bound
 
     @property
     def needed_constant(self) -> float:

@@ -127,9 +127,6 @@ class ExactScalar:
             float(self.r1) + float(self.r3) * _SQRT2,
         )
 
-    def to_json_obj(self) -> dict:
-        return {"r0": str(self.r0), "r1": str(self.r1), "r2": str(self.r2), "r3": str(self.r3)}
-
     def __str__(self) -> str:
         terms = []
         for coeff, unit in ((self.r0, ""), (self.r1, "i"), (self.r2, "sqrt2"), (self.r3, "i*sqrt2")):

@@ -19,11 +19,8 @@ accuracy), which keeps the m vs 2m refinement agreement well below 1e-6.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,15 +37,12 @@ class IntervalRepSpec:
     a: float
     b: float
     m: int
-    periodic: bool = True
 
     def __post_init__(self):
         if not self.b > self.a:
             raise ValueError("need b > a")
         if self.m < 16:
             raise ValueError("need at least 16 samples")
-        if not self.periodic:
-            raise ValueError("only the periodic realization is implemented")
 
     @property
     def length(self) -> float:
@@ -223,16 +217,3 @@ def interval_vs_line_report(
         distance = spectral_distance_from_naturals(interval_number_spectrum(spec, count))
         rows.append(IntervalContrastRow(spec.length, residual, distance))
     return rows
-
-
-def contrast_rows_to_csv(rows: list[IntervalContrastRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["length", "weyl_residual", "spectral_distance"])
-    for r in rows:
-        writer.writerow([repr(r.length), repr(r.weyl_residual), repr(r.spectral_distance)])
-    return buf.getvalue()
-
-
-def contrast_rows_to_json(rows: list[IntervalContrastRow]) -> str:
-    return json.dumps([asdict(r) for r in rows], indent=2)

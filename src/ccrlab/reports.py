@@ -2,10 +2,11 @@
 
 Each suite runs a fixed list of checks against configurable parameters
 and returns a Report; a check that cannot be computed is recorded as
-failed without aborting the run.  Status "flagged" is reserved for
-documented-discrepancy findings: places where a tempting nominal
-constant or identity fails its own cross-check and a derived replacement
-is used instead.  Flagged checks never fail a run.
+failed without aborting the run, and a suite whose set-up raises is
+recorded as one failed "<suite>.setup" check.  Status "flagged" is
+reserved for documented-discrepancy findings: places where a tempting
+nominal constant or identity fails its own cross-check and a derived
+replacement is used instead.  Flagged checks never fail a run.
 
 Randomized checks draw from the SplitMix64 stream seeded by the config,
 so reports are byte-identical across runs up to the wall-time field.
@@ -50,6 +51,9 @@ class RunConfig:
     def validate(self) -> None:
         if self.suite not in SUITES + ("all",):
             raise ValueError(f"unknown suite {self.suite!r}")
+        for name in ("t", "s", "grid_l", "interval_a", "interval_b"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.dim is not None and self.dim < 2:
             raise ValueError(f"invalid dimension {self.dim}: suites need dim >= 2")
         if self.k_max < 1:
@@ -109,16 +113,14 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2) + "\n"
+        return json.dumps(self.to_json_obj(), indent=2, allow_nan=False) + "\n"
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["name", "relation", "status", "measured", "tolerance"])
+        rows = []
         for c in self.checks:
-            measured = repr(c.measured) if isinstance(c.measured, float) else str(c.measured)
-            writer.writerow([c.name, c.relation, c.status, measured, c.tolerance])
-        return buf.getvalue()
+            measured = c.measured if isinstance(c.measured, float) else str(c.measured)
+            rows.append([c.name, c.relation, c.status, measured, c.tolerance])
+        return _csv(["name", "relation", "status", "measured", "tolerance"], rows)
 
     def to_text(self) -> str:
         lines = [f"suite: {self.suite}"]
@@ -135,6 +137,17 @@ class Report:
             f"{n_fail} failed, {n_flag} flagged  ({self.wall_time_s:.2f}s)"
         )
         return "\n".join(lines) + "\n"
+
+
+def _csv(header: list, rows) -> str:
+    """The one CSV writer: floats as repr, None as an empty field, the
+    rest as str."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+    return buf.getvalue()
 
 
 class _Collector:
@@ -162,6 +175,8 @@ class _Collector:
         if isinstance(measured, (np.floating, np.integer)):
             measured = measured.item()
         status = "flagged" if flagged else ("pass" if ok else "fail")
+        if isinstance(measured, float) and not math.isfinite(measured):
+            measured, status = repr(measured), "fail"
         self.records.append(CheckRecord(full, relation, status, measured, tolerance, detail))
 
 
@@ -1000,11 +1015,14 @@ def run_suite(config: RunConfig) -> Report:
     config.validate()
     start = time.perf_counter()
     records: list[CheckRecord] = []
-    if config.suite == "all":
-        for name in SUITES:
-            records.extend(_SUITE_FUNCS[name](config, prefix=f"{name}."))
-    else:
-        records.extend(_SUITE_FUNCS[config.suite](config))
+    names = SUITES if config.suite == "all" else (config.suite,)
+    for name in names:
+        prefix = f"{name}." if config.suite == "all" else ""
+        try:
+            records.extend(_SUITE_FUNCS[name](config, prefix=prefix))
+        except Exception as exc:  # noqa: BLE001 - a failed set-up must not kill the run
+            detail = f"{type(exc).__name__}: {exc}"
+            records.append(CheckRecord(f"{name}.setup", "suite set-up", "fail", None, None, detail))
     records.sort(key=lambda r: r.name)
     return Report(
         suite=config.suite,
@@ -1020,34 +1038,28 @@ def run_suite(config: RunConfig) -> Report:
 
 def sweep_dims(dims: list[int], ts: list[float], ss: list[float]) -> str:
     """Cartesian product of Weyl residual runs, one CSV row per point."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", "s", "dim", "guard", "support", "residual", "status"])
+    rows = []
     for d in dims:
         for t in ts:
             for s in ss:
                 try:
                     rec = weyl.weyl_residual(t, s, d)
-                    writer.writerow(
-                        [t, s, d, rec.guard, rec.test_vector_support, repr(rec.residual), "ok"]
-                    )
+                    rows.append([t, s, d, rec.guard, rec.test_vector_support, rec.residual, "ok"])
                 except Exception as exc:  # noqa: BLE001 - row-level failure
-                    writer.writerow([t, s, d, "", "", "", f"failed: {type(exc).__name__}"])
-    return buf.getvalue()
+                    rows.append([t, s, d, "", "", "", f"failed: {type(exc).__name__}"])
+    return _csv(["t", "s", "dim", "guard", "support", "residual", "status"], rows)
 
 
 def sweep_interval_lengths(
     lengths: list[float], t: float, s: float, m_target: int = 256
 ) -> str:
     """Contrast sweep over centered interval lengths, one CSV row each."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["length", "weyl_residual", "spectral_distance", "status"])
+    rows = []
     for length in lengths:
         try:
             spec = interval.aligned_spec(-float(length) / 2, float(length) / 2, t, m_target)
             row = interval.interval_vs_line_report([spec], t, s)[0]
-            writer.writerow([length, repr(row.weyl_residual), repr(row.spectral_distance), "ok"])
+            rows.append([length, row.weyl_residual, row.spectral_distance, "ok"])
         except Exception as exc:  # noqa: BLE001 - row-level failure
-            writer.writerow([length, "", "", f"failed: {type(exc).__name__}"])
-    return buf.getvalue()
+            rows.append([length, "", "", f"failed: {type(exc).__name__}"])
+    return _csv(["length", "weyl_residual", "spectral_distance", "status"], rows)

@@ -13,9 +13,6 @@ one of them annihilates the Gaussian e^{-x^2/2}: with p = -i d/dx it is
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -34,17 +31,14 @@ class GridResolutionError(ValueError):
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Complex samples of a function on a uniform grid.
-
-    Periodic grids exclude the right endpoint (step (x_max-x_min)/m);
-    non-periodic grids include both endpoints (step /(m-1)).
+    """Complex samples of a function on a uniform periodic grid; the
+    right endpoint is excluded (step (x_max-x_min)/m).
     """
 
     x_min: float
     x_max: float
     m: int
     values: np.ndarray
-    periodic: bool = True
 
     def __post_init__(self):
         if not self.x_max > self.x_min:
@@ -62,8 +56,7 @@ class GridFunction:
 
     @property
     def h(self) -> float:
-        span = self.x_max - self.x_min
-        return span / self.m if self.periodic else span / (self.m - 1)
+        return (self.x_max - self.x_min) / self.m
 
     @property
     def points(self) -> np.ndarray:
@@ -74,48 +67,34 @@ class GridFunction:
         return math.sqrt(self.h) * float(np.linalg.norm(self.values))
 
     @classmethod
-    def sample(cls, f, x_min: float, x_max: float, m: int, periodic: bool = True) -> "GridFunction":
-        x = x_min + ((x_max - x_min) / (m if periodic else m - 1)) * np.arange(m)
-        return cls(x_min, x_max, m, np.asarray([f(xi) for xi in x], dtype=complex), periodic)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["x", "re", "im"])
-        for x, v in zip(self.points, self.values):
-            writer.writerow([repr(float(x)), repr(v.real), repr(v.imag)])
-        return buf.getvalue()
+    def sample(cls, f, x_min: float, x_max: float, m: int) -> "GridFunction":
+        x = _grid_points(x_min, x_max, m)
+        return cls(x_min, x_max, m, np.asarray([f(xi) for xi in x], dtype=complex))
 
 
-def _grid_points(x_min: float, x_max: float, m: int, periodic: bool = True) -> np.ndarray:
+def _grid_points(x_min: float, x_max: float, m: int) -> np.ndarray:
     if not x_max > x_min:
         raise ValueError("x_max must exceed x_min")
     if m < 8:
         raise ValueError("need at least 8 samples")
-    h = (x_max - x_min) / (m if periodic else m - 1)
-    return x_min + h * np.arange(m)
+    return x_min + ((x_max - x_min) / m) * np.arange(m)
 
 
-def build_grid_position(x_min: float, x_max: float, m: int, periodic: bool = True) -> np.ndarray:
+def build_grid_position(x_min: float, x_max: float, m: int) -> np.ndarray:
     """Multiplication by x: diagonal matrix of sample positions."""
-    return np.diag(_grid_points(x_min, x_max, m, periodic)).astype(complex)
+    return np.diag(_grid_points(x_min, x_max, m)).astype(complex)
 
 
-def build_grid_momentum(
-    x_min: float, x_max: float, m: int, scheme: str = SPECTRAL, periodic: bool = True
-) -> np.ndarray:
-    """-i times a differentiation matrix.
+def build_grid_momentum(x_min: float, x_max: float, m: int, scheme: str = SPECTRAL) -> np.ndarray:
+    """-i times a differentiation matrix on the periodic grid.
 
     spectral: trigonometric differentiation via the DFT, Hermitian, with
     the unpaired Nyquist mode of even m assigned derivative zero.
-    central_difference: second-order stencil, one-sided at the ends of a
-    non-periodic grid.
+    central_difference: second-order periodic stencil.
     """
-    x = _grid_points(x_min, x_max, m, periodic)
+    x = _grid_points(x_min, x_max, m)
     h = x[1] - x[0]
     if scheme == SPECTRAL:
-        if not periodic:
-            raise ValueError("spectral differentiation requires a periodic grid")
         k = 2.0 * np.pi * np.fft.fftfreq(m, d=h)
         if m % 2 == 0:
             k[m // 2] = 0.0
@@ -127,11 +106,6 @@ def build_grid_momentum(
             D[j, (j + 1) % m] += 1.0
             D[j, (j - 1) % m] -= 1.0
         D /= 2.0 * h
-        if not periodic:
-            D[0, :] = 0.0
-            D[0, 0], D[0, 1], D[0, 2] = -3.0 / (2 * h), 4.0 / (2 * h), -1.0 / (2 * h)
-            D[-1, :] = 0.0
-            D[-1, -1], D[-1, -2], D[-1, -3] = 3.0 / (2 * h), -4.0 / (2 * h), 1.0 / (2 * h)
         return -1j * D.astype(complex)
     raise ValueError(f"unknown scheme {scheme!r}")
 
@@ -143,7 +117,7 @@ def annihilation_residual(f: GridFunction, scheme: str = SPECTRAL, sign: str = A
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     q = np.diag(f.points).astype(complex)
-    p = build_grid_momentum(f.x_min, f.x_max, f.m, scheme, f.periodic)
+    p = build_grid_momentum(f.x_min, f.x_max, f.m, scheme)
     a = (q + 1j * p) / math.sqrt(2) if sign == "+" else (q - 1j * p) / math.sqrt(2)
     return float(np.linalg.norm(a @ f.values) / np.linalg.norm(f.values))
 
@@ -184,9 +158,7 @@ def vacuum_annihilation_residual(L: float, m: int, scheme: str = SPECTRAL) -> fl
     return r
 
 
-def build_grid_kinetic(
-    x_min: float, x_max: float, m: int, scheme: str = SPECTRAL, periodic: bool = True
-) -> np.ndarray:
+def build_grid_kinetic(x_min: float, x_max: float, m: int, scheme: str = SPECTRAL) -> np.ndarray:
     """Discretization of p^2.
 
     spectral: square of the spectral momentum matrix.  central_difference:
@@ -195,19 +167,16 @@ def build_grid_kinetic(
     spectrum with spurious sawtooth modes.
     """
     if scheme == SPECTRAL:
-        p = build_grid_momentum(x_min, x_max, m, scheme, periodic)
+        p = build_grid_momentum(x_min, x_max, m, scheme)
         return p @ p
     if scheme == CENTRAL_DIFFERENCE:
-        x = _grid_points(x_min, x_max, m, periodic)
+        x = _grid_points(x_min, x_max, m)
         h = x[1] - x[0]
         T = np.zeros((m, m))
         for j in range(m):
             T[j, j] = 2.0
             T[j, (j + 1) % m] -= 1.0
             T[j, (j - 1) % m] -= 1.0
-        if not periodic:
-            T[0, -1] = 0.0
-            T[-1, 0] = 0.0
         return (T / h**2).astype(complex)
     raise ValueError(f"unknown scheme {scheme!r}")
 
@@ -219,11 +188,6 @@ def grid_oscillator_spectrum(L: float, m: int, scheme: str = SPECTRAL, count: in
     q = build_grid_position(-L, L, m)
     H = q @ q + build_grid_kinetic(-L, L, m, scheme)
     return np.linalg.eigvalsh((H + H.conj().T) / 2.0)[:count]
-
-
-def spectrum_to_json(values) -> str:
-    """Serialize a spectrum to a JSON array."""
-    return json.dumps([float(v) for v in np.asarray(values)])
 
 
 def _hermite_rows(L: float, m: int, n_max: int) -> list[np.ndarray]:

@@ -2,10 +2,11 @@
 
 Expressions are parsed into a small AST and rewritten into the canonical
 normal form: a finite sum of monomials (a†)^m a^k with coefficients in
-Q(i, sqrt2).  The only algebraic fact the rewriter uses is the single
-rule  a·a† -> a†·a + 1;  q and p enter through their ladder combinations
-q = (a + a†)/sqrt2 and p = (a - a†)/(i sqrt2).  Because the normal form
-is canonical, operator identities are decided exactly.
+Q(i, sqrt2).  The only algebraic fact used is the single rule
+a·a† -> a†·a + 1, through its closed form for a^k a†^m;  q and p enter
+through their ladder combinations q = (a + a†)/sqrt2 and
+p = (a - a†)/(i sqrt2).  Because the normal form is canonical, operator
+identities are decided exactly.
 """
 
 from __future__ import annotations
@@ -220,8 +221,7 @@ def _first_inversion(word: tuple) -> int | None:
     return None
 
 
-@lru_cache(maxsize=None)
-def _normal_order_word(word: tuple) -> tuple:
+def word_rewrite_stats(word: tuple) -> tuple:
     """Fixpoint of the rewrite rule a·d -> d·a + (drop both).
 
     Returns (terms, max_applications) where terms is a tuple of
@@ -229,7 +229,8 @@ def _normal_order_word(word: tuple) -> tuple:
     d^m a^k, and max_applications is the longest chain of rule
     applications along any derivation path.  Each application either
     removes one inversion or shortens the word, so rewriting terminates
-    within (word length)^2 applications per monomial path.
+    within (word length)^2 applications per monomial path.  Nothing in
+    the engine calls it: it is the literal oracle for `_reorder`.
     """
     pending = {word: (1, 0)}
     done: dict[tuple, int] = {}
@@ -254,24 +255,13 @@ def _normal_order_word(word: tuple) -> tuple:
 def _reorder(k: int, m: int) -> tuple:
     """Normal form of a^k (a†)^m as ((m', k'), integer coefficient) terms.
 
-    Recursion: a^k d^m = a^{k-1} (a d^m), where the inner factor comes
-    from the literal rewriter (it equals d^m a + m d^{m-1}).
+    Closed form a^k a†^m = sum_j j! C(k,j) C(m,j) a†^(m-j) a^(k-j)
+    (Blasiak et al., Am. J. Phys. 75, 2007), terms in ascending order.
     """
-    if k == 0 or m == 0:
-        return (((m, k), 1),)
-    out: dict = {}
-    inner, _ = _normal_order_word(("a",) + ("d",) * m)
-    for (m1, k1), c1 in inner:
-        for (m2, k2), c2 in _reorder(k - 1, m1):
-            key = (m2, k2 + k1)
-            out[key] = out.get(key, 0) + c1 * c2
-    return tuple(sorted((key, c) for key, c in out.items() if c))
-
-
-def word_rewrite_stats(word: tuple) -> tuple:
-    """(normal-form terms, max single-path rule applications) for a letter
-    word over {'a', 'd'}; exposed for the termination property check."""
-    return _normal_order_word(word)
+    return tuple(
+        ((m - j, k - j), math.factorial(j) * math.comb(k, j) * math.comb(m, j))
+        for j in range(min(k, m), -1, -1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +357,6 @@ class NormalForm:
                 factors.append("I")
             parts.append("*".join(factors))
         return " + ".join(parts)
-
-    def to_json_obj(self) -> list:
-        return [{"m": m, "k": k, "coeff": c.to_json_obj()} for (m, k), c in self.items()]
 
     def to_matrix(self, dim: int) -> np.ndarray:
         """Assemble sum of coeff * (a†)^m a^k as a dim x dim matrix."""

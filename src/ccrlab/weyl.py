@@ -9,10 +9,8 @@ would only measure the artifact.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,19 +51,16 @@ class WeylResidualRecord:
     residual: float
     test_vector_support: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _prepare_vector(xi: FockState, dim: int, guard: int) -> np.ndarray:
     if not 0 <= guard < dim:
         raise ValueError(f"guard must satisfy 0 <= guard < dim, got {guard}")
     if xi.support < 0:
         raise ValueError("test vector must be nonzero")
-    if xi.support > dim - guard:
+    if xi.support >= dim - guard:
         raise ValueError(
             f"support violation: test vector reaches mode {xi.support}, "
-            f"allowed {dim - guard} at dim={dim}, guard={guard}"
+            f"last allowed mode is {dim - guard - 1} at dim={dim}, guard={guard}"
         )
     return xi.vector(dim)
 
@@ -151,22 +146,3 @@ def exp_commutator_residual(
     V = expm(1j * t * q)
     val = p @ (V @ x) - V @ (p @ x) - t * (V @ x)
     return float(np.linalg.norm(val) / np.linalg.norm(x))
-
-
-def convergence_sweep(
-    t: float, s: float, dims: list[int], xi: FockState | None = None
-) -> list[WeylResidualRecord]:
-    """One Weyl residual record per dimension, same (t, s, xi)."""
-    if list(dims) != sorted(dims):
-        raise ValueError("dims must be ascending")
-    return [weyl_residual(t, s, d, None, xi) for d in dims]
-
-
-def records_to_csv(records: list[WeylResidualRecord]) -> str:
-    """CSV with columns t, s, dim, guard, support, residual."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", "s", "dim", "guard", "support", "residual"])
-    for r in records:
-        writer.writerow([r.t, r.s, r.dim, r.guard, r.test_vector_support, repr(r.residual)])
-    return buf.getvalue()

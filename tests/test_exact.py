@@ -78,9 +78,3 @@ def test_field_inverse(z):
 def test_complex_embedding_is_homomorphism(a, b):
     assert abs((a * b).to_complex() - a.to_complex() * b.to_complex()) < 1e-12
     assert abs((a + b).to_complex() - (a.to_complex() + b.to_complex())) < 1e-12
-
-
-def test_json_roundtrip_fields():
-    z = ExactScalar(Fraction(1, 2), Fraction(-1), Fraction(0), Fraction(5, 3))
-    obj = z.to_json_obj()
-    assert obj == {"r0": "1/2", "r1": "-1", "r2": "0", "r3": "5/3"}

@@ -22,8 +22,6 @@ def test_spec_validation():
         IntervalRepSpec(1.0, 0.0, 64)
     with pytest.raises(ValueError):
         IntervalRepSpec(0.0, 1.0, 8)
-    with pytest.raises(ValueError):
-        IntervalRepSpec(0.0, 1.0, 64, periodic=False)
 
 
 def test_constant_state_normalized():
@@ -165,21 +163,3 @@ def test_contrast_report_monotone():
     distances = [r.spectral_distance for r in rows]
     assert residuals[0] > residuals[1] > residuals[2]
     assert distances[0] > distances[1] > distances[2]
-
-
-def test_contrast_csv():
-    spec = interval.aligned_spec(-0.5, 0.5, 0.5, 64)
-    rows = interval.interval_vs_line_report([spec], 0.5, 0.5)
-    text = interval.contrast_rows_to_csv(rows)
-    assert text.startswith("length,weyl_residual,spectral_distance\n")
-    assert len(text.strip().split("\n")) == 2
-
-
-def test_contrast_json():
-    import json
-
-    spec = interval.aligned_spec(-0.5, 0.5, 0.5, 64)
-    rows = interval.interval_vs_line_report([spec], 0.5, 0.5)
-    payload = json.loads(interval.contrast_rows_to_json(rows))
-    assert payload[0]["length"] == 1.0
-    assert set(payload[0]) == {"length", "weyl_residual", "spectral_distance"}

@@ -30,6 +30,11 @@ def test_config_validation_errors():
         RunConfig(suite="fock", fmt="yaml"),
         RunConfig(suite="irregular", interval_a=2.0, interval_b=1.0),
         RunConfig(suite="schrodinger", scheme="upwind"),
+        RunConfig(suite="weyl", t=float("nan")),
+        RunConfig(suite="weyl", s=float("inf")),
+        RunConfig(suite="schrodinger", grid_l=float("inf")),
+        RunConfig(suite="irregular", interval_a=float("-inf")),
+        RunConfig(suite="irregular", interval_b=float("nan")),
     ):
         with pytest.raises(ValueError):
             bad.validate()
@@ -91,6 +96,18 @@ def test_failed_check_does_not_abort(monkeypatch):
     assert "numeric failure" in col.records[0].detail
 
 
+def test_setup_failure_is_recorded(capsys):
+    # t = 0.3333333 has no grid-aligned interval sample count
+    assert main(["irregular", "--t", "0.3333333", "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks] == ["irregular.setup"]
+    assert checks[0]["status"] == "fail"
+    assert "no grid-aligned sample count" in checks[0]["detail"]
+    report = run_suite(RunConfig(suite="all", t=0.3333333))
+    assert [c.name for c in report.failed] == ["irregular.setup"]
+    assert {c.name.split(".")[0] for c in report.checks} == set(reports.SUITES)
+
+
 def test_run_suite_determinism_in_process():
     cfg = lambda: RunConfig(suite="symbolic", seed=3)
     r1, r2 = run_suite(cfg()), run_suite(cfg())
@@ -138,6 +155,25 @@ def test_cli_usage_error_dim_zero():
     proc = run_cli(["fock", "--dim", "0"])
     assert proc.returncode == 2
     assert "invalid dimension" in proc.stderr
+
+
+def test_cli_usage_error_non_finite_parameter(capsys):
+    assert main(["weyl", "--t", "nan", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert "t must be finite" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_non_finite_measured_value_is_valid_json(capsys):
+    # a finite t whose exponentials overflow to nan
+    assert main(["weyl", "--t", "1e200", "--format", "json"]) == 1
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not RFC 8259 JSON")
+
+    checks = json.loads(capsys.readouterr().out, parse_constant=reject)["checks"]
+    non_finite = [c for c in checks if c["measured"] == "nan"]
+    assert non_finite and all(c["status"] == "fail" for c in non_finite)
 
 
 def test_cli_usage_error_unknown_suite():

@@ -14,8 +14,6 @@ def test_grid_function_geometry():
     f = GridFunction(-1.0, 1.0, 8, np.ones(8))
     assert f.h == 0.25
     assert f.points[0] == -1.0 and f.points[-1] == 0.75
-    g = GridFunction(-1.0, 1.0, 9, np.ones(9), periodic=False)
-    assert g.h == 0.25 and g.points[-1] == 1.0
 
 
 def test_grid_function_validation():
@@ -25,13 +23,6 @@ def test_grid_function_validation():
         GridFunction(-1.0, 1.0, 4, np.ones(4))
     with pytest.raises(ValueError):
         GridFunction(-1.0, 1.0, 8, np.full(8, np.nan))
-
-
-def test_grid_function_csv():
-    f = GridFunction(-1.0, 1.0, 8, np.arange(8) * (1 + 1j))
-    lines = f.to_csv().strip().split("\n")
-    assert lines[0] == "x,re,im"
-    assert len(lines) == 9
 
 
 def test_position_matrix_is_sample_diagonal():
@@ -61,11 +52,6 @@ def test_spectral_momentum_on_sine():
     p = schrodinger.build_grid_momentum(-np.pi, np.pi, m)
     want = -1j * np.cos(f.points)
     assert np.abs(p @ f.values - want).max() < 1e-10
-
-
-def test_spectral_requires_periodic():
-    with pytest.raises(ValueError):
-        schrodinger.build_grid_momentum(-1.0, 1.0, 16, schrodinger.SPECTRAL, periodic=False)
 
 
 def test_central_difference_scheme():
@@ -147,14 +133,6 @@ def test_oscillator_spectrum_central_difference():
 def test_kinetic_scheme_validation():
     with pytest.raises(ValueError):
         schrodinger.build_grid_kinetic(-1.0, 1.0, 16, "upwind")
-
-
-def test_spectrum_json_export():
-    import json
-
-    ev = schrodinger.grid_oscillator_spectrum(10.0, 128, count=3)
-    arr = json.loads(schrodinger.spectrum_to_json(ev))
-    assert len(arr) == 3 and abs(arr[0] - 1.0) < 1e-4
 
 
 def test_hermite_ground_state_is_gaussian():

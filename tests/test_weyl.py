@@ -7,6 +7,7 @@ rounding floor), so floor-aware assertions follow the module invariant
 "halves or is already < 1e-10".
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -75,8 +76,8 @@ def test_weyl_residual_decreases_16_to_64():
 def test_weyl_record_fields():
     rec = weyl.weyl_residual(0.5, 0.25, 32, None, fock.FockState.basis_state(1))
     assert rec.dim == 32 and rec.guard == 8 and rec.test_vector_support == 1
-    d = rec.to_dict()
-    assert set(d) == {"t", "s", "dim", "guard", "residual", "test_vector_support"}
+    names = {f.name for f in dataclasses.fields(rec)}
+    assert names == {"t", "s", "dim", "guard", "residual", "test_vector_support"}
 
 
 def test_weyl_support_violation():
@@ -84,6 +85,10 @@ def test_weyl_support_violation():
         weyl.weyl_residual(0.5, 0.5, 16, 8, fock.FockState.basis_state(12))
     with pytest.raises(ValueError):
         weyl.weyl_residual(0.5, 0.5, 16, 16)
+    # mode dim - guard is the first guard-band mode, one past the block
+    with pytest.raises(ValueError, match="last allowed mode is 47"):
+        weyl.weyl_residual(0.5, 0.5, 64, 16, fock.FockState.basis_state(48))
+    assert weyl.weyl_residual(0.5, 0.5, 64, 16, fock.FockState.basis_state(47)).test_vector_support == 47
 
 
 def test_phase_convention_exactly_one_vanishes():
@@ -136,7 +141,7 @@ def test_exp_commutator_symbolic_orders():
 
 
 def test_convergence_sweep_shapes_and_trend():
-    recs = weyl.convergence_sweep(0.5, 0.5, [8, 16, 64])
+    recs = [weyl.weyl_residual(0.5, 0.5, d) for d in (8, 16, 64)]
     assert [r.dim for r in recs] == [8, 16, 64]
     # strict decrease while truncation-dominated, floor below 1e-10 after
     assert recs[0].residual > recs[1].residual
@@ -144,23 +149,10 @@ def test_convergence_sweep_shapes_and_trend():
 
 
 def test_convergence_sweep_single_zero_t():
-    recs = weyl.convergence_sweep(0.0, 0.5, [16])
-    assert len(recs) == 1 and recs[0].residual < 1e-12
+    assert weyl.weyl_residual(0.0, 0.5, 16).residual < 1e-12
 
 
 def test_convergence_sweep_e1():
-    recs = weyl.convergence_sweep(1.0, 1.0, [16, 64], fock.FockState.basis_state(1))
+    e1 = fock.FockState.basis_state(1)
+    recs = [weyl.weyl_residual(1.0, 1.0, d, None, e1) for d in (16, 64)]
     assert recs[1].residual < max(recs[0].residual, 1e-10)
-
-
-def test_convergence_sweep_requires_ascending():
-    with pytest.raises(ValueError):
-        weyl.convergence_sweep(0.5, 0.5, [64, 16])
-
-
-def test_records_csv():
-    recs = weyl.convergence_sweep(0.5, 0.5, [16, 32])
-    text = weyl.records_to_csv(recs)
-    lines = text.strip().split("\n")
-    assert lines[0] == "t,s,dim,guard,support,residual"
-    assert len(lines) == 3
