@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockState, _check_square
+from .weyl import _taylor_sum
 
 RATIO_CONVERGED = 0.9
 RATIO_DIVERGING = 1.1
@@ -142,13 +143,7 @@ def taylor_exp(A: np.ndarray, t: float, xi: FockState, k_max: int = DEFAULT_K_MA
         )
         err.report = report
         raise err
-    dim = A.shape[0]
-    w = xi.vector(dim)
-    acc = w.copy()
-    for k in range(1, k_max + 1):
-        w = (t / k) * (A @ w)
-        acc += w
-    return FockState(acc)
+    return FockState(_taylor_sum(A, xi.vector(A.shape[0]), k_max, t))
 
 
 def corrected_growth_bound(dim: int, mode_bound: int, k: int) -> float:

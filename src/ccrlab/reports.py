@@ -29,6 +29,12 @@ from .rng import SplitMix64
 SUITES = ("fock", "analytic", "weyl", "schrodinger", "irregular", "symbolic")
 SCHEMA_VERSION = 1
 
+# Analytic suite: default dim, top mode of its random vectors, dim of its
+# Taylor check.  Order k_max on a vector reaching mode M needs dim >= M + k_max + 1.
+_ANALYTIC_DIM = 256
+_ANALYTIC_TOP_MODE = 8
+_TAYLOR_CHECK_DIM = 128
+
 
 @dataclass
 class RunConfig:
@@ -58,6 +64,10 @@ class RunConfig:
             raise ValueError(f"invalid dimension {self.dim}: suites need dim >= 2")
         if self.k_max < 1:
             raise ValueError("k_max must be positive")
+        dim = self.effective_dim(_ANALYTIC_DIM)
+        k_limit = min(_TAYLOR_CHECK_DIM, dim - _ANALYTIC_TOP_MODE) - 1
+        if self.suite in ("analytic", "all") and self.k_max > k_limit:
+            raise ValueError(f"k_max {self.k_max} exceeds {k_limit}, the analytic suite's limit at dim {dim}")
         if self.guard is not None and self.guard < 0:
             raise ValueError("guard must be nonnegative")
         if self.grid_m < 8:
@@ -116,16 +126,14 @@ class Report:
         return json.dumps(self.to_json_obj(), indent=2, allow_nan=False) + "\n"
 
     def to_csv(self) -> str:
-        rows = []
-        for c in self.checks:
-            measured = c.measured if isinstance(c.measured, float) else str(c.measured)
-            rows.append([c.name, c.relation, c.status, measured, c.tolerance])
+        rows = [[c.name, c.relation, c.status, c.measured, c.tolerance] for c in self.checks]
         return _csv(["name", "relation", "status", "measured", "tolerance"], rows)
 
     def to_text(self) -> str:
         lines = [f"suite: {self.suite}"]
         for c in self.checks:
             measured = f"{c.measured:.6g}" if isinstance(c.measured, float) else str(c.measured)
+            measured = "n/a" if c.measured is None else measured
             tol = f" (tol {c.tolerance:g})" if c.tolerance is not None else ""
             lines.append(f"[{c.status.upper():7s}] {c.name}: {measured}{tol}  |  {c.relation}")
             if c.detail:
@@ -207,6 +215,16 @@ def random_word_source(gen: SplitMix64, max_len: int = 6) -> str:
     return f"({coeff}) * " + " * ".join(letters)
 
 
+def _identity_defect(M: np.ndarray) -> float:
+    """max |M - I| over the entries."""
+    return float(np.abs(M - np.eye(M.shape[0])).max())
+
+
+def _unitarity_defect(U: np.ndarray) -> float:
+    """max |U U† - I| over the entries."""
+    return _identity_defect(U @ U.conj().T)
+
+
 # ---------------------------------------------------------------------------
 # suites
 
@@ -232,9 +250,7 @@ def fock_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
     col.check(
         "ladder_commutator_block",
         "[a, a†] = I off the top mode",
-        lambda: float(
-            np.abs(fock.truncation_safe_projection(fock.commutator(a, ad), 1) - np.eye(d - 1)).max()
-        ),
+        lambda: _identity_defect(fock.truncation_safe_projection(fock.commutator(a, ad), 1)),
         1e-12,
     )
     col.check(
@@ -333,7 +349,7 @@ def fock_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
 
 def analytic_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
     col = _Collector(prefix)
-    d = config.effective_dim(256)
+    d = config.effective_dim(_ANALYTIC_DIM)
     k_max = config.k_max
     q, p = fock.build_position(d), fock.build_momentum(d)
 
@@ -341,7 +357,7 @@ def analytic_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
         gen = SplitMix64(config.seed)
         n_total, n_ok = 0, 0
         for _ in range(50):
-            xi = random_fock_state(gen, 8)
+            xi = random_fock_state(gen, _ANALYTIC_TOP_MODE)
             for t in (0.5, 1.0, 2.0):
                 for op in (q, p):
                     n_total += 1
@@ -373,16 +389,17 @@ def analytic_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
     )
 
     def taylor_vs_expm():
-        dim = 128
+        dim = _TAYLOR_CHECK_DIM
         pp = fock.build_momentum(dim)
         e0 = fock.FockState.basis_state(0)
         got = analytic.taylor_exp(1j * pp, 1.0, e0, max(k_max, 60))
-        want = weyl.expm(1j * pp) @ e0.vector(dim)
-        return float(np.linalg.norm(got.coeffs - want))
+        # closed form: the coherent state e^{-1/4} sum_n (-1/sqrt2)^n / sqrt(n!) e_n
+        want = [math.exp(-0.25) * (-math.sqrt(0.5)) ** n / fock.sqrt_factorial(n) for n in range(dim)]
+        return float(np.linalg.norm(got.coeffs - np.array(want)))
 
     col.check(
         "taylor_exp_vs_expm",
-        "Taylor-series exponential matches scaling-and-squaring on e_0",
+        "Taylor-series e^{ip} e_0 matches the closed-form coherent state",
         taylor_vs_expm,
         1e-8,
     )
@@ -473,12 +490,7 @@ def weyl_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
     q, p = fock.build_position(d), fock.build_momentum(d)
     e0 = fock.FockState.basis_state(0)
 
-    col.check(
-        "expm_zero",
-        "expm(0) = I",
-        lambda: float(np.abs(weyl.expm(np.zeros((8, 8))) - np.eye(8)).max()),
-        1e-15,
-    )
+    col.check("expm_zero", "expm(0) = I", lambda: _identity_defect(weyl.expm(np.zeros((8, 8)))), 1e-15)
 
     def diag_case():
         theta = np.arange(1, 7) * 0.3
@@ -486,22 +498,12 @@ def weyl_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
         return float(np.abs(got - np.diag(np.exp(1j * theta))).max())
 
     col.check("expm_diagonal", "expm(diag(i theta)) = diag(e^{i theta})", diag_case, 1e-13)
-    col.check(
-        "expm_unitary_U",
-        "U_t = e^{itp} unitary",
-        lambda: float(np.abs(weyl.expm(1j * t * p) @ weyl.expm(1j * t * p).conj().T - np.eye(d)).max()),
-        1e-11,
-    )
-    col.check(
-        "expm_unitary_V",
-        "V_s = e^{isq} unitary",
-        lambda: float(np.abs(weyl.expm(1j * s * q) @ weyl.expm(1j * s * q).conj().T - np.eye(d)).max()),
-        1e-11,
-    )
+    col.check("expm_unitary_U", "U_t = e^{itp} unitary", lambda: _unitarity_defect(weyl.expm(1j * t * p)), 1e-11)
+    col.check("expm_unitary_V", "V_s = e^{isq} unitary", lambda: _unitarity_defect(weyl.expm(1j * s * q)), 1e-11)
     col.check(
         "expm_inverse_product",
         "e^{itp} e^{-itp} = I",
-        lambda: float(np.abs(weyl.expm(0.7j * p) @ weyl.expm(-0.7j * p) - np.eye(d)).max()),
+        lambda: _identity_defect(weyl.expm(0.7j * p) @ weyl.expm(-0.7j * p)),
         1e-11,
     )
     col.check(
@@ -536,10 +538,9 @@ def weyl_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
     )
 
     def group_law():
-        u1, u2 = weyl.expm(1j * 0.4 * p), weyl.expm(1j * 0.9 * p)
-        u12 = weyl.expm(1j * 1.3 * p)
         x = e0.vector(d)
-        return float(np.linalg.norm((u1 @ u2 - u12) @ x))
+        U = lambda c, v: weyl.expm_multiply(1j * c * p, v)
+        return float(np.linalg.norm(U(0.4, U(0.9, x)) - U(1.3, x)))
 
     col.check("group_law", "U_{t1} U_{t2} = U_{t1+t2}", group_law, 1e-10)
 
@@ -790,13 +791,7 @@ def irregular_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
 
     def unitarity():
         U = interval.translation_matrix(spec, t)
-        V = interval.phase_matrix(spec, s)
-        return float(
-            max(
-                np.abs(U @ U.conj().T - np.eye(spec.m)).max(),
-                np.abs(V @ V.conj().T - np.eye(spec.m)).max(),
-            )
-        )
+        return max(_unitarity_defect(U), _unitarity_defect(interval.phase_matrix(spec, s)))
 
     col.check("shift_and_phase_unitary", "U_t, V_s unitary on the interval", unitarity, 1e-12)
     col.check(

@@ -85,6 +85,16 @@ def build_grid_position(x_min: float, x_max: float, m: int) -> np.ndarray:
     return np.diag(_grid_points(x_min, x_max, m)).astype(complex)
 
 
+def grid_wavenumbers(x_min: float, x_max: float, m: int) -> np.ndarray:
+    """The spectral momentum's eigenvalues on the m DFT modes, in numpy's
+    FFT order; the unpaired Nyquist mode of even m gets zero."""
+    x = _grid_points(x_min, x_max, m)
+    k = 2.0 * np.pi * np.fft.fftfreq(m, d=x[1] - x[0])
+    if m % 2 == 0:
+        k[m // 2] = 0.0
+    return k
+
+
 def build_grid_momentum(x_min: float, x_max: float, m: int, scheme: str = SPECTRAL) -> np.ndarray:
     """-i times a differentiation matrix on the periodic grid.
 
@@ -92,15 +102,13 @@ def build_grid_momentum(x_min: float, x_max: float, m: int, scheme: str = SPECTR
     the unpaired Nyquist mode of even m assigned derivative zero.
     central_difference: second-order periodic stencil.
     """
-    x = _grid_points(x_min, x_max, m)
-    h = x[1] - x[0]
     if scheme == SPECTRAL:
-        k = 2.0 * np.pi * np.fft.fftfreq(m, d=h)
-        if m % 2 == 0:
-            k[m // 2] = 0.0
+        k = grid_wavenumbers(x_min, x_max, m)
         P = np.fft.ifft(k[:, None] * np.fft.fft(np.eye(m), axis=0), axis=0)
         return (P + P.conj().T) / 2.0  # symmetrize away fft rounding
     if scheme == CENTRAL_DIFFERENCE:
+        x = _grid_points(x_min, x_max, m)
+        h = x[1] - x[0]
         D = np.zeros((m, m))
         for j in range(m):
             D[j, (j + 1) % m] += 1.0

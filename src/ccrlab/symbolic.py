@@ -214,11 +214,9 @@ def parse(text: str) -> OperatorExpr:
 # reduces to normally ordered monomials with integer coefficients.
 
 
-def _first_inversion(word: tuple) -> int | None:
-    for j in range(len(word) - 1):
-        if word[j] == "a" and word[j + 1] == "d":
-            return j
-    return None
+def _order_key(word: str) -> tuple:
+    """(length, inversions): each rewrite lowers one and keeps the other."""
+    return len(word), sum(word[j:].count("d") for j, letter in enumerate(word) if letter == "a")
 
 
 def word_rewrite_stats(word: tuple) -> tuple:
@@ -229,22 +227,23 @@ def word_rewrite_stats(word: tuple) -> tuple:
     d^m a^k, and max_applications is the longest chain of rule
     applications along any derivation path.  Each application either
     removes one inversion or shortens the word, so rewriting terminates
-    within (word length)^2 applications per monomial path.  Nothing in
-    the engine calls it: it is the literal oracle for `_reorder`.
+    within (word length)^2 applications per monomial path.  Taking words
+    largest `_order_key` first rewrites each once, all paths' coefficients
+    summed.  Nothing in the engine calls it: it is the literal oracle for
+    `_reorder`.
     """
-    pending = {word: (1, 0)}
-    done: dict[tuple, int] = {}
+    pending = {"".join(word): (1, 0)}
+    done: dict[str, int] = {}
     max_apps = 0
     while pending:
-        w, (c, depth) = pending.popitem()
-        j = _first_inversion(w)
-        if j is None:
-            done[w] = done.get(w, 0) + c
+        w = max(pending, key=_order_key)
+        c, depth = pending.pop(w)
+        j = w.find("ad")  # the first inversion
+        if j < 0:
+            done[w] = c
             max_apps = max(max_apps, depth)
             continue
-        swapped = w[:j] + ("d", "a") + w[j + 2 :]
-        dropped = w[:j] + w[j + 2 :]
-        for successor in (swapped, dropped):
+        for successor in (w[:j] + "da" + w[j + 2 :], w[:j] + w[j + 2 :]):
             c0, d0 = pending.get(successor, (0, 0))
             pending[successor] = (c0 + c, max(d0, depth + 1))
     terms = tuple(sorted(((w.count("d"), w.count("a")), c) for w, c in done.items() if c))

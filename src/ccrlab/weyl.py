@@ -16,28 +16,41 @@ import numpy as np
 
 from .fock import FockState, build_momentum, build_position, _check_square
 
-_TAYLOR_DEGREE = 13
-_SCALE_TARGET = 0.5
+_TAYLOR_DEGREE = 20
+_MAX_STEPS = 10**5
+
+
+def _taylor_sum(A: np.ndarray, F: np.ndarray, degree: int, c: float) -> np.ndarray:
+    """sum_{k<=degree} (cA)^k F / k!, each term from the last by one product."""
+    acc = F.copy()
+    for k in range(1, degree + 1):
+        F = (c / k) * (A @ F)
+        acc += F
+    return acc
+
+
+def expm_multiply(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """e^A B for a vector or column block B, without forming e^A.
+
+    s = ceil(||A||_1) steps of the degree-20 Taylor polynomial of e^{A/s}
+    (Al-Mohy and Higham, SIAM J. Sci. Comput. 33(2), 2011); each step's
+    remainder is at most e/21! relative.  More than _MAX_STEPS steps are
+    refused before the first one runs.
+    """
+    _check_square(A)
+    norm = float(np.linalg.norm(A, 1))
+    if not norm <= _MAX_STEPS:
+        raise ValueError(f"||A||_1 = {norm:.3g} needs more than {_MAX_STEPS} Taylor steps")
+    steps = max(1, math.ceil(norm))
+    F = np.array(B, dtype=complex)
+    for _ in range(steps):
+        F = _taylor_sum(A, F, _TAYLOR_DEGREE, 1.0 / steps)
+    return F
 
 
 def expm(A: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring.
-
-    A is scaled by 2^-j until its 1-norm is at most 0.5, a degree-13
-    Taylor polynomial is evaluated by Horner's rule (remainder below
-    1e-16 at that norm), and the result is squared j times.
-    """
-    dim = _check_square(A)
-    A = np.asarray(A, dtype=complex)
-    norm = np.linalg.norm(A, 1)
-    j = max(0, math.ceil(math.log2(norm / _SCALE_TARGET))) if norm > _SCALE_TARGET else 0
-    B = A / (2.0**j)
-    E = np.eye(dim, dtype=complex)
-    for k in range(_TAYLOR_DEGREE, 0, -1):
-        E = np.eye(dim, dtype=complex) + (B @ E) / k
-    for _ in range(j):
-        E = E @ E
-    return E
+    """Matrix exponential e^A, as expm_multiply applied to the identity."""
+    return expm_multiply(A, np.eye(_check_square(A)))
 
 
 @dataclass(frozen=True)
@@ -52,7 +65,13 @@ class WeylResidualRecord:
     test_vector_support: int
 
 
-def _prepare_vector(xi: FockState, dim: int, guard: int) -> np.ndarray:
+def _test_vector(dim: int, guard: int | None, xi: FockState | None, extra_guard: int = 0):
+    """(x, guard, xi): the test vector xi (default e_0) as a dim-vector,
+    with the guard band (default dim // 4 + extra_guard) checked."""
+    if guard is None:
+        guard = dim // 4 + extra_guard
+    if xi is None:
+        xi = FockState.basis_state(0)
     if not 0 <= guard < dim:
         raise ValueError(f"guard must satisfy 0 <= guard < dim, got {guard}")
     if xi.support < 0:
@@ -62,7 +81,18 @@ def _prepare_vector(xi: FockState, dim: int, guard: int) -> np.ndarray:
             f"support violation: test vector reaches mode {xi.support}, "
             f"last allowed mode is {dim - guard - 1} at dim={dim}, guard={guard}"
         )
-    return xi.vector(dim)
+    return xi.vector(dim), guard, xi
+
+
+def _weyl_residuals(t: float, s: float, x: np.ndarray) -> tuple[float, float]:
+    """||(U_t V_s - e^{ist} V_s U_t) x|| / ||x|| and the same with e^{-ist},
+    where U_t = e^{itp} and V_s = e^{isq}."""
+    dim = x.shape[0]
+    itp, isq = 1j * t * build_momentum(dim), 1j * s * build_position(dim)
+    uv = expm_multiply(itp, expm_multiply(isq, x))
+    vu = expm_multiply(isq, expm_multiply(itp, x))
+    nrm = np.linalg.norm(x)
+    return tuple(float(np.linalg.norm(uv - np.exp(sign * 1j * s * t) * vu) / nrm) for sign in (1, -1))
 
 
 def weyl_residual(
@@ -72,17 +102,8 @@ def weyl_residual(
 
     guard defaults to dim // 4, enough for |t|, |s| <= 2 at dim >= 64.
     """
-    if guard is None:
-        guard = dim // 4
-    if xi is None:
-        xi = FockState.basis_state(0)
-    x = _prepare_vector(xi, dim, guard)
-    q, p = build_position(dim), build_momentum(dim)
-    U = expm(1j * t * p)
-    V = expm(1j * s * q)
-    lhs = U @ (V @ x)
-    rhs = np.exp(1j * s * t) * (V @ (U @ x))
-    residual = float(np.linalg.norm(lhs - rhs) / np.linalg.norm(x))
+    x, guard, xi = _test_vector(dim, guard, xi)
+    residual, _ = _weyl_residuals(t, s, x)
     return WeylResidualRecord(float(t), float(s), dim, guard, residual, xi.support)
 
 
@@ -92,19 +113,9 @@ def weyl_phase_check(t: float, s: float, dim: int, xi: FockState | None = None) 
     Exactly one vanishes with [p, q] = -i; with these conventions it is
     the +ist phase.
     """
-    if xi is None:
-        xi = FockState.basis_state(0)
-    guard = dim // 4
-    x = _prepare_vector(xi, dim, guard)
-    q, p = build_position(dim), build_momentum(dim)
-    U, V = expm(1j * t * p), expm(1j * s * q)
-    lhs = U @ (V @ x)
-    vu = V @ (U @ x)
-    nrm = np.linalg.norm(x)
-    plus = float(np.linalg.norm(lhs - np.exp(1j * s * t) * vu) / nrm)
-    minus = float(np.linalg.norm(lhs - np.exp(-1j * s * t) * vu) / nrm)
-    vanishing = "+ist" if plus < minus else "-ist"
-    return {"plus_phase": plus, "minus_phase": minus, "vanishing": vanishing}
+    x, _, _ = _test_vector(dim, None, xi)
+    plus, minus = _weyl_residuals(t, s, x)
+    return {"plus_phase": plus, "minus_phase": minus, "vanishing": "+ist" if plus < minus else "-ist"}
 
 
 def shift_identity_residual(
@@ -113,18 +124,14 @@ def shift_identity_residual(
     """||(e^{-itq} p^n e^{itq} - (p + tI)^n) xi|| / ||xi||."""
     if n < 1:
         raise ValueError("power n must be positive")
-    if guard is None:
-        guard = dim // 4 + n
-    if xi is None:
-        xi = FockState.basis_state(0)
-    x = _prepare_vector(xi, dim, guard)
+    x, _, _ = _test_vector(dim, guard, xi, extra_guard=n)
     q, p = build_position(dim), build_momentum(dim)
-    V = expm(1j * t * q)
-    Vm = expm(-1j * t * q)
-    pn = np.linalg.matrix_power(p, n)
-    shifted = np.linalg.matrix_power(p + t * np.eye(dim), n)
-    lhs = Vm @ (pn @ (V @ x))
-    rhs = shifted @ x
+    lhs = expm_multiply(1j * t * q, x)
+    rhs = x
+    for _ in range(n):
+        lhs = p @ lhs
+        rhs = p @ rhs + t * rhs
+    lhs = expm_multiply(-1j * t * q, lhs)
     return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(x))
 
 
@@ -137,12 +144,8 @@ def exp_commutator_residual(
     form [p, e^{itq}] = t e^{itq}, the term-by-term sum of
     [p, q^n] = -i n q^{n-1} over the Taylor series.
     """
-    if guard is None:
-        guard = dim // 4
-    if xi is None:
-        xi = FockState.basis_state(0)
-    x = _prepare_vector(xi, dim, guard)
+    x, _, _ = _test_vector(dim, guard, xi)
     q, p = build_position(dim), build_momentum(dim)
-    V = expm(1j * t * q)
-    val = p @ (V @ x) - V @ (p @ x) - t * (V @ x)
+    vx, vpx = expm_multiply(1j * t * q, np.column_stack([x, p @ x])).T
+    val = p @ vx - vpx - t * vx
     return float(np.linalg.norm(val) / np.linalg.norm(x))

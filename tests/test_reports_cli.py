@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -35,9 +36,18 @@ def test_config_validation_errors():
         RunConfig(suite="schrodinger", grid_l=float("inf")),
         RunConfig(suite="irregular", interval_a=float("-inf")),
         RunConfig(suite="irregular", interval_b=float("nan")),
+        RunConfig(suite="analytic", k_max=128),  # the Taylor check runs at dim 128
+        RunConfig(suite="all", k_max=300),
+        RunConfig(suite="analytic", dim=48),  # random vectors reach mode 8: 8 + 40 + 1 > 48
     ):
         with pytest.raises(ValueError):
             bad.validate()
+    for good in (
+        RunConfig(suite="analytic", k_max=127),
+        RunConfig(suite="analytic", dim=49),
+        RunConfig(suite="fock", k_max=300),  # k_max is read by the analytic suite only
+    ):
+        good.validate()
 
 
 def test_fock_suite_passes():
@@ -108,6 +118,13 @@ def test_setup_failure_is_recorded(capsys):
     assert {c.name.split(".")[0] for c in report.checks} == set(reports.SUITES)
 
 
+def test_missing_measured_value_formats(capsys):
+    assert main(["irregular", "--t", "0.3333333"]) == 1
+    assert "[FAIL   ] irregular.setup: n/a  |  suite set-up" in capsys.readouterr().out
+    assert main(["irregular", "--t", "0.3333333", "--format", "csv"]) == 1
+    assert capsys.readouterr().out.splitlines()[1] == "irregular.setup,suite set-up,fail,,"
+
+
 def test_run_suite_determinism_in_process():
     cfg = lambda: RunConfig(suite="symbolic", seed=3)
     r1, r2 = run_suite(cfg()), run_suite(cfg())
@@ -164,16 +181,34 @@ def test_cli_usage_error_non_finite_parameter(capsys):
     assert captured.out == ""
 
 
-def test_cli_non_finite_measured_value_is_valid_json(capsys):
-    # a finite t whose exponentials overflow to nan
-    assert main(["weyl", "--t", "1e200", "--format", "json"]) == 1
-
+def _strict_json(text):
     def reject(constant):
         raise ValueError(f"{constant} is not RFC 8259 JSON")
 
-    checks = json.loads(capsys.readouterr().out, parse_constant=reject)["checks"]
-    non_finite = [c for c in checks if c["measured"] == "nan"]
-    assert non_finite and all(c["status"] == "fail" for c in non_finite)
+    return json.loads(text, parse_constant=reject)
+
+
+def test_cli_non_finite_measured_value_is_valid_json(capsys):
+    col = reports._Collector()
+    col.check("nan_value", "some relation", lambda: float("nan"), 1e-9)
+    col.check("inf_flagged", "another relation", lambda: float("inf"), flagged=True)
+    report = reports.Report("weyl", RunConfig(suite="weyl").echo(), col.records)
+    checks = _strict_json(report.to_json())["checks"]
+    assert [(c["measured"], c["status"]) for c in checks] == [("nan", "fail"), ("inf", "fail")]
+
+    # a finite t whose exponentials would need ~1e201 Taylor steps
+    start = time.perf_counter()
+    assert main(["weyl", "--t", "1e200", "--format", "json"]) == 1
+    assert time.perf_counter() - start < 30.0
+    failed = [c for c in _strict_json(capsys.readouterr().out)["checks"] if c["status"] == "fail"]
+    assert failed and all("Taylor steps" in c["detail"] for c in failed)
+
+
+def test_cli_usage_error_kmax_beyond_analytic_suite(capsys):
+    assert main(["analytic", "--kmax", "300"]) == 2
+    captured = capsys.readouterr()
+    assert "k_max 300 exceeds 127" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_usage_error_unknown_suite():

@@ -1,18 +1,22 @@
 """Matrix exponentials and the exponentiated commutation identities.
 
-scipy.linalg.expm serves as the independent oracle for the in-house
-scaling-and-squaring exponential; residual magnitudes across dimensions
-were measured before freezing (dim 16 sits near 7e-13, dims >= 32 at the
-rounding floor), so floor-aware assertions follow the module invariant
-"halves or is already < 1e-10".
+scipy.linalg.expm and scipy.sparse.linalg.expm_multiply serve as the
+independent oracles for the in-house Taylor-action exponential
+expm_multiply and for expm, its action on the identity; residual
+magnitudes across dimensions were measured before freezing (dim 16 sits
+near 7e-13, dims >= 32 at the rounding floor), so floor-aware assertions
+follow the module invariant "halves or is already < 1e-10".
 """
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm as scipy_expm
+from scipy.sparse.linalg import expm_multiply as scipy_expm_multiply
 
 from ccrlab import fock, weyl
 from ccrlab.symbolic import exp_commutator_series
@@ -42,6 +46,36 @@ def test_expm_skew_hermitian_unitary():
     U = weyl.expm(0.7j * p)
     assert np.abs(U @ U.conj().T - np.eye(64)).max() < 1e-11
     assert np.abs(U @ weyl.expm(-0.7j * p) - np.eye(64)).max() < 1e-11
+
+
+@given(
+    st.integers(min_value=2, max_value=128),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.sampled_from(["p", "q"]),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_expm_multiply_matches_scipy(dim, t, op, columns, seed):
+    A = 1j * t * (fock.build_momentum(dim) if op == "p" else fock.build_position(dim))
+    rng = np.random.default_rng(seed)
+    shape = (dim,) if columns == 0 else (dim, columns)  # a vector or a block
+    B = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    B /= np.linalg.norm(B)
+    got = weyl.expm_multiply(A, B)
+    assert got.shape == B.shape
+    assert np.linalg.norm(got - scipy_expm(A) @ B) < 1e-12
+    assert np.linalg.norm(got - scipy_expm_multiply(A, B)) < 1e-12
+
+
+def test_expm_multiply_refuses_too_many_steps():
+    p = fock.build_momentum(16)
+    x = fock.FockState.basis_state(0).vector(16)
+    start = time.perf_counter()
+    for A in (1e200j * p, 1e6j * p, np.full((16, 16), np.inf)):
+        with pytest.raises(ValueError, match="Taylor steps|non-finite"):
+            weyl.expm_multiply(A, x)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_expm_rejects_nonfinite():
