@@ -1,9 +1,11 @@
 """Truncated Fock-space operators: ladder matrices, q/p, spectra, states.
 
 Matrices are dense complex numpy arrays in the orthonormal number basis
-{e_n}.  Truncating to `dim` modes corrupts the top rows/columns of every
-operator identity; that artifact is surfaced (never hidden) through
-`truncation_safe_projection` and guard-band parameters downstream.
+{e_n}; `Tridiagonal` stores q and p by their two off-diagonals for the
+kernels that only apply them.  Truncating to `dim` modes corrupts the
+top rows/columns of every operator identity; that artifact is surfaced
+(never hidden) through `truncation_safe_projection` and guard-band
+parameters downstream.
 """
 
 from __future__ import annotations
@@ -50,6 +52,14 @@ def _check_square(M: np.ndarray) -> int:
     return M.shape[0]
 
 
+def _ladder_offdiagonal(dim: int) -> np.ndarray:
+    """sqrt(n)/sqrt2 for n = 1..dim-1: the off-diagonals of q and, up to
+    a factor -+i, of p.  Multiplying by 1/sqrt2, not dividing, rounds as
+    numpy's complex-by-real division does, bit for bit."""
+    _check_dim(dim)
+    return np.sqrt(np.arange(1, dim)) * (1.0 / math.sqrt(2))
+
+
 def build_annihilator(dim: int) -> np.ndarray:
     """Ladder-down matrix: A e_n = sqrt(n) e_{n-1}."""
     _check_dim(dim)
@@ -63,14 +73,81 @@ def build_creator(dim: int) -> np.ndarray:
 
 def build_position(dim: int) -> np.ndarray:
     """q = (a + a†)/sqrt(2): real symmetric tridiagonal."""
-    A = build_annihilator(dim)
-    return (A + A.conj().T) / math.sqrt(2)
+    return Tridiagonal.position(dim).to_dense()
 
 
 def build_momentum(dim: int) -> np.ndarray:
     """p = (a - a†)/(i sqrt(2)): Hermitian, purely imaginary off-diagonal."""
-    A = build_annihilator(dim)
-    return (A - A.conj().T) / (1j * math.sqrt(2))
+    return Tridiagonal.momentum(dim).to_dense()
+
+
+@dataclass(frozen=True, eq=False)
+class Tridiagonal:
+    """A dim x dim operator with zero main diagonal, stored by its two
+    off-diagonals: (T x)_n = lower[n-1] x_{n-1} + upper[n] x_{n+1}.
+
+    It supports what the exponential kernel needs: scalar multiples,
+    `@` on a vector or column block in O(dim) per column, and the
+    1-norm.  len() is the dimension, as for a square array.
+    """
+
+    lower: np.ndarray
+    upper: np.ndarray
+
+    def __post_init__(self):
+        lower, upper = np.asarray(self.lower), np.asarray(self.upper)
+        if lower.ndim != 1 or lower.shape != upper.shape:
+            raise ValueError(f"off-diagonals must be 1-d of equal length, got {lower.shape} and {upper.shape}")
+        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+            raise ValueError("tridiagonal operator has non-finite entries")
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+
+    @classmethod
+    def position(cls, dim: int) -> "Tridiagonal":
+        """q = (a + a†)/sqrt(2)."""
+        off = _ladder_offdiagonal(dim)
+        return cls(off, off)
+
+    @classmethod
+    def momentum(cls, dim: int) -> "Tridiagonal":
+        """p = (a - a†)/(i sqrt(2))."""
+        off = _ladder_offdiagonal(dim)
+        return cls(1j * off, -1j * off)
+
+    def __len__(self) -> int:
+        return self.lower.size + 1
+
+    def __mul__(self, c) -> "Tridiagonal":
+        return Tridiagonal(c * self.lower, c * self.upper)
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, F) -> np.ndarray:
+        F = np.asarray(F)
+        if F.ndim not in (1, 2) or F.shape[0] != len(self):
+            raise ValueError(f"cannot apply a {len(self)}-dim operator to shape {F.shape}")
+        lower, upper = (self.lower, self.upper) if F.ndim == 1 else (self.lower[:, None], self.upper[:, None])
+        out = np.empty(F.shape, np.result_type(lower, F))
+        out[0] = 0.0
+        np.multiply(lower, F[:-1], out=out[1:])
+        out[:-1] += upper * F[1:]
+        return out
+
+    def norm1(self) -> float:
+        """max_j sum_i |T_ij|: column j holds upper[j-1] and lower[j]."""
+        sums = np.zeros(len(self))
+        sums[1:] += np.abs(self.upper)
+        sums[:-1] += np.abs(self.lower)
+        return float(sums.max())
+
+    def to_dense(self) -> np.ndarray:
+        """The dense complex dim x dim matrix."""
+        out = np.zeros((len(self), len(self)), dtype=complex)
+        n = np.arange(self.lower.size)
+        out[n + 1, n] = self.lower
+        out[n, n + 1] = self.upper
+        return out
 
 
 def build_number(dim: int) -> np.ndarray:

@@ -11,10 +11,11 @@ the failure quantitative:
 
 Periodic boundary conditions are the fixed self-adjoint realization of
 the momentum throughout; other phases psi(b) = e^{i theta} psi(a) are
-untested.  The number-operator spectrum is computed in the Fourier mode
-basis with exact matrix elements of x^2 (the multiplication operator is
-discontinuous across the seam, so pointwise sampling would lose
-accuracy), which keeps the m vs 2m refinement agreement well below 1e-6.
+untested.  The number-operator spectrum is computed in the real periodic
+mode basis {1, cos, sin} with exact matrix elements of x^2 (the
+multiplication operator is discontinuous across the seam, so pointwise
+sampling would lose accuracy), which keeps the m vs 2m refinement
+agreement well below 1e-6.
 """
 
 from __future__ import annotations
@@ -138,34 +139,43 @@ def interval_weyl_residual_expm(spec: IntervalRepSpec, t: float, s: float) -> fl
     return math.sqrt(spec.h) * float(np.linalg.norm(diff))
 
 
-def _x2_fourier_coeff(a: float, b: float, n: int) -> complex:
-    """(1/length) * integral_a^b x^2 e^{-i 2 pi n x / length} dx, exact."""
+def _x2_mode_integrals(a: float, b: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(C, S) with C_n, S_n = (1/length) * integral_a^b x^2 (cos, sin)(nu_n x) dx
+    for nu_n = 2 pi n/length, n = 0..n_max, exact.
+
+    For n >= 1 the integral of x^2 e^{-i nu x} is e^{-i nu a} (2/nu^2 +
+    i(a+b)/nu) after dividing by the length, since e^{-i nu b} = e^{-i nu a}."""
     length = b - a
-    if n == 0:
-        return (b**3 - a**3) / (3.0 * length)
-    nu = 2.0 * math.pi * n / length
-
-    def antiderivative(x: float) -> complex:
-        return np.exp(-1j * nu * x) * (1j * x * x / nu + 2.0 * x / nu**2 - 2j / nu**3)
-
-    return complex((antiderivative(b) - antiderivative(a)) / length)
+    nu = 2.0 * np.pi * np.arange(1, n_max + 1) / length
+    cos, sin = np.cos(nu * a), np.sin(nu * a)
+    C = np.concatenate([[(b**3 - a**3) / (3.0 * length)], 2.0 * cos / nu**2 + (a + b) * sin / nu])
+    S = np.concatenate([[0.0], 2.0 * sin / nu**2 - (a + b) * cos / nu])
+    return C, S
 
 
 def interval_number_operator(spec: IntervalRepSpec) -> np.ndarray:
-    """(q^2 + p^2 - 1)/2 in the periodic Fourier mode basis.
+    """(q^2 + p^2 - 1)/2 as a real symmetric matrix in the orthonormal
+    periodic mode basis 1, sqrt2 cos(nu_j x), sqrt2 sin(nu_j x) (over
+    sqrt(b-a)), nu_j = 2 pi j/(b-a) for j = 1..m//2.
 
-    Modes run over wavenumbers 2 pi k/(b-a) for |k| <= m//2; p^2 is
-    diagonal there and q^2 has exact Toeplitz matrix elements."""
+    These span the Fourier modes |k| <= m//2, so the spectrum is that of
+    the complex Fourier basis; p^2 is diagonal and q^2 has exact matrix
+    elements from the x^2 mode integrals."""
     K = spec.m // 2
-    ks = np.arange(-K, K + 1)
-    dim = ks.size
-    p2 = np.diag((2.0 * np.pi * ks / spec.length) ** 2).astype(complex)
-    coeffs = np.array(
-        [_x2_fourier_coeff(spec.a, spec.b, d) for d in range(-2 * K, 2 * K + 1)]
-    )
-    Q2 = coeffs[(ks[:, None] - ks[None, :]) + 2 * K]
-    N = (Q2 + p2 - np.eye(dim)) / 2.0
-    return (N + N.conj().T) / 2.0
+    C, S = _x2_mode_integrals(spec.a, spec.b, 2 * K)
+    j = np.arange(1, K + 1)
+    diff, total = j[:, None] - j[None, :], j[:, None] + j[None, :]
+    cos_sin = S[total] - np.sign(diff) * S[np.abs(diff)]  # <cos_j|x^2|sin_l> = S_{j+l} + S_{l-j}
+    Q2 = np.empty((2 * K + 1, 2 * K + 1))
+    Q2[0, 0] = C[0]
+    Q2[0, 1:] = Q2[1:, 0] = math.sqrt(2.0) * np.concatenate([C[1 : K + 1], S[1 : K + 1]])
+    Q2[1 : K + 1, 1 : K + 1] = C[np.abs(diff)] + C[total]
+    Q2[K + 1 :, K + 1 :] = C[np.abs(diff)] - C[total]
+    Q2[1 : K + 1, K + 1 :] = cos_sin
+    Q2[K + 1 :, 1 : K + 1] = cos_sin.T
+    p2 = np.tile((2.0 * np.pi * j / spec.length) ** 2, 2)
+    Q2[np.diag_indices(2 * K + 1)] += np.concatenate([[0.0], p2]) - 1.0
+    return Q2 / 2.0
 
 
 def interval_number_spectrum(spec: IntervalRepSpec, count: int) -> np.ndarray:

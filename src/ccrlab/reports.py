@@ -34,6 +34,11 @@ SCHEMA_VERSION = 1
 _ANALYTIC_DIM = 256
 _ANALYTIC_TOP_MODE = 8
 _TAYLOR_CHECK_DIM = 128
+# Largest dim for the suites that build dense dim x dim arrays (fock's
+# eigh, the analytic operators, the weyl suite's matrix exponentials):
+# 64 MiB per complex array, checked before any is allocated.
+_MAX_DENSE_DIM = 2048
+_DENSE_DIM_SUITES = ("fock", "analytic", "weyl", "all")
 
 
 @dataclass
@@ -62,6 +67,11 @@ class RunConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.dim is not None and self.dim < 2:
             raise ValueError(f"invalid dimension {self.dim}: suites need dim >= 2")
+        if self.dim is not None and self.dim > _MAX_DENSE_DIM and self.suite in _DENSE_DIM_SUITES:
+            raise ValueError(
+                f"dim {self.dim} exceeds {_MAX_DENSE_DIM}, the largest dense dim x dim array "
+                f"the {self.suite} suite builds"
+            )
         if self.k_max < 1:
             raise ValueError("k_max must be positive")
         dim = self.effective_dim(_ANALYTIC_DIM)
@@ -487,7 +497,7 @@ def weyl_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
     col = _Collector(prefix)
     d = config.effective_dim(64)
     t, s = config.t, config.s
-    q, p = fock.build_position(d), fock.build_momentum(d)
+    q, p = fock.Tridiagonal.position(d), fock.Tridiagonal.momentum(d)
     e0 = fock.FockState.basis_state(0)
 
     col.check("expm_zero", "expm(0) = I", lambda: _identity_defect(weyl.expm(np.zeros((8, 8)))), 1e-15)
@@ -665,12 +675,13 @@ def schrodinger_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
 
     def number_eigen():
         basis = schrodinger.hermite_basis(L, m, 8)
-        q = schrodinger.build_grid_position(-L, L, m)
-        n_op = (q @ q + schrodinger.build_grid_kinetic(-L, L, m, scheme) - np.eye(m)) / 2.0
+        x2 = basis[0].points ** 2
+        kinetic = schrodinger.build_grid_kinetic(-L, L, m, scheme)
         worst = 0.0
         h = 2 * L / m
         for n, b in enumerate(basis):
-            worst = max(worst, math.sqrt(h) * float(np.linalg.norm(n_op @ b.values - n * b.values)))
+            n_b = (x2 * b.values + kinetic @ b.values - b.values) / 2.0
+            worst = max(worst, math.sqrt(h) * float(np.linalg.norm(n_b - n * b.values)))
         return worst
 
     col.check("hermite_number_eigen", "grid (q^2+p^2-1)/2 has eigenvalue n on basis n", number_eigen, eig_tol)

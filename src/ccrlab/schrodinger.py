@@ -166,36 +166,44 @@ def vacuum_annihilation_residual(L: float, m: int, scheme: str = SPECTRAL) -> fl
     return r
 
 
-def build_grid_kinetic(x_min: float, x_max: float, m: int, scheme: str = SPECTRAL) -> np.ndarray:
-    """Discretization of p^2.
+def _circulant(column: np.ndarray) -> np.ndarray:
+    """The circulant matrix C[i, j] = column[(i - j) mod m]."""
+    m = column.size
+    return column[(np.arange(m)[:, None] - np.arange(m)[None, :]) % m]
 
-    spectral: square of the spectral momentum matrix.  central_difference:
-    the 3-point second-difference stencil; squaring the first-difference
-    matrix instead would decouple odd and even points and fill the low
-    spectrum with spurious sawtooth modes.
+
+def build_grid_kinetic(x_min: float, x_max: float, m: int, scheme: str = SPECTRAL) -> np.ndarray:
+    """Discretization of p^2 as a real symmetric circulant.
+
+    spectral: first column ifft(k^2), the square of the spectral
+    momentum (its eigenvalue k^2 on each DFT mode, zero on the Nyquist
+    mode of even m).  central_difference: the 3-point second-difference
+    stencil; squaring the first-difference matrix instead would decouple
+    odd and even points and fill the low spectrum with spurious sawtooth
+    modes.
     """
     if scheme == SPECTRAL:
-        p = build_grid_momentum(x_min, x_max, m, scheme)
-        return p @ p
+        k = grid_wavenumbers(x_min, x_max, m)
+        column = np.fft.ifft(k * k).real
+        return _circulant((column + np.roll(column[::-1], 1)) / 2.0)  # even, so T = T^T exactly
     if scheme == CENTRAL_DIFFERENCE:
         x = _grid_points(x_min, x_max, m)
         h = x[1] - x[0]
-        T = np.zeros((m, m))
-        for j in range(m):
-            T[j, j] = 2.0
-            T[j, (j + 1) % m] -= 1.0
-            T[j, (j - 1) % m] -= 1.0
-        return (T / h**2).astype(complex)
+        column = np.zeros(m)
+        column[[0, 1, -1]] = 2.0, -1.0, -1.0
+        return _circulant(column / h**2)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
 def grid_oscillator_spectrum(L: float, m: int, scheme: str = SPECTRAL, count: int = 6) -> np.ndarray:
-    """Lowest `count` eigenvalues of q^2 + p^2 on the grid."""
+    """Lowest `count` eigenvalues of q^2 + p^2 on the grid, from the
+    real symmetric matrix diag(x^2) + kinetic."""
     if count < 1 or count > m // 4:
         raise ValueError("count must be in 1..m/4")
-    q = build_grid_position(-L, L, m)
-    H = q @ q + build_grid_kinetic(-L, L, m, scheme)
-    return np.linalg.eigvalsh((H + H.conj().T) / 2.0)[:count]
+    x = _grid_points(-L, L, m)
+    H = build_grid_kinetic(-L, L, m, scheme)
+    H[np.diag_indices(m)] += x * x
+    return np.linalg.eigvalsh(H)[:count]
 
 
 def _hermite_rows(L: float, m: int, n_max: int) -> list[np.ndarray]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockState, build_momentum, build_position, _check_square
+from .fock import FockState, Tridiagonal, _check_square
 
 _TAYLOR_DEGREE = 20
 _MAX_STEPS = 10**5
@@ -29,16 +29,23 @@ def _taylor_sum(A: np.ndarray, F: np.ndarray, degree: int, c: float) -> np.ndarr
     return acc
 
 
-def expm_multiply(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """e^A B for a vector or column block B, without forming e^A.
+def _norm1(A: np.ndarray | Tridiagonal) -> float:
+    if isinstance(A, Tridiagonal):
+        return A.norm1()
+    _check_square(A)
+    return float(np.linalg.norm(A, 1))
+
+
+def expm_multiply(A: np.ndarray | Tridiagonal, B: np.ndarray) -> np.ndarray:
+    """e^A B for a vector or column block B, without forming e^A; A is a
+    dense square array or a `Tridiagonal`.
 
     s = ceil(||A||_1) steps of the degree-20 Taylor polynomial of e^{A/s}
     (Al-Mohy and Higham, SIAM J. Sci. Comput. 33(2), 2011); each step's
     remainder is at most e/21! relative.  More than _MAX_STEPS steps are
     refused before the first one runs.
     """
-    _check_square(A)
-    norm = float(np.linalg.norm(A, 1))
+    norm = _norm1(A)
     if not norm <= _MAX_STEPS:
         raise ValueError(f"||A||_1 = {norm:.3g} needs more than {_MAX_STEPS} Taylor steps")
     steps = max(1, math.ceil(norm))
@@ -48,9 +55,10 @@ def expm_multiply(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return F
 
 
-def expm(A: np.ndarray) -> np.ndarray:
+def expm(A: np.ndarray | Tridiagonal) -> np.ndarray:
     """Matrix exponential e^A, as expm_multiply applied to the identity."""
-    return expm_multiply(A, np.eye(_check_square(A)))
+    dim = len(A) if isinstance(A, Tridiagonal) else _check_square(A)
+    return expm_multiply(A, np.eye(dim))
 
 
 @dataclass(frozen=True)
@@ -88,7 +96,7 @@ def _weyl_residuals(t: float, s: float, x: np.ndarray) -> tuple[float, float]:
     """||(U_t V_s - e^{ist} V_s U_t) x|| / ||x|| and the same with e^{-ist},
     where U_t = e^{itp} and V_s = e^{isq}."""
     dim = x.shape[0]
-    itp, isq = 1j * t * build_momentum(dim), 1j * s * build_position(dim)
+    itp, isq = 1j * t * Tridiagonal.momentum(dim), 1j * s * Tridiagonal.position(dim)
     uv = expm_multiply(itp, expm_multiply(isq, x))
     vu = expm_multiply(isq, expm_multiply(itp, x))
     nrm = np.linalg.norm(x)
@@ -125,7 +133,7 @@ def shift_identity_residual(
     if n < 1:
         raise ValueError("power n must be positive")
     x, _, _ = _test_vector(dim, guard, xi, extra_guard=n)
-    q, p = build_position(dim), build_momentum(dim)
+    q, p = Tridiagonal.position(dim), Tridiagonal.momentum(dim)
     lhs = expm_multiply(1j * t * q, x)
     rhs = x
     for _ in range(n):
@@ -145,7 +153,7 @@ def exp_commutator_residual(
     [p, q^n] = -i n q^{n-1} over the Taylor series.
     """
     x, _, _ = _test_vector(dim, guard, xi)
-    q, p = build_position(dim), build_momentum(dim)
+    q, p = Tridiagonal.position(dim), Tridiagonal.momentum(dim)
     vx, vpx = expm_multiply(1j * t * q, np.column_stack([x, p @ x])).T
     val = p @ vx - vpx - t * vx
     return float(np.linalg.norm(val) / np.linalg.norm(x))

@@ -83,6 +83,47 @@ def test_position_momentum_hermitian_dim64():
     assert np.abs(p - p.conj().T).max() < 1e-13
 
 
+def test_dense_builders_equal_the_ladder_formula_bit_for_bit():
+    # symbolic's float cross-checks read these bytes: they must not drift
+    for dim in (1, 2, 3, 31, 64, 257):
+        A = fock.build_annihilator(dim)
+        assert fock.build_position(dim).tobytes() == ((A + A.conj().T) / math.sqrt(2)).tobytes()
+        assert fock.build_momentum(dim).tobytes() == ((A - A.conj().T) / (1j * math.sqrt(2))).tobytes()
+
+
+@given(
+    st.integers(min_value=1, max_value=96),
+    st.sampled_from(["q", "p"]),
+    st.complex_numbers(max_magnitude=4.0),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_tridiagonal_matches_dense_product(dim, op, c, columns, seed):
+    A = fock.build_annihilator(dim)
+    if op == "q":
+        tri, dense = fock.Tridiagonal.position(dim), (A + A.conj().T) / math.sqrt(2)
+    else:
+        tri, dense = fock.Tridiagonal.momentum(dim), (A - A.conj().T) / (1j * math.sqrt(2))
+    rng = np.random.default_rng(seed)
+    shape = (dim,) if columns == 0 else (dim, columns)  # a vector or a block
+    F = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    got = (c * tri) @ F
+    assert got.shape == F.shape
+    assert np.abs(got - (c * dense) @ F).max() <= 1e-14 * (1 + abs(c)) * math.sqrt(dim) * np.abs(F).max()
+    assert (c * tri).norm1() == pytest.approx(np.linalg.norm(c * dense, 1), rel=1e-14)
+    assert len(tri) == dim
+
+
+def test_tridiagonal_validation():
+    with pytest.raises(ValueError, match="non-finite"):
+        np.inf * fock.Tridiagonal.position(4)
+    with pytest.raises(ValueError, match="equal length"):
+        fock.Tridiagonal(np.ones(3), np.ones(2))
+    with pytest.raises(ValueError, match="cannot apply"):
+        fock.Tridiagonal.momentum(4) @ np.ones(5)
+
+
 def test_commutator_self_is_zero():
     q = fock.build_position(5)
     assert np.abs(fock.commutator(q, q)).max() == 0.0

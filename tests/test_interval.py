@@ -119,6 +119,32 @@ def test_number_spectrum_count_edge_cases():
         interval.interval_number_spectrum(spec, 40)
 
 
+def _complex_fourier_number_operator(a, b, m):
+    """(q^2 + p^2 - 1)/2 on the Fourier modes e^{2 pi i k x/(b-a)}, |k| <= m//2,
+    from the antiderivative of x^2 e^{-i nu x} evaluated at both ends."""
+    length, K = b - a, m // 2
+
+    def x2_coeff(n):
+        if n == 0:
+            return (b**3 - a**3) / (3.0 * length)
+        nu = 2.0 * math.pi * n / length
+        F = lambda x: np.exp(-1j * nu * x) * (1j * x * x / nu + 2.0 * x / nu**2 - 2j / nu**3)
+        return (F(b) - F(a)) / length
+
+    ks = np.arange(-K, K + 1)
+    coeffs = np.array([x2_coeff(n) for n in range(-2 * K, 2 * K + 1)])
+    Q2 = coeffs[ks[:, None] - ks[None, :] + 2 * K]
+    return (Q2 + np.diag((2.0 * np.pi * ks / length) ** 2) - np.eye(ks.size)) / 2.0
+
+
+@pytest.mark.parametrize("a, b, m", [(0.0, 1.0, 64), (-2.5, 2.5, 128), (0.3, 2.2, 100), (-7.0, -1.5, 257)])
+def test_real_mode_spectrum_matches_complex_fourier_basis(a, b, m):
+    N = interval.interval_number_operator(IntervalRepSpec(a, b, m))
+    assert N.dtype == np.float64 and np.array_equal(N, N.T)
+    want = np.linalg.eigvalsh(_complex_fourier_number_operator(a, b, m))
+    assert np.abs(np.linalg.eigvalsh(N) - want).max() < 1e-9 * np.linalg.norm(N, 2)
+
+
 def test_unit_interval_spectrum_away_from_integers():
     # frozen from the refinement oracle: lowest three eigenvalues
     # -0.334093, 19.365663, 19.446496 (m=256 vs m=512 agree to ~7e-11)

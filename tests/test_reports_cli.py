@@ -39,6 +39,8 @@ def test_config_validation_errors():
         RunConfig(suite="analytic", k_max=128),  # the Taylor check runs at dim 128
         RunConfig(suite="all", k_max=300),
         RunConfig(suite="analytic", dim=48),  # random vectors reach mode 8: 8 + 40 + 1 > 48
+        RunConfig(suite="weyl", dim=2049),  # past the largest dense dim x dim array
+        RunConfig(suite="all", dim=10**6),
     ):
         with pytest.raises(ValueError):
             bad.validate()
@@ -46,6 +48,8 @@ def test_config_validation_errors():
         RunConfig(suite="analytic", k_max=127),
         RunConfig(suite="analytic", dim=49),
         RunConfig(suite="fock", k_max=300),  # k_max is read by the analytic suite only
+        RunConfig(suite="fock", dim=2048),
+        RunConfig(suite="schrodinger", dim=10**6),  # builds nothing of size dim
     ):
         good.validate()
 
@@ -141,6 +145,13 @@ def test_sweep_dims_rows():
     assert all(line.endswith("ok") for line in lines[1:])
 
 
+def test_sweep_dims_reaches_16384_modes():
+    # the sweep applies tridiagonal q and p, so no dense dim x dim array
+    t, s, dim, guard, support, residual, status = reports.sweep_dims([16384], [0.5], [0.5]).split("\n")[1].split(",")
+    assert (dim, guard, status) == ("16384", "4096", "ok")
+    assert float(residual) <= 1e-8
+
+
 def test_sweep_dims_empty_is_header_only():
     assert reports.sweep_dims([], [0.5], [0.5]).strip() == "t,s,dim,guard,support,residual,status"
 
@@ -208,6 +219,15 @@ def test_cli_usage_error_kmax_beyond_analytic_suite(capsys):
     assert main(["analytic", "--kmax", "300"]) == 2
     captured = capsys.readouterr()
     assert "k_max 300 exceeds 127" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_usage_error_dim_beyond_dense_limit(capsys):
+    start = time.perf_counter()
+    assert main(["fock", "--dim", "1000000"]) == 2
+    assert time.perf_counter() - start < 1.0  # refused before any allocation
+    captured = capsys.readouterr()
+    assert "dim 1000000 exceeds 2048" in captured.err
     assert captured.out == ""
 
 

@@ -130,6 +130,24 @@ def test_oscillator_spectrum_central_difference():
     assert np.abs(finer - np.arange(1, 13, 2)).max() < np.abs(ev - np.arange(1, 13, 2)).max()
 
 
+@pytest.mark.parametrize("m", [16, 17, 64, 256])
+def test_kinetic_circulant_matches_dense_momentum_squared(m):
+    L = 7.5
+    T = schrodinger.build_grid_kinetic(-L, L, m)
+    P = schrodinger.build_grid_momentum(-L, L, m)
+    assert T.dtype == np.float64 and np.array_equal(T, T.T)
+    assert np.abs(T - P @ P).max() < 1e-12 * np.abs(P).max() ** 2 * m
+    # central differences: the 3-point stencil, built row by row
+    h = 2 * L / m
+    stencil = np.zeros((m, m))
+    for j in range(m):
+        stencil[j, j] = 2.0
+        stencil[j, (j + 1) % m] -= 1.0
+        stencil[j, (j - 1) % m] -= 1.0
+    T = schrodinger.build_grid_kinetic(-L, L, m, schrodinger.CENTRAL_DIFFERENCE)
+    assert T.dtype == np.float64 and np.abs(T - stencil / h**2).max() < 1e-13 / h**2
+
+
 def test_kinetic_scheme_validation():
     with pytest.raises(ValueError):
         schrodinger.build_grid_kinetic(-1.0, 1.0, 16, "upwind")

@@ -2,7 +2,9 @@
 
 scipy.linalg.expm and scipy.sparse.linalg.expm_multiply serve as the
 independent oracles for the in-house Taylor-action exponential
-expm_multiply and for expm, its action on the identity; residual
+expm_multiply, on dense and tridiagonal operators, and for expm, its
+action on the identity; the residual checks, which apply tridiagonal
+q and p, are compared with dense scipy exponentials; residual
 magnitudes across dimensions were measured before freezing (dim 16 sits
 near 7e-13, dims >= 32 at the rounding floor), so floor-aware assertions
 follow the module invariant "halves or is already < 1e-10".
@@ -51,28 +53,30 @@ def test_expm_skew_hermitian_unitary():
 @given(
     st.integers(min_value=2, max_value=128),
     st.floats(min_value=-3.0, max_value=3.0),
-    st.sampled_from(["p", "q"]),
+    st.sampled_from(["p", "q", "tridiagonal p", "tridiagonal q"]),
     st.integers(min_value=0, max_value=3),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_expm_multiply_matches_scipy(dim, t, op, columns, seed):
-    A = 1j * t * (fock.build_momentum(dim) if op == "p" else fock.build_position(dim))
+    tri = fock.Tridiagonal.momentum(dim) if op.endswith("p") else fock.Tridiagonal.position(dim)
+    A = 1j * t * (tri if op.startswith("tridiagonal") else tri.to_dense())
+    dense = 1j * t * tri.to_dense()  # the oracles' input
     rng = np.random.default_rng(seed)
     shape = (dim,) if columns == 0 else (dim, columns)  # a vector or a block
     B = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     B /= np.linalg.norm(B)
     got = weyl.expm_multiply(A, B)
     assert got.shape == B.shape
-    assert np.linalg.norm(got - scipy_expm(A) @ B) < 1e-12
-    assert np.linalg.norm(got - scipy_expm_multiply(A, B)) < 1e-12
+    assert np.linalg.norm(got - scipy_expm(dense) @ B) < 1e-12
+    assert np.linalg.norm(got - scipy_expm_multiply(dense, B)) < 1e-12
 
 
 def test_expm_multiply_refuses_too_many_steps():
-    p = fock.build_momentum(16)
+    p, tri_p = fock.build_momentum(16), fock.Tridiagonal.momentum(16)
     x = fock.FockState.basis_state(0).vector(16)
     start = time.perf_counter()
-    for A in (1e200j * p, 1e6j * p, np.full((16, 16), np.inf)):
+    for A in (1e200j * p, 1e6j * p, np.full((16, 16), np.inf), 1e200j * tri_p, 1e6j * tri_p):
         with pytest.raises(ValueError, match="Taylor steps|non-finite"):
             weyl.expm_multiply(A, x)
     assert time.perf_counter() - start < 1.0
@@ -138,6 +142,22 @@ def test_group_law_on_low_modes():
     x = fock.FockState.basis_state(0).vector(d)
     u = weyl.expm(1j * 0.4 * p) @ weyl.expm(1j * 0.9 * p) - weyl.expm(1j * 1.3 * p)
     assert np.linalg.norm(u @ x) < 1e-10
+
+
+@pytest.mark.parametrize("dim", [16, 64, 256])
+def test_residuals_match_dense_scipy_route(dim):
+    t, s = 0.7, -0.4
+    q, p = fock.build_position(dim), fock.build_momentum(dim)
+    x = fock.FockState.basis_state(0).vector(dim)
+    U, V, W = scipy_expm(1j * t * p), scipy_expm(1j * s * q), scipy_expm(1j * t * q)
+    want = np.linalg.norm(U @ V @ x - np.exp(1j * s * t) * V @ U @ x)
+    assert abs(weyl.weyl_residual(t, s, dim).residual - want) < 1e-12
+    for n in (1, 2, 3):
+        lhs = W.conj().T @ np.linalg.matrix_power(p, n) @ W @ x
+        want = np.linalg.norm(lhs - np.linalg.matrix_power(p + t * np.eye(dim), n) @ x)
+        assert abs(weyl.shift_identity_residual(t, n, dim) - want) < 1e-12
+    want = np.linalg.norm(p @ W @ x - W @ p @ x - t * W @ x)
+    assert abs(weyl.exp_commutator_residual(t, dim) - want) < 1e-12
 
 
 def test_shift_identity_zero_t():
