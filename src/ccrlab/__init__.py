@@ -48,8 +48,7 @@ from .schrodinger import (
     GridFunction,
     GridResolutionError,
     annihilation_residual,
-    build_grid_momentum,
-    build_grid_position,
+    grid_momentum,
     grid_oscillator_spectrum,
     hermite_basis,
     intertwiner_check,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockState, _check_square
+from .fock import FockState, Tridiagonal, _operator_dim
 from .weyl import _taylor_sum
 
 RATIO_CONVERGED = 0.9
@@ -62,13 +62,15 @@ def _verdict(ratios: list[float]) -> str:
     return "inconclusive"
 
 
-def analytic_series(A: np.ndarray, xi: FockState, t: float, k_max: int = DEFAULT_K_MAX) -> SeriesReport:
+def analytic_series(
+    A: np.ndarray | Tridiagonal, xi: FockState, t: float, k_max: int = DEFAULT_K_MAX
+) -> SeriesReport:
     """Evaluate terms t^k/k! ||A^k xi|| by iterated application.
 
     Requires t >= 0, a nonzero xi, and dim >= support + k_max + 1 so that
     every power seen by the test vector is free of truncation effects.
     """
-    dim = _check_square(A)
+    dim = _operator_dim(A)
     if t < 0:
         raise ValueError("t must be nonnegative")
     if k_max < 1:
@@ -128,7 +130,7 @@ def analytic_series(A: np.ndarray, xi: FockState, t: float, k_max: int = DEFAULT
     )
 
 
-def taylor_exp(A: np.ndarray, t: float, xi: FockState, k_max: int = DEFAULT_K_MAX) -> FockState:
+def taylor_exp(A: np.ndarray | Tridiagonal, t: float, xi: FockState, k_max: int = DEFAULT_K_MAX) -> FockState:
     """sum_{k<=k_max} t^k/k! A^k xi, guarded by the series verdict.
 
     Refuses (ConvergenceError) unless analytic_series(A, |t|, xi, k_max)
@@ -143,7 +145,7 @@ def taylor_exp(A: np.ndarray, t: float, xi: FockState, k_max: int = DEFAULT_K_MA
         )
         err.report = report
         raise err
-    return FockState(_taylor_sum(A, xi.vector(A.shape[0]), k_max, t))
+    return FockState(_taylor_sum(A, xi.vector(_operator_dim(A)), k_max, t))
 
 
 def corrected_growth_bound(dim: int, mode_bound: int, k: int) -> float:
@@ -163,10 +165,10 @@ def corrected_growth_bound(dim: int, mode_bound: int, k: int) -> float:
     return math.exp(log_b)
 
 
-def check_growth_bound(q: np.ndarray, phi: FockState, k: int) -> tuple[float, float]:
+def check_growth_bound(q: np.ndarray | Tridiagonal, phi: FockState, k: int) -> tuple[float, float]:
     """(||q^k phi||, bound * ||phi||) for the supplied vector; the first
     component never exceeds the second (up to rounding)."""
-    dim = _check_square(q)
+    dim = _operator_dim(q)
     M = phi.support
     if M < 0:
         raise ValueError("phi must be nonzero")
@@ -198,10 +200,10 @@ class SinglePowerBoundReport:
         return self.triangle_sum / self.nominal_bound
 
 
-def single_power_bound_report(q: np.ndarray, coeffs, m: int) -> SinglePowerBoundReport:
+def single_power_bound_report(q: np.ndarray | Tridiagonal, coeffs, m: int) -> SinglePowerBoundReport:
     """Evaluate ||q psi|| for psi = sum C_j psi_{m+j} (unnormalized basis)
     against the nominal bound sqrt(2) C sqrt((m+n+1)!)."""
-    dim = _check_square(q)
+    dim = _operator_dim(q)
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.ndim != 1 or coeffs.size == 0 or not np.any(coeffs):
         raise ValueError("coefficients must be a nonzero 1-d sequence")

@@ -150,6 +150,11 @@ class Tridiagonal:
         return out
 
 
+def _operator_dim(A: np.ndarray | Tridiagonal) -> int:
+    """The dimension of a `Tridiagonal` or of a finite square array."""
+    return len(A) if isinstance(A, Tridiagonal) else _check_square(A)
+
+
 def build_number(dim: int) -> np.ndarray:
     """N = a†a."""
     A = build_annihilator(dim)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schrodinger import GridFunction, grid_wavenumbers
+from .schrodinger import grid_wavenumbers
 
 BOUNDARY_CONDITION = "periodic"
 
@@ -90,7 +90,7 @@ def phase_matrix(spec: IntervalRepSpec, s: float) -> np.ndarray:
 
 
 def interval_weyl_residual(
-    spec: IntervalRepSpec, t: float, s: float, psi: np.ndarray | GridFunction | None = None
+    spec: IntervalRepSpec, t: float, s: float, psi: np.ndarray | None = None
 ) -> float:
     """||(U_t V_s - e^{ist} V_s U_t) psi|| in L2(a, b).
 
@@ -100,8 +100,6 @@ def interval_weyl_residual(
     if not 0 < t < spec.length:
         raise ValueError(f"need 0 < t < {spec.length}, got {t}")
     r = _shift_steps(spec, t)
-    if isinstance(psi, GridFunction):
-        psi = psi.values
     v = spec.constant_state() if psi is None else np.asarray(psi, dtype=complex)
     if v.shape != (spec.m,):
         raise ValueError(f"psi must have {spec.m} samples")

@@ -34,11 +34,16 @@ SCHEMA_VERSION = 1
 _ANALYTIC_DIM = 256
 _ANALYTIC_TOP_MODE = 8
 _TAYLOR_CHECK_DIM = 128
-# Largest dim for the suites that build dense dim x dim arrays (fock's
-# eigh, the analytic operators, the weyl suite's matrix exponentials):
-# 64 MiB per complex array, checked before any is allocated.
+# Largest side of a dense square array, 64 MiB per complex array, checked
+# before any is allocated.  Each size with the suites that build one of
+# that side: fock's eigh and the weyl suite's matrix exponentials (dim),
+# the grid kinetic circulant (grid_m), the interval operators (interval_m).
 _MAX_DENSE_DIM = 2048
-_DENSE_DIM_SUITES = ("fock", "analytic", "weyl", "all")
+_DENSE_SIZES = {
+    "dim": ("fock", "weyl", "all"),
+    "grid_m": ("schrodinger", "all"),
+    "interval_m": ("irregular", "all"),
+}
 
 
 @dataclass
@@ -67,11 +72,13 @@ class RunConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.dim is not None and self.dim < 2:
             raise ValueError(f"invalid dimension {self.dim}: suites need dim >= 2")
-        if self.dim is not None and self.dim > _MAX_DENSE_DIM and self.suite in _DENSE_DIM_SUITES:
-            raise ValueError(
-                f"dim {self.dim} exceeds {_MAX_DENSE_DIM}, the largest dense dim x dim array "
-                f"the {self.suite} suite builds"
-            )
+        for name, suites in _DENSE_SIZES.items():
+            size = getattr(self, name)
+            if size is not None and size > _MAX_DENSE_DIM and self.suite in suites:
+                raise ValueError(
+                    f"{name} {size} exceeds {_MAX_DENSE_DIM}, the largest side of a dense array "
+                    f"the {self.suite} suite builds"
+                )
         if self.k_max < 1:
             raise ValueError("k_max must be positive")
         dim = self.effective_dim(_ANALYTIC_DIM)
@@ -361,7 +368,7 @@ def analytic_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
     col = _Collector(prefix)
     d = config.effective_dim(_ANALYTIC_DIM)
     k_max = config.k_max
-    q, p = fock.build_position(d), fock.build_momentum(d)
+    q, p = fock.Tridiagonal.position(d), fock.Tridiagonal.momentum(d)
 
     def all_converged():
         gen = SplitMix64(config.seed)
@@ -400,9 +407,8 @@ def analytic_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
 
     def taylor_vs_expm():
         dim = _TAYLOR_CHECK_DIM
-        pp = fock.build_momentum(dim)
         e0 = fock.FockState.basis_state(0)
-        got = analytic.taylor_exp(1j * pp, 1.0, e0, max(k_max, 60))
+        got = analytic.taylor_exp(1j * fock.Tridiagonal.momentum(dim), 1.0, e0, max(k_max, 60))
         # closed form: the coherent state e^{-1/4} sum_n (-1/sqrt2)^n / sqrt(n!) e_n
         want = [math.exp(-0.25) * (-math.sqrt(0.5)) ** n / fock.sqrt_factorial(n) for n in range(dim)]
         return float(np.linalg.norm(got.coeffs - np.array(want)))
@@ -628,24 +634,21 @@ def schrodinger_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
     def plane_wave():
         k = 8 * np.pi / (2 * L)  # grid-resolved wavenumber
         f = schrodinger.GridFunction.sample(lambda x: np.exp(1j * k * x), -L, L, m)
-        pmat = schrodinger.build_grid_momentum(-L, L, m, schrodinger.SPECTRAL)
-        return float(np.linalg.norm(pmat @ f.values - k * f.values) / np.linalg.norm(f.values))
+        pf = schrodinger.grid_momentum(f.values, -L, L)
+        return float(np.linalg.norm(pf - k * f.values) / np.linalg.norm(f.values))
 
     col.check("momentum_plane_wave", "p e^{ikx} = k e^{ikx} for resolved k", plane_wave, 1e-10)
 
     def constant():
-        f = np.ones(m, dtype=complex)
-        pmat = schrodinger.build_grid_momentum(-L, L, m, schrodinger.SPECTRAL)
-        return float(np.abs(pmat @ f).max())
+        return float(np.abs(schrodinger.grid_momentum(np.ones(m, dtype=complex), -L, L)).max())
 
     col.check("momentum_constant", "p applied to a constant vanishes", constant, 1e-12)
 
     def sine():
         mm = 64
         f = schrodinger.GridFunction.sample(np.sin, -np.pi, np.pi, mm)
-        pmat = schrodinger.build_grid_momentum(-np.pi, np.pi, mm, schrodinger.SPECTRAL)
         want = -1j * np.cos(f.points)
-        return float(np.abs(pmat @ f.values - want).max())
+        return float(np.abs(schrodinger.grid_momentum(f.values, -np.pi, np.pi) - want).max())
 
     col.check("momentum_sine", "p sin = -i cos on [-pi, pi)", sine, 1e-10)
 
@@ -704,12 +707,10 @@ def schrodinger_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
     col.check("intertwiner_scalar", "<g, x g> = 0 for the even Gaussian", scalar_case, 1e-10)
 
     def grid_ccr():
-        q = schrodinger.build_grid_position(-L, L, m)
-        p = schrodinger.build_grid_momentum(-L, L, m, schrodinger.SPECTRAL)
         x = schrodinger._grid_points(-L, L, m)
         v = (1.0 + x + 0.5 * x**2) * np.exp(-x * x / 2.0)
         v = v.astype(complex) / np.linalg.norm(v)
-        comm = p @ (q @ v) - q @ (p @ v)
+        comm = schrodinger.grid_momentum(x * v, -L, L) - x * schrodinger.grid_momentum(v, -L, L)
         return float(np.linalg.norm(comm + 1j * v))
 
     col.check("grid_ccr_smooth", "[p,q] = -i on smooth band-limited vectors", grid_ccr, 1e-6)

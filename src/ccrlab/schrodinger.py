@@ -3,7 +3,9 @@
 Units are fixed so [p, q] = -i with no extra constants; the oscillator
 q^2 + p^2 then has spectrum {2n+1}.  Differentiation is spectral
 (trigonometric, periodic) by default, with a second-order central
-difference kept as a cross-validation scheme.
+difference kept as a cross-validation scheme.  q and p are applied to
+sample vectors (a multiply, an FFT or a stencil), never stored as
+matrices; only the kinetic p^2 is a dense circulant, for the eigensolver.
 
 The ladder combinations (q -+ ip)/sqrt2 differ only by a sign, and only
 one of them annihilates the Gaussian e^{-x^2/2}: with p = -i d/dx it is
@@ -80,11 +82,6 @@ def _grid_points(x_min: float, x_max: float, m: int) -> np.ndarray:
     return x_min + ((x_max - x_min) / m) * np.arange(m)
 
 
-def build_grid_position(x_min: float, x_max: float, m: int) -> np.ndarray:
-    """Multiplication by x: diagonal matrix of sample positions."""
-    return np.diag(_grid_points(x_min, x_max, m)).astype(complex)
-
-
 def grid_wavenumbers(x_min: float, x_max: float, m: int) -> np.ndarray:
     """The spectral momentum's eigenvalues on the m DFT modes, in numpy's
     FFT order; the unpaired Nyquist mode of even m gets zero."""
@@ -95,26 +92,21 @@ def grid_wavenumbers(x_min: float, x_max: float, m: int) -> np.ndarray:
     return k
 
 
-def build_grid_momentum(x_min: float, x_max: float, m: int, scheme: str = SPECTRAL) -> np.ndarray:
-    """-i times a differentiation matrix on the periodic grid.
+def grid_momentum(values: np.ndarray, x_min: float, x_max: float, scheme: str = SPECTRAL) -> np.ndarray:
+    """p applied to periodic grid samples (along the last axis): -i times
+    their derivative, without forming a matrix.
 
-    spectral: trigonometric differentiation via the DFT, Hermitian, with
+    spectral: ifft(k * fft(values)), trigonometric differentiation with
     the unpaired Nyquist mode of even m assigned derivative zero.
-    central_difference: second-order periodic stencil.
+    central_difference: the second-order stencil -i (f[j+1] - f[j-1]) / 2h.
     """
+    values = np.asarray(values)
+    m = values.shape[-1]
     if scheme == SPECTRAL:
-        k = grid_wavenumbers(x_min, x_max, m)
-        P = np.fft.ifft(k[:, None] * np.fft.fft(np.eye(m), axis=0), axis=0)
-        return (P + P.conj().T) / 2.0  # symmetrize away fft rounding
+        return np.fft.ifft(grid_wavenumbers(x_min, x_max, m) * np.fft.fft(values))
     if scheme == CENTRAL_DIFFERENCE:
         x = _grid_points(x_min, x_max, m)
-        h = x[1] - x[0]
-        D = np.zeros((m, m))
-        for j in range(m):
-            D[j, (j + 1) % m] += 1.0
-            D[j, (j - 1) % m] -= 1.0
-        D /= 2.0 * h
-        return -1j * D.astype(complex)
+        return -1j * (np.roll(values, -1, axis=-1) - np.roll(values, 1, axis=-1)) / (2.0 * (x[1] - x[0]))
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
@@ -124,10 +116,9 @@ def annihilation_residual(f: GridFunction, scheme: str = SPECTRAL, sign: str = A
         raise ValueError("test function must be nonzero")
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    q = np.diag(f.points).astype(complex)
-    p = build_grid_momentum(f.x_min, f.x_max, f.m, scheme)
-    a = (q + 1j * p) / math.sqrt(2) if sign == "+" else (q - 1j * p) / math.sqrt(2)
-    return float(np.linalg.norm(a @ f.values) / np.linalg.norm(f.values))
+    p = grid_momentum(f.values, f.x_min, f.x_max, scheme)
+    a = (f.points * f.values + (1j if sign == "+" else -1j) * p) / math.sqrt(2)
+    return float(np.linalg.norm(a) / np.linalg.norm(f.values))
 
 
 def _gaussian(L: float, m: int) -> GridFunction:
@@ -256,9 +247,8 @@ def intertwiner_check(L: float, m: int, n_max: int) -> float:
     basis = hermite_basis(L, m, n_max)
     h = 2.0 * L / m
     T = math.sqrt(h) * np.array([b.values.conj() for b in basis])
-    q_grid = build_grid_position(-L, L, m)
     q_fock = fock.build_position(n_max + 1)
-    return float(np.linalg.norm(T @ q_grid @ T.conj().T - q_fock, 2))
+    return float(np.linalg.norm((T * basis[0].points) @ T.conj().T - q_fock, 2))
 
 
 def intertwiner_gram_defect(L: float, m: int, n_max: int) -> float:

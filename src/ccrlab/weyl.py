@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockState, Tridiagonal, _check_square
+from .fock import FockState, Tridiagonal, _check_square, _operator_dim
 
 _TAYLOR_DEGREE = 20
 _MAX_STEPS = 10**5
@@ -57,8 +57,7 @@ def expm_multiply(A: np.ndarray | Tridiagonal, B: np.ndarray) -> np.ndarray:
 
 def expm(A: np.ndarray | Tridiagonal) -> np.ndarray:
     """Matrix exponential e^A, as expm_multiply applied to the identity."""
-    dim = len(A) if isinstance(A, Tridiagonal) else _check_square(A)
-    return expm_multiply(A, np.eye(dim))
+    return expm_multiply(A, np.eye(_operator_dim(A)))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ import math
 import subprocess
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -181,3 +182,11 @@ def test_criterion_12_cli_determinism(tmp_path):
             payload.pop("wall_time_s")
         first, second = (json.dumps(o, indent=2) for o in outs)
         assert first == second
+        # the report's structure is pinned: every check keeps its name,
+        # status, relation, tolerance and detail across refactors
+        keys = ("name", "status", "relation", "tolerance", "detail")
+        golden = json.loads((Path(__file__).parent / "data" / "all_seed7_checks.json").read_text())
+        assert [{k: c[k] for k in keys} for c in outs[0]["checks"]] == golden
+        for c in outs[0]["checks"]:
+            if c["tolerance"] is not None:
+                assert c["measured"] <= c["tolerance"], c["name"]

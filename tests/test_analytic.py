@@ -44,13 +44,14 @@ def test_mode_window_states_converge(t):
 
 
 def test_momentum_series_matches_position_profile():
-    # ||p^k e_0|| = ||q^k e_0||: both ladder combinations differ by phases
+    # ||p^k e_0|| = ||q^k e_0||: both ladder combinations differ by phases;
+    # the dense and the tridiagonal q, p give the same profile
     d, kmax = 128, 30
-    q, p = fock.build_position(d), fock.build_momentum(d)
     e0 = fock.FockState.basis_state(0)
-    rq = analytic.analytic_series(q, e0, 1.0, kmax)
-    rp = analytic.analytic_series(p, e0, 1.0, kmax)
-    assert np.abs(np.array(rq.terms) - np.array(rp.terms)).max() < 1e-10
+    rq = analytic.analytic_series(fock.build_position(d), e0, 1.0, kmax)
+    for p in (fock.build_momentum(d), fock.Tridiagonal.momentum(d), fock.Tridiagonal.position(d)):
+        rp = analytic.analytic_series(p, e0, 1.0, kmax)
+        assert np.abs(np.array(rq.terms) - np.array(rp.terms)).max() < 1e-10
 
 
 def test_partial_sums_nondecreasing_and_ratios_positive():
@@ -130,11 +131,11 @@ def test_taylor_exp_diagonal_action():
 
 def test_taylor_exp_matches_scipy_expm():
     d = 64
-    p = fock.build_momentum(d)
     e0 = fock.FockState.basis_state(0)
-    got = analytic.taylor_exp(1j * p, 1.0, e0, 60)
-    want = scipy_expm(1j * p) @ e0.vector(d)
-    assert np.linalg.norm(got.coeffs - want) < 1e-8
+    want = scipy_expm(1j * fock.build_momentum(d)) @ e0.vector(d)
+    for p in (fock.build_momentum(d), fock.Tridiagonal.momentum(d)):
+        got = analytic.taylor_exp(1j * p, 1.0, e0, 60)
+        assert np.linalg.norm(got.coeffs - want) < 1e-8
 
 
 def test_taylor_exp_refuses_divergent_series():
@@ -183,29 +184,29 @@ def test_growth_bound_support_error():
 
 
 def test_growth_bound_property_thousand_cases():
-    q = fock.build_position(64)
-    gen = SplitMix64(0)
-    worst = 0.0
-    for _ in range(1000):
-        mode = gen.randint(0, 8)
-        k = gen.randint(0, 12)
-        phi = random_fock_state(gen, mode)
-        lhs, bound = analytic.check_growth_bound(q, phi, k)
-        worst = max(worst, lhs / bound)
-    assert worst <= 1.0 + 1e-12
+    for q in (fock.build_position(64), fock.Tridiagonal.position(64)):
+        gen = SplitMix64(0)
+        worst = 0.0
+        for _ in range(1000):
+            mode = gen.randint(0, 8)
+            k = gen.randint(0, 12)
+            phi = random_fock_state(gen, mode)
+            lhs, bound = analytic.check_growth_bound(q, phi, k)
+            worst = max(worst, lhs / bound)
+        assert worst <= 1.0 + 1e-12
 
 
 def test_single_power_bound_report_uniform_window():
     # the triangle-step sum genuinely exceeds the nominal bound here
     # (measured 1.1815 for the uniform 6-mode window)
-    q = fock.build_position(64)
-    rep = analytic.single_power_bound_report(q, np.ones(6), 0)
-    assert rep.direct_norm <= rep.triangle_sum
-    assert rep.needed_constant > 1.1
-    assert rep.direct_norm / rep.nominal_bound < 1.0
+    for q in (fock.build_position(64), fock.Tridiagonal.position(64)):
+        rep = analytic.single_power_bound_report(q, np.ones(6), 0)
+        assert rep.direct_norm <= rep.triangle_sum
+        assert rep.needed_constant > 1.1
+        assert rep.direct_norm / rep.nominal_bound < 1.0
 
 
 def test_single_power_bound_single_mode_within_bound():
-    q = fock.build_position(32)
-    rep = analytic.single_power_bound_report(q, np.array([1.0]), 4)
-    assert rep.needed_constant <= 1.0 + 1e-12
+    for q in (fock.build_position(32), fock.Tridiagonal.position(32)):
+        rep = analytic.single_power_bound_report(q, np.array([1.0]), 4)
+        assert rep.needed_constant <= 1.0 + 1e-12

@@ -41,6 +41,9 @@ def test_config_validation_errors():
         RunConfig(suite="analytic", dim=48),  # random vectors reach mode 8: 8 + 40 + 1 > 48
         RunConfig(suite="weyl", dim=2049),  # past the largest dense dim x dim array
         RunConfig(suite="all", dim=10**6),
+        RunConfig(suite="schrodinger", grid_m=2049),  # past the largest dense m x m circulant
+        RunConfig(suite="irregular", interval_m=10**6),
+        RunConfig(suite="all", grid_m=10**6),
     ):
         with pytest.raises(ValueError):
             bad.validate()
@@ -50,6 +53,9 @@ def test_config_validation_errors():
         RunConfig(suite="fock", k_max=300),  # k_max is read by the analytic suite only
         RunConfig(suite="fock", dim=2048),
         RunConfig(suite="schrodinger", dim=10**6),  # builds nothing of size dim
+        RunConfig(suite="analytic", dim=4096),  # applies the tridiagonal q and p only
+        RunConfig(suite="schrodinger", grid_m=2048),
+        RunConfig(suite="fock", grid_m=10**6, interval_m=10**6),  # read by other suites only
     ):
         good.validate()
 
@@ -228,6 +234,15 @@ def test_cli_usage_error_dim_beyond_dense_limit(capsys):
     assert time.perf_counter() - start < 1.0  # refused before any allocation
     captured = capsys.readouterr()
     assert "dim 1000000 exceeds 2048" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_usage_error_grid_beyond_dense_limit(capsys):
+    start = time.perf_counter()
+    assert main(["schrodinger", "--grid", "10,1000000,spectral"]) == 2
+    assert time.perf_counter() - start < 1.0  # refused before the m x m circulant
+    captured = capsys.readouterr()
+    assert "grid_m 1000000 exceeds 2048" in captured.err
     assert captured.out == ""
 
 

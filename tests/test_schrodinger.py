@@ -1,5 +1,7 @@
-"""Grid representation: differentiation matrices, vacuum, oscillator,
-Hermite basis, intertwiner.  Refinement studies double m as the oracle."""
+"""Grid representation: applied momentum, vacuum, oscillator, Hermite
+basis, intertwiner.  Refinement studies double m as the oracle; the
+applied momentum is checked against closed forms and against stencil
+and kinetic matrices built in the tests."""
 
 import math
 
@@ -25,48 +27,53 @@ def test_grid_function_validation():
         GridFunction(-1.0, 1.0, 8, np.full(8, np.nan))
 
 
-def test_position_matrix_is_sample_diagonal():
-    q = schrodinger.build_grid_position(-1.0, 1.0, 8)
-    f = GridFunction(-1.0, 1.0, 8, np.ones(8))
-    assert np.abs(np.diag(q) - f.points).max() == 0.0
-    assert np.abs(q - q.conj().T).max() == 0.0
-    assert np.abs(q @ f.values - f.points).max() == 0.0
-
-
 def test_spectral_momentum_on_plane_wave():
     L, m = 10.0, 256
     k = 2 * np.pi * 6 / (2 * L)
     f = GridFunction.sample(lambda x: np.exp(1j * k * x), -L, L, m)
-    p = schrodinger.build_grid_momentum(-L, L, m)
-    assert np.linalg.norm(p @ f.values - k * f.values) / np.linalg.norm(f.values) < 1e-10
+    pf = schrodinger.grid_momentum(f.values, -L, L)
+    assert np.linalg.norm(pf - k * f.values) / np.linalg.norm(f.values) < 1e-10
 
 
 def test_spectral_momentum_on_constant():
-    p = schrodinger.build_grid_momentum(-5.0, 5.0, 64)
-    assert np.abs(p @ np.ones(64)).max() < 1e-12
+    assert np.abs(schrodinger.grid_momentum(np.ones(64), -5.0, 5.0)).max() < 1e-12
+    # the unpaired Nyquist mode (-1)^j of even m is assigned derivative zero too
+    sawtooth = (-1.0) ** np.arange(64)
+    assert np.abs(schrodinger.grid_momentum(sawtooth, -5.0, 5.0)).max() < 1e-12
 
 
 def test_spectral_momentum_on_sine():
     m = 64
     f = GridFunction.sample(np.sin, -np.pi, np.pi, m)
-    p = schrodinger.build_grid_momentum(-np.pi, np.pi, m)
     want = -1j * np.cos(f.points)
-    assert np.abs(p @ f.values - want).max() < 1e-10
+    assert np.abs(schrodinger.grid_momentum(f.values, -np.pi, np.pi) - want).max() < 1e-10
 
 
 def test_central_difference_scheme():
     L, m = 8.0, 512
     f = GridFunction.sample(lambda x: np.exp(-(x**2)), -L, L, m)
-    p = schrodinger.build_grid_momentum(-L, L, m, schrodinger.CENTRAL_DIFFERENCE)
+    pf = schrodinger.grid_momentum(f.values, -L, L, schrodinger.CENTRAL_DIFFERENCE)
     want = -1j * (-2 * f.points) * np.exp(-(f.points**2))
-    assert np.abs(p @ f.values - want).max() < 1e-3  # second-order scheme
-    # and it is Hermitian on the periodic grid
-    assert np.abs(p - p.conj().T).max() < 1e-14
+    assert np.abs(pf - want).max() < 1e-3  # second-order scheme
+    # the periodic stencil -i (f[j+1] - f[j-1]) / 2h, built row by row
+    h = 2 * L / m
+    stencil = np.zeros((m, m), dtype=complex)
+    for j in range(m):
+        stencil[j, (j + 1) % m] = -1j / (2 * h)
+        stencil[j, (j - 1) % m] = 1j / (2 * h)
+    assert np.abs(pf - stencil @ f.values).max() < 1e-13
+    # both schemes are Hermitian on the periodic grid: <g, p f> = <p g, f>
+    rng = np.random.default_rng(3)
+    for scheme in (schrodinger.SPECTRAL, schrodinger.CENTRAL_DIFFERENCE):
+        f, g = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
+        f, g = f / np.linalg.norm(f), g / np.linalg.norm(g)
+        p = lambda v: schrodinger.grid_momentum(v, -L, L, scheme)
+        assert abs(np.vdot(g, p(f)) - np.vdot(p(g), f)) < 1e-12
 
 
 def test_unknown_scheme():
     with pytest.raises(ValueError):
-        schrodinger.build_grid_momentum(-1.0, 1.0, 16, "upwind")
+        schrodinger.grid_momentum(np.ones(16), -1.0, 1.0, "upwind")
 
 
 def test_vacuum_annihilation_residual_default():
@@ -134,7 +141,8 @@ def test_oscillator_spectrum_central_difference():
 def test_kinetic_circulant_matches_dense_momentum_squared(m):
     L = 7.5
     T = schrodinger.build_grid_kinetic(-L, L, m)
-    P = schrodinger.build_grid_momentum(-L, L, m)
+    # the spectral momentum as a matrix, one applied column at a time
+    P = np.column_stack([schrodinger.grid_momentum(e, -L, L) for e in np.eye(m)])
     assert T.dtype == np.float64 and np.array_equal(T, T.T)
     assert np.abs(T - P @ P).max() < 1e-12 * np.abs(P).max() ** 2 * m
     # central differences: the 3-point stencil, built row by row
@@ -177,12 +185,12 @@ def test_hermite_norm_drift_small():
 def test_hermite_number_eigenfunctions():
     L, m = 10.0, 256
     basis = schrodinger.hermite_basis(L, m, 8)
-    q = schrodinger.build_grid_position(-L, L, m)
-    p = schrodinger.build_grid_momentum(-L, L, m)
-    n_op = (q @ q + p @ p - np.eye(m)) / 2
+    x = basis[0].points
     h = 2 * L / m
     for n, b in enumerate(basis):
-        assert math.sqrt(h) * np.linalg.norm(n_op @ b.values - n * b.values) < 1e-4
+        p_b = schrodinger.grid_momentum(b.values, -L, L)
+        n_b = (x * x * b.values + schrodinger.grid_momentum(p_b, -L, L) - b.values) / 2
+        assert math.sqrt(h) * np.linalg.norm(n_b - n * b.values) < 1e-4
 
 
 def test_hermite_nmax_guard():
@@ -212,13 +220,12 @@ def test_intertwiner_refinement():
 
 def test_grid_ccr_on_band_limited_vectors():
     L, m = 10.0, 256
-    q = schrodinger.build_grid_position(-L, L, m)
-    p = schrodinger.build_grid_momentum(-L, L, m)
     x = np.linspace(-L, L, m, endpoint=False)
+    p = lambda v: schrodinger.grid_momentum(v, -L, L)
     for poly in (np.ones_like(x), x, 1 + x + 0.5 * x**2):
         v = (poly * np.exp(-x * x / 2)).astype(complex)
         v /= np.linalg.norm(v)
-        assert np.linalg.norm(p @ (q @ v) - q @ (p @ v) + 1j * v) < 1e-6
+        assert np.linalg.norm(p(x * v) - x * p(v) + 1j * v) < 1e-6
 
 
 def test_vacuum_residual_refinement_decreases():
