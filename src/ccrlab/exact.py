@@ -2,18 +2,22 @@
 
 Every constant appearing in the ladder-operator identities (1/sqrt2,
 1/(i sqrt2), -i, ...) lives in this field, so operator identities can be
-decided exactly instead of compared in floating point.  Elements are
-stored as r0 + r1*i + r2*sqrt2 + r3*i*sqrt2 with rational components;
-that representation is unique, so equality is componentwise.
+decided exactly instead of compared in floating point.  An element
+r0 + r1*i + r2*sqrt2 + r3*i*sqrt2 is stored as integer coordinates over
+one common denominator, (n0, n1, n2, n3, den) with rk = nk/den (Cohen,
+A Course in Computational Algebraic Number Theory, GTM 138, 4.2).  The
+tuple is kept canonical, den > 0 and gcd(n0, n1, n2, n3, den) = 1, so
+equality and hashing are structural.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from numbers import Rational
 
 _SQRT2 = 2.0**0.5
+_ZERO = (0, 0, 0, 0, 1)
 
 
 def _frac(x) -> Fraction:
@@ -24,25 +28,65 @@ def _frac(x) -> Fraction:
     raise TypeError(f"rational component required, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
+def _wrap(n: tuple) -> "ExactScalar":
+    """An ExactScalar holding the canonical tuple n as it is."""
+    s = object.__new__(ExactScalar)
+    s._n = n
+    return s
+
+
+def _canonical(n0: int, n1: int, n2: int, n3: int, den: int) -> "ExactScalar":
+    """The element (n0 + n1*i + n2*sqrt2 + n3*i*sqrt2)/den, den > 0."""
+    g = gcd(n0, n1, n2, n3, den)
+    if g != 1:
+        n0, n1, n2, n3, den = n0 // g, n1 // g, n2 // g, n3 // g, den // g
+    return _wrap((n0, n1, n2, n3, den))
+
+
 class ExactScalar:
     """r0 + r1*i + r2*sqrt2 + r3*i*sqrt2 with exact rational components."""
 
-    r0: Fraction = Fraction(0)
-    r1: Fraction = Fraction(0)
-    r2: Fraction = Fraction(0)
-    r3: Fraction = Fraction(0)
+    __slots__ = ("_n",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "r0", _frac(self.r0))
-        object.__setattr__(self, "r1", _frac(self.r1))
-        object.__setattr__(self, "r2", _frac(self.r2))
-        object.__setattr__(self, "r3", _frac(self.r3))
+    def __init__(self, r0=0, r1=0, r2=0, r3=0):
+        r = (_frac(r0), _frac(r1), _frac(r2), _frac(r3))
+        # over the lcm of the reduced denominators the tuple is already canonical
+        den = lcm(*(x.denominator for x in r))
+        self._n = tuple(x.numerator * (den // x.denominator) for x in r) + (den,)
+
+    # -- components -----------------------------------------------------
+    @property
+    def r0(self) -> Fraction:
+        return Fraction(self._n[0], self._n[4])
+
+    @property
+    def r1(self) -> Fraction:
+        return Fraction(self._n[1], self._n[4])
+
+    @property
+    def r2(self) -> Fraction:
+        return Fraction(self._n[2], self._n[4])
+
+    @property
+    def r3(self) -> Fraction:
+        return Fraction(self._n[3], self._n[4])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ExactScalar):
+            return self._n == other._n
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._n)
+
+    def __repr__(self) -> str:
+        return f"ExactScalar(r0={self.r0!r}, r1={self.r1!r}, r2={self.r2!r}, r3={self.r3!r})"
 
     # -- constructors -------------------------------------------------
     @classmethod
     def rational(cls, value) -> "ExactScalar":
-        return cls(_frac(value))
+        x = _frac(value)
+        return _wrap((x.numerator, 0, 0, 0, x.denominator))
 
     @classmethod
     def coerce(cls, value) -> "ExactScalar":
@@ -52,13 +96,18 @@ class ExactScalar:
 
     # -- ring operations ----------------------------------------------
     def __add__(self, other) -> "ExactScalar":
-        o = ExactScalar.coerce(other)
-        return ExactScalar(self.r0 + o.r0, self.r1 + o.r1, self.r2 + o.r2, self.r3 + o.r3)
+        a0, a1, a2, a3, ad = self._n
+        b0, b1, b2, b3, bd = ExactScalar.coerce(other)._n
+        if ad == bd:
+            return _canonical(a0 + b0, a1 + b1, a2 + b2, a3 + b3, ad)
+        return _canonical(a0 * bd + b0 * ad, a1 * bd + b1 * ad, a2 * bd + b2 * ad,
+                          a3 * bd + b3 * ad, ad * bd)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExactScalar":
-        return ExactScalar(-self.r0, -self.r1, -self.r2, -self.r3)
+        n0, n1, n2, n3, den = self._n
+        return _wrap((-n0, -n1, -n2, -n3, den))
 
     def __sub__(self, other) -> "ExactScalar":
         return self + (-ExactScalar.coerce(other))
@@ -67,37 +116,41 @@ class ExactScalar:
         return ExactScalar.coerce(other) + (-self)
 
     def __mul__(self, other) -> "ExactScalar":
-        o = ExactScalar.coerce(other)
-        a0, a1, a2, a3 = self.r0, self.r1, self.r2, self.r3
-        b0, b1, b2, b3 = o.r0, o.r1, o.r2, o.r3
+        a0, a1, a2, a3, ad = self._n
+        if type(other) is int:
+            # scale the numerators: other // g shares no factor with ad // g,
+            # and the n's none with ad, so the result stays canonical
+            g = gcd(other, ad)
+            k = other // g
+            return _wrap((a0 * k, a1 * k, a2 * k, a3 * k, ad // g))
+        b0, b1, b2, b3, bd = ExactScalar.coerce(other)._n
         # i^2 = -1, (sqrt2)^2 = 2, (i*sqrt2)^2 = -2
-        return ExactScalar(
+        return _canonical(
             a0 * b0 - a1 * b1 + 2 * (a2 * b2 - a3 * b3),
             a0 * b1 + a1 * b0 + 2 * (a2 * b3 + a3 * b2),
             a0 * b2 + a2 * b0 - a1 * b3 - a3 * b1,
             a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1,
+            ad * bd,
         )
 
     __rmul__ = __mul__
 
     def inverse(self) -> "ExactScalar":
-        """Field inverse.  Write z = alpha + beta*sqrt2 with alpha, beta in
-        Q(i); then 1/z = (alpha - beta*sqrt2) / (alpha^2 - 2 beta^2)."""
+        """Field inverse.  Write z = (alpha + beta*sqrt2)/den with alpha,
+        beta Gaussian integers and gamma = alpha^2 - 2 beta^2; then
+        1/z = den (alpha - beta*sqrt2) conj(gamma) / |gamma|^2."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(i, sqrt2)")
-        a = (self.r0, self.r1)  # alpha
-        b = (self.r2, self.r3)  # beta
-
-        def gmul(x, y):
-            return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-        g = gmul(a, a)
-        g = (g[0] - 2 * (b[0] * b[0] - b[1] * b[1]), g[1] - 2 * (2 * b[0] * b[1]))
-        gn = g[0] * g[0] + g[1] * g[1]  # |gamma|^2, a nonzero rational
-        ginv = (g[0] / gn, -g[1] / gn)
-        top_a = gmul(a, ginv)
-        top_b = gmul((-b[0], -b[1]), ginv)
-        return ExactScalar(top_a[0], top_a[1], top_b[0], top_b[1])
+        n0, n1, n2, n3, den = self._n
+        g0 = n0 * n0 - n1 * n1 - 2 * (n2 * n2 - n3 * n3)
+        g1 = 2 * (n0 * n1 - 2 * n2 * n3)
+        return _canonical(
+            den * (n0 * g0 + n1 * g1),
+            den * (n1 * g0 - n0 * g1),
+            -den * (n2 * g0 + n3 * g1),
+            -den * (n3 * g0 - n2 * g1),
+            g0 * g0 + g1 * g1,  # nonzero: gamma is den^2 times the norm of z over Q(i)
+        )
 
     def __truediv__(self, other) -> "ExactScalar":
         return self * ExactScalar.coerce(other).inverse()
@@ -108,13 +161,14 @@ class ExactScalar:
     # -- structure ------------------------------------------------------
     def conjugate(self) -> "ExactScalar":
         """Complex conjugate (i -> -i)."""
-        return ExactScalar(self.r0, -self.r1, self.r2, -self.r3)
+        n0, n1, n2, n3, den = self._n
+        return _wrap((n0, -n1, n2, -n3, den))
 
     def is_zero(self) -> bool:
-        return not (self.r0 or self.r1 or self.r2 or self.r3)
+        return self._n == _ZERO
 
     def is_rational(self) -> bool:
-        return not (self.r1 or self.r2 or self.r3)
+        return not (self._n[1] or self._n[2] or self._n[3])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
@@ -122,10 +176,9 @@ class ExactScalar:
         return self.r0
 
     def to_complex(self) -> complex:
-        return complex(
-            float(self.r0) + float(self.r2) * _SQRT2,
-            float(self.r1) + float(self.r3) * _SQRT2,
-        )
+        # int / int rounds the exact quotient once, as float(Fraction) does
+        n0, n1, n2, n3, den = self._n
+        return complex(n0 / den + n2 / den * _SQRT2, n1 / den + n3 / den * _SQRT2)
 
     def __str__(self) -> str:
         terms = []

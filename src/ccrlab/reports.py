@@ -46,6 +46,17 @@ _DENSE_SIZES = {
 }
 
 
+def _within_dense_limit(spec: interval.IntervalRepSpec, t: float) -> interval.IntervalRepSpec:
+    """spec, refused when aligning t raised its sample count past _MAX_DENSE_DIM
+    (interval.aligned_spec may go up to 16 times the requested count)."""
+    if spec.m > _MAX_DENSE_DIM:
+        raise ValueError(
+            f"aligned interval_m {spec.m} exceeds {_MAX_DENSE_DIM}, the largest side of a dense "
+            f"array: t={t} is a whole number of steps of ({spec.a}, {spec.b}) first at m={spec.m}"
+        )
+    return spec
+
+
 @dataclass
 class RunConfig:
     suite: str = "all"
@@ -97,6 +108,13 @@ class RunConfig:
             raise ValueError("interval needs b > a")
         if self.interval_m < 16:
             raise ValueError("interval sample count must be at least 16")
+        if self.suite in _DENSE_SIZES["interval_m"]:
+            try:
+                spec = interval.aligned_spec(self.interval_a, self.interval_b, self.t, self.interval_m)
+            except ValueError:
+                pass  # t aligns with no sample count: the suite records a failed set-up
+            else:
+                _within_dense_limit(spec, self.t)
         if self.fmt not in ("json", "csv", "text"):
             raise ValueError(f"unknown format {self.fmt!r}")
 
@@ -730,7 +748,7 @@ def schrodinger_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
 def irregular_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
     col = _Collector(prefix)
     a, b = config.interval_a, config.interval_b
-    spec = interval.aligned_spec(a, b, config.t, config.interval_m)
+    spec = _within_dense_limit(interval.aligned_spec(a, b, config.t, config.interval_m), config.t)
     t, s = config.t, config.s
 
     col.check(
@@ -1060,12 +1078,15 @@ def sweep_dims(dims: list[int], ts: list[float], ss: list[float]) -> str:
 def sweep_interval_lengths(
     lengths: list[float], t: float, s: float, m_target: int = 256
 ) -> str:
-    """Contrast sweep over centered interval lengths, one CSV row each."""
+    """Contrast sweep over centered interval lengths, one CSV row each.
+    A length whose aligned sample count exceeds _MAX_DENSE_DIM is a failed row."""
+    if m_target > _MAX_DENSE_DIM:
+        raise ValueError(f"interval_m {m_target} exceeds {_MAX_DENSE_DIM}, the largest side of a dense array")
     rows = []
     for length in lengths:
         try:
             spec = interval.aligned_spec(-float(length) / 2, float(length) / 2, t, m_target)
-            row = interval.interval_vs_line_report([spec], t, s)[0]
+            row = interval.interval_vs_line_report([_within_dense_limit(spec, t)], t, s)[0]
             rows.append([length, row.weyl_residual, row.spectral_distance, "ok"])
         except Exception as exc:  # noqa: BLE001 - row-level failure
             rows.append([length, "", "", f"failed: {type(exc).__name__}"])

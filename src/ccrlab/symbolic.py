@@ -19,7 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from .exact import ExactScalar, HALF_SQRT2, I, ONE
+from .exact import ExactScalar, HALF_SQRT2, I, ONE, SQRT2, ZERO
 from . import fock
 
 # ---------------------------------------------------------------------------
@@ -188,7 +188,7 @@ class _Parser:
             if val == "i":
                 return Scalar(I)
             if val == "sqrt2":
-                return Scalar(ExactScalar(Fraction(0), Fraction(0), Fraction(1)))
+                return Scalar(SQRT2)
             raise ParseError(f"unknown identifier {val!r}", at)
         if val == "(":
             e = self.expr()
@@ -210,44 +210,7 @@ def parse(text: str) -> OperatorExpr:
 
 
 # ---------------------------------------------------------------------------
-# Single-rule word rewriting: a letter word over {'a', 'd'} ('d' = a†)
-# reduces to normally ordered monomials with integer coefficients.
-
-
-def _order_key(word: str) -> tuple:
-    """(length, inversions): each rewrite lowers one and keeps the other."""
-    return len(word), sum(word[j:].count("d") for j, letter in enumerate(word) if letter == "a")
-
-
-def word_rewrite_stats(word: tuple) -> tuple:
-    """Fixpoint of the rewrite rule a·d -> d·a + (drop both).
-
-    Returns (terms, max_applications) where terms is a tuple of
-    ((m, k), integer coefficient) for the word rewritten as a sum of
-    d^m a^k, and max_applications is the longest chain of rule
-    applications along any derivation path.  Each application either
-    removes one inversion or shortens the word, so rewriting terminates
-    within (word length)^2 applications per monomial path.  Taking words
-    largest `_order_key` first rewrites each once, all paths' coefficients
-    summed.  Nothing in the engine calls it: it is the literal oracle for
-    `_reorder`.
-    """
-    pending = {"".join(word): (1, 0)}
-    done: dict[str, int] = {}
-    max_apps = 0
-    while pending:
-        w = max(pending, key=_order_key)
-        c, depth = pending.pop(w)
-        j = w.find("ad")  # the first inversion
-        if j < 0:
-            done[w] = c
-            max_apps = max(max_apps, depth)
-            continue
-        for successor in (w[:j] + "da" + w[j + 2 :], w[:j] + w[j + 2 :]):
-            c0, d0 = pending.get(successor, (0, 0))
-            pending[successor] = (c0 + c, max(d0, depth + 1))
-    terms = tuple(sorted(((w.count("d"), w.count("a")), c) for w, c in done.items() if c))
-    return terms, max_apps
+# Reordering a^k (a†)^m
 
 
 @lru_cache(maxsize=None)
@@ -279,14 +242,15 @@ class NormalForm:
     def __init__(self, terms: dict | None = None):
         clean = {}
         for (m, k), c in (terms or {}).items():
-            c = ExactScalar.coerce(c)
+            if not isinstance(c, ExactScalar):
+                c = ExactScalar.coerce(c)
             if not c.is_zero():
                 clean[(int(m), int(k))] = c
         self._terms = clean
 
     # -- access ---------------------------------------------------------
     def coeff(self, m: int, k: int) -> ExactScalar:
-        return self._terms.get((m, k), ExactScalar())
+        return self._terms.get((m, k), ZERO)
 
     def items(self) -> list:
         return sorted(self._terms.items())
@@ -304,7 +268,7 @@ class NormalForm:
     def __add__(self, other: "NormalForm") -> "NormalForm":
         out = dict(self._terms)
         for key, c in other._terms.items():
-            out[key] = out.get(key, ExactScalar()) + c
+            out[key] = out.get(key, ZERO) + c
         return NormalForm(out)
 
     def __neg__(self) -> "NormalForm":
@@ -324,7 +288,7 @@ class NormalForm:
                 c12 = c1 * c2
                 for (mm, kk), w in _reorder(k1, m2):
                     key = (m1 + mm, kk + k2)
-                    out[key] = out.get(key, ExactScalar()) + c12 * w
+                    out[key] = out.get(key, ZERO) + c12 * w
         return NormalForm(out)
 
     def __pow__(self, n: int) -> "NormalForm":

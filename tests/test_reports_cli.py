@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -44,6 +45,8 @@ def test_config_validation_errors():
         RunConfig(suite="schrodinger", grid_m=2049),  # past the largest dense m x m circulant
         RunConfig(suite="irregular", interval_m=10**6),
         RunConfig(suite="all", grid_m=10**6),
+        RunConfig(suite="irregular", interval_m=2048, t=1 / 30000),  # aligning t gives m = 30000
+        RunConfig(suite="all", interval_m=2048, t=0.001),  # aligned m = 3000
     ):
         with pytest.raises(ValueError):
             bad.validate()
@@ -56,6 +59,8 @@ def test_config_validation_errors():
         RunConfig(suite="analytic", dim=4096),  # applies the tridiagonal q and p only
         RunConfig(suite="schrodinger", grid_m=2048),
         RunConfig(suite="fock", grid_m=10**6, interval_m=10**6),  # read by other suites only
+        RunConfig(suite="fock", interval_m=2048, t=1 / 30000),
+        RunConfig(suite="irregular", t=0.3333333),  # aligns nowhere: a failed set-up, not a usage error
     ):
         good.validate()
 
@@ -244,6 +249,33 @@ def test_cli_usage_error_grid_beyond_dense_limit(capsys):
     captured = capsys.readouterr()
     assert "grid_m 1000000 exceeds 2048" in captured.err
     assert captured.out == ""
+
+
+def test_cli_usage_error_aligned_interval_beyond_dense_limit(capsys):
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        assert main(["irregular", "--interval-m", "2048", "--t", "3.3333333333333335e-05"]) == 2
+        assert time.perf_counter() - start < 1.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20  # refused before the 30000 x 30000 interval operators
+    captured = capsys.readouterr()
+    assert "aligned interval_m 30000 exceeds 2048" in captured.err
+    assert captured.out == ""
+
+
+def test_sweep_interval_lengths_beyond_dense_limit(capsys):
+    start = time.perf_counter()
+    assert main(["sweep", "--interval-lengths", "1", "--interval-m", "4096"]) == 2
+    assert "interval_m 4096 exceeds 2048" in capsys.readouterr().err
+    # t = 0.5 aligns with length 1500 first at m = 3000: that row fails, the next one runs
+    text = reports.sweep_interval_lengths([1500.0, 1.0], 0.5, 0.5, m_target=256)
+    assert time.perf_counter() - start < 1.0
+    lines = text.strip().split("\n")
+    assert lines[1] == "1500.0,,,failed: ValueError"
+    assert lines[2].endswith(",ok")
 
 
 def test_cli_usage_error_unknown_suite():

@@ -30,7 +30,6 @@ from ccrlab.symbolic import (
     parse,
     vacuum_expectation,
     verify_identity,
-    word_rewrite_stats,
 )
 
 
@@ -147,6 +146,46 @@ def test_adjoint_of_hermitian_symbols():
     for name in ("q", "p", "I"):
         nf = normal_order(Symbol(name))
         assert nf.adjoint() == nf
+
+
+# -- the literal rewriter: the oracle for _reorder ------------------------------
+# A letter word over {'a', 'd'} ('d' = a†) reduces to normally ordered
+# monomials with integer coefficients by the single rule a·d -> d·a + 1.
+
+
+def _order_key(word: str) -> tuple:
+    """(length, inversions): each rewrite lowers one and keeps the other."""
+    return len(word), sum(word[j:].count("d") for j, letter in enumerate(word) if letter == "a")
+
+
+def word_rewrite_stats(word: tuple) -> tuple:
+    """Fixpoint of the rewrite rule a·d -> d·a + (drop both).
+
+    Returns (terms, max_applications) where terms is a tuple of
+    ((m, k), integer coefficient) for the word rewritten as a sum of
+    d^m a^k, and max_applications is the longest chain of rule
+    applications along any derivation path.  Each application either
+    removes one inversion or shortens the word, so rewriting terminates
+    within (word length)^2 applications per monomial path.  Taking words
+    largest `_order_key` first rewrites each once, all paths' coefficients
+    summed.
+    """
+    pending = {"".join(word): (1, 0)}
+    done: dict[str, int] = {}
+    max_apps = 0
+    while pending:
+        w = max(pending, key=_order_key)
+        c, depth = pending.pop(w)
+        j = w.find("ad")  # the first inversion
+        if j < 0:
+            done[w] = c
+            max_apps = max(max_apps, depth)
+            continue
+        for successor in (w[:j] + "da" + w[j + 2 :], w[:j] + w[j + 2 :]):
+            c0, d0 = pending.get(successor, (0, 0))
+            pending[successor] = (c0 + c, max(d0, depth + 1))
+    terms = tuple(sorted(((w.count("d"), w.count("a")), c) for w, c in done.items() if c))
+    return terms, max_apps
 
 
 def test_rewrite_termination_bound():
