@@ -15,7 +15,9 @@ untested.  The number-operator spectrum is computed in the real periodic
 mode basis {1, cos, sin} with exact matrix elements of x^2 (the
 multiplication operator is discontinuous across the seam, so pointwise
 sampling would lose accuracy), which keeps the m vs 2m refinement
-agreement well below 1e-6.
+agreement well below 1e-6.  On a centred interval x^2 is even, so N is
+two Toeplitz +- Hankel blocks, on the cos and on the sin modes, each
+solved alone; any other interval is solved as the full matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schrodinger import grid_wavenumbers
+from .schrodinger import _reflection_block, grid_wavenumbers
 
 BOUNDARY_CONDITION = "periodic"
 
@@ -176,15 +178,35 @@ def interval_number_operator(spec: IntervalRepSpec) -> np.ndarray:
     return Q2 / 2.0
 
 
+def _number_blocks(spec: IntervalRepSpec):
+    """The blocks of the interval number operator, built one at a time.
+
+    On a centred interval (a + b == 0) x^2 is even and its exact
+    <cos|x^2|sin> elements vanish, so N is the cos block
+    C[|i-j|] + C[i+j] on 1, cos_1..cos_K and then the sin block
+    C[|i-j|] - C[i+j] on sin_1..sin_K.  Any other interval is one block,
+    the full matrix of `interval_number_operator`."""
+    if spec.a + spec.b != 0:
+        yield interval_number_operator(spec)
+        return
+    K = spec.m // 2
+    C = _x2_mode_integrals(spec.a, spec.b, 2 * K)[0] / 2.0
+    sin_diagonal = ((2.0 * np.pi * np.arange(1, K + 1) / spec.length) ** 2 - 1.0) / 2.0
+    yield _reflection_block(C, 0, K + 1, 1.0, np.concatenate([[-0.5], sin_diagonal]), (0,))
+    yield _reflection_block(C, 1, K, -1.0, sin_diagonal)
+
+
 def interval_number_spectrum(spec: IntervalRepSpec, count: int) -> np.ndarray:
-    """Lowest `count` eigenvalues of the interval number operator."""
+    """Lowest `count` eigenvalues of the interval number operator, merged
+    from its blocks."""
     if count < 0:
         raise ValueError("count must be nonnegative")
     if count == 0:
         return np.array([])
     if count >= spec.m // 2:
         raise ValueError("count must be well below the mode cutoff m/2")
-    return np.linalg.eigvalsh(interval_number_operator(spec))[:count]
+    ev = [np.linalg.eigvalsh(block)[:count] for block in _number_blocks(spec)]
+    return np.sort(np.concatenate(ev))[:count]
 
 
 def spectral_distance_from_naturals(eigenvalues: np.ndarray) -> float:

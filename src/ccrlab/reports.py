@@ -15,6 +15,7 @@ so reports are byte-identical across runs up to the wall-time field.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -35,15 +36,20 @@ _ANALYTIC_DIM = 256
 _ANALYTIC_TOP_MODE = 8
 _TAYLOR_CHECK_DIM = 128
 # Largest side of a dense square array, 64 MiB per complex array, checked
-# before any is allocated.  Each size with the suites that build one of
-# that side: fock's eigh and the weyl suite's matrix exponentials (dim),
-# the grid kinetic circulant (grid_m), the interval operators (interval_m).
+# before any is allocated.  Each size with the suites that build arrays
+# from it: fock's eigh and the weyl suite's matrix exponentials (dim), the
+# grid oscillator's two parity blocks of side about m/2 (grid_m), the
+# interval's shift and phase matrices and its N, two parity blocks on a
+# centred interval (interval_m, after aligning t).
 _MAX_DENSE_DIM = 2048
 _DENSE_SIZES = {
     "dim": ("fock", "weyl", "all"),
     "grid_m": ("schrodinger", "all"),
     "interval_m": ("irregular", "all"),
 }
+# The irregular suite's contrast intervals (a, b, requested m), each aligned
+# with the run's t: lengths 1, 5 and 20.
+_CONTRAST_INTERVALS = ((-0.5, 0.5, 256), (-2.5, 2.5, 320), (-10.0, 10.0, 640))
 
 
 def _within_dense_limit(spec: interval.IntervalRepSpec, t: float) -> interval.IntervalRepSpec:
@@ -109,11 +115,11 @@ class RunConfig:
         if self.interval_m < 16:
             raise ValueError("interval sample count must be at least 16")
         if self.suite in _DENSE_SIZES["interval_m"]:
-            try:
-                spec = interval.aligned_spec(self.interval_a, self.interval_b, self.t, self.interval_m)
-            except ValueError:
-                pass  # t aligns with no sample count: the suite records a failed set-up
-            else:
+            for a, b, m in ((self.interval_a, self.interval_b, self.interval_m),) + _CONTRAST_INTERVALS:
+                try:
+                    spec = interval.aligned_spec(a, b, self.t, m)
+                except ValueError:
+                    continue  # t aligns with no sample count: the suite records a failed set-up or check
                 _within_dense_limit(spec, self.t)
         if self.fmt not in ("json", "csv", "text"):
             raise ValueError(f"unknown format {self.fmt!r}")
@@ -670,20 +676,20 @@ def schrodinger_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
 
     col.check("momentum_sine", "p sin = -i cos on [-pi, pi)", sine, 1e-10)
 
+    levels = functools.cache(lambda count: schrodinger.grid_oscillator_spectrum(L, m, scheme, count))
+
     def spectrum():
-        ev = schrodinger.grid_oscillator_spectrum(L, m, scheme, 6)
-        return float(np.abs(ev - np.arange(1, 13, 2)).max())
+        return float(np.abs(levels(6) - np.arange(1, 13, 2)).max())
 
     col.check("oscillator_spectrum_first6", "spec(q^2+p^2) = {1,3,5,7,9,11}", spectrum, osc_tol)
 
     def gaps():
-        ev = schrodinger.grid_oscillator_spectrum(L, m, scheme, 6)
-        return float(np.abs(np.diff(ev) - 2.0).max())
+        return float(np.abs(np.diff(levels(6)) - 2.0).max())
 
     col.check("oscillator_gaps", "consecutive oscillator gaps = 2", gaps, gap_tol)
 
     def lowest_nonneg():
-        low = float(schrodinger.grid_oscillator_spectrum(L, m, scheme, 1)[0])
+        low = float(levels(min(6, m // 4))[0])  # the same solve, unless m < 24 holds fewer than 6 levels
         return (low, low >= -1e-10)
 
     col.check("oscillator_positive", "q^2 + p^2 is positive semidefinite", lowest_nonneg)
@@ -697,11 +703,10 @@ def schrodinger_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
     def number_eigen():
         basis = schrodinger.hermite_basis(L, m, 8)
         x2 = basis[0].points ** 2
-        kinetic = schrodinger.build_grid_kinetic(-L, L, m, scheme)
         worst = 0.0
         h = 2 * L / m
         for n, b in enumerate(basis):
-            n_b = (x2 * b.values + kinetic @ b.values - b.values) / 2.0
+            n_b = (x2 * b.values + schrodinger.grid_kinetic(b.values, -L, L, scheme) - b.values) / 2.0
             worst = max(worst, math.sqrt(h) * float(np.linalg.norm(n_b - n * b.values)))
         return worst
 
@@ -834,8 +839,11 @@ def irregular_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
         1e-8,
     )
 
+    unit_spec = interval.IntervalRepSpec(0.0, 1.0, 256)
+    unit_levels = functools.cache(lambda: interval.interval_number_spectrum(unit_spec, 3))
+
     def distances():
-        ev = interval.interval_number_spectrum(interval.IntervalRepSpec(0.0, 1.0, 256), 3)
+        ev = unit_levels()
         nearest = np.clip(np.round(ev), 0, None)
         return (float(np.min(np.abs(ev - nearest))), bool(np.all(np.abs(ev - nearest) > 0.05)))
 
@@ -849,8 +857,7 @@ def irregular_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
         "interval N eigenvalues agree between m=256 and m=512",
         lambda: float(
             np.abs(
-                interval.interval_number_spectrum(interval.IntervalRepSpec(0.0, 1.0, 256), 3)
-                - interval.interval_number_spectrum(interval.IntervalRepSpec(0.0, 1.0, 512), 3)
+                unit_levels() - interval.interval_number_spectrum(interval.IntervalRepSpec(0.0, 1.0, 512), 3)
             ).max()
         ),
         1e-6,
@@ -868,11 +875,8 @@ def irregular_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
     )
 
     def contrast():
-        specs = [
-            interval.aligned_spec(-0.5, 0.5, t, 256),
-            interval.aligned_spec(-2.5, 2.5, t, 320),
-            interval.aligned_spec(-10.0, 10.0, t, 640),
-        ]
+        specs = [_within_dense_limit(interval.aligned_spec(lo, hi, t, m_target), t)
+                 for lo, hi, m_target in _CONTRAST_INTERVALS]
         rows = interval.interval_vs_line_report(specs, t, s)
         residuals = [r.weyl_residual for r in rows]
         distances_ = [r.spectral_distance for r in rows]

@@ -5,7 +5,9 @@ q^2 + p^2 then has spectrum {2n+1}.  Differentiation is spectral
 (trigonometric, periodic) by default, with a second-order central
 difference kept as a cross-validation scheme.  q and p are applied to
 sample vectors (a multiply, an FFT or a stencil), never stored as
-matrices; only the kinetic p^2 is a dense circulant, for the eigensolver.
+matrices.  p^2 is a real even circulant kept as its first column: applied
+by FFT, and for the eigensolver split by the reflection x -> -x into two
+Toeplitz +- Hankel parity blocks of side about m/2.
 
 The ladder combinations (q -+ ip)/sqrt2 differ only by a sign, and only
 one of them annihilates the Gaussian e^{-x^2/2}: with p = -i d/dx it is
@@ -157,44 +159,87 @@ def vacuum_annihilation_residual(L: float, m: int, scheme: str = SPECTRAL) -> fl
     return r
 
 
-def _circulant(column: np.ndarray) -> np.ndarray:
-    """The circulant matrix C[i, j] = column[(i - j) mod m]."""
-    m = column.size
-    return column[(np.arange(m)[:, None] - np.arange(m)[None, :]) % m]
+def _kinetic_column(x_min: float, x_max: float, m: int, scheme: str) -> np.ndarray:
+    """First column c of p^2, a real symmetric circulant C[i, j] = c[(i - j) mod m]
+    with c[k] = c[m - k] exactly.
 
-
-def build_grid_kinetic(x_min: float, x_max: float, m: int, scheme: str = SPECTRAL) -> np.ndarray:
-    """Discretization of p^2 as a real symmetric circulant.
-
-    spectral: first column ifft(k^2), the square of the spectral
-    momentum (its eigenvalue k^2 on each DFT mode, zero on the Nyquist
-    mode of even m).  central_difference: the 3-point second-difference
-    stencil; squaring the first-difference matrix instead would decouple
-    odd and even points and fill the low spectrum with spurious sawtooth
-    modes.
+    spectral: ifft(k^2), the square of the spectral momentum (its
+    eigenvalue k^2 on each DFT mode, zero on the Nyquist mode of even m).
+    central_difference: the 3-point second-difference stencil; squaring
+    the first difference instead would decouple odd and even points and
+    fill the low spectrum with spurious sawtooth modes.
     """
     if scheme == SPECTRAL:
         k = grid_wavenumbers(x_min, x_max, m)
         column = np.fft.ifft(k * k).real
-        return _circulant((column + np.roll(column[::-1], 1)) / 2.0)  # even, so T = T^T exactly
+        return (column + np.roll(column[::-1], 1)) / 2.0  # even to the last bit
     if scheme == CENTRAL_DIFFERENCE:
         x = _grid_points(x_min, x_max, m)
-        h = x[1] - x[0]
         column = np.zeros(m)
         column[[0, 1, -1]] = 2.0, -1.0, -1.0
-        return _circulant(column / h**2)
+        return column / (x[1] - x[0]) ** 2
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
+def grid_kinetic(values: np.ndarray, x_min: float, x_max: float, scheme: str = SPECTRAL) -> np.ndarray:
+    """p^2 applied to periodic grid samples (along the last axis) by FFT of
+    the kinetic circulant's column: k^2 on each DFT mode for spectral,
+    (2 - 2 cos(kh))/h^2 for central differences."""
+    values = np.asarray(values)
+    symbol = np.fft.fft(_kinetic_column(x_min, x_max, values.shape[-1], scheme)).real
+    return np.fft.ifft(symbol * np.fft.fft(values))
+
+
+def _reflection_block(column: np.ndarray, first: int, size: int, sign: float, diagonal: np.ndarray,
+                      fixed: tuple = ()) -> np.ndarray:
+    """column[|i - j|] + sign * column[i + j] + diag(diagonal) for i, j in
+    first .. first + size - 1, with the rows and columns at the block
+    indices `fixed` scaled by 1/sqrt2.
+
+    This is how a real symmetric matrix column[|i - j|] + diag(d), over
+    i, j in -K..K (or in Z/m, where column[k] = column[m - k]) with d even
+    in i, acts on the even vectors (delta_i + delta_-i)/sqrt2, i >= 0
+    (sign +1, first 0, the fixed points of i -> -i in `fixed`), and on the
+    odd ones (delta_i - delta_-i)/sqrt2, i >= 1 (sign -1, first 1).
+    column must reach index 2 (first + size - 1).  Both parts are strided
+    views of column; the result is the only array of side `size`.
+    """
+    window = np.lib.stride_tricks.sliding_window_view
+    toeplitz = window(np.concatenate([column[size - 1 : 0 : -1], column[:size]]), size)[:, ::-1]
+    hankel = window(column[2 * first : 2 * (first + size) - 1], size)
+    block = toeplitz + hankel if sign > 0 else toeplitz - hankel
+    if fixed:
+        scale = np.ones(size)
+        scale[list(fixed)] = math.sqrt(0.5)
+        block *= scale
+        block *= scale[:, None]
+    block.reshape(-1)[:: size + 1] += diagonal
+    return block
+
+
+def _oscillator_blocks(L: float, m: int, scheme: str = SPECTRAL):
+    """The even and then the odd parity block of diag(x^2) + kinetic on
+    the grid, built one at a time.
+
+    x_j^2 and the kinetic column are even under the reflection
+    j -> -j mod m (x -> -x).  The even block acts on j = 0..m//2, with
+    the fixed points 0 and, for even m, m/2; the odd block on
+    j = 1..(m-1)//2."""
+    x = _grid_points(-L, L, m)
+    column = _kinetic_column(-L, L, m, scheme)
+    column = np.append(column, column[0])  # c[m] = c[0]: the even block's Hankel part reaches i + j = m
+    x2, half = x * x, m // 2
+    yield _reflection_block(column, 0, half + 1, 1.0, x2[: half + 1], (0, half) if m % 2 == 0 else (0,))
+    yield _reflection_block(column, 1, (m - 1) // 2, -1.0, x2[1 : (m + 1) // 2])
+
+
 def grid_oscillator_spectrum(L: float, m: int, scheme: str = SPECTRAL, count: int = 6) -> np.ndarray:
-    """Lowest `count` eigenvalues of q^2 + p^2 on the grid, from the
-    real symmetric matrix diag(x^2) + kinetic."""
+    """Lowest `count` eigenvalues of q^2 + p^2 on the grid, the real
+    symmetric diag(x^2) + kinetic circulant, from its two parity blocks."""
     if count < 1 or count > m // 4:
         raise ValueError("count must be in 1..m/4")
-    x = _grid_points(-L, L, m)
-    H = build_grid_kinetic(-L, L, m, scheme)
-    H[np.diag_indices(m)] += x * x
-    return np.linalg.eigvalsh(H)[:count]
+    ev = [np.linalg.eigvalsh(block)[:count] for block in _oscillator_blocks(L, m, scheme)]
+    return np.sort(np.concatenate(ev))[:count]
 
 
 def _hermite_rows(L: float, m: int, n_max: int) -> list[np.ndarray]:

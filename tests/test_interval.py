@@ -9,6 +9,7 @@ t = 1/2, s = pi, psi = 1 that is 4 * 1/2 = 2.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,48 @@ def test_real_mode_spectrum_matches_complex_fourier_basis(a, b, m):
     assert N.dtype == np.float64 and np.array_equal(N, N.T)
     want = np.linalg.eigvalsh(_complex_fourier_number_operator(a, b, m))
     assert np.abs(np.linalg.eigvalsh(N) - want).max() < 1e-9 * np.linalg.norm(N, 2)
+
+
+@pytest.mark.parametrize("a, b", [(-2.5, 2.5), (-20.0, 20.0), (0.0, 1.0), (0.3, 2.2)])
+@pytest.mark.parametrize("m", [16, 17, 64, 255, 256, 1024])
+def test_number_spectrum_matches_dense_eigvalsh(a, b, m):
+    # centred intervals are solved as two blocks, the others whole
+    N = _complex_fourier_number_operator(a, b, m)
+    count = m // 2 - 1
+    want = np.linalg.eigvalsh(N)[:count]
+    got = interval.interval_number_spectrum(IntervalRepSpec(a, b, m), count)
+    assert np.abs(got - want).max() < 1e-12 * np.linalg.norm(N, 2)
+
+
+@pytest.mark.parametrize("half, m", [(0.5, 64), (2.5, 255), (10.0, 256), (20.0, 1024)])
+def test_centred_interval_has_no_cos_sin_coupling(half, m):
+    # the blocks drop <cos|x^2|sin>, which vanishes exactly when a + b = 0
+    N = interval.interval_number_operator(IntervalRepSpec(-half, half, m))
+    K = m // 2
+    assert np.abs(N[1 : K + 1, K + 1 :]).max() < 1e-12 * np.linalg.norm(N, 2)
+    cos, sin = interval._number_blocks(IntervalRepSpec(-half, half, m))
+    scale = np.linalg.norm(N, 2)
+    assert np.abs(cos - N[: K + 1, : K + 1]).max() < 1e-13 * scale
+    assert np.abs(sin - N[K + 1 :, K + 1 :]).max() < 1e-13 * scale
+
+
+def test_number_parity_sectors_closed_form():
+    # on (-20, 20) the even oscillator levels 0, 2, 4 sit in the cos block, the odd ones in the sin block
+    cos, sin = (np.linalg.eigvalsh(b)[:3] for b in interval._number_blocks(IntervalRepSpec(-20.0, 20.0, 1024)))
+    assert np.abs(cos - [0.0, 2.0, 4.0]).max() < 1e-10
+    assert np.abs(sin - [1.0, 3.0, 5.0]).max() < 1e-10
+
+
+def test_number_spectrum_memory():
+    spec = IntervalRepSpec(-10.0, 10.0, 2048)
+    interval.interval_number_spectrum(spec, 6)
+    tracemalloc.start()
+    try:
+        interval.interval_number_spectrum(spec, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20  # two blocks of side about 1024, not one of 2049
 
 
 def test_unit_interval_spectrum_away_from_integers():

@@ -47,6 +47,8 @@ def test_config_validation_errors():
         RunConfig(suite="all", grid_m=10**6),
         RunConfig(suite="irregular", interval_m=2048, t=1 / 30000),  # aligning t gives m = 30000
         RunConfig(suite="all", interval_m=2048, t=0.001),  # aligned m = 3000
+        RunConfig(suite="irregular", t=1 / 511),  # contrast interval (-2.5, 2.5) aligns at m = 2555
+        RunConfig(suite="all", t=1 / 103),  # contrast interval (-10, 10) aligns at m = 2060
     ):
         with pytest.raises(ValueError):
             bad.validate()
@@ -60,6 +62,8 @@ def test_config_validation_errors():
         RunConfig(suite="schrodinger", grid_m=2048),
         RunConfig(suite="fock", grid_m=10**6, interval_m=10**6),  # read by other suites only
         RunConfig(suite="fock", interval_m=2048, t=1 / 30000),
+        RunConfig(suite="fock", t=1 / 511),
+        RunConfig(suite="irregular", t=1 / 102),  # every contrast interval aligns at m <= 2048
         RunConfig(suite="irregular", t=0.3333333),  # aligns nowhere: a failed set-up, not a usage error
     ):
         good.validate()
@@ -263,6 +267,23 @@ def test_cli_usage_error_aligned_interval_beyond_dense_limit(capsys):
     assert peak < 8 * 2**20  # refused before the 30000 x 30000 interval operators
     captured = capsys.readouterr()
     assert "aligned interval_m 30000 exceeds 2048" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_usage_error_contrast_interval_beyond_dense_limit(capsys):
+    # the suite grid aligns at m = 511, the contrast intervals (-2.5, 2.5) and (-10, 10) at 2555 and 10220
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        assert main(["irregular", "--t", "0.0019569471624266144"]) == 2
+        assert time.perf_counter() - start < 1.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20  # refused before the contrast intervals' number operators
+    captured = capsys.readouterr()
+    assert "aligned interval_m 2555 exceeds 2048" in captured.err
+    assert "(-2.5, 2.5)" in captured.err
     assert captured.out == ""
 
 

@@ -1,9 +1,11 @@
 """Grid representation: applied momentum, vacuum, oscillator, Hermite
 basis, intertwiner.  Refinement studies double m as the oracle; the
 applied momentum is checked against closed forms and against stencil
-and kinetic matrices built in the tests."""
+and kinetic matrices built in the tests, and the parity-block oscillator
+spectrum against eigvalsh of the whole matrix built here."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,14 +139,43 @@ def test_oscillator_spectrum_central_difference():
     assert np.abs(finer - np.arange(1, 13, 2)).max() < np.abs(ev - np.arange(1, 13, 2)).max()
 
 
+def _circulant(column):
+    """The circulant matrix C[i, j] = column[(i - j) mod m]."""
+    m = column.size
+    return column[(np.arange(m)[:, None] - np.arange(m)[None, :]) % m]
+
+
+def build_grid_kinetic(x_min, x_max, m, scheme=schrodinger.SPECTRAL):
+    """Dense oracle for p^2: the real symmetric circulant with first column
+    ifft(k^2) (spectral) or the 3-point second-difference stencil."""
+    if scheme == schrodinger.SPECTRAL:
+        k = schrodinger.grid_wavenumbers(x_min, x_max, m)
+        column = np.fft.ifft(k * k).real
+        return _circulant((column + np.roll(column[::-1], 1)) / 2.0)  # even, so T = T^T exactly
+    h = (x_max - x_min) / m
+    column = np.zeros(m)
+    column[[0, 1, -1]] = 2.0, -1.0, -1.0
+    return _circulant(column / h**2)
+
+
+def _dense_oscillator(L, m, scheme):
+    x = np.linspace(-L, L, m, endpoint=False)
+    return build_grid_kinetic(-L, L, m, scheme) + np.diag(x * x)
+
+
 @pytest.mark.parametrize("m", [16, 17, 64, 256])
 def test_kinetic_circulant_matches_dense_momentum_squared(m):
     L = 7.5
-    T = schrodinger.build_grid_kinetic(-L, L, m)
+    kinetic = lambda scheme: np.column_stack([schrodinger.grid_kinetic(e, -L, L, scheme) for e in np.eye(m)])
+    T = kinetic(schrodinger.SPECTRAL)
     # the spectral momentum as a matrix, one applied column at a time
     P = np.column_stack([schrodinger.grid_momentum(e, -L, L) for e in np.eye(m)])
-    assert T.dtype == np.float64 and np.array_equal(T, T.T)
     assert np.abs(T - P @ P).max() < 1e-12 * np.abs(P).max() ** 2 * m
+    assert np.abs(T - build_grid_kinetic(-L, L, m)).max() < 1e-12 * np.abs(P).max() ** 2 * m
+    # the column the parity blocks are built from is exactly even
+    for scheme in (schrodinger.SPECTRAL, schrodinger.CENTRAL_DIFFERENCE):
+        c = schrodinger._kinetic_column(-L, L, m, scheme)
+        assert c.dtype == np.float64 and np.array_equal(c[1:], c[:0:-1])
     # central differences: the 3-point stencil, built row by row
     h = 2 * L / m
     stencil = np.zeros((m, m))
@@ -152,13 +183,61 @@ def test_kinetic_circulant_matches_dense_momentum_squared(m):
         stencil[j, j] = 2.0
         stencil[j, (j + 1) % m] -= 1.0
         stencil[j, (j - 1) % m] -= 1.0
-    T = schrodinger.build_grid_kinetic(-L, L, m, schrodinger.CENTRAL_DIFFERENCE)
-    assert T.dtype == np.float64 and np.abs(T - stencil / h**2).max() < 1e-13 / h**2
+    T = kinetic(schrodinger.CENTRAL_DIFFERENCE)
+    assert np.abs(T - stencil / h**2).max() < 1e-13 / h**2
 
 
 def test_kinetic_scheme_validation():
     with pytest.raises(ValueError):
-        schrodinger.build_grid_kinetic(-1.0, 1.0, 16, "upwind")
+        schrodinger.grid_kinetic(np.ones(16), -1.0, 1.0, "upwind")
+
+
+@pytest.mark.parametrize("scheme", [schrodinger.SPECTRAL, schrodinger.CENTRAL_DIFFERENCE])
+@pytest.mark.parametrize("m", [16, 17, 64, 255, 256, 1024])
+def test_oscillator_spectrum_matches_dense_eigvalsh(m, scheme):
+    # the parity blocks against the whole m x m matrix, built here
+    L = 10.0
+    H = _dense_oscillator(L, m, scheme)
+    want = np.linalg.eigvalsh(H)[: m // 4]
+    got = schrodinger.grid_oscillator_spectrum(L, m, scheme, m // 4)
+    assert np.abs(got - want).max() < 1e-12 * np.linalg.norm(H, 2)
+
+
+@pytest.mark.parametrize("m", [16, 17, 64, 255, 256])
+def test_oscillator_blocks_are_the_parity_sectors(m):
+    # each block is H restricted to the even / odd vectors under j -> -j mod m
+    H = _dense_oscillator(7.0, m, schrodinger.SPECTRAL)
+    even = np.zeros((m, m // 2 + 1))
+    odd = np.zeros((m, (m - 1) // 2))
+    for i in range(m // 2 + 1):
+        even[[i, -i % m], i] = 1.0
+    for i in range(1, (m + 1) // 2):
+        odd[[i, m - i], i - 1] = 1.0, -1.0
+    even /= np.linalg.norm(even, axis=0)
+    odd /= np.linalg.norm(odd, axis=0)
+    E, O = schrodinger._oscillator_blocks(7.0, m)
+    scale = np.linalg.norm(H, 2)
+    assert np.abs(E - even.T @ H @ even).max() < 1e-13 * scale
+    assert np.abs(O - odd.T @ H @ odd).max() < 1e-13 * scale
+    assert np.array_equal(E, E.T) and np.array_equal(O, O.T)
+
+
+def test_oscillator_parity_sectors_closed_form():
+    # even Hermite functions carry 1, 5, 9; odd ones 3, 7, 11
+    even, odd = (np.linalg.eigvalsh(b)[:3] for b in schrodinger._oscillator_blocks(10.0, 256))
+    assert np.abs(even - [1.0, 5.0, 9.0]).max() < 1e-10
+    assert np.abs(odd - [3.0, 7.0, 11.0]).max() < 1e-10
+
+
+def test_oscillator_spectrum_memory():
+    schrodinger.grid_oscillator_spectrum(10.0, 2048)
+    tracemalloc.start()
+    try:
+        schrodinger.grid_oscillator_spectrum(10.0, 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20  # two blocks of side 1025, not one of 2048
 
 
 def test_hermite_ground_state_is_gaussian():
