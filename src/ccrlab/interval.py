@@ -80,15 +80,18 @@ def aligned_spec(a: float, b: float, t: float, m_target: int) -> IntervalRepSpec
     raise ValueError(f"no grid-aligned sample count near {m_target} for t={t}")
 
 
-def translation_matrix(spec: IntervalRepSpec, t: float) -> np.ndarray:
-    """U_t as an exact cyclic index shift: (U_t f)(x) = f(x + t mod length)."""
+def unitarity_defect(spec: IntervalRepSpec, t: float, s: float) -> float:
+    """max |U U† - I| over U_t and V_s, entrywise, without forming either.
+
+    U_t is the exact cyclic shift (U_t f)(x) = f(x + t mod length): its
+    index map is a bijection, so U_t U_t† = I exactly, else the defect is
+    1.  V_s is multiplication by e^{isx}, so V_s V_s† - I is the real
+    diagonal |e^{isx}|^2 - 1."""
     r = _shift_steps(spec, t)
-    return np.roll(np.eye(spec.m, dtype=complex), -r, axis=0)
-
-
-def phase_matrix(spec: IntervalRepSpec, s: float) -> np.ndarray:
-    """V_s = multiplication by e^{isx}."""
-    return np.diag(np.exp(1j * s * spec.points))
+    index = np.arange(spec.m)
+    shift_defect = 0.0 if np.array_equal(np.sort(np.roll(index, -r)), index) else 1.0
+    phase = np.exp(1j * s * spec.points)
+    return max(shift_defect, float(np.abs((phase * phase.conj()).real - 1.0).max()))
 
 
 def interval_weyl_residual(
@@ -160,22 +163,23 @@ def interval_number_operator(spec: IntervalRepSpec) -> np.ndarray:
 
     These span the Fourier modes |k| <= m//2, so the spectrum is that of
     the complex Fourier basis; p^2 is diagonal and q^2 has exact matrix
-    elements from the x^2 mode integrals."""
+    elements from the x^2 mode integrals: C[|j-l|] +- C[j+l] on the cos
+    and the sin modes, and <cos_j|x^2|sin_l> = S[j+l] - sign(j-l) S[|j-l|].
+    Each Toeplitz and Hankel part is a strided view of C or S."""
     K = spec.m // 2
     C, S = _x2_mode_integrals(spec.a, spec.b, 2 * K)
-    j = np.arange(1, K + 1)
-    diff, total = j[:, None] - j[None, :], j[:, None] + j[None, :]
-    cos_sin = S[total] - np.sign(diff) * S[np.abs(diff)]  # <cos_j|x^2|sin_l> = S_{j+l} + S_{l-j}
+    diagonal = (2.0 * np.pi * np.arange(1, K + 1) / spec.length) ** 2 - 1.0  # p^2 - 1 on cos_j and on sin_j
+    window = np.lib.stride_tricks.sliding_window_view
     Q2 = np.empty((2 * K + 1, 2 * K + 1))
-    Q2[0, 0] = C[0]
+    Q2[0, 0] = C[0] - 1.0
     Q2[0, 1:] = Q2[1:, 0] = math.sqrt(2.0) * np.concatenate([C[1 : K + 1], S[1 : K + 1]])
-    Q2[1 : K + 1, 1 : K + 1] = C[np.abs(diff)] + C[total]
-    Q2[K + 1 :, K + 1 :] = C[np.abs(diff)] - C[total]
-    Q2[1 : K + 1, K + 1 :] = cos_sin
-    Q2[K + 1 :, 1 : K + 1] = cos_sin.T
-    p2 = np.tile((2.0 * np.pi * j / spec.length) ** 2, 2)
-    Q2[np.diag_indices(2 * K + 1)] += np.concatenate([[0.0], p2]) - 1.0
-    return Q2 / 2.0
+    Q2[1 : K + 1, 1 : K + 1] = _reflection_block(C, 1, K, 1.0, diagonal)
+    Q2[K + 1 :, K + 1 :] = _reflection_block(C, 1, K, -1.0, diagonal)
+    odd_toeplitz = window(np.concatenate([-S[K - 1 : 0 : -1], S[:K]]), K)[:, ::-1]
+    np.subtract(window(S[2 : 2 * K + 1], K), odd_toeplitz, out=Q2[1 : K + 1, K + 1 :])
+    Q2[K + 1 :, 1 : K + 1] = Q2[1 : K + 1, K + 1 :].T
+    Q2 /= 2.0
+    return Q2
 
 
 def _number_blocks(spec: IntervalRepSpec):

@@ -81,12 +81,49 @@ def test_residual_periodic_in_s():
     assert abs(r0 - r1) < 1e-12
 
 
+def _translation_matrix(spec, t):
+    """U_t as a dense rolled identity: (U_t f)(x) = f(x + t mod length)."""
+    r = round(t / spec.h)
+    return np.roll(np.eye(spec.m, dtype=complex), -r, axis=0)
+
+
+def _phase_matrix(spec, s):
+    """V_s = multiplication by e^{isx}, as a dense diagonal."""
+    return np.diag(np.exp(1j * s * spec.points))
+
+
+def _dense_unitarity_defect(U):
+    return float(np.abs(U @ U.conj().T - np.eye(U.shape[0])).max())
+
+
 def test_translation_and_phase_unitary():
     spec = IntervalRepSpec(0.0, 1.0, 64)
-    U = interval.translation_matrix(spec, 0.25)
-    V = interval.phase_matrix(spec, 2.2)
-    assert np.abs(U @ U.conj().T - np.eye(64)).max() < 1e-12
-    assert np.abs(V @ V.conj().T - np.eye(64)).max() < 1e-12
+    U = _translation_matrix(spec, 0.25)
+    V = _phase_matrix(spec, 2.2)
+    f = np.exp(np.arange(64.0)).astype(complex)
+    assert np.array_equal(U @ f, np.roll(f, -16))  # the cyclic shift of interval_weyl_residual
+    assert _dense_unitarity_defect(U) == 0.0
+    assert _dense_unitarity_defect(V) < 1e-12
+    assert interval.unitarity_defect(spec, 0.25, 2.2) < 1e-12
+
+
+@pytest.mark.parametrize("a, b, m, t, s", [(0.0, 1.0, 64, 0.25, 2.2), (0.0, 1.0, 256, 0.5, 0.5),
+                                            (-2.5, 2.5, 320, 0.5, 7.0), (0.3, 2.2, 190, 0.1, -3.3)])
+def test_unitarity_defect_matches_dense_matrices(a, b, m, t, s):
+    spec = IntervalRepSpec(a, b, m)
+    want = max(_dense_unitarity_defect(_translation_matrix(spec, t)), _dense_unitarity_defect(_phase_matrix(spec, s)))
+    assert interval.unitarity_defect(spec, t, s) == want
+
+
+def test_unitarity_defect_memory():
+    spec = IntervalRepSpec(0.0, 1.0, 2048)
+    tracemalloc.start()
+    try:
+        interval.unitarity_defect(spec, 0.5, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # vectors of m samples; the dense U_t and V_s held 128 MiB at m = 2048
 
 
 def test_t_alignment_enforced():
@@ -136,6 +173,46 @@ def _complex_fourier_number_operator(a, b, m):
     coeffs = np.array([x2_coeff(n) for n in range(-2 * K, 2 * K + 1)])
     Q2 = coeffs[ks[:, None] - ks[None, :] + 2 * K]
     return (Q2 + np.diag((2.0 * np.pi * ks / length) ** 2) - np.eye(ks.size)) / 2.0
+
+
+def _indexed_number_operator(a, b, m):
+    """The real-mode number operator built from K x K index arrays: the
+    construction interval_number_operator replaced by strided views."""
+    length, K = b - a, m // 2
+    C, S = interval._x2_mode_integrals(a, b, 2 * K)
+    j = np.arange(1, K + 1)
+    diff, total = j[:, None] - j[None, :], j[:, None] + j[None, :]
+    cos_sin = S[total] - np.sign(diff) * S[np.abs(diff)]  # <cos_j|x^2|sin_l> = S_{j+l} + S_{l-j}
+    Q2 = np.empty((2 * K + 1, 2 * K + 1))
+    Q2[0, 0] = C[0]
+    Q2[0, 1:] = Q2[1:, 0] = math.sqrt(2.0) * np.concatenate([C[1 : K + 1], S[1 : K + 1]])
+    Q2[1 : K + 1, 1 : K + 1] = C[np.abs(diff)] + C[total]
+    Q2[K + 1 :, K + 1 :] = C[np.abs(diff)] - C[total]
+    Q2[1 : K + 1, K + 1 :] = cos_sin
+    Q2[K + 1 :, 1 : K + 1] = cos_sin.T
+    p2 = np.tile((2.0 * np.pi * j / length) ** 2, 2)
+    Q2[np.diag_indices(2 * K + 1)] += np.concatenate([[0.0], p2]) - 1.0
+    return Q2 / 2.0
+
+
+@pytest.mark.parametrize("a, b, m", [(0.0, 1.0, 16), (0.0, 1.0, 256), (0.3, 2.2, 100), (-7.0, -1.5, 257),
+                                     (-2.5, 2.6, 33), (1.0, 4.0, 1024)])
+def test_number_operator_matches_index_array_builder(a, b, m):
+    assert np.array_equal(interval.interval_number_operator(IntervalRepSpec(a, b, m)),
+                          _indexed_number_operator(a, b, m))
+
+
+def test_number_operator_memory():
+    # the non-centred interval is one matrix of side m + 1 (32 MiB at m = 2048)
+    # beside one Toeplitz + Hankel block of side m/2; index arrays took 88.1 MiB
+    spec = IntervalRepSpec(0.0, 1.0, 2048)
+    tracemalloc.start()
+    try:
+        interval.interval_number_operator(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * 2**20  # 40.2 MiB measured
 
 
 @pytest.mark.parametrize("a, b, m", [(0.0, 1.0, 64), (-2.5, 2.5, 128), (0.3, 2.2, 100), (-7.0, -1.5, 257)])
