@@ -35,15 +35,20 @@ SCHEMA_VERSION = 1
 _ANALYTIC_DIM = 256
 _ANALYTIC_TOP_MODE = 8
 _TAYLOR_CHECK_DIM = 128
+# Weyl suite: default dim and the tolerance of its Weyl residual, which also
+# bounds the tail of e^{itp} e^{isq} e_0 that the truncation must hold.
+_WEYL_DIM = 64
+_WEYL_TOL = 1e-8
 # Largest side of a dense square array, 64 MiB per complex array, checked
 # before any is allocated.  Each size with the suites that build arrays
-# from it: fock's eigh and the weyl suite's matrix exponentials (dim), the
-# grid oscillator's two parity blocks of side about m/2 (grid_m), the
-# interval's N, two parity blocks on a centred interval and one real
-# matrix of side m + 1 on any other (interval_m, after aligning t).
+# from it: fock's matrices and eigh (dim), the grid oscillator's two
+# parity blocks of side about m/2 (grid_m), the interval's N, two parity
+# blocks on a centred interval and one real matrix of side m + 1 on any
+# other (interval_m, after aligning t).  The weyl suite builds no array
+# of side dim: it applies q and p on the mode window of its vectors.
 _MAX_DENSE_DIM = 2048
 _DENSE_SIZES = {
-    "dim": ("fock", "weyl", "all"),
+    "dim": ("fock", "all"),
     "grid_m": ("schrodinger", "all"),
     "interval_m": ("irregular", "all"),
 }
@@ -102,6 +107,14 @@ class RunConfig:
         k_limit = min(_TAYLOR_CHECK_DIM, dim - _ANALYTIC_TOP_MODE) - 1
         if self.suite in ("analytic", "all") and self.k_max > k_limit:
             raise ValueError(f"k_max {self.k_max} exceeds {k_limit}, the analytic suite's limit at dim {dim}")
+        if self.suite in ("weyl", "all"):
+            weyl_dim = self.effective_dim(_WEYL_DIM)
+            alpha = math.hypot(self.t, self.s) / math.sqrt(2)
+            if weyl._tail_mode(alpha, 0, _WEYL_TOL, weyl_dim) > weyl_dim - 1:
+                raise ValueError(
+                    f"t={self.t}, s={self.s} carry e^(itp) e^(isq) e_0 past mode {weyl_dim - 1}, the last mode "
+                    f"at dim {weyl_dim}: its tail there (Poisson, mean {alpha * alpha:.3g}) is above {_WEYL_TOL:g}"
+                )
         if self.guard is not None and self.guard < 0:
             raise ValueError("guard must be nonnegative")
         if self.grid_m < 8:
@@ -267,11 +280,6 @@ def _identity_defect(M: np.ndarray) -> float:
     return float(np.abs(M - np.eye(M.shape[0])).max())
 
 
-def _unitarity_defect(U: np.ndarray) -> float:
-    """max |U U† - I| over the entries."""
-    return _identity_defect(U @ U.conj().T)
-
-
 # ---------------------------------------------------------------------------
 # suites
 
@@ -398,7 +406,11 @@ def analytic_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
     col = _Collector(prefix)
     d = config.effective_dim(_ANALYTIC_DIM)
     k_max = config.k_max
-    q, p = fock.Tridiagonal.position(d), fock.Tridiagonal.momentum(d)
+    # q and p on the modes the checks below reach: verdict_stable runs e_0 up to
+    # k_max + 20 powers, every other series or bound stays within k_max + 9 or 21
+    # modes; each kernel cuts them to its own window, so the values are the dim ones
+    window = min(d, k_max + 21)
+    q, p = fock.Tridiagonal.position(window), fock.Tridiagonal.momentum(window)
 
     def all_converged():
         # 50 seeded vectors as the columns of one block; one pass per operator serves every t
@@ -536,10 +548,12 @@ def analytic_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
 
 def weyl_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
     col = _Collector(prefix)
-    d = config.effective_dim(64)
+    d = config.effective_dim(_WEYL_DIM)
     t, s = config.t, config.s
-    q, p = fock.Tridiagonal.position(d), fock.Tridiagonal.momentum(d)
     e0 = fock.FockState.basis_state(0)
+    # four seeded vectors on modes 0..7 (fewer at d < 8) for the unitarity and inverse checks
+    gen = SplitMix64(config.seed + 4)
+    block = np.column_stack([_random_coefficients(gen, min(d, 8) - 1) for _ in range(4)])
 
     col.check("expm_zero", "expm(0) = I", lambda: _identity_defect(weyl.expm(np.zeros((8, 8)))), 1e-15)
 
@@ -549,19 +563,19 @@ def weyl_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
         return float(np.abs(got - np.diag(np.exp(1j * theta))).max())
 
     col.check("expm_diagonal", "expm(diag(i theta)) = diag(e^{i theta})", diag_case, 1e-13)
-    col.check("expm_unitary_U", "U_t = e^{itp} unitary", lambda: _unitarity_defect(weyl.expm(1j * t * p)), 1e-11)
-    col.check("expm_unitary_V", "V_s = e^{isq} unitary", lambda: _unitarity_defect(weyl.expm(1j * s * q)), 1e-11)
+    col.check("expm_unitary_U", "U_t = e^{itp} unitary", lambda: weyl.unitarity_defect(t, "p", block, d), 1e-11)
+    col.check("expm_unitary_V", "V_s = e^{isq} unitary", lambda: weyl.unitarity_defect(s, "q", block, d), 1e-11)
     col.check(
         "expm_inverse_product",
         "e^{itp} e^{-itp} = I",
-        lambda: _identity_defect(weyl.expm(0.7j * p) @ weyl.expm(-0.7j * p)),
+        lambda: weyl.inverse_product_defect(0.7, "p", block, d),
         1e-11,
     )
     col.check(
         "weyl_residual",
         "U_t V_s = e^{ist} V_s U_t on a low-mode vector",
         lambda: weyl.weyl_residual(t, s, d, config.guard, e0).residual,
-        1e-8,
+        _WEYL_TOL,
     )
     col.check(
         "weyl_zero_t",
@@ -579,7 +593,7 @@ def weyl_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
 
     def phases():
         rep = weyl.weyl_phase_check(t, s, d, e0)
-        ok = rep["vanishing"] == "+ist" and rep["plus_phase"] < 1e-8 and rep["minus_phase"] > 1e-3
+        ok = rep["vanishing"] == "+ist" and rep["plus_phase"] < _WEYL_TOL and rep["minus_phase"] > 1e-3
         return (rep["minus_phase"], ok)
 
     col.check(
@@ -589,7 +603,7 @@ def weyl_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
     )
 
     def group_law():
-        x = e0.vector(d)
+        x, _, p = weyl._on_window(e0, d, 1.3 / math.sqrt(2))
         U = lambda c, v: weyl.expm_multiply(1j * c * p, v)
         return float(np.linalg.norm(U(0.4, U(0.9, x)) - U(1.3, x)))
 

@@ -40,8 +40,7 @@ def test_config_validation_errors():
         RunConfig(suite="analytic", k_max=128),  # the Taylor check runs at dim 128
         RunConfig(suite="all", k_max=300),
         RunConfig(suite="analytic", dim=48),  # random vectors reach mode 8: 8 + 40 + 1 > 48
-        RunConfig(suite="weyl", dim=2049),  # past the largest dense dim x dim array
-        RunConfig(suite="all", dim=10**6),
+        RunConfig(suite="all", dim=10**6),  # past the largest dense dim x dim array of the fock suite
         RunConfig(suite="schrodinger", grid_m=2049),  # past the largest dense m x m circulant
         RunConfig(suite="irregular", interval_m=10**6),
         RunConfig(suite="all", grid_m=10**6),
@@ -49,6 +48,9 @@ def test_config_validation_errors():
         RunConfig(suite="all", interval_m=2048, t=0.001),  # aligned m = 3000
         RunConfig(suite="irregular", t=1 / 511),  # contrast interval (-2.5, 2.5) aligns at m = 2555
         RunConfig(suite="all", t=1 / 103),  # contrast interval (-10, 10) aligns at m = 2060
+        RunConfig(suite="weyl", t=500.0),  # e^(itp) e_0 is Poisson with mean 1.25e5: far past mode 63
+        RunConfig(suite="all", t=1e200),
+        RunConfig(suite="weyl", t=6.0, s=6.0, dim=64),  # mean 36: its tail is above 1e-8 at mode 63
     ):
         with pytest.raises(ValueError):
             bad.validate()
@@ -59,6 +61,10 @@ def test_config_validation_errors():
         RunConfig(suite="fock", dim=2048),
         RunConfig(suite="schrodinger", dim=10**6),  # builds nothing of size dim
         RunConfig(suite="analytic", dim=4096),  # applies the tridiagonal q and p only
+        # the weyl suite applies q and p on its vectors' mode window: no array of side dim
+        RunConfig(suite="weyl", dim=2049),
+        RunConfig(suite="weyl", t=6.0, s=6.0, dim=128),
+        RunConfig(suite="fock", t=500.0),  # t is read by other suites only
         RunConfig(suite="schrodinger", grid_m=2048),
         RunConfig(suite="fock", grid_m=10**6, interval_m=10**6),  # read by other suites only
         RunConfig(suite="fock", interval_m=2048, t=1 / 30000),
@@ -167,6 +173,32 @@ def test_sweep_dims_reaches_16384_modes():
     assert float(residual) <= 1e-8
 
 
+def test_sweep_dims_reaches_a_million_modes():
+    # the residual runs on the test vector's mode window, so no dim-length vector is built
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        row = reports.sweep_dims([1048576], [0.5], [0.5]).split("\n")[1].split(",")
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    t, s, dim, guard, support, residual, status = row
+    assert (dim, guard, support, status) == ("1048576", "262144", "0", "ok")
+    assert float(residual) <= 1e-8
+    assert elapsed < 1.0
+    assert peak < 8 * 2**20  # one complex dim-vector would be 16 MiB
+
+
+def test_weyl_suite_reach():
+    # the block checks and residuals run on mode windows: dim 2**20 gives the checks of dim 64
+    want = [(c.name, c.status) for c in run_suite(RunConfig(suite="weyl", dim=64)).checks]
+    start = time.perf_counter()
+    report = run_suite(RunConfig(suite="weyl", dim=2**20))
+    assert time.perf_counter() - start < 2.0
+    assert [(c.name, c.status) for c in report.checks] == want
+
+
 def test_sweep_dims_empty_is_header_only():
     assert reports.sweep_dims([], [0.5], [0.5]).strip() == "t,s,dim,guard,support,residual,status"
 
@@ -222,12 +254,26 @@ def test_cli_non_finite_measured_value_is_valid_json(capsys):
     checks = _strict_json(report.to_json())["checks"]
     assert [(c["measured"], c["status"]) for c in checks] == [("nan", "fail"), ("inf", "fail")]
 
-    # a finite t whose exponentials would need ~1e201 Taylor steps
+    # a finite t whose exponentials no truncation can hold is refused before any step;
+    # the kernel's own step refusal is test_expm_multiply_refuses_too_many_steps
     start = time.perf_counter()
-    assert main(["weyl", "--t", "1e200", "--format", "json"]) == 1
-    assert time.perf_counter() - start < 30.0
-    failed = [c for c in _strict_json(capsys.readouterr().out)["checks"] if c["status"] == "fail"]
-    assert failed and all("Taylor steps" in c["detail"] for c in failed)
+    assert main(["weyl", "--t", "1e200", "--format", "json"]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "past mode 63, the last mode at dim 64" in captured.err
+
+
+def test_cli_usage_error_weyl_tail_beyond_dim(capsys):
+    # e^(itp) e_0 at t = 500 is Poisson with mean 1.25e5: refused at once, not run for 16 s
+    for argv in (["weyl", "--t", "500"], ["all", "--t", "500", "--dim", "2048"], ["weyl", "--s", "12", "--dim", "128"]):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        dim = int(argv[-1]) if "--dim" in argv else 64
+        assert f"past mode {dim - 1}, the last mode at dim {dim}" in captured.err
+        assert captured.out == ""
 
 
 def test_cli_usage_error_kmax_beyond_analytic_suite(capsys):

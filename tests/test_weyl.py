@@ -8,15 +8,21 @@ q and p, are compared with dense scipy exponentials; residual
 magnitudes across dimensions were measured before freezing (dim 16 sits
 near 7e-13, dims >= 32 at the rounding floor), so floor-aware assertions
 follow the module invariant "halves or is already < 1e-10".
+
+The residuals run on the mode window of their test vector.  Their
+full-dim form, every product on all dim modes, is kept below as the
+oracle, and the closed-form coherent state e^{-|alpha|^2/2} alpha^n /
+sqrt(n!) checks the windowed exponentials of e_0 directly.
 """
 
 import dataclasses
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import expm as scipy_expm
 from scipy.sparse.linalg import expm_multiply as scipy_expm_multiply
 
@@ -210,3 +216,224 @@ def test_convergence_sweep_e1():
     e1 = fock.FockState.basis_state(1)
     recs = [weyl.weyl_residual(1.0, 1.0, d, None, e1) for d in (16, 64)]
     assert recs[1].residual < max(recs[0].residual, 1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the full-dim residuals, every product on all dim modes: the oracle of the
+# windowed ones
+
+
+def _full_test_vector(dim, guard, xi, extra_guard=0):
+    if guard is None:
+        guard = dim // 4 + extra_guard
+    if xi is None:
+        xi = fock.FockState.basis_state(0)
+    if not 0 <= guard < dim:
+        raise ValueError(f"guard must satisfy 0 <= guard < dim, got {guard}")
+    if xi.support < 0:
+        raise ValueError("test vector must be nonzero")
+    if xi.support >= dim - guard:
+        raise ValueError("support violation")
+    return xi.vector(dim), guard, xi
+
+
+def _full_weyl_residuals(t, s, x):
+    dim = x.shape[0]
+    itp, isq = 1j * t * fock.Tridiagonal.momentum(dim), 1j * s * fock.Tridiagonal.position(dim)
+    uv = weyl.expm_multiply(itp, weyl.expm_multiply(isq, x))
+    vu = weyl.expm_multiply(isq, weyl.expm_multiply(itp, x))
+    nrm = np.linalg.norm(x)
+    return tuple(float(np.linalg.norm(uv - np.exp(sign * 1j * s * t) * vu) / nrm) for sign in (1, -1))
+
+
+def _full_weyl_residual(t, s, dim, guard=None, xi=None):
+    x, guard, xi = _full_test_vector(dim, guard, xi)
+    return _full_weyl_residuals(t, s, x)[0]
+
+
+def _full_shift_identity_residual(t, n, dim, xi=None, guard=None):
+    x, _, _ = _full_test_vector(dim, guard, xi, extra_guard=n)
+    q, p = fock.Tridiagonal.position(dim), fock.Tridiagonal.momentum(dim)
+    lhs = weyl.expm_multiply(1j * t * q, x)
+    rhs = x
+    for _ in range(n):
+        lhs = p @ lhs
+        rhs = p @ rhs + t * rhs
+    lhs = weyl.expm_multiply(-1j * t * q, lhs)
+    return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(x))
+
+
+def _full_exp_commutator_residual(t, dim, xi=None, guard=None):
+    x, _, _ = _full_test_vector(dim, guard, xi)
+    q, p = fock.Tridiagonal.position(dim), fock.Tridiagonal.momentum(dim)
+    vx, vpx = weyl.expm_multiply(1j * t * q, np.column_stack([x, p @ x])).T
+    val = p @ vx - vpx - t * vx
+    return float(np.linalg.norm(val) / np.linalg.norm(x))
+
+
+_coefficient = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).map(lambda c: complex(*c))
+
+
+@given(
+    st.integers(4, 14).flatmap(lambda k: st.integers(2 ** (k - 1) + 1, 2**k)),  # log-uniform on 9..16384
+    st.lists(_coefficient, min_size=1, max_size=11),  # support <= 10
+    st.floats(-3.0, 3.0),
+    st.floats(-3.0, 3.0),
+    st.sampled_from(["weyl", "shift 1", "shift 2", "shift 3", "commutator"]),
+)
+@settings(max_examples=30, deadline=None)
+def test_windowed_residuals_match_full_dim(dim, coeffs, t, s, kind):
+    xi = fock.FockState(np.array(coeffs))
+    assume(np.linalg.norm(xi.coeffs) > 1e-3)
+    n = int(kind[-1]) if kind.startswith("shift") else 1
+    assume(xi.support < dim - dim // 4 - n)
+    if kind == "weyl":
+        got, want, n = weyl.weyl_residual(t, s, dim, None, xi).residual, _full_weyl_residual(t, s, dim, None, xi), 0
+    elif kind == "commutator":
+        got, want = weyl.exp_commutator_residual(t, dim, xi), _full_exp_commutator_residual(t, dim, xi)
+    else:
+        got, want = weyl.shift_identity_residual(t, n, dim, xi), _full_shift_identity_residual(t, n, dim, xi)
+    # each residual differences vectors of norm up to (||p|| + |t|)^n ||xi||, ||p|| taken on
+    # the modes <= support + n, and both routes round relative to that size
+    scale = (math.sqrt(2 * (xi.support + n + 1)) + abs(t)) ** n
+    assert abs(got - want) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("t, s", [(0.5, 0.5), (3.0, -3.0), (-2.0, 0.7)])
+def test_full_window_is_the_full_dim_path(t, s):
+    # at dim 16 the window covers every mode, and the path is the full one bit for bit
+    e2 = fock.FockState.basis_state(2)
+    assert weyl._window(16, 2, math.hypot(t, s) / math.sqrt(2)) == 16
+    assert weyl.weyl_residual(t, s, 16, None, e2).residual == _full_weyl_residual(t, s, 16, None, e2)
+    assert weyl.weyl_phase_check(t, s, 16, e2)["minus_phase"] == _full_weyl_residuals(t, s, e2.vector(16))[1]
+    for n in (1, 2, 3):
+        assert weyl.shift_identity_residual(t, n, 16, e2) == _full_shift_identity_residual(t, n, 16, e2)
+    assert weyl.exp_commutator_residual(t, 16, e2) == _full_exp_commutator_residual(t, 16, e2)
+    # at a dim equal to its window each residual is the full one; the window counts the bare products
+    size, shift = math.hypot(t, s) / math.sqrt(2), abs(t) / math.sqrt(2)
+    w = weyl._tail_mode(size, 2, 2.0**-53, 10**6) + 1
+    assert weyl.weyl_residual(t, s, w, None, e2).residual == _full_weyl_residual(t, s, w, None, e2)
+    for n in (1, 2, 3):
+        w = weyl._tail_mode(shift, 2, 2.0**-53, 10**6) + 1 + n
+        assert weyl.shift_identity_residual(t, n, w, e2) == _full_shift_identity_residual(t, n, w, e2)
+    w = weyl._tail_mode(shift, 2, 2.0**-53, 10**6) + 2
+    assert weyl.exp_commutator_residual(t, w, e2) == _full_exp_commutator_residual(t, w, e2)
+
+
+def _coherent(alpha, modes):
+    """e^{-|alpha|^2/2} alpha^n / sqrt(n!) for n < modes."""
+    n = np.arange(modes)
+    if alpha == 0:
+        return (n == 0).astype(complex)
+    log_gamma = np.array([math.lgamma(k + 1) for k in n])
+    magnitude = np.exp(-abs(alpha) ** 2 / 2 + n * math.log(abs(alpha)) - log_gamma / 2)
+    return magnitude * np.exp(1j * n * np.angle(alpha))
+
+
+@pytest.mark.parametrize("dim", [64, 16384, 2**20])
+@pytest.mark.parametrize("t, s", [(0.5, 0.5), (2.0, -1.0), (-2.5, 2.5), (0.0, 1.5)])
+def test_windowed_exponentials_of_e0_are_coherent_states(dim, t, s):
+    e0 = fock.FockState.basis_state(0)
+    cases = (
+        # (|alpha| that sizes the window, the windowed vector from (x, q, p), alpha of the coherent state)
+        (abs(t), lambda x, q, p: weyl.expm_multiply(1j * t * p, x), -t / math.sqrt(2)),
+        (abs(s), lambda x, q, p: weyl.expm_multiply(1j * s * q, x), 1j * s / math.sqrt(2)),
+        (math.hypot(t, s), lambda x, q, p: np.exp(-0.5j * t * s) * weyl.expm_multiply(
+            1j * t * p, weyl.expm_multiply(1j * s * q, x)), (-t + 1j * s) / math.sqrt(2)),
+    )
+    for size, apply, alpha in cases:
+        x, q, p = weyl._on_window(e0, dim, size / math.sqrt(2))
+        assert len(x) < 64  # the window, not the dim
+        want = _coherent(alpha, len(x) + 200)
+        assert np.linalg.norm(apply(x, q, p) - want[: len(x)]) < 1e-13
+        assert np.linalg.norm(want[len(x):]) <= 2.0**-53  # the window holds all but a rounding-sized tail
+
+
+def _poisson_tail(mean, mode):
+    """||(1 - P_mode) |alpha>|| for |alpha|^2 = mean, P_mode keeping modes <= mode."""
+    n = np.arange(mode + 1, mode + 200 + int(20 * math.sqrt(mean)))
+    log_weight = -mean + n * math.log(mean) - np.array([math.lgamma(k + 1) for k in n])
+    top = log_weight.max()
+    return math.exp(0.5 * (top + math.log(np.exp(log_weight - top).sum())))
+
+
+@pytest.mark.parametrize("mean", [1e-4, 0.25, 1.0, 4.625, 36.0, 1000.0])
+@pytest.mark.parametrize("tol", [2.0**-53, 1e-8])
+def test_tail_mode_of_e0_is_the_first_poisson_mode(mean, tol):
+    # for e_0 the bound is the Poisson amplitude: the mode found is the first one whose tail holds
+    mode = weyl._tail_mode(math.sqrt(mean), 0, tol, 10**9)
+    assert _poisson_tail(mean, mode) <= tol < _poisson_tail(mean, mode - 1)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.2, -2.0 + 1.0j])
+@pytest.mark.parametrize("top", [1, 4, 10])
+def test_tail_mode_bounds_displaced_basis_vectors(alpha, top):
+    # D(alpha) e_m for every m <= top from the dense scipy exponential at dim 256: no unit
+    # vector on modes <= top leaves more than tol past the mode found
+    dim, tol = 256, 1e-8
+    a = fock.build_annihilator(dim)
+    D = scipy_expm(alpha * a.conj().T - np.conj(alpha) * a)
+    mode = weyl._tail_mode(abs(alpha), top, tol, dim)
+    assert top < mode < dim - 64  # far from the dense truncation's own edge
+    tails = np.linalg.norm(D[mode + 1:, : top + 1], axis=0)
+    assert math.sqrt(top + 1) * tails.max() <= tol
+
+
+def test_tail_mode_edges():
+    assert weyl._tail_mode(0.0, 5, 1e-8, 64) == 5  # no displacement, no tail
+    assert weyl._tail_mode(1e-300, 0, 2.0**-53, 64) == 0  # e^{-|alpha|^2/2} alpha e_1 is below rounding
+    start = time.perf_counter()
+    for alpha in (1e200, 1e154, 1e5, 350.0):
+        assert weyl._tail_mode(alpha, 0, 1e-8, 64) == 64  # capped at the limit
+        assert weyl._tail_mode(alpha, 7, 1e-8, 2**20) <= 2**20
+    assert time.perf_counter() - start < 0.1  # bisected, never walked up to the mean
+    assert weyl._window(2**20, 3, 0.5, 3) == weyl._tail_mode(0.5, 3, 2.0**-53, 2**20) + 4
+
+
+@pytest.mark.parametrize("dim", [4, 8, 16, 64, 128])
+@pytest.mark.parametrize("c, generator", [(0.5, "p"), (-1.7, "q"), (3.0, "p"), (0.7, "q")])
+def test_block_checks_match_dense_expm(dim, c, generator):
+    rng = np.random.default_rng(dim)
+    rows = min(dim, 8)
+    block = rng.uniform(-1, 1, (rows, 4)) + 1j * rng.uniform(-1, 1, (rows, 4))
+    B = np.zeros((dim, 4), dtype=complex)
+    B[:rows] = block
+    G = fock.build_momentum(dim) if generator == "p" else fock.build_position(dim)
+    U, U_inv = weyl.expm(1j * c * G), weyl.expm(-1j * c * G)
+    # the windowed e^{icG} B is the dense one on the window, and the dense one is below rounding past it
+    icg, B_window = weyl._block_on_window(c, generator, block, dim)
+    w = B_window.shape[0]
+    assert np.linalg.norm(weyl.expm_multiply(icg, B_window) - (U @ B)[:w]) < 1e-13
+    assert np.linalg.norm((U @ B)[w:]) < 1e-13
+    F = U @ B
+    unitarity = float(np.abs(F.conj().T @ F - B.conj().T @ B).max())
+    inverse = float(np.abs(U @ (U_inv @ B) - B).max())
+    got_unitarity = weyl.unitarity_defect(c, generator, block, dim)
+    got_inverse = weyl.inverse_product_defect(c, generator, block, dim)
+    assert abs(got_unitarity - unitarity) < 1e-13 and abs(got_inverse - inverse) < 1e-13
+    assert max(got_unitarity, got_inverse, unitarity, inverse) < 1e-11  # the suite's tolerance
+
+
+def test_block_check_validation():
+    block = np.ones((8, 2))
+    with pytest.raises(ValueError, match="generator"):
+        weyl.unitarity_defect(0.5, "x", block, 64)
+    with pytest.raises(ValueError, match="rows"):
+        weyl.inverse_product_defect(0.5, "p", block, 4)
+
+
+def test_residuals_build_nothing_of_size_dim():
+    dim = 2**20
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        weyl.weyl_residual(0.5, 0.5, dim)
+        weyl.shift_identity_residual(1.0, 3, dim, fock.FockState.basis_state(2))
+        weyl.exp_commutator_residual(0.5, dim)
+        weyl.unitarity_defect(0.5, "p", np.ones((8, 4)), dim)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 2**20  # a complex dim-vector alone would be 16 MiB
