@@ -7,11 +7,19 @@ a·a† -> a†·a + 1, through its closed form for a^k a†^m;  q and p enter
 through their ladder combinations q = (a + a†)/sqrt2 and
 p = (a - a†)/(i sqrt2).  Because the normal form is canonical, operator
 identities are decided exactly.
+
+A normal form stores its coefficients as integer numerator tuples
+(n0, n1, n2, n3) over one positive denominator shared by all its terms,
+reduced so that no numerator tuple is zero and the denominator has no
+factor in common with every numerator.  Products and sums then run on
+plain ints, with one content reduction per result; ExactScalar
+coefficients are built only when a caller reads them.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -19,7 +27,7 @@ from typing import Union
 
 import numpy as np
 
-from .exact import ExactScalar, HALF_SQRT2, I, ONE, SQRT2, ZERO
+from .exact import ExactScalar, HALF_SQRT2, I, ONE, SQRT2, ZERO, _canonical
 from . import fock
 
 # ---------------------------------------------------------------------------
@@ -231,65 +239,123 @@ def _reorder(k: int, m: int) -> tuple:
 
 
 class NormalForm:
-    """Finite sum of monomials (a†)^m a^k with ExactScalar coefficients.
+    """Finite sum of monomials (a†)^m a^k with coefficients in Q(i, sqrt2).
 
-    Canonical: zero coefficients are never stored, so two normal forms
-    are equal iff their maps are identical.
+    Stored as integer numerators over one denominator: ``_den`` is a
+    positive int and ``_num`` maps (m, k) to the tuple (n0, n1, n2, n3),
+    the coefficient (n0 + n1*i + n2*sqrt2 + n3*i*sqrt2) / _den.  The form
+    is canonical: no zero tuple is stored and gcd(_den, every numerator)
+    is 1, so two normal forms are equal iff their denominators and maps
+    are.  A product multiplies raw numerator tuples and divides by the
+    content once; ExactScalar coefficients are built only on request.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_den", "_num")
 
     def __init__(self, terms: dict | None = None):
-        clean = {}
+        scalars = {}
         for (m, k), c in (terms or {}).items():
+            try:
+                key = (operator.index(m), operator.index(k))
+            except TypeError:
+                raise ValueError(f"monomial exponents must be integers, got ({m!r}, {k!r})") from None
+            if key[0] < 0 or key[1] < 0:
+                raise ValueError(f"monomial exponents must be nonnegative, got ({m!r}, {k!r})")
             if not isinstance(c, ExactScalar):
                 c = ExactScalar.coerce(c)
             if not c.is_zero():
-                clean[(int(m), int(k))] = c
-        self._terms = clean
+                scalars[key] = c._n
+        # over the lcm of canonical denominators the numerators have content 1
+        den = math.lcm(*(n[4] for n in scalars.values()))
+        self._den = den
+        self._num = {key: tuple(x * (den // n[4]) for x in n[:4]) for key, n in scalars.items()}
+
+    @classmethod
+    def _reduced(cls, num: dict, den: int) -> "NormalForm":
+        """The canonical form of sum num[key] / den, den > 0; num holds no zero tuple."""
+        g = den
+        for n in num.values():
+            g = math.gcd(g, *n)
+            if g == 1:
+                break
+        nf = object.__new__(cls)
+        if g == 1:
+            nf._den, nf._num = den, num
+        else:
+            nf._den = den // g
+            nf._num = {key: (n0 // g, n1 // g, n2 // g, n3 // g) for key, (n0, n1, n2, n3) in num.items()}
+        return nf
+
+    def _scalar(self, n: tuple) -> ExactScalar:
+        return _canonical(*n, self._den)
 
     # -- access ---------------------------------------------------------
     def coeff(self, m: int, k: int) -> ExactScalar:
-        return self._terms.get((m, k), ZERO)
+        n = self._num.get((m, k))
+        return ZERO if n is None else self._scalar(n)
 
     def items(self) -> list:
-        return sorted(self._terms.items())
+        return [(key, self._scalar(n)) for key, n in sorted(self._num.items())]
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, NormalForm) and self._terms == other._terms
+        return isinstance(other, NormalForm) and self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash(tuple(self.items()))
+        return hash((self._den, frozenset(self._num.items())))
 
     # -- algebra ----------------------------------------------------------
     def __add__(self, other: "NormalForm") -> "NormalForm":
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            out[key] = out.get(key, ZERO) + c
-        return NormalForm(out)
+        da, db = self._den, other._den
+        den = math.lcm(da, db)
+        fa, fb = den // da, den // db
+        out = {key: (n0 * fa, n1 * fa, n2 * fa, n3 * fa) for key, (n0, n1, n2, n3) in self._num.items()}
+        for key, (b0, b1, b2, b3) in other._num.items():
+            a = out.get(key)
+            if a is None:
+                out[key] = (b0 * fb, b1 * fb, b2 * fb, b3 * fb)
+            else:
+                out[key] = (a[0] + b0 * fb, a[1] + b1 * fb, a[2] + b2 * fb, a[3] + b3 * fb)
+        return NormalForm._reduced({key: n for key, n in out.items() if any(n)}, den)
 
     def __neg__(self) -> "NormalForm":
-        return NormalForm({key: -c for key, c in self._terms.items()})
+        return NormalForm._reduced(
+            {key: (-n0, -n1, -n2, -n3) for key, (n0, n1, n2, n3) in self._num.items()}, self._den)
 
     def __sub__(self, other: "NormalForm") -> "NormalForm":
         return self + (-other)
 
     def scale(self, s) -> "NormalForm":
-        s = ExactScalar.coerce(s)
-        return NormalForm({key: c * s for key, c in self._terms.items()})
+        b0, b1, b2, b3, bd = ExactScalar.coerce(s)._n
+        if not (b0 or b1 or b2 or b3):
+            return NormalForm()
+        # i^2 = -1, (sqrt2)^2 = 2, (i*sqrt2)^2 = -2; a nonzero factor keeps every term nonzero
+        return NormalForm._reduced({
+            key: (a0 * b0 - a1 * b1 + 2 * (a2 * b2 - a3 * b3),
+                  a0 * b1 + a1 * b0 + 2 * (a2 * b3 + a3 * b2),
+                  a0 * b2 + a2 * b0 - a1 * b3 - a3 * b1,
+                  a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1)
+            for key, (a0, a1, a2, a3) in self._num.items()
+        }, self._den * bd)
 
     def __mul__(self, other: "NormalForm") -> "NormalForm":
         out: dict = {}
-        for (m1, k1), c1 in self._terms.items():
-            for (m2, k2), c2 in other._terms.items():
-                c12 = c1 * c2
+        for (m1, k1), (a0, a1, a2, a3) in self._num.items():
+            for (m2, k2), (b0, b1, b2, b3) in other._num.items():
+                c0 = a0 * b0 - a1 * b1 + 2 * (a2 * b2 - a3 * b3)
+                c1 = a0 * b1 + a1 * b0 + 2 * (a2 * b3 + a3 * b2)
+                c2 = a0 * b2 + a2 * b0 - a1 * b3 - a3 * b1
+                c3 = a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1
                 for (mm, kk), w in _reorder(k1, m2):
                     key = (m1 + mm, kk + k2)
-                    out[key] = out.get(key, ZERO) + c12 * w
-        return NormalForm(out)
+                    acc = out.get(key)
+                    if acc is None:
+                        out[key] = (c0 * w, c1 * w, c2 * w, c3 * w)
+                    else:
+                        out[key] = (acc[0] + c0 * w, acc[1] + c1 * w, acc[2] + c2 * w, acc[3] + c3 * w)
+        return NormalForm._reduced({key: n for key, n in out.items() if any(n)}, self._den * other._den)
 
     def __pow__(self, n: int) -> "NormalForm":
         if n < 0:
@@ -302,7 +368,8 @@ class NormalForm:
     def adjoint(self) -> "NormalForm":
         """Coefficient-conjugated transpose (m,k) -> (k,m); the adjoint of
         a normally ordered monomial is already normally ordered."""
-        return NormalForm({(k, m): c.conjugate() for (m, k), c in self._terms.items()})
+        return NormalForm._reduced(
+            {(k, m): (n0, -n1, n2, -n3) for (m, k), (n0, n1, n2, n3) in self._num.items()}, self._den)
 
     # -- rendering / export ------------------------------------------------
     def to_expr_text(self) -> str:
@@ -322,11 +389,12 @@ class NormalForm:
         return " + ".join(parts)
 
     def to_matrix(self, dim: int) -> np.ndarray:
-        """Assemble sum of coeff * (a†)^m a^k as a dim x dim matrix."""
+        """Assemble sum of coeff * (a†)^m a^k as a dim x dim matrix, the
+        terms summed in their stored order."""
         A = fock.build_annihilator(dim)
         Ad = A.conj().T
-        max_m = max((m for (m, _k) in self._terms), default=0)
-        max_k = max((k for (_m, k) in self._terms), default=0)
+        max_m = max((m for (m, _k) in self._num), default=0)
+        max_k = max((k for (_m, k) in self._num), default=0)
         a_pow = [np.eye(dim, dtype=complex)]
         for _ in range(max_k):
             a_pow.append(A @ a_pow[-1])
@@ -334,8 +402,8 @@ class NormalForm:
         for _ in range(max_m):
             ad_pow.append(Ad @ ad_pow[-1])
         out = np.zeros((dim, dim), dtype=complex)
-        for (m, k), c in self._terms.items():
-            out += c.to_complex() * (ad_pow[m] @ a_pow[k])
+        for (m, k), n in self._num.items():
+            out += self._scalar(n).to_complex() * (ad_pow[m] @ a_pow[k])
         return out
 
     def __repr__(self) -> str:
@@ -388,7 +456,7 @@ def normal_order(expr: OperatorExpr | str) -> NormalForm:
         return acc
     if isinstance(expr, Quotient):
         den = normal_order(expr.den)
-        if any(key != (0, 0) for key in den._terms):
+        if any(key != (0, 0) for key in den._num):
             raise ValueError("division is only defined by scalar expressions")
         if den.is_zero():
             raise ZeroDivisionError("division by zero expression")
@@ -474,7 +542,7 @@ def expr_to_matrix(expr: OperatorExpr | str, dim: int) -> np.ndarray:
         return out
     if isinstance(expr, Quotient):
         den = normal_order(expr.den)
-        if any(key != (0, 0) for key in den._terms) or den.is_zero():
+        if any(key != (0, 0) for key in den._num) or den.is_zero():
             raise ValueError("division is only defined by nonzero scalar expressions")
         return expr_to_matrix(expr.num, dim) / den.coeff(0, 0).to_complex()
     if isinstance(expr, Power):

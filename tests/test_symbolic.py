@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccrlab import fock, symbolic
-from ccrlab.exact import ExactScalar, I, ONE
+from ccrlab.exact import HALF_SQRT2, ExactScalar, I, ONE, ZERO
 from ccrlab.rng import SplitMix64
 from ccrlab.reports import random_word_source
 from ccrlab.symbolic import (
@@ -328,3 +329,166 @@ def test_normal_form_algebra():
     assert (x * NormalForm({(0, 0): ONE})) == x
     with pytest.raises(ValueError):
         x ** (-1)
+
+
+def test_normal_form_rejects_non_monomial_exponents():
+    for key in ((-1, 0), (0, -2), (1.5, 0), (0, 2.0), ("1", 0), (None, 1)):
+        with pytest.raises(ValueError, match="exponents"):
+            NormalForm({key: ONE})
+    assert NormalForm({(np.int64(2), 1): ONE}) == NormalForm({(2, 1): ONE})
+
+
+# -- the closed form of q^n and p^n: an oracle independent of the engine --------
+# e^{t(a+a†)} = e^{ta†} e^{ta} e^{t²/2} and e^{t(a-a†)} = e^{-ta†} e^{ta} e^{-t²/2}:
+# the coefficient of t^n/n! gives each monomial of q^n and p^n.
+
+
+def _closed_form_power(n: int, momentum: bool) -> dict:
+    """{(m, k): coefficient of a†^m a^k} in q^n, or in p^n if momentum."""
+    # 2^(-n/2), with 2^(-1/2) = sqrt2/2 for odd n
+    root = ExactScalar.rational(Fraction(1, 2 ** (n // 2))) * (HALF_SQRT2 if n % 2 else ONE)
+    if momentum:
+        root = root * (ONE, -I, -ONE, I)[n % 4]  # (-i)^n
+    out = {}
+    for m in range(n + 1):
+        for k in range(n - m + 1):
+            j, odd = divmod(n - m - k, 2)
+            if odd:
+                continue
+            c = Fraction(math.factorial(n), math.factorial(m) * math.factorial(k) * math.factorial(j) * 2**j)
+            if momentum and (m + j) % 2:
+                c = -c
+            out[(m, k)] = root * ExactScalar.rational(c)
+    return out
+
+
+@pytest.mark.parametrize("n", range(25))
+def test_powers_of_q_and_p_match_closed_form(n):
+    for symbol, momentum in (("q", False), ("p", True)):
+        want = _closed_form_power(n, momentum)
+        nf = normal_order(f"{symbol}^{n}")
+        assert dict(nf.items()) == want
+        for (m, k), c in want.items():
+            assert nf.coeff(m, k) == c
+
+
+# -- the per-term reference ------------------------------------------------------
+# NormalForm as one ExactScalar per monomial, every term of a product
+# multiplied and added as a scalar: the stored integer numerators over one
+# denominator must agree with it exactly, insertion order included.
+
+
+class TermwiseForm:
+    """Sum of monomials (a†)^m a^k with one ExactScalar per term."""
+
+    def __init__(self, terms: dict | None = None):
+        clean = {}
+        for (m, k), c in (terms or {}).items():
+            c = ExactScalar.coerce(c)
+            if not c.is_zero():
+                clean[(int(m), int(k))] = c
+        self._terms = clean
+
+    def coeff(self, m, k):
+        return self._terms.get((m, k), ZERO)
+
+    def items(self):
+        return sorted(self._terms.items())
+
+    def __add__(self, other):
+        out = dict(self._terms)
+        for key, c in other._terms.items():
+            out[key] = out.get(key, ZERO) + c
+        return TermwiseForm(out)
+
+    def __neg__(self):
+        return TermwiseForm({key: -c for key, c in self._terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, s):
+        s = ExactScalar.coerce(s)
+        return TermwiseForm({key: c * s for key, c in self._terms.items()})
+
+    def __mul__(self, other):
+        out = {}
+        for (m1, k1), c1 in self._terms.items():
+            for (m2, k2), c2 in other._terms.items():
+                c12 = c1 * c2
+                for (mm, kk), w in _reorder(k1, m2):
+                    key = (m1 + mm, kk + k2)
+                    out[key] = out.get(key, ZERO) + c12 * w
+        return TermwiseForm(out)
+
+    def adjoint(self):
+        return TermwiseForm({(k, m): c.conjugate() for (m, k), c in self._terms.items()})
+
+    def to_matrix(self, dim):
+        A = fock.build_annihilator(dim)
+        a_pow, ad_pow = [np.eye(dim, dtype=complex)], [np.eye(dim, dtype=complex)]
+        for _ in range(max((max(key) for key in self._terms), default=0)):
+            a_pow.append(A @ a_pow[-1])
+            ad_pow.append(A.conj().T @ ad_pow[-1])
+        out = np.zeros((dim, dim), dtype=complex)
+        for (m, k), c in self._terms.items():
+            out += c.to_complex() * (ad_pow[m] @ a_pow[k])
+        return out
+
+
+def _agrees(nf: NormalForm, ref: TermwiseForm):
+    assert nf.items() == ref.items()
+    assert list(nf._num) == list(ref._terms)  # insertion order, which to_matrix sums in
+    for m in range(8):
+        for k in range(8):
+            assert nf.coeff(m, k) == ref.coeff(m, k)
+    # canonical: positive denominator, content 1, integer tuples, no zero tuple
+    den, num = nf._den, nf._num
+    assert type(den) is int and den > 0
+    assert all(type(n) is tuple and len(n) == 4 and all(type(x) is int for x in n) and any(n)
+               for n in num.values())
+    assert math.gcd(den, *(x for n in num.values() for x in n)) == 1
+    # equal to the same form built from its coefficients, hash included
+    built = NormalForm(dict(ref.items()))
+    assert nf == built and hash(nf) == hash(built)
+
+
+# rationals whose denominators are not only powers of 2
+_fracs = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-30, 30), st.sampled_from((1, 2, 3, 4, 5, 6, 7, 9, 10, 14, 15, 21, 35, 105))),
+)
+_scalars = st.builds(ExactScalar, _fracs, _fracs, _fracs, _fracs)
+_monomials = st.tuples(st.integers(0, 6), st.integers(0, 6))
+_terms = st.dictionaries(_monomials, _scalars, max_size=6)
+
+
+@given(_terms, _terms, _scalars)
+@settings(max_examples=200, deadline=None)
+def test_normal_form_agrees_with_termwise_reference(ta, tb, s):
+    a, b = NormalForm(ta), NormalForm(tb)
+    ra, rb = TermwiseForm(ta), TermwiseForm(tb)
+    _agrees(a, ra)
+    _agrees(a * b, ra * rb)
+    _agrees(a + b, ra + rb)
+    _agrees(a - b, ra - rb)
+    _agrees(a - a, TermwiseForm())
+    _agrees(-a, -ra)
+    _agrees(a.scale(s), ra.scale(s))
+    _agrees(a.adjoint(), ra.adjoint())
+    assert np.array_equal((a * b).to_matrix(6), (ra * rb).to_matrix(6))  # bit for bit
+
+
+def test_equal_forms_have_equal_hashes():
+    q = normal_order("q")
+    pairs = [
+        (q * q, normal_order("q^2")),
+        (NormalForm({(1, 2): Fraction(2, 4)}), NormalForm({(1, 2): Fraction(1, 2)})),
+        (NormalForm({(1, 0): ONE, (0, 1): I}), NormalForm({(0, 1): I, (1, 0): ONE})),
+        (NormalForm({(0, 0): 3, (2, 0): ZERO}), NormalForm({(0, 0): Fraction(9, 3)})),
+        (normal_order("[p,q]"), NormalForm({(0, 0): -I})),
+        (q - q, NormalForm()),
+    ]
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y)
+    assert q != q.scale(2) and NormalForm({(0, 0): ONE}) != ONE
