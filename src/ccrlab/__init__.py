@@ -2,9 +2,9 @@
 canonical commutation relations.
 
 Subpackages by concern:
-  fock        — truncated ladder/position/momentum matrices and spectra
+  fock        — truncated ladder/position/momentum operators as bands, and states
   analytic    — the weighted power-series criterion and Taylor exponentials
-  weyl        — matrix exponentials and the Weyl/shift/commutation checks
+  weyl        — the exponential kernel and the Weyl/shift/commutation checks
   schrodinger — the differential representation on a uniform grid
   interval    — the irregular realization on a finite periodic interval
   symbolic    — exact normal ordering over Q(i, sqrt2)
@@ -12,20 +12,11 @@ Subpackages by concern:
 """
 
 from .fock import (
+    Band,
     FockState,
     NORMALIZED,
     UNNORMALIZED,
-    build_annihilator,
-    build_creator,
-    build_momentum,
-    build_number,
-    build_position,
-    commutator,
     inner_product,
-    number_eigensystem,
-    number_spectrum,
-    oscillator_spectrum,
-    truncation_safe_projection,
 )
 from .analytic import (
     ConvergenceError,
@@ -39,7 +30,6 @@ from .analytic import (
 from .weyl import (
     WeylResidualRecord,
     exp_commutator_residual,
-    expm,
     shift_identity_residual,
     weyl_phase_check,
     weyl_residual,

@@ -13,12 +13,12 @@ one pass over a block serves every t, and `analytic_series` and
 `check_growth_bound` are the batch of one of `analytic_series_block` and
 `growth_bound_block`.
 
-Mode window.  A `Tridiagonal` moves a vector on modes <= M onto modes
-<= M + 1, so k products of a block whose top mode is M never reach past
-mode M + k.  The kernel cuts a `Tridiagonal` to its first M + k_max + 1
-modes; the guard band dim >= M + k_max + 1 makes those values the
-dim-dimensional ones, and the cost does not depend on dim.  A dense A is
-applied whole.
+Mode window.  A `Band` whose lowest offset is -h moves a vector on
+modes <= M onto modes <= M + h, so k products of a block whose top mode
+is M never reach past mode M + hk.  The kernel cuts A to its first
+M + h k_max + 1 modes (M + k_max + 1 for q and p); the guard band
+dim >= M + k_max + 1 makes those values the dim-dimensional ones, and
+the cost does not depend on dim.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockState, Tridiagonal, _operator_dim, sqrt_factorial
+from .fock import Band, FockState, sqrt_factorial
 from .weyl import _taylor_sum
 
 RATIO_CONVERGED = 0.9
@@ -87,23 +87,24 @@ def _column_block(state: FockState) -> np.ndarray:
     return state.to_normalized().coeffs[:, None]
 
 
-def power_log_norms(A: np.ndarray | Tridiagonal, block, k_max: int) -> np.ndarray:
+def power_log_norms(A: Band, block, k_max: int) -> np.ndarray:
     """log ||A^k x_j|| for k = 0..k_max and every column x_j of `block`, as
     a (k_max + 1) x n array; -inf from the power at which a column vanishes.
 
     The rows of `block` are the coefficients of modes 0, 1, ... and may
-    be fewer than A's dim.  A `Tridiagonal` is cut to its first
-    min(dim, rows + k_max) modes, so column j is exact at every power k
-    with top_j + k < dim.  Raises SeriesOverflowError(k) at the first
-    power whose norm is not finite.
+    be fewer than A's dim.  A, with lowest offset -h, is cut to its first
+    min(dim, rows + h k_max) modes, so for q and p column j is exact at
+    every power k with top_j + k < dim.  Raises SeriesOverflowError(k) at
+    the first power whose norm is not finite.
     """
-    dim = _operator_dim(A)
+    dim = A.dim
     block = np.asarray(block)
     if block.ndim != 2 or block.shape[0] > dim:
         raise ValueError(f"expected a block of at most {dim} rows, got shape {block.shape}")
-    window = min(dim, block.shape[0] + k_max) if isinstance(A, Tridiagonal) else dim
+    reach = max([0] + [-k for k in A.diagonals])  # the modes one product moves a vector up
+    window = min(dim, block.shape[0] + reach * k_max)
     if window < dim:
-        A = Tridiagonal(A.lower[: window - 1], A.upper[: window - 1])
+        A = A.cut(window)
     V = np.zeros((window, block.shape[1]), dtype=complex)
     V[: block.shape[0]] = block
     log_norms = np.empty((k_max + 1, block.shape[1]))
@@ -150,9 +151,7 @@ def _series_reports(log_norms: np.ndarray, t: float, k_max: int) -> list[SeriesR
     return reports
 
 
-def analytic_series_block(
-    A: np.ndarray | Tridiagonal, block, ts, k_max: int = DEFAULT_K_MAX
-) -> list[list[SeriesReport]]:
+def analytic_series_block(A: Band, block, ts, k_max: int = DEFAULT_K_MAX) -> list[list[SeriesReport]]:
     """analytic_series for every column of `block` (normalized coefficients
     of modes 0, 1, ...) at every t in ts: reports[i][j] is column j at ts[i].
 
@@ -161,7 +160,7 @@ def analytic_series_block(
     so that every power seen by the test vectors is free of truncation
     effects.
     """
-    dim = _operator_dim(A)
+    dim = A.dim
     if any(t < 0 for t in ts):
         raise ValueError("t must be nonnegative")
     if k_max < 1:
@@ -180,9 +179,7 @@ def analytic_series_block(
     return [_series_reports(log_norms, t, k_max) for t in ts]
 
 
-def analytic_series(
-    A: np.ndarray | Tridiagonal, xi: FockState, t: float, k_max: int = DEFAULT_K_MAX
-) -> SeriesReport:
+def analytic_series(A: Band, xi: FockState, t: float, k_max: int = DEFAULT_K_MAX) -> SeriesReport:
     """Evaluate terms t^k/k! ||A^k xi||: the batch of one of
     analytic_series_block.
 
@@ -192,7 +189,7 @@ def analytic_series(
     return analytic_series_block(A, _column_block(xi), (t,), k_max)[0][0]
 
 
-def taylor_exp(A: np.ndarray | Tridiagonal, t: float, xi: FockState, k_max: int = DEFAULT_K_MAX) -> FockState:
+def taylor_exp(A: Band, t: float, xi: FockState, k_max: int = DEFAULT_K_MAX) -> FockState:
     """sum_{k<=k_max} t^k/k! A^k xi, guarded by the series verdict.
 
     Refuses (ConvergenceError) unless analytic_series(A, |t|, xi, k_max)
@@ -207,7 +204,7 @@ def taylor_exp(A: np.ndarray | Tridiagonal, t: float, xi: FockState, k_max: int 
         )
         err.report = report
         raise err
-    return FockState(_taylor_sum(A, xi.vector(_operator_dim(A)), k_max, t))
+    return FockState(_taylor_sum(A, xi.vector(A.dim), k_max, t))
 
 
 def corrected_growth_bound(dim: int, mode_bound: int, k: int) -> float:
@@ -227,14 +224,14 @@ def corrected_growth_bound(dim: int, mode_bound: int, k: int) -> float:
     return math.exp(log_b)
 
 
-def growth_bound_block(q: np.ndarray | Tridiagonal, block, powers) -> tuple[np.ndarray, np.ndarray]:
+def growth_bound_block(q: Band, block, powers) -> tuple[np.ndarray, np.ndarray]:
     """(||q^k_j x_j||, B_j ||x_j||) for every column x_j of `block`
     (normalized coefficients of modes 0, 1, ...) at its own power k_j,
     with B_j the corrected_growth_bound of its support.
 
     One power_log_norms pass of max(powers) products; column j is read at
     power k_j."""
-    dim = _operator_dim(q)
+    dim = q.dim
     block = np.asarray(block)
     powers = np.asarray(powers, dtype=int)
     if block.ndim != 2 or powers.shape != (block.shape[1],):
@@ -247,7 +244,7 @@ def growth_bound_block(q: np.ndarray | Tridiagonal, block, powers) -> tuple[np.n
     return np.exp(log_norms[powers, np.arange(powers.size)]), factors * np.linalg.norm(block, axis=0)
 
 
-def check_growth_bound(q: np.ndarray | Tridiagonal, phi: FockState, k: int) -> tuple[float, float]:
+def check_growth_bound(q: Band, phi: FockState, k: int) -> tuple[float, float]:
     """(||q^k phi||, bound * ||phi||) for the supplied vector, the batch of
     one of growth_bound_block; the first component never exceeds the
     second (up to rounding)."""
@@ -276,13 +273,13 @@ class SinglePowerBoundReport:
         return self.triangle_sum / self.nominal_bound
 
 
-def single_power_bound_report(q: np.ndarray | Tridiagonal, coeffs, m: int) -> SinglePowerBoundReport:
+def single_power_bound_report(q: Band, coeffs, m: int) -> SinglePowerBoundReport:
     """Evaluate ||q psi|| for psi = sum C_j psi_{m+j} (unnormalized basis)
     against the nominal bound sqrt(2) C sqrt((m+n+1)!).
 
     One power_log_norms pass of one product on the block whose columns
     are psi and then each term C_j psi_{m+j}."""
-    dim = _operator_dim(q)
+    dim = q.dim
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.ndim != 1 or coeffs.size == 0 or not np.any(coeffs):
         raise ValueError("coefficients must be a nonzero 1-d sequence")

@@ -37,7 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--t", type=float, default=0.5, help="translation parameter t")
     parser.add_argument("--s", type=float, default=0.5, help="phase parameter s")
     parser.add_argument("--kmax", type=int, default=40, help="series truncation order")
-    parser.add_argument("--guard", type=int, default=None, help="guard band (default dim/4)")
     parser.add_argument(
         "--grid",
         default="10,256,spectral",
@@ -70,7 +69,6 @@ def _config_from_args(args) -> reports.RunConfig:
         t=args.t,
         s=args.s,
         k_max=args.kmax,
-        guard=args.guard,
         grid_l=float(grid_parts[0]),
         grid_m=int(grid_parts[1]),
         scheme=grid_parts[2].strip(),

@@ -1,15 +1,18 @@
-"""Truncated Fock-space operators: ladder matrices, q/p, spectra, states.
+"""Truncated Fock-space operators and states.
 
-Matrices are dense complex numpy arrays in the orthonormal number basis
-{e_n}; `Tridiagonal` stores q and p by their two off-diagonals for the
-kernels that only apply them.  Truncating to `dim` modes corrupts the
-top rows/columns of every operator identity; that artifact is surfaced
-(never hidden) through `truncation_safe_projection` and guard-band
-parameters downstream.
+Every truncated ladder operator a, a†, q, p, and every product of them,
+is a band: its nonzero entries lie on a few diagonals of the number
+basis {e_n}.  `Band` stores an operator by those diagonals, so a dim-mode
+operator costs O(dim) memory and O(dim) per product, and no d x d array
+is built.  Truncating to `dim` modes corrupts the top rows and columns of
+every operator identity; the checks read that artifact off the
+diagonals (the last entry of [p, q], for instance) and test identities
+on the leading block, `Band.cut(dim - 1)`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,15 +46,6 @@ def _check_dim(dim: int, minimum: int = 1) -> None:
         raise ValueError(f"invalid dimension {dim!r}: need integer >= {minimum}")
 
 
-def _check_square(M: np.ndarray) -> int:
-    M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix has non-finite entries")
-    return M.shape[0]
-
-
 def _ladder_offdiagonal(dim: int) -> np.ndarray:
     """sqrt(n)/sqrt2 for n = 1..dim-1: the off-diagonals of q and, up to
     a factor -+i, of p.  Multiplying by 1/sqrt2, not dividing, rounds as
@@ -60,143 +54,166 @@ def _ladder_offdiagonal(dim: int) -> np.ndarray:
     return np.sqrt(np.arange(1, dim)) * (1.0 / math.sqrt(2))
 
 
-def build_annihilator(dim: int) -> np.ndarray:
-    """Ladder-down matrix: A e_n = sqrt(n) e_{n-1}."""
-    _check_dim(dim)
-    return np.diag(np.sqrt(np.arange(1, dim)), k=1).astype(complex)
-
-
-def build_creator(dim: int) -> np.ndarray:
-    """Exact conjugate transpose of build_annihilator(dim)."""
-    return build_annihilator(dim).conj().T.copy()
-
-
-def build_position(dim: int) -> np.ndarray:
-    """q = (a + a†)/sqrt(2): real symmetric tridiagonal."""
-    return Tridiagonal.position(dim).to_dense()
-
-
-def build_momentum(dim: int) -> np.ndarray:
-    """p = (a - a†)/(i sqrt(2)): Hermitian, purely imaginary off-diagonal."""
-    return Tridiagonal.momentum(dim).to_dense()
+def _rows_cols(k: int, n: int) -> tuple[slice, slice]:
+    """The rows and the columns of the n entries on diagonal k."""
+    return (slice(0, n), slice(k, k + n)) if k >= 0 else (slice(-k, n - k), slice(0, n))
 
 
 @dataclass(frozen=True, eq=False)
-class Tridiagonal:
-    """A dim x dim operator with zero main diagonal, stored by its two
-    off-diagonals: (T x)_n = lower[n-1] x_{n-1} + upper[n] x_{n+1}.
+class Band:
+    """A dim x dim operator stored by its diagonals.
 
-    It supports what the exponential kernel needs: scalar multiples,
-    `@` on a vector or column block in O(dim) per column, and the
-    1-norm.  len() is the dimension, as for a square array.
+    `diagonals` maps each offset k to the entries M[n, n + k] (k >= 0) or
+    M[n - k, n] (k < 0), n = 0, 1, ..., the layout of np.diagonal(M, k):
+    a 1-d array of length max(0, dim - |k|).  Every other entry is zero.
+    The offsets are kept in ascending order, the order in which `@`
+    accumulates them.
+
+    It supports scalar multiples, `+` and `-`, `@` on a vector, a column
+    block or another Band of the same dim, the conjugate transpose, the
+    1-norm, the leading w x w block and the dense matrix.
     """
 
-    lower: np.ndarray
-    upper: np.ndarray
+    dim: int
+    diagonals: dict
+    __array_ufunc__ = None  # numpy scalars on the left defer to __rmul__
 
     def __post_init__(self):
-        lower, upper = np.asarray(self.lower), np.asarray(self.upper)
-        if lower.ndim != 1 or lower.shape != upper.shape:
-            raise ValueError(f"off-diagonals must be 1-d of equal length, got {lower.shape} and {upper.shape}")
-        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
-            raise ValueError("tridiagonal operator has non-finite entries")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+        _check_dim(self.dim)
+        diagonals = {}
+        for k in sorted(self.diagonals):
+            diagonal = np.asarray(self.diagonals[k])
+            length = max(0, self.dim - abs(k))
+            if diagonal.shape != (length,):
+                raise ValueError(f"diagonal {k} of a {self.dim}-dim band must have shape ({length},), "
+                                 f"got {diagonal.shape}")
+            if not np.isfinite(diagonal).all():
+                raise ValueError("band operator has non-finite entries")
+            diagonals[int(k)] = diagonal
+        object.__setattr__(self, "diagonals", diagonals)
 
     @classmethod
-    def position(cls, dim: int) -> "Tridiagonal":
+    def _unchecked(cls, dim: int, diagonals: dict) -> "Band":
+        """The band of diagonals an operation on bands produced: of the
+        right lengths by construction, so only their offsets are sorted."""
+        band = object.__new__(cls)
+        object.__setattr__(band, "dim", dim)
+        object.__setattr__(band, "diagonals", dict(sorted(diagonals.items())))
+        return band
+
+    @functools.cached_property
+    def _terms(self) -> tuple:
+        """What `@` on an array reads per diagonal: its rows, its columns,
+        and the diagonal as a vector and as a column."""
+        return tuple((*_rows_cols(k, d.size), d, d[:, None]) for k, d in self.diagonals.items())
+
+    @functools.cached_property
+    def _dtype(self) -> np.dtype:
+        return np.result_type(float, *self.diagonals.values())
+
+    @classmethod
+    def annihilator(cls, dim: int) -> "Band":
+        """a e_n = sqrt(n) e_{n-1}."""
+        _check_dim(dim)
+        return cls(dim, {1: np.sqrt(np.arange(1, dim))})
+
+    @classmethod
+    def creator(cls, dim: int) -> "Band":
+        """a† e_n = sqrt(n+1) e_{n+1} below the top mode."""
+        return cls.annihilator(dim).adjoint()
+
+    @classmethod
+    def position(cls, dim: int) -> "Band":
         """q = (a + a†)/sqrt(2)."""
         off = _ladder_offdiagonal(dim)
-        return cls(off, off)
+        return cls(dim, {-1: off, 1: off})
 
     @classmethod
-    def momentum(cls, dim: int) -> "Tridiagonal":
+    def momentum(cls, dim: int) -> "Band":
         """p = (a - a†)/(i sqrt(2))."""
         off = _ladder_offdiagonal(dim)
-        return cls(1j * off, -1j * off)
+        return cls(dim, {-1: 1j * off, 1: -1j * off})
 
-    def __len__(self) -> int:
-        return self.lower.size + 1
-
-    def __mul__(self, c) -> "Tridiagonal":
-        return Tridiagonal(c * self.lower, c * self.upper)
+    def __mul__(self, c) -> "Band":
+        return Band(self.dim, {k: c * d for k, d in self.diagonals.items()})
 
     __rmul__ = __mul__
 
-    def __matmul__(self, F) -> np.ndarray:
+    def __neg__(self) -> "Band":
+        return -1 * self
+
+    def __add__(self, other: "Band") -> "Band":
+        if other.dim != self.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        out = dict(self.diagonals)
+        for k, d in other.diagonals.items():
+            out[k] = out[k] + d if k in out else d
+        return Band._unchecked(self.dim, out)
+
+    def __sub__(self, other: "Band") -> "Band":
+        return self + (-other)
+
+    def __matmul__(self, F):
+        """The product with another Band, or with a vector or column block
+        in O(dim) per column."""
+        if isinstance(F, Band):
+            return self._times_band(F)
         F = np.asarray(F)
-        if F.ndim not in (1, 2) or F.shape[0] != len(self):
-            raise ValueError(f"cannot apply a {len(self)}-dim operator to shape {F.shape}")
-        lower, upper = (self.lower, self.upper) if F.ndim == 1 else (self.lower[:, None], self.upper[:, None])
-        out = np.empty(F.shape, np.result_type(lower, F))
-        out[0] = 0.0
-        np.multiply(lower, F[:-1], out=out[1:])
-        out[:-1] += upper * F[1:]
+        if F.ndim not in (1, 2) or F.shape[0] != self.dim:
+            raise ValueError(f"cannot apply a {self.dim}-dim operator to shape {F.shape}")
+        out = np.zeros(F.shape, np.promote_types(self._dtype, F.dtype))
+        for i, (rows, cols, vector, column) in enumerate(self._terms):
+            d = vector if F.ndim == 1 else column
+            if i == 0:
+                np.multiply(d, F[cols], out=out[rows])
+            else:
+                out[rows] += d * F[cols]
         return out
 
+    def _times_band(self, other: "Band") -> "Band":
+        """(AB)[i, i + a + b] sums A[i, i + a] B[i + a, i + a + b] over the
+        pairs of offsets (a, b), in ascending order of a."""
+        if other.dim != self.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        dim = self.dim
+        dtype = np.promote_types(self._dtype, other._dtype)
+        out = {}
+        for a, da in self.diagonals.items():
+            for b, db in other.diagonals.items():
+                c = a + b
+                if c not in out:
+                    out[c] = np.zeros(max(0, dim - abs(c)), dtype)
+                lo, hi = max(0, -a, -c), dim - max(0, a, c)  # the rows i all three entries exist for
+                if lo < hi:
+                    out[c][lo + min(0, c): hi + min(0, c)] += (
+                        da[lo + min(0, a): hi + min(0, a)] * db[lo + a + min(0, b): hi + a + min(0, b)])
+        return Band._unchecked(dim, out)
+
+    def adjoint(self) -> "Band":
+        """The conjugate transpose."""
+        return Band._unchecked(self.dim, {-k: d.conj() for k, d in self.diagonals.items()})
+
     def norm1(self) -> float:
-        """max_j sum_i |T_ij|: column j holds upper[j-1] and lower[j]."""
-        sums = np.zeros(len(self))
-        sums[1:] += np.abs(self.upper)
-        sums[:-1] += np.abs(self.lower)
+        """max_j sum_i |M_ij|: diagonal k holds the column entries j = n + max(0, k)."""
+        sums = np.zeros(self.dim)
+        for k, d in self.diagonals.items():
+            sums[_rows_cols(k, d.size)[1]] += np.abs(d)
         return float(sums.max())
+
+    def cut(self, w: int) -> "Band":
+        """The leading w x w block: the operator on modes 0..w-1."""
+        if not 1 <= w <= self.dim:
+            raise ValueError(f"cannot cut a {self.dim}-dim band to {w} modes")
+        return Band._unchecked(w, {k: d[: max(0, w - abs(k))] for k, d in self.diagonals.items()})
 
     def to_dense(self) -> np.ndarray:
         """The dense complex dim x dim matrix."""
-        out = np.zeros((len(self), len(self)), dtype=complex)
-        n = np.arange(self.lower.size)
-        out[n + 1, n] = self.lower
-        out[n, n + 1] = self.upper
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        flat = out.reshape(-1)
+        for k, d in self.diagonals.items():
+            # entry (n, n + k) or (n - k, n) sits at flat index n (dim + 1) + k or -k dim
+            flat[(k if k >= 0 else -k * self.dim):: self.dim + 1][: d.size] = d
         return out
-
-
-def _operator_dim(A: np.ndarray | Tridiagonal) -> int:
-    """The dimension of a `Tridiagonal` or of a finite square array."""
-    return len(A) if isinstance(A, Tridiagonal) else _check_square(A)
-
-
-def build_number(dim: int) -> np.ndarray:
-    """N = a†a."""
-    A = build_annihilator(dim)
-    return A.conj().T @ A
-
-
-def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """AB - BA; raises on dimension mismatch."""
-    da, db = _check_square(A), _check_square(B)
-    if da != db:
-        raise ValueError(f"dimension mismatch: {da} vs {db}")
-    return A @ B - B @ A
-
-
-def truncation_safe_projection(M: np.ndarray, guard: int) -> np.ndarray:
-    """Leading (dim-guard) x (dim-guard) block, where truncated identities
-    are exact; guard must satisfy 0 <= guard < dim."""
-    dim = _check_square(M)
-    if not 0 <= guard < dim:
-        raise ValueError(f"guard must satisfy 0 <= guard < dim={dim}, got {guard}")
-    g = dim - guard
-    return np.array(M[:g, :g])
-
-
-def number_spectrum(dim: int) -> np.ndarray:
-    """Eigenvalues of a†a, sorted ascending (ideally {0, ..., dim-1})."""
-    _check_dim(dim)
-    return np.sort(np.linalg.eigvalsh(build_number(dim)))
-
-
-def number_eigensystem(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues, eigenvectors as columns) of a†a, ascending."""
-    _check_dim(dim)
-    return np.linalg.eigh(build_number(dim))
-
-
-def oscillator_spectrum(dim: int) -> np.ndarray:
-    """Eigenvalues of q^2 + p^2, sorted.  The untruncated values are the
-    odd integers {2n+1}; truncation injects one artifact value dim-1."""
-    _check_dim(dim, minimum=2)
-    q, p = build_position(dim), build_momentum(dim)
-    return np.sort(np.linalg.eigvalsh(q @ q + p @ p))
 
 
 @dataclass(frozen=True)

@@ -39,18 +39,20 @@ _TAYLOR_CHECK_DIM = 128
 # bounds the tail of e^{itp} e^{isq} e_0 that the truncation must hold.
 _WEYL_DIM = 64
 _WEYL_TOL = 1e-8
-# Largest side of a dense square array, 64 MiB per complex array, checked
-# before any is allocated.  Each size with the suites that build arrays
-# from it: fock's matrices and eigh (dim), the grid oscillator's two
-# parity blocks of side about m/2 (grid_m), the interval's N, two parity
-# blocks on a centred interval and one real matrix of side m + 1 on any
-# other (interval_m, after aligning t).  The weyl suite builds no array
-# of side dim: it applies q and p on the mode window of its vectors.
+# Largest side of a dense square array, 64 MiB per complex array, and
+# largest band length, 16 MiB per complex diagonal, each checked before any
+# is allocated.  Each size with the suites it bounds: fock's band operators
+# (dim), the grid oscillator's two parity blocks of side about m/2
+# (grid_m), the interval's N, two parity blocks on a centred interval and
+# one real matrix of side m + 1 on any other (interval_m, after aligning
+# t).  The analytic and weyl suites build nothing of side dim: they apply
+# q and p on the mode windows of their vectors.
 _MAX_DENSE_DIM = 2048
-_DENSE_SIZES = {
-    "dim": ("fock", "all"),
-    "grid_m": ("schrodinger", "all"),
-    "interval_m": ("irregular", "all"),
+_MAX_BAND_DIM = 2**20
+_SIZE_LIMITS = {
+    "dim": (_MAX_BAND_DIM, "band length", ("fock", "all")),
+    "grid_m": (_MAX_DENSE_DIM, "side of a dense array", ("schrodinger", "all")),
+    "interval_m": (_MAX_DENSE_DIM, "side of a dense array", ("irregular", "all")),
 }
 # The irregular suite's contrast intervals (a, b, requested m), each aligned
 # with the run's t: lengths 1, 5 and 20.
@@ -75,7 +77,6 @@ class RunConfig:
     t: float = 0.5
     s: float = 0.5
     k_max: int = 40
-    guard: int | None = None
     grid_l: float = 10.0
     grid_m: int = 256
     scheme: str = schrodinger.SPECTRAL
@@ -94,13 +95,10 @@ class RunConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.dim is not None and self.dim < 2:
             raise ValueError(f"invalid dimension {self.dim}: suites need dim >= 2")
-        for name, suites in _DENSE_SIZES.items():
+        for name, (limit, what, suites) in _SIZE_LIMITS.items():
             size = getattr(self, name)
-            if size is not None and size > _MAX_DENSE_DIM and self.suite in suites:
-                raise ValueError(
-                    f"{name} {size} exceeds {_MAX_DENSE_DIM}, the largest side of a dense array "
-                    f"the {self.suite} suite builds"
-                )
+            if size is not None and size > limit and self.suite in suites:
+                raise ValueError(f"{name} {size} exceeds {limit}, the largest {what} the {self.suite} suite builds")
         if self.k_max < 1:
             raise ValueError("k_max must be positive")
         dim = self.effective_dim(_ANALYTIC_DIM)
@@ -115,8 +113,6 @@ class RunConfig:
                     f"t={self.t}, s={self.s} carry e^(itp) e^(isq) e_0 past mode {weyl_dim - 1}, the last mode "
                     f"at dim {weyl_dim}: its tail there (Poisson, mean {alpha * alpha:.3g}) is above {_WEYL_TOL:g}"
                 )
-        if self.guard is not None and self.guard < 0:
-            raise ValueError("guard must be nonnegative")
         if self.grid_m < 8:
             raise ValueError("grid sample count must be at least 8")
         if self.grid_l <= 0:
@@ -127,7 +123,7 @@ class RunConfig:
             raise ValueError("interval needs b > a")
         if self.interval_m < 16:
             raise ValueError("interval sample count must be at least 16")
-        if self.suite in _DENSE_SIZES["interval_m"]:
+        if self.suite in _SIZE_LIMITS["interval_m"][2]:
             for a, b, m in ((self.interval_a, self.interval_b, self.interval_m),) + _CONTRAST_INTERVALS:
                 try:
                     spec = interval.aligned_spec(a, b, self.t, m)
@@ -280,6 +276,22 @@ def _identity_defect(M: np.ndarray) -> float:
     return float(np.abs(M - np.eye(M.shape[0])).max())
 
 
+def _max_entry(band: fock.Band) -> float:
+    """max |M_ij| over the entries of a band."""
+    return max((float(np.abs(d).max()) for d in band.diagonals.values() if d.size), default=0.0)
+
+
+def _diagonal_defect(band: fock.Band, want: np.ndarray) -> float:
+    """max |M - diag(want)| over the entries: the diagonal against want and
+    every other diagonal against 0."""
+    return _max_entry(band - fock.Band(band.dim, {0: want}))
+
+
+def _column_norms2(band: fock.Band) -> np.ndarray:
+    """||M e_n||^2 for every n: the diagonal of M† M."""
+    return (band.adjoint() @ band).diagonals[0].real
+
+
 # ---------------------------------------------------------------------------
 # suites
 
@@ -287,82 +299,75 @@ def _identity_defect(M: np.ndarray) -> float:
 def fock_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
     col = _Collector(prefix)
     d = config.effective_dim(64)
-    q, p = fock.build_position(d), fock.build_momentum(d)
-    a, ad = fock.build_annihilator(d), fock.build_creator(d)
+    # every operator checked here is a band of offsets -2..2: each check reads its diagonals
+    q, p = fock.Band.position(d), fock.Band.momentum(d)
+    a, ad = fock.Band.annihilator(d), fock.Band.creator(d)
+    identity = fock.Band(d, {0: np.ones(d)})
+    ccr = lambda: p @ q - q @ p
+    ladder = lambda: a @ ad - ad @ a
 
-    def ccr_block():
-        c = fock.commutator(p, q)
-        block = fock.truncation_safe_projection(c + 1j * np.eye(d), guard=1)
-        return float(np.abs(block).max())
-
-    col.check("ccr_block_identity", "[p,q] = -i*I off the top mode", ccr_block, 1e-12)
+    col.check(
+        "ccr_block_identity",
+        "[p,q] = -i*I off the top mode",
+        lambda: _max_entry((ccr() + 1j * identity).cut(d - 1)),
+        1e-12,
+    )
     col.check(
         "ccr_artifact_entry",
         "[p,q][d-1,d-1] = i*(d-1) (truncation artifact)",
-        lambda: float(abs(fock.commutator(p, q)[d - 1, d - 1] - 1j * (d - 1))),
+        lambda: float(abs(ccr().diagonals[0][d - 1] - 1j * (d - 1))),
         1e-10,
     )
     col.check(
         "ladder_commutator_block",
         "[a, a†] = I off the top mode",
-        lambda: _identity_defect(fock.truncation_safe_projection(fock.commutator(a, ad), 1)),
+        lambda: _max_entry((ladder() - identity).cut(d - 1)),
         1e-12,
     )
     col.check(
         "ladder_artifact_entry",
         "[a, a†][d-1,d-1] = -(d-1)",
-        lambda: float(abs(fock.commutator(a, ad)[d - 1, d - 1] + (d - 1))),
+        lambda: float(abs(ladder().diagonals[0][d - 1] + (d - 1))),
         1e-10,
     )
+    # N and q^2 + p^2 are diagonal, so their spectra are their diagonals: each
+    # measured value includes every off-diagonal entry, which must vanish
     col.check(
         "number_spectrum_integers",
         "spectrum of N = a†a is {0, ..., d-1}",
-        lambda: float(np.abs(fock.number_spectrum(d) - np.arange(d)).max()),
+        lambda: _diagonal_defect(ad @ a, np.arange(d)),
         1e-12,
     )
 
     def eigvec_residual():
-        vals, vecs = fock.number_eigensystem(d)
+        # ||N e_n - N_nn e_n|| is the norm of column n of N off its diagonal
         N = ad @ a
-        return float(max(np.linalg.norm(N @ vecs[:, j] - vals[j] * vecs[:, j]) for j in range(d)))
+        off = N - fock.Band(d, {0: N.diagonals[0]})
+        return float(np.sqrt(_column_norms2(off).max()))
 
     col.check("number_eigenvector_residual", "N psi_alpha = alpha psi_alpha", eigvec_residual, 1e-12)
-
-    def oscillator():
-        got = fock.oscillator_spectrum(d)
-        predicted = np.sort(np.concatenate([2 * np.arange(d - 1) + 1, [d - 1]]))
-        return float(np.abs(got - predicted).max())
-
     col.check(
         "oscillator_spectrum",
         "spec(q^2+p^2) = {2n+1 : n <= d-2} plus artifact value d-1",
-        oscillator,
+        lambda: _diagonal_defect(q @ q + p @ p, np.append(2 * np.arange(d - 1) + 1.0, d - 1)),
         1e-10,
     )
-
-    def hermiticity():
-        n_op = ad @ a
-        h = q @ q + p @ p
-        return float(
-            max(
-                np.abs(q - q.conj().T).max(),
-                np.abs(p - p.conj().T).max(),
-                np.abs(n_op - n_op.conj().T).max(),
-                np.abs(h - h.conj().T).max(),
-            )
-        )
-
-    col.check("hermiticity", "q, p, N, q^2+p^2 Hermitian", hermiticity, 1e-13)
+    col.check(
+        "hermiticity",
+        "q, p, N, q^2+p^2 Hermitian",
+        lambda: max(_max_entry(B - B.adjoint()) for B in (q, p, ad @ a, q @ q + p @ p)),
+        1e-13,
+    )
     col.check(
         "annihilator_column_norms",
         "||a e_n||^2 = n",
-        lambda: float(np.abs(np.sum(np.abs(a) ** 2, axis=0) - np.arange(d)).max()),
+        lambda: float(np.abs(_column_norms2(a) - np.arange(d)).max()),
         1e-12,
     )
     col.check(
         "creator_column_norms",
         "||a† e_n||^2 = n+1 below the top mode",
-        lambda: float(np.abs(np.sum(np.abs(ad) ** 2, axis=0)[: d - 1] - np.arange(1, d)).max()),
+        lambda: float(np.abs(_column_norms2(ad)[: d - 1] - np.arange(1, d)).max()),
         1e-12,
     )
     col.check(
@@ -410,7 +415,7 @@ def analytic_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
     # k_max + 20 powers, every other series or bound stays within k_max + 9 or 21
     # modes; each kernel cuts them to its own window, so the values are the dim ones
     window = min(d, k_max + 21)
-    q, p = fock.Tridiagonal.position(window), fock.Tridiagonal.momentum(window)
+    q, p = fock.Band.position(window), fock.Band.momentum(window)
 
     def all_converged():
         # 50 seeded vectors as the columns of one block; one pass per operator serves every t
@@ -455,7 +460,7 @@ def analytic_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
     def taylor_vs_expm():
         dim = _TAYLOR_CHECK_DIM
         e0 = fock.FockState.basis_state(0)
-        got = analytic.taylor_exp(1j * fock.Tridiagonal.momentum(dim), 1.0, e0, max(k_max, 60))
+        got = analytic.taylor_exp(1j * fock.Band.momentum(dim), 1.0, e0, max(k_max, 60))
         # closed form: the coherent state e^{-1/4} sum_n (-1/sqrt2)^n / sqrt(n!) e_n
         want = [math.exp(-0.25) * (-math.sqrt(0.5)) ** n / fock.sqrt_factorial(n) for n in range(dim)]
         return float(np.linalg.norm(got.coeffs - np.array(want)))
@@ -468,7 +473,7 @@ def analytic_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
     )
 
     def diagonal_case():
-        n_op = fock.build_creator(64) @ fock.build_annihilator(64)
+        n_op = fock.Band.creator(64) @ fock.Band.annihilator(64)
         out = analytic.taylor_exp(n_op, 0.3, fock.FockState.basis_state(2), 40)
         return float(abs(out.coeffs[2] - math.exp(0.6)))
 
@@ -555,11 +560,16 @@ def weyl_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
     gen = SplitMix64(config.seed + 4)
     block = np.column_stack([_random_coefficients(gen, min(d, 8) - 1) for _ in range(4)])
 
-    col.check("expm_zero", "expm(0) = I", lambda: _identity_defect(weyl.expm(np.zeros((8, 8)))), 1e-15)
+    col.check(
+        "expm_zero",
+        "expm(0) = I",
+        lambda: _identity_defect(weyl.expm_multiply(fock.Band(8, {0: np.zeros(8)}), np.eye(8))),
+        1e-15,
+    )
 
     def diag_case():
         theta = np.arange(1, 7) * 0.3
-        got = weyl.expm(np.diag(1j * theta))
+        got = weyl.expm_multiply(fock.Band(6, {0: 1j * theta}), np.eye(6))
         return float(np.abs(got - np.diag(np.exp(1j * theta))).max())
 
     col.check("expm_diagonal", "expm(diag(i theta)) = diag(e^{i theta})", diag_case, 1e-13)
@@ -574,19 +584,19 @@ def weyl_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
     col.check(
         "weyl_residual",
         "U_t V_s = e^{ist} V_s U_t on a low-mode vector",
-        lambda: weyl.weyl_residual(t, s, d, config.guard, e0).residual,
+        lambda: weyl.weyl_residual(t, s, d, e0).residual,
         _WEYL_TOL,
     )
     col.check(
         "weyl_zero_t",
         "t = 0 makes both sides V_s",
-        lambda: weyl.weyl_residual(0.0, s, d, config.guard, e0).residual,
+        lambda: weyl.weyl_residual(0.0, s, d, e0).residual,
         1e-12,
     )
 
     def halving():
-        small = weyl.weyl_residual(t, s, max(d // 4, 8), None, e0).residual
-        big = weyl.weyl_residual(t, s, d, None, e0).residual
+        small = weyl.weyl_residual(t, s, max(d // 4, 8), e0).residual
+        big = weyl.weyl_residual(t, s, d, e0).residual
         return (big, big <= small / 2.0 or big < 1e-10)
 
     col.check("residual_dim_halving", "residual halves from dim/4 to dim (or is < 1e-10)", halving)
@@ -1099,10 +1109,10 @@ def sweep_dims(dims: list[int], ts: list[float], ss: list[float]) -> str:
             for s in ss:
                 try:
                     rec = weyl.weyl_residual(t, s, d)
-                    rows.append([t, s, d, rec.guard, rec.test_vector_support, rec.residual, "ok"])
+                    rows.append([t, s, d, rec.test_vector_support, rec.residual, "ok"])
                 except Exception as exc:  # noqa: BLE001 - row-level failure
-                    rows.append([t, s, d, "", "", "", f"failed: {type(exc).__name__}"])
-    return _csv(["t", "s", "dim", "guard", "support", "residual", "status"], rows)
+                    rows.append([t, s, d, "", "", f"failed: {type(exc).__name__}"])
+    return _csv(["t", "s", "dim", "support", "residual", "status"], rows)
 
 
 def sweep_interval_lengths(

@@ -292,7 +292,7 @@ def intertwiner_check(L: float, m: int, n_max: int) -> float:
     basis = hermite_basis(L, m, n_max)
     h = 2.0 * L / m
     T = math.sqrt(h) * np.array([b.values.conj() for b in basis])
-    q_fock = fock.build_position(n_max + 1)
+    q_fock = fock.Band.position(n_max + 1).to_dense()
     return float(np.linalg.norm((T * basis[0].points) @ T.conj().T - q_fock, 2))
 
 

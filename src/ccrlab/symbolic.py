@@ -234,6 +234,24 @@ def _reorder(k: int, m: int) -> tuple:
     )
 
 
+@lru_cache(maxsize=256)
+def _ladder_term(dim: int, m: int, k: int) -> fock.Band:
+    """(a†)^m a^k on dim modes: one band product of the powers (a†)^m and
+    a^k, each power a left product a @ a^(k-1) as a dense power would be.
+    Cached, and so read-only, because the terms of many normal forms
+    repeat: an entry holds one diagonal of dim entries."""
+    if m and k:
+        term = _ladder_term(dim, m, 0) @ _ladder_term(dim, 0, k)
+    elif m or k:
+        a = fock.Band.annihilator(dim)
+        term = (a.adjoint() if m else a) @ _ladder_term(dim, max(m - 1, 0), max(k - 1, 0))
+    else:
+        term = fock.Band(dim, {0: np.ones(dim)})
+    for d in term.diagonals.values():
+        d.flags.writeable = False
+    return term
+
+
 # ---------------------------------------------------------------------------
 # Normal form
 
@@ -390,21 +408,13 @@ class NormalForm:
 
     def to_matrix(self, dim: int) -> np.ndarray:
         """Assemble sum of coeff * (a†)^m a^k as a dim x dim matrix, the
-        terms summed in their stored order."""
-        A = fock.build_annihilator(dim)
-        Ad = A.conj().T
-        max_m = max((m for (m, _k) in self._num), default=0)
-        max_k = max((k for (_m, k) in self._num), default=0)
-        a_pow = [np.eye(dim, dtype=complex)]
-        for _ in range(max_k):
-            a_pow.append(A @ a_pow[-1])
-        ad_pow = [np.eye(dim, dtype=complex)]
-        for _ in range(max_m):
-            ad_pow.append(Ad @ ad_pow[-1])
-        out = np.zeros((dim, dim), dtype=complex)
+        terms summed in their stored order.  Each (a†)^m a^k is one band,
+        a single diagonal; only the sum is made dense."""
+        diagonals = {}
         for (m, k), n in self._num.items():
-            out += self._scalar(n).to_complex() * (ad_pow[m] @ a_pow[k])
-        return out
+            d = self._scalar(n).to_complex() * _ladder_term(dim, m, k).diagonals[k - m]
+            diagonals[k - m] = diagonals[k - m] + d if k - m in diagonals else d
+        return fock.Band(dim, diagonals).to_dense()
 
     def __repr__(self) -> str:
         return f"NormalForm({self.to_expr_text()})"
@@ -522,14 +532,14 @@ def expr_to_matrix(expr: OperatorExpr | str, dim: int) -> np.ndarray:
         return expr.value.to_complex() * np.eye(dim, dtype=complex)
     if isinstance(expr, Symbol):
         builders = {
-            "a": fock.build_annihilator,
-            "ad": fock.build_creator,
-            "q": fock.build_position,
-            "p": fock.build_momentum,
+            "a": fock.Band.annihilator,
+            "ad": fock.Band.creator,
+            "q": fock.Band.position,
+            "p": fock.Band.momentum,
         }
         if expr.name == "I":
             return np.eye(dim, dtype=complex)
-        return builders[expr.name](dim)
+        return builders[expr.name](dim).to_dense()
     if isinstance(expr, Sum):
         out = np.zeros((dim, dim), dtype=complex)
         for t in expr.terms:

@@ -32,14 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockState, Tridiagonal, _check_square, _operator_dim
+from .fock import Band, FockState
 
 _TAYLOR_DEGREE = 20
 _MAX_STEPS = 10**5
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-def _taylor_sum(A: np.ndarray, F: np.ndarray, degree: int, c: float) -> np.ndarray:
+def _taylor_sum(A: Band, F: np.ndarray, degree: int, c: float) -> np.ndarray:
     """sum_{k<=degree} (cA)^k F / k!, each term from the last by one product."""
     acc = F.copy()
     for k in range(1, degree + 1):
@@ -48,23 +48,15 @@ def _taylor_sum(A: np.ndarray, F: np.ndarray, degree: int, c: float) -> np.ndarr
     return acc
 
 
-def _norm1(A: np.ndarray | Tridiagonal) -> float:
-    if isinstance(A, Tridiagonal):
-        return A.norm1()
-    _check_square(A)
-    return float(np.linalg.norm(A, 1))
-
-
-def expm_multiply(A: np.ndarray | Tridiagonal, B: np.ndarray) -> np.ndarray:
-    """e^A B for a vector or column block B, without forming e^A; A is a
-    dense square array or a `Tridiagonal`.
+def expm_multiply(A: Band, B: np.ndarray) -> np.ndarray:
+    """e^A B for a vector or column block B, without forming e^A.
 
     s = ceil(||A||_1) steps of the degree-20 Taylor polynomial of e^{A/s}
     (Al-Mohy and Higham, SIAM J. Sci. Comput. 33(2), 2011); each step's
     remainder is at most e/21! relative.  More than _MAX_STEPS steps are
     refused before the first one runs.
     """
-    norm = _norm1(A)
+    norm = A.norm1()
     if not norm <= _MAX_STEPS:
         raise ValueError(f"||A||_1 = {norm:.3g} needs more than {_MAX_STEPS} Taylor steps")
     steps = max(1, math.ceil(norm))
@@ -72,11 +64,6 @@ def expm_multiply(A: np.ndarray | Tridiagonal, B: np.ndarray) -> np.ndarray:
     for _ in range(steps):
         F = _taylor_sum(A, F, _TAYLOR_DEGREE, 1.0 / steps)
     return F
-
-
-def expm(A: np.ndarray | Tridiagonal) -> np.ndarray:
-    """Matrix exponential e^A, as expm_multiply applied to the identity."""
-    return expm_multiply(A, np.eye(_operator_dim(A)))
 
 
 def _log_tail_bound(alpha: float, top: int, n: int) -> float:
@@ -141,9 +128,10 @@ def _window(dim: int, top: int, alpha: float, applications: int = 0) -> int:
 
 
 def _on_window(xi: FockState, dim: int, alpha: float, applications: int = 0):
-    """(x, q, p): xi and the tridiagonal q and p on its mode window."""
+    """(x, q, p): xi and the tridiagonal q and p on its mode window; a
+    support at or past dim is refused by FockState.vector."""
     w = _window(dim, xi.support, alpha, applications)
-    return xi.vector(w), Tridiagonal.position(w), Tridiagonal.momentum(w)
+    return xi.vector(w), Band.position(w), Band.momentum(w)
 
 
 @dataclass(frozen=True)
@@ -153,28 +141,17 @@ class WeylResidualRecord:
     t: float
     s: float
     dim: int
-    guard: int
     residual: float
     test_vector_support: int
 
 
-def _test_vector(dim: int, guard: int | None, xi: FockState | None, extra_guard: int = 0):
-    """(xi, guard): the test vector xi (default e_0) and the guard band
-    (default dim // 4 + extra_guard), checked against dim."""
-    if guard is None:
-        guard = dim // 4 + extra_guard
+def _test_vector(xi: FockState | None) -> FockState:
+    """The test vector xi, e_0 by default, checked to be nonzero."""
     if xi is None:
         xi = FockState.basis_state(0)
-    if not 0 <= guard < dim:
-        raise ValueError(f"guard must satisfy 0 <= guard < dim, got {guard}")
     if xi.support < 0:
         raise ValueError("test vector must be nonzero")
-    if xi.support >= dim - guard:
-        raise ValueError(
-            f"support violation: test vector reaches mode {xi.support}, "
-            f"last allowed mode is {dim - guard - 1} at dim={dim}, guard={guard}"
-        )
-    return xi, guard
+    return xi
 
 
 def _weyl_residuals(t: float, s: float, xi: FockState, dim: int) -> tuple[float, float]:
@@ -188,16 +165,11 @@ def _weyl_residuals(t: float, s: float, xi: FockState, dim: int) -> tuple[float,
     return tuple(float(np.linalg.norm(uv - np.exp(sign * 1j * s * t) * vu) / nrm) for sign in (1, -1))
 
 
-def weyl_residual(
-    t: float, s: float, dim: int, guard: int | None = None, xi: FockState | None = None
-) -> WeylResidualRecord:
-    """||(U_t V_s - e^{ist} V_s U_t) xi|| / ||xi|| at the given truncation.
-
-    guard defaults to dim // 4, enough for |t|, |s| <= 2 at dim >= 64.
-    """
-    xi, guard = _test_vector(dim, guard, xi)
+def weyl_residual(t: float, s: float, dim: int, xi: FockState | None = None) -> WeylResidualRecord:
+    """||(U_t V_s - e^{ist} V_s U_t) xi|| / ||xi|| at the given truncation."""
+    xi = _test_vector(xi)
     residual, _ = _weyl_residuals(t, s, xi, dim)
-    return WeylResidualRecord(float(t), float(s), dim, guard, residual, xi.support)
+    return WeylResidualRecord(float(t), float(s), dim, residual, xi.support)
 
 
 def weyl_phase_check(t: float, s: float, dim: int, xi: FockState | None = None) -> dict:
@@ -206,18 +178,16 @@ def weyl_phase_check(t: float, s: float, dim: int, xi: FockState | None = None) 
     Exactly one vanishes with [p, q] = -i; with these conventions it is
     the +ist phase.
     """
-    xi, _ = _test_vector(dim, None, xi)
+    xi = _test_vector(xi)
     plus, minus = _weyl_residuals(t, s, xi, dim)
     return {"plus_phase": plus, "minus_phase": minus, "vanishing": "+ist" if plus < minus else "-ist"}
 
 
-def shift_identity_residual(
-    t: float, n: int, dim: int, xi: FockState | None = None, guard: int | None = None
-) -> float:
+def shift_identity_residual(t: float, n: int, dim: int, xi: FockState | None = None) -> float:
     """||(e^{-itq} p^n e^{itq} - (p + tI)^n) xi|| / ||xi||."""
     if n < 1:
         raise ValueError("power n must be positive")
-    xi, _ = _test_vector(dim, guard, xi, extra_guard=n)
+    xi = _test_vector(xi)
     x, q, p = _on_window(xi, dim, abs(t) / math.sqrt(2), n)
     lhs = expm_multiply(1j * t * q, x)
     rhs = x
@@ -228,16 +198,14 @@ def shift_identity_residual(
     return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(x))
 
 
-def exp_commutator_residual(
-    t: float, dim: int, xi: FockState | None = None, guard: int | None = None
-) -> float:
+def exp_commutator_residual(t: float, dim: int, xi: FockState | None = None) -> float:
     """||(p V_t - V_t p - t V_t) xi|| / ||xi|| with V_t = e^{itq}.
 
     This is the commutation identity for exponentials in its corrected
     form [p, e^{itq}] = t e^{itq}, the term-by-term sum of
     [p, q^n] = -i n q^{n-1} over the Taylor series.
     """
-    xi, _ = _test_vector(dim, guard, xi)
+    xi = _test_vector(xi)
     x, q, p = _on_window(xi, dim, abs(t) / math.sqrt(2), 1)
     vx, vpx = expm_multiply(1j * t * q, np.column_stack([x, p @ x])).T
     val = p @ vx - vpx - t * vx
@@ -255,7 +223,7 @@ def _block_on_window(c: float, generator: str, block, dim: int):
     w = _window(dim, block.shape[0] - 1, abs(c) / math.sqrt(2))
     B = np.zeros((w, block.shape[1]), dtype=complex)
     B[: block.shape[0]] = block
-    G = Tridiagonal.position(w) if generator == "q" else Tridiagonal.momentum(w)
+    G = Band.position(w) if generator == "q" else Band.momentum(w)
     return 1j * c * G, B
 
 

@@ -14,6 +14,8 @@ from ccrlab import analytic, fock
 from ccrlab.rng import SplitMix64
 from ccrlab.reports import RunConfig, analytic_suite, random_fock_state
 
+import dense_fock as dense
+
 
 def _reference_analytic_series(A, xi, t, k_max):
     """The per-vector, full-dim series evaluation that the block kernel
@@ -22,7 +24,7 @@ def _reference_analytic_series(A, xi, t, k_max):
     to unit norm before the first product, so that log_norms[k] is
     log ||A^k xi|| (the replaced code gave every term k >= 1 an extra
     factor ||xi||)."""
-    dim = fock._operator_dim(A)
+    dim = dense._operator_dim(A)
     if t < 0:
         raise ValueError("t must be nonnegative")
     if k_max < 1:
@@ -74,7 +76,7 @@ def _reference_analytic_series(A, xi, t, k_max):
 
 def _reference_check_growth_bound(q, phi, k):
     """The per-vector, full-dim growth check that the block kernel replaced."""
-    dim = fock._operator_dim(q)
+    dim = dense._operator_dim(q)
     M = phi.support
     if M < 0:
         raise ValueError("phi must be nonzero")
@@ -96,12 +98,13 @@ def _assert_series_agree(got, want):
         np.testing.assert_allclose(got.tail_estimate, want.tail_estimate, rtol=1e-12, atol=0)
 
 
-# tridiagonal and dense operators, and the annihilator: a^k xi = 0 once k exceeds the support
+# tridiagonal q and p, the pentadiagonal q^2, which moves a vector up two modes a
+# product, and the annihilator: a^k xi = 0 once k exceeds the support
 _OPERATORS = {
-    "q": fock.Tridiagonal.position,
-    "p": fock.Tridiagonal.momentum,
-    "dense q": fock.build_position,
-    "nilpotent a": fock.build_annihilator,
+    "q": fock.Band.position,
+    "p": fock.Band.momentum,
+    "q squared": lambda dim: fock.Band.position(dim) @ fock.Band.position(dim),
+    "nilpotent a": fock.Band.annihilator,
 }
 _COEFFS = st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8)), min_size=1, max_size=11).filter(
     lambda pairs: any(pair != (0, 0) for pair in pairs)
@@ -148,10 +151,10 @@ def test_block_kernel_matches_per_vector_reference(vectors, k_max, extra, ts, na
 @pytest.mark.parametrize(
     "A, t",
     [
-        (fock.Tridiagonal.position(64), 1e300),  # a term above e^700
-        (fock.build_position(64), 1e150),
-        (fock.Tridiagonal.momentum(64), 1e200),
-        (np.full((16, 16), 1e308), 1.0),  # ||A xi|| itself is not finite
+        (fock.Band.position(64), 1e300),  # a term above e^700
+        (dense.band_of(dense.build_position(64)), 1e150),  # every diagonal stored
+        (fock.Band.momentum(64), 1e200),
+        (dense.band_of(np.full((16, 16), 1e308)), 1.0),  # ||A xi|| itself is not finite
     ],
 )
 @pytest.mark.parametrize("coeffs", [[1.0], [2.0, 1j, -0.5], [0.0, 0.0, 0.25]])
@@ -166,9 +169,9 @@ def test_overflow_k_matches_reference(A, t, coeffs):
 
 def test_series_terms_against_matrix_powers():
     # terms are t^k/k! ||A^k xi|| for a vector of norm other than 1
-    q = fock.build_position(32)
+    q = dense.build_position(32)
     xi = fock.FockState(np.array([2.0, 1j, -0.5]))
-    rep = analytic.analytic_series(fock.Tridiagonal.position(32), xi, 0.7, 12)
+    rep = analytic.analytic_series(fock.Band.position(32), xi, 0.7, 12)
     v = xi.vector(32)
     want = [0.7**k / math.factorial(k) * np.linalg.norm(np.linalg.matrix_power(q, k) @ v) for k in range(13)]
     np.testing.assert_allclose(rep.terms, want, rtol=1e-12, atol=0)
@@ -176,13 +179,13 @@ def test_series_terms_against_matrix_powers():
 
 def test_power_log_norms_reaches_zero_once():
     # a e_2 = sqrt2 e_1, a^2 e_2 = sqrt2 e_0, a^3 e_2 = 0 and stays 0
-    got = analytic.power_log_norms(fock.build_annihilator(8), np.array([[0.0], [0.0], [1.0]]), 5)[:, 0]
+    got = analytic.power_log_norms(fock.Band.annihilator(8), np.array([[0.0], [0.0], [1.0]]), 5)[:, 0]
     np.testing.assert_allclose(np.exp(got[:3]), [1.0, math.sqrt(2.0), math.sqrt(2.0)], rtol=1e-15)
     assert np.all(got[3:] == -np.inf)
 
 
 def test_block_rejects_a_zero_column_and_checks_the_top_mode():
-    q = fock.Tridiagonal.position(16)
+    q = fock.Band.position(16)
     with pytest.raises(ValueError, match="nonzero"):
         analytic.analytic_series_block(q, np.array([[1.0, 0.0]]), (1.0,), 5)
     with pytest.raises(ValueError, match="nonzero"):
@@ -214,7 +217,7 @@ def test_analytic_suite_reach():
 
 
 def test_t_zero_only_first_term():
-    q = fock.build_position(32)
+    q = fock.Band.position(32)
     rep = analytic.analytic_series(q, fock.FockState.basis_state(0), 0.0, 20)
     assert rep.verdict == "converged"
     assert rep.terms[0] == 1.0
@@ -223,7 +226,7 @@ def test_t_zero_only_first_term():
 
 
 def test_position_series_on_vacuum_converges():
-    q = fock.build_position(64)
+    q = fock.Band.position(64)
     rep = analytic.analytic_series(q, fock.FockState.basis_state(0), 1.0, 40)
     assert rep.verdict == "converged"
     assert all(r < 0.9 for r in rep.ratios[-5:])
@@ -239,24 +242,24 @@ def test_mode_window_states_converge(t):
     coeffs = np.zeros(9, complex)
     coeffs[4:9] = [1, -0.5, 2, 1j, 0.25]
     xi = fock.FockState(coeffs)
-    for op in (fock.build_position(d), fock.build_momentum(d)):
+    for op in (fock.Band.position(d), fock.Band.momentum(d)):
         rep = analytic.analytic_series(op, xi, t, k_max)
         assert rep.verdict == "converged"
 
 
 def test_momentum_series_matches_position_profile():
     # ||p^k e_0|| = ||q^k e_0||: both ladder combinations differ by phases;
-    # the dense and the tridiagonal q, p give the same profile
+    # p stored by every diagonal of its dense matrix gives the same profile
     d, kmax = 128, 30
     e0 = fock.FockState.basis_state(0)
-    rq = analytic.analytic_series(fock.build_position(d), e0, 1.0, kmax)
-    for p in (fock.build_momentum(d), fock.Tridiagonal.momentum(d), fock.Tridiagonal.position(d)):
+    rq = analytic.analytic_series(fock.Band.position(d), e0, 1.0, kmax)
+    for p in (dense.band_of(dense.build_momentum(d)), fock.Band.momentum(d), fock.Band.position(d)):
         rp = analytic.analytic_series(p, e0, 1.0, kmax)
         assert np.abs(np.array(rq.terms) - np.array(rp.terms)).max() < 1e-10
 
 
 def test_partial_sums_nondecreasing_and_ratios_positive():
-    q = fock.build_position(80)
+    q = fock.Band.position(80)
     gen = SplitMix64(5)
     xi = random_fock_state(gen, 6)
     rep = analytic.analytic_series(q, xi, 1.5, 40)
@@ -265,7 +268,7 @@ def test_partial_sums_nondecreasing_and_ratios_positive():
 
 
 def test_verdict_stable_under_larger_kmax():
-    q = fock.build_position(160)
+    q = fock.Band.position(160)
     e1 = fock.FockState.basis_state(1)
     assert analytic.analytic_series(q, e1, 2.0, 40).verdict == "converged"
     assert analytic.analytic_series(q, e1, 2.0, 80).verdict == "converged"
@@ -275,39 +278,39 @@ def test_diverging_verdict_for_squared_position():
     # sum t^k/k! ||(q^2)^k e_0|| has term ratios ~ t at large k, so t = 2
     # is genuinely divergent and the ratio test must say so
     d = 128
-    q = fock.build_position(d)
+    q = fock.Band.position(d)
     q2 = q @ q
     rep = analytic.analytic_series(q2, fock.FockState.basis_state(0), 2.0, 40)
     assert rep.verdict == "diverging"
 
 
 def test_zero_vector_rejected():
-    q = fock.build_position(16)
+    q = fock.Band.position(16)
     with pytest.raises(ValueError):
         analytic.analytic_series(q, fock.FockState(np.zeros(3)), 1.0, 5)
 
 
 def test_guard_band_enforced():
-    q = fock.build_position(16)
+    q = fock.Band.position(16)
     with pytest.raises(ValueError):
         analytic.analytic_series(q, fock.FockState.basis_state(4), 1.0, 12)
 
 
 def test_negative_t_rejected():
-    q = fock.build_position(16)
+    q = fock.Band.position(16)
     with pytest.raises(ValueError):
         analytic.analytic_series(q, fock.FockState.basis_state(0), -1.0, 5)
 
 
 def test_overflow_reports_k():
-    q = fock.build_position(64)
+    q = fock.Band.position(64)
     with pytest.raises(analytic.SeriesOverflowError) as err:
         analytic.analytic_series(q, fock.FockState.basis_state(0), 1e300, 40)
     assert err.value.k >= 1
 
 
 def test_series_report_json_fields():
-    q = fock.build_position(32)
+    q = fock.Band.position(32)
     rep = analytic.analytic_series(q, fock.FockState.basis_state(0), 0.5, 10)
     names = {f.name for f in dataclasses.fields(rep)}
     assert names == {"t", "terms", "partial_sums", "ratios", "verdict", "k_max", "tail_estimate"}
@@ -315,14 +318,14 @@ def test_series_report_json_fields():
 
 
 def test_taylor_exp_zero_matrix_returns_xi():
-    A = np.zeros((8, 8), complex)
+    A = fock.Band(8, {0: np.zeros(8, complex)})
     xi = fock.FockState(np.array([1.0, 2.0, 3.0j]))
     out = analytic.taylor_exp(A, 1.7, xi, 5)
     assert np.abs(out.coeffs[:3] - xi.coeffs).max() < 1e-15
 
 
 def test_taylor_exp_diagonal_action():
-    n_op = fock.build_number(64)
+    n_op = fock.Band.creator(64) @ fock.Band.annihilator(64)
     out = analytic.taylor_exp(n_op, 0.3, fock.FockState.basis_state(2), 40)
     assert abs(out.coeffs[2] - math.exp(0.6)) < 1e-12
     mask = np.ones(64, bool)
@@ -333,22 +336,22 @@ def test_taylor_exp_diagonal_action():
 def test_taylor_exp_matches_scipy_expm():
     d = 64
     e0 = fock.FockState.basis_state(0)
-    want = scipy_expm(1j * fock.build_momentum(d)) @ e0.vector(d)
-    for p in (fock.build_momentum(d), fock.Tridiagonal.momentum(d)):
+    want = scipy_expm(1j * dense.build_momentum(d)) @ e0.vector(d)
+    for p in (dense.band_of(dense.build_momentum(d)), fock.Band.momentum(d)):
         got = analytic.taylor_exp(1j * p, 1.0, e0, 60)
         assert np.linalg.norm(got.coeffs - want) < 1e-8
 
 
 def test_taylor_exp_refuses_divergent_series():
     d = 128
-    q = fock.build_position(d)
+    q = fock.Band.position(d)
     with pytest.raises(analytic.ConvergenceError) as err:
         analytic.taylor_exp(q @ q, 2.0, fock.FockState.basis_state(0), 40)
     assert err.value.report.verdict == "diverging"
 
 
 def test_taylor_exp_with_report():
-    q = fock.build_position(64)
+    q = fock.Band.position(64)
     xi = fock.FockState.basis_state(0)
     state = analytic.taylor_exp(q, 0.5, xi, 40)
     assert analytic.analytic_series(q, xi, 0.5, 40).verdict == "converged"
@@ -360,7 +363,7 @@ def test_growth_bound_k0_is_norm():
 
 
 def test_growth_bound_single_application():
-    q = fock.build_position(16)
+    q = fock.Band.position(16)
     lhs, bound = analytic.check_growth_bound(q, fock.FockState.basis_state(0), 1)
     assert abs(lhs - 1 / math.sqrt(2)) < 1e-14
     assert abs(bound - math.sqrt(2)) < 1e-14
@@ -368,7 +371,7 @@ def test_growth_bound_single_application():
 
 
 def test_growth_bound_random_window():
-    q = fock.build_position(64)
+    q = fock.Band.position(64)
     gen = SplitMix64(42)
     for _ in range(100):
         phi = random_fock_state(gen, 3)
@@ -377,7 +380,7 @@ def test_growth_bound_random_window():
 
 
 def test_growth_bound_support_error():
-    q = fock.build_position(8)
+    q = fock.Band.position(8)
     with pytest.raises(ValueError):
         analytic.corrected_growth_bound(8, 4, 4)
     with pytest.raises(ValueError):
@@ -385,22 +388,22 @@ def test_growth_bound_support_error():
 
 
 def test_growth_bound_property_thousand_cases():
-    for q in (fock.build_position(64), fock.Tridiagonal.position(64)):
-        gen = SplitMix64(0)
-        worst = 0.0
-        for _ in range(1000):
-            mode = gen.randint(0, 8)
-            k = gen.randint(0, 12)
-            phi = random_fock_state(gen, mode)
-            lhs, bound = analytic.check_growth_bound(q, phi, k)
-            worst = max(worst, lhs / bound)
-        assert worst <= 1.0 + 1e-12
+    q = fock.Band.position(64)
+    gen = SplitMix64(0)
+    worst = 0.0
+    for _ in range(1000):
+        mode = gen.randint(0, 8)
+        k = gen.randint(0, 12)
+        phi = random_fock_state(gen, mode)
+        lhs, bound = analytic.check_growth_bound(q, phi, k)
+        worst = max(worst, lhs / bound)
+    assert worst <= 1.0 + 1e-12
 
 
 def test_single_power_bound_report_uniform_window():
     # the triangle-step sum genuinely exceeds the nominal bound here
     # (measured 1.1815 for the uniform 6-mode window)
-    for q in (fock.build_position(64), fock.Tridiagonal.position(64)):
+    for q in (dense.band_of(dense.build_position(64)), fock.Band.position(64)):
         rep = analytic.single_power_bound_report(q, np.ones(6), 0)
         assert rep.direct_norm <= rep.triangle_sum
         assert rep.needed_constant > 1.1
@@ -408,6 +411,6 @@ def test_single_power_bound_report_uniform_window():
 
 
 def test_single_power_bound_single_mode_within_bound():
-    for q in (fock.build_position(32), fock.Tridiagonal.position(32)):
+    for q in (dense.band_of(dense.build_position(32)), fock.Band.position(32)):
         rep = analytic.single_power_bound_report(q, np.array([1.0]), 4)
         assert rep.needed_constant <= 1.0 + 1e-12

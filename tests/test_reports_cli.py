@@ -40,7 +40,8 @@ def test_config_validation_errors():
         RunConfig(suite="analytic", k_max=128),  # the Taylor check runs at dim 128
         RunConfig(suite="all", k_max=300),
         RunConfig(suite="analytic", dim=48),  # random vectors reach mode 8: 8 + 40 + 1 > 48
-        RunConfig(suite="all", dim=10**6),  # past the largest dense dim x dim array of the fock suite
+        RunConfig(suite="all", dim=2**21),  # past the longest band of the fock suite
+        RunConfig(suite="fock", dim=2**20 + 1),
         RunConfig(suite="schrodinger", grid_m=2049),  # past the largest dense m x m circulant
         RunConfig(suite="irregular", interval_m=10**6),
         RunConfig(suite="all", grid_m=10**6),
@@ -59,6 +60,8 @@ def test_config_validation_errors():
         RunConfig(suite="analytic", dim=49),
         RunConfig(suite="fock", k_max=300),  # k_max is read by the analytic suite only
         RunConfig(suite="fock", dim=2048),
+        RunConfig(suite="fock", dim=2**20),  # the fock suite stores its operators as bands
+        RunConfig(suite="all", dim=10**6),
         RunConfig(suite="schrodinger", dim=10**6),  # builds nothing of size dim
         RunConfig(suite="analytic", dim=4096),  # applies the tridiagonal q and p only
         # the weyl suite applies q and p on its vectors' mode window: no array of side dim
@@ -161,15 +164,15 @@ def test_run_suite_determinism_in_process():
 def test_sweep_dims_rows():
     text = reports.sweep_dims([16, 32], [0.5], [0.5])
     lines = text.strip().split("\n")
-    assert lines[0] == "t,s,dim,guard,support,residual,status"
+    assert lines[0] == "t,s,dim,support,residual,status"
     assert len(lines) == 3
     assert all(line.endswith("ok") for line in lines[1:])
 
 
 def test_sweep_dims_reaches_16384_modes():
     # the sweep applies tridiagonal q and p, so no dense dim x dim array
-    t, s, dim, guard, support, residual, status = reports.sweep_dims([16384], [0.5], [0.5]).split("\n")[1].split(",")
-    assert (dim, guard, status) == ("16384", "4096", "ok")
+    t, s, dim, support, residual, status = reports.sweep_dims([16384], [0.5], [0.5]).split("\n")[1].split(",")
+    assert (dim, support, status) == ("16384", "0", "ok")
     assert float(residual) <= 1e-8
 
 
@@ -183,8 +186,8 @@ def test_sweep_dims_reaches_a_million_modes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    t, s, dim, guard, support, residual, status = row
-    assert (dim, guard, support, status) == ("1048576", "262144", "0", "ok")
+    t, s, dim, support, residual, status = row
+    assert (dim, support, status) == ("1048576", "0", "ok")
     assert float(residual) <= 1e-8
     assert elapsed < 1.0
     assert peak < 8 * 2**20  # one complex dim-vector would be 16 MiB
@@ -200,7 +203,7 @@ def test_weyl_suite_reach():
 
 
 def test_sweep_dims_empty_is_header_only():
-    assert reports.sweep_dims([], [0.5], [0.5]).strip() == "t,s,dim,guard,support,residual,status"
+    assert reports.sweep_dims([], [0.5], [0.5]).strip() == "t,s,dim,support,residual,status"
 
 
 def test_sweep_dims_bad_row_continues():
@@ -284,12 +287,45 @@ def test_cli_usage_error_kmax_beyond_analytic_suite(capsys):
 
 
 def test_cli_usage_error_dim_beyond_dense_limit(capsys):
-    start = time.perf_counter()
-    assert main(["fock", "--dim", "1000000"]) == 2
-    assert time.perf_counter() - start < 1.0  # refused before any allocation
-    captured = capsys.readouterr()
-    assert "dim 1000000 exceeds 2048" in captured.err
-    assert captured.out == ""
+    for suite, dim in (("fock", 2**20 + 1), ("all", 2**21)):
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            assert main([suite, "--dim", str(dim)]) == 2
+            assert time.perf_counter() - start < 1.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # refused before any allocation: one diagonal would be 8 MiB
+        captured = capsys.readouterr()
+        assert f"dim {dim} exceeds 1048576, the largest band length the {suite} suite builds" in captured.err
+        assert captured.out == ""
+
+
+def test_cli_fock_at_a_million_modes():
+    # the fock suite reads its checks off band products: it runs at the band-length limit
+    proc = run_cli(["fock", "--dim", "1048576", "--format", "json"])
+    assert proc.returncode in (0, 1)
+    checks = json.loads(proc.stdout)["checks"]
+    assert len(checks) == 13 and all(c["measured"] is not None for c in checks)
+
+
+def test_public_api_surface():
+    import ccrlab
+
+    assert sorted(ccrlab.__all__) == [
+        "Band", "ConvergenceError", "ExactScalar", "FockState", "GridFunction", "GridResolutionError",
+        "IntervalRepSpec", "NORMALIZED", "NormalForm", "ParseError", "Report", "RunConfig",
+        "SeriesOverflowError", "SeriesReport", "UNNORMALIZED", "WeylResidualRecord", "aligned_spec",
+        "analytic", "analytic_series", "annihilation_residual", "check_growth_bound",
+        "closed_form_wrap_residual", "conjugation_series", "corrected_growth_bound", "exact",
+        "exp_commutator_residual", "fock", "fock_norm_exact", "grid_momentum", "grid_oscillator_spectrum",
+        "hermite_basis", "inner_product", "intertwiner_check", "interval", "interval_number_spectrum",
+        "interval_vs_line_report", "interval_weyl_residual", "normal_order", "parse", "reports", "rng",
+        "run_suite", "schrodinger", "shift_identity_residual", "symbolic", "taylor_exp",
+        "vacuum_annihilation_residual", "vacuum_expectation", "vacuum_sign_check", "verify_identity",
+        "weyl", "weyl_phase_check", "weyl_residual",
+    ]
 
 
 def test_cli_usage_error_grid_beyond_dense_limit(capsys):
@@ -353,7 +389,7 @@ def test_cli_usage_error_unknown_suite():
 def test_cli_sweep_modes():
     proc = run_cli(["sweep", "--dims", "16,32"])
     assert proc.returncode == 0
-    assert proc.stdout.startswith("t,s,dim,guard,support,residual,status")
+    assert proc.stdout.startswith("t,s,dim,support,residual,status")
     proc = run_cli(["sweep"])
     assert proc.returncode == 2
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccrlab import fock, symbolic
+from ccrlab import symbolic
 from ccrlab.exact import HALF_SQRT2, ExactScalar, I, ONE, ZERO
 from ccrlab.rng import SplitMix64
 from ccrlab.reports import random_word_source
@@ -32,6 +32,8 @@ from ccrlab.symbolic import (
     vacuum_expectation,
     verify_identity,
 )
+
+import dense_fock as dense
 
 
 # -- parser ------------------------------------------------------------------
@@ -425,7 +427,7 @@ class TermwiseForm:
         return TermwiseForm({(k, m): c.conjugate() for (m, k), c in self._terms.items()})
 
     def to_matrix(self, dim):
-        A = fock.build_annihilator(dim)
+        A = dense.build_annihilator(dim)
         a_pow, ad_pow = [np.eye(dim, dtype=complex)], [np.eye(dim, dtype=complex)]
         for _ in range(max((max(key) for key in self._terms), default=0)):
             a_pow.append(A @ a_pow[-1])

@@ -2,9 +2,10 @@
 
 scipy.linalg.expm and scipy.sparse.linalg.expm_multiply serve as the
 independent oracles for the in-house Taylor-action exponential
-expm_multiply, on dense and tridiagonal operators, and for expm, its
-action on the identity; the residual checks, which apply tridiagonal
-q and p, are compared with dense scipy exponentials; residual
+expm_multiply, on tridiagonal bands and on bands holding every diagonal
+of a dense matrix, and for its action on the identity; the residual
+checks, which apply tridiagonal q and p, are compared with dense scipy
+exponentials; residual
 magnitudes across dimensions were measured before freezing (dim 16 sits
 near 7e-13, dims >= 32 at the rounding floor), so floor-aware assertions
 follow the module invariant "halves or is already < 1e-10".
@@ -29,14 +30,17 @@ from scipy.sparse.linalg import expm_multiply as scipy_expm_multiply
 from ccrlab import fock, weyl
 from ccrlab.symbolic import exp_commutator_series
 
+import dense_fock as dense
+
 
 def test_expm_zero_is_identity():
-    assert np.abs(weyl.expm(np.zeros((6, 6))) - np.eye(6)).max() == 0.0
+    for zero in (fock.Band(6, {}), fock.Band(6, {0: np.zeros(6)})):
+        assert np.abs(weyl.expm_multiply(zero, np.eye(6)) - np.eye(6)).max() == 0.0
 
 
 def test_expm_diagonal_phases():
     theta = np.linspace(-2, 2, 9)
-    got = weyl.expm(np.diag(1j * theta))
+    got = weyl.expm_multiply(fock.Band(9, {0: 1j * theta}), np.eye(9))
     assert np.abs(got - np.diag(np.exp(1j * theta))).max() < 1e-13
 
 
@@ -45,15 +49,15 @@ def test_expm_matches_scipy_random():
     for _ in range(5):
         M = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
         want = scipy_expm(M)
-        got = weyl.expm(M)
+        got = weyl.expm_multiply(dense.band_of(M), np.eye(30))
         assert np.abs(got - want).max() / np.abs(want).max() < 1e-12
 
 
 def test_expm_skew_hermitian_unitary():
-    p = fock.build_momentum(64)
-    U = weyl.expm(0.7j * p)
+    p = fock.Band.momentum(64)
+    U = weyl.expm_multiply(0.7j * p, np.eye(64))
     assert np.abs(U @ U.conj().T - np.eye(64)).max() < 1e-11
-    assert np.abs(U @ weyl.expm(-0.7j * p) - np.eye(64)).max() < 1e-11
+    assert np.abs(U @ weyl.expm_multiply(-0.7j * p, np.eye(64)) - np.eye(64)).max() < 1e-11
 
 
 @given(
@@ -65,34 +69,37 @@ def test_expm_skew_hermitian_unitary():
 )
 @settings(max_examples=60, deadline=None)
 def test_expm_multiply_matches_scipy(dim, t, op, columns, seed):
-    tri = fock.Tridiagonal.momentum(dim) if op.endswith("p") else fock.Tridiagonal.position(dim)
-    A = 1j * t * (tri if op.startswith("tridiagonal") else tri.to_dense())
-    dense = 1j * t * tri.to_dense()  # the oracles' input
+    tri = fock.Band.momentum(dim) if op.endswith("p") else fock.Band.position(dim)
+    # "p" and "q" carry explicit zero diagonals at offsets 0, +-2 and +-3 as well
+    zeros = fock.Band(dim, {k: np.zeros(max(0, dim - abs(k))) for k in (-3, -2, 0, 2, 3)})
+    A = 1j * t * (tri if op.startswith("tridiagonal") else tri + zeros)
+    M = 1j * t * tri.to_dense()  # the oracles' input
     rng = np.random.default_rng(seed)
     shape = (dim,) if columns == 0 else (dim, columns)  # a vector or a block
     B = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     B /= np.linalg.norm(B)
     got = weyl.expm_multiply(A, B)
     assert got.shape == B.shape
-    assert np.linalg.norm(got - scipy_expm(dense) @ B) < 1e-12
-    assert np.linalg.norm(got - scipy_expm_multiply(dense, B)) < 1e-12
+    assert np.linalg.norm(got - scipy_expm(M) @ B) < 1e-12
+    assert np.linalg.norm(got - scipy_expm_multiply(M, B)) < 1e-12
 
 
 def test_expm_multiply_refuses_too_many_steps():
-    p, tri_p = fock.build_momentum(16), fock.Tridiagonal.momentum(16)
+    p, tri_p = dense.band_of(dense.build_momentum(16)), fock.Band.momentum(16)
     x = fock.FockState.basis_state(0).vector(16)
     start = time.perf_counter()
-    for A in (1e200j * p, 1e6j * p, np.full((16, 16), np.inf), 1e200j * tri_p, 1e6j * tri_p):
+    for A in (lambda: 1e200j * p, lambda: 1e6j * p, lambda: fock.Band(16, {0: np.full(16, np.inf)}),
+              lambda: 1e200j * tri_p, lambda: 1e6j * tri_p):
         with pytest.raises(ValueError, match="Taylor steps|non-finite"):
-            weyl.expm_multiply(A, x)
+            weyl.expm_multiply(A(), x)
     assert time.perf_counter() - start < 1.0
 
 
 def test_expm_rejects_nonfinite():
-    M = np.zeros((4, 4))
-    M[0, 0] = np.nan
+    diagonal = np.zeros(4)
+    diagonal[0] = np.nan
     with pytest.raises(ValueError):
-        weyl.expm(M)
+        weyl.expm_multiply(fock.Band(4, {0: diagonal}), np.eye(4))
 
 
 def test_weyl_residual_zero_t():
@@ -118,21 +125,21 @@ def test_weyl_residual_decreases_16_to_64():
 
 
 def test_weyl_record_fields():
-    rec = weyl.weyl_residual(0.5, 0.25, 32, None, fock.FockState.basis_state(1))
-    assert rec.dim == 32 and rec.guard == 8 and rec.test_vector_support == 1
+    rec = weyl.weyl_residual(0.5, 0.25, 32, fock.FockState.basis_state(1))
+    assert rec.dim == 32 and rec.test_vector_support == 1
     names = {f.name for f in dataclasses.fields(rec)}
-    assert names == {"t", "s", "dim", "guard", "residual", "test_vector_support"}
+    assert names == {"t", "s", "dim", "residual", "test_vector_support"}
 
 
 def test_weyl_support_violation():
-    with pytest.raises(ValueError):
-        weyl.weyl_residual(0.5, 0.5, 16, 8, fock.FockState.basis_state(12))
-    with pytest.raises(ValueError):
-        weyl.weyl_residual(0.5, 0.5, 16, 16)
-    # mode dim - guard is the first guard-band mode, one past the block
-    with pytest.raises(ValueError, match="last allowed mode is 47"):
-        weyl.weyl_residual(0.5, 0.5, 64, 16, fock.FockState.basis_state(48))
-    assert weyl.weyl_residual(0.5, 0.5, 64, 16, fock.FockState.basis_state(47)).test_vector_support == 47
+    # the window holds the test vector's modes, so only a support at or past dim is refused
+    with pytest.raises(ValueError, match="exceeds dimension 16"):
+        weyl.weyl_residual(0.5, 0.5, 16, fock.FockState.basis_state(16))
+    with pytest.raises(ValueError, match="nonzero"):
+        weyl.weyl_residual(0.5, 0.5, 16, fock.FockState(np.zeros(3)))
+    with pytest.raises(ValueError, match="exceeds dimension 64"):
+        weyl.weyl_phase_check(0.5, 0.5, 64, fock.FockState.basis_state(64))
+    assert weyl.weyl_residual(0.5, 0.5, 64, fock.FockState.basis_state(63)).test_vector_support == 63
 
 
 def test_phase_convention_exactly_one_vanishes():
@@ -144,16 +151,16 @@ def test_phase_convention_exactly_one_vanishes():
 
 def test_group_law_on_low_modes():
     d = 48
-    p = fock.build_momentum(d)
+    p = fock.Band.momentum(d)
     x = fock.FockState.basis_state(0).vector(d)
-    u = weyl.expm(1j * 0.4 * p) @ weyl.expm(1j * 0.9 * p) - weyl.expm(1j * 1.3 * p)
-    assert np.linalg.norm(u @ x) < 1e-10
+    U = lambda c, v: weyl.expm_multiply(1j * c * p, v)
+    assert np.linalg.norm(U(0.4, U(0.9, x)) - U(1.3, x)) < 1e-10
 
 
 @pytest.mark.parametrize("dim", [16, 64, 256])
 def test_residuals_match_dense_scipy_route(dim):
     t, s = 0.7, -0.4
-    q, p = fock.build_position(dim), fock.build_momentum(dim)
+    q, p = dense.build_position(dim), dense.build_momentum(dim)
     x = fock.FockState.basis_state(0).vector(dim)
     U, V, W = scipy_expm(1j * t * p), scipy_expm(1j * s * q), scipy_expm(1j * t * q)
     want = np.linalg.norm(U @ V @ x - np.exp(1j * s * t) * V @ U @ x)
@@ -181,8 +188,10 @@ def test_shift_identity_examples():
 def test_shift_identity_validation():
     with pytest.raises(ValueError):
         weyl.shift_identity_residual(0.5, 0, 32)
-    with pytest.raises(ValueError):
-        weyl.shift_identity_residual(0.5, 1, 32, fock.FockState.basis_state(30))
+    with pytest.raises(ValueError, match="exceeds dimension 32"):
+        weyl.shift_identity_residual(0.5, 1, 32, fock.FockState.basis_state(32))
+    with pytest.raises(ValueError, match="exceeds dimension 32"):
+        weyl.exp_commutator_residual(0.5, 32, fock.FockState.basis_state(32))
 
 
 def test_exp_commutator_zero_t_exact():
@@ -214,7 +223,7 @@ def test_convergence_sweep_single_zero_t():
 
 def test_convergence_sweep_e1():
     e1 = fock.FockState.basis_state(1)
-    recs = [weyl.weyl_residual(1.0, 1.0, d, None, e1) for d in (16, 64)]
+    recs = [weyl.weyl_residual(1.0, 1.0, d, e1) for d in (16, 64)]
     assert recs[1].residual < max(recs[0].residual, 1e-10)
 
 
@@ -239,7 +248,7 @@ def _full_test_vector(dim, guard, xi, extra_guard=0):
 
 def _full_weyl_residuals(t, s, x):
     dim = x.shape[0]
-    itp, isq = 1j * t * fock.Tridiagonal.momentum(dim), 1j * s * fock.Tridiagonal.position(dim)
+    itp, isq = 1j * t * fock.Band.momentum(dim), 1j * s * fock.Band.position(dim)
     uv = weyl.expm_multiply(itp, weyl.expm_multiply(isq, x))
     vu = weyl.expm_multiply(isq, weyl.expm_multiply(itp, x))
     nrm = np.linalg.norm(x)
@@ -253,7 +262,7 @@ def _full_weyl_residual(t, s, dim, guard=None, xi=None):
 
 def _full_shift_identity_residual(t, n, dim, xi=None, guard=None):
     x, _, _ = _full_test_vector(dim, guard, xi, extra_guard=n)
-    q, p = fock.Tridiagonal.position(dim), fock.Tridiagonal.momentum(dim)
+    q, p = fock.Band.position(dim), fock.Band.momentum(dim)
     lhs = weyl.expm_multiply(1j * t * q, x)
     rhs = x
     for _ in range(n):
@@ -265,7 +274,7 @@ def _full_shift_identity_residual(t, n, dim, xi=None, guard=None):
 
 def _full_exp_commutator_residual(t, dim, xi=None, guard=None):
     x, _, _ = _full_test_vector(dim, guard, xi)
-    q, p = fock.Tridiagonal.position(dim), fock.Tridiagonal.momentum(dim)
+    q, p = fock.Band.position(dim), fock.Band.momentum(dim)
     vx, vpx = weyl.expm_multiply(1j * t * q, np.column_stack([x, p @ x])).T
     val = p @ vx - vpx - t * vx
     return float(np.linalg.norm(val) / np.linalg.norm(x))
@@ -288,7 +297,7 @@ def test_windowed_residuals_match_full_dim(dim, coeffs, t, s, kind):
     n = int(kind[-1]) if kind.startswith("shift") else 1
     assume(xi.support < dim - dim // 4 - n)
     if kind == "weyl":
-        got, want, n = weyl.weyl_residual(t, s, dim, None, xi).residual, _full_weyl_residual(t, s, dim, None, xi), 0
+        got, want, n = weyl.weyl_residual(t, s, dim, xi).residual, _full_weyl_residual(t, s, dim, None, xi), 0
     elif kind == "commutator":
         got, want = weyl.exp_commutator_residual(t, dim, xi), _full_exp_commutator_residual(t, dim, xi)
     else:
@@ -304,7 +313,7 @@ def test_full_window_is_the_full_dim_path(t, s):
     # at dim 16 the window covers every mode, and the path is the full one bit for bit
     e2 = fock.FockState.basis_state(2)
     assert weyl._window(16, 2, math.hypot(t, s) / math.sqrt(2)) == 16
-    assert weyl.weyl_residual(t, s, 16, None, e2).residual == _full_weyl_residual(t, s, 16, None, e2)
+    assert weyl.weyl_residual(t, s, 16, e2).residual == _full_weyl_residual(t, s, 16, None, e2)
     assert weyl.weyl_phase_check(t, s, 16, e2)["minus_phase"] == _full_weyl_residuals(t, s, e2.vector(16))[1]
     for n in (1, 2, 3):
         assert weyl.shift_identity_residual(t, n, 16, e2) == _full_shift_identity_residual(t, n, 16, e2)
@@ -312,7 +321,7 @@ def test_full_window_is_the_full_dim_path(t, s):
     # at a dim equal to its window each residual is the full one; the window counts the bare products
     size, shift = math.hypot(t, s) / math.sqrt(2), abs(t) / math.sqrt(2)
     w = weyl._tail_mode(size, 2, 2.0**-53, 10**6) + 1
-    assert weyl.weyl_residual(t, s, w, None, e2).residual == _full_weyl_residual(t, s, w, None, e2)
+    assert weyl.weyl_residual(t, s, w, e2).residual == _full_weyl_residual(t, s, w, None, e2)
     for n in (1, 2, 3):
         w = weyl._tail_mode(shift, 2, 2.0**-53, 10**6) + 1 + n
         assert weyl.shift_identity_residual(t, n, w, e2) == _full_shift_identity_residual(t, n, w, e2)
@@ -371,7 +380,7 @@ def test_tail_mode_bounds_displaced_basis_vectors(alpha, top):
     # D(alpha) e_m for every m <= top from the dense scipy exponential at dim 256: no unit
     # vector on modes <= top leaves more than tol past the mode found
     dim, tol = 256, 1e-8
-    a = fock.build_annihilator(dim)
+    a = dense.build_annihilator(dim)
     D = scipy_expm(alpha * a.conj().T - np.conj(alpha) * a)
     mode = weyl._tail_mode(abs(alpha), top, tol, dim)
     assert top < mode < dim - 64  # far from the dense truncation's own edge
@@ -398,8 +407,8 @@ def test_block_checks_match_dense_expm(dim, c, generator):
     block = rng.uniform(-1, 1, (rows, 4)) + 1j * rng.uniform(-1, 1, (rows, 4))
     B = np.zeros((dim, 4), dtype=complex)
     B[:rows] = block
-    G = fock.build_momentum(dim) if generator == "p" else fock.build_position(dim)
-    U, U_inv = weyl.expm(1j * c * G), weyl.expm(-1j * c * G)
+    G = fock.Band.momentum(dim) if generator == "p" else fock.Band.position(dim)
+    U, U_inv = weyl.expm_multiply(1j * c * G, np.eye(dim)), weyl.expm_multiply(-1j * c * G, np.eye(dim))
     # the windowed e^{icG} B is the dense one on the window, and the dense one is below rounding past it
     icg, B_window = weyl._block_on_window(c, generator, block, dim)
     w = B_window.shape[0]
