@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import Band, FockState, sqrt_factorial
-from .weyl import _taylor_sum
 
 RATIO_CONVERGED = 0.9
 RATIO_DIVERGING = 1.1
@@ -192,6 +191,10 @@ def analytic_series(A: Band, xi: FockState, t: float, k_max: int = DEFAULT_K_MAX
 def taylor_exp(A: Band, t: float, xi: FockState, k_max: int = DEFAULT_K_MAX) -> FockState:
     """sum_{k<=k_max} t^k/k! A^k xi, guarded by the series verdict.
 
+    This truncated Taylor series is the one whose convergence the
+    analytic-vector criterion studies; each term comes from the last by
+    one product with A.
+
     Refuses (ConvergenceError) unless analytic_series(A, |t|, xi, k_max)
     reports converged; the report, including its tail estimate, is
     attached to the error.
@@ -204,7 +207,12 @@ def taylor_exp(A: Band, t: float, xi: FockState, k_max: int = DEFAULT_K_MAX) -> 
         )
         err.report = report
         raise err
-    return FockState(_taylor_sum(A, xi.vector(A.dim), k_max, t))
+    term = xi.vector(A.dim)
+    acc = term.copy()
+    for k in range(1, k_max + 1):
+        term = (t / k) * (A @ term)
+        acc += term
+    return FockState(acc)
 
 
 def corrected_growth_bound(dim: int, mode_bound: int, k: int) -> float:

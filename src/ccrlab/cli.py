@@ -4,14 +4,18 @@
             [--grid L,M,scheme] [--interval a,b] [--seed S]
             [--out PATH] [--format json|csv|text]
     ccr-lab sweep (--dims 16,32,64 | --interval-lengths 1,5,20) [...]
+    ccr-lab diff OLD.json NEW.json
 
 Exit codes: 0 all checks pass (flagged allowed), 1 any check failed,
-2 usage error.
+2 usage error.  `diff` compares two JSON reports check by check and
+exits 0 when no check's status flipped, 1 when one did, and 2 on a file
+that is not a readable report.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from . import reports
@@ -27,6 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ccr-lab",
         description="Run verification suites for truncated CCR representations.",
+        epilog="ccr-lab diff OLD.json NEW.json compares two JSON reports.",
     )
     parser.add_argument(
         "command",
@@ -89,7 +94,66 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _load_checks(path: str) -> dict:
+    """{name: check} of a JSON report; ValueError on a file that is not one."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            report = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: cannot read a JSON report ({exc})") from None
+    checks = report.get("checks") if isinstance(report, dict) else None
+    if not isinstance(checks, list) or not all(
+            isinstance(c, dict) and isinstance(c.get("name"), str) and isinstance(c.get("status"), str)
+            and "measured" in c for c in checks):
+        raise ValueError(f"{path}: not a ccr-lab report (no list of checks with name, status and measured)")
+    by_name = {c["name"]: c for c in checks}
+    if len(by_name) != len(checks):
+        raise ValueError(f"{path}: not a ccr-lab report (a check name repeats)")
+    return by_name
+
+
+def _diff_lines(old: dict, new: dict) -> tuple[list[str], int]:
+    """The lines of `ccr-lab diff` for two {name: check} maps, and the number
+    of status flips: per check in both, a status flip and a moved measured
+    value; then the checks only in new (+) and only in old (-)."""
+    value = lambda v: json.dumps(v, allow_nan=False)
+    lines, flips, moved = [], 0, 0
+    for name in old.keys() & new.keys():
+        a, b = old[name], new[name]
+        if a["status"] != b["status"]:
+            flips += 1
+            lines.append((name, f"{name}: status {a['status']} -> {b['status']}"))
+        if a["measured"] != b["measured"]:
+            moved += 1
+            lines.append((name, f"{name}: measured {value(a['measured'])} -> {value(b['measured'])}"))
+    lines.sort(key=lambda item: item[0])  # by name; a check's flip before its value
+    lines = [line for _, line in lines]
+    added, removed = sorted(new.keys() - old.keys()), sorted(old.keys() - new.keys())
+    lines += [f"+ {n}: {new[n]['status']}, measured {value(new[n]['measured'])}" for n in added]
+    lines += [f"- {n}: {old[n]['status']}, measured {value(old[n]['measured'])}" for n in removed]
+    lines.append(f"{len(old)} -> {len(new)} checks: {flips} status flips, {moved} measured values moved, "
+                 f"{len(added)} added, {len(removed)} removed")
+    return lines, flips
+
+
+def _diff_main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(prog="ccr-lab diff", description="Compare two JSON reports check by check.")
+    parser.add_argument("old", help="the earlier report, from --format json")
+    parser.add_argument("new", help="the later report")
+    args = parser.parse_args(argv)
+    try:
+        lines, flips = _diff_lines(_load_checks(args.old), _load_checks(args.new))
+    except ValueError as exc:
+        sys.stderr.write(f"ccr-lab diff: {exc}\n")
+        return USAGE_ERROR
+    sys.stdout.write("\n".join(lines) + "\n")
+    return 1 if flips else 0
+
+
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["diff"]:
+        return _diff_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
 

@@ -209,10 +209,9 @@ def _reflection_block(column: np.ndarray, first: int, size: int, sign: float, di
     hankel = window(column[2 * first : 2 * (first + size) - 1], size)
     block = toeplitz + hankel if sign > 0 else toeplitz - hankel
     if fixed:
-        scale = np.ones(size)
-        scale[list(fixed)] = math.sqrt(0.5)
-        block *= scale
-        block *= scale[:, None]
+        fixed = list(fixed)
+        block[:, fixed] *= math.sqrt(0.5)  # the columns, then the rows, as scaling by a vector would
+        block[fixed] *= math.sqrt(0.5)
     block.reshape(-1)[:: size + 1] += diagonal
     return block
 

@@ -18,52 +18,132 @@ column block, run on the first W = min(dim, N + 1 + applications) modes.
 Cutting e^{icG} (G = q or p) to W modes removes only the coupling
 |c| sqrt(W/2) between modes W - 1 and W, so by Duhamel's formula it moves
 the result by at most that factor times the tail there: the windowed
-and the full-dim values agree to rounding.  The Taylor kernel takes its
-step count from the window's 1-norm, the cost stops growing with dim,
-and at W = dim the path is the full one.  The same bound at the Weyl
-residual's tolerance tells which t, s a truncation can hold at all
+and the full-dim values agree to rounding.  The kernel takes its term
+count from the window's 1-norm, the cost stops growing with dim, and at
+W = dim the path is the full one.  The same bound at the Weyl residual's
+tolerance tells which t, s a truncation can hold at all
 (`reports.RunConfig.validate`).
+
+The kernel.  Every exponential here is e^{iH} B with H = cG Hermitian:
+G is q, p, a real diagonal or 0.  `expm_multiply` takes exactly that
+case and sums the Chebyshev-Bessel expansion of e^{iH} (Tal-Ezer and
+Kosloff, J. Chem. Phys. 81, 3967, 1984) with R = ||H||_1.  It stops at
+the first order whose Bessel tail is below unit roundoff, about
+R + O(R^{1/3}) terms, each one band product read off the diagonals.  A
+band A whose -iA is not Hermitian, or whose R would need more than
+_MAX_TERMS = 10^5 terms, is refused before the first product.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import Band, FockState
+from .fock import Band, FockState, _rows_cols
 
-_TAYLOR_DEGREE = 20
-_MAX_STEPS = 10**5
+_MAX_TERMS = 10**5
 _UNIT_ROUNDOFF = 2.0**-53
+_MILLER_MARGIN = 10.0  # the backward recurrence starts where Kapteyn's bound is e^-10 below unit roundoff
 
 
-def _taylor_sum(A: Band, F: np.ndarray, degree: int, c: float) -> np.ndarray:
-    """sum_{k<=degree} (cA)^k F / k!, each term from the last by one product."""
-    acc = F.copy()
-    for k in range(1, degree + 1):
-        F = (c / k) * (A @ F)
-        acc += F
-    return acc
+def _log_kapteyn_bound(x: float, n: int) -> float:
+    """log of Kapteyn's bound |J_n(nz)| <= (z e^s / (1 + s))^n, s = sqrt(1 - z^2),
+    at z = x/n <= 1 (Watson, Theory of Bessel Functions, 8.7)."""
+    z = x / n
+    s = math.sqrt(1.0 - z * z)
+    return n * (math.log(z) + s - math.log1p(s))
+
+
+@functools.lru_cache(maxsize=64)
+def _chebyshev_coefficients(x: float) -> np.ndarray:
+    """(2 - delta_k0) J_k(x) for k = 0..K: the coefficients of
+    e^{ixX} = sum_k (2 - delta_k0) i^k J_k(x) T_k(X), cut at the first K
+    whose tail sum_{k > K} 2 |J_k(x)| is at most unit roundoff.
+
+    Miller's backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1} runs down
+    from an order N >= x at which Kapteyn's bound on J_N(x) is e^-10
+    below unit roundoff, found by doubling the step past x.  It starts at
+    (J_N, J_{N+1}) = (x, 0) and is normalized by J_0 + 2 sum_k J_2k = 1.
+    J_k is minimal past x, so the recurrence is stable downward, and the
+    seed's error is of the size of J_N.  More than _MAX_TERMS terms are
+    refused, at once where x > _MAX_TERMS, since K exceeds x.
+    """
+    too_many = ValueError(f"||A||_1 = {x:.3g}: e^A needs more than {_MAX_TERMS} Chebyshev terms")
+    if not x <= _MAX_TERMS:
+        raise too_many
+    if x == 0.0:
+        return np.ones(1)
+    n, step = max(1, math.ceil(x)), 1
+    log_floor = math.log(_UNIT_ROUNDOFF) - _MILLER_MARGIN
+    while _log_kapteyn_bound(x, n) > log_floor:  # a start past the first such order only costs steps
+        n, step = n + step, 2 * step
+    j = [0.0] * (n + 2)
+    j[n] = x  # any positive seed; this one keeps 2k J_k / x finite for the smallest x
+    for k in range(n, 0, -1):
+        j[k - 1] = 2 * k * j[k] / x - j[k + 1]
+    bessel = np.array(j[: n + 1])
+    bessel /= bessel[0] + 2.0 * bessel[2::2].sum()
+    tail = 2.0 * np.cumsum(np.abs(bessel[:0:-1]))[::-1]  # tail[k] = 2 sum_{i > k} |J_i|, k < n
+    order = int(np.argmax(np.append(tail, 0.0) <= _UNIT_ROUNDOFF))
+    if order >= _MAX_TERMS:
+        raise too_many
+    coefficients = 2.0 * bessel[: order + 1]
+    coefficients[0] = bessel[0]
+    coefficients.flags.writeable = False  # shared by the cache
+    return coefficients
+
+
+def _anti_hermitian_defect(A: Band) -> float:
+    """max |A + A†| over the entries: zero when -iA is Hermitian."""
+    defect = 0.0
+    for k, d in A.diagonals.items():
+        mirror = A.diagonals.get(-k)
+        if d.size:
+            defect = max(defect, float(np.abs(d if mirror is None else d + mirror.conj()).max()))
+    return defect
 
 
 def expm_multiply(A: Band, B: np.ndarray) -> np.ndarray:
-    """e^A B for a vector or column block B, without forming e^A.
+    """e^A B for a vector or column block B and a band A with -iA Hermitian,
+    without forming e^A.
 
-    s = ceil(||A||_1) steps of the degree-20 Taylor polynomial of e^{A/s}
-    (Al-Mohy and Higham, SIAM J. Sci. Comput. 33(2), 2011); each step's
-    remainder is at most e/21! relative.  More than _MAX_STEPS steps are
-    refused before the first one runs.
+    With H = -iA, R = ||A||_1 >= ||H||_2 (Gershgorin) and X = H/R,
+    e^A = e^{iRX} = sum_k (2 - delta_k0) i^k J_k(R) T_k(X) (Jacobi-Anger;
+    Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967, 1984).  The vectors
+    U_k = i^k T_k(X) B obey U_{k+1} = (2A/R) U_k + U_{k-1}, U_1 = A B / R,
+    read off A's diagonals.  ||T_k(X)|| <= 1, so cutting the sum where the
+    Bessel tail drops below unit roundoff (`_chebyshev_coefficients`)
+    leaves an error below u ||B||; that takes R + O(R^{1/3}) terms.  A band
+    whose -iA is not Hermitian to a few units of roundoff, or that needs
+    more than _MAX_TERMS terms, is refused before the first product.
     """
     norm = A.norm1()
-    if not norm <= _MAX_STEPS:
-        raise ValueError(f"||A||_1 = {norm:.3g} needs more than {_MAX_STEPS} Taylor steps")
-    steps = max(1, math.ceil(norm))
+    coefficients = _chebyshev_coefficients(norm)
+    if _anti_hermitian_defect(A) > 4 * _UNIT_ROUNDOFF * norm:
+        raise ValueError("expm_multiply needs a band A with -iA Hermitian")
     F = np.array(B, dtype=complex)
-    for _ in range(steps):
-        F = _taylor_sum(A, F, _TAYLOR_DEGREE, 1.0 / steps)
-    return F
+    if F.ndim not in (1, 2) or F.shape[0] != A.dim:
+        raise ValueError(f"cannot apply a {A.dim}-dim operator to shape {F.shape}")
+    acc = coefficients[0] * F
+    if coefficients.size == 1:
+        return acc
+    U = [F, np.zeros_like(F)]  # U_k lives in U[k % 2], overwriting U_{k-2}
+    diagonals = [(*_rows_cols(k, d.size), (2.0 / norm) * (d if F.ndim == 1 else d[:, None]))
+                 for k, d in A.diagonals.items() if d.size]
+    # per parity, (rows of the target, columns of the source, diagonal) as views
+    steps = [[(U[k % 2][rows], U[1 - k % 2][cols], d) for rows, cols, d in diagonals] for k in (0, 1)]
+    for out, src, d in steps[1]:
+        out += d * src
+    U[1] *= 0.5  # U_1 = (A/R) B = (S/2) B with S = 2A/R
+    acc += coefficients[1] * U[1]
+    for k in range(2, coefficients.size):
+        for out, src, d in steps[k % 2]:
+            out += d * src
+        acc += coefficients[k] * U[k % 2]
+    return acc
 
 
 def _log_tail_bound(alpha: float, top: int, n: int) -> float:
@@ -73,9 +153,13 @@ def _log_tail_bound(alpha: float, top: int, n: int) -> float:
     r = alpha * math.sqrt(n + 1) / (k + 1)
     if r >= 1.0:
         return math.inf
+    # B_M(n) e^{alpha^2/2} sqrt(n!/M!) sums T_i = C(n, i) alpha^(n+M-2i) / (M-i)!, i <= M; by Horner,
+    # s = sum_i T_i / T_M from the ratios T_i / T_{i+1} = (i+1) alpha^2 / ((n-i) (M-i))
+    s = 1.0
+    for i in range(top):
+        s = 1.0 + s * (i + 1) * alpha * alpha / ((n - i) * (top - i))
     log_b = k * math.log(alpha) + 0.5 * (math.lgamma(n + 1) - math.lgamma(top + 1)) - math.lgamma(k + 1)
-    if top == 0:
-        log_b -= alpha * alpha / 2
+    log_b += math.log(s) - alpha * alpha / 2
     return log_b + 0.5 * (math.log(top + 1) - math.log1p(-r * r))
 
 
@@ -85,22 +169,28 @@ def _tail_mode(alpha: float, top: int, tol: float, limit: int) -> int:
     with |alpha| = alpha >= 0; `limit` if there is none below it.
 
     The bound.  For n >= m and k = n - m, |<n|D|m>| = sqrt(m!/n!) alpha^k
-    e^{-alpha^2/2} |L_m^{(k)}(alpha^2)|.  For m = 0 this is the Poisson
-    amplitude B_0(n) = e^{-alpha^2/2} alpha^n / sqrt(n!).  For m > 0 the
-    Laguerre bound |L_m^{(k)}(x)| <= C(m+k, m) e^{x/2} (x, k >= 0;
-    Abramowitz and Stegun 22.14.13) gives |<n|D|m>| <= B_m(n) =
-    alpha^k sqrt(n!/m!) / k!.  With M = top, the ratio
-    r(n) = B_M(n+1)/B_M(n) = alpha sqrt(n+1)/(n+1-M) falls with n, and
-    r(n) < 1 from the first n_0 with sqrt(n_0+1) > (alpha +
-    sqrt(alpha^2 + 4M))/2.  From n_0 on, B_m(n) <= B_M(n) for every
-    m <= M and sum_{n'>=n} B_M(n')^2 <= B_M(n)^2 / (1 - r(n)^2), so for
-    N + 1 >= n_0
+    e^{-alpha^2/2} |L_m^{(k)}(alpha^2)|.  The triangle inequality on the
+    explicit sum L_m^{(k)}(x) = sum_j (-1)^j C(m+k, m-j) x^j / j!
+    (Abramowitz and Stegun 22.3.9) gives |<n|D|m>| <= B_m(n) with
+
+        B_m(n) = e^{-alpha^2/2} sqrt(m!/n!) alpha^k S_m(n),
+        S_m(n) = sum_{j<=m} C(n, m-j) alpha^{2j} / j!,
+
+    which keeps the factor e^{-alpha^2/2}; for m = 0 it is the Poisson
+    amplitude e^{-alpha^2/2} alpha^n / sqrt(n!).  With M = top, each
+    term of B_m grows from n to n + 1 by at most r(n) = alpha sqrt(n+1) /
+    (n+1-M), which falls with n, and r(n) < 1 from the first n_0 with
+    sqrt(n_0+1) > (alpha + sqrt(alpha^2 + 4M))/2.  There, for m < M,
+    S_{m+1}(n) >= (n-m)/(m+1) S_m(n) term by term, and n - m > alpha
+    sqrt(m+1), so B_{m+1}(n) >= B_m(n).  So from n_0 on, B_m(n) <= B_M(n)
+    for every m <= M and sum_{n'>=n} B_M(n')^2 <= B_M(n)^2 / (1 - r(n)^2),
+    and for N + 1 >= n_0
 
         ||(1 - P_N) D x|| <= sqrt(M+1) B_M(N+1) / sqrt(1 - r(N+1)^2) ||x||.
 
     That bound falls with N, so it is bisected on [max(M, n_0 - 1), limit):
     the search never walks up to the mean alpha^2, and any alpha, however
-    large, costs O(log limit).
+    large, costs O(M log limit).
     """
     if alpha == 0.0:
         return top

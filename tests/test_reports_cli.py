@@ -407,3 +407,60 @@ def test_cli_csv_format_in_process(capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out.startswith("name,relation,status,measured,tolerance")
+
+
+def _report_file(path, checks):
+    report = run_suite(RunConfig(suite="fock", dim=8, fmt="json"))
+    obj = report.to_json_obj()
+    obj["checks"] = checks(obj["checks"])
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return str(path)
+
+
+def test_cli_diff_lists_moves_flips_and_added_checks(tmp_path, capsys):
+    old = _report_file(tmp_path / "old.json", lambda checks: checks)
+    assert main(["diff", old, old]) == 0
+    out = capsys.readouterr().out.splitlines()
+    n = len(json.loads(open(old).read())["checks"])
+    assert out == [f"{n} -> {n} checks: 0 status flips, 0 measured values moved, 0 added, 0 removed"]
+
+    def edit(checks):
+        first, second = dict(checks[0]), dict(checks[1])
+        first["measured"] = 0.25
+        second["status"] = "fail"
+        return [first, second] + checks[3:] + [{**checks[3], "name": "fock.new_check"}]
+
+    new = _report_file(tmp_path / "new.json", edit)
+    names = [c["name"] for c in json.loads(open(old).read())["checks"]]
+    assert main(["diff", old, new]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith(f"{names[0]}: measured ") and out[0].endswith(" -> 0.25")
+    assert out[1] == f"{names[1]}: status pass -> fail"
+    assert out[2].startswith("+ fock.new_check: pass, measured ")
+    assert out[3].startswith(f"- {names[2]}: pass, measured ")
+    assert out[4] == f"{n} -> {n} checks: 1 status flips, 1 measured values moved, 1 added, 1 removed"
+
+
+def test_cli_diff_refuses_what_is_not_a_report(tmp_path, capsys):
+    good = _report_file(tmp_path / "good.json", lambda checks: checks)
+    cases = {
+        "missing.json": None,
+        "garbage.json": "{not json",
+        "binary.json": b"\xff\xfe\x00",
+        "list.json": "[1, 2]",
+        "no_status.json": json.dumps({"checks": [{"name": "a", "measured": 1.0}]}),
+        "repeat.json": json.dumps({"checks": [{"name": "a", "status": "pass", "measured": 1}] * 2}),
+    }
+    for name, content in cases.items():
+        path = tmp_path / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
+            path.write_text(content, encoding="utf-8")
+        for argv in (["diff", good, str(path)], ["diff", str(path), good]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("ccr-lab diff: ") and name in captured.err
+    proc = run_cli(["diff", good])
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr

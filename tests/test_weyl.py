@@ -1,9 +1,11 @@
 """Matrix exponentials and the exponentiated commutation identities.
 
 scipy.linalg.expm and scipy.sparse.linalg.expm_multiply serve as the
-independent oracles for the in-house Taylor-action exponential
+independent oracles for the in-house Chebyshev-Bessel exponential
 expm_multiply, on tridiagonal bands and on bands holding every diagonal
-of a dense matrix, and for its action on the identity; the residual
+of a dense matrix, and for its action on the identity.  The scaled
+Taylor kernel the package used before is kept below as a third oracle,
+and scipy.special.jv checks the Bessel coefficients; the residual
 checks, which apply tridiagonal q and p, are compared with dense scipy
 exponentials; residual
 magnitudes across dimensions were measured before freezing (dim 16 sits
@@ -20,12 +22,14 @@ import dataclasses
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import expm as scipy_expm
 from scipy.sparse.linalg import expm_multiply as scipy_expm_multiply
+from scipy.special import eval_genlaguerre, gammaln, jv
 
 from ccrlab import fock, weyl
 from ccrlab.symbolic import exp_commutator_series
@@ -33,9 +37,88 @@ from ccrlab.symbolic import exp_commutator_series
 import dense_fock as dense
 
 
+def _taylor_expm_multiply(A, B):
+    """e^A B by s = ceil(||A||_1) steps of the degree-20 Taylor polynomial of
+    e^{A/s} (Al-Mohy and Higham, SIAM J. Sci. Comput. 33(2), 2011), each
+    term from the last by one product: an oracle for any band A, -iA
+    Hermitian or not."""
+    steps = max(1, math.ceil(A.norm1()))
+    F = np.array(B, dtype=complex)
+    for _ in range(steps):
+        acc = F.copy()
+        for k in range(1, 21):
+            F = (1.0 / steps / k) * (A @ F)
+            acc += F
+        F = acc
+    return F
+
+
 def test_expm_zero_is_identity():
     for zero in (fock.Band(6, {}), fock.Band(6, {0: np.zeros(6)})):
         assert np.abs(weyl.expm_multiply(zero, np.eye(6)) - np.eye(6)).max() == 0.0
+
+
+def test_expm_zero_generator_returns_b_exactly():
+    # R = ||A||_1 = 0: the sum is its first term J_0(0) B = B, bit for bit
+    rng = np.random.default_rng(3)
+    for shape in ((6,), (6, 3)):
+        B = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        got = weyl.expm_multiply(fock.Band(6, {0: np.zeros(6), 2: np.zeros(4), -2: np.zeros(4)}), B)
+        assert np.array_equal(got, B) and got is not B
+
+
+@pytest.mark.parametrize("size", [1e-300, 1e-320, 1e-10, 1e-3])
+def test_expm_tiny_generator(size):
+    # |c| R from a subnormal up: e^{icp} B = B + icp B + O((cR)^2), and the Taylor kernel agrees
+    p = fock.Band.momentum(16)
+    A = 1j * (size / p.norm1()) * p
+    B = np.arange(16) * (1 + 1j) / 16
+    got = weyl.expm_multiply(A, B)
+    assert np.isfinite(got).all()
+    assert np.linalg.norm(got - (B + A @ B)) <= 4 * size**2 * np.linalg.norm(B) + 1e-16 * np.linalg.norm(B)
+    assert np.linalg.norm(got - _taylor_expm_multiply(A, B)) <= 1e-15 * np.linalg.norm(B)
+
+
+def test_expm_diagonal_plus_tridiagonal_generator():
+    # a real diagonal beside the off-diagonals of q: -iA stays Hermitian
+    theta = np.linspace(-1.5, 2.5, 24)
+    A = 1j * (0.8 * fock.Band.position(24) + fock.Band(24, {0: theta}))
+    B = np.eye(24)[:, :5]
+    want = scipy_expm(A.to_dense()) @ B
+    got = weyl.expm_multiply(A, B)
+    assert np.abs(got - want).max() < 1e-13
+    assert np.abs(got - _taylor_expm_multiply(A, B)).max() < 1e-13
+
+
+def test_expm_multiply_refuses_non_hermitian():
+    # the kernel takes e^{iH} for H Hermitian only; other bands are refused before any product
+    q = fock.Band.position(8)
+    for A in (q, 1j * q + fock.Band(8, {1: np.full(7, 1e-3)}), fock.Band(8, {0: np.full(8, 0.5)}),
+              fock.Band(8, {2: np.ones(6)}), dense.band_of(np.triu(np.ones((8, 8))) * 1j)):
+        with pytest.raises(ValueError, match="Hermitian"):
+            weyl.expm_multiply(A, np.ones(8))
+
+
+@pytest.mark.parametrize("x", [1e-10, 0.3, 1.0, 2.7, 7.7, 30.0])
+def test_chebyshev_coefficients_match_scipy_bessel(x):
+    c = weyl._chebyshev_coefficients(x)
+    k = np.arange(c.size)
+    assert np.abs(c - np.where(k == 0, 1.0, 2.0) * jv(k, x)).max() <= 1e-15
+    # the sum stops at the first order whose remaining tail is below unit roundoff
+    tail = 2.0 * np.abs(jv(np.arange(c.size, c.size + 200), x)).sum()
+    assert tail <= 2.0**-53 < tail + abs(c[-1])
+
+
+@pytest.mark.parametrize("x", [100.0, 1000.0, 15000.0])
+def test_chebyshev_coefficients_large_argument(x):
+    # scipy's jv loses digits past x ~ 100, so the oracles here are Bessel identities the
+    # normalization J_0 + 2 sum J_2k = 1 does not contain: e^{ix} = sum (2 - delta_k0) i^k J_k(x)
+    # and J_0^2 + 2 sum J_k^2 = 1
+    c = weyl._chebyshev_coefficients(x)
+    assert x < c.size - 1 < x + 20 * x ** (1 / 3)  # R + O(R^{1/3}) terms
+    phases = 1j ** (np.arange(c.size) % 4)
+    assert abs(np.sum(phases * c) - np.exp(1j * x)) < 1e-13
+    assert abs(c[0] ** 2 + 0.5 * np.sum(c[1:] ** 2) - 1.0) < 1e-13
 
 
 def test_expm_diagonal_phases():
@@ -45,12 +128,15 @@ def test_expm_diagonal_phases():
 
 
 def test_expm_matches_scipy_random():
+    # e^{iH} for H random Hermitian, every one of its diagonals filled: the kernel's contract
     rng = np.random.default_rng(7)
     for _ in range(5):
         M = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
-        want = scipy_expm(M)
-        got = weyl.expm_multiply(dense.band_of(M), np.eye(30))
+        iH = 1j * (M + M.conj().T) / 2
+        want = scipy_expm(iH)
+        got = weyl.expm_multiply(dense.band_of(iH), np.eye(30))
         assert np.abs(got - want).max() / np.abs(want).max() < 1e-12
+        assert np.abs(got - _taylor_expm_multiply(dense.band_of(iH), np.eye(30))).max() < 1e-12
 
 
 def test_expm_skew_hermitian_unitary():
@@ -90,7 +176,7 @@ def test_expm_multiply_refuses_too_many_steps():
     start = time.perf_counter()
     for A in (lambda: 1e200j * p, lambda: 1e6j * p, lambda: fock.Band(16, {0: np.full(16, np.inf)}),
               lambda: 1e200j * tri_p, lambda: 1e6j * tri_p):
-        with pytest.raises(ValueError, match="Taylor steps|non-finite"):
+        with pytest.raises(ValueError, match="Chebyshev terms|non-finite"):
             weyl.expm_multiply(A(), x)
     assert time.perf_counter() - start < 1.0
 
@@ -358,6 +444,25 @@ def test_windowed_exponentials_of_e0_are_coherent_states(dim, t, s):
         assert np.linalg.norm(want[len(x):]) <= 2.0**-53  # the window holds all but a rounding-sized tail
 
 
+@pytest.mark.parametrize("t", [20.0, 50.0])
+def test_weyl_reach_sides_are_coherent_states(t):
+    # |alpha|^2 = t^2: 660 modes at t = 20 and 3116 at t = 50, where the Taylor kernel took 6.9 s.
+    # Each side, U_t V_s e_0 and e^{ist} V_s U_t e_0, is e^{its/2} |(-t + is)/sqrt2> in closed form.
+    start = time.perf_counter()
+    residual = weyl.weyl_residual(t, t, 32768).residual
+    elapsed = time.perf_counter() - start
+    assert residual < 1e-10
+    if t == 50.0:
+        assert elapsed < 3.0
+    x, q, p = weyl._on_window(fock.FockState.basis_state(0), 32768, t)
+    assert len(x) == {20.0: 660, 50.0: 3116}[t]
+    want = np.exp(0.5j * t * t) * _coherent((-t + 1j * t) / math.sqrt(2), len(x))
+    uv = weyl.expm_multiply(1j * t * p, weyl.expm_multiply(1j * t * q, x))
+    vu = np.exp(1j * t * t) * weyl.expm_multiply(1j * t * q, weyl.expm_multiply(1j * t * p, x))
+    assert np.linalg.norm(uv - want) < 1e-10
+    assert np.linalg.norm(vu - want) < 1e-10
+
+
 def _poisson_tail(mean, mode):
     """||(1 - P_mode) |alpha>|| for |alpha|^2 = mean, P_mode keeping modes <= mode."""
     n = np.arange(mode + 1, mode + 200 + int(20 * math.sqrt(mean)))
@@ -386,6 +491,45 @@ def test_tail_mode_bounds_displaced_basis_vectors(alpha, top):
     assert top < mode < dim - 64  # far from the dense truncation's own edge
     tails = np.linalg.norm(D[mode + 1:, : top + 1], axis=0)
     assert math.sqrt(top + 1) * tails.max() <= tol
+
+
+@pytest.mark.parametrize("alpha", [0.25, 1.5, 6.0])
+@pytest.mark.parametrize("top", [0, 1, 3, 6])
+def test_log_tail_bound_is_the_laguerre_sum(alpha, top):
+    # B_m(n) = e^{-x/2} sqrt(m!/n!) alpha^(n-m) sum_j C(n, m-j) x^j / j! with x = alpha^2, the sum in
+    # exact rationals; where r(n) < 1 the largest of B_0..B_M is B_M, and the bound is built on it
+    x = Fraction(alpha) ** 2
+    first = (alpha + math.hypot(alpha, 2.0 * math.sqrt(top))) ** 2 / 4  # r(n) < 1 from sqrt(n+1) past its root
+    for n in range(top, int(first) + 60):
+        r = alpha * math.sqrt(n + 1) / (n - top + 1)
+        if r >= 1.0:
+            assert weyl._log_tail_bound(alpha, top, n) == math.inf
+            continue
+        log_b = [0.5 * (math.lgamma(m + 1) - math.lgamma(n + 1)) + (n - m) * math.log(alpha) - alpha**2 / 2
+                 + math.log(sum(math.comb(n, m - j) * x**j / math.factorial(j) for j in range(m + 1)))
+                 for m in range(top + 1)]
+        assert max(log_b) <= log_b[-1] + 1e-12
+        want = 0.5 * math.log(top + 1) + log_b[-1] - 0.5 * math.log1p(-r * r)
+        assert abs(weyl._log_tail_bound(alpha, top, n) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_tail_mode_support_3_at_mean_1e4():
+    # the exact <n|D|m> = sqrt(m!/n!) alpha^(n-m) e^{-alpha^2/2} L_m^(n-m)(alpha^2), summed in logs
+    # past each mode, give the first mode the bound may return; the bound keeps e^{-alpha^2/2}, so
+    # its mode stays within 2 % of that one (the bound C(m+k, m) e^{x/2} on L_m^(k)(x) gave 27283)
+    alpha, tol, top = 100.0, 2.0**-53, 3
+    mode = weyl._tail_mode(alpha, top, tol, 10**6)
+    assert weyl._tail_mode(alpha, 0, tol, 10**6) == 11207 < mode
+    n = np.arange(10000, mode + 3000)
+    with np.errstate(divide="ignore"):  # L_m^(k)(x) may vanish at a grid point
+        log_elements = np.array([
+            0.5 * (math.lgamma(m + 1) - gammaln(n + 1)) + (n - m) * math.log(alpha) - alpha**2 / 2
+            + np.log(np.abs(eval_genlaguerre(m, n - m, alpha**2))) for m in range(top + 1)])
+    tails = np.sqrt(np.cumsum(np.exp(2 * log_elements[:, ::-1]), axis=1)[:, ::-1])  # past mode n - 1
+    held = math.sqrt(top + 1) * tails.max(axis=0) <= tol
+    first = int(n[np.argmax(held)]) - 1
+    assert held[n > mode].all()
+    assert first <= mode <= 1.02 * first
 
 
 def test_tail_mode_edges():
