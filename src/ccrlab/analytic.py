@@ -86,6 +86,13 @@ def _column_block(state: FockState) -> np.ndarray:
     return state.to_normalized().coeffs[:, None]
 
 
+def _mode_window(A: Band, rows: int, k_max: int) -> int:
+    """The modes that k_max products with A reach from the first `rows`:
+    rows + h k_max for a lowest offset -h, at most A.dim."""
+    reach = max([0] + [-k for k in A.diagonals])  # the modes one product moves a vector up
+    return min(A.dim, rows + reach * k_max)
+
+
 def power_log_norms(A: Band, block, k_max: int) -> np.ndarray:
     """log ||A^k x_j|| for k = 0..k_max and every column x_j of `block`, as
     a (k_max + 1) x n array; -inf from the power at which a column vanishes.
@@ -100,8 +107,7 @@ def power_log_norms(A: Band, block, k_max: int) -> np.ndarray:
     block = np.asarray(block)
     if block.ndim != 2 or block.shape[0] > dim:
         raise ValueError(f"expected a block of at most {dim} rows, got shape {block.shape}")
-    reach = max([0] + [-k for k in A.diagonals])  # the modes one product moves a vector up
-    window = min(dim, block.shape[0] + reach * k_max)
+    window = _mode_window(A, block.shape[0], k_max)
     if window < dim:
         A = A.cut(window)
     V = np.zeros((window, block.shape[1]), dtype=complex)
@@ -193,7 +199,9 @@ def taylor_exp(A: Band, t: float, xi: FockState, k_max: int = DEFAULT_K_MAX) -> 
 
     This truncated Taylor series is the one whose convergence the
     analytic-vector criterion studies; each term comes from the last by
-    one product with A.
+    one product with A.  The sum runs on the mode window of the guard
+    (top + k_max + 1 modes for q and p), which holds every term, and the
+    result has A.dim coefficients.
 
     Refuses (ConvergenceError) unless analytic_series(A, |t|, xi, k_max)
     reports converged; the report, including its tail estimate, is
@@ -207,12 +215,20 @@ def taylor_exp(A: Band, t: float, xi: FockState, k_max: int = DEFAULT_K_MAX) -> 
         )
         err.report = report
         raise err
-    term = xi.vector(A.dim)
+    dim = A.dim
+    coeffs = xi.to_normalized().coeffs[: xi.support + 1]
+    window = _mode_window(A, coeffs.size, k_max)
+    if window < dim:
+        A = A.cut(window)
+    term = np.zeros(window, dtype=complex)
+    term[: coeffs.size] = coeffs
     acc = term.copy()
     for k in range(1, k_max + 1):
         term = (t / k) * (A @ term)
         acc += term
-    return FockState(acc)
+    out = np.zeros(dim, dtype=complex)
+    out[:window] = acc
+    return FockState(out)
 
 
 def corrected_growth_bound(dim: int, mode_bound: int, k: int) -> float:

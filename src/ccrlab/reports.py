@@ -306,29 +306,39 @@ def fock_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
     ccr = lambda: p @ q - q @ p
     ladder = lambda: a @ ad - ad @ a
 
+    def rounded(tolerance: float, c: int) -> float:
+        """max(tolerance, c d u), u = 2^-53: c d u bounds the rounding of a
+        check whose entries grow like d.  s_n = fl(sqrt n) and the ladder
+        off-diagonal o_n = fl(s_n fl(1/sqrt2)) carry relative errors u and
+        3u, so t_n = fl(s_n^2) is within 3u n of n and r_n = fl(o_n^2)
+        within 7u n/2 of n/2.  Every other step is exact (a subtraction of
+        floats within a factor 2, a doubling, a product with +-i) but the
+        sum r_n + r_{n+1} in q^2 + p^2."""
+        return max(tolerance, c * d * 2.0**-53)
+
     col.check(
         "ccr_block_identity",
         "[p,q] = -i*I off the top mode",
         lambda: _max_entry((ccr() + 1j * identity).cut(d - 1)),
-        1e-12,
+        rounded(1e-12, 14),  # 2(r_n - r_{n+1}) + 1, n <= d - 2: 7u(2n + 1)
     )
     col.check(
         "ccr_artifact_entry",
         "[p,q][d-1,d-1] = i*(d-1) (truncation artifact)",
         lambda: float(abs(ccr().diagonals[0][d - 1] - 1j * (d - 1))),
-        1e-10,
+        rounded(1e-10, 7),  # 2 r_{d-1} against d - 1
     )
     col.check(
         "ladder_commutator_block",
         "[a, a†] = I off the top mode",
         lambda: _max_entry((ladder() - identity).cut(d - 1)),
-        1e-12,
+        rounded(1e-12, 6),  # t_{n+1} - t_n - 1, n <= d - 2: 3u(2n + 1)
     )
     col.check(
         "ladder_artifact_entry",
         "[a, a†][d-1,d-1] = -(d-1)",
         lambda: float(abs(ladder().diagonals[0][d - 1] + (d - 1))),
-        1e-10,
+        rounded(1e-10, 3),  # t_{d-1} against d - 1
     )
     # N and q^2 + p^2 are diagonal, so their spectra are their diagonals: each
     # measured value includes every off-diagonal entry, which must vanish
@@ -336,7 +346,7 @@ def fock_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
         "number_spectrum_integers",
         "spectrum of N = a†a is {0, ..., d-1}",
         lambda: _diagonal_defect(ad @ a, np.arange(d)),
-        1e-12,
+        rounded(1e-12, 3),  # t_n against n
     )
 
     def eigvec_residual():
@@ -350,7 +360,7 @@ def fock_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
         "oscillator_spectrum",
         "spec(q^2+p^2) = {2n+1 : n <= d-2} plus artifact value d-1",
         lambda: _diagonal_defect(q @ q + p @ p, np.append(2 * np.arange(d - 1) + 1.0, d - 1)),
-        1e-10,
+        rounded(1e-10, 16),  # 2 fl(r_n + r_{n+1}) against 2n + 1: 16u(n + 1/2); the +-2 diagonals cancel exactly
     )
     col.check(
         "hermiticity",
@@ -362,13 +372,13 @@ def fock_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
         "annihilator_column_norms",
         "||a e_n||^2 = n",
         lambda: float(np.abs(_column_norms2(a) - np.arange(d)).max()),
-        1e-12,
+        rounded(1e-12, 3),  # t_n against n
     )
     col.check(
         "creator_column_norms",
         "||a† e_n||^2 = n+1 below the top mode",
         lambda: float(np.abs(_column_norms2(ad)[: d - 1] - np.arange(1, d)).max()),
-        1e-12,
+        rounded(1e-12, 3),  # t_{n+1} against n + 1
     )
     col.check(
         "vacuum_norm",

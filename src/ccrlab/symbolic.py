@@ -14,6 +14,19 @@ reduced so that no numerator tuple is zero and the denominator has no
 factor in common with every numerator.  Products and sums then run on
 plain ints, with one content reduction per result; ExactScalar
 coefficients are built only when a caller reads them.
+
+Each building block is made once per process and then shared, so no
+cached form or array is ever mutated:
+- the five symbol forms, built at import and returned by `normal_order`;
+- the powers base^0, base^1, ... of every base raised with `**`, each the
+  right product of the last, for at most 64 bases and 2^14 stored terms
+  (about 3.5 MiB for the powers of q, which fill it at q^55); past the
+  bound powers are computed but not stored;
+- the integer weights of the closed form for a^k a†^m, per (k, m),
+  unbounded (min(k, m) + 1 integers each);
+- the band (a†)^m a^k per (dim, m, k), 256 of them, read-only;
+- the dense matrices of a, a†, q, p and I that `expr_to_matrix` starts
+  from, ten of them, read-only: every array it returns is a new one.
 """
 
 from __future__ import annotations
@@ -268,7 +281,7 @@ class NormalForm:
     content once; ExactScalar coefficients are built only on request.
     """
 
-    __slots__ = ("_den", "_num")
+    __slots__ = ("_den", "_num", "_hash")
 
     def __init__(self, terms: dict | None = None):
         scalars = {}
@@ -322,7 +335,11 @@ class NormalForm:
         return isinstance(other, NormalForm) and self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash((self._den, frozenset(self._num.items())))
+        try:
+            return self._hash
+        except AttributeError:  # computed on the first lookup; a form is never mutated
+            self._hash = hash((self._den, frozenset(self._num.items())))
+            return self._hash
 
     # -- algebra ----------------------------------------------------------
     def __add__(self, other: "NormalForm") -> "NormalForm":
@@ -378,10 +395,7 @@ class NormalForm:
     def __pow__(self, n: int) -> "NormalForm":
         if n < 0:
             raise ValueError("negative operator powers are not defined")
-        acc = NormalForm({(0, 0): ONE})
-        for _ in range(n):
-            acc = acc * self
-        return acc
+        return _POWERS.power(self, n)
 
     def adjoint(self) -> "NormalForm":
         """Coefficient-conjugated transpose (m,k) -> (k,m); the adjoint of
@@ -436,14 +450,64 @@ def _scalar_source(s: ExactScalar) -> str:
     return " ".join([first] + parts[1:])
 
 
-_LEAF_FORMS = {
-    "a": {(0, 1): ONE},
-    "ad": {(1, 0): ONE},
-    "I": {(0, 0): ONE},
+# The forms of the five symbols, built once and shared like every cached form.
+_LEAVES = {
+    "a": NormalForm({(0, 1): ONE}),
+    "ad": NormalForm({(1, 0): ONE}),
+    "I": NormalForm({(0, 0): ONE}),
     # q = (a + a†)/sqrt2,  p = (a - a†)/(i sqrt2)
-    "q": {(1, 0): HALF_SQRT2, (0, 1): HALF_SQRT2},
-    "p": {(1, 0): I * HALF_SQRT2, (0, 1): -I * HALF_SQRT2},
+    "q": NormalForm({(1, 0): HALF_SQRT2, (0, 1): HALF_SQRT2}),
+    "p": NormalForm({(1, 0): I * HALF_SQRT2, (0, 1): -I * HALF_SQRT2}),
 }
+
+_POWER_CACHE_BASES = 64
+_POWER_CACHE_TERMS = 2**14
+
+
+class _PowerCache:
+    """The powers base^0, base^1, ... of every base raised, each made once:
+    base^(j+1) = base^j * base, the products of the plain loop.
+
+    Keyed by the base's canonical form and its term order, since
+    `to_matrix` sums the terms in stored order.  Holds at most
+    `max_bases` bases and `max_terms` terms, counted over every stored
+    power and key; past either bound a power is still computed, from the
+    highest one stored, but not stored.  Not safe for concurrent use: the
+    package runs in one thread.
+    """
+
+    def __init__(self, max_bases: int, max_terms: int):
+        self.max_bases, self.max_terms = max_bases, max_terms
+        self.clear()
+
+    def clear(self) -> None:
+        self.lists: dict = {}
+        self.terms = 0
+
+    def power(self, base: NormalForm, n: int) -> NormalForm:
+        key = (base, tuple(base._num))
+        powers = self.lists.get(key)
+        stored = powers is not None
+        if not stored:
+            powers = [_LEAVES["I"]]
+            cost = 1 + len(base._num)
+            stored = len(self.lists) < self.max_bases and self.terms + cost <= self.max_terms
+            if stored:
+                self.lists[key] = powers
+                self.terms += cost
+        if n < len(powers):
+            return powers[n]
+        acc = powers[-1]
+        for _ in range(len(powers), n + 1):  # a loop, so no exponent is bounded by the stack
+            acc = acc * base
+            stored = stored and self.terms + len(acc._num) <= self.max_terms
+            if stored:
+                powers.append(acc)
+                self.terms += len(acc._num)
+        return acc
+
+
+_POWERS = _PowerCache(_POWER_CACHE_BASES, _POWER_CACHE_TERMS)
 
 
 def normal_order(expr: OperatorExpr | str) -> NormalForm:
@@ -453,14 +517,14 @@ def normal_order(expr: OperatorExpr | str) -> NormalForm:
     if isinstance(expr, Scalar):
         return NormalForm({(0, 0): expr.value})
     if isinstance(expr, Symbol):
-        return NormalForm(_LEAF_FORMS[expr.name])
+        return _LEAVES[expr.name]
     if isinstance(expr, Sum):
         acc = NormalForm()
         for t in expr.terms:
             acc = acc + normal_order(t)
         return acc
     if isinstance(expr, Product):
-        acc = NormalForm({(0, 0): ONE})
+        acc = _LEAVES["I"]
         for f in expr.factors:
             acc = acc * normal_order(f)
         return acc
@@ -523,23 +587,34 @@ def operator_word_length(expr: OperatorExpr | str) -> int:
     raise TypeError(f"not an operator expression: {expr!r}")
 
 
-def expr_to_matrix(expr: OperatorExpr | str, dim: int) -> np.ndarray:
-    """Evaluate the expression directly as truncated matrices (the
-    independent route against NormalForm.to_matrix)."""
-    if isinstance(expr, str):
-        expr = parse(expr)
-    if isinstance(expr, Scalar):
-        return expr.value.to_complex() * np.eye(dim, dtype=complex)
-    if isinstance(expr, Symbol):
+@lru_cache(maxsize=10)
+def _leaf_matrix(name: str, dim: int) -> np.ndarray:
+    """The dense dim x dim matrix of a symbol.  Cached, and so read-only:
+    ten entries hold the five symbols at two dims."""
+    if name == "I":
+        matrix = np.eye(dim, dtype=complex)
+    else:
         builders = {
             "a": fock.Band.annihilator,
             "ad": fock.Band.creator,
             "q": fock.Band.position,
             "p": fock.Band.momentum,
         }
-        if expr.name == "I":
-            return np.eye(dim, dtype=complex)
-        return builders[expr.name](dim).to_dense()
+        matrix = builders[name](dim).to_dense()
+    matrix.flags.writeable = False
+    return matrix
+
+
+def expr_to_matrix(expr: OperatorExpr | str, dim: int) -> np.ndarray:
+    """Evaluate the expression directly as truncated matrices (the
+    independent route against NormalForm.to_matrix).  The result is a
+    new array, the caller's to change."""
+    if isinstance(expr, str):
+        expr = parse(expr)
+    if isinstance(expr, Scalar):
+        return expr.value.to_complex() * _leaf_matrix("I", dim)
+    if isinstance(expr, Symbol):
+        return _leaf_matrix(expr.name, dim).copy()
     if isinstance(expr, Sum):
         out = np.zeros((dim, dim), dtype=complex)
         for t in expr.terms:
@@ -635,7 +710,6 @@ def conjugation_series(n: int, order: int) -> list[SeriesOrder]:
         raise ValueError("order must be in 1..10")
     q = normal_order(Symbol("q"))
     p = normal_order(Symbol("p"))
-    identity = NormalForm({(0, 0): ONE})
     minus_iq = q.scale(-I)
     out = []
     nested = p**n
@@ -653,14 +727,19 @@ def conjugation_series(n: int, order: int) -> list[SeriesOrder]:
     return out
 
 
+_EXP_COMMUTATOR_ORDER_MAX = 24
+
+
 def exp_commutator_series(order: int) -> list[SeriesOrder]:
     """Compare p e^{itq} - e^{itq} p with t e^{itq} order by order in t.
 
     Coefficient of t^k on the left is (i^k / k!) [p, q^k]; on the right
-    it is i^{k-1}/(k-1)! q^{k-1} for k >= 1 and zero at k = 0.
+    it is i^{k-1}/(k-1)! q^{k-1} for k >= 1 and zero at k = 0.  The order
+    is at most 24, as conjugation_series bounds its own: the series
+    builds q^0..q^order, and the power cache keeps them (1549 terms at 24).
     """
-    if order < 1:
-        raise ValueError("order must be positive")
+    if not 1 <= order <= _EXP_COMMUTATOR_ORDER_MAX:
+        raise ValueError(f"order must be in 1..{_EXP_COMMUTATOR_ORDER_MAX}")
     q = normal_order(Symbol("q"))
     p = normal_order(Symbol("p"))
     out = []

@@ -358,6 +358,52 @@ def test_taylor_exp_with_report():
     assert state.norm() > 0
 
 
+def _full_taylor_sum(A, t, xi, k_max):
+    """The Taylor sum on all A.dim modes, the oracle of the windowed one."""
+    term = xi.vector(A.dim)
+    acc = term.copy()
+    for k in range(1, k_max + 1):
+        term = (t / k) * (A @ term)
+        acc += term
+    return acc
+
+
+def test_taylor_exp_window_is_the_full_sum():
+    q = fock.Band.position(200)
+    cases = [
+        (1j * fock.Band.momentum(128), 1.0, fock.FockState.basis_state(0), 60),
+        (fock.Band.creator(64) @ fock.Band.annihilator(64), 0.3, fock.FockState.basis_state(2), 40),
+        (q, -0.7, fock.FockState(np.array([0.3, 1j, -0.2, 0.5])), 50),
+        (q @ q, 0.05, fock.FockState.basis_state(1), 40),  # offsets -2..2: a window of top + 2 k_max + 1
+        (fock.Band.annihilator(64), 0.9, fock.FockState(np.arange(10.0)), 30),
+        (fock.Band.creator(80), 0.4, fock.FockState(np.array([1.0, 0.5j]), fock.UNNORMALIZED), 20),
+    ]
+    for A, t, xi, k_max in cases:
+        got = analytic.taylor_exp(A, t, xi, k_max).coeffs
+        assert got.shape == (A.dim,)
+        assert np.array_equal(got, _full_taylor_sum(A, t, xi, k_max))  # bit for bit
+
+
+def test_taylor_exp_cost_does_not_grow_with_dim():
+    d = 2**20
+    A = 1j * fock.Band.momentum(d)
+    e0 = fock.FockState.basis_state(0)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        got = analytic.taylor_exp(A, 1.0, e0, 60)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the sum runs on 61 modes; the result and its FockState copy are two d-length
+    # arrays (32 MiB); the sum on all d modes took 1.0-1.2 s with a 64 MiB peak
+    assert elapsed < 0.5
+    assert peak <= 40 * 2**20
+    small = analytic.taylor_exp(1j * fock.Band.momentum(128), 1.0, e0, 60).coeffs
+    assert np.array_equal(got.coeffs[:128], small) and not got.coeffs[128:].any()
+
+
 def test_growth_bound_k0_is_norm():
     assert analytic.corrected_growth_bound(16, 3, 0) == 1.0
 

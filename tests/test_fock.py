@@ -257,6 +257,49 @@ def test_fock_suite_reads_the_off_diagonals(monkeypatch):
         assert got[name][0] == "fail" and got[name][1] > 0.5, name
 
 
+# the rounding constants c of the checks whose entries grow like d: tolerance max(tol, c d 2^-53)
+_ROUNDING = {
+    "ccr_block_identity": (1e-12, 14),
+    "ccr_artifact_entry": (1e-10, 7),
+    "ladder_commutator_block": (1e-12, 6),
+    "ladder_artifact_entry": (1e-10, 3),
+    "number_spectrum_integers": (1e-12, 3),
+    "oscillator_spectrum": (1e-10, 16),
+    "annihilator_column_norms": (1e-12, 3),
+    "creator_column_norms": (1e-12, 3),
+}
+
+
+@pytest.mark.parametrize("d", [2, 3, 64, 644, 2048, 2**16, 2**20])
+def test_fock_suite_tolerances_are_relative_to_dim(d):
+    records = fock_suite(RunConfig(suite="fock", dim=d))
+    assert len(records) == 13 and all(r.status == "pass" for r in records), d
+    golden = {r.name: r.tolerance for r in fock_suite(RunConfig(suite="fock", dim=64))}
+    for r in records:
+        tol, c = _ROUNDING.get(r.name, (golden[r.name], 0))
+        assert r.tolerance == max(tol, c * d * 2.0**-53), r.name
+
+
+def test_fock_suite_catches_an_off_diagonal_error_at_large_dim(monkeypatch):
+    # one entry of 1e-8 on a new +2 diagonal of q or of a†; every tolerance at 2^20 is below 2e-9
+    d = 2**20
+    error = np.zeros(d - 2)
+    error[5] = 1e-8
+
+    def perturbed(name):
+        plain = getattr(fock.Band, name)
+        return classmethod(lambda cls, dim: plain(dim) + fock.Band(dim, {2: error}))
+
+    for name, caught in (("position", ("ccr_block_identity", "oscillator_spectrum", "hermiticity")),
+                         ("creator", ("ladder_commutator_block", "number_spectrum_integers",
+                                      "number_eigenvector_residual"))):
+        with monkeypatch.context() as m:
+            m.setattr(fock.Band, name, perturbed(name))
+            got = {r.name: r for r in fock_suite(RunConfig(suite="fock", dim=d))}
+        for check in caught:
+            assert got[check].status == "fail" and got[check].measured >= 1e-8 / 2, (name, check)
+
+
 def test_fock_suite_memory_is_linear_in_dim():
     peaks = {}
     for d in (2**16, 2**20):

@@ -1,6 +1,7 @@
 """Parser, normal ordering, exact identity proofs, matrix homomorphism."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -299,12 +300,39 @@ def test_exp_commutator_series_orders():
     assert records[0].lhs.is_zero()
 
 
+def test_exp_commutator_series_limits():
+    for order in (0, -1, 25, 10**6):
+        with pytest.raises(ValueError, match="order must be in 1..24"):
+            exp_commutator_series(order)
+    assert all(rec.equal for rec in exp_commutator_series(24))
+
+
 # -- matrix homomorphism --------------------------------------------------------
 
 
 def test_normal_form_to_matrix_simple():
     nf = normal_order("ad*a")
     assert np.abs(nf.to_matrix(5) - np.diag(np.arange(5.0))).max() < 1e-14
+
+
+def test_expr_to_matrix_returns_arrays_the_caller_owns():
+    # the leaf matrices are cached and shared; matrix_power(M, 1) returns M itself
+    dim = 6
+    want = {
+        "q": dense.build_position(dim),
+        "q^1": dense.build_position(dim),
+        "ad": dense.build_creator(dim),
+        "I": np.eye(dim),
+        "p^0": np.eye(dim),
+        "2": 2 * np.eye(dim),
+        "q*ad": dense.build_position(dim) @ dense.build_creator(dim),
+    }
+    for source in want:
+        got = expr_to_matrix(source, dim)
+        assert got.flags.writeable and got.flags.owndata, source
+        got[...] = 99.0
+        for other, matrix in want.items():
+            assert np.array_equal(expr_to_matrix(other, dim), matrix), (source, other)
 
 
 def test_homomorphism_random_words():
@@ -494,3 +522,103 @@ def test_equal_forms_have_equal_hashes():
     for x, y in pairs:
         assert x == y and hash(x) == hash(y)
     assert q != q.scale(2) and NormalForm({(0, 0): ONE}) != ONE
+
+
+# -- the power cache: each power of a base is one right product of the last ------
+
+
+def _loop_power(base: NormalForm, n: int) -> NormalForm:
+    """base^n as n right products from the identity, the oracle of the cache."""
+    acc = NormalForm({(0, 0): ONE})
+    for _ in range(n):
+        acc = acc * base
+    return acc
+
+
+_small_terms = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), _scalars, min_size=1, max_size=3)
+
+
+@given(
+    st.one_of(st.sampled_from(["q", "p", "a", "ad", "I", "q + p", "p + q", "i*q*p - a^2"]).map(normal_order),
+              _small_terms.map(NormalForm)),
+    st.lists(st.integers(0, 9), min_size=1, max_size=6),
+    st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_cached_powers_are_the_loop_products(base, exponents, cold):
+    if cold:
+        symbolic._POWERS.clear()
+    for n in exponents:
+        got, want = base**n, _loop_power(base, n)
+        assert got == want
+        assert list(got._num) == list(want._num)  # the order to_matrix sums in
+    assert symbolic._POWERS.terms <= symbolic._POWER_CACHE_TERMS
+
+
+def test_equal_bases_in_another_term_order_keep_their_own_powers():
+    x = NormalForm({(1, 0): ONE, (0, 1): I, (0, 0): HALF_SQRT2})
+    y = NormalForm({(0, 0): HALF_SQRT2, (0, 1): I, (1, 0): ONE})
+    assert x == y and list(x._num) != list(y._num)
+    symbolic._POWERS.clear()
+    for base in (x, y, x):
+        for n in (3, 5):
+            assert list((base**n)._num) == list(_loop_power(base, n)._num)
+    assert len(symbolic._POWERS.lists) == 2
+
+
+def test_power_cache_bounds():
+    cache = symbolic._PowerCache(max_bases=2, max_terms=40)
+    q, p, a = normal_order("q"), normal_order("p"), normal_order("a")
+    for base, n in ((q, 12), (q, 3), (p, 4), (a, 7), (q, 15), (p, 9)):
+        assert cache.power(base, n) == _loop_power(base, n)
+        assert cache.terms <= 40 and len(cache.lists) <= 2
+        assert cache.terms == sum(1 + len(key[0]._num) + sum(len(f._num) for f in powers[1:])
+                                  for key, powers in cache.lists.items())
+    # q^0..q^5 and the key hold 1 + 2 + (2 + 4 + 6 + 9 + 12) = 36 terms; q^6 would add 16
+    assert len(cache.lists[(q, tuple(q._num))]) == 6
+
+
+def test_power_cache_exponent_and_memory_bound():
+    symbolic._POWERS.clear()
+    a = normal_order("a")
+    assert a**3000 == NormalForm({(0, 3000): ONE})  # a loop: the exponent is not bounded by the stack
+    symbolic._POWERS.clear()
+    q = normal_order("q")
+    tracemalloc.start()
+    try:
+        top = q**60
+        del top
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # q^0..q^55 fill 15836 of the 2^14 terms; q^56..q^60 are computed but not stored
+    (powers,) = symbolic._POWERS.lists.values()
+    assert symbolic._POWERS.terms <= symbolic._POWER_CACHE_TERMS == 2**14
+    assert len(powers) == 56
+    assert retained <= 4 * 2**20
+    assert q**60 == _loop_power(q, 60)
+
+
+def test_powers_are_built_once_per_process(monkeypatch):
+    products = 0
+    plain = NormalForm.__mul__
+
+    def counted(self, other):
+        nonlocal products
+        products += 1
+        return plain(self, other)
+
+    monkeypatch.setattr(NormalForm, "__mul__", counted)
+    symbolic._POWERS.clear()
+    for n in range(1, 13):
+        normal_order(f"q^{2 * n}")
+    for n in range(1, 17):
+        normal_order(f"[p,q^{n}]")
+    # q^1..q^24 once, then two products per commutator; rebuilding every power took 324
+    assert products <= 24 + 2 * 16
+
+
+def test_leaves_are_built_once():
+    for name in ("a", "ad", "q", "p", "I"):
+        assert normal_order(name) is normal_order(Symbol(name))
+    assert normal_order("q") == NormalForm({(1, 0): HALF_SQRT2, (0, 1): HALF_SQRT2})
