@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import Band, FockState, sqrt_factorial
+from .fock import Band, FockState, _finite, sqrt_factorial
 
 RATIO_CONVERGED = 0.9
 RATIO_DIVERGING = 1.1
@@ -227,8 +227,8 @@ def taylor_exp(A: Band, t: float, xi: FockState, k_max: int = DEFAULT_K_MAX) -> 
         term = (t / k) * (A @ term)
         acc += term
     out = np.zeros(dim, dtype=complex)
-    out[:window] = acc
-    return FockState(out)
+    out[:window] = _finite(acc)
+    return FockState._unchecked(out)
 
 
 def corrected_growth_bound(dim: int, mode_bound: int, k: int) -> float:

@@ -216,6 +216,18 @@ class Band:
         return out
 
 
+def _check_convention(convention: str) -> None:
+    if convention not in (NORMALIZED, UNNORMALIZED):
+        raise ValueError(f"unknown convention {convention!r}")
+
+
+def _finite(coeffs: np.ndarray) -> np.ndarray:
+    """coeffs, refused unless every entry is finite."""
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("coeffs must be finite")
+    return coeffs
+
+
 @dataclass(frozen=True)
 class FockState:
     """Finite coefficient vector over the number basis.
@@ -234,21 +246,30 @@ class FockState:
         c = np.asarray(self.coeffs, dtype=complex)
         if c.ndim != 1 or c.size < 1:
             raise ValueError("coeffs must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coeffs must be finite")
-        if self.convention not in (NORMALIZED, UNNORMALIZED):
-            raise ValueError(f"unknown convention {self.convention!r}")
-        c = c.copy()
+        _check_convention(self.convention)
+        c = _finite(c.copy())
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
+
+    @classmethod
+    def _unchecked(cls, coeffs: np.ndarray, convention: str = NORMALIZED) -> "FockState":
+        """The state over `coeffs`, a nonempty 1-d complex array that the
+        caller has just built and hands over: it is made read-only, not
+        copied; the caller vouches for its shape and convention."""
+        coeffs.flags.writeable = False
+        state = object.__new__(cls)
+        object.__setattr__(state, "coeffs", coeffs)
+        object.__setattr__(state, "convention", convention)
+        return state
 
     @classmethod
     def basis_state(cls, n: int, convention: str = NORMALIZED) -> "FockState":
         if n < 0:
             raise ValueError("mode index must be nonnegative")
+        _check_convention(convention)
         c = np.zeros(n + 1, dtype=complex)
         c[n] = 1.0
-        return cls(c, convention)
+        return cls._unchecked(c, convention)
 
     @property
     def support(self) -> int:
@@ -260,13 +281,13 @@ class FockState:
         if self.convention == NORMALIZED:
             return self
         scale = np.array([sqrt_factorial(n) for n in range(self.coeffs.size)])
-        return FockState(self.coeffs * scale, NORMALIZED)
+        return FockState._unchecked(_finite(self.coeffs * scale), NORMALIZED)
 
     def to_unnormalized(self) -> "FockState":
         if self.convention == UNNORMALIZED:
             return self
         scale = np.array([sqrt_factorial(n) for n in range(self.coeffs.size)])
-        return FockState(self.coeffs / scale, UNNORMALIZED)
+        return FockState._unchecked(self.coeffs / scale, UNNORMALIZED)
 
     def vector(self, dim: int) -> np.ndarray:
         """Normalized-convention coefficients padded/validated to dim."""

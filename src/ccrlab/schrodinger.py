@@ -9,6 +9,19 @@ matrices.  p^2 is a real even circulant kept as its first column: applied
 by FFT, and for the eigensolver split by the reflection x -> -x into two
 Toeplitz +- Hankel parity blocks of side about m/2.
 
+The lowest oscillator levels are solved in the Fourier basis instead,
+where p^2 is diagonal, K, and x^2 is a Toeplitz +- Hankel matrix T of
+the Fourier coefficients of x^2, with 0 <= T <= tau = L^2.  The low
+eigenvectors decay like e^{-k^2/2} there, so each parity sector is
+solved on the block P of its modes of smallest symbol, about L^2 of them
+whatever m is.  With Q the other modes and kappa_Q their least symbol,
+H >= (1 - eps) H_PP (+) (kappa_Q - (1/eps - 1) tau) I_Q for 0 < eps < 1;
+that bounds the spectrum off the block's Ritz vectors below by rho, and
+the quadratic residual bound ||H_QP Y||_F^2 / (rho - theta*) (Mathias
+1998; Li and Li 2005) proves the Ritz values to rounding.  A sector the
+bound does not prove, or whose block would hold more than half of it,
+is solved whole as its grid parity block (`grid_oscillator_spectrum`).
+
 The ladder combinations (q -+ ip)/sqrt2 differ only by a sign, and only
 one of them annihilates the Gaussian e^{-x^2/2}: with p = -i d/dx it is
 (q + ip)/sqrt2 = (x + d/dx)/sqrt2.  Nothing here guesses a convention;
@@ -45,10 +58,7 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        if not self.x_max > self.x_min:
-            raise ValueError("x_max must exceed x_min")
-        if self.m < 8:
-            raise ValueError("need at least 8 samples")
+        _grid_step(self.x_min, self.x_max, self.m)
         v = np.asarray(self.values, dtype=complex)
         if v.shape != (self.m,):
             raise ValueError(f"values must have shape ({self.m},), got {v.shape}")
@@ -76,19 +86,26 @@ class GridFunction:
         return cls(x_min, x_max, m, np.asarray([f(xi) for xi in x], dtype=complex))
 
 
-def _grid_points(x_min: float, x_max: float, m: int) -> np.ndarray:
+def _grid_step(x_min: float, x_max: float, m: int) -> float:
+    """The step (x_max - x_min) / m of a valid grid: finite bounds in
+    increasing order and at least 8 samples."""
+    if not (math.isfinite(x_min) and math.isfinite(x_max)):
+        raise ValueError("grid bounds must be finite")
     if not x_max > x_min:
         raise ValueError("x_max must exceed x_min")
     if m < 8:
         raise ValueError("need at least 8 samples")
-    return x_min + ((x_max - x_min) / m) * np.arange(m)
+    return (x_max - x_min) / m
+
+
+def _grid_points(x_min: float, x_max: float, m: int) -> np.ndarray:
+    return x_min + _grid_step(x_min, x_max, m) * np.arange(m)
 
 
 def grid_wavenumbers(x_min: float, x_max: float, m: int) -> np.ndarray:
     """The spectral momentum's eigenvalues on the m DFT modes, in numpy's
     FFT order; the unpaired Nyquist mode of even m gets zero."""
-    x = _grid_points(x_min, x_max, m)
-    k = 2.0 * np.pi * np.fft.fftfreq(m, d=x[1] - x[0])
+    k = 2.0 * np.pi * np.fft.fftfreq(m, d=_grid_step(x_min, x_max, m))
     if m % 2 == 0:
         k[m // 2] = 0.0
     return k
@@ -107,8 +124,8 @@ def grid_momentum(values: np.ndarray, x_min: float, x_max: float, scheme: str = 
     if scheme == SPECTRAL:
         return np.fft.ifft(grid_wavenumbers(x_min, x_max, m) * np.fft.fft(values))
     if scheme == CENTRAL_DIFFERENCE:
-        x = _grid_points(x_min, x_max, m)
-        return -1j * (np.roll(values, -1, axis=-1) - np.roll(values, 1, axis=-1)) / (2.0 * (x[1] - x[0]))
+        h = _grid_step(x_min, x_max, m)
+        return -1j * (np.roll(values, -1, axis=-1) - np.roll(values, 1, axis=-1)) / (2.0 * h)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
@@ -159,6 +176,18 @@ def vacuum_annihilation_residual(L: float, m: int, scheme: str = SPECTRAL) -> fl
     return r
 
 
+def _kinetic_symbol(x_min: float, x_max: float, m: int, scheme: str) -> np.ndarray:
+    """The eigenvalue of p^2 on each DFT mode, in numpy's FFT order: k^2
+    (zero on the Nyquist mode of even m) for spectral, (2 - 2 cos(kh))/h^2
+    for central differences."""
+    if scheme == SPECTRAL:
+        k = grid_wavenumbers(x_min, x_max, m)
+        return k * k
+    if scheme == CENTRAL_DIFFERENCE:
+        return (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(m) / m)) / _grid_step(x_min, x_max, m) ** 2
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
 def _kinetic_column(x_min: float, x_max: float, m: int, scheme: str) -> np.ndarray:
     """First column c of p^2, a real symmetric circulant C[i, j] = c[(i - j) mod m]
     with c[k] = c[m - k] exactly.
@@ -170,23 +199,21 @@ def _kinetic_column(x_min: float, x_max: float, m: int, scheme: str) -> np.ndarr
     fill the low spectrum with spurious sawtooth modes.
     """
     if scheme == SPECTRAL:
-        k = grid_wavenumbers(x_min, x_max, m)
-        column = np.fft.ifft(k * k).real
+        column = np.fft.ifft(_kinetic_symbol(x_min, x_max, m, scheme)).real
         return (column + np.roll(column[::-1], 1)) / 2.0  # even to the last bit
     if scheme == CENTRAL_DIFFERENCE:
-        x = _grid_points(x_min, x_max, m)
         column = np.zeros(m)
         column[[0, 1, -1]] = 2.0, -1.0, -1.0
-        return column / (x[1] - x[0]) ** 2
+        return column / _grid_step(x_min, x_max, m) ** 2
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
 def grid_kinetic(values: np.ndarray, x_min: float, x_max: float, scheme: str = SPECTRAL) -> np.ndarray:
-    """p^2 applied to periodic grid samples (along the last axis) by FFT of
-    the kinetic circulant's column: k^2 on each DFT mode for spectral,
-    (2 - 2 cos(kh))/h^2 for central differences."""
+    """p^2 applied to periodic grid samples (along the last axis) by FFT:
+    its symbol, k^2 on each DFT mode for spectral, (2 - 2 cos(kh))/h^2 for
+    central differences, times their transform."""
     values = np.asarray(values)
-    symbol = np.fft.fft(_kinetic_column(x_min, x_max, values.shape[-1], scheme)).real
+    symbol = _kinetic_symbol(x_min, x_max, values.shape[-1], scheme)
     return np.fft.ifft(symbol * np.fft.fft(values))
 
 
@@ -216,29 +243,177 @@ def _reflection_block(column: np.ndarray, first: int, size: int, sign: float, di
     return block
 
 
-def _oscillator_blocks(L: float, m: int, scheme: str = SPECTRAL):
-    """The even and then the odd parity block of diag(x^2) + kinetic on
-    the grid, built one at a time.
+def _sectors(m: int) -> tuple:
+    """(first, size, sign, fixed) of the even and of the odd parity sector
+    under j -> -j mod m, in the layout of `_reflection_block`: the even
+    one on indices 0..m//2, fixed at 0 and, for even m, at m/2; the odd
+    one on 1..(m-1)//2."""
+    half = m // 2
+    return ((0, half + 1, 1.0, (0, half) if m % 2 == 0 else (0,)), (1, (m - 1) // 2, -1.0, ()))
+
+
+def _oscillator_blocks(L: float, m: int, scheme: str = SPECTRAL, parities: tuple = (0, 1)):
+    """The even (parity 0) and the odd (parity 1) block of diag(x^2) +
+    kinetic on the grid, for each of `parities`, built one at a time.
 
     x_j^2 and the kinetic column are even under the reflection
-    j -> -j mod m (x -> -x).  The even block acts on j = 0..m//2, with
-    the fixed points 0 and, for even m, m/2; the odd block on
-    j = 1..(m-1)//2."""
+    j -> -j mod m (x -> -x), so each block acts on the sector's grid
+    indices of `_sectors`."""
     x = _grid_points(-L, L, m)
     column = _kinetic_column(-L, L, m, scheme)
     column = np.append(column, column[0])  # c[m] = c[0]: the even block's Hankel part reaches i + j = m
-    x2, half = x * x, m // 2
-    yield _reflection_block(column, 0, half + 1, 1.0, x2[: half + 1], (0, half) if m % 2 == 0 else (0,))
-    yield _reflection_block(column, 1, (m - 1) // 2, -1.0, x2[1 : (m + 1) // 2])
+    x2, sectors = x * x, _sectors(m)
+    for parity in parities:
+        first, size, sign, fixed = sectors[parity]
+        yield _reflection_block(column, first, size, sign, x2[first : first + size], fixed)
+
+
+def _reflection_entries(column: np.ndarray, rows: np.ndarray, cols: np.ndarray, sign: float,
+                        fixed: tuple) -> np.ndarray:
+    """column[|i - j|] + sign * column[i + j] for i in rows, j in cols, scaled
+    by 1/sqrt2 in each row and column whose index is in `fixed`: the
+    entries of `_reflection_block`, without its diagonal, gathered at any
+    rows and columns."""
+    index = np.abs(np.subtract.outer(rows, cols))
+    out = column[index]
+    gathered = column[np.add.outer(rows, cols, out=index)]
+    if sign > 0:
+        out += gathered
+    else:
+        out -= gathered
+    out *= np.where(np.isin(rows, fixed), math.sqrt(0.5), 1.0)[:, None]
+    out *= np.where(np.isin(cols, fixed), math.sqrt(0.5), 1.0)
+    return out
+
+
+_UNIT_ROUNDOFF = 2.0**-53
+_CERTIFY_ULPS = 4  # a block is accepted when its bound is at most 4 u theta*
+_BLOCK_SHARE = 0.5  # a sector whose a priori block holds more than this share of it is solved whole
+_BLOCK_MARGIN = 1.0 / 8.0  # the a priori block clears the estimated level by this share of its gap
+
+
+def _block_threshold(count: int, odd: bool, tau: float) -> float:
+    """The a priori symbol bound of a sector's block P.
+
+    A resolved grid's levels are near the oscillator's, 1, 5, 9, ... in
+    the even sector and 3, 7, 11, ... in the odd one.  So the count-th
+    level is near t = 2 count - 1, and the sector's first level above it
+    near t' = t + g, with g = 4 in the sector that holds t and g = 2 in
+    the other.  At eps = (1 - f) g / t', with f = _BLOCK_MARGIN, the
+    block's bound (1 - eps) t' is t + f g; modes of symbol at least
+    t + f g + (1/eps - 1) tau give the Q bound the same value."""
+    t = 2.0 * count - 1.0
+    g = 4.0 if (count % 2 == 0) == odd else 2.0
+    eps = (1.0 - _BLOCK_MARGIN) * g / (t + g)
+    return t + _BLOCK_MARGIN * g + (1.0 / eps - 1.0) * tau
+
+
+def _lower_bound_off_ritz(theta_next: float, kappa_q: float, tau: float) -> float:
+    """rho = max over 0 < eps < 1 of min((1 - eps) theta_next,
+    kappa_q - (1/eps - 1) tau): the eps where the two are equal is the
+    root in (0, 1) of theta_next eps^2 + (kappa_q + tau - theta_next) eps
+    - tau = 0."""
+    if not theta_next > 0.0:
+        return -math.inf
+    b = kappa_q + tau - theta_next
+    eps = 2.0 * tau / (b + math.sqrt(b * b + 4.0 * theta_next * tau))
+    return min((1.0 - eps) * theta_next, kappa_q - (1.0 / eps - 1.0) * tau)
+
+
+def _oscillator_levels(L: float, m: int, scheme: str, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lowest `count` eigenvalues of q^2 + p^2 on the grid, and for
+    each the bound ||R||_F^2 / (rho - theta*) on its distance from the
+    exact one, 0 for a level from a sector solved whole; see
+    `grid_oscillator_spectrum`."""
+    x = _grid_points(-L, L, m)
+    x2 = x * x
+    tau = float(x2.max())
+    c_hat = np.fft.fft(x2).real / m
+    c_hat = np.append(c_hat, c_hat[0])  # the Hankel part of the even sector reaches k + l = m
+    symbol = _kinetic_symbol(-L, L, m, scheme)
+
+    def whole(parity):
+        levels = np.linalg.eigvalsh(next(_oscillator_blocks(L, m, scheme, (parity,))))[:count]
+        return levels, np.zeros(levels.size)
+
+    solved, blocks = [None, None], [None, None]  # per parity: (levels, bounds), or a block's Ritz pairs
+    for parity, (first, size, sign, fixed) in enumerate(_sectors(m)):
+        modes = np.arange(first, first + size, dtype=np.int32)
+        in_p = symbol[modes] < _block_threshold(count, parity == 1, tau)
+        if not count < np.count_nonzero(in_p) <= _BLOCK_SHARE * size:
+            solved[parity] = whole(parity)
+            continue
+        p, q = modes[in_p], modes[~in_p]
+        h_pp = _reflection_entries(c_hat, p, p, sign, fixed)
+        h_pp.reshape(-1)[:: p.size + 1] += symbol[p]
+        blocks[parity] = (*np.linalg.eigh(h_pp), p, q, sign, fixed)
+    ritz = [block[0][:count] if block else solved[parity][0] for parity, block in enumerate(blocks)]
+    theta_star = np.sort(np.concatenate(ritz))[count - 1]
+    for parity, block in enumerate(blocks):
+        if block is None:
+            continue
+        theta, y, p, q, sign, fixed = block
+        c = int(np.count_nonzero(theta <= theta_star))
+        kappa_q = float(symbol[q].min())
+        rho = _lower_bound_off_ritz(theta[c], kappa_q, tau) if c < theta.size else kappa_q
+        residual = _reflection_entries(c_hat, q, p, sign, fixed) @ y[:, :c]
+        gap = rho - theta_star
+        bound = float(np.sum(residual * residual)) / gap if gap > 0.0 else math.inf
+        if bound <= _CERTIFY_ULPS * _UNIT_ROUNDOFF * theta_star:
+            solved[parity] = theta[:c], np.full(c, bound)
+        else:
+            solved[parity] = whole(parity)
+    levels, bounds = (np.concatenate(part) for part in zip(*solved))
+    order = np.argsort(levels, kind="stable")[:count]
+    return levels[order], bounds[order]
 
 
 def grid_oscillator_spectrum(L: float, m: int, scheme: str = SPECTRAL, count: int = 6) -> np.ndarray:
     """Lowest `count` eigenvalues of q^2 + p^2 on the grid, the real
-    symmetric diag(x^2) + kinetic circulant, from its two parity blocks."""
+    symmetric diag(x^2) + kinetic circulant, from its two parity sectors,
+    each solved on its low-kinetic Fourier modes when a bound computed
+    here proves that enough.
+
+    In the cos (even) or sin (odd) Fourier basis a sector is H = K + T:
+    K = diag(kappa), the kinetic symbol, and T the x^2 part, the
+    Toeplitz +- Hankel matrix of c^ = fft(x^2)/m, with 0 <= T <= tau =
+    max x_j^2 = L^2.  P holds the modes of smallest symbol (the Nyquist
+    mode of even m has symbol 0 under the spectral scheme and is one of
+    them) and Q the rest, whose least symbol is kappa_Q.  For 0 < eps < 1,
+    since T >= 0 and K >= 0,
+
+        H >= (1 - eps) H_PP  (+)  (kappa_Q - (1/eps - 1) tau) I_Q.
+
+    Let theta_1 <= theta_2 <= ... be the eigenvalues of H_PP with
+    eigenvectors y_i, theta* the count-th lowest of both sectors'
+    theta together (or of a sector's eigenvalues, if it is solved
+    whole), and c the number of a sector's theta_i <= theta*.
+    Every vector orthogonal to y_1..y_c then has a Rayleigh quotient of
+    at least rho = min((1 - eps) theta_{c+1}, kappa_Q - (1/eps - 1) tau),
+    taken at the best eps.  If rho > theta*, the sector's lowest c
+    eigenvalues satisfy
+
+        theta_i - ||R||_F^2 / (rho - theta*) <= lambda_i <= theta_i,
+
+    with R = H_QP [y_1..y_c] (Mathias, SIAM J. Matrix Anal. Appl. 19,
+    1998; Li and Li, Linear Algebra Appl. 395, 2005; the upper bound is
+    Cauchy interlacing), and all its other eigenvalues exceed
+    theta* - ||R||_F^2 / (rho - theta*).  The block is accepted when that
+    bound is at most 4 u theta* (u = 2^-53): the error it leaves is then
+    below rounding, and the block's own rounding is about
+    u (max kappa_P + tau), against u ||H|| for the whole sector.
+
+    P is fixed before the solve, in one attempt: the modes whose symbol
+    keeps the Q bound above the count-th level, if the levels were the
+    oscillator's 2n + 1 (`_block_threshold`).  About L^2 modes per sector
+    for a few levels, whatever m is.  A sector whose P would hold more
+    than half its modes, or no more than `count`, and a sector whose
+    bound fails, is solved whole by eigvalsh of its grid parity block
+    (`_oscillator_blocks`), with rounding about u ||H||.
+    """
     if count < 1 or count > m // 4:
         raise ValueError("count must be in 1..m/4")
-    ev = [np.linalg.eigvalsh(block)[:count] for block in _oscillator_blocks(L, m, scheme)]
-    return np.sort(np.concatenate(ev))[:count]
+    return _oscillator_levels(L, m, scheme, count)[0]
 
 
 def _hermite_rows(L: float, m: int, n_max: int) -> list[np.ndarray]:

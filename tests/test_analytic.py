@@ -396,12 +396,27 @@ def test_taylor_exp_cost_does_not_grow_with_dim():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the sum runs on 61 modes; the result and its FockState copy are two d-length
-    # arrays (32 MiB); the sum on all d modes took 1.0-1.2 s with a 64 MiB peak
+    # the sum runs on 61 modes; the result is one d-length array (16 MiB, see
+    # test_taylor_exp_result_is_not_copied); the sum on all d modes took 1.0-1.2 s with a 64 MiB peak
     assert elapsed < 0.5
     assert peak <= 40 * 2**20
     small = analytic.taylor_exp(1j * fock.Band.momentum(128), 1.0, e0, 60).coeffs
     assert np.array_equal(got.coeffs[:128], small) and not got.coeffs[128:].any()
+
+
+def test_taylor_exp_result_is_not_copied():
+    d = 2**20
+    A = 1j * fock.Band.momentum(d)
+    e0 = fock.FockState.basis_state(0)
+    tracemalloc.start()
+    try:
+        got = analytic.taylor_exp(A, 1.0, e0, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the padded d-length result (16 MiB) is the state's own array, not copied into another
+    assert peak <= 17 * 2**20
+    assert not got.coeffs.flags.writeable
 
 
 def test_growth_bound_k0_is_norm():

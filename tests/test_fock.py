@@ -410,6 +410,27 @@ def test_state_validation():
         fock.FockState(np.array([1.0]), "weird")
 
 
+def test_state_owns_a_copy_of_the_callers_array():
+    given_coeffs = np.array([1.0, 2.0j, 3.0])
+    state = fock.FockState(given_coeffs)
+    given_coeffs[:] = 7.0
+    assert np.array_equal(state.coeffs, [1.0, 2.0j, 3.0])
+    with pytest.raises(ValueError):
+        state.coeffs[0] = 0.0
+
+
+def test_states_built_inside_the_package_are_read_only():
+    for state in (fock.FockState.basis_state(3), fock.FockState.basis_state(3, fock.UNNORMALIZED),
+                  fock.FockState.basis_state(3).to_unnormalized(),
+                  fock.FockState.basis_state(3, fock.UNNORMALIZED).to_normalized()):
+        assert state.coeffs.dtype == complex and not state.coeffs.flags.writeable
+    with pytest.raises(ValueError):
+        fock.FockState.basis_state(2, "weird")
+    # sqrt(200!) ~ 1e187: a normalized coefficient past the float range is refused, as before
+    with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+        fock.FockState(np.full(201, 1e200), fock.UNNORMALIZED).to_normalized()
+
+
 def test_state_vector_padding_and_support():
     s = fock.FockState(np.array([0.0, 1.0, 0.0]))
     assert s.support == 1

@@ -1,14 +1,16 @@
 """Grid representation: applied momentum, vacuum, oscillator, Hermite
 basis, intertwiner.  Refinement studies double m as the oracle; the
 applied momentum is checked against closed forms and against stencil
-and kinetic matrices built in the tests, and the parity-block oscillator
-spectrum against eigvalsh of the whole matrix built here."""
+and kinetic matrices built in the tests, and the oscillator spectrum,
+from its Fourier blocks or its whole parity sectors, against eigvalsh of
+the whole matrix built here."""
 
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccrlab import fock, schrodinger
 from ccrlab.schrodinger import GridFunction
@@ -238,6 +240,129 @@ def test_oscillator_spectrum_memory():
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2**20  # two blocks of side 1025, not one of 2048
+
+
+_U = 2.0**-53
+_SCHEMES = (schrodinger.SPECTRAL, schrodinger.CENTRAL_DIFFERENCE)
+
+
+def _whole_sector_levels(L, m, scheme, count):
+    """The lowest levels from eigvalsh of both whole parity blocks."""
+    levels = [np.linalg.eigvalsh(b)[:count] for b in schrodinger._oscillator_blocks(L, m, scheme)]
+    return np.sort(np.concatenate(levels))[:count]
+
+
+def _rayleigh_quotients(H, V):
+    """v^T H v / v^T v for each column v of V, summed in extended precision."""
+    H, V = H.astype(np.longdouble), V.astype(np.longdouble)
+    return (np.einsum("ij,ij->j", V, H @ V) / np.einsum("ij,ij->j", V, V)).astype(float)
+
+
+def _record_solvers(monkeypatch) -> list:
+    """(name, side) of every later eigh and eigvalsh call."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *args, _f=solver, _n=name, **kw: (
+            calls.append((_n, a.shape[-1])), _f(a, *args, **kw))[1])
+    return calls
+
+
+@settings(max_examples=20, deadline=None)
+@given(L=st.floats(2.0, 16.0), m=st.integers(16, 2048), scheme=st.sampled_from(_SCHEMES), data=st.data())
+def test_oscillator_levels_lie_within_their_bound_of_the_dense_solve(L, m, scheme, data):
+    # few levels, where the Fourier blocks are used, or any count up to m/4
+    count = data.draw(st.one_of(st.integers(1, min(12, m // 4)), st.integers(1, m // 4)), label="count")
+    H = _dense_oscillator(L, m, scheme)
+    want, V = np.linalg.eigh(H)
+    norm = max(abs(want[0]), abs(want[-1]))
+    got, bound = schrodinger._oscillator_levels(L, m, scheme, count)
+    assert np.all(bound >= 0.0)
+    assert np.abs(got - want[:count]).max() < 1e-12 * norm  # the tolerance of the dense test below
+    # a level from a Fourier block has its own bound; every other one is the whole-sector value, bit for bit
+    fresh = np.flatnonzero(got != _whole_sector_levels(L, m, scheme, count))
+    tol = bound[fresh] + 8 * _U * norm
+    dense = want[fresh]
+    # eigh of the whole m x m matrix carries up to about 30 u ||H|| of its own rounding
+    # here; where that shows, the Rayleigh quotient of its eigenvector, in extended precision,
+    # gives the dense value to far below u ||H||
+    loose = np.abs(got[fresh] - dense) > tol
+    dense[loose] = _rayleigh_quotients(H, V[:, fresh[loose]])
+    assert np.all(np.abs(got[fresh] - dense) <= tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), extra=st.integers(1, 12), c=st.integers(0, 3),
+       tau=st.floats(0.1, 50.0))
+def test_bound_off_the_ritz_vectors_holds_on_random_sectors(seed, n, extra, c, tau):
+    # H = K + T with K >= 0 diagonal, its P modes the n of smallest symbol, and 0 <= T <= tau
+    rng = np.random.default_rng(seed)
+    kappa = np.sort(rng.uniform(0.0, 4.0 * tau, n + extra))
+    G = rng.standard_normal((n + extra, n + extra))
+    T = G @ G.T
+    T *= tau / np.linalg.eigvalsh(T)[-1]
+    H = np.diag(kappa) + T
+    theta, Y = np.linalg.eigh(H[:n, :n])
+    c = min(c, n - 1)
+    rho = schrodinger._lower_bound_off_ritz(theta[c], kappa[n], tau)
+    # every vector orthogonal to y_1..y_c has a Rayleigh quotient of at least rho
+    Z = np.linalg.qr(np.column_stack([np.vstack([Y[:, :c], np.zeros((extra, c))]), np.eye(n + extra)]))[0][:, c:]
+    assert np.linalg.eigvalsh(Z.T @ H @ Z)[0] >= rho - 1e-12 * np.abs(H).max()
+    # and rho is the best eps
+    for eps in np.linspace(0.01, 0.99, 99):
+        assert rho >= min((1 - eps) * theta[c], kappa[n] - (1 / eps - 1) * tau) - 1e-12 * (tau + kappa[n])
+
+
+@pytest.mark.parametrize("scheme", _SCHEMES)
+@pytest.mark.parametrize("m", [16, 17])
+def test_oscillator_whole_sector_path_is_the_parity_block_solve(m, scheme, monkeypatch):
+    # at L = 3 the eigenvectors reach the ends of the grid, so no Fourier block proves them;
+    # a block may still prove that its sector holds none of the levels asked for
+    solvers = _record_solvers(monkeypatch)
+    for count in range(1, m // 4 + 1):
+        solvers.clear()
+        got, bound = schrodinger._oscillator_levels(3.0, m, scheme, count)
+        assert ("eigvalsh", m // 2 + 1) in solvers or ("eigvalsh", (m - 1) // 2) in solvers
+        assert not bound.any()
+        assert np.array_equal(got, _whole_sector_levels(3.0, m, scheme, count))
+        assert np.array_equal(schrodinger.grid_oscillator_spectrum(3.0, m, scheme, count), got)
+
+
+def test_oscillator_block_sizes_do_not_grow_with_m(monkeypatch):
+    sizes = _record_solvers(monkeypatch)
+    per_m = {}
+    for m in (512, 1024, 2048):
+        sizes.clear()
+        levels, bound = schrodinger._oscillator_levels(10.0, m, schrodinger.SPECTRAL, 6)
+        assert np.abs(levels - np.arange(1, 13, 2)).max() < 1e-4 and bound.max() < 1e-20
+        per_m[m] = list(sizes)
+    # one eigh per sector, on about L^2 modes each, against sectors of side m/2
+    assert per_m[512] == per_m[1024] == per_m[2048] == [("eigh", 83), ("eigh", 58)]
+
+
+def test_oscillator_block_memory():
+    schrodinger.grid_oscillator_spectrum(10.0, 2048)
+    tracemalloc.start()
+    try:
+        schrodinger.grid_oscillator_spectrum(10.0, 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20  # 1.7 MiB: the columns of the 83 + 58 block modes, not the 1025-side sectors
+
+
+@pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
+def test_grid_refuses_non_finite_bounds(bound):
+    with pytest.raises(ValueError, match="finite"):
+        schrodinger.grid_oscillator_spectrum(bound, 64)
+    for lo, hi in ((bound, 1.0), (-1.0, bound)):
+        for scheme in _SCHEMES:
+            with pytest.raises(ValueError, match="finite"):
+                schrodinger.grid_momentum(np.ones(16), lo, hi, scheme)
+        with pytest.raises(ValueError, match="finite"):
+            GridFunction.sample(np.cos, lo, hi, 16)
+        with pytest.raises(ValueError, match="finite"):
+            GridFunction(lo, hi, 16, np.ones(16))
 
 
 def test_hermite_ground_state_is_gaussian():
