@@ -13,14 +13,17 @@ The lowest oscillator levels are solved in the Fourier basis instead,
 where p^2 is diagonal, K, and x^2 is a Toeplitz +- Hankel matrix T of
 the Fourier coefficients of x^2, with 0 <= T <= tau = L^2.  The low
 eigenvectors decay like e^{-k^2/2} there, so each parity sector is
-solved on the block P of its modes of smallest symbol, about L^2 of them
-whatever m is.  With Q the other modes and kappa_Q their least symbol,
-H >= (1 - eps) H_PP (+) (kappa_Q - (1/eps - 1) tau) I_Q for 0 < eps < 1;
-that bounds the spectrum off the block's Ritz vectors below by rho, and
-the quadratic residual bound ||H_QP Y||_F^2 / (rho - theta*) (Mathias
-1998; Li and Li 2005) proves the Ritz values to rounding.  A sector the
-bound does not prove, or whose block would hold more than half of it,
-is solved whole as its grid parity block (`grid_oscillator_spectrum`).
+solved on a block P of its modes of smallest symbol, a few dozen of
+them whatever m is.  With Q the other modes, kappa_Q their least symbol
+and mu >= lambda_count below kappa_Q, the eigenvalues sigma_i of the
+Schur complement H_PP - T_PQ (K_Q - mu)^-1 T_QP bracket the levels,
+sigma_i <= lambda_i <= sigma_i + e_i, with e_i of order
+||T_QP Y||^2 / (kappa_Q - mu)^2 (`_schur_bracket`; Loewdin 1962,
+Haynsworth 1968).  `_schur_levels` grows P until e proves the levels to
+4 u, and gives a sector up to its whole solve as its grid parity block
+(`grid_oscillator_spectrum`) once the blocks would cost more than a
+tenth of that.  The centred interval's number operator (`interval`) is
+solved by the same two functions.
 
 The ladder combinations (q -+ ip)/sqrt2 differ only by a sign, and only
 one of them annihilates the Gaussian e^{-x^2/2}: with p = -i d/dx it is
@@ -287,85 +290,147 @@ def _reflection_entries(column: np.ndarray, rows: np.ndarray, cols: np.ndarray, 
 
 
 _UNIT_ROUNDOFF = 2.0**-53
-_CERTIFY_ULPS = 4  # a block is accepted when its bound is at most 4 u theta*
-_BLOCK_SHARE = 0.5  # a sector whose a priori block holds more than this share of it is solved whole
-_BLOCK_MARGIN = 1.0 / 8.0  # the a priori block clears the estimated level by this share of its gap
+_CERTIFY_ULPS = 4  # a block is accepted when its bound is at most 4 u sigma_count
+_BLOCK_BUDGET = 0.1  # the block solves of one sector cost at most this share of n^3
 
 
-def _block_threshold(count: int, odd: bool, tau: float) -> float:
-    """The a priori symbol bound of a sector's block P.
+def _schur_bracket(h_pp: np.ndarray, t_qp: np.ndarray, kappa_q: np.ndarray, mu: float, tau: float,
+                   count: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(sigma, e) with sigma_i <= lambda_i <= sigma_i + e_i for the lowest
+    `count` eigenvalues of a symmetric H = K + T, from its block on the
+    modes P; None if sigma_count > mu.  h_pp is overwritten.
 
-    A resolved grid's levels are near the oscillator's, 1, 5, 9, ... in
-    the even sector and 3, 7, 11, ... in the odd one.  So the count-th
-    level is near t = 2 count - 1, and the sector's first level above it
-    near t' = t + g, with g = 4 in the sector that holds t and g = 2 in
-    the other.  At eps = (1 - f) g / t', with f = _BLOCK_MARGIN, the
-    block's bound (1 - eps) t' is t + f g; modes of symbol at least
-    t + f g + (1/eps - 1) tau give the Q bound the same value."""
-    t = 2.0 * count - 1.0
-    g = 4.0 if (count % 2 == 0) == odd else 2.0
-    eps = (1.0 - _BLOCK_MARGIN) * g / (t + g)
-    return t + _BLOCK_MARGIN * g + (1.0 / eps - 1.0) * tau
+    K = diag(kappa) >= 0 and 0 <= T <= tau; h_pp is H_PP, t_qp is T_QP
+    and kappa_q the symbol on the other modes Q, whose least value
+    kappa_Q must exceed mu, an upper bound of lambda_count (the count-th
+    eigenvalue of any principal block of H, by interlacing).  sigma_i,
+    y_i are the eigenpairs of
+
+        A = H_PP - T_PQ (K_Q - mu)^-1 T_QP,
+
+    and if sigma_count <= mu, for i <= count
+
+        sigma_i <= lambda_i <= sigma_i + e_i,
+        e_i = (mu - sigma_1 + tau) ||T_QP [y_1..y_i]||_2^2 / (kappa_Q - mu)^2.
+
+    Proof.  For x < kappa_Q, H_QQ - x >= K_Q - x > 0, so the number of
+    eigenvalues of H below x is the number of negative ones of the Schur
+    complement S(x) = H_PP - x - T_PQ (H_QQ - x)^-1 T_QP (Haynsworth,
+    Linear Algebra Appl. 1, 73, 1968; Loewdin, J. Math. Phys. 3, 969,
+    1962).  From K_Q - x <= H_QQ - x <= K_Q - x + tau,
+
+        (K_Q - x + tau)^-1 <= (H_QQ - x)^-1 <= (K_Q - x)^-1.
+
+    For x <= mu the right side is at most (K_Q - mu)^-1, so S(x) >= A - x
+    and H has no more eigenvalues below x than A: lambda_i >= sigma_i.  For
+    sigma_1 <= x < kappa_Q the left side gives S(x) <= A - x + T_PQ E T_QP,
+    E = (K_Q - mu)^-1 - (K_Q - x + tau)^-1, whose entries
+    (mu - x + tau) / ((k - mu)(k - x + tau)) are at most
+    (mu - sigma_1 + tau) / (kappa_Q - mu)^2.  On span(y_1..y_i) then
+    S(x) < 0 once x > sigma_i + e_i, so H has i eigenvalues below every
+    such x: lambda_i <= sigma_i + e_i (and if no such x lies below
+    kappa_Q, lambda_i <= mu < kappa_Q <= sigma_i + e_i).
+
+    For ||T_QP [y_1..y_i]||_2^2, the largest eigenvalue of the leading
+    i x i block G_i of G = Y^T T_PQ T_QP Y, e_i takes ||G_i||_F.
+    """
+    h_pp -= t_qp.T @ (t_qp / (kappa_q - mu)[:, None])
+    sigma, y = np.linalg.eigh(h_pp)
+    sigma, residual = sigma[:count], t_qp @ y[:, :count]
+    if not sigma[-1] <= mu:
+        return None
+    gram = residual.T @ residual
+    norms = np.sqrt(np.diagonal(np.cumsum(np.cumsum(gram * gram, axis=0), axis=1)))
+    return sigma, (mu - sigma[0] + tau) * norms / (float(kappa_q.min()) - mu) ** 2
 
 
-def _lower_bound_off_ritz(theta_next: float, kappa_q: float, tau: float) -> float:
-    """rho = max over 0 < eps < 1 of min((1 - eps) theta_next,
-    kappa_q - (1/eps - 1) tau): the eps where the two are equal is the
-    root in (0, 1) of theta_next eps^2 + (kappa_q + tau - theta_next) eps
-    - tau = 0."""
-    if not theta_next > 0.0:
-        return -math.inf
-    b = kappa_q + tau - theta_next
-    eps = 2.0 * tau / (b + math.sqrt(b * b + 4.0 * theta_next * tau))
-    return min((1.0 - eps) * theta_next, kappa_q - (1.0 / eps - 1.0) * tau)
+def _schur_levels(column: np.ndarray, symbol: np.ndarray, sector: tuple, tau: float,
+                  count: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The lowest `count` eigenvalues sigma_i of a parity sector H = K + T,
+    with bounds e_i such that sigma_i <= lambda_i <= sigma_i + e_i, from a
+    block of its modes of smallest symbol (`_schur_bracket`); None when
+    no block within the budget proves them.
+
+    K = diag(symbol) on the sector's modes (`sector` = (first, size,
+    sign, fixed), as `_sectors` gives it), T the Toeplitz +- Hankel
+    matrix of `column`, gathered by `_reflection_entries`, with
+    0 <= T <= tau.  P holds the p modes of smallest symbol, Q the rest.
+    mu is the count-th eigenvalue of the first block whose value lies
+    below its kappa_Q, a leading block of every later P.  A block is
+    accepted when e_count <= 4 u sigma_count (u = 2^-53).
+
+    p starts at 2 count and doubles after a failed block.  Once two
+    blocks have a bound, the power of p at which it fell between them
+    predicts the p that meets the threshold, and the next block is 1.25
+    times the larger of that and p (the bound falls like p^-7 once the
+    eigenvectors' tails are algebraic, faster before).  The block solves
+    of a sector, mu's eigvalsh and each block's eigh, cost at most
+    0.1 n^3 together, n its side: None is returned before a block would
+    pass that, or as soon as the predicted block would.
+    """
+    first, size, sign, fixed = sector
+    modes = np.arange(first, first + size, dtype=np.int32)
+    order = modes[np.argsort(symbol[modes], kind="stable")]
+    budget, spent = _BLOCK_BUDGET * size**3, 0
+    p, mu, last = 2 * count, math.inf, None
+    while p < size:
+        kappa_q = float(symbol[order[p]])
+        cost = p**3 * (2 if mu >= kappa_q else 1)
+        if spent + cost > budget:
+            return None
+        spent += cost
+        P, Q = order[:p], order[p:]
+        h_pp = _reflection_entries(column, P, P, sign, fixed)
+        h_pp.reshape(-1)[:: p + 1] += symbol[P]
+        if mu >= kappa_q:
+            mu = float(np.linalg.eigvalsh(h_pp)[count - 1])
+        growth = 2.0
+        if mu < kappa_q:
+            bracket = _schur_bracket(h_pp, _reflection_entries(column, Q, P, sign, fixed), symbol[Q], mu, tau,
+                                     count)
+            if bracket is not None:
+                sigma, bounds = bracket
+                ratio = bounds[-1] / (_CERTIFY_ULPS * _UNIT_ROUNDOFF * sigma[-1])
+                if 0.0 <= ratio <= 1.0:
+                    return bracket
+                if 1.0 < ratio < math.inf:
+                    if last is not None and ratio < last[1]:
+                        log_need = math.log(p) + math.log(ratio) * math.log(p / last[0]) / math.log(last[1] / ratio)
+                        if 3.0 * log_need >= math.log(max(budget - spent, 1.0)):
+                            return None
+                        growth = 1.25 * max(1.0, math.exp(log_need) / p)
+                    last = p, ratio
+        p = math.ceil(growth * p)
+    return None
+
+
+def _merge_levels(parts: list, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lowest `count` of the (levels, bounds) pairs of the sectors."""
+    levels, bounds = (np.concatenate(part) for part in zip(*parts))
+    order = np.argsort(levels, kind="stable")[:count]
+    return levels[order], bounds[order]
 
 
 def _oscillator_levels(L: float, m: int, scheme: str, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The lowest `count` eigenvalues of q^2 + p^2 on the grid, and for
-    each the bound ||R||_F^2 / (rho - theta*) on its distance from the
-    exact one, 0 for a level from a sector solved whole; see
-    `grid_oscillator_spectrum`."""
+    each the bound e_i on its distance below the exact one, 0 for a level
+    from a sector solved whole; see `grid_oscillator_spectrum`."""
     x = _grid_points(-L, L, m)
+    if not math.isfinite(L * L):
+        raise ValueError(f"grid x^2 must be finite, got L^2 = {L * L} at L = {L}")
     x2 = x * x
     tau = float(x2.max())
     c_hat = np.fft.fft(x2).real / m
     c_hat = np.append(c_hat, c_hat[0])  # the Hankel part of the even sector reaches k + l = m
     symbol = _kinetic_symbol(-L, L, m, scheme)
-
-    def whole(parity):
-        levels = np.linalg.eigvalsh(next(_oscillator_blocks(L, m, scheme, (parity,))))[:count]
-        return levels, np.zeros(levels.size)
-
-    solved, blocks = [None, None], [None, None]  # per parity: (levels, bounds), or a block's Ritz pairs
-    for parity, (first, size, sign, fixed) in enumerate(_sectors(m)):
-        modes = np.arange(first, first + size, dtype=np.int32)
-        in_p = symbol[modes] < _block_threshold(count, parity == 1, tau)
-        if not count < np.count_nonzero(in_p) <= _BLOCK_SHARE * size:
-            solved[parity] = whole(parity)
-            continue
-        p, q = modes[in_p], modes[~in_p]
-        h_pp = _reflection_entries(c_hat, p, p, sign, fixed)
-        h_pp.reshape(-1)[:: p.size + 1] += symbol[p]
-        blocks[parity] = (*np.linalg.eigh(h_pp), p, q, sign, fixed)
-    ritz = [block[0][:count] if block else solved[parity][0] for parity, block in enumerate(blocks)]
-    theta_star = np.sort(np.concatenate(ritz))[count - 1]
-    for parity, block in enumerate(blocks):
-        if block is None:
-            continue
-        theta, y, p, q, sign, fixed = block
-        c = int(np.count_nonzero(theta <= theta_star))
-        kappa_q = float(symbol[q].min())
-        rho = _lower_bound_off_ritz(theta[c], kappa_q, tau) if c < theta.size else kappa_q
-        residual = _reflection_entries(c_hat, q, p, sign, fixed) @ y[:, :c]
-        gap = rho - theta_star
-        bound = float(np.sum(residual * residual)) / gap if gap > 0.0 else math.inf
-        if bound <= _CERTIFY_ULPS * _UNIT_ROUNDOFF * theta_star:
-            solved[parity] = theta[:c], np.full(c, bound)
-        else:
-            solved[parity] = whole(parity)
-    levels, bounds = (np.concatenate(part) for part in zip(*solved))
-    order = np.argsort(levels, kind="stable")[:count]
-    return levels[order], bounds[order]
+    parts = []
+    for parity, sector in enumerate(_sectors(m)):
+        found = _schur_levels(c_hat, symbol, sector, tau, count)
+        if found is None:
+            levels = np.linalg.eigvalsh(next(_oscillator_blocks(L, m, scheme, (parity,))))[:count]
+            found = levels, np.zeros(levels.size)
+        parts.append(found)
+    return _merge_levels(parts, count)
 
 
 def grid_oscillator_spectrum(L: float, m: int, scheme: str = SPECTRAL, count: int = 6) -> np.ndarray:
@@ -377,39 +442,24 @@ def grid_oscillator_spectrum(L: float, m: int, scheme: str = SPECTRAL, count: in
     In the cos (even) or sin (odd) Fourier basis a sector is H = K + T:
     K = diag(kappa), the kinetic symbol, and T the x^2 part, the
     Toeplitz +- Hankel matrix of c^ = fft(x^2)/m, with 0 <= T <= tau =
-    max x_j^2 = L^2.  P holds the modes of smallest symbol (the Nyquist
-    mode of even m has symbol 0 under the spectral scheme and is one of
-    them) and Q the rest, whose least symbol is kappa_Q.  For 0 < eps < 1,
-    since T >= 0 and K >= 0,
+    max x_j^2 = L^2 (which must be finite).  The Nyquist mode of even m
+    has symbol 0 under the spectral scheme and is among the first modes
+    taken.  `_schur_levels` finds the smallest block P of modes of least
+    symbol on which the Schur complement of the other modes, taken at an
+    upper bound mu of the count-th level, proves the sector's lowest
+    `count` levels to 4 u sigma_count (u = 2^-53):
 
-        H >= (1 - eps) H_PP  (+)  (kappa_Q - (1/eps - 1) tau) I_Q.
+        sigma_i <= lambda_i <= sigma_i + e_i,
+        e_i = (mu - sigma_1 + tau) ||T_QP [y_1..y_i]||_2^2 / (kappa_Q - mu)^2
 
-    Let theta_1 <= theta_2 <= ... be the eigenvalues of H_PP with
-    eigenvectors y_i, theta* the count-th lowest of both sectors'
-    theta together (or of a sector's eigenvalues, if it is solved
-    whole), and c the number of a sector's theta_i <= theta*.
-    Every vector orthogonal to y_1..y_c then has a Rayleigh quotient of
-    at least rho = min((1 - eps) theta_{c+1}, kappa_Q - (1/eps - 1) tau),
-    taken at the best eps.  If rho > theta*, the sector's lowest c
-    eigenvalues satisfy
-
-        theta_i - ||R||_F^2 / (rho - theta*) <= lambda_i <= theta_i,
-
-    with R = H_QP [y_1..y_c] (Mathias, SIAM J. Matrix Anal. Appl. 19,
-    1998; Li and Li, Linear Algebra Appl. 395, 2005; the upper bound is
-    Cauchy interlacing), and all its other eigenvalues exceed
-    theta* - ||R||_F^2 / (rho - theta*).  The block is accepted when that
-    bound is at most 4 u theta* (u = 2^-53): the error it leaves is then
-    below rounding, and the block's own rounding is about
-    u (max kappa_P + tau), against u ||H|| for the whole sector.
-
-    P is fixed before the solve, in one attempt: the modes whose symbol
-    keeps the Q bound above the count-th level, if the levels were the
-    oscillator's 2n + 1 (`_block_threshold`).  About L^2 modes per sector
-    for a few levels, whatever m is.  A sector whose P would hold more
-    than half its modes, or no more than `count`, and a sector whose
-    bound fails, is solved whole by eigvalsh of its grid parity block
-    (`_oscillator_blocks`), with rounding about u ||H||.
+    (Loewdin 1962; Haynsworth 1968).  The eigenvectors decay like
+    e^{-k^2/2} in the Fourier basis, so P holds a few dozen modes
+    whatever m is (48 per sector at L = 10 and 6 levels), and its
+    rounding is about u (max kappa_P + tau), against u ||H|| for the
+    whole sector.  A sector whose block solves would cost more than
+    0.1 n^3 before one proves its levels, n its side, is solved whole by
+    eigvalsh of its grid parity block (`_oscillator_blocks`), bit for bit
+    as without the blocks, with rounding about u ||H||.
     """
     if count < 1 or count > m // 4:
         raise ValueError("count must be in 1..m/4")

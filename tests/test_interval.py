@@ -13,9 +13,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from ccrlab import interval
+from ccrlab import interval, schrodinger
 from ccrlab.interval import IntervalRepSpec
+from spectral_oracles import rayleigh_quotients, record_solvers
 
 
 def test_spec_validation():
@@ -263,6 +265,131 @@ def test_number_spectrum_memory():
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2**20  # two blocks of side about 1024, not one of 2049
+
+
+_U = 2.0**-53
+
+
+def _whole_block_levels(spec, count):
+    """The lowest levels from eigvalsh of every whole block of N."""
+    levels = [np.linalg.eigvalsh(b)[:count] for b in interval._number_blocks(spec)]
+    return np.sort(np.concatenate(levels))[:count]
+
+
+@settings(max_examples=20, deadline=None)
+@given(half=st.floats(0.25, 20.0), m=st.integers(16, 2048), data=st.data())
+def test_number_levels_lie_within_their_bound_of_the_dense_solve(half, m, data):
+    # few levels, where the Fourier blocks are used, or any count below m/2
+    count = data.draw(st.one_of(st.integers(1, min(12, m // 2 - 1)), st.integers(1, m // 2 - 1)), label="count")
+    spec = IntervalRepSpec(-half, half, m)
+    N = interval.interval_number_operator(spec)
+    want, V = np.linalg.eigh(N)
+    norm = max(abs(want[0]), abs(want[-1]))
+    got, bound = interval._number_levels(spec, count)
+    assert np.all(bound >= 0.0)
+    assert np.abs(got - want[:count]).max() < 1e-12 * norm  # the tolerance of the dense test above
+    # a level from a Fourier block has its own bound; every other one is the whole-block value, bit for bit
+    fresh = np.flatnonzero(got != _whole_block_levels(spec, count))
+    tol = bound[fresh] + 8 * _U * norm
+    dense = want[fresh]
+    # eigh of the whole matrix carries rounding of its own (up to 2e-9 at half-length 0.5,
+    # m = 1024); where that shows, the Rayleigh quotient of its eigenvector, in extended
+    # precision, gives the dense value to far below u ||N||
+    loose = np.abs(got[fresh] - dense) > tol
+    dense[loose] = rayleigh_quotients(N, V[:, fresh[loose]])
+    assert np.all(np.abs(got[fresh] - dense) <= tol)
+
+
+@pytest.mark.parametrize("half", [20.0, 10.0])
+def test_number_block_sizes_do_not_grow_with_m(half, monkeypatch):
+    solves = record_solvers(monkeypatch)
+    per_m = {}
+    for m in (1024, 2048):
+        solves.clear()
+        levels, bound = interval._number_levels(IntervalRepSpec(-half, half, m), 3)
+        assert np.abs(levels - np.arange(3)).max() < 1e-2 and bound.max() < 1e-18
+        per_m[m] = list(solves)
+    # a few dozen modes per sector, against sectors of side 513 and 1025
+    assert per_m[1024] == per_m[2048] and max(side for _, side in per_m[1024]) <= 64
+
+
+def test_number_whole_sector_path_is_the_block_solve(monkeypatch):
+    solves = record_solvers(monkeypatch)
+    # an interval that is not centred is one matrix, solved whole
+    spec = IntervalRepSpec(0.0, 1.0, 256)
+    for count in (1, 3, 127):
+        solves.clear()
+        got, bound = interval._number_levels(spec, count)
+        assert solves == [("eigvalsh", 257)] and not bound.any()
+        assert np.array_equal(got, np.linalg.eigvalsh(interval.interval_number_operator(spec))[:count])
+    # the cos sector of (-2.5, 2.5) at m = 512 would need more modes than its budget allows
+    spec = IntervalRepSpec(-2.5, 2.5, 512)
+    solves.clear()
+    got, bound = interval._number_levels(spec, 6)
+    assert ("eigvalsh", 257) in solves
+    whole = bound == 0.0
+    cos = np.linalg.eigvalsh(next(interval._number_blocks(spec, (0,))))[:6]
+    assert whole.any() and np.array_equal(got[whole], cos[: np.count_nonzero(whole)])
+    assert np.array_equal(interval.interval_number_spectrum(spec, 6), got)
+
+
+@settings(max_examples=30, deadline=None)
+@given(half=st.floats(0.25, 20.0), grid_l=st.floats(1.0, 16.0), m=st.integers(16, 2048), count=st.integers(1, 12))
+@example(half=2.5, grid_l=3.0, m=512, count=6)
+def test_a_sector_solved_whole_spends_at_most_a_tenth_of_its_cube_on_blocks(half, grid_l, m, count):
+    sectors = []
+    find = schrodinger._schur_levels
+
+    def recorded(column, symbol, sector, tau, count):
+        with pytest.MonkeyPatch.context() as patch:
+            solves = record_solvers(patch)
+            found = find(column, symbol, sector, tau, count)
+        sectors.append((sector[1], found, solves))
+        return found
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(schrodinger, "_schur_levels", recorded)
+        patch.setattr(interval, "_schur_levels", recorded)
+        interval._number_levels(IntervalRepSpec(-half, half, m), min(count, m // 2 - 1))
+        schrodinger._oscillator_levels(grid_l, m, schrodinger.SPECTRAL, min(count, m // 4))
+    assert len(sectors) == 4
+    for n, found, solves in sectors:
+        if found is None:
+            assert sum(side**3 for _, side in solves) <= 0.1 * n**3
+
+
+@pytest.mark.parametrize("half, grid_l, m", [(0.5, 3.0, 64), (2.5, 10.0, 255), (20.0, 16.0, 256)])
+def test_every_sector_has_0_le_T_le_tau(half, grid_l, m, monkeypatch):
+    # the bracket assumes 0 <= T <= tau for the x^2 part T of each sector; check it on the whole sector
+    seen = []
+    find = schrodinger._schur_levels
+
+    def checked(column, symbol, sector, tau, count):
+        first, size, sign, fixed = sector
+        modes = np.arange(first, first + size)
+        T = schrodinger._reflection_entries(column, modes, modes, sign, fixed)
+        low, high = np.linalg.eigvalsh(T)[[0, -1]]
+        seen.append((low >= -1e-12 * tau, 0.9 * tau <= high <= tau * (1 + 1e-12)))
+        return find(column, symbol, sector, tau, count)
+
+    monkeypatch.setattr(schrodinger, "_schur_levels", checked)
+    monkeypatch.setattr(interval, "_schur_levels", checked)
+    interval._number_levels(IntervalRepSpec(-half, half, m), 3)
+    schrodinger._oscillator_levels(grid_l, m, schrodinger.SPECTRAL, 3)
+    schrodinger._oscillator_levels(grid_l, m, schrodinger.CENTRAL_DIFFERENCE, 3)
+    assert len(seen) == 6 and all(all(ok) for ok in seen)  # and tau is within 10 % of the top of T
+
+
+def test_number_block_memory():
+    spec = IntervalRepSpec(-10.0, 10.0, 2048)
+    interval.interval_number_spectrum(spec, 6)
+    tracemalloc.start()
+    try:
+        interval.interval_number_spectrum(spec, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20  # 1.0 MiB: the columns of the 24 + 48 block modes, not the 1025-side sectors
 
 
 def test_unit_interval_spectrum_away_from_integers():

@@ -35,6 +35,7 @@ def test_config_validation_errors():
         RunConfig(suite="weyl", t=float("nan")),
         RunConfig(suite="weyl", s=float("inf")),
         RunConfig(suite="schrodinger", grid_l=float("inf")),
+        RunConfig(suite="schrodinger", grid_l=1e200),  # x^2 overflows on the grid
         RunConfig(suite="irregular", interval_a=float("-inf")),
         RunConfig(suite="irregular", interval_b=float("nan")),
         RunConfig(suite="analytic", k_max=128),  # the Taylor check runs at dim 128
@@ -335,6 +336,14 @@ def test_cli_usage_error_grid_beyond_dense_limit(capsys):
     captured = capsys.readouterr()
     assert "grid_m 1000000 exceeds 2048" in captured.err
     assert captured.out == ""
+
+
+def test_cli_usage_error_grid_whose_square_overflows(capsys):
+    assert main(["schrodinger", "--grid", "1e200,64,spectral"]) == 2
+    captured = capsys.readouterr()
+    assert "grid half-width 1e+200 has no finite square" in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert main(["schrodinger", "--grid", "1e150,64,spectral", "--format", "json"]) in (0, 1)  # x^2 = 1e300
 
 
 def test_cli_usage_error_aligned_interval_beyond_dense_limit(capsys):

@@ -7,12 +7,14 @@ the whole matrix built here."""
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ccrlab import fock, schrodinger
+from spectral_oracles import rayleigh_quotients, record_solvers
 from ccrlab.schrodinger import GridFunction
 
 
@@ -252,22 +254,6 @@ def _whole_sector_levels(L, m, scheme, count):
     return np.sort(np.concatenate(levels))[:count]
 
 
-def _rayleigh_quotients(H, V):
-    """v^T H v / v^T v for each column v of V, summed in extended precision."""
-    H, V = H.astype(np.longdouble), V.astype(np.longdouble)
-    return (np.einsum("ij,ij->j", V, H @ V) / np.einsum("ij,ij->j", V, V)).astype(float)
-
-
-def _record_solvers(monkeypatch) -> list:
-    """(name, side) of every later eigh and eigvalsh call."""
-    calls = []
-    for name in ("eigh", "eigvalsh"):
-        solver = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda a, *args, _f=solver, _n=name, **kw: (
-            calls.append((_n, a.shape[-1])), _f(a, *args, **kw))[1])
-    return calls
-
-
 @settings(max_examples=20, deadline=None)
 @given(L=st.floats(2.0, 16.0), m=st.integers(16, 2048), scheme=st.sampled_from(_SCHEMES), data=st.data())
 def test_oscillator_levels_lie_within_their_bound_of_the_dense_solve(L, m, scheme, data):
@@ -287,30 +273,90 @@ def test_oscillator_levels_lie_within_their_bound_of_the_dense_solve(L, m, schem
     # here; where that shows, the Rayleigh quotient of its eigenvector, in extended precision,
     # gives the dense value to far below u ||H||
     loose = np.abs(got[fresh] - dense) > tol
-    dense[loose] = _rayleigh_quotients(H, V[:, fresh[loose]])
+    dense[loose] = rayleigh_quotients(H, V[:, fresh[loose]])
     assert np.all(np.abs(got[fresh] - dense) <= tol)
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), extra=st.integers(1, 12), c=st.integers(0, 3),
-       tau=st.floats(0.1, 50.0))
-def test_bound_off_the_ritz_vectors_holds_on_random_sectors(seed, n, extra, c, tau):
-    # H = K + T with K >= 0 diagonal, its P modes the n of smallest symbol, and 0 <= T <= tau
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 40), share=st.floats(0.2, 0.9), count=st.integers(1, 6),
+       tau=st.floats(0.01, 100.0), spread=st.floats(1.0, 1e4), rank=st.integers(1, 40))
+def test_schur_bracket_holds_on_random_sectors(seed, n, share, count, tau, spread, rank):
+    # H = K + T with K >= 0 diagonal, its P modes the p of smallest symbol, and 0 <= T <= tau of any rank
     rng = np.random.default_rng(seed)
-    kappa = np.sort(rng.uniform(0.0, 4.0 * tau, n + extra))
-    G = rng.standard_normal((n + extra, n + extra))
+    kappa = np.sort(rng.uniform(0.0, spread * tau, n))
+    G = rng.standard_normal((n, min(rank, n)))
     T = G @ G.T
     T *= tau / np.linalg.eigvalsh(T)[-1]
     H = np.diag(kappa) + T
-    theta, Y = np.linalg.eigh(H[:n, :n])
-    c = min(c, n - 1)
-    rho = schrodinger._lower_bound_off_ritz(theta[c], kappa[n], tau)
-    # every vector orthogonal to y_1..y_c has a Rayleigh quotient of at least rho
-    Z = np.linalg.qr(np.column_stack([np.vstack([Y[:, :c], np.zeros((extra, c))]), np.eye(n + extra)]))[0][:, c:]
-    assert np.linalg.eigvalsh(Z.T @ H @ Z)[0] >= rho - 1e-12 * np.abs(H).max()
-    # and rho is the best eps
-    for eps in np.linspace(0.01, 0.99, 99):
-        assert rho >= min((1 - eps) * theta[c], kappa[n] - (1 / eps - 1) * tau) - 1e-12 * (tau + kappa[n])
+    count = min(count, n - 1)
+    p = min(n - 1, max(count, round(share * n)))
+    lead = rng.integers(count, p + 1)  # mu from any leading block
+    mu = np.linalg.eigvalsh(H[:lead, :lead])[count - 1]
+    assume(mu < kappa[p])
+    bracket = schrodinger._schur_bracket(H[:p, :p].copy(), T[p:, :p], kappa[p:], mu, tau, count)
+    assume(bracket is not None)  # sigma_count > mu only by rounding
+    sigma, e = bracket
+    want = np.linalg.eigvalsh(H)[:count]
+    slack = 8 * _U * (kappa[-1] + tau)
+    assert np.all(e >= 0.0) and np.all(np.diff(e) >= 0.0)
+    assert np.all(sigma <= want + slack)
+    assert np.all(want <= sigma + e + slack)
+    # e_i is at least the proof's bound, its 2-norms taken here by SVD
+    A = H[:p, :p] - T[:p, p:] @ (T[p:, :p] / (kappa[p:] - mu)[:, None])
+    R = T[p:, :p] @ np.linalg.eigh(A)[1][:, :count]
+    proof = [np.linalg.norm(R[:, :i], 2) ** 2 for i in range(1, count + 1)]
+    assert np.all(e >= (1 - 1e-9) * (mu - sigma[0] + tau) * np.array(proof) / (kappa[p] - mu) ** 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(16, 400), band=st.integers(1, 12), scale=st.floats(0.01, 10.0),
+       power=st.floats(1.0, 3.0), tau=st.floats(0.1, 100.0), rough=st.booleans(), data=st.data())
+def test_schur_levels_bracket_the_levels_of_random_sectors(seed, m, band, scale, power, tau, rough, data):
+    # the grid's sector layout with a random even symbol and T the Fourier compression of a random
+    # even weight 0 <= w <= tau: smooth (band-limited, so T is banded), or with a small rough tail
+    count = data.draw(st.integers(1, max(1, m // 8)), label="count")
+    rng = np.random.default_rng(seed)
+    j = np.arange(m)
+    f = np.cos(2 * np.pi * np.outer(j, np.arange(band)) / m) @ rng.standard_normal(band)
+    w = f * f * tau / max(float(np.max(f * f)), 1e-300)
+    if rough:
+        w = w + 1e-6 * tau * rng.uniform(0.0, 1.0, m)[np.minimum(j, m - j)]
+    column = np.fft.fft(w).real / m
+    column = np.append(column, column[0])
+    symbol = (scale * np.minimum(j, m - j)) ** power
+    for first, size, sign, fixed in schrodinger._sectors(m):
+        if size <= count:
+            continue
+        found = schrodinger._schur_levels(column, symbol, (first, size, sign, fixed), float(w.max()), count)
+        if found is None:
+            continue
+        sigma, e = found
+        modes = np.arange(first, first + size)
+        H = schrodinger._reflection_entries(column, modes, modes, sign, fixed) + np.diag(symbol[modes])
+        want, V = np.linalg.eigh(H)
+        want, V = want[:count], V[:, :count]
+        slack = 8 * _U * (symbol[modes].max() + w.max())
+        # where the dense solve's own rounding shows, its extended-precision Rayleigh quotient stands in
+        miss = (sigma > want + slack) | (want > sigma + e + slack)
+        want[miss] = rayleigh_quotients(H, V[:, miss])
+        assert np.all(sigma <= want + slack) and np.all(want <= sigma + e + slack)
+
+
+def test_schur_levels_give_up_on_a_bound_that_barely_falls():
+    # a symbol flat past mode 3 and a rough weight of 1e4: the bound is about 1e18 times its
+    # threshold and falls by 10 % or less per doubled block, so the predicted block overflows
+    # a float; it is compared in logarithms, and the sector is given up without a warning
+    m = 128
+    fold = np.minimum(np.arange(m), m - np.arange(m))
+    w = np.where(fold % 3 == 0, 1e4, 0.0)
+    column = np.fft.fft(w).real / m
+    column = np.append(column, column[0])
+    symbol = np.minimum(fold, 3) * w.mean() + 1e-9 * fold
+    even, odd = schrodinger._sectors(m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert schrodinger._schur_levels(column, symbol, even, 1e4, 2) is None
+        assert schrodinger._schur_levels(column, symbol, odd, 1e4, 1) is None
 
 
 @pytest.mark.parametrize("scheme", _SCHEMES)
@@ -318,7 +364,7 @@ def test_bound_off_the_ritz_vectors_holds_on_random_sectors(seed, n, extra, c, t
 def test_oscillator_whole_sector_path_is_the_parity_block_solve(m, scheme, monkeypatch):
     # at L = 3 the eigenvectors reach the ends of the grid, so no Fourier block proves them;
     # a block may still prove that its sector holds none of the levels asked for
-    solvers = _record_solvers(monkeypatch)
+    solvers = record_solvers(monkeypatch)
     for count in range(1, m // 4 + 1):
         solvers.clear()
         got, bound = schrodinger._oscillator_levels(3.0, m, scheme, count)
@@ -329,15 +375,16 @@ def test_oscillator_whole_sector_path_is_the_parity_block_solve(m, scheme, monke
 
 
 def test_oscillator_block_sizes_do_not_grow_with_m(monkeypatch):
-    sizes = _record_solvers(monkeypatch)
+    sizes = record_solvers(monkeypatch)
     per_m = {}
     for m in (512, 1024, 2048):
         sizes.clear()
         levels, bound = schrodinger._oscillator_levels(10.0, m, schrodinger.SPECTRAL, 6)
         assert np.abs(levels - np.arange(1, 13, 2)).max() < 1e-4 and bound.max() < 1e-20
         per_m[m] = list(sizes)
-    # one eigh per sector, on about L^2 modes each, against sectors of side m/2
-    assert per_m[512] == per_m[1024] == per_m[2048] == [("eigh", 83), ("eigh", 58)]
+    # per sector: mu from a block of 12 modes, then the bound on 24 and on 48, against sectors of side m/2
+    blocks = [("eigvalsh", 12), ("eigh", 24), ("eigh", 48)]
+    assert per_m[512] == per_m[1024] == per_m[2048] == blocks + blocks
 
 
 def test_oscillator_block_memory():
@@ -348,7 +395,12 @@ def test_oscillator_block_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 2**20  # 1.7 MiB: the columns of the 83 + 58 block modes, not the 1025-side sectors
+    assert peak < 3 * 2**20  # the columns of the 48 block modes, not the 1025-side sectors
+
+
+def test_oscillator_refuses_a_grid_whose_x2_overflows():
+    with pytest.raises(ValueError, match="finite"):
+        schrodinger.grid_oscillator_spectrum(1e200, 64)
 
 
 @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
