@@ -15,12 +15,13 @@ untested.  The number-operator spectrum is computed in the real periodic
 mode basis {1, cos, sin} with exact matrix elements of x^2 (the
 multiplication operator is discontinuous across the seam, so pointwise
 sampling would lose accuracy), which keeps the m vs 2m refinement
-agreement well below 1e-6.  On a centred interval x^2 is even, so N is
-two Toeplitz +- Hankel blocks, on the cos and on the sin modes, each
-solved alone: on its modes of lowest frequency, where the grid's
-Schur-complement bound (`schrodinger._schur_bracket`; Loewdin 1962,
-Haynsworth 1968) proves the lowest levels to rounding, or else whole.
-Any other interval is solved as the full matrix.
+agreement well below 1e-6.  On a centred interval x^2 is even, so
+2N + 1 = K + T splits into two Toeplitz +- Hankel sectors, on the cos
+and on the sin modes, which the grid oscillator's solver
+(`schrodinger.sector_levels`) solves as it solves the grid's: on its
+modes of lowest frequency, where a Schur-complement bound (Loewdin
+1962, Haynsworth 1968) proves the lowest levels to rounding, or else
+whole.  Any other interval is solved as the full matrix.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schrodinger import _merge_levels, _reflection_block, _schur_levels, grid_wavenumbers
+from .schrodinger import grid_wavenumbers, reflection_block, sector_levels
 
 BOUNDARY_CONDITION = "periodic"
 
@@ -176,8 +177,8 @@ def interval_number_operator(spec: IntervalRepSpec) -> np.ndarray:
     Q2 = np.empty((2 * K + 1, 2 * K + 1))
     Q2[0, 0] = C[0] - 1.0
     Q2[0, 1:] = Q2[1:, 0] = math.sqrt(2.0) * np.concatenate([C[1 : K + 1], S[1 : K + 1]])
-    Q2[1 : K + 1, 1 : K + 1] = _reflection_block(C, 1, K, 1.0, diagonal)
-    Q2[K + 1 :, K + 1 :] = _reflection_block(C, 1, K, -1.0, diagonal)
+    Q2[1 : K + 1, 1 : K + 1] = reflection_block(C, 1, K, 1.0, diagonal)
+    Q2[K + 1 :, K + 1 :] = reflection_block(C, 1, K, -1.0, diagonal)
     odd_toeplitz = window(np.concatenate([-S[K - 1 : 0 : -1], S[:K]]), K)[:, ::-1]
     np.subtract(window(S[2 : 2 * K + 1], K), odd_toeplitz, out=Q2[1 : K + 1, K + 1 :])
     Q2[K + 1 :, 1 : K + 1] = Q2[1 : K + 1, K + 1 :].T
@@ -185,56 +186,27 @@ def interval_number_operator(spec: IntervalRepSpec) -> np.ndarray:
     return Q2
 
 
-def _number_blocks(spec: IntervalRepSpec, parities: tuple = (0, 1)):
-    """The blocks of the interval number operator, built one at a time.
-
-    On a centred interval (a + b == 0) x^2 is even and its exact
-    <cos|x^2|sin> elements vanish, so N is the cos block (parity 0)
-    C[|i-j|] + C[i+j] on 1, cos_1..cos_K and the sin block (parity 1)
-    C[|i-j|] - C[i+j] on sin_1..sin_K, each of `parities` in turn.  Any
-    other interval is one block, the full matrix of
-    `interval_number_operator`."""
-    if spec.a + spec.b != 0:
-        yield interval_number_operator(spec)
-        return
-    K = spec.m // 2
-    C = _x2_mode_integrals(spec.a, spec.b, 2 * K)[0] / 2.0
-    sin_diagonal = ((2.0 * np.pi * np.arange(1, K + 1) / spec.length) ** 2 - 1.0) / 2.0
-    for parity in parities:
-        if parity == 0:
-            yield _reflection_block(C, 0, K + 1, 1.0, np.concatenate([[-0.5], sin_diagonal]), (0,))
-        else:
-            yield _reflection_block(C, 1, K, -1.0, sin_diagonal)
-
-
 def _number_levels(spec: IntervalRepSpec, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The lowest `count` eigenvalues of the interval number operator, and
     for each the bound on its distance below the exact one, 0 for a level
-    from a block solved whole; see `interval_number_spectrum`."""
+    from a sector or a matrix solved whole; see `interval_number_spectrum`."""
     if spec.a + spec.b != 0:
         levels = np.linalg.eigvalsh(interval_number_operator(spec))[:count]
         return levels, np.zeros(levels.size)
     K = spec.m // 2
     C = _x2_mode_integrals(spec.a, spec.b, 2 * K)[0]
     symbol = (2.0 * np.pi * np.arange(K + 1) / spec.length) ** 2
-    parts = []
-    for parity, sector in enumerate(((0, K + 1, 1.0, (0,)), (1, K, -1.0, ()))):
-        found = _schur_levels(C, symbol, sector, spec.b * spec.b, count)
-        if found is None:
-            levels = np.linalg.eigvalsh(next(_number_blocks(spec, (parity,))))[:count]
-            parts.append((levels, np.zeros(levels.size)))
-        else:
-            parts.append(((found[0] - 1.0) / 2.0, found[1] / 2.0))
-    return _merge_levels(parts, count)
+    levels, bounds = sector_levels(C, symbol, ((0, K + 1, 1.0, (0,)), (1, K, -1.0, ())), spec.b * spec.b, count)
+    return (levels - 1.0) / 2.0, bounds / 2.0
 
 
 def interval_number_spectrum(spec: IntervalRepSpec, count: int) -> np.ndarray:
     """Lowest `count` eigenvalues of the interval number operator, merged
-    from its blocks.
+    from its two parity sectors on a centred interval.
 
     On a centred interval each parity sector of 2N + 1 = K + T, with K
     the diagonal nu^2 and T the exact x^2 matrix on the sector's modes,
-    0 <= T <= tau = b^2, is solved by `schrodinger._schur_levels` on its
+    0 <= T <= tau = b^2, is solved by `schrodinger.sector_levels` on its
     modes of smallest nu: the Schur complement of the other modes,
     taken at an upper bound mu of the count-th level, proves the lowest
     `count` levels to 4 u sigma_count (u = 2^-53; Loewdin 1962,
@@ -243,9 +215,9 @@ def interval_number_spectrum(spec: IntervalRepSpec, count: int) -> np.ndarray:
     a few dozen modes on long intervals ((-20, 20): 63 of 513 for 3 levels) and more
     on short ones.  A sector whose block solves would cost more than
     0.1 n^3 before one proves its levels, n its side (the cos sector of
-    intervals longer than about 3 at m = 512), and any interval that is
-    not centred, is solved whole by eigvalsh of its block of
-    `_number_blocks`, bit for bit as without the blocks."""
+    intervals longer than about 3 at m = 512) is solved whole by eigvalsh
+    of its Fourier sector K + T, and any interval that is not centred by
+    eigvalsh of `interval_number_operator`."""
     if count < 0:
         raise ValueError("count must be nonnegative")
     if count == 0:

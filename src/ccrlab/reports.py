@@ -119,6 +119,8 @@ class RunConfig:
             raise ValueError("grid half-width must be positive")
         if not math.isfinite(self.grid_l * self.grid_l):
             raise ValueError(f"grid half-width {self.grid_l!r} has no finite square: x^2 overflows on the grid")
+        if self.suite in ("schrodinger", "all"):
+            schrodinger.check_resolution(self.grid_l, self.grid_m)
         if self.scheme not in (schrodinger.SPECTRAL, schrodinger.CENTRAL_DIFFERENCE):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not self.interval_b > self.interval_a:

@@ -5,25 +5,25 @@ q^2 + p^2 then has spectrum {2n+1}.  Differentiation is spectral
 (trigonometric, periodic) by default, with a second-order central
 difference kept as a cross-validation scheme.  q and p are applied to
 sample vectors (a multiply, an FFT or a stencil), never stored as
-matrices.  p^2 is a real even circulant kept as its first column: applied
-by FFT, and for the eigensolver split by the reflection x -> -x into two
-Toeplitz +- Hankel parity blocks of side about m/2.
+matrices.  p^2 is applied by FFT as its symbol, k^2 or (2 - 2 cos(kh))/h^2
+on each DFT mode.
 
-The lowest oscillator levels are solved in the Fourier basis instead,
-where p^2 is diagonal, K, and x^2 is a Toeplitz +- Hankel matrix T of
-the Fourier coefficients of x^2, with 0 <= T <= tau = L^2.  The low
-eigenvectors decay like e^{-k^2/2} there, so each parity sector is
-solved on a block P of its modes of smallest symbol, a few dozen of
-them whatever m is.  With Q the other modes, kappa_Q their least symbol
-and mu >= lambda_count below kappa_Q, the eigenvalues sigma_i of the
-Schur complement H_PP - T_PQ (K_Q - mu)^-1 T_QP bracket the levels,
+The lowest oscillator levels are solved in the Fourier basis, where p^2
+is diagonal, K, and x^2 is a Toeplitz +- Hankel matrix T of the Fourier
+coefficients of x^2 on each of the two parity sectors of the reflection
+x -> -x (the cos and the sin modes), with 0 <= T <= tau = L^2.  The low
+eigenvectors decay like e^{-k^2/2} there, so each sector is solved on a
+block P of its modes of smallest symbol, a few dozen of them whatever m
+is.  With Q the other modes, kappa_Q their least symbol and
+mu >= lambda_count below kappa_Q, the eigenvalues sigma_i of the Schur
+complement H_PP - T_PQ (K_Q - mu)^-1 T_QP bracket the levels,
 sigma_i <= lambda_i <= sigma_i + e_i, with e_i of order
 ||T_QP Y||^2 / (kappa_Q - mu)^2 (`_schur_bracket`; Loewdin 1962,
 Haynsworth 1968).  `_schur_levels` grows P until e proves the levels to
-4 u, and gives a sector up to its whole solve as its grid parity block
-(`grid_oscillator_spectrum`) once the blocks would cost more than a
-tenth of that.  The centred interval's number operator (`interval`) is
-solved by the same two functions.
+4 u, and gives a sector up once the blocks would cost more than a tenth
+of its whole solve; `sector_levels` then solves that Fourier sector
+whole.  The centred interval's number operator (`interval`) is one more
+K + T on the cos and sin modes, solved by the same `sector_levels`.
 
 The ladder combinations (q -+ ip)/sqrt2 differ only by a sign, and only
 one of them annihilates the Gaussian e^{-x^2/2}: with p = -i d/dx it is
@@ -46,7 +46,8 @@ ANNIHILATING_SIGN = "+"  # (q + ip)/sqrt2 kills the Gaussian; verified per run
 
 
 class GridResolutionError(ValueError):
-    """Raised when a residual is dominated by discretization error."""
+    """Raised when a residual is dominated by discretization error, or
+    when a grid is too coarse to resolve the oscillator's ground state."""
 
 
 @dataclass(frozen=True)
@@ -143,6 +144,18 @@ def annihilation_residual(f: GridFunction, scheme: str = SPECTRAL, sign: str = A
     return float(np.linalg.norm(a) / np.linalg.norm(f.values))
 
 
+def check_resolution(L: float, m: int) -> None:
+    """Raise GridResolutionError unless the grid of m points on [-L, L)
+    reaches the momentum width 1 of the oscillator's ground state: its
+    largest wavenumber pi/h, h = 2L/m, must be at least 1."""
+    h = 2.0 * L / m
+    if math.pi / h < 1.0:
+        raise GridResolutionError(
+            f"grid L={L!r}, m={m} has step h={h:.6g}: its largest wavenumber pi/h is below 1, "
+            "the momentum width of the oscillator's ground state"
+        )
+
+
 def _gaussian(L: float, m: int) -> GridFunction:
     x = _grid_points(-L, L, m)
     return GridFunction(-L, L, m, np.exp(-x * x / 2.0))
@@ -191,26 +204,6 @@ def _kinetic_symbol(x_min: float, x_max: float, m: int, scheme: str) -> np.ndarr
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _kinetic_column(x_min: float, x_max: float, m: int, scheme: str) -> np.ndarray:
-    """First column c of p^2, a real symmetric circulant C[i, j] = c[(i - j) mod m]
-    with c[k] = c[m - k] exactly.
-
-    spectral: ifft(k^2), the square of the spectral momentum (its
-    eigenvalue k^2 on each DFT mode, zero on the Nyquist mode of even m).
-    central_difference: the 3-point second-difference stencil; squaring
-    the first difference instead would decouple odd and even points and
-    fill the low spectrum with spurious sawtooth modes.
-    """
-    if scheme == SPECTRAL:
-        column = np.fft.ifft(_kinetic_symbol(x_min, x_max, m, scheme)).real
-        return (column + np.roll(column[::-1], 1)) / 2.0  # even to the last bit
-    if scheme == CENTRAL_DIFFERENCE:
-        column = np.zeros(m)
-        column[[0, 1, -1]] = 2.0, -1.0, -1.0
-        return column / _grid_step(x_min, x_max, m) ** 2
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
 def grid_kinetic(values: np.ndarray, x_min: float, x_max: float, scheme: str = SPECTRAL) -> np.ndarray:
     """p^2 applied to periodic grid samples (along the last axis) by FFT:
     its symbol, k^2 on each DFT mode for spectral, (2 - 2 cos(kh))/h^2 for
@@ -220,8 +213,8 @@ def grid_kinetic(values: np.ndarray, x_min: float, x_max: float, scheme: str = S
     return np.fft.ifft(symbol * np.fft.fft(values))
 
 
-def _reflection_block(column: np.ndarray, first: int, size: int, sign: float, diagonal: np.ndarray,
-                      fixed: tuple = ()) -> np.ndarray:
+def reflection_block(column: np.ndarray, first: int, size: int, sign: float, diagonal: np.ndarray,
+                     fixed: tuple = ()) -> np.ndarray:
     """column[|i - j|] + sign * column[i + j] + diag(diagonal) for i, j in
     first .. first + size - 1, with the rows and columns at the block
     indices `fixed` scaled by 1/sqrt2.
@@ -248,34 +241,18 @@ def _reflection_block(column: np.ndarray, first: int, size: int, sign: float, di
 
 def _sectors(m: int) -> tuple:
     """(first, size, sign, fixed) of the even and of the odd parity sector
-    under j -> -j mod m, in the layout of `_reflection_block`: the even
+    under j -> -j mod m, in the layout of `reflection_block`: the even
     one on indices 0..m//2, fixed at 0 and, for even m, at m/2; the odd
     one on 1..(m-1)//2."""
     half = m // 2
     return ((0, half + 1, 1.0, (0, half) if m % 2 == 0 else (0,)), (1, (m - 1) // 2, -1.0, ()))
 
 
-def _oscillator_blocks(L: float, m: int, scheme: str = SPECTRAL, parities: tuple = (0, 1)):
-    """The even (parity 0) and the odd (parity 1) block of diag(x^2) +
-    kinetic on the grid, for each of `parities`, built one at a time.
-
-    x_j^2 and the kinetic column are even under the reflection
-    j -> -j mod m (x -> -x), so each block acts on the sector's grid
-    indices of `_sectors`."""
-    x = _grid_points(-L, L, m)
-    column = _kinetic_column(-L, L, m, scheme)
-    column = np.append(column, column[0])  # c[m] = c[0]: the even block's Hankel part reaches i + j = m
-    x2, sectors = x * x, _sectors(m)
-    for parity in parities:
-        first, size, sign, fixed = sectors[parity]
-        yield _reflection_block(column, first, size, sign, x2[first : first + size], fixed)
-
-
 def _reflection_entries(column: np.ndarray, rows: np.ndarray, cols: np.ndarray, sign: float,
                         fixed: tuple) -> np.ndarray:
     """column[|i - j|] + sign * column[i + j] for i in rows, j in cols, scaled
     by 1/sqrt2 in each row and column whose index is in `fixed`: the
-    entries of `_reflection_block`, without its diagonal, gathered at any
+    entries of `reflection_block`, without its diagonal, gathered at any
     rows and columns."""
     index = np.abs(np.subtract.outer(rows, cols))
     out = column[index]
@@ -349,7 +326,8 @@ def _schur_levels(column: np.ndarray, symbol: np.ndarray, sector: tuple, tau: fl
     """The lowest `count` eigenvalues sigma_i of a parity sector H = K + T,
     with bounds e_i such that sigma_i <= lambda_i <= sigma_i + e_i, from a
     block of its modes of smallest symbol (`_schur_bracket`); None when
-    no block within the budget proves them.
+    no block within the budget proves them, and `sector_levels` solves
+    the whole sector instead.
 
     K = diag(symbol) on the sector's modes (`sector` = (first, size,
     sign, fixed), as `_sectors` gives it), T the Toeplitz +- Hankel
@@ -404,8 +382,27 @@ def _schur_levels(column: np.ndarray, symbol: np.ndarray, sector: tuple, tau: fl
     return None
 
 
-def _merge_levels(parts: list, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The lowest `count` of the (levels, bounds) pairs of the sectors."""
+def sector_levels(column: np.ndarray, symbol: np.ndarray, sectors: tuple, tau: float,
+                  count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lowest `count` eigenvalues of a real symmetric K + T split into
+    parity sectors, and for each the bound e_i on its distance below the
+    exact one, 0 for a level from a sector solved whole.
+
+    Each of `sectors` is (first, size, sign, fixed), as `_sectors` gives
+    it: K = diag(symbol) on its modes, T the Toeplitz +- Hankel matrix of
+    `column` with 0 <= T <= tau.  A sector is solved on a block of its
+    modes of smallest symbol by `_schur_levels`, or, where that gives up,
+    whole, by eigvalsh of its `reflection_block`; the sectors' levels are
+    then merged."""
+    parts = []
+    for sector in sectors:
+        found = _schur_levels(column, symbol, sector, tau, count)
+        if found is None:
+            first, size, sign, fixed = sector
+            sigma = np.linalg.eigvalsh(reflection_block(column, first, size, sign, symbol[first : first + size],
+                                                        fixed))[:count]
+            found = sigma, np.zeros(sigma.size)
+        parts.append(found)
     levels, bounds = (np.concatenate(part) for part in zip(*parts))
     order = np.argsort(levels, kind="stable")[:count]
     return levels[order], bounds[order]
@@ -419,18 +416,9 @@ def _oscillator_levels(L: float, m: int, scheme: str, count: int) -> tuple[np.nd
     if not math.isfinite(L * L):
         raise ValueError(f"grid x^2 must be finite, got L^2 = {L * L} at L = {L}")
     x2 = x * x
-    tau = float(x2.max())
     c_hat = np.fft.fft(x2).real / m
     c_hat = np.append(c_hat, c_hat[0])  # the Hankel part of the even sector reaches k + l = m
-    symbol = _kinetic_symbol(-L, L, m, scheme)
-    parts = []
-    for parity, sector in enumerate(_sectors(m)):
-        found = _schur_levels(c_hat, symbol, sector, tau, count)
-        if found is None:
-            levels = np.linalg.eigvalsh(next(_oscillator_blocks(L, m, scheme, (parity,))))[:count]
-            found = levels, np.zeros(levels.size)
-        parts.append(found)
-    return _merge_levels(parts, count)
+    return sector_levels(c_hat, _kinetic_symbol(-L, L, m, scheme), _sectors(m), float(x2.max()), count)
 
 
 def grid_oscillator_spectrum(L: float, m: int, scheme: str = SPECTRAL, count: int = 6) -> np.ndarray:
@@ -458,8 +446,8 @@ def grid_oscillator_spectrum(L: float, m: int, scheme: str = SPECTRAL, count: in
     rounding is about u (max kappa_P + tau), against u ||H|| for the
     whole sector.  A sector whose block solves would cost more than
     0.1 n^3 before one proves its levels, n its side, is solved whole by
-    eigvalsh of its grid parity block (`_oscillator_blocks`), bit for bit
-    as without the blocks, with rounding about u ||H||.
+    eigvalsh of its Fourier sector K + T (`sector_levels`), with rounding
+    about u ||H||.
     """
     if count < 1 or count > m // 4:
         raise ValueError("count must be in 1..m/4")

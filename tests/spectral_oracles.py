@@ -1,9 +1,12 @@
 """Helpers shared by the grid and interval spectrum tests: the
 extended-precision Rayleigh quotient that stands in for a dense solve
-where the dense solve's own rounding shows, and a recorder of the
-eigensolver calls a solve makes."""
+where the dense solve's own rounding shows, the dense Fourier sector
+K + T gathered entry by entry, and recorders of the eigensolver calls
+and of the sectors a solve makes."""
 
 import numpy as np
+
+from ccrlab import schrodinger
 
 
 def rayleigh_quotients(H, V):
@@ -20,3 +23,26 @@ def record_solvers(monkeypatch) -> list:
         monkeypatch.setattr(np.linalg, name, lambda a, *args, _f=solver, _n=name, **kw: (
             calls.append((_n, a.shape[-1])), _f(a, *args, **kw))[1])
     return calls
+
+
+def fourier_sector(column, symbol, sector):
+    """The dense parity sector K + T that `schrodinger.sector_levels` solves,
+    gathered by `_reflection_entries` rather than built from strided views:
+    sector = (first, size, sign, fixed), K = diag(symbol) on its modes."""
+    first, size, sign, fixed = sector
+    modes = np.arange(first, first + size)
+    return schrodinger._reflection_entries(column, modes, modes, sign, fixed) + np.diag(symbol[modes])
+
+
+def record_sectors(monkeypatch) -> list:
+    """(column, symbol, sector) of every later sector solve, in the order
+    `schrodinger.sector_levels` solves them."""
+    sectors = []
+    find = schrodinger._schur_levels
+
+    def recorded(column, symbol, sector, tau, count):
+        sectors.append((column, symbol, sector))
+        return find(column, symbol, sector, tau, count)
+
+    monkeypatch.setattr(schrodinger, "_schur_levels", recorded)
+    return sectors

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ccrlab import interval, schrodinger
 from ccrlab.interval import IntervalRepSpec
-from spectral_oracles import rayleigh_quotients, record_solvers
+from spectral_oracles import fourier_sector, rayleigh_quotients, record_sectors, record_solvers
 
 
 def test_spec_validation():
@@ -237,20 +237,25 @@ def test_number_spectrum_matches_dense_eigvalsh(a, b, m):
 
 
 @pytest.mark.parametrize("half, m", [(0.5, 64), (2.5, 255), (10.0, 256), (20.0, 1024)])
-def test_centred_interval_has_no_cos_sin_coupling(half, m):
-    # the blocks drop <cos|x^2|sin>, which vanishes exactly when a + b = 0
+def test_centred_interval_has_no_cos_sin_coupling(half, m, monkeypatch):
+    # the sectors drop <cos|x^2|sin>, which vanishes exactly when a + b = 0
     N = interval.interval_number_operator(IntervalRepSpec(-half, half, m))
     K = m // 2
     assert np.abs(N[1 : K + 1, K + 1 :]).max() < 1e-12 * np.linalg.norm(N, 2)
-    cos, sin = interval._number_blocks(IntervalRepSpec(-half, half, m))
+    sectors = record_sectors(monkeypatch)
+    interval.interval_number_spectrum(IntervalRepSpec(-half, half, m), 3)
+    # each sector is 2N + 1 on its modes
+    cos, sin = ((fourier_sector(*sector) - np.eye(sector[2][1])) / 2.0 for sector in sectors)
     scale = np.linalg.norm(N, 2)
     assert np.abs(cos - N[: K + 1, : K + 1]).max() < 1e-13 * scale
     assert np.abs(sin - N[K + 1 :, K + 1 :]).max() < 1e-13 * scale
 
 
-def test_number_parity_sectors_closed_form():
-    # on (-20, 20) the even oscillator levels 0, 2, 4 sit in the cos block, the odd ones in the sin block
-    cos, sin = (np.linalg.eigvalsh(b)[:3] for b in interval._number_blocks(IntervalRepSpec(-20.0, 20.0, 1024)))
+def test_number_parity_sectors_closed_form(monkeypatch):
+    # on (-20, 20) the even oscillator levels 0, 2, 4 sit in the cos sector, the odd ones in the sin sector
+    sectors = record_sectors(monkeypatch)
+    interval.interval_number_spectrum(IntervalRepSpec(-20.0, 20.0, 1024), 3)
+    cos, sin = ((np.linalg.eigvalsh(fourier_sector(*sector))[:3] - 1.0) / 2.0 for sector in sectors)
     assert np.abs(cos - [0.0, 2.0, 4.0]).max() < 1e-10
     assert np.abs(sin - [1.0, 3.0, 5.0]).max() < 1e-10
 
@@ -271,9 +276,13 @@ _U = 2.0**-53
 
 
 def _whole_block_levels(spec, count):
-    """The lowest levels from eigvalsh of every whole block of N."""
-    levels = [np.linalg.eigvalsh(b)[:count] for b in interval._number_blocks(spec)]
-    return np.sort(np.concatenate(levels))[:count]
+    """The lowest levels of N on a centred interval, from eigvalsh of both
+    whole Fourier sectors of 2N + 1."""
+    with pytest.MonkeyPatch.context() as patch:
+        sectors = record_sectors(patch)
+        interval._number_levels(spec, count)
+    levels = [np.linalg.eigvalsh(fourier_sector(*sector))[:count] for sector in sectors]
+    return (np.sort(np.concatenate(levels))[:count] - 1.0) / 2.0
 
 
 @settings(max_examples=20, deadline=None)
@@ -325,10 +334,11 @@ def test_number_whole_sector_path_is_the_block_solve(monkeypatch):
     # the cos sector of (-2.5, 2.5) at m = 512 would need more modes than its budget allows
     spec = IntervalRepSpec(-2.5, 2.5, 512)
     solves.clear()
+    sectors = record_sectors(monkeypatch)
     got, bound = interval._number_levels(spec, 6)
     assert ("eigvalsh", 257) in solves
     whole = bound == 0.0
-    cos = np.linalg.eigvalsh(next(interval._number_blocks(spec, (0,))))[:6]
+    cos = (np.linalg.eigvalsh(fourier_sector(*sectors[0]))[:6] - 1.0) / 2.0
     assert whole.any() and np.array_equal(got[whole], cos[: np.count_nonzero(whole)])
     assert np.array_equal(interval.interval_number_spectrum(spec, 6), got)
 
@@ -349,7 +359,6 @@ def test_a_sector_solved_whole_spends_at_most_a_tenth_of_its_cube_on_blocks(half
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(schrodinger, "_schur_levels", recorded)
-        patch.setattr(interval, "_schur_levels", recorded)
         interval._number_levels(IntervalRepSpec(-half, half, m), min(count, m // 2 - 1))
         schrodinger._oscillator_levels(grid_l, m, schrodinger.SPECTRAL, min(count, m // 4))
     assert len(sectors) == 4
@@ -365,15 +374,12 @@ def test_every_sector_has_0_le_T_le_tau(half, grid_l, m, monkeypatch):
     find = schrodinger._schur_levels
 
     def checked(column, symbol, sector, tau, count):
-        first, size, sign, fixed = sector
-        modes = np.arange(first, first + size)
-        T = schrodinger._reflection_entries(column, modes, modes, sign, fixed)
+        T = fourier_sector(column, np.zeros_like(symbol), sector)
         low, high = np.linalg.eigvalsh(T)[[0, -1]]
         seen.append((low >= -1e-12 * tau, 0.9 * tau <= high <= tau * (1 + 1e-12)))
         return find(column, symbol, sector, tau, count)
 
     monkeypatch.setattr(schrodinger, "_schur_levels", checked)
-    monkeypatch.setattr(interval, "_schur_levels", checked)
     interval._number_levels(IntervalRepSpec(-half, half, m), 3)
     schrodinger._oscillator_levels(grid_l, m, schrodinger.SPECTRAL, 3)
     schrodinger._oscillator_levels(grid_l, m, schrodinger.CENTRAL_DIFFERENCE, 3)

@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from ccrlab import reports
+from ccrlab import reports, schrodinger
 from ccrlab.cli import main
 from ccrlab.reports import RunConfig, run_suite
 
@@ -36,6 +36,7 @@ def test_config_validation_errors():
         RunConfig(suite="weyl", s=float("inf")),
         RunConfig(suite="schrodinger", grid_l=float("inf")),
         RunConfig(suite="schrodinger", grid_l=1e200),  # x^2 overflows on the grid
+        RunConfig(suite="schrodinger", grid_l=1e150),  # pi/h = 2e-148 < 1: the grid cannot resolve the oscillator
         RunConfig(suite="irregular", interval_a=float("-inf")),
         RunConfig(suite="irregular", interval_b=float("nan")),
         RunConfig(suite="analytic", k_max=128),  # the Taylor check runs at dim 128
@@ -56,6 +57,8 @@ def test_config_validation_errors():
     ):
         with pytest.raises(ValueError):
             bad.validate()
+    with pytest.raises(schrodinger.GridResolutionError):
+        RunConfig(suite="all", grid_l=1e150).validate()
     for good in (
         RunConfig(suite="analytic", k_max=127),
         RunConfig(suite="analytic", dim=49),
@@ -70,6 +73,8 @@ def test_config_validation_errors():
         RunConfig(suite="weyl", t=6.0, s=6.0, dim=128),
         RunConfig(suite="fock", t=500.0),  # t is read by other suites only
         RunConfig(suite="schrodinger", grid_m=2048),
+        RunConfig(suite="schrodinger", grid_m=8),  # h = 2.5: coarse, so checks fail, but pi/h > 1
+        RunConfig(suite="fock", grid_l=1e150),  # the grid is read by other suites only
         RunConfig(suite="fock", grid_m=10**6, interval_m=10**6),  # read by other suites only
         RunConfig(suite="fock", interval_m=2048, t=1 / 30000),
         RunConfig(suite="fock", t=1 / 511),
@@ -343,7 +348,11 @@ def test_cli_usage_error_grid_whose_square_overflows(capsys):
     captured = capsys.readouterr()
     assert "grid half-width 1e+200 has no finite square" in captured.err
     assert captured.out == "" and "Traceback" not in captured.err
-    assert main(["schrodinger", "--grid", "1e150,64,spectral", "--format", "json"]) in (0, 1)  # x^2 = 1e300
+    # x^2 = 1e300 is finite, but the step 3.1e148 resolves no wavenumber up to the ground state's width 1
+    assert main(["schrodinger", "--grid", "1e150,64,spectral", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert "grid L=1e+150, m=64 has step h=3.125e+148" in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
 
 
 def test_cli_usage_error_aligned_interval_beyond_dense_limit(capsys):

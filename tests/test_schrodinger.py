@@ -2,7 +2,7 @@
 basis, intertwiner.  Refinement studies double m as the oracle; the
 applied momentum is checked against closed forms and against stencil
 and kinetic matrices built in the tests, and the oscillator spectrum,
-from its Fourier blocks or its whole parity sectors, against eigvalsh of
+from its Fourier blocks or its whole Fourier sectors, against eigvalsh of
 the whole matrix built here."""
 
 import math
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ccrlab import fock, schrodinger
-from spectral_oracles import rayleigh_quotients, record_solvers
+from spectral_oracles import fourier_sector, rayleigh_quotients, record_sectors, record_solvers
 from ccrlab.schrodinger import GridFunction
 
 
@@ -176,10 +176,6 @@ def test_kinetic_circulant_matches_dense_momentum_squared(m):
     P = np.column_stack([schrodinger.grid_momentum(e, -L, L) for e in np.eye(m)])
     assert np.abs(T - P @ P).max() < 1e-12 * np.abs(P).max() ** 2 * m
     assert np.abs(T - build_grid_kinetic(-L, L, m)).max() < 1e-12 * np.abs(P).max() ** 2 * m
-    # the column the parity blocks are built from is exactly even
-    for scheme in (schrodinger.SPECTRAL, schrodinger.CENTRAL_DIFFERENCE):
-        c = schrodinger._kinetic_column(-L, L, m, scheme)
-        assert c.dtype == np.float64 and np.array_equal(c[1:], c[:0:-1])
     # central differences: the 3-point stencil, built row by row
     h = 2 * L / m
     stencil = np.zeros((m, m))
@@ -208,9 +204,12 @@ def test_oscillator_spectrum_matches_dense_eigvalsh(m, scheme):
 
 
 @pytest.mark.parametrize("m", [16, 17, 64, 255, 256])
-def test_oscillator_blocks_are_the_parity_sectors(m):
-    # each block is H restricted to the even / odd vectors under j -> -j mod m
+def test_oscillator_blocks_are_the_parity_sectors(m, monkeypatch):
+    # each Fourier sector is F H F^dagger, F the unitary DFT, restricted to the cos / sin
+    # vectors (delta_k +- delta_-k)/sqrt2 under k -> -k mod m
     H = _dense_oscillator(7.0, m, schrodinger.SPECTRAL)
+    F = np.fft.fft(np.eye(m)) / math.sqrt(m)
+    H_hat = F @ H @ F.conj().T
     even = np.zeros((m, m // 2 + 1))
     odd = np.zeros((m, (m - 1) // 2))
     for i in range(m // 2 + 1):
@@ -219,16 +218,27 @@ def test_oscillator_blocks_are_the_parity_sectors(m):
         odd[[i, m - i], i - 1] = 1.0, -1.0
     even /= np.linalg.norm(even, axis=0)
     odd /= np.linalg.norm(odd, axis=0)
-    E, O = schrodinger._oscillator_blocks(7.0, m)
+    sectors = record_sectors(monkeypatch)
+    schrodinger.grid_oscillator_spectrum(7.0, m, count=1)
+    E, O = (fourier_sector(*sector) for sector in sectors)
     scale = np.linalg.norm(H, 2)
-    assert np.abs(E - even.T @ H @ even).max() < 1e-13 * scale
-    assert np.abs(O - odd.T @ H @ odd).max() < 1e-13 * scale
+    assert np.abs(E - even.T @ H_hat @ even).max() < 1e-13 * scale
+    assert np.abs(O - odd.T @ H_hat @ odd).max() < 1e-13 * scale
     assert np.array_equal(E, E.T) and np.array_equal(O, O.T)
+    # the strided block a whole-sector solve takes is the same matrix, bit for bit
+    for scheme in _SCHEMES:
+        sectors.clear()
+        schrodinger.grid_oscillator_spectrum(7.0, m, scheme, 1)
+        for column, symbol, (first, size, sign, fixed) in sectors:
+            block = schrodinger.reflection_block(column, first, size, sign, symbol[first : first + size], fixed)
+            assert np.array_equal(block, fourier_sector(column, symbol, (first, size, sign, fixed)))
 
 
-def test_oscillator_parity_sectors_closed_form():
-    # even Hermite functions carry 1, 5, 9; odd ones 3, 7, 11
-    even, odd = (np.linalg.eigvalsh(b)[:3] for b in schrodinger._oscillator_blocks(10.0, 256))
+def test_oscillator_parity_sectors_closed_form(monkeypatch):
+    # even Hermite functions carry 1, 5, 9 (the cos sector); odd ones 3, 7, 11 (the sin sector)
+    sectors = record_sectors(monkeypatch)
+    schrodinger.grid_oscillator_spectrum(10.0, 256)
+    even, odd = (np.linalg.eigvalsh(fourier_sector(*sector))[:3] for sector in sectors)
     assert np.abs(even - [1.0, 5.0, 9.0]).max() < 1e-10
     assert np.abs(odd - [3.0, 7.0, 11.0]).max() < 1e-10
 
@@ -249,8 +259,11 @@ _SCHEMES = (schrodinger.SPECTRAL, schrodinger.CENTRAL_DIFFERENCE)
 
 
 def _whole_sector_levels(L, m, scheme, count):
-    """The lowest levels from eigvalsh of both whole parity blocks."""
-    levels = [np.linalg.eigvalsh(b)[:count] for b in schrodinger._oscillator_blocks(L, m, scheme)]
+    """The lowest levels from eigvalsh of both whole Fourier sectors."""
+    with pytest.MonkeyPatch.context() as patch:
+        sectors = record_sectors(patch)
+        schrodinger._oscillator_levels(L, m, scheme, count)
+    levels = [np.linalg.eigvalsh(fourier_sector(*sector))[:count] for sector in sectors]
     return np.sort(np.concatenate(levels))[:count]
 
 
@@ -324,18 +337,21 @@ def test_schur_levels_bracket_the_levels_of_random_sectors(seed, m, band, scale,
     column = np.fft.fft(w).real / m
     column = np.append(column, column[0])
     symbol = (scale * np.minimum(j, m - j)) ** power
-    for first, size, sign, fixed in schrodinger._sectors(m):
+    for sector in schrodinger._sectors(m):
+        first, size = sector[:2]
         if size <= count:
             continue
-        found = schrodinger._schur_levels(column, symbol, (first, size, sign, fixed), float(w.max()), count)
+        H = fourier_sector(column, symbol, sector)
+        found = schrodinger._schur_levels(column, symbol, sector, float(w.max()), count)
         if found is None:
+            # given up: the sector is solved whole, with no bound to carry
+            levels, bounds = schrodinger.sector_levels(column, symbol, (sector,), float(w.max()), count)
+            assert not bounds.any() and np.array_equal(levels, np.linalg.eigvalsh(H)[:count])
             continue
         sigma, e = found
-        modes = np.arange(first, first + size)
-        H = schrodinger._reflection_entries(column, modes, modes, sign, fixed) + np.diag(symbol[modes])
         want, V = np.linalg.eigh(H)
         want, V = want[:count], V[:, :count]
-        slack = 8 * _U * (symbol[modes].max() + w.max())
+        slack = 8 * _U * (symbol[first : first + size].max() + w.max())
         # where the dense solve's own rounding shows, its extended-precision Rayleigh quotient stands in
         miss = (sigma > want + slack) | (want > sigma + e + slack)
         want[miss] = rayleigh_quotients(H, V[:, miss])
@@ -401,6 +417,13 @@ def test_oscillator_block_memory():
 def test_oscillator_refuses_a_grid_whose_x2_overflows():
     with pytest.raises(ValueError, match="finite"):
         schrodinger.grid_oscillator_spectrum(1e200, 64)
+
+
+def test_resolution_check_needs_the_largest_wavenumber_to_reach_1():
+    # at m = 8, pi/h = 4 pi/L reaches 1 up to L = 4 pi = 12.566...
+    schrodinger.check_resolution(12.56, 8)
+    with pytest.raises(schrodinger.GridResolutionError, match=r"L=12\.57, m=8 has step h=3\.1425"):
+        schrodinger.check_resolution(12.57, 8)
 
 
 @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
