@@ -43,6 +43,12 @@ def _canonical(n0: int, n1: int, n2: int, n3: int, den: int) -> "ExactScalar":
     return _wrap((n0, n1, n2, n3, den))
 
 
+def _to_complex(n0: int, n1: int, n2: int, n3: int, den: int) -> complex:
+    """(n0 + n1*i + n2*sqrt2 + n3*i*sqrt2)/den, reduced or not: each int / int
+    rounds its exact quotient once, as float(Fraction) does."""
+    return complex(n0 / den + n2 / den * _SQRT2, n1 / den + n3 / den * _SQRT2)
+
+
 class ExactScalar:
     """r0 + r1*i + r2*sqrt2 + r3*i*sqrt2 with exact rational components."""
 
@@ -176,9 +182,7 @@ class ExactScalar:
         return self.r0
 
     def to_complex(self) -> complex:
-        # int / int rounds the exact quotient once, as float(Fraction) does
-        n0, n1, n2, n3, den = self._n
-        return complex(n0 / den + n2 / den * _SQRT2, n1 / den + n3 / den * _SQRT2)
+        return _to_complex(*self._n)
 
     def __str__(self) -> str:
         terms = []

@@ -13,10 +13,16 @@ A normal form stores its coefficients as integer numerator tuples
 reduced so that no numerator tuple is zero and the denominator has no
 factor in common with every numerator.  Products and sums then run on
 plain ints, with one content reduction per result; ExactScalar
-coefficients are built only when a caller reads them.
+coefficients are built only when a caller reads them.  A product with a
+scalar form is a `scale`; one with a linear form whose numerators have one
+nonzero component each (a, a†, q, p, -i*q, ...) moves each term by one
+exponent shift and at most one k- or m-weighted term, with a signed,
+doubled permutation of its numerator tuple; any other runs the general
+loop.  All insert terms in the order that `to_matrix` sums in.
 
 Each building block is made once per process and then shared, so no
-cached form or array is ever mutated:
+cached form, tree or array is ever mutated:
+- the parse tree of each text, frozen, for the last 256 texts parsed;
 - the five symbol forms, built at import and returned by `normal_order`;
 - the powers base^0, base^1, ... of every base raised with `**`, each the
   right product of the last, for at most 64 bases and 2^14 stored terms
@@ -26,11 +32,13 @@ cached form or array is ever mutated:
   unbounded (min(k, m) + 1 integers each);
 - the band (a†)^m a^k per (dim, m, k), 256 of them, read-only;
 - the dense matrices of a, a†, q, p and I that `expr_to_matrix` starts
-  from, ten of them, read-only: every array it returns is a new one.
+  from and multiplies by uncopied, ten of them, read-only: every array it
+  returns is a new one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -40,7 +48,7 @@ from typing import Union
 
 import numpy as np
 
-from .exact import ExactScalar, HALF_SQRT2, I, ONE, SQRT2, ZERO, _canonical
+from .exact import ExactScalar, HALF_SQRT2, I, ONE, SQRT2, ZERO, _canonical, _to_complex
 from . import fock
 
 # ---------------------------------------------------------------------------
@@ -224,9 +232,11 @@ class _Parser:
         raise ParseError(f"unexpected token {val or 'end of input'!r}", at)
 
 
+@lru_cache(maxsize=256)
 def parse(text: str) -> OperatorExpr:
     """Parse an operator expression.  Whitespace-insensitive; ^ binds
-    tighter than * and /, which bind tighter than + and -."""
+    tighter than * and /, which bind tighter than + and -.  The tree is
+    memoized by its text and shared, as every node is frozen."""
     return _Parser(text).parse()
 
 
@@ -277,11 +287,12 @@ class NormalForm:
     the coefficient (n0 + n1*i + n2*sqrt2 + n3*i*sqrt2) / _den.  The form
     is canonical: no zero tuple is stored and gcd(_den, every numerator)
     is 1, so two normal forms are equal iff their denominators and maps
-    are.  A product multiplies raw numerator tuples and divides by the
-    content once; ExactScalar coefficients are built only on request.
+    are.  A product multiplies raw numerator tuples, by ladder moves where
+    a factor is a scalar or a one-component linear form, and divides by
+    the content once; ExactScalar coefficients are built only on request.
     """
 
-    __slots__ = ("_den", "_num", "_hash")
+    __slots__ = ("_den", "_num", "_hash", "_moves")
 
     def __init__(self, terms: dict | None = None):
         scalars = {}
@@ -376,6 +387,52 @@ class NormalForm:
         }, self._den * bd)
 
     def __mul__(self, other: "NormalForm") -> "NormalForm":
+        if len(other._num) == 1 and (0, 0) in other._num:
+            return self.scale(other._scalar(other._num[(0, 0)]))
+        if len(self._num) == 1 and (0, 0) in self._num:
+            return other.scale(self._scalar(self._num[(0, 0)]))
+        if (moves := other._ladder_moves()) is not None:
+            return self._ladder(moves, other._den, right=True)
+        if (moves := self._ladder_moves()) is not None:
+            return other._ladder(moves, self._den, right=False)
+        return self._product(other)
+
+    def _ladder_moves(self) -> list | None:
+        """[((m, k), the signed permutation that multiplies by its
+        coefficient)] of a linear form whose numerators have one nonzero
+        component each; None for any other form."""
+        if not (self._num and self._num.keys() <= _LINEAR_KEYS):
+            return None
+        if not hasattr(self, "_moves"):  # made once: a form is never mutated
+            moves = [(key, tuple(x for i, f in _UNIT_PRODUCTS[n.index(b)] for x in (i, f * b)))
+                     for key, n in self._num.items() for b in filter(None, n)]
+            self._moves = moves if len(moves) == len(self._num) else None
+        return self._moves
+
+    def _ladder(self, moves: list, den: int, right: bool) -> "NormalForm":
+        """self times the linear form of `moves` over `den`, on the right
+        or the left: the loop of `_product`, where one of k1, m2 is at most
+        1, so a^k1 a†^m2 = a†^m2 a^k1 + k1 m2 a†^(m2-1) a^(k1-1)."""
+        out: dict = {}
+        get = out.get
+        terms = self._num.items()
+        pairs = itertools.product(terms, moves) if right else itertools.product(moves, terms)
+        for ((m1, k1), x), ((m2, k2), y) in pairs:
+            a, (i0, f0, i1, f1, i2, f2, i3, f3) = (x, y) if right else (y, x)
+            c0, c1, c2, c3 = f0 * a[i0], f1 * a[i1], f2 * a[i2], f3 * a[i3]
+            w = k1 * m2
+            if w:
+                key = (m1 + m2 - 1, k1 + k2 - 1)
+                acc = get(key)
+                out[key] = ((c0 * w, c1 * w, c2 * w, c3 * w) if acc is None else
+                            (acc[0] + c0 * w, acc[1] + c1 * w, acc[2] + c2 * w, acc[3] + c3 * w))
+            key = (m1 + m2, k1 + k2)
+            acc = get(key)
+            out[key] = (c0, c1, c2, c3) if acc is None else (acc[0] + c0, acc[1] + c1, acc[2] + c2, acc[3] + c3)
+        return NormalForm._reduced({key: n for key, n in out.items() if any(n)}, self._den * den)
+
+    def _product(self, other: "NormalForm") -> "NormalForm":
+        """The general product: every pair of terms, reordered by `_reorder`."""
         out: dict = {}
         for (m1, k1), (a0, a1, a2, a3) in self._num.items():
             for (m2, k2), (b0, b1, b2, b3) in other._num.items():
@@ -423,15 +480,23 @@ class NormalForm:
     def to_matrix(self, dim: int) -> np.ndarray:
         """Assemble sum of coeff * (a†)^m a^k as a dim x dim matrix, the
         terms summed in their stored order.  Each (a†)^m a^k is one band,
-        a single diagonal; only the sum is made dense."""
+        a single diagonal, scaled by its coefficient as
+        ExactScalar.to_complex rounds it; only the sum is made dense."""
         diagonals = {}
         for (m, k), n in self._num.items():
-            d = self._scalar(n).to_complex() * _ladder_term(dim, m, k).diagonals[k - m]
+            d = _to_complex(*n, self._den) * _ladder_term(dim, m, k).diagonals[k - m]
             diagonals[k - m] = diagonals[k - m] + d if k - m in diagonals else d
-        return fock.Band(dim, diagonals).to_dense()
+        return fock.Band._unchecked(dim, diagonals).to_dense()
 
     def __repr__(self) -> str:
         return f"NormalForm({self.to_expr_text()})"
+
+
+_LINEAR_KEYS = frozenset({(1, 0), (0, 1)})
+# component t of a * e_j, over the basis e = (1, i, sqrt2, i*sqrt2), is f * a[i] for the
+# t-th pair (i, f) of row j: i^2 = -1 and sqrt2^2 = 2
+_UNIT_PRODUCTS = (((0, 1), (1, 1), (2, 1), (3, 1)), ((1, -1), (0, 1), (3, -1), (2, 1)),
+                  ((2, 2), (3, 2), (0, 1), (1, 1)), ((3, -2), (2, 2), (1, -1), (0, 1)))
 
 
 def _scalar_source(s: ExactScalar) -> str:
@@ -622,8 +687,8 @@ def expr_to_matrix(expr: OperatorExpr | str, dim: int) -> np.ndarray:
         return out
     if isinstance(expr, Product):
         out = np.eye(dim, dtype=complex)
-        for f in expr.factors:
-            out = out @ expr_to_matrix(f, dim)
+        for f in expr.factors:  # `@` only reads a leaf, so it needs no copy
+            out = out @ (_leaf_matrix(f.name, dim) if isinstance(f, Symbol) else expr_to_matrix(f, dim))
         return out
     if isinstance(expr, Quotient):
         den = normal_order(expr.den)

@@ -1,5 +1,7 @@
 """Parser, normal ordering, exact identity proofs, matrix homomorphism."""
 
+import dataclasses
+import functools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -91,6 +93,31 @@ def test_parse_bad_exponent():
         parse("q^-2")
     with pytest.raises(ParseError):
         parse("q^p")
+
+
+def test_parse_memo_shares_frozen_trees_and_never_caches_errors(monkeypatch):
+    tree = parse("q * ad^2 + [p, a]")
+    assert parse("q * ad^2 + [p, a]") == tree
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tree.terms = ()
+    for _ in range(3):
+        with pytest.raises(ParseError, match="unknown identifier"):
+            parse("q + foo")
+    assert 0 < parse.cache_info().maxsize <= 1024
+    calls = 0
+    tokenize = symbolic._tokenize
+
+    def counted(text):
+        nonlocal calls
+        calls += 1
+        return tokenize(text)
+
+    monkeypatch.setattr(symbolic, "_tokenize", counted)
+    parse.cache_clear()
+    word = "(1/2) * q * ad * p * a"
+    normal_order(word).to_matrix(8)
+    expr_to_matrix(word, 8)
+    assert calls == 1
 
 
 def test_division_by_operator_rejected():
@@ -507,6 +534,70 @@ def test_normal_form_agrees_with_termwise_reference(ta, tb, s):
     _agrees(a.scale(s), ra.scale(s))
     _agrees(a.adjoint(), ra.adjoint())
     assert np.array_equal((a * b).to_matrix(6), (ra * rb).to_matrix(6))  # bit for bit
+
+
+# Q(i, sqrt2) multiples of a ladder letter: the unit of each component, times a rational
+_units = st.sampled_from((ONE, I, ExactScalar(0, 0, 1), ExactScalar(0, 0, 0, 1)))
+_rationals = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.sampled_from((1, 2, 3, 6)))
+_leaf_names = st.sampled_from(("a", "ad", "q", "p", "I"))
+_leaf_multiples = st.builds(lambda name, u, r: normal_order(name).scale(u * ExactScalar(r)),
+                            _leaf_names, _units, _rationals)
+_words = st.lists(_leaf_multiples, min_size=1, max_size=6).map(
+    lambda factors: functools.reduce(NormalForm._product, factors))
+
+
+def _same_product(x: NormalForm, y: NormalForm):
+    got, want = x * y, x._product(y)
+    assert got == want
+    assert list(got._num) == list(want._num)  # the order to_matrix sums in
+
+
+@given(st.one_of(_words, _terms.map(NormalForm)), _leaf_multiples, _scalars)
+@settings(max_examples=200, deadline=None)
+def test_scalar_and_ladder_products_are_the_general_loop(form, leaf, s):
+    # a scalar or one-component linear factor on either side takes the ladder moves
+    scalar = NormalForm({(0, 0): s})
+    assert leaf._ladder_moves() is not None or leaf._num.keys() == {(0, 0)}
+    for factor in (leaf, scalar):
+        _same_product(form, factor)
+        _same_product(factor, form)
+    _same_product(leaf, leaf)
+    # a linear form with a two-component coefficient takes the general loop
+    mixed = leaf.scale(ExactScalar(1, 1))
+    assert mixed._ladder_moves() is None
+    _same_product(form, mixed)
+
+
+def test_power_chains_are_the_general_loop():
+    for base in ("q", "p", "-i*q", "(1/2)*p", "sqrt2*a"):
+        base = normal_order(base)
+        symbolic._POWERS.clear()
+        want = NormalForm({(0, 0): ONE})
+        for n in range(1, 31):
+            want = want._product(base)
+            got = base**n
+            assert got == want and list(got._num) == list(want._num), n
+
+
+_big = st.integers(-(2**80), 2**80)
+_big_terms = st.tuples(st.integers(2**53, 2**80), _big, _big, _big, st.sampled_from((3, 7, 21)))
+
+
+@given(st.dictionaries(_monomials.filter(any), _big_terms, min_size=1, max_size=6),
+       st.integers(2**53 + 1, 2**60).filter(lambda d: d % 3 and d % 7))
+@settings(max_examples=60, deadline=None)
+def test_to_matrix_is_the_exact_scalar_route(terms, big):
+    # numerators above 2^53 that share a factor 3, 7 or 21 with the shared denominator;
+    # the (0, 0) term (1, 0, -1, 0) keeps the form's content 1
+    num = {(0, 0): (1, 0, -1, 0)}
+    num.update({key: tuple(f * x for x in n) for key, (*n, f) in terms.items()})
+    nf = NormalForm._reduced(num, 21 * big)
+    assert nf._den == 21 * big and any(math.gcd(nf._den, *n) > 1 for n in nf._num.values())
+    dim = 8
+    want = np.zeros((dim, dim), dtype=complex)
+    for m, k in nf._num:
+        want += nf.coeff(m, k).to_complex() * symbolic._ladder_term(dim, m, k).to_dense()
+    assert np.array_equal(nf.to_matrix(dim), want)
 
 
 def test_equal_forms_have_equal_hashes():
