@@ -43,6 +43,18 @@ def _canonical(n0: int, n1: int, n2: int, n3: int, den: int) -> "ExactScalar":
     return _wrap((n0, n1, n2, n3, den))
 
 
+def _times(a: tuple, b: tuple) -> tuple:
+    """The product of two elements (n0, n1, n2, n3, den), not reduced."""
+    a0, a1, a2, a3, ad = a
+    b0, b1, b2, b3, bd = b
+    # i^2 = -1, (sqrt2)^2 = 2, (i*sqrt2)^2 = -2
+    return (a0 * b0 - a1 * b1 + 2 * (a2 * b2 - a3 * b3),
+            a0 * b1 + a1 * b0 + 2 * (a2 * b3 + a3 * b2),
+            a0 * b2 + a2 * b0 - a1 * b3 - a3 * b1,
+            a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1,
+            ad * bd)
+
+
 def _to_complex(n0: int, n1: int, n2: int, n3: int, den: int) -> complex:
     """(n0 + n1*i + n2*sqrt2 + n3*i*sqrt2)/den, reduced or not: each int / int
     rounds its exact quotient once, as float(Fraction) does."""
@@ -129,15 +141,7 @@ class ExactScalar:
             g = gcd(other, ad)
             k = other // g
             return _wrap((a0 * k, a1 * k, a2 * k, a3 * k, ad // g))
-        b0, b1, b2, b3, bd = ExactScalar.coerce(other)._n
-        # i^2 = -1, (sqrt2)^2 = 2, (i*sqrt2)^2 = -2
-        return _canonical(
-            a0 * b0 - a1 * b1 + 2 * (a2 * b2 - a3 * b3),
-            a0 * b1 + a1 * b0 + 2 * (a2 * b3 + a3 * b2),
-            a0 * b2 + a2 * b0 - a1 * b3 - a3 * b1,
-            a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1,
-            ad * bd,
-        )
+        return _canonical(*_times(self._n, ExactScalar.coerce(other)._n))
 
     __rmul__ = __mul__
 

@@ -217,7 +217,16 @@ def interval_number_spectrum(spec: IntervalRepSpec, count: int) -> np.ndarray:
     0.1 n^3 before one proves its levels, n its side (the cos sector of
     intervals longer than about 3 at m = 512) is solved whole by eigvalsh
     of its Fourier sector K + T, and any interval that is not centred by
-    eigvalsh of `interval_number_operator`."""
+    eigvalsh of `interval_number_operator`.
+
+    Such a whole solve is exact only to the rounding of eigvalsh, about
+    u ||H||, and ||H|| grows like m^2.  On (0, 1) the lowest 3 levels at
+    m = 256 and m = 512 differ by 1.6e-10, and that is rounding, not a
+    discretization gap: u ||H|| is 3.6e-11 at m = 256 and 1.4e-10 at
+    m = 512; solving the same operator whole in the complex Fourier basis
+    e^{i nu_k x}, |k| <= m/2, instead moves the levels by 5e-11 at either
+    m; and m = 1024 against m = 512 differs by 2.2e-10, no less
+    (measured with OpenBLAS on x86-64)."""
     if count < 0:
         raise ValueError("count must be nonnegative")
     if count == 0:

@@ -248,16 +248,19 @@ class _Collector:
 
 def _random_coefficients(gen: SplitMix64, max_mode: int) -> np.ndarray:
     """Components of modes 0..max_mode uniform on the complex square
-    [-1, 1)^2; e_0 if every draw is zero."""
-    coeffs = gen.complex_components(max_mode + 1)
-    if not np.any(coeffs):
-        coeffs[0] = 1.0
-    return coeffs
+    [-1, 1]^2; e_0 if every draw is zero."""
+    return _e0_if_zero(gen.complex_components(max_mode + 1))
+
+
+def _e0_if_zero(block: np.ndarray) -> np.ndarray:
+    """block, a vector or the columns of a 2-d block, with e_0 in place of each zero vector."""
+    block[0] = np.where(block.any(axis=0), block[0], 1.0)
+    return block
 
 
 def random_fock_state(gen: SplitMix64, max_mode: int) -> fock.FockState:
     """Random finite vector supported on modes 0..max_mode, components
-    uniform on the complex square [-1, 1)^2."""
+    uniform on the complex square [-1, 1]^2."""
     return fock.FockState(_random_coefficients(gen, max_mode))
 
 
@@ -432,11 +435,9 @@ def analytic_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
     q, p = fock.Band.position(window), fock.Band.momentum(window)
 
     def all_converged():
-        # 50 seeded vectors as the columns of one block; one pass per operator serves every t
-        gen = SplitMix64(config.seed)
-        block = np.zeros((_ANALYTIC_TOP_MODE + 1, 50), dtype=complex)
-        for j in range(50):
-            block[:, j] = _random_coefficients(gen, _ANALYTIC_TOP_MODE)
+        # 50 seeded vectors, one draw, as the columns of one block; one pass per operator serves every t
+        draws = SplitMix64(config.seed).complex_components(50 * (_ANALYTIC_TOP_MODE + 1))
+        block = _e0_if_zero(draws.reshape(50, _ANALYTIC_TOP_MODE + 1).T.copy())
         verdicts = [
             rep.verdict
             for op in (q, p)
@@ -454,14 +455,8 @@ def analytic_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
 
     def growth_property():
         # 1000 seeded (support, power, vector) draws as the columns of one block
-        gen = SplitMix64(config.seed + 1)
-        block = np.zeros((9, 1000), dtype=complex)
-        powers = np.empty(1000, dtype=int)
-        for j in range(1000):
-            mode = gen.randint(0, 8)
-            powers[j] = gen.randint(0, 12)
-            block[: mode + 1, j] = _random_coefficients(gen, mode)
-        lhs, bound = analytic.growth_bound_block(q, block, powers)
+        block, (_, powers) = SplitMix64(config.seed + 1).ragged_components(1000, (8, 12), 0)
+        lhs, bound = analytic.growth_bound_block(q, _e0_if_zero(block), powers)
         worst = float(np.max(lhs / bound))
         return (worst, worst <= 1.0 + 1e-12)
 
@@ -519,17 +514,12 @@ def analytic_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
     col.check("verdict_stable_under_kmax", "converged stays converged as k_max grows", verdict_stable)
 
     def needed_constant():
-        gen = SplitMix64(config.seed + 3)
-        worst = 0.0
-        for _ in range(50):
-            m = gen.randint(0, 5)
-            n = gen.randint(0, 5)
-            coeffs = gen.complex_components(n + 1)
-            if not np.any(coeffs):
-                coeffs[0] = 1.0
-            rep = analytic.single_power_bound_report(q, coeffs, m)
-            worst = max(worst, rep.needed_constant)
-        return worst
+        # 50 seeded (start mode m, top offset n, components) draws, e_0 for zero components
+        block, (starts, tops) = SplitMix64(config.seed + 3).ragged_components(50, (5, 5), 1)
+        block = _e0_if_zero(block)
+        runs = (analytic.single_power_bound_report(q, block[: n + 1, j], int(m))
+                for j, (m, n) in enumerate(zip(starts, tops)))
+        return max(rep.needed_constant for rep in runs)
 
     col.check(
         "single_power_bound_constant",

@@ -18,7 +18,12 @@ scalar form is a `scale`; one with a linear form whose numerators have one
 nonzero component each (a, a†, q, p, -i*q, ...) moves each term by one
 exponent shift and at most one k- or m-weighted term, with a signed,
 doubled permutation of its numerator tuple; any other runs the general
-loop.  All insert terms in the order that `to_matrix` sums in.
+loop.  A word, a `Product` of symbols and scalars such as
+"(1/2) * q * a * p", is normal-ordered on one int per term: each letter
+is c (x a† + y a) with x in {0, 1} and y in {0, 1, -1}, so it moves the
+terms by integer ladder steps, and the scalars and the constants c fold
+into one exact factor that a single content reduction applies at the
+end.  All insert terms in the order that `to_matrix` sums in.
 
 Each building block is made once per process and then shared, so no
 cached form, tree or array is ever mutated:
@@ -48,7 +53,7 @@ from typing import Union
 
 import numpy as np
 
-from .exact import ExactScalar, HALF_SQRT2, I, ONE, SQRT2, ZERO, _canonical, _to_complex
+from .exact import ExactScalar, HALF_SQRT2, I, ONE, SQRT2, ZERO, _canonical, _times, _to_complex
 from . import fock
 
 # ---------------------------------------------------------------------------
@@ -574,6 +579,66 @@ class _PowerCache:
 
 _POWERS = _PowerCache(_POWER_CACHE_BASES, _POWER_CACHE_TERMS)
 
+# each letter as c (dagger a† + plain a), with c = (1/sqrt2)^roots i^turns:
+# (dagger, plain, roots, turns); I is not one, its form is the scalar 1
+_LETTERS = {"a": (0, 1, 0, 0), "ad": (1, 0, 0, 0), "q": (1, 1, 1, 0), "p": (1, -1, 1, 1)}
+
+
+def _word(factors: tuple) -> NormalForm:
+    """The product of the factors, left to right, as the loop
+    acc = acc * normal_order(f) from acc = I makes it.
+
+    While the factors are symbols or have scalar forms, it runs on int
+    coefficients: each letter moves every term as `_ladder` does on the
+    right, in the order of its leaf's keys, and drops the terms that
+    cancel; the scalars and the letters' constant factors fold into one
+    exact factor, applied by one `_reduced` at the end.  A term cancels in
+    the int sum exactly where it does in the exact one, as both differ by
+    that nonzero factor, so the keys come out in the loop's order and the
+    canonical form is the loop's.  From the first factor whose form is
+    neither, the loop itself takes over."""
+    num = {(0, 0): 1}
+    scalar, roots, turns = (1, 0, 0, 0, 1), 0, 0  # the exact factor as an unreduced (n0, n1, n2, n3, den)
+    for j, f in enumerate(factors):
+        if isinstance(f, Symbol) and f.name in _LETTERS:
+            dagger, plain, r, t = _LETTERS[f.name]
+            roots, turns = roots + r, turns + t
+            out: dict = {}
+            get = out.get
+            for (m, k), c in num.items():
+                if dagger:
+                    if k:
+                        out[m, k - 1] = get((m, k - 1), 0) + c * k
+                    out[m + 1, k] = get((m + 1, k), 0) + c
+                if plain:
+                    out[m, k + 1] = get((m, k + 1), 0) + plain * c
+            num = {key: c for key, c in out.items() if c}
+            continue
+        if isinstance(f, Scalar):
+            scalar = _times(scalar, f.value._n)
+            continue
+        form = normal_order(f)
+        if form._num.keys() <= {(0, 0)}:
+            scalar = _times(scalar, form._num.get((0, 0), (0, 0, 0, 0)) + (form._den,))
+            continue
+        acc = _word_form(num, scalar, roots, turns) * form
+        for g in factors[j + 1:]:
+            acc = acc * normal_order(g)
+        return acc
+    return _word_form(num, scalar, roots, turns)
+
+
+def _word_form(num: dict, scalar: tuple, roots: int, turns: int) -> NormalForm:
+    """The form sum num[key] times scalar (1/sqrt2)^roots i^turns."""
+    half, odd = divmod(roots, 2)
+    n = (0, 0, 1, 0) if odd else (1, 0, 0, 0)  # (1/sqrt2)^roots = sqrt2^odd / 2^(half + odd)
+    for _ in range(turns % 4):
+        n = (-n[1], n[0], -n[3], n[2])  # times i
+    f0, f1, f2, f3, den = _times(scalar, n + (2 ** (half + odd),))
+    if not (f0 or f1 or f2 or f3):
+        return NormalForm()
+    return NormalForm._reduced({key: (c * f0, c * f1, c * f2, c * f3) for key, c in num.items()}, den)
+
 
 def normal_order(expr: OperatorExpr | str) -> NormalForm:
     """Rewrite an expression (or source text) to canonical normal form."""
@@ -589,10 +654,7 @@ def normal_order(expr: OperatorExpr | str) -> NormalForm:
             acc = acc + normal_order(t)
         return acc
     if isinstance(expr, Product):
-        acc = _LEAVES["I"]
-        for f in expr.factors:
-            acc = acc * normal_order(f)
-        return acc
+        return _word(expr.factors)
     if isinstance(expr, Quotient):
         den = normal_order(expr.den)
         if any(key != (0, 0) for key in den._num):
@@ -767,7 +829,8 @@ def conjugation_series(n: int, order: int) -> list[SeriesOrder]:
 
     Left side: Hadamard expansion, coefficient of t^k is
     ad_{-iq}^k(p^n) / k!.  The nested commutators terminate at k = n
-    because [q, [q, p]] = 0.
+    because [q, [q, p]] = 0: once one is the zero form, every later one
+    is too, and none is computed.
     """
     if not 1 <= n <= 6:
         raise ValueError("n must be in 1..6")
@@ -781,7 +844,8 @@ def conjugation_series(n: int, order: int) -> list[SeriesOrder]:
     kfact = Fraction(1)
     for k in range(order + 1):
         if k > 0:
-            nested = minus_iq * nested - nested * minus_iq
+            if not nested.is_zero():
+                nested = minus_iq * nested - nested * minus_iq
             kfact *= k
         lhs = nested.scale(ExactScalar.rational(Fraction(1) / kfact))
         if k <= n:

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from ccrlab import symbolic
 from ccrlab.exact import HALF_SQRT2, ExactScalar, I, ONE, ZERO
 from ccrlab.rng import SplitMix64
-from ccrlab.reports import random_word_source
+from ccrlab.reports import _WORD_COEFFS, random_word_source
 from ccrlab.symbolic import (
     Commutator,
     NormalForm,
@@ -314,6 +314,29 @@ def test_conjugation_series_exact(n):
     assert all(rec.equal for rec in conjugation_series(n, 8))
 
 
+def _conjugation_reference(n: int, order: int) -> list:
+    """Every order's nested commutator computed, the zero ones too."""
+    minus_iq = normal_order("-i*q")
+    nested, out = normal_order("p") ** n, []
+    for k in range(order + 1):
+        if k:
+            nested = minus_iq * nested - nested * minus_iq
+        lhs = nested.scale(ExactScalar(Fraction(1, math.factorial(k))))
+        rhs = normal_order(f"{math.comb(n, k)} * p^{n - k}") if k <= n else NormalForm()
+        out.append((k, lhs, rhs))
+    return out
+
+
+def test_conjugation_series_stops_nesting_at_zero_with_the_same_orders():
+    for n in range(1, 7):
+        for order in range(1, 11):
+            got = conjugation_series(n, order)
+            want = _conjugation_reference(n, order)
+            assert [(r.k, r.lhs, r.rhs) for r in got] == want
+            assert [(list(r.lhs._num), list(r.rhs._num)) for r in got] == [
+                (list(lhs._num), list(rhs._num)) for _, lhs, rhs in want]
+
+
 def test_conjugation_series_limits():
     with pytest.raises(ValueError):
         conjugation_series(7, 4)
@@ -577,6 +600,27 @@ def test_power_chains_are_the_general_loop():
             want = want._product(base)
             got = base**n
             assert got == want and list(got._num) == list(want._num), n
+
+
+_word_factors = st.lists(
+    st.sampled_from(("a", "ad", "q", "p", "I") + _WORD_COEFFS + ("0", "(1+i)")).map(parse),
+    min_size=1, max_size=12,
+)
+
+
+@given(_word_factors, st.one_of(st.none(), st.sampled_from(("q^2", "(a + ad)", "[p, q]", "2*p"))),
+       st.integers(0, 12))
+@settings(max_examples=300, deadline=None)
+def test_words_are_the_left_fold_of_the_general_loop(factors, compound, at):
+    # letters and scalars in any order, as the parser gives them: a Scalar, a Quotient
+    # (1/2), a Product (-1, -i) or a Sum (1+i), which the int-coefficient word kernel
+    # runs; from a compound factor on, when one is inserted, the factor-by-factor loop
+    if compound is not None:
+        factors.insert(at, parse(compound))
+    want = functools.reduce(NormalForm._product, map(normal_order, factors), normal_order("I"))
+    got = normal_order(Product(tuple(factors)))
+    assert got._den == want._den
+    assert list(got._num.items()) == list(want._num.items())  # the order to_matrix sums in
 
 
 _big = st.integers(-(2**80), 2**80)
