@@ -1,12 +1,24 @@
 """Named verification suites with machine-readable reports.
 
-Each suite runs a fixed list of checks against configurable parameters
-and returns a Report; a check that cannot be computed is recorded as
-failed without aborting the run, and a suite whose set-up raises is
-recorded as one failed "<suite>.setup" check.  Status "flagged" is
-reserved for documented-discrepancy findings: places where a tempting
-nominal constant or identity fails its own cross-check and a derived
-replacement is used instead.  Flagged checks never fail a run.
+Each suite declares its checks as Check records: a name, the relation
+tested, a measure and exactly one criterion.
+  tolerance  pass when the measured value is at most the tolerance,
+             which the report shows;
+  holds      pass when a predicate holds on the measured value (the
+             reported tolerance is null);
+  verdict    the measure returns (measured, ok), for a verdict that needs
+             more than the value it reports;
+  flagged    reserved for documented-discrepancy findings: places where a
+             tempting nominal constant or identity fails its own
+             cross-check and a derived replacement is used instead.
+             Flagged checks never fail a run.
+Check.run is the one place that turns a measure into a CheckRecord: a
+check that cannot be computed is recorded as failed without aborting the
+run, and a non-finite measured value fails.  A suite function returns its
+records unprefixed; run_suite names them "<suite>.<check>" under "all",
+and records a suite whose set-up raises as one failed "<suite>.setup"
+check.  A value that two checks of a suite share is computed once per
+run, through the suite's _shared memo.
 
 Randomized checks draw from the SplitMix64 stream seeded by the config,
 so reports are byte-identical across runs up to the wall-time field.
@@ -59,6 +71,13 @@ _SIZE_LIMITS = {
 _CONTRAST_INTERVALS = ((-0.5, 0.5, 256), (-2.5, 2.5, 320), (-10.0, 10.0, 640))
 
 
+def _require_finite(name: str, *values: float) -> None:
+    """ValueError naming the first non-finite value of the parameter name."""
+    for value in values:
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def _within_dense_limit(spec: interval.IntervalRepSpec, t: float) -> interval.IntervalRepSpec:
     """spec, refused when aligning t raised its sample count past _MAX_DENSE_DIM
     (interval.aligned_spec may go up to 16 times the requested count)."""
@@ -91,8 +110,7 @@ class RunConfig:
         if self.suite not in SUITES + ("all",):
             raise ValueError(f"unknown suite {self.suite!r}")
         for name in ("t", "s", "grid_l", "interval_a", "interval_b"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            _require_finite(name, getattr(self, name))
         if self.dim is not None and self.dim < 2:
             raise ValueError(f"invalid dimension {self.dim}: suites need dim >= 2")
         for name, (limit, what, suites) in _SIZE_LIMITS.items():
@@ -212,34 +230,45 @@ def _csv(header: list, rows) -> str:
     return buf.getvalue()
 
 
-class _Collector:
-    """Accumulates check records; exceptions inside a check mark it
-    failed and the run continues."""
+class Check:
+    """One declared check: a name, the relation it tests, a measure taking no
+    arguments, and exactly one criterion (see the module docstring)."""
 
-    def __init__(self, prefix: str = ""):
-        self.prefix = prefix
-        self.records: list[CheckRecord] = []
+    __slots__ = ("name", "relation", "measure", "tolerance", "holds", "verdict", "flagged", "detail")
 
-    def check(self, name, relation, fn, tolerance=None, flagged=False, detail=None):
-        full = f"{self.prefix}{name}"
+    def __init__(self, name: str, relation: str, measure, *, tolerance: float | None = None, holds=None,
+                 verdict: bool = False, flagged: bool = False, detail: str | None = None):
+        if (tolerance is not None) + (holds is not None) + bool(verdict) + bool(flagged) != 1:
+            raise ValueError(f"check {name!r} needs exactly one of tolerance, holds, verdict and flagged")
+        self.name, self.relation, self.measure, self.detail = name, relation, measure, detail
+        self.tolerance, self.holds, self.verdict, self.flagged = tolerance, holds, verdict, flagged
+
+    def run(self) -> CheckRecord:
+        """The record of this check; an exception inside it marks it failed
+        and the run continues."""
         try:
-            result = fn()
+            measured = self.measure()
+            if self.verdict:
+                measured, ok = measured
+            elif self.holds is not None:
+                ok = self.holds(measured)
+            else:
+                ok = self.flagged or measured <= self.tolerance
         except Exception as exc:  # noqa: BLE001 - a failed check must not kill the run
-            self.records.append(
-                CheckRecord(full, relation, "fail", None, tolerance, f"{type(exc).__name__}: {exc}")
-            )
-            return
-        if isinstance(result, tuple):
-            measured, ok = result
-        else:
-            measured = result
-            ok = tolerance is not None and isinstance(measured, (int, float)) and measured <= tolerance
+            detail = f"{type(exc).__name__}: {exc}"
+            return CheckRecord(self.name, self.relation, "fail", None, self.tolerance, detail)
         if isinstance(measured, (np.floating, np.integer)):
             measured = measured.item()
-        status = "flagged" if flagged else ("pass" if ok else "fail")
+        status = "flagged" if self.flagged else ("pass" if ok else "fail")
         if isinstance(measured, float) and not math.isfinite(measured):
             measured, status = repr(measured), "fail"
-        self.records.append(CheckRecord(full, relation, status, measured, tolerance, detail))
+        return CheckRecord(self.name, self.relation, status, measured, self.tolerance, self.detail)
+
+
+def _shared():
+    """A memo for one suite run: shared(fn, *args) is fn(*args), computed on
+    the first call with these arguments, for values that two checks share."""
+    return functools.cache(lambda fn, *args: fn(*args))
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +307,6 @@ def random_word_source(gen: SplitMix64, max_len: int = 6) -> str:
     return f"({coeff}) * " + " * ".join(letters)
 
 
-def _identity_defect(M: np.ndarray) -> float:
-    """max |M - I| over the entries."""
-    return float(np.abs(M - np.eye(M.shape[0])).max())
-
-
 def _max_entry(band: fock.Band) -> float:
     """max |M_ij| over the entries of a band."""
     return max((float(np.abs(d).max()) for d in band.diagonals.values() if d.size), default=0.0)
@@ -303,8 +327,7 @@ def _column_norms2(band: fock.Band) -> np.ndarray:
 # suites
 
 
-def fock_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
-    col = _Collector(prefix)
+def fock_suite(config: RunConfig) -> list[CheckRecord]:
     d = config.effective_dim(64)
     # every operator checked here is a band of offsets -2..2: each check reads its diagonals
     q, p = fock.Band.position(d), fock.Band.momentum(d)
@@ -323,88 +346,11 @@ def fock_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
         sum r_n + r_{n+1} in q^2 + p^2."""
         return max(tolerance, c * d * 2.0**-53)
 
-    col.check(
-        "ccr_block_identity",
-        "[p,q] = -i*I off the top mode",
-        lambda: _max_entry((ccr() + 1j * identity).cut(d - 1)),
-        rounded(1e-12, 14),  # 2(r_n - r_{n+1}) + 1, n <= d - 2: 7u(2n + 1)
-    )
-    col.check(
-        "ccr_artifact_entry",
-        "[p,q][d-1,d-1] = i*(d-1) (truncation artifact)",
-        lambda: float(abs(ccr().diagonals[0][d - 1] - 1j * (d - 1))),
-        rounded(1e-10, 7),  # 2 r_{d-1} against d - 1
-    )
-    col.check(
-        "ladder_commutator_block",
-        "[a, a†] = I off the top mode",
-        lambda: _max_entry((ladder() - identity).cut(d - 1)),
-        rounded(1e-12, 6),  # t_{n+1} - t_n - 1, n <= d - 2: 3u(2n + 1)
-    )
-    col.check(
-        "ladder_artifact_entry",
-        "[a, a†][d-1,d-1] = -(d-1)",
-        lambda: float(abs(ladder().diagonals[0][d - 1] + (d - 1))),
-        rounded(1e-10, 3),  # t_{d-1} against d - 1
-    )
-    # N and q^2 + p^2 are diagonal, so their spectra are their diagonals: each
-    # measured value includes every off-diagonal entry, which must vanish
-    col.check(
-        "number_spectrum_integers",
-        "spectrum of N = a†a is {0, ..., d-1}",
-        lambda: _diagonal_defect(ad @ a, np.arange(d)),
-        rounded(1e-12, 3),  # t_n against n
-    )
-
     def eigvec_residual():
         # ||N e_n - N_nn e_n|| is the norm of column n of N off its diagonal
         N = ad @ a
         off = N - fock.Band(d, {0: N.diagonals[0]})
         return float(np.sqrt(_column_norms2(off).max()))
-
-    col.check("number_eigenvector_residual", "N psi_alpha = alpha psi_alpha", eigvec_residual, 1e-12)
-    col.check(
-        "oscillator_spectrum",
-        "spec(q^2+p^2) = {2n+1 : n <= d-2} plus artifact value d-1",
-        lambda: _diagonal_defect(q @ q + p @ p, np.append(2 * np.arange(d - 1) + 1.0, d - 1)),
-        rounded(1e-10, 16),  # 2 fl(r_n + r_{n+1}) against 2n + 1: 16u(n + 1/2); the +-2 diagonals cancel exactly
-    )
-    col.check(
-        "hermiticity",
-        "q, p, N, q^2+p^2 Hermitian",
-        lambda: max(_max_entry(B - B.adjoint()) for B in (q, p, ad @ a, q @ q + p @ p)),
-        1e-13,
-    )
-    col.check(
-        "annihilator_column_norms",
-        "||a e_n||^2 = n",
-        lambda: float(np.abs(_column_norms2(a) - np.arange(d)).max()),
-        rounded(1e-12, 3),  # t_n against n
-    )
-    col.check(
-        "creator_column_norms",
-        "||a† e_n||^2 = n+1 below the top mode",
-        lambda: float(np.abs(_column_norms2(ad)[: d - 1] - np.arange(1, d)).max()),
-        rounded(1e-12, 3),  # t_{n+1} against n + 1
-    )
-    col.check(
-        "vacuum_norm",
-        "<psi_0, psi_0> = 1",
-        lambda: abs(fock.inner_product(
-            fock.FockState.basis_state(0, fock.UNNORMALIZED),
-            fock.FockState.basis_state(0, fock.UNNORMALIZED),
-        ) - 1.0),
-        1e-14,
-    )
-    col.check(
-        "unnormalized_norm_n3",
-        "<psi_3, psi_3> = 3! = 6",
-        lambda: abs(fock.inner_product(
-            fock.FockState.basis_state(3, fock.UNNORMALIZED),
-            fock.FockState.basis_state(3, fock.UNNORMALIZED),
-        ) - 6.0),
-        1e-12,
-    )
 
     def round_trip():
         gen = SplitMix64(config.seed)
@@ -415,17 +361,70 @@ def fock_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
             worst = max(worst, float(np.abs(back.coeffs - x.coeffs).max()))
         return worst
 
-    col.check(
-        "convention_round_trip",
-        "coeff_unnormalized(n) * sqrt(n!) = coeff_normalized(n), modes <= 20",
-        round_trip,
-        1e-14,
-    )
-    return col.records
+    checks = [
+        Check("ccr_block_identity",
+              "[p,q] = -i*I off the top mode",
+              lambda: _max_entry((ccr() + 1j * identity).cut(d - 1)),
+              tolerance=rounded(1e-12, 14)),  # 2(r_n - r_{n+1}) + 1, n <= d - 2: 7u(2n + 1)
+        Check("ccr_artifact_entry",
+              "[p,q][d-1,d-1] = i*(d-1) (truncation artifact)",
+              lambda: float(abs(ccr().diagonals[0][d - 1] - 1j * (d - 1))),
+              tolerance=rounded(1e-10, 7)),  # 2 r_{d-1} against d - 1
+        Check("ladder_commutator_block",
+              "[a, a†] = I off the top mode",
+              lambda: _max_entry((ladder() - identity).cut(d - 1)),
+              tolerance=rounded(1e-12, 6)),  # t_{n+1} - t_n - 1, n <= d - 2: 3u(2n + 1)
+        Check("ladder_artifact_entry",
+              "[a, a†][d-1,d-1] = -(d-1)",
+              lambda: float(abs(ladder().diagonals[0][d - 1] + (d - 1))),
+              tolerance=rounded(1e-10, 3)),  # t_{d-1} against d - 1
+        # N and q^2 + p^2 are diagonal, so their spectra are their diagonals: each
+        # measured value includes every off-diagonal entry, which must vanish
+        Check("number_spectrum_integers",
+              "spectrum of N = a†a is {0, ..., d-1}",
+              lambda: _diagonal_defect(ad @ a, np.arange(d)),
+              tolerance=rounded(1e-12, 3)),  # t_n against n
+        Check("number_eigenvector_residual", "N psi_alpha = alpha psi_alpha", eigvec_residual, tolerance=1e-12),
+        Check("oscillator_spectrum",
+              "spec(q^2+p^2) = {2n+1 : n <= d-2} plus artifact value d-1",
+              lambda: _diagonal_defect(q @ q + p @ p, np.append(2 * np.arange(d - 1) + 1.0, d - 1)),
+              # 2 fl(r_n + r_{n+1}) against 2n + 1: 16u(n + 1/2); the +-2 diagonals cancel exactly
+              tolerance=rounded(1e-10, 16)),
+        Check("hermiticity",
+              "q, p, N, q^2+p^2 Hermitian",
+              lambda: max(_max_entry(B - B.adjoint()) for B in (q, p, ad @ a, q @ q + p @ p)),
+              tolerance=1e-13),
+        Check("annihilator_column_norms",
+              "||a e_n||^2 = n",
+              lambda: float(np.abs(_column_norms2(a) - np.arange(d)).max()),
+              tolerance=rounded(1e-12, 3)),  # t_n against n
+        Check("creator_column_norms",
+              "||a† e_n||^2 = n+1 below the top mode",
+              lambda: float(np.abs(_column_norms2(ad)[: d - 1] - np.arange(1, d)).max()),
+              tolerance=rounded(1e-12, 3)),  # t_{n+1} against n + 1
+        Check("vacuum_norm",
+              "<psi_0, psi_0> = 1",
+              lambda: abs(fock.inner_product(
+                  fock.FockState.basis_state(0, fock.UNNORMALIZED),
+                  fock.FockState.basis_state(0, fock.UNNORMALIZED),
+              ) - 1.0),
+              tolerance=1e-14),
+        Check("unnormalized_norm_n3",
+              "<psi_3, psi_3> = 3! = 6",
+              lambda: abs(fock.inner_product(
+                  fock.FockState.basis_state(3, fock.UNNORMALIZED),
+                  fock.FockState.basis_state(3, fock.UNNORMALIZED),
+              ) - 6.0),
+              tolerance=1e-12),
+        Check("convention_round_trip",
+              "coeff_unnormalized(n) * sqrt(n!) = coeff_normalized(n), modes <= 20",
+              round_trip,
+              tolerance=1e-14),
+    ]
+    return [check.run() for check in checks]
 
 
-def analytic_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
-    col = _Collector(prefix)
+def analytic_suite(config: RunConfig) -> list[CheckRecord]:
     d = config.effective_dim(_ANALYTIC_DIM)
     k_max = config.k_max
     # q and p on the modes the checks below reach: verdict_stable runs e_0 up to
@@ -434,7 +433,7 @@ def analytic_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
     window = min(d, k_max + 21)
     q, p = fock.Band.position(window), fock.Band.momentum(window)
 
-    def all_converged():
+    def converged_share():
         # 50 seeded vectors, one draw, as the columns of one block; one pass per operator serves every t
         draws = SplitMix64(config.seed).complex_components(50 * (_ANALYTIC_TOP_MODE + 1))
         block = _e0_if_zero(draws.reshape(50, _ANALYTIC_TOP_MODE + 1).T.copy())
@@ -444,27 +443,13 @@ def analytic_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
             for reports in analytic.analytic_series_block(op, block, (0.5, 1.0, 2.0), k_max)
             for rep in reports
         ]
-        n_ok = verdicts.count("converged")
-        return (n_ok / len(verdicts), n_ok == len(verdicts))
+        return verdicts.count("converged") / len(verdicts)
 
-    col.check(
-        "random_finite_vectors_converged",
-        "sum t^k/k! ||A^k xi|| converges for finite vectors, A in {q, p}",
-        all_converged,
-    )
-
-    def growth_property():
+    def growth_ratio():
         # 1000 seeded (support, power, vector) draws as the columns of one block
         block, (_, powers) = SplitMix64(config.seed + 1).ragged_components(1000, (8, 12), 0)
         lhs, bound = analytic.growth_bound_block(q, _e0_if_zero(block), powers)
-        worst = float(np.max(lhs / bound))
-        return (worst, worst <= 1.0 + 1e-12)
-
-    col.check(
-        "growth_bound_property",
-        "||q^k phi|| <= 2^{k/2} sqrt((M+k)!/M!) ||phi|| for support M",
-        growth_property,
-    )
+        return float(np.max(lhs / bound))
 
     def taylor_vs_expm():
         dim = _TAYLOR_CHECK_DIM
@@ -474,35 +459,21 @@ def analytic_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
         want = [math.exp(-0.25) * (-math.sqrt(0.5)) ** n / fock.sqrt_factorial(n) for n in range(dim)]
         return float(np.linalg.norm(got.coeffs - np.array(want)))
 
-    col.check(
-        "taylor_exp_vs_expm",
-        "Taylor-series e^{ip} e_0 matches the closed-form coherent state",
-        taylor_vs_expm,
-        1e-8,
-    )
-
     def diagonal_case():
         n_op = fock.Band.creator(64) @ fock.Band.annihilator(64)
         out = analytic.taylor_exp(n_op, 0.3, fock.FockState.basis_state(2), 40)
         return float(abs(out.coeffs[2] - math.exp(0.6)))
-
-    col.check("taylor_exp_diagonal", "e^{tN} e_2 = e^{2t} e_2", diagonal_case, 1e-12)
 
     def t_zero():
         rep = analytic.analytic_series(q, fock.FockState.basis_state(1), 0.0, k_max)
         ok = rep.verdict == "converged" and all(x == 0.0 for x in rep.terms[1:])
         return (rep.terms[0], ok)
 
-    col.check("t_zero_series", "t = 0 leaves only the k = 0 term", t_zero)
-
-    def monotone():
+    def smallest_step():
         gen = SplitMix64(config.seed + 2)
         xi = random_fock_state(gen, 6)
         rep = analytic.analytic_series(q, xi, 1.5, k_max)
-        diffs = np.diff(rep.partial_sums)
-        return (float(diffs.min()), bool((diffs >= -1e-15).all()))
-
-    col.check("partial_sums_monotone", "partial sums nondecreasing", monotone)
+        return float(np.diff(rep.partial_sums).min())
 
     def verdict_stable():
         xi = fock.FockState.basis_state(0)
@@ -510,8 +481,6 @@ def analytic_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
         r2 = analytic.analytic_series(q, xi, 1.0, min(k_max + 20, d - 2))
         ok = r1.verdict == "converged" and r2.verdict == "converged"
         return (r2.verdict, ok)
-
-    col.check("verdict_stable_under_kmax", "converged stays converged as k_max grows", verdict_stable)
 
     def needed_constant():
         # 50 seeded (start mode m, top offset n, components) draws, e_0 for zero components
@@ -521,18 +490,6 @@ def analytic_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
                 for j, (m, n) in enumerate(zip(starts, tops)))
         return max(rep.needed_constant for rep in runs)
 
-    col.check(
-        "single_power_bound_constant",
-        "sum_k ||C_k q psi_k|| vs sqrt(2) C sqrt((m+n+1)!)",
-        needed_constant,
-        flagged=True,
-        detail=(
-            "the triangle-inequality step needs an extra constant (empirical max "
-            "reported; bounded near 3.42 over all supports), so the single-power "
-            "bound is reported, not asserted"
-        ),
-    )
-
     def geometric_bound_breakdown():
         e0 = fock.FockState.basis_state(0)
         for k in range(1, 20):
@@ -541,158 +498,147 @@ def analytic_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
                 return k
         return 0
 
-    col.check(
-        "iterated_power_bound_breakdown",
-        "geometric-in-k bound (2(m+n+1)!)^{k/2} vs actual ||q^k psi_0||",
-        geometric_bound_breakdown,
-        flagged=True,
-        detail=(
-            "||q^k psi|| grows like sqrt((M+k)!), so the geometric bound fails from "
-            "the reported k on; series convergence is asserted via the corrected "
-            "per-step bound instead"
-        ),
-    )
-    return col.records
+    checks = [
+        Check("random_finite_vectors_converged",
+              "sum t^k/k! ||A^k xi|| converges for finite vectors, A in {q, p}",
+              converged_share,
+              holds=lambda share: share == 1.0),
+        Check("growth_bound_property",
+              "||q^k phi|| <= 2^{k/2} sqrt((M+k)!/M!) ||phi|| for support M",
+              growth_ratio,
+              holds=lambda worst: worst <= 1.0 + 1e-12),
+        Check("taylor_exp_vs_expm",
+              "Taylor-series e^{ip} e_0 matches the closed-form coherent state",
+              taylor_vs_expm,
+              tolerance=1e-8),
+        Check("taylor_exp_diagonal", "e^{tN} e_2 = e^{2t} e_2", diagonal_case, tolerance=1e-12),
+        Check("t_zero_series", "t = 0 leaves only the k = 0 term", t_zero, verdict=True),
+        Check("partial_sums_monotone", "partial sums nondecreasing", smallest_step, holds=lambda step: step >= -1e-15),
+        Check("verdict_stable_under_kmax", "converged stays converged as k_max grows", verdict_stable, verdict=True),
+        Check("single_power_bound_constant",
+              "sum_k ||C_k q psi_k|| vs sqrt(2) C sqrt((m+n+1)!)",
+              needed_constant,
+              flagged=True,
+              detail=(
+                  "the triangle-inequality step needs an extra constant (empirical max "
+                  "reported; bounded near 3.42 over all supports), so the single-power "
+                  "bound is reported, not asserted"
+              )),
+        Check("iterated_power_bound_breakdown",
+              "geometric-in-k bound (2(m+n+1)!)^{k/2} vs actual ||q^k psi_0||",
+              geometric_bound_breakdown,
+              flagged=True,
+              detail=(
+                  "||q^k psi|| grows like sqrt((M+k)!), so the geometric bound fails from "
+                  "the reported k on; series convergence is asserted via the corrected "
+                  "per-step bound instead"
+              )),
+    ]
+    return [check.run() for check in checks]
 
 
-def weyl_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
-    col = _Collector(prefix)
+def weyl_suite(config: RunConfig) -> list[CheckRecord]:
     d = config.effective_dim(_WEYL_DIM)
     t, s = config.t, config.s
-    e0 = fock.FockState.basis_state(0)
+    shared = _shared()
     # four seeded vectors on modes 0..7 (fewer at d < 8) for the unitarity and inverse checks
     gen = SplitMix64(config.seed + 4)
     block = np.column_stack([_random_coefficients(gen, min(d, 8) - 1) for _ in range(4)])
 
-    col.check(
-        "expm_zero",
-        "expm(0) = I",
-        lambda: _identity_defect(weyl.expm_multiply(fock.Band(8, {0: np.zeros(8)}), np.eye(8))),
-        1e-15,
-    )
+    def zero_case():
+        got = weyl.expm_multiply(fock.Band(8, {0: np.zeros(8)}), np.eye(8))
+        return float(np.abs(got - np.eye(8)).max())
 
     def diag_case():
         theta = np.arange(1, 7) * 0.3
         got = weyl.expm_multiply(fock.Band(6, {0: 1j * theta}), np.eye(6))
         return float(np.abs(got - np.diag(np.exp(1j * theta))).max())
 
-    col.check("expm_diagonal", "expm(diag(i theta)) = diag(e^{i theta})", diag_case, 1e-13)
-    col.check("expm_unitary_U", "U_t = e^{itp} unitary", lambda: weyl.unitarity_defect(t, "p", block, d), 1e-11)
-    col.check("expm_unitary_V", "V_s = e^{isq} unitary", lambda: weyl.unitarity_defect(s, "q", block, d), 1e-11)
-    col.check(
-        "expm_inverse_product",
-        "e^{itp} e^{-itp} = I",
-        lambda: weyl.inverse_product_defect(0.7, "p", block, d),
-        1e-11,
-    )
-    col.check(
-        "weyl_residual",
-        "U_t V_s = e^{ist} V_s U_t on a low-mode vector",
-        lambda: weyl.weyl_residual(t, s, d, e0).residual,
-        _WEYL_TOL,
-    )
-    col.check(
-        "weyl_zero_t",
-        "t = 0 makes both sides V_s",
-        lambda: weyl.weyl_residual(0.0, s, d, e0).residual,
-        1e-12,
-    )
-
     def halving():
-        small = weyl.weyl_residual(t, s, max(d // 4, 8), e0).residual
-        big = weyl.weyl_residual(t, s, d, e0).residual
+        small = shared(weyl.weyl_residual, t, s, max(d // 4, 8)).residual
+        big = shared(weyl.weyl_residual, t, s, d).residual
         return (big, big <= small / 2.0 or big < 1e-10)
 
-    col.check("residual_dim_halving", "residual halves from dim/4 to dim (or is < 1e-10)", halving)
-
     def phases():
-        rep = weyl.weyl_phase_check(t, s, d, e0)
+        rep = weyl.weyl_phase_check(t, s, d)
         ok = rep["vanishing"] == "+ist" and rep["plus_phase"] < _WEYL_TOL and rep["minus_phase"] > 1e-3
         return (rep["minus_phase"], ok)
 
-    col.check(
-        "phase_convention",
-        "exactly the phase e^{ist} vanishes under [p,q] = -i",
-        phases,
-    )
-
     def group_law():
-        x, _, p = weyl._on_window(e0, d, 1.3 / math.sqrt(2))
+        x, _, p = weyl._on_window(fock.FockState.basis_state(0), d, 1.3 / math.sqrt(2))
         U = lambda c, v: weyl.expm_multiply(1j * c * p, v)
         return float(np.linalg.norm(U(0.4, U(0.9, x)) - U(1.3, x)))
 
-    col.check("group_law", "U_{t1} U_{t2} = U_{t1+t2}", group_law, 1e-10)
-
-    for n in (1, 2, 3):
-        col.check(
-            f"shift_identity_n{n}",
-            "e^{-itq} p^n e^{itq} = (p + tI)^n",
-            lambda n=n: weyl.shift_identity_residual(t, n, d, e0),
-            1e-7,
-        )
-    col.check(
-        "exp_commutator_residual",
-        "p e^{itq} - e^{itq} p = t e^{itq}",
-        lambda: weyl.exp_commutator_residual(t, d, e0),
-        1e-8,
-    )
-    col.check(
-        "exp_commutator_taylor",
-        "Taylor coefficients of p e^{itq} - e^{itq} p and t e^{itq} match to order 8",
-        lambda: (8, all(rec.equal for rec in symbolic.exp_commutator_series(8))),
-    )
-    col.check(
-        "exp_commutator_form_repaired",
-        "commutation identity for exponentials holds in corrected form",
-        lambda: weyl.exp_commutator_residual(t, d, e0),
-        flagged=True,
-        detail=(
-            "the identity is verified as p e^{itq} - e^{itq} p = t e^{itq}; the "
-            "uncorrected statement mixes the two exponent parameters and fails "
-            "its own Taylor expansion, so it was repaired before checking"
+    checks = [
+        Check("expm_zero", "expm(0) = I", zero_case, tolerance=1e-15),
+        Check("expm_diagonal", "expm(diag(i theta)) = diag(e^{i theta})", diag_case, tolerance=1e-13),
+        Check("expm_unitary_U",
+              "U_t = e^{itp} unitary",
+              lambda: weyl.unitarity_defect(t, "p", block, d),
+              tolerance=1e-11),
+        Check("expm_unitary_V",
+              "V_s = e^{isq} unitary",
+              lambda: weyl.unitarity_defect(s, "q", block, d),
+              tolerance=1e-11),
+        Check("expm_inverse_product",
+              "e^{itp} e^{-itp} = I",
+              lambda: weyl.inverse_product_defect(0.7, "p", block, d),
+              tolerance=1e-11),
+        Check("weyl_residual",
+              "U_t V_s = e^{ist} V_s U_t on a low-mode vector",
+              lambda: shared(weyl.weyl_residual, t, s, d).residual,
+              tolerance=_WEYL_TOL),
+        Check("weyl_zero_t",
+              "t = 0 makes both sides V_s",
+              lambda: weyl.weyl_residual(0.0, s, d).residual,
+              tolerance=1e-12),
+        Check("residual_dim_halving", "residual halves from dim/4 to dim (or is < 1e-10)", halving, verdict=True),
+        Check("phase_convention", "exactly the phase e^{ist} vanishes under [p,q] = -i", phases, verdict=True),
+        Check("group_law", "U_{t1} U_{t2} = U_{t1+t2}", group_law, tolerance=1e-10),
+        *(
+            Check(f"shift_identity_n{n}",
+                  "e^{-itq} p^n e^{itq} = (p + tI)^n",
+                  lambda n=n: weyl.shift_identity_residual(t, n, d),
+                  tolerance=1e-7)
+            for n in (1, 2, 3)
         ),
-    )
-    return col.records
+        Check("exp_commutator_residual",
+              "p e^{itq} - e^{itq} p = t e^{itq}",
+              lambda: shared(weyl.exp_commutator_residual, t, d),
+              tolerance=1e-8),
+        Check("exp_commutator_taylor",
+              "Taylor coefficients of p e^{itq} - e^{itq} p and t e^{itq} match to order 8",
+              lambda: (8, all(rec.equal for rec in symbolic.exp_commutator_series(8))),
+              verdict=True),
+        Check("exp_commutator_form_repaired",
+              "commutation identity for exponentials holds in corrected form",
+              lambda: shared(weyl.exp_commutator_residual, t, d),
+              flagged=True,
+              detail=(
+                  "the identity is verified as p e^{itq} - e^{itq} p = t e^{itq}; the "
+                  "uncorrected statement mixes the two exponent parameters and fails "
+                  "its own Taylor expansion, so it was repaired before checking"
+              )),
+    ]
+    return [check.run() for check in checks]
 
 
-def schrodinger_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
+def schrodinger_suite(config: RunConfig) -> list[CheckRecord]:
     """Grid-representation checks.
 
     Tolerances are stated for the spectral scheme; the second-order
     central-difference cross-check runs against correspondingly wider
     accuracy classes (valid for m >= 256 at L = 10).
     """
-    col = _Collector(prefix)
     L, m, scheme = config.grid_l, config.grid_m, config.scheme
     spectral = scheme == schrodinger.SPECTRAL
     vac_tol = 1e-6 if spectral else 1e-2
     osc_tol = 1e-4 if spectral else 0.1
     gap_tol = 1e-3 if spectral else 0.1
     eig_tol = 1e-4 if spectral else 0.5
-
-    col.check(
-        "vacuum_residual",
-        "(q + ip)/sqrt2 annihilates e^{-x^2/2}",
-        lambda: schrodinger.vacuum_annihilation_residual(L, m, scheme),
-        vac_tol,
-    )
-
-    def opposite():
-        r = schrodinger.vacuum_sign_check(L, m, scheme)["minus_residual"]
-        return (r, r > 0.5)
-
-    col.check("vacuum_opposite_sign", "(q - ip)/sqrt2 does not annihilate the Gaussian", opposite)
-
-    def resolved():
-        sign = schrodinger.vacuum_sign_check(L, m, scheme)["annihilating_sign"]
-        return (sign, sign == "+")
-
-    col.check(
-        "vacuum_sign_resolved",
-        "resolved ladder sign convention (measured, not assumed)",
-        resolved,
-        detail="the lowering operator is defined as the sign that annihilates the Gaussian",
-    )
+    shared = _shared()
+    vacuum_signs = lambda: shared(schrodinger.vacuum_sign_check, L, m, scheme)
+    levels = lambda count: shared(schrodinger.grid_oscillator_spectrum, L, m, scheme, count)
 
     def plane_wave():
         k = 8 * np.pi / (2 * L)  # grid-resolved wavenumber
@@ -700,44 +646,14 @@ def schrodinger_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
         pf = schrodinger.grid_momentum(f.values, -L, L)
         return float(np.linalg.norm(pf - k * f.values) / np.linalg.norm(f.values))
 
-    col.check("momentum_plane_wave", "p e^{ikx} = k e^{ikx} for resolved k", plane_wave, 1e-10)
-
     def constant():
         return float(np.abs(schrodinger.grid_momentum(np.ones(m, dtype=complex), -L, L)).max())
-
-    col.check("momentum_constant", "p applied to a constant vanishes", constant, 1e-12)
 
     def sine():
         mm = 64
         f = schrodinger.GridFunction.sample(np.sin, -np.pi, np.pi, mm)
         want = -1j * np.cos(f.points)
         return float(np.abs(schrodinger.grid_momentum(f.values, -np.pi, np.pi) - want).max())
-
-    col.check("momentum_sine", "p sin = -i cos on [-pi, pi)", sine, 1e-10)
-
-    levels = functools.cache(lambda count: schrodinger.grid_oscillator_spectrum(L, m, scheme, count))
-
-    def spectrum():
-        return float(np.abs(levels(6) - np.arange(1, 13, 2)).max())
-
-    col.check("oscillator_spectrum_first6", "spec(q^2+p^2) = {1,3,5,7,9,11}", spectrum, osc_tol)
-
-    def gaps():
-        return float(np.abs(np.diff(levels(6)) - 2.0).max())
-
-    col.check("oscillator_gaps", "consecutive oscillator gaps = 2", gaps, gap_tol)
-
-    def lowest_nonneg():
-        low = float(levels(min(6, m // 4))[0])  # the same solve, unless m < 24 holds fewer than 6 levels
-        return (low, low >= -1e-10)
-
-    col.check("oscillator_positive", "q^2 + p^2 is positive semidefinite", lowest_nonneg)
-    col.check(
-        "hermite_gram",
-        "first 8 oscillator eigenfunctions orthonormal in discrete L2",
-        lambda: schrodinger.intertwiner_gram_defect(L, m, 8),
-        1e-8,
-    )
 
     def number_eigen():
         basis = schrodinger.hermite_basis(L, m, 8)
@@ -749,25 +665,6 @@ def schrodinger_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
             worst = max(worst, math.sqrt(h) * float(np.linalg.norm(n_b - n * b.values)))
         return worst
 
-    col.check("hermite_number_eigen", "grid (q^2+p^2-1)/2 has eigenvalue n on basis n", number_eigen, eig_tol)
-    col.check(
-        "hermite_norm_drift",
-        "three-term recurrence keeps unit discrete norms",
-        lambda: schrodinger.hermite_norm_drift(L, m, 8),
-        1e-8,
-    )
-    col.check(
-        "intertwiner_mismatch",
-        "grid q conjugated to the ladder basis matches ladder q",
-        lambda: schrodinger.intertwiner_check(L, m, 8),
-        1e-6,
-    )
-
-    def scalar_case():
-        return schrodinger.intertwiner_check(L, m, 0)
-
-    col.check("intertwiner_scalar", "<g, x g> = 0 for the even Gaussian", scalar_case, 1e-10)
-
     def grid_ccr():
         x = schrodinger._grid_points(-L, L, m)
         v = (1.0 + x + 0.5 * x**2) * np.exp(-x * x / 2.0)
@@ -775,41 +672,81 @@ def schrodinger_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
         comm = schrodinger.grid_momentum(x * v, -L, L) - x * schrodinger.grid_momentum(v, -L, L)
         return float(np.linalg.norm(comm + 1j * v))
 
-    col.check("grid_ccr_smooth", "[p,q] = -i on smooth band-limited vectors", grid_ccr, 1e-6)
-
     def refinement():
-        r1 = schrodinger.vacuum_annihilation_residual(L, m, scheme)
+        r1 = shared(schrodinger.vacuum_annihilation_residual, L, m, scheme)
         r2 = schrodinger.vacuum_annihilation_residual(L, 2 * m, scheme)
-        i1 = schrodinger.intertwiner_check(L, m, 8)
+        i1 = shared(schrodinger.intertwiner_check, L, m, 8)
         i2 = schrodinger.intertwiner_check(L, 2 * m, 8)
         ok = (r2 <= r1 or r2 < 1e-10) and (i2 <= i1 or i2 < 1e-10)
         return (max(r2, i2), ok)
 
-    col.check("refinement_decreases", "residuals decrease under m -> 2m (or are < 1e-10)", refinement)
-    return col.records
+    checks = [
+        Check("vacuum_residual",
+              "(q + ip)/sqrt2 annihilates e^{-x^2/2}",
+              lambda: shared(schrodinger.vacuum_annihilation_residual, L, m, scheme),
+              tolerance=vac_tol),
+        Check("vacuum_opposite_sign",
+              "(q - ip)/sqrt2 does not annihilate the Gaussian",
+              lambda: vacuum_signs()["minus_residual"],
+              holds=lambda r: r > 0.5),
+        Check("vacuum_sign_resolved",
+              "resolved ladder sign convention (measured, not assumed)",
+              lambda: vacuum_signs()["annihilating_sign"],
+              holds=lambda sign: sign == "+",
+              detail="the lowering operator is defined as the sign that annihilates the Gaussian"),
+        Check("momentum_plane_wave", "p e^{ikx} = k e^{ikx} for resolved k", plane_wave, tolerance=1e-10),
+        Check("momentum_constant", "p applied to a constant vanishes", constant, tolerance=1e-12),
+        Check("momentum_sine", "p sin = -i cos on [-pi, pi)", sine, tolerance=1e-10),
+        Check("oscillator_spectrum_first6",
+              "spec(q^2+p^2) = {1,3,5,7,9,11}",
+              lambda: float(np.abs(levels(6) - np.arange(1, 13, 2)).max()),
+              tolerance=osc_tol),
+        Check("oscillator_gaps",
+              "consecutive oscillator gaps = 2",
+              lambda: float(np.abs(np.diff(levels(6)) - 2.0).max()),
+              tolerance=gap_tol),
+        Check("oscillator_positive",
+              "q^2 + p^2 is positive semidefinite",
+              # the same solve, unless m < 24 holds fewer than 6 levels
+              lambda: float(levels(min(6, m // 4))[0]),
+              holds=lambda low: low >= -1e-10),
+        Check("hermite_gram",
+              "first 8 oscillator eigenfunctions orthonormal in discrete L2",
+              lambda: schrodinger.intertwiner_gram_defect(L, m, 8),
+              tolerance=1e-8),
+        Check("hermite_number_eigen",
+              "grid (q^2+p^2-1)/2 has eigenvalue n on basis n",
+              number_eigen,
+              tolerance=eig_tol),
+        Check("hermite_norm_drift",
+              "three-term recurrence keeps unit discrete norms",
+              lambda: schrodinger.hermite_norm_drift(L, m, 8),
+              tolerance=1e-8),
+        Check("intertwiner_mismatch",
+              "grid q conjugated to the ladder basis matches ladder q",
+              lambda: shared(schrodinger.intertwiner_check, L, m, 8),
+              tolerance=1e-6),
+        Check("intertwiner_scalar",
+              "<g, x g> = 0 for the even Gaussian",
+              lambda: schrodinger.intertwiner_check(L, m, 0),
+              tolerance=1e-10),
+        Check("grid_ccr_smooth", "[p,q] = -i on smooth band-limited vectors", grid_ccr, tolerance=1e-6),
+        Check("refinement_decreases",
+              "residuals decrease under m -> 2m (or are < 1e-10)",
+              refinement,
+              verdict=True),
+    ]
+    return [check.run() for check in checks]
 
 
-def irregular_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
-    col = _Collector(prefix)
+def irregular_suite(config: RunConfig) -> list[CheckRecord]:
     a, b = config.interval_a, config.interval_b
     spec = _within_dense_limit(interval.aligned_spec(a, b, config.t, config.interval_m), config.t)
     t, s = config.t, config.s
-
-    col.check(
-        "boundary_condition",
-        "self-adjoint realization of p on the interval",
-        lambda: (interval.BOUNDARY_CONDITION, interval.BOUNDARY_CONDITION == "periodic"),
-        detail="periodic throughout; twisted conditions psi(b) = e^{i theta} psi(a) untested",
-    )
-    col.check(
-        "closed_form_constant",
-        "residual^2 = |e^{-is(b-a)}-1|^2 * int_a^{a+t} |psi|^2, constant psi",
-        lambda: abs(
-            interval.interval_weyl_residual(spec, t, s)
-            - interval.closed_form_wrap_residual(spec, t, s)
-        ),
-        1e-8,
-    )
+    shared = _shared()
+    residual = lambda: shared(interval.interval_weyl_residual, spec, t, s)
+    canonical = interval.IntervalRepSpec(0.0, 1.0, 256)
+    unit_levels = lambda: shared(interval.interval_number_spectrum, canonical, 3)
 
     def smooth_psi():
         x = spec.points
@@ -820,172 +757,93 @@ def irregular_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
             - interval.closed_form_wrap_residual(spec, t, s, g)
         )
 
-    col.check("closed_form_smooth", "closed wrap formula holds for smooth psi", smooth_psi, 1e-8)
-
-    def sqrt2_value():
-        canonical = interval.IntervalRepSpec(0.0, 1.0, 256)
-        r = interval.interval_weyl_residual(canonical, 0.5, math.pi)
-        return abs(r - math.sqrt(2.0))
-
-    col.check(
-        "wrap_residual_sqrt2",
-        "unit interval, t=1/2, s=pi: residual = sqrt(2)",
-        sqrt2_value,
-        1e-8,
-    )
-
     def no_refinement_decay():
-        c1 = interval.IntervalRepSpec(0.0, 1.0, 256)
-        c2 = interval.IntervalRepSpec(0.0, 1.0, 512)
-        r1 = interval.interval_weyl_residual(c1, 0.5, math.pi)
-        r2 = interval.interval_weyl_residual(c2, 0.5, math.pi)
+        r1 = shared(interval.interval_weyl_residual, canonical, 0.5, math.pi)
+        r2 = interval.interval_weyl_residual(interval.IntervalRepSpec(0.0, 1.0, 512), 0.5, math.pi)
         ok = abs(r1 - math.sqrt(2)) < 0.01 * math.sqrt(2) and abs(r2 - math.sqrt(2)) < 0.01 * math.sqrt(2)
         return (r2, ok)
 
-    col.check(
-        "residual_survives_refinement",
-        "irregularity is not a discretization artifact: m -> 2m keeps residual",
-        no_refinement_decay,
-    )
-    col.check(
-        "compatible_s_vanishes",
-        "s(b-a) in 2 pi Z makes both Weyl orders agree",
-        lambda: interval.interval_weyl_residual(spec, t, 2.0 * math.pi / spec.length),
-        1e-10,
-    )
-    col.check(
-        "residual_periodic_in_s",
-        "residual has period 2 pi/(b-a) in s",
-        lambda: abs(
-            interval.interval_weyl_residual(spec, t, s)
-            - interval.interval_weyl_residual(spec, t, s + 2.0 * math.pi / spec.length)
-        ),
-        1e-12,
-    )
-
-    col.check(
-        "shift_and_phase_unitary",
-        "U_t, V_s unitary on the interval",
-        lambda: interval.unitarity_defect(spec, t, s),
-        1e-12,
-    )
-    col.check(
-        "expm_route_agrees",
-        "exact cyclic shift matches expm(itp) route",
-        lambda: abs(
-            interval.interval_weyl_residual(spec, t, s)
-            - interval.interval_weyl_residual_expm(spec, t, s)
-        ),
-        1e-8,
-    )
-
-    unit_spec = interval.IntervalRepSpec(0.0, 1.0, 256)
-    unit_levels = functools.cache(lambda: interval.interval_number_spectrum(unit_spec, 3))
-
-    def distances():
+    def distance():
         ev = unit_levels()
-        nearest = np.clip(np.round(ev), 0, None)
-        return (float(np.min(np.abs(ev - nearest))), bool(np.all(np.abs(ev - nearest) > 0.05)))
-
-    col.check(
-        "spectrum_away_from_naturals",
-        "lowest interval N eigenvalues stay > 0.05 from the nonnegative integers",
-        distances,
-    )
-    col.check(
-        "spectrum_refinement_agreement",
-        "interval N eigenvalues agree between m=256 and m=512",
-        lambda: float(
-            np.abs(
-                unit_levels() - interval.interval_number_spectrum(interval.IntervalRepSpec(0.0, 1.0, 512), 3)
-            ).max()
-        ),
-        1e-6,
-    )
-    col.check(
-        "line_limit_recovers_naturals",
-        "(-20,20) recovers spectrum {0,1,2}",
-        lambda: float(
-            np.abs(
-                interval.interval_number_spectrum(interval.IntervalRepSpec(-20.0, 20.0, 1024), 3)
-                - np.arange(3)
-            ).max()
-        ),
-        1e-2,
-    )
+        return float(np.min(np.abs(ev - np.clip(np.round(ev), 0, None))))
 
     def contrast():
         specs = [_within_dense_limit(interval.aligned_spec(lo, hi, t, m_target), t)
                  for lo, hi, m_target in _CONTRAST_INTERVALS]
         rows = interval.interval_vs_line_report(specs, t, s)
         residuals = [r.weyl_residual for r in rows]
-        distances_ = [r.spectral_distance for r in rows]
+        distances = [r.spectral_distance for r in rows]
         ok = all(x > y for x, y in zip(residuals, residuals[1:])) and all(
-            x > y for x, y in zip(distances_, distances_[1:])
+            x > y for x, y in zip(distances, distances[1:])
         )
         return (residuals[-1], ok)
 
-    col.check(
-        "contrast_lengths_monotone",
-        "Weyl residual and spectral distance both shrink as the interval grows",
-        contrast,
-        detail="periodic boundary condition fixed throughout; lengths 1, 5, 20",
-    )
-    return col.records
+    checks = [
+        Check("boundary_condition",
+              "self-adjoint realization of p on the interval",
+              lambda: interval.BOUNDARY_CONDITION,
+              holds=lambda condition: condition == "periodic",
+              detail="periodic throughout; twisted conditions psi(b) = e^{i theta} psi(a) untested"),
+        Check("closed_form_constant",
+              "residual^2 = |e^{-is(b-a)}-1|^2 * int_a^{a+t} |psi|^2, constant psi",
+              lambda: abs(residual() - interval.closed_form_wrap_residual(spec, t, s)),
+              tolerance=1e-8),
+        Check("closed_form_smooth", "closed wrap formula holds for smooth psi", smooth_psi, tolerance=1e-8),
+        Check("wrap_residual_sqrt2",
+              "unit interval, t=1/2, s=pi: residual = sqrt(2)",
+              lambda: abs(shared(interval.interval_weyl_residual, canonical, 0.5, math.pi) - math.sqrt(2.0)),
+              tolerance=1e-8),
+        Check("residual_survives_refinement",
+              "irregularity is not a discretization artifact: m -> 2m keeps residual",
+              no_refinement_decay,
+              verdict=True),
+        Check("compatible_s_vanishes",
+              "s(b-a) in 2 pi Z makes both Weyl orders agree",
+              lambda: interval.interval_weyl_residual(spec, t, 2.0 * math.pi / spec.length),
+              tolerance=1e-10),
+        Check("residual_periodic_in_s",
+              "residual has period 2 pi/(b-a) in s",
+              lambda: abs(residual() - interval.interval_weyl_residual(spec, t, s + 2.0 * math.pi / spec.length)),
+              tolerance=1e-12),
+        Check("shift_and_phase_unitary",
+              "U_t, V_s unitary on the interval",
+              lambda: interval.unitarity_defect(spec, t, s),
+              tolerance=1e-12),
+        Check("expm_route_agrees",
+              "exact cyclic shift matches expm(itp) route",
+              lambda: abs(residual() - interval.interval_weyl_residual_expm(spec, t, s)),
+              tolerance=1e-8),
+        Check("spectrum_away_from_naturals",
+              "lowest interval N eigenvalues stay > 0.05 from the nonnegative integers",
+              distance,
+              holds=lambda gap: gap > 0.05),
+        Check("spectrum_refinement_agreement",
+              "interval N eigenvalues agree between m=256 and m=512",
+              lambda: float(
+                  np.abs(
+                      unit_levels() - interval.interval_number_spectrum(interval.IntervalRepSpec(0.0, 1.0, 512), 3)
+                  ).max()
+              ),
+              tolerance=1e-6),
+        Check("line_limit_recovers_naturals",
+              "(-20,20) recovers spectrum {0,1,2}",
+              lambda: float(
+                  np.abs(
+                      interval.interval_number_spectrum(interval.IntervalRepSpec(-20.0, 20.0, 1024), 3)
+                      - np.arange(3)
+                  ).max()
+              ),
+              tolerance=1e-2),
+        Check("contrast_lengths_monotone",
+              "Weyl residual and spectral distance both shrink as the interval grows",
+              contrast,
+              verdict=True,
+              detail="periodic boundary condition fixed throughout; lengths 1, 5, 20"),
+    ]
+    return [check.run() for check in checks]
 
 
-def symbolic_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
-    col = _Collector(prefix)
-
-    col.check(
-        "ladder_normal_order",
-        "a a† = a† a + 1",
-        lambda: ("a†a + 1", symbolic.normal_order("a*ad") == symbolic.normal_order("ad*a + I")),
-    )
-    col.check(
-        "ccr_pq",
-        "[p,q] = -i I",
-        lambda: ("-i", symbolic.verify_identity("[p,q]", "-i*I").equal),
-    )
-    col.check(
-        "fock_norms",
-        "<psi_n, psi_n> = n! for n <= 10",
-        lambda: (
-            "n!",
-            all(symbolic.fock_norm_exact(n) == math.factorial(n) for n in range(11)),
-        ),
-    )
-    col.check(
-        "creator_norms",
-        "<a† psi_n, a† psi_n> = (n+1)! for n <= 10",
-        lambda: (
-            "(n+1)!",
-            all(symbolic.fock_norm_exact(n, "adag") == math.factorial(n + 1) for n in range(11)),
-        ),
-    )
-    col.check(
-        "annihilator_norm",
-        "<a psi_n, a psi_n> = n * n! (the naive value n! fails the cross-check)",
-        lambda: int(symbolic.fock_norm_exact(4, "a")),
-        flagged=True,
-        detail=(
-            "measured 4*4! = 96 at n=4; the value n! circulating alongside the "
-            "correct creator norm contradicts both the matrix cross-check and "
-            "the inner-product computation n*(psi_n, psi_n), so n*n! is used"
-        ),
-    )
-    col.check(
-        "commutation_identity",
-        "[p, q^n] = -i n q^{n-1} exactly for n <= 10",
-        lambda: (
-            10,
-            all(
-                symbolic.verify_identity(f"[p,q^{n}]", f"-{n}*i*q^{n-1}" if n > 1 else "-i*I").equal
-                for n in range(1, 11)
-            ),
-        ),
-    )
-
+def symbolic_suite(config: RunConfig) -> list[CheckRecord]:
     def conjugation():
         for n in range(1, 5):
             records = symbolic.conjugation_series(n, 8)
@@ -993,27 +851,11 @@ def symbolic_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
                 return (n, False)
         return (4, True)
 
-    col.check(
-        "conjugation_series",
-        "e^{-itq} p^n e^{itq} = (p + tI)^n order by order, n <= 4",
-        conjugation,
-    )
-    col.check(
-        "quartic_normal_form",
-        "a^2 a†^2 = a†^2 a^2 + 4 a† a + 2",
-        lambda: (
-            "2 + 4 a†a + a†^2 a^2",
-            symbolic.normal_order("a*a*ad*ad") == symbolic.normal_order("ad^2*a^2 + 4*ad*a + 2*I"),
-        ),
-    )
-
     def vacuum_matrix():
         nf = symbolic.normal_order("a^2*ad^2*a*ad")
         exact = symbolic.vacuum_expectation(nf).to_complex()
         mat = symbolic.expr_to_matrix("a^2*ad^2*a*ad", 12)
         return float(abs(exact - mat[0, 0]))
-
-    col.check("vacuum_expectation_matrix", "symbolic vacuum expectation matches matrix element", vacuum_matrix, 1e-10)
 
     def homomorphism():
         gen = SplitMix64(config.seed + 7)
@@ -1029,13 +871,6 @@ def symbolic_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
             worst = max(worst, float(np.abs(direct[:g, :g] - assembled[:g, :g]).max()))
         return worst
 
-    col.check(
-        "matrix_homomorphism",
-        "normal form assembles to the same matrix as direct evaluation",
-        homomorphism,
-        1e-10,
-    )
-
     def adjoint_idempotent():
         gen = SplitMix64(config.seed + 8)
         for _ in range(50):
@@ -1048,12 +883,6 @@ def symbolic_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
                 return (src, False)
         return (50, True)
 
-    col.check(
-        "adjoint_and_idempotence",
-        "normal_order commutes with formal adjoint; rendering round-trips",
-        adjoint_idempotent,
-    )
-
     def linearity():
         gen = SplitMix64(config.seed + 9)
         for _ in range(50):
@@ -1065,8 +894,74 @@ def symbolic_suite(config: RunConfig, prefix: str = "") -> list[CheckRecord]:
                 return (f"{x} | {y}", False)
         return (50, True)
 
-    col.check("linearity", "normal_order(x + y) = normal_order(x) + normal_order(y)", linearity)
-    return col.records
+    checks = [
+        Check("ladder_normal_order",
+              "a a† = a† a + 1",
+              lambda: ("a†a + 1", symbolic.normal_order("a*ad") == symbolic.normal_order("ad*a + I")),
+              verdict=True),
+        Check("ccr_pq",
+              "[p,q] = -i I",
+              lambda: ("-i", symbolic.verify_identity("[p,q]", "-i*I").equal),
+              verdict=True),
+        Check("fock_norms",
+              "<psi_n, psi_n> = n! for n <= 10",
+              lambda: (
+                  "n!",
+                  all(symbolic.fock_norm_exact(n) == math.factorial(n) for n in range(11)),
+              ),
+              verdict=True),
+        Check("creator_norms",
+              "<a† psi_n, a† psi_n> = (n+1)! for n <= 10",
+              lambda: (
+                  "(n+1)!",
+                  all(symbolic.fock_norm_exact(n, "adag") == math.factorial(n + 1) for n in range(11)),
+              ),
+              verdict=True),
+        Check("annihilator_norm",
+              "<a psi_n, a psi_n> = n * n! (the naive value n! fails the cross-check)",
+              lambda: int(symbolic.fock_norm_exact(4, "a")),
+              flagged=True,
+              detail=(
+                  "measured 4*4! = 96 at n=4; the value n! circulating alongside the "
+                  "correct creator norm contradicts both the matrix cross-check and "
+                  "the inner-product computation n*(psi_n, psi_n), so n*n! is used"
+              )),
+        Check("commutation_identity",
+              "[p, q^n] = -i n q^{n-1} exactly for n <= 10",
+              lambda: (
+                  10,
+                  all(
+                      symbolic.verify_identity(f"[p,q^{n}]", f"-{n}*i*q^{n-1}" if n > 1 else "-i*I").equal
+                      for n in range(1, 11)
+                  ),
+              ),
+              verdict=True),
+        Check("conjugation_series",
+              "e^{-itq} p^n e^{itq} = (p + tI)^n order by order, n <= 4",
+              conjugation,
+              verdict=True),
+        Check("quartic_normal_form",
+              "a^2 a†^2 = a†^2 a^2 + 4 a† a + 2",
+              lambda: (
+                  "2 + 4 a†a + a†^2 a^2",
+                  symbolic.normal_order("a*a*ad*ad") == symbolic.normal_order("ad^2*a^2 + 4*ad*a + 2*I"),
+              ),
+              verdict=True),
+        Check("vacuum_expectation_matrix",
+              "symbolic vacuum expectation matches matrix element",
+              vacuum_matrix,
+              tolerance=1e-10),
+        Check("matrix_homomorphism",
+              "normal form assembles to the same matrix as direct evaluation",
+              homomorphism,
+              tolerance=1e-10),
+        Check("adjoint_and_idempotence",
+              "normal_order commutes with formal adjoint; rendering round-trips",
+              adjoint_idempotent,
+              verdict=True),
+        Check("linearity", "normal_order(x + y) = normal_order(x) + normal_order(y)", linearity, verdict=True),
+    ]
+    return [check.run() for check in checks]
 
 
 _SUITE_FUNCS = {
@@ -1086,12 +981,16 @@ def run_suite(config: RunConfig) -> Report:
     records: list[CheckRecord] = []
     names = SUITES if config.suite == "all" else (config.suite,)
     for name in names:
-        prefix = f"{name}." if config.suite == "all" else ""
         try:
-            records.extend(_SUITE_FUNCS[name](config, prefix=prefix))
+            suite_records = _SUITE_FUNCS[name](config)
         except Exception as exc:  # noqa: BLE001 - a failed set-up must not kill the run
             detail = f"{type(exc).__name__}: {exc}"
             records.append(CheckRecord(f"{name}.setup", "suite set-up", "fail", None, None, detail))
+            continue
+        if config.suite == "all":
+            for record in suite_records:
+                record.name = f"{name}.{record.name}"
+        records.extend(suite_records)
     records.sort(key=lambda r: r.name)
     return Report(
         suite=config.suite,
@@ -1106,7 +1005,10 @@ def run_suite(config: RunConfig) -> Report:
 
 
 def sweep_dims(dims: list[int], ts: list[float], ss: list[float]) -> str:
-    """Cartesian product of Weyl residual runs, one CSV row per point."""
+    """Cartesian product of Weyl residual runs, one CSV row per point; a
+    non-finite t or s is refused before any row."""
+    _require_finite("t", *ts)
+    _require_finite("s", *ss)
     rows = []
     for d in dims:
         for t in ts:
@@ -1123,7 +1025,10 @@ def sweep_interval_lengths(
     lengths: list[float], t: float, s: float, m_target: int = 256
 ) -> str:
     """Contrast sweep over centered interval lengths, one CSV row each.
-    A length whose aligned sample count exceeds _MAX_DENSE_DIM is a failed row."""
+    A length whose aligned sample count exceeds _MAX_DENSE_DIM is a failed row;
+    a non-finite t or s is refused before any row."""
+    _require_finite("t", t)
+    _require_finite("s", s)
     if m_target > _MAX_DENSE_DIM:
         raise ValueError(f"interval_m {m_target} exceeds {_MAX_DENSE_DIM}, the largest side of a dense array")
     rows = []

@@ -1,14 +1,18 @@
 """Suite runner, report serialization, sweeps, CLI behavior."""
 
+import collections
+import inspect
 import json
+import pickle
 import subprocess
 import sys
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from ccrlab import reports, schrodinger
+from ccrlab import interval, reports, schrodinger, weyl
 from ccrlab.cli import main
 from ccrlab.reports import RunConfig, run_suite
 
@@ -128,16 +132,64 @@ def test_report_csv_and_text():
     assert "checks:" in text.splitlines()[-1]
 
 
-def test_failed_check_does_not_abort(monkeypatch):
-    col = reports._Collector()
-
+def test_failed_check_does_not_abort():
     def boom():
         raise RuntimeError("numeric failure")
 
-    col.check("exploding", "some relation", boom, 1e-9)
-    col.check("fine", "another relation", lambda: 0.0, 1e-9)
-    assert [c.status for c in col.records] == ["fail", "pass"]
-    assert "numeric failure" in col.records[0].detail
+    records = [
+        reports.Check("exploding", "some relation", boom, tolerance=1e-9).run(),
+        reports.Check("fine", "another relation", lambda: 0.0, tolerance=1e-9).run(),
+    ]
+    assert [c.status for c in records] == ["fail", "pass"]
+    assert "numeric failure" in records[0].detail
+
+
+def test_check_declares_exactly_one_criterion():
+    for criteria in ({}, {"tolerance": 1e-9, "flagged": True}, {"tolerance": 0.0, "holds": bool},
+                     {"holds": bool, "verdict": True}, {"verdict": True, "flagged": True}):
+        with pytest.raises(ValueError, match="exactly one of tolerance, holds, verdict and flagged"):
+            reports.Check("c", "r", lambda: 0.0, **criteria)
+    run = lambda measure, **criterion: reports.Check("c", "r", measure, **criterion).run()
+    assert [run(lambda: x, tolerance=0.0).status for x in (0.0, 1e-9)] == ["pass", "fail"]
+    assert [run(lambda: x, holds=lambda v: v > 0.5).status for x in (0.7, 0.3)] == ["pass", "fail"]
+    assert [run(lambda: ("n!", ok), verdict=True).status for ok in (True, False)] == ["pass", "fail"]
+    assert run(lambda: 3.42, flagged=True).status == "flagged"
+    held = run(lambda: 0.7, holds=lambda v: v > 0.5)
+    assert (held.measured, held.tolerance) == (0.7, None)
+    # numpy scalars are reported as the Python numbers they hold
+    assert [type(run(lambda: x, tolerance=1.0).measured) for x in (np.float64(0.25), np.int64(0))] == [float, int]
+
+
+def test_shared_values_are_computed_once(monkeypatch):
+    calls = collections.Counter()
+
+    def counted(fn):
+        def call(*args, **kwargs):
+            calls[fn.__name__, pickle.dumps((args, sorted(kwargs.items())))] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    counted_names = ((weyl, "weyl_residual"), (weyl, "exp_commutator_residual"),
+                     (schrodinger, "vacuum_sign_check"), (schrodinger, "vacuum_annihilation_residual"),
+                     (schrodinger, "intertwiner_check"), (interval, "interval_weyl_residual"))
+    for module, name in counted_names:
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    run_suite(RunConfig(suite="all", seed=7))
+    assert {name for name, _ in calls} == {name for _, name in counted_names}
+    assert [name for (name, _), n in calls.items() if n > 1] == []
+
+
+def test_suite_table_holds_the_public_suite_functions():
+    # perfbench's tracer rebinds every public function of ccrlab to a traced wrapper, then
+    # finds each suite's wrapper by the identity of its _SUITE_FUNCS entry
+    for name in reports.SUITES:
+        fn = reports._SUITE_FUNCS[name]
+        assert fn is getattr(reports, f"{name}_suite")
+        assert inspect.isfunction(fn) and fn.__module__ == "ccrlab.reports"
+        records = fn(RunConfig(suite=name, seed=7))
+        assert records and all(isinstance(r, reports.CheckRecord) for r in records)
+        assert [r.name for r in records if "." in r.name] == []
 
 
 def test_setup_failure_is_recorded(capsys):
@@ -219,6 +271,24 @@ def test_sweep_dims_bad_row_continues():
     assert lines[2].endswith("ok")
 
 
+def test_cli_sweep_refuses_non_finite_t_and_s(capsys):
+    for argv, message in (
+        (["sweep", "--dims", "16", "--t", "nan"], "t must be finite, got nan"),
+        (["sweep", "--dims", "16,32", "--s=-inf"], "s must be finite, got -inf"),
+        (["sweep", "--interval-lengths", "1", "--t", "inf"], "t must be finite, got inf"),
+        (["sweep", "--interval-lengths", "1,5", "--s", "nan"], "s must be finite, got nan"),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+    # a dimension or a length that fails on its own stays a failed row
+    assert main(["sweep", "--dims", "0,16"]) == 0
+    assert capsys.readouterr().out.split("\n")[1] == "0.5,0.5,0,,,failed: ValueError"
+    assert main(["sweep", "--interval-lengths", "1", "--t", "0.3333333"]) == 0
+    assert capsys.readouterr().out.split("\n")[1] == "1.0,,,failed: ValueError"
+
+
 def test_sweep_interval_lengths():
     text = reports.sweep_interval_lengths([1.0, 5.0], 0.5, 0.5, m_target=64)
     lines = text.strip().split("\n")
@@ -256,10 +326,11 @@ def _strict_json(text):
 
 
 def test_cli_non_finite_measured_value_is_valid_json(capsys):
-    col = reports._Collector()
-    col.check("nan_value", "some relation", lambda: float("nan"), 1e-9)
-    col.check("inf_flagged", "another relation", lambda: float("inf"), flagged=True)
-    report = reports.Report("weyl", RunConfig(suite="weyl").echo(), col.records)
+    records = [
+        reports.Check("nan_value", "some relation", lambda: float("nan"), tolerance=1e-9).run(),
+        reports.Check("inf_flagged", "another relation", lambda: float("inf"), flagged=True).run(),
+    ]
+    report = reports.Report("weyl", RunConfig(suite="weyl").echo(), records)
     checks = _strict_json(report.to_json())["checks"]
     assert [(c["measured"], c["status"]) for c in checks] == [("nan", "fail"), ("inf", "fail")]
 
