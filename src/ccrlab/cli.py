@@ -86,12 +86,19 @@ def _config_from_args(args) -> reports.RunConfig:
     )
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | None) -> bool:
+    """Write text to out, or to stdout; False, with a message on stderr,
+    when out cannot be written."""
     if out is None:
         sys.stdout.write(text)
-    else:
+        return True
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        sys.stderr.write(f"ccr-lab: cannot write {out}: {exc.strerror or exc}\n")
+        return False
+    return True
 
 
 def _load_checks(path: str) -> dict:
@@ -172,8 +179,7 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             sys.stderr.write(f"ccr-lab: {exc}\n")
             return USAGE_ERROR
-        _emit(csv_text, args.out)
-        return 0
+        return 0 if _emit(csv_text, args.out) else USAGE_ERROR
 
     try:
         config = _config_from_args(args)
@@ -188,7 +194,8 @@ def main(argv: list[str] | None = None) -> int:
         "csv": report.to_csv,
         "text": report.to_text,
     }[config.fmt]()
-    _emit(rendered, config.out)
+    if not _emit(rendered, config.out):
+        return USAGE_ERROR
     return 1 if report.failed else 0
 
 

@@ -1026,9 +1026,13 @@ def sweep_interval_lengths(
 ) -> str:
     """Contrast sweep over centered interval lengths, one CSV row each.
     A length whose aligned sample count exceeds _MAX_DENSE_DIM is a failed row;
-    a non-finite t or s is refused before any row."""
+    a non-finite t, s or length, or a sample count outside 16.._MAX_DENSE_DIM,
+    is refused before any row."""
     _require_finite("t", t)
     _require_finite("s", s)
+    _require_finite("length", *lengths)
+    if m_target < 16:
+        raise ValueError("interval sample count must be at least 16")
     if m_target > _MAX_DENSE_DIM:
         raise ValueError(f"interval_m {m_target} exceeds {_MAX_DENSE_DIM}, the largest side of a dense array")
     rows = []

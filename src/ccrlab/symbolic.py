@@ -23,16 +23,17 @@ loop.  A word, a `Product` of symbols and scalars such as
 is c (x a† + y a) with x in {0, 1} and y in {0, 1, -1}, so it moves the
 terms by integer ladder steps, and the scalars and the constants c fold
 into one exact factor that a single content reduction applies at the
-end.  All insert terms in the order that `to_matrix` sums in.
+end.  A power of a linear form x a† + y a (q, p, a, ...) is built in
+closed form, each coefficient an integer numerator over one denominator,
+in the term order that n right products leave: m descending, then k
+ascending, when the base lists a† first; k - m descending, then m
+ascending, when it lists a first.  A power of any other form is n right
+products from I.  All insert terms in the order that `to_matrix` sums in.
 
 Each building block is made once per process and then shared, so no
 cached form, tree or array is ever mutated:
 - the parse tree of each text, frozen, for the last 256 texts parsed;
 - the five symbol forms, built at import and returned by `normal_order`;
-- the powers base^0, base^1, ... of every base raised with `**`, each the
-  right product of the last, for at most 64 bases and 2^14 stored terms
-  (about 3.5 MiB for the powers of q, which fill it at q^55); past the
-  bound powers are computed but not stored;
 - the integer weights of the closed form for a^k a†^m, per (k, m),
   unbounded (min(k, m) + 1 integers each);
 - the band (a†)^m a^k per (dim, m, k), 256 of them, read-only;
@@ -455,9 +456,48 @@ class NormalForm:
         return NormalForm._reduced({key: n for key, n in out.items() if any(n)}, self._den * other._den)
 
     def __pow__(self, n: int) -> "NormalForm":
+        n = operator.index(n)  # a numpy exponent would wrap in den ** n
         if n < 0:
             raise ValueError("negative operator powers are not defined")
-        return _POWERS.power(self, n)
+        if self._num and self._num.keys() <= _LINEAR_KEYS:
+            return self._linear_power(n)
+        acc = _LEAVES["I"]
+        for _ in range(n):  # a loop, so no exponent is bounded by the stack
+            acc = acc * self
+        return acc
+
+    def _linear_power(self, n: int) -> "NormalForm":
+        """x^n of a linear form x = X a† + Y a in closed form (Wilcox,
+        J. Math. Phys. 8, 962, 1967): e^{tx} = e^{tXa†} e^{tYa} e^{t²XY/2},
+        so x^n = sum over m + k + 2j = n of
+        n!/(m! k! j! 2^j) X^(m+j) Y^(k+j) a†^m a^k,
+        as integer numerators over den^n 2^(n//2), reduced once.  A one-term
+        base c a† or c a gives the single monomial c^n.  The terms are
+        inserted in the order that n right products leave them in: m
+        descending, then k ascending, when the base lists a† first; k - m
+        descending, then m ascending, when it lists a first."""
+        if len(self._num) == 1:
+            ((m, k), c), = self._num.items()
+            acc = (1, 0, 0, 0, 1)
+            for _ in range(n):
+                acc = _times(acc, c + (1,))
+            return NormalForm._reduced({(m * n, k * n): acc[:4]}, self._den ** n)
+        x, y = [(1, 0, 0, 0, 1)], [(1, 0, 0, 0, 1)]  # X^e and Y^e as numerators, e <= n
+        for _ in range(n):
+            x.append(_times(x[-1], self._num[1, 0] + (1,)))
+            y.append(_times(y[-1], self._num[0, 1] + (1,)))
+        if next(iter(self._num)) == (1, 0):
+            keys = ((m, k) for m in range(n, -1, -1) for k in range((n - m) % 2, n - m + 1, 2))
+        else:
+            keys = ((m, m + d) for d in range(n, -n - 1, -2) for m in range(max(0, -d), (n - d) // 2 + 1))
+        fact = [math.factorial(e) for e in range(n + 1)]
+        num = {}
+        for m, k in keys:
+            j = (n - m - k) // 2
+            w = fact[n] // (fact[m] * fact[k] * fact[j]) << (n // 2 - j)
+            c0, c1, c2, c3, _ = _times(x[m + j], y[k + j])
+            num[m, k] = (w * c0, w * c1, w * c2, w * c3)
+        return NormalForm._reduced(num, self._den ** n << n // 2)
 
     def adjoint(self) -> "NormalForm":
         """Coefficient-conjugated transpose (m,k) -> (k,m); the adjoint of
@@ -529,55 +569,6 @@ _LEAVES = {
     "q": NormalForm({(1, 0): HALF_SQRT2, (0, 1): HALF_SQRT2}),
     "p": NormalForm({(1, 0): I * HALF_SQRT2, (0, 1): -I * HALF_SQRT2}),
 }
-
-_POWER_CACHE_BASES = 64
-_POWER_CACHE_TERMS = 2**14
-
-
-class _PowerCache:
-    """The powers base^0, base^1, ... of every base raised, each made once:
-    base^(j+1) = base^j * base, the products of the plain loop.
-
-    Keyed by the base's canonical form and its term order, since
-    `to_matrix` sums the terms in stored order.  Holds at most
-    `max_bases` bases and `max_terms` terms, counted over every stored
-    power and key; past either bound a power is still computed, from the
-    highest one stored, but not stored.  Not safe for concurrent use: the
-    package runs in one thread.
-    """
-
-    def __init__(self, max_bases: int, max_terms: int):
-        self.max_bases, self.max_terms = max_bases, max_terms
-        self.clear()
-
-    def clear(self) -> None:
-        self.lists: dict = {}
-        self.terms = 0
-
-    def power(self, base: NormalForm, n: int) -> NormalForm:
-        key = (base, tuple(base._num))
-        powers = self.lists.get(key)
-        stored = powers is not None
-        if not stored:
-            powers = [_LEAVES["I"]]
-            cost = 1 + len(base._num)
-            stored = len(self.lists) < self.max_bases and self.terms + cost <= self.max_terms
-            if stored:
-                self.lists[key] = powers
-                self.terms += cost
-        if n < len(powers):
-            return powers[n]
-        acc = powers[-1]
-        for _ in range(len(powers), n + 1):  # a loop, so no exponent is bounded by the stack
-            acc = acc * base
-            stored = stored and self.terms + len(acc._num) <= self.max_terms
-            if stored:
-                powers.append(acc)
-                self.terms += len(acc._num)
-        return acc
-
-
-_POWERS = _PowerCache(_POWER_CACHE_BASES, _POWER_CACHE_TERMS)
 
 # each letter as c (dagger a† + plain a), with c = (1/sqrt2)^roots i^turns:
 # (dagger, plain, roots, turns); I is not one, its form is the scalar 1
@@ -865,7 +856,7 @@ def exp_commutator_series(order: int) -> list[SeriesOrder]:
     Coefficient of t^k on the left is (i^k / k!) [p, q^k]; on the right
     it is i^{k-1}/(k-1)! q^{k-1} for k >= 1 and zero at k = 0.  The order
     is at most 24, as conjugation_series bounds its own: the series
-    builds q^0..q^order, and the power cache keeps them (1549 terms at 24).
+    builds q^0..q^order.
     """
     if not 1 <= order <= _EXP_COMMUTATOR_ORDER_MAX:
         raise ValueError(f"order must be in 1..{_EXP_COMMUTATOR_ORDER_MAX}")

@@ -277,6 +277,11 @@ def test_cli_sweep_refuses_non_finite_t_and_s(capsys):
         (["sweep", "--dims", "16,32", "--s=-inf"], "s must be finite, got -inf"),
         (["sweep", "--interval-lengths", "1", "--t", "inf"], "t must be finite, got inf"),
         (["sweep", "--interval-lengths", "1,5", "--s", "nan"], "s must be finite, got nan"),
+        (["sweep", "--interval-lengths", "inf"], "length must be finite, got inf"),
+        (["sweep", "--interval-lengths", "1,nan"], "length must be finite, got nan"),
+        (["sweep", "--interval-lengths", "1", "--interval-m", "10"], "interval sample count must be at least 16"),
+        (["sweep", "--interval-lengths", "1", "--interval-m", "0"], "interval sample count must be at least 16"),
+        (["sweep", "--interval-lengths", "1", "--interval-m=-5"], "interval sample count must be at least 16"),
     ):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -287,6 +292,21 @@ def test_cli_sweep_refuses_non_finite_t_and_s(capsys):
     assert capsys.readouterr().out.split("\n")[1] == "0.5,0.5,0,,,failed: ValueError"
     assert main(["sweep", "--interval-lengths", "1", "--t", "0.3333333"]) == 0
     assert capsys.readouterr().out.split("\n")[1] == "1.0,,,failed: ValueError"
+    assert main(["sweep", "--interval-lengths", "0,-1"]) == 0
+    assert capsys.readouterr().out.split("\n")[1:3] == ["0.0,,,failed: ZeroDivisionError", "-1.0,,,failed: ValueError"]
+
+
+def test_cli_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    for argv, path in (
+        (["fock", "--out"], tmp_path),
+        (["fock", "--out"], tmp_path / "missing" / "x.json"),
+        (["sweep", "--dims", "16", "--out"], tmp_path),
+    ):
+        assert main(argv + [str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"ccr-lab: cannot write {path}: ")
+    assert not (tmp_path / "missing").exists()
 
 
 def test_sweep_interval_lengths():
