@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import reports
@@ -84,6 +85,25 @@ def _config_from_args(args) -> reports.RunConfig:
         out=args.out,
         fmt=args.fmt,
     )
+
+
+def _out_refused(out: str | None) -> bool:
+    """True, with a message on stderr, when out is a directory or its
+    directory is missing or not writable: checked before a run, and
+    without creating the file, so a run that raises leaves nothing."""
+    if out is None:
+        return False
+    parent = os.path.dirname(os.path.abspath(out))
+    if os.path.isdir(out):
+        reason = "Is a directory"
+    elif not os.path.isdir(parent):
+        reason = "No such file or directory"
+    elif not os.access(parent, os.W_OK | os.X_OK) or (os.path.exists(out) and not os.access(out, os.W_OK)):
+        reason = "Permission denied"
+    else:
+        return False
+    sys.stderr.write(f"ccr-lab: cannot write {out}: {reason}\n")
+    return True
 
 
 def _emit(text: str, out: str | None) -> bool:
@@ -169,6 +189,8 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             sys.stderr.write("ccr-lab sweep: give exactly one of --dims / --interval-lengths\n")
             return USAGE_ERROR
+        if _out_refused(args.out):
+            return USAGE_ERROR
         try:
             if args.dims is not None:
                 csv_text = reports.sweep_dims(_parse_list(args.dims, int), [args.t], [args.s])
@@ -186,6 +208,8 @@ def main(argv: list[str] | None = None) -> int:
         config.validate()
     except ValueError as exc:
         sys.stderr.write(f"ccr-lab: {exc}\n")
+        return USAGE_ERROR
+    if _out_refused(config.out):
         return USAGE_ERROR
 
     report = reports.run_suite(config)

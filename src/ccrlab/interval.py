@@ -135,10 +135,15 @@ def closed_form_wrap_residual(
 
 def interval_weyl_residual_expm(spec: IntervalRepSpec, t: float, s: float) -> float:
     """Cross-check route with U_t = e^{itp} for the spectral periodic
-    momentum, e^{itk} on each DFT mode, instead of the exact cyclic shift."""
+    momentum, e^{itk} on each DFT mode, instead of the exact cyclic shift.
+    The unpaired Nyquist mode of even m, the sawtooth (-1)^j, takes the
+    phase (-1)^r of the exact shift by r = t/h steps, so t must be a
+    multiple of the step: its wavenumber zero would leave it unmoved."""
     if not 0 < t < spec.length:
         raise ValueError(f"need 0 < t < {spec.length}, got {t}")
     mode_phase = np.exp(1j * t * grid_wavenumbers(spec.a, spec.b, spec.m))
+    if spec.m % 2 == 0:
+        mode_phase[spec.m // 2] = (-1) ** _shift_steps(spec, t)
     U = lambda f: np.fft.ifft(mode_phase * np.fft.fft(f))
     phase = np.exp(1j * s * spec.points)
     v = spec.constant_state()

@@ -147,6 +147,9 @@ class RunConfig:
             raise ValueError("interval sample count must be at least 16")
         if self.suite in _SIZE_LIMITS["interval_m"][2]:
             for a, b, m in ((self.interval_a, self.interval_b, self.interval_m),) + _CONTRAST_INTERVALS:
+                if not 0 < self.t < b - a:  # U_t shifts by t within the interval
+                    raise ValueError(f"t={self.t} is outside 0 < t < {b - a}, the length of the interval "
+                                     f"({a}, {b}) that the {self.suite} suite builds")
                 try:
                     spec = interval.aligned_spec(a, b, self.t, m)
                 except ValueError:
@@ -154,6 +157,8 @@ class RunConfig:
                 _within_dense_limit(spec, self.t)
         if self.fmt not in ("json", "csv", "text"):
             raise ValueError(f"unknown format {self.fmt!r}")
+        if not 0 <= self.seed < 2**64:  # SplitMix64 reads the seed mod 2^64
+            raise ValueError(f"seed {self.seed} is outside 0 <= seed < 2^64")
 
     def effective_dim(self, default: int) -> int:
         return self.dim if self.dim is not None else default

@@ -12,7 +12,8 @@ A normal form stores its coefficients as integer numerator tuples
 (n0, n1, n2, n3) over one positive denominator shared by all its terms,
 reduced so that no numerator tuple is zero and the denominator has no
 factor in common with every numerator.  Products and sums then run on
-plain ints, with one content reduction per result; ExactScalar
+plain ints, with one content reduction per result, a shift where the
+denominator is a power of 2, as it is for q and p; ExactScalar
 coefficients are built only when a caller reads them.  A product with a
 scalar form is a `scale`; one with a linear form whose numerators have one
 nonzero component each (a, a†, q, p, -i*q, ...) moves each term by one
@@ -27,8 +28,11 @@ end.  A power of a linear form x a† + y a (q, p, a, ...) is built in
 closed form, each coefficient an integer numerator over one denominator,
 in the term order that n right products leave: m descending, then k
 ascending, when the base lists a† first; k - m descending, then m
-ascending, when it lists a first.  A power of any other form is n right
-products from I.  All insert terms in the order that `to_matrix` sums in.
+ascending, when it lists a first; its weights follow each other along
+those rows, so n! is divided once per row.  A power of any other form is
+n right products from I.  All insert terms in the order that `to_matrix`
+sums in, but for a commutator with a linear side: one pass over the
+other side's terms, which forms none of the products' terms that cancel.
 
 Each building block is made once per process and then shared, so no
 cached form, tree or array is ever mutated:
@@ -320,15 +324,30 @@ class NormalForm:
 
     @classmethod
     def _reduced(cls, num: dict, den: int) -> "NormalForm":
-        """The canonical form of sum num[key] / den, den > 0; num holds no zero tuple."""
-        g = den
-        for n in num.values():
-            g = math.gcd(g, *n)
-            if g == 1:
-                break
+        """The canonical form of sum num[key] / den, den > 0; num holds no zero tuple.
+        The content g divides den.  When den is a power of 2, as for q and
+        p, so is g: the lowest bit set in any numerator, found by OR-ing
+        them.  A content that is a power of 2 divides out as a shift."""
+        if den & (den - 1):
+            g = den
+            for n in num.values():
+                g = math.gcd(g, *n)
+                if g == 1:
+                    break
+        else:
+            bits = 0
+            for n0, n1, n2, n3 in num.values():
+                bits |= n0 | n1 | n2 | n3
+                if bits & 1:
+                    break
+            g = min(den, bits & -bits) if bits else den
         nf = object.__new__(cls)
         if g == 1:
             nf._den, nf._num = den, num
+        elif not g & (g - 1):
+            s = g.bit_length() - 1
+            nf._den = den >> s
+            nf._num = {key: (n0 >> s, n1 >> s, n2 >> s, n3 >> s) for key, (n0, n1, n2, n3) in num.items()}
         else:
             nf._den = den // g
             nf._num = {key: (n0 // g, n1 // g, n2 // g, n3 // g) for key, (n0, n1, n2, n3) in num.items()}
@@ -404,15 +423,20 @@ class NormalForm:
         return self._product(other)
 
     def _ladder_moves(self) -> list | None:
-        """[((m, k), the signed permutation that multiplies by its
-        coefficient)] of a linear form whose numerators have one nonzero
-        component each; None for any other form."""
-        if not (self._num and self._num.keys() <= _LINEAR_KEYS):
+        """The `_unit_moves` of a linear form whose numerators have one
+        nonzero component each; None for any other form."""
+        if not self._is_linear():
             return None
+        moves = self._unit_moves()
+        return moves if len(moves) == len(self._num) else None
+
+    def _unit_moves(self) -> list:
+        """[((m, k), the signed permutation that multiplies by one nonzero
+        component of its coefficient)], in the form's order: the product by
+        a coefficient is the sum of its moves."""
         if not hasattr(self, "_moves"):  # made once: a form is never mutated
-            moves = [(key, tuple(x for i, f in _UNIT_PRODUCTS[n.index(b)] for x in (i, f * b)))
-                     for key, n in self._num.items() for b in filter(None, n)]
-            self._moves = moves if len(moves) == len(self._num) else None
+            self._moves = [(key, tuple(x for i, f in _UNIT_PRODUCTS[j] for x in (i, f * b)))
+                           for key, n in self._num.items() for j, b in enumerate(n) if b]
         return self._moves
 
     def _ladder(self, moves: list, den: int, right: bool) -> "NormalForm":
@@ -455,11 +479,39 @@ class NormalForm:
                         out[key] = (acc[0] + c0 * w, acc[1] + c1 * w, acc[2] + c2 * w, acc[3] + c3 * w)
         return NormalForm._reduced({key: n for key, n in out.items() if any(n)}, self._den * other._den)
 
+    def _is_linear(self) -> bool:
+        """Whether the form is x a† + y a, not zero."""
+        return bool(self._num) and self._num.keys() <= _LINEAR_KEYS
+
+    def commutator(self, other: "NormalForm") -> "NormalForm":
+        """[self, other] = self other - other self.  With a linear side
+        x a† + y a (self if it is one), one pass over the other side's terms
+        by [a, a†^m a^k] = m a†^(m-1) a^k and [a†, a†^m a^k] = -k a†^m a^(k-1):
+        each term inserts, per term of the linear side in its order, the one
+        term its rule leaves.  Any other pair is two products and a
+        difference."""
+        if self._is_linear():
+            linear, form, sign = self, other, 1
+        elif other._is_linear():
+            linear, form, sign = other, self, -1
+        else:
+            return self * other - other * self
+        moves, out = linear._unit_moves(), {}
+        get = out.get
+        for (m, k), a in form._num.items():
+            for (dagger, _), (i0, f0, i1, f1, i2, f2, i3, f3) in moves:
+                w, key = (-sign * k, (m, k - 1)) if dagger else (sign * m, (m - 1, k))
+                if w:
+                    c0, c1, c2, c3 = w * f0 * a[i0], w * f1 * a[i1], w * f2 * a[i2], w * f3 * a[i3]
+                    acc = get(key)
+                    out[key] = (c0, c1, c2, c3) if acc is None else (acc[0] + c0, acc[1] + c1, acc[2] + c2, acc[3] + c3)
+        return NormalForm._reduced({key: n for key, n in out.items() if any(n)}, form._den * linear._den)
+
     def __pow__(self, n: int) -> "NormalForm":
         n = operator.index(n)  # a numpy exponent would wrap in den ** n
         if n < 0:
             raise ValueError("negative operator powers are not defined")
-        if self._num and self._num.keys() <= _LINEAR_KEYS:
+        if self._is_linear():
             return self._linear_power(n)
         acc = _LEAVES["I"]
         for _ in range(n):  # a loop, so no exponent is bounded by the stack
@@ -473,9 +525,14 @@ class NormalForm:
         n!/(m! k! j! 2^j) X^(m+j) Y^(k+j) a†^m a^k,
         as integer numerators over den^n 2^(n//2), reduced once.  A one-term
         base c a† or c a gives the single monomial c^n.  The terms are
-        inserted in the order that n right products leave them in: m
-        descending, then k ascending, when the base lists a† first; k - m
-        descending, then m ascending, when it lists a first."""
+        inserted in the order that n right products leave them in, row by
+        row.  When the base lists a† first, the rows have fixed m,
+        descending, and run k up by 2; when it lists a first, they have
+        fixed k - m, descending, and run m and k up by 1.  Along a row j
+        falls by 1, so each weight W = n!/(m! k! j!) 2^(n//2-j) is its
+        neighbour's times 2j/((k+1)(k+2)) or 2j/((m+1)(k+1)), and only a
+        row's first weight divides n!.  X^(m+j) Y^(k+j) depends on e = m + j
+        alone, as k + j = n - e, so it is formed once per e."""
         if len(self._num) == 1:
             ((m, k), c), = self._num.items()
             acc = (1, 0, 0, 0, 1)
@@ -486,17 +543,23 @@ class NormalForm:
         for _ in range(n):
             x.append(_times(x[-1], self._num[1, 0] + (1,)))
             y.append(_times(y[-1], self._num[0, 1] + (1,)))
+        power = [_times(x[e], y[n - e])[:4] for e in range(n + 1)]
         if next(iter(self._num)) == (1, 0):
-            keys = ((m, k) for m in range(n, -1, -1) for k in range((n - m) % 2, n - m + 1, 2))
+            rows, step = [(m, (n - m) % 2) for m in range(n, -1, -1)], 0
         else:
-            keys = ((m, m + d) for d in range(n, -n - 1, -2) for m in range(max(0, -d), (n - d) // 2 + 1))
+            rows, step = [(max(0, -d), max(0, d)) for d in range(n, -n - 1, -2)], 1
         fact = [math.factorial(e) for e in range(n + 1)]
         num = {}
-        for m, k in keys:
+        for m, k in rows:
             j = (n - m - k) // 2
             w = fact[n] // (fact[m] * fact[k] * fact[j]) << (n // 2 - j)
-            c0, c1, c2, c3, _ = _times(x[m + j], y[k + j])
-            num[m, k] = (w * c0, w * c1, w * c2, w * c3)
+            while True:
+                c0, c1, c2, c3 = power[m + j]
+                num[m, k] = (w * c0, w * c1, w * c2, w * c3)
+                if not j:
+                    break
+                w = w * 2 * j // ((m + 1) * (k + 1) if step else (k + 1) * (k + 2))
+                m, k, j = m + step, k + 2 - step, j - 1
         return NormalForm._reduced(num, self._den ** n << n // 2)
 
     def adjoint(self) -> "NormalForm":
@@ -656,8 +719,7 @@ def normal_order(expr: OperatorExpr | str) -> NormalForm:
     if isinstance(expr, Power):
         return normal_order(expr.base) ** expr.exponent
     if isinstance(expr, Commutator):
-        left, right = normal_order(expr.left), normal_order(expr.right)
-        return left * right - right * left
+        return normal_order(expr.left).commutator(normal_order(expr.right))
     raise TypeError(f"not an operator expression: {expr!r}")
 
 
@@ -836,7 +898,7 @@ def conjugation_series(n: int, order: int) -> list[SeriesOrder]:
     for k in range(order + 1):
         if k > 0:
             if not nested.is_zero():
-                nested = minus_iq * nested - nested * minus_iq
+                nested = minus_iq.commutator(nested)
             kfact *= k
         lhs = nested.scale(ExactScalar.rational(Fraction(1) / kfact))
         if k <= n:
@@ -870,7 +932,7 @@ def exp_commutator_series(order: int) -> list[SeriesOrder]:
             ik = ik * I
             kfact *= k
         qk = q**k
-        lhs = (p * qk - qk * p).scale(ik * ExactScalar.rational(Fraction(1) / kfact))
+        lhs = p.commutator(qk).scale(ik * ExactScalar.rational(Fraction(1) / kfact))
         if k == 0:
             rhs = NormalForm()
         else:

@@ -152,6 +152,15 @@ def test_expm_route_agrees_with_exact_shift():
     assert abs(r_shift - r_expm) < 1e-8
 
 
+@pytest.mark.parametrize("m, t", [(258, 0.5), (260, 0.25), (18, 0.5), (256, 0.5), (128, 0.25), (51, 1 / 3)])
+def test_expm_route_moves_the_nyquist_mode_as_the_shift_does(m, t):
+    # shift counts t*m of 129, 65 and 9 are odd, of 128 and 32 even; odd m has no Nyquist mode
+    spec = IntervalRepSpec(0.0, 1.0, m)
+    for s in (0.5, 1.7):
+        exact = interval.interval_weyl_residual(spec, t, s)
+        assert abs(exact - interval.interval_weyl_residual_expm(spec, t, s)) < 1e-12
+
+
 def test_number_spectrum_count_edge_cases():
     spec = IntervalRepSpec(0.0, 1.0, 64)
     assert interval.interval_number_spectrum(spec, 0).size == 0

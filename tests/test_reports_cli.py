@@ -58,6 +58,12 @@ def test_config_validation_errors():
         RunConfig(suite="weyl", t=500.0),  # e^(itp) e_0 is Poisson with mean 1.25e5: far past mode 63
         RunConfig(suite="all", t=1e200),
         RunConfig(suite="weyl", t=6.0, s=6.0, dim=64),  # mean 36: its tail is above 1e-8 at mode 63
+        RunConfig(suite="irregular", t=0.0),  # U_t needs 0 < t < length on every interval built
+        RunConfig(suite="all", t=-0.25),
+        RunConfig(suite="irregular", interval_b=5.0, t=1.5),  # past the contrast interval of length 1
+        RunConfig(suite="irregular", interval_b=1e-300),
+        RunConfig(suite="fock", seed=-1),  # seeds are read mod 2^64: outside [0, 2^64) they alias
+        RunConfig(suite="all", seed=2**64),
     ):
         with pytest.raises(ValueError):
             bad.validate()
@@ -84,6 +90,9 @@ def test_config_validation_errors():
         RunConfig(suite="fock", t=1 / 511),
         RunConfig(suite="irregular", t=1 / 102),  # every contrast interval aligns at m <= 2048
         RunConfig(suite="irregular", t=0.3333333),  # aligns nowhere: a failed set-up, not a usage error
+        RunConfig(suite="fock", t=0.0),  # t is read by other suites only
+        RunConfig(suite="irregular", interval_b=5.0, t=0.75),
+        RunConfig(suite="fock", seed=2**64 - 1),
     ):
         good.validate()
 
@@ -307,6 +316,49 @@ def test_cli_unwritable_out_is_a_usage_error(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith(f"ccr-lab: cannot write {path}: ")
     assert not (tmp_path / "missing").exists()
+
+
+def test_cli_out_is_checked_before_the_run(tmp_path, capsys, monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("ran before refusing --out")
+
+    monkeypatch.setattr(reports, "run_suite", must_not_run)
+    monkeypatch.setattr(reports, "sweep_dims", must_not_run)
+    for argv, path in (
+        (["all", "--out"], tmp_path),
+        (["all", "--out"], tmp_path / "missing" / "r.json"),
+        (["sweep", "--dims", "16", "--out"], tmp_path / "missing" / "r.csv"),
+    ):
+        assert main(argv + [str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"ccr-lab: cannot write {path}: ")
+    # a writable path is not created before the run, so a run that raises leaves no file
+    def raising(config):
+        raise RuntimeError("the suite raised")
+
+    monkeypatch.setattr(reports, "run_suite", raising)
+    with pytest.raises(RuntimeError, match="the suite raised"):
+        main(["fock", "--out", str(tmp_path / "r.json")])
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_cli_refuses_t_outside_an_interval_and_seeds_outside_64_bits(capsys):
+    for argv, message in (
+        (["all", "--t", "0"], "t=0.0 is outside 0 < t < 1.0, the length of the interval (0.0, 1.0) that the all suite"),
+        (["irregular", "--interval", "0,5", "--t", "1.5"], "the interval (-0.5, 0.5) that the irregular suite"),
+        (["fock", "--seed", "-1"], "seed -1 is outside 0 <= seed < 2^64"),
+        (["fock", "--seed", str(2**64)], f"seed {2**64} is outside"),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+
+def test_cli_odd_shift_counts_on_an_even_interval_pass():
+    # shift counts 129 and 65 on even m: the FFT route must turn the Nyquist mode's sign as the shift does
+    for argv in (["irregular", "--interval-m", "258"], ["irregular", "--t", "0.25", "--interval-m", "260"]):
+        assert main(argv + ["--format", "json"]) == 0
 
 
 def test_sweep_interval_lengths():

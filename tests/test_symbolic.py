@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ccrlab import symbolic
-from ccrlab.exact import HALF_SQRT2, ExactScalar, I, ONE, ZERO
+from ccrlab.exact import HALF_SQRT2, ExactScalar, I, ONE, ZERO, _times
 from ccrlab.rng import SplitMix64
 from ccrlab.reports import _WORD_COEFFS, random_word_source
 from ccrlab.symbolic import (
@@ -313,13 +313,14 @@ def test_conjugation_series_exact(n):
     assert all(rec.equal for rec in conjugation_series(n, 8))
 
 
-def _conjugation_reference(n: int, order: int) -> list:
-    """Every order's nested commutator computed, the zero ones too."""
+def _conjugation_reference(n: int, order: int, bracket=lambda x, y: x * y - y * x) -> list:
+    """Every order's nested commutator computed, the zero ones too, by
+    bracket: two products and their difference unless another is given."""
     minus_iq = normal_order("-i*q")
     nested, out = normal_order("p") ** n, []
     for k in range(order + 1):
         if k:
-            nested = minus_iq * nested - nested * minus_iq
+            nested = bracket(minus_iq, nested)
         lhs = nested.scale(ExactScalar(Fraction(1, math.factorial(k))))
         rhs = normal_order(f"{math.comb(n, k)} * p^{n - k}") if k <= n else NormalForm()
         out.append((k, lhs, rhs))
@@ -330,8 +331,9 @@ def test_conjugation_series_stops_nesting_at_zero_with_the_same_orders():
     for n in range(1, 7):
         for order in range(1, 11):
             got = conjugation_series(n, order)
-            want = _conjugation_reference(n, order)
-            assert [(r.k, r.lhs, r.rhs) for r in got] == want
+            assert [(r.k, r.lhs, r.rhs) for r in got] == _conjugation_reference(n, order)
+            # a commutator with a linear side inserts its terms in its own order, not the products'
+            want = _conjugation_reference(n, order, NormalForm.commutator)
             assert [(list(r.lhs._num), list(r.rhs._num)) for r in got] == [
                 (list(lhs._num), list(rhs._num)) for _, lhs, rhs in want]
 
@@ -717,12 +719,77 @@ def test_linear_powers_run_no_products(monkeypatch):
     normal_order("q^24")
     assert products == 0
     for n in range(1, 17):
-        products = 0
-        normal_order(f"[p,q^{n}]")
-        assert products == 2, n  # p q^n and q^n p
+        normal_order(f"[p,q^{n}]")  # a commutator with a linear side is one pass
+        assert products == 0, n
 
 
 def test_leaves_are_built_once():
     for name in ("a", "ad", "q", "p", "I"):
         assert normal_order(name) is normal_order(Symbol(name))
     assert normal_order("q") == NormalForm({(1, 0): HALF_SQRT2, (0, 1): HALF_SQRT2})
+
+
+def _per_term_power(base: NormalForm, n: int) -> NormalForm:
+    """x^n of a two-term linear base by the closed form with one division
+    of n! per weight, over the keys in the order of n right products: the
+    oracle of the weight recurrence in `_linear_power`."""
+    x, y = [(1, 0, 0, 0, 1)], [(1, 0, 0, 0, 1)]
+    for _ in range(n):
+        x.append(_times(x[-1], base._num[1, 0] + (1,)))
+        y.append(_times(y[-1], base._num[0, 1] + (1,)))
+    if next(iter(base._num)) == (1, 0):
+        keys = ((m, k) for m in range(n, -1, -1) for k in range((n - m) % 2, n - m + 1, 2))
+    else:
+        keys = ((m, m + d) for d in range(n, -n - 1, -2) for m in range(max(0, -d), (n - d) // 2 + 1))
+    fact = [math.factorial(e) for e in range(n + 1)]
+    num = {}
+    for m, k in keys:
+        j = (n - m - k) // 2
+        w = fact[n] // (fact[m] * fact[k] * fact[j]) << (n // 2 - j)
+        c0, c1, c2, c3, _ = _times(x[m + j], y[k + j])
+        num[m, k] = (w * c0, w * c1, w * c2, w * c3)
+    return NormalForm._reduced(num, base._den ** n << n // 2)
+
+
+def test_linear_powers_are_the_per_term_closed_form():
+    # a† listed first (q, and the two-component sum) and a listed first, every component
+    for source in ("q", "(1+i)*q + sqrt2*ad", "a + 2*ad", "(1/3)*a + (2/5 + i*sqrt2 - (1/7)*i)*ad"):
+        base = normal_order(source)
+        for n in [*range(40), 64, 99, 128, 157, 200]:
+            got, want = base._linear_power(n), _per_term_power(base, n)
+            assert got == want and got._den == want._den, (source, n)
+            assert list(got._num.items()) == list(want._num.items()), (source, n)
+
+
+_linear_forms = st.tuples(_scalars, _scalars, st.booleans()).map(
+    lambda t: NormalForm({(0, 1): t[1], (1, 0): t[0]} if t[2] else {(1, 0): t[0], (0, 1): t[1]}))
+_scalar_forms = _scalars.map(lambda s: NormalForm({(0, 0): s}))
+
+
+@given(_linear_forms, st.one_of(_terms.map(NormalForm), _linear_forms, _scalar_forms, _words))
+@settings(max_examples=300, deadline=None)
+def test_commutator_is_the_two_products(linear, form):
+    # the linear side on the left, on the right, or both; zero and scalar forms; and
+    # any pair without a linear side, which takes the products themselves
+    for x, y in ((linear, form), (form, linear), (linear, linear), (form, form)):
+        got, want = x.commutator(y), x._product(y) - y._product(x)
+        assert got == want and got._den == want._den
+
+
+_small_or_big = st.one_of(st.integers(-8, 8), _big)
+
+
+@given(st.dictionaries(_monomials, st.tuples(st.tuples(*[_small_or_big] * 4).filter(any), st.integers(0, 3)),
+                      max_size=5),
+       st.integers(0, 90), st.sampled_from((1, 3, 5, 12)), st.integers(0, 90))
+@example({(1, 0): ((2, 0, 0, 0), 0), (0, 1): ((1, 0, 0, 0), 0)}, 2, 1, 0)  # an odd numerator after an even one
+@settings(max_examples=300, deadline=None)
+def test_reduced_divides_out_the_gcd_content(num, twos, odd, content):
+    # denominators 2^twos times 1, 3, 5 or 12; numerators sharing a factor 2^content with
+    # them, each tuple with up to 3 more factors 2 of its own
+    num = {key: tuple(x << content + own for x in n) for key, (n, own) in num.items()}
+    den = odd << twos
+    g = math.gcd(den, *(x for n in num.values() for x in n))
+    nf = NormalForm._reduced(dict(num), den)
+    assert nf._den == den // g
+    assert list(nf._num.items()) == [(key, tuple(x // g for x in n)) for key, n in num.items()]
