@@ -14,12 +14,9 @@ reduced so that no numerator tuple is zero and the denominator has no
 factor in common with every numerator.  Products and sums then run on
 plain ints, with one content reduction per result, a shift where the
 denominator is a power of 2, as it is for q and p; ExactScalar
-coefficients are built only when a caller reads them.  A product with a
-scalar form is a `scale`; one with a linear form whose numerators have one
-nonzero component each (a, a†, q, p, -i*q, ...) moves each term by one
-exponent shift and at most one k- or m-weighted term, with a signed,
-doubled permutation of its numerator tuple; any other runs the general
-loop.  A word, a `Product` of symbols and scalars such as
+coefficients are built only when a caller reads them.  A product is one
+loop over every pair of terms, and a sum or difference one merge of the
+two term maps.  A word, a `Product` of symbols and scalars such as
 "(1/2) * q * a * p", is normal-ordered on one int per term: each letter
 is c (x a† + y a) with x in {0, 1} and y in {0, 1, -1}, so it moves the
 terms by integer ladder steps, and the scalars and the constants c fold
@@ -48,7 +45,6 @@ cached form, tree or array is ever mutated:
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -297,9 +293,8 @@ class NormalForm:
     the coefficient (n0 + n1*i + n2*sqrt2 + n3*i*sqrt2) / _den.  The form
     is canonical: no zero tuple is stored and gcd(_den, every numerator)
     is 1, so two normal forms are equal iff their denominators and maps
-    are.  A product multiplies raw numerator tuples, by ladder moves where
-    a factor is a scalar or a one-component linear form, and divides by
-    the content once; ExactScalar coefficients are built only on request.
+    are.  A product multiplies raw numerator tuples and divides by the
+    content once; ExactScalar coefficients are built only on request.
     """
 
     __slots__ = ("_den", "_num", "_hash", "_moves")
@@ -379,9 +374,14 @@ class NormalForm:
 
     # -- algebra ----------------------------------------------------------
     def __add__(self, other: "NormalForm") -> "NormalForm":
+        return self._merge(other, 1)
+
+    def _merge(self, other: "NormalForm", sign: int) -> "NormalForm":
+        """self + sign * other over the lcm of the denominators: self's
+        keys, then other's new ones, each in its form's order."""
         da, db = self._den, other._den
         den = math.lcm(da, db)
-        fa, fb = den // da, den // db
+        fa, fb = den // da, sign * (den // db)
         out = {key: (n0 * fa, n1 * fa, n2 * fa, n3 * fa) for key, (n0, n1, n2, n3) in self._num.items()}
         for key, (b0, b1, b2, b3) in other._num.items():
             a = out.get(key)
@@ -396,7 +396,7 @@ class NormalForm:
             {key: (-n0, -n1, -n2, -n3) for key, (n0, n1, n2, n3) in self._num.items()}, self._den)
 
     def __sub__(self, other: "NormalForm") -> "NormalForm":
-        return self + (-other)
+        return self._merge(other, -1)
 
     def scale(self, s) -> "NormalForm":
         b0, b1, b2, b3, bd = ExactScalar.coerce(s)._n
@@ -412,57 +412,8 @@ class NormalForm:
         }, self._den * bd)
 
     def __mul__(self, other: "NormalForm") -> "NormalForm":
-        if len(other._num) == 1 and (0, 0) in other._num:
-            return self.scale(other._scalar(other._num[(0, 0)]))
-        if len(self._num) == 1 and (0, 0) in self._num:
-            return other.scale(self._scalar(self._num[(0, 0)]))
-        if (moves := other._ladder_moves()) is not None:
-            return self._ladder(moves, other._den, right=True)
-        if (moves := self._ladder_moves()) is not None:
-            return other._ladder(moves, self._den, right=False)
-        return self._product(other)
-
-    def _ladder_moves(self) -> list | None:
-        """The `_unit_moves` of a linear form whose numerators have one
-        nonzero component each; None for any other form."""
-        if not self._is_linear():
-            return None
-        moves = self._unit_moves()
-        return moves if len(moves) == len(self._num) else None
-
-    def _unit_moves(self) -> list:
-        """[((m, k), the signed permutation that multiplies by one nonzero
-        component of its coefficient)], in the form's order: the product by
-        a coefficient is the sum of its moves."""
-        if not hasattr(self, "_moves"):  # made once: a form is never mutated
-            self._moves = [(key, tuple(x for i, f in _UNIT_PRODUCTS[j] for x in (i, f * b)))
-                           for key, n in self._num.items() for j, b in enumerate(n) if b]
-        return self._moves
-
-    def _ladder(self, moves: list, den: int, right: bool) -> "NormalForm":
-        """self times the linear form of `moves` over `den`, on the right
-        or the left: the loop of `_product`, where one of k1, m2 is at most
-        1, so a^k1 a†^m2 = a†^m2 a^k1 + k1 m2 a†^(m2-1) a^(k1-1)."""
-        out: dict = {}
-        get = out.get
-        terms = self._num.items()
-        pairs = itertools.product(terms, moves) if right else itertools.product(moves, terms)
-        for ((m1, k1), x), ((m2, k2), y) in pairs:
-            a, (i0, f0, i1, f1, i2, f2, i3, f3) = (x, y) if right else (y, x)
-            c0, c1, c2, c3 = f0 * a[i0], f1 * a[i1], f2 * a[i2], f3 * a[i3]
-            w = k1 * m2
-            if w:
-                key = (m1 + m2 - 1, k1 + k2 - 1)
-                acc = get(key)
-                out[key] = ((c0 * w, c1 * w, c2 * w, c3 * w) if acc is None else
-                            (acc[0] + c0 * w, acc[1] + c1 * w, acc[2] + c2 * w, acc[3] + c3 * w))
-            key = (m1 + m2, k1 + k2)
-            acc = get(key)
-            out[key] = (c0, c1, c2, c3) if acc is None else (acc[0] + c0, acc[1] + c1, acc[2] + c2, acc[3] + c3)
-        return NormalForm._reduced({key: n for key, n in out.items() if any(n)}, self._den * den)
-
-    def _product(self, other: "NormalForm") -> "NormalForm":
-        """The general product: every pair of terms, reordered by `_reorder`."""
+        """The product: every pair of terms, self's outer and other's
+        inner, reordered by `_reorder`, its keys inserted in that order."""
         out: dict = {}
         for (m1, k1), (a0, a1, a2, a3) in self._num.items():
             for (m2, k2), (b0, b1, b2, b3) in other._num.items():
@@ -478,6 +429,15 @@ class NormalForm:
                     else:
                         out[key] = (acc[0] + c0 * w, acc[1] + c1 * w, acc[2] + c2 * w, acc[3] + c3 * w)
         return NormalForm._reduced({key: n for key, n in out.items() if any(n)}, self._den * other._den)
+
+    def _unit_moves(self) -> list:
+        """[((m, k), the signed permutation that multiplies by one nonzero
+        component of its coefficient)], in the form's order: the product by
+        a coefficient is the sum of its moves.  `commutator` applies them."""
+        if not hasattr(self, "_moves"):  # made once: a form is never mutated
+            self._moves = [(key, tuple(x for i, f in _UNIT_PRODUCTS[j] for x in (i, f * b)))
+                           for key, n in self._num.items() for j, b in enumerate(n) if b]
+        return self._moves
 
     def _is_linear(self) -> bool:
         """Whether the form is x a† + y a, not zero."""
@@ -575,7 +535,7 @@ class NormalForm:
             return "0"
         parts = []
         for (m, k), c in self.items():
-            factors = [f"({_scalar_source(c)})"]
+            factors = [f"({c})"]
             if m:
                 factors.append(f"ad^{m}" if m > 1 else "ad")
             if k:
@@ -607,22 +567,6 @@ _UNIT_PRODUCTS = (((0, 1), (1, 1), (2, 1), (3, 1)), ((1, -1), (0, 1), (3, -1), (
                   ((2, 2), (3, 2), (0, 1), (1, 1)), ((3, -2), (2, 2), (1, -1), (0, 1)))
 
 
-def _scalar_source(s: ExactScalar) -> str:
-    parts = []
-    for frac, unit in ((s.r0, None), (s.r1, "i"), (s.r2, "sqrt2"), (s.r3, "i*sqrt2")):
-        if frac == 0:
-            continue
-        mag = abs(frac)
-        body = f"{mag.numerator}/{mag.denominator}" if mag.denominator != 1 else str(mag.numerator)
-        if unit is not None:
-            body = unit if mag == 1 else f"{body}*{unit}"
-        parts.append(("- " if frac < 0 else "+ ") + body)
-    if not parts:
-        return "0"
-    first = parts[0].replace("+ ", "", 1).replace("- ", "-", 1)
-    return " ".join([first] + parts[1:])
-
-
 # The forms of the five symbols, built once and shared like every cached form.
 _LEAVES = {
     "a": NormalForm({(0, 1): ONE}),
@@ -643,14 +587,14 @@ def _word(factors: tuple) -> NormalForm:
     acc = acc * normal_order(f) from acc = I makes it.
 
     While the factors are symbols or have scalar forms, it runs on int
-    coefficients: each letter moves every term as `_ladder` does on the
-    right, in the order of its leaf's keys, and drops the terms that
-    cancel; the scalars and the letters' constant factors fold into one
-    exact factor, applied by one `_reduced` at the end.  A term cancels in
-    the int sum exactly where it does in the exact one, as both differ by
-    that nonzero factor, so the keys come out in the loop's order and the
-    canonical form is the loop's.  From the first factor whose form is
-    neither, the loop itself takes over."""
+    coefficients: each letter moves every term as the product does on the
+    right, a^k a† = a† a^k + k a^(k-1), in the order of its leaf's keys,
+    and drops the terms that cancel; the scalars and the letters' constant
+    factors fold into one exact factor, applied by one `_reduced` at the
+    end.  A term cancels in the int sum exactly where it does in the exact
+    one, as both differ by that nonzero factor, so the keys come out in the
+    loop's order and the canonical form is the loop's.  From the first
+    factor whose form is neither, the loop itself takes over."""
     num = {(0, 0): 1}
     scalar, roots, turns = (1, 0, 0, 0, 1), 0, 0  # the exact factor as an unreduced (n0, n1, n2, n3, den)
     for j, f in enumerate(factors):
@@ -937,6 +881,7 @@ def exp_commutator_series(order: int) -> list[SeriesOrder]:
             rhs = NormalForm()
         else:
             prev_fact = kfact / k
-            rhs = (q ** (k - 1)).scale((ik / I) * ExactScalar.rational(Fraction(1) / prev_fact))
+            rhs = prev.scale((ik / I) * ExactScalar.rational(Fraction(1) / prev_fact))
         out.append(SeriesOrder(k, lhs, rhs))
+        prev = qk  # q^(k-1) of the next order
     return out

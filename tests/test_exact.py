@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccrlab import symbolic
 from ccrlab.exact import ExactScalar, HALF_SQRT2, I, ONE, SQRT2, ZERO
 
 small_fracs = st.fractions(
@@ -262,7 +261,6 @@ def test_equality_and_hash_agree_with_fraction_reference(pa, pb):
 def test_rendering_agrees_with_fraction_reference(parts):
     z, ref = ExactScalar(*parts), FractionScalar(*parts)
     assert str(z) == str(ref)
-    assert symbolic._scalar_source(z) == symbolic._scalar_source(ref)
     assert z.to_complex() == ref.to_complex()  # the same float, bit for bit
     assert z.is_zero() == (not any(parts))
     assert z.is_rational() == (not any(parts[1:]))

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -571,29 +572,31 @@ _leaf_names = st.sampled_from(("a", "ad", "q", "p", "I"))
 _leaf_multiples = st.builds(lambda name, u, r: normal_order(name).scale(u * ExactScalar(r)),
                             _leaf_names, _units, _rationals)
 _words = st.lists(_leaf_multiples, min_size=1, max_size=6).map(
-    lambda factors: functools.reduce(NormalForm._product, factors))
+    lambda factors: functools.reduce(operator.mul, factors))
 
 
-def _same_product(x: NormalForm, y: NormalForm):
-    got, want = x * y, x._product(y)
-    assert got == want
-    assert list(got._num) == list(want._num)  # the order to_matrix sums in
+def _same_form(got: NormalForm, want: NormalForm):
+    assert got == want and got._den == want._den
+    assert list(got._num.items()) == list(want._num.items())  # the order to_matrix sums in
 
 
-@given(st.one_of(_words, _terms.map(NormalForm)), _leaf_multiples, _scalars)
+@given(st.one_of(_words, _terms.map(NormalForm)), _scalars)
 @settings(max_examples=200, deadline=None)
-def test_scalar_and_ladder_products_are_the_general_loop(form, leaf, s):
-    # a scalar or one-component linear factor on either side takes the ladder moves
+def test_scale_is_the_product_by_a_scalar_form(form, s):
+    # `scale` is the one product outside `*`: by the scalar form of s on either side
     scalar = NormalForm({(0, 0): s})
-    assert leaf._ladder_moves() is not None or leaf._num.keys() == {(0, 0)}
-    for factor in (leaf, scalar):
-        _same_product(form, factor)
-        _same_product(factor, form)
-    _same_product(leaf, leaf)
-    # a linear form with a two-component coefficient takes the general loop
-    mixed = leaf.scale(ExactScalar(1, 1))
-    assert mixed._ladder_moves() is None
-    _same_product(form, mixed)
+    _same_form(form.scale(s), form * scalar)
+    _same_form(form.scale(s), scalar * form)
+
+
+@given(_terms, _terms)
+@example({(1, 0): ONE, (0, 1): I}, {(2, 2): ONE, (0, 1): I, (1, 1): Fraction(1, 3)})
+@settings(max_examples=200, deadline=None)
+def test_difference_is_the_sum_with_the_negation(ta, tb):
+    # one merge: the keys of a, then the new keys of b, with cancelled keys dropped
+    a, b = NormalForm(ta), NormalForm(tb)
+    _same_form(a - b, a + (-b))
+    _same_form(a - a, NormalForm())
 
 
 def test_power_chains_are_the_general_loop():
@@ -602,7 +605,7 @@ def test_power_chains_are_the_general_loop():
         base = normal_order(base)
         want = NormalForm({(0, 0): ONE})
         for n in range(1, 65):
-            want = want._product(base)
+            want = want * base
             got = base**n
             assert got == want and got._den == want._den and list(got._num) == list(want._num), n
 
@@ -622,7 +625,7 @@ def test_words_are_the_left_fold_of_the_general_loop(factors, compound, at):
     # runs; from a compound factor on, when one is inserted, the factor-by-factor loop
     if compound is not None:
         factors.insert(at, parse(compound))
-    want = functools.reduce(NormalForm._product, map(normal_order, factors), normal_order("I"))
+    want = functools.reduce(operator.mul, map(normal_order, factors), normal_order("I"))
     got = normal_order(Product(tuple(factors)))
     assert got._den == want._den
     assert list(got._num.items()) == list(want._num.items())  # the order to_matrix sums in
@@ -772,7 +775,7 @@ def test_commutator_is_the_two_products(linear, form):
     # the linear side on the left, on the right, or both; zero and scalar forms; and
     # any pair without a linear side, which takes the products themselves
     for x, y in ((linear, form), (form, linear), (linear, linear), (form, form)):
-        got, want = x.commutator(y), x._product(y) - y._product(x)
+        got, want = x.commutator(y), x * y - y * x
         assert got == want and got._den == want._den
 
 
