@@ -35,11 +35,10 @@ from .weyl import (
     weyl_residual,
 )
 from .schrodinger import (
-    GridFunction,
     GridResolutionError,
-    annihilation_residual,
     grid_momentum,
     grid_oscillator_spectrum,
+    grid_points,
     hermite_basis,
     intertwiner_check,
     vacuum_annihilation_residual,

@@ -3,10 +3,11 @@
 Units are fixed so [p, q] = -i with no extra constants; the oscillator
 q^2 + p^2 then has spectrum {2n+1}.  Differentiation is spectral
 (trigonometric, periodic) by default, with a second-order central
-difference kept as a cross-validation scheme.  q and p are applied to
-sample vectors (a multiply, an FFT or a stencil), never stored as
-matrices.  p^2 is applied by FFT as its symbol, k^2 or (2 - 2 cos(kh))/h^2
-on each DFT mode.
+difference kept as a cross-validation scheme.  A grid function is a
+complex sample array over `grid_points(-L, L, m)`; q and p are applied
+to it (a multiply, an FFT or a stencil), never stored as matrices.  p^2
+is applied by FFT as its symbol, k^2 or (2 - 2 cos(kh))/h^2 on each DFT
+mode.
 
 The lowest oscillator levels are solved in the Fourier basis, where p^2
 is diagonal, K, and x^2 is a Toeplitz +- Hankel matrix T of the Fourier
@@ -29,12 +30,13 @@ The ladder combinations (q -+ ip)/sqrt2 differ only by a sign, and only
 one of them annihilates the Gaussian e^{-x^2/2}: with p = -i d/dx it is
 (q + ip)/sqrt2 = (x + d/dx)/sqrt2.  Nothing here guesses a convention;
 `vacuum_sign_check` measures both and reports which sign annihilates.
+The oscillator eigenfunctions psi_0..psi_n come from their three-term
+recurrence as one (n + 1) x m array (`hermite_basis`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,46 +52,6 @@ class GridResolutionError(ValueError):
     when a grid is too coarse to resolve the oscillator's ground state."""
 
 
-@dataclass(frozen=True)
-class GridFunction:
-    """Complex samples of a function on a uniform periodic grid; the
-    right endpoint is excluded (step (x_max-x_min)/m).
-    """
-
-    x_min: float
-    x_max: float
-    m: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        _grid_step(self.x_min, self.x_max, self.m)
-        v = np.asarray(self.values, dtype=complex)
-        if v.shape != (self.m,):
-            raise ValueError(f"values must have shape ({self.m},), got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("grid values must be finite")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    @property
-    def h(self) -> float:
-        return (self.x_max - self.x_min) / self.m
-
-    @property
-    def points(self) -> np.ndarray:
-        return self.x_min + self.h * np.arange(self.m)
-
-    def norm(self) -> float:
-        """Discrete L2 norm sqrt(h * sum |f|^2)."""
-        return math.sqrt(self.h) * float(np.linalg.norm(self.values))
-
-    @classmethod
-    def sample(cls, f, x_min: float, x_max: float, m: int) -> "GridFunction":
-        x = _grid_points(x_min, x_max, m)
-        return cls(x_min, x_max, m, np.asarray([f(xi) for xi in x], dtype=complex))
-
-
 def _grid_step(x_min: float, x_max: float, m: int) -> float:
     """The step (x_max - x_min) / m of a valid grid: finite bounds in
     increasing order and at least 8 samples."""
@@ -102,7 +64,9 @@ def _grid_step(x_min: float, x_max: float, m: int) -> float:
     return (x_max - x_min) / m
 
 
-def _grid_points(x_min: float, x_max: float, m: int) -> np.ndarray:
+def grid_points(x_min: float, x_max: float, m: int) -> np.ndarray:
+    """The m points x_min + j (x_max - x_min) / m of the uniform periodic
+    grid on [x_min, x_max); the right endpoint is excluded."""
     return x_min + _grid_step(x_min, x_max, m) * np.arange(m)
 
 
@@ -133,17 +97,6 @@ def grid_momentum(values: np.ndarray, x_min: float, x_max: float, scheme: str = 
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def annihilation_residual(f: GridFunction, scheme: str = SPECTRAL, sign: str = ANNIHILATING_SIGN) -> float:
-    """||(q + sign * ip)/sqrt2 applied to f|| / ||f|| in discrete L2."""
-    if not np.any(f.values):
-        raise ValueError("test function must be nonzero")
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
-    p = grid_momentum(f.values, f.x_min, f.x_max, scheme)
-    a = (f.points * f.values + (1j if sign == "+" else -1j) * p) / math.sqrt(2)
-    return float(np.linalg.norm(a) / np.linalg.norm(f.values))
-
-
 def check_resolution(L: float, m: int) -> None:
     """Raise GridResolutionError unless the grid of m points on [-L, L)
     reaches the momentum width 1 of the oscillator's ground state: its
@@ -156,17 +109,21 @@ def check_resolution(L: float, m: int) -> None:
         )
 
 
-def _gaussian(L: float, m: int) -> GridFunction:
-    x = _grid_points(-L, L, m)
-    return GridFunction(-L, L, m, np.exp(-x * x / 2.0))
+def _vacuum_residual(L: float, m: int, scheme: str, sign: str) -> float:
+    """||(q + sign * ip)/sqrt2 g|| / ||g|| in discrete L2 for the Gaussian
+    g = e^{-x^2/2} sampled on m points of [-L, L)."""
+    x = grid_points(-L, L, m)
+    g = np.exp(-x * x / 2.0).astype(complex)
+    if not np.any(g):
+        raise GridResolutionError(f"the Gaussian underflows to 0 at every point of the grid L={L!r}, m={m}")
+    a = (x * g + (1j if sign == "+" else -1j) * grid_momentum(g, -L, L, scheme)) / math.sqrt(2)
+    return float(np.linalg.norm(a) / np.linalg.norm(g))
 
 
 def vacuum_sign_check(L: float, m: int, scheme: str = SPECTRAL) -> dict:
     """Residuals of both ladder sign conventions on the sampled Gaussian
     and which one annihilates it."""
-    g = _gaussian(L, m)
-    plus = annihilation_residual(g, scheme, "+")
-    minus = annihilation_residual(g, scheme, "-")
+    plus, minus = (_vacuum_residual(L, m, scheme, sign) for sign in "+-")
     return {
         "plus_residual": plus,
         "minus_residual": minus,
@@ -182,8 +139,8 @@ def vacuum_annihilation_residual(L: float, m: int, scheme: str = SPECTRAL) -> fl
     residual is large and still shrinking rapidly, discretization error
     dominates and GridResolutionError is raised.
     """
-    r = annihilation_residual(_gaussian(L, m), scheme, ANNIHILATING_SIGN)
-    r_fine = annihilation_residual(_gaussian(L, 2 * m), scheme, ANNIHILATING_SIGN)
+    r = _vacuum_residual(L, m, scheme, ANNIHILATING_SIGN)
+    r_fine = _vacuum_residual(L, 2 * m, scheme, ANNIHILATING_SIGN)
     if r > 1e-3 and r_fine < 0.5 * r:
         raise GridResolutionError(
             f"residual {r:.3e} at m={m} is discretization-dominated "
@@ -412,7 +369,7 @@ def _oscillator_levels(L: float, m: int, scheme: str, count: int) -> tuple[np.nd
     """The lowest `count` eigenvalues of q^2 + p^2 on the grid, and for
     each the bound e_i on its distance below the exact one, 0 for a level
     from a sector solved whole; see `grid_oscillator_spectrum`."""
-    x = _grid_points(-L, L, m)
+    x = grid_points(-L, L, m)
     if not math.isfinite(L * L):
         raise ValueError(f"grid x^2 must be finite, got L^2 = {L * L} at L = {L}")
     x2 = x * x
@@ -454,64 +411,59 @@ def grid_oscillator_spectrum(L: float, m: int, scheme: str = SPECTRAL, count: in
     return _oscillator_levels(L, m, scheme, count)[0]
 
 
-def _hermite_rows(L: float, m: int, n_max: int) -> list[np.ndarray]:
-    """Raw three-term recurrence for the oscillator eigenfunctions:
+def _hermite_rows(L: float, m: int, n_max: int) -> tuple[np.ndarray, list[float]]:
+    """psi_0..psi_n_max by the raw three-term recurrence, as the rows of one
+    (n_max + 1) x m array, and the discrete L2 norm sqrt(h) ||row|| of each:
     psi_0 = pi^{-1/4} e^{-x^2/2};  psi_1 = sqrt(2) x psi_0;
     psi_{n+1} = sqrt(2/(n+1)) x psi_n - sqrt(n/(n+1)) psi_{n-1}."""
     if not 0 <= n_max <= 40:
         raise ValueError("n_max must be in 0..40 (recurrence stability)")
-    x = _grid_points(-L, L, m)
-    rows = [np.pi**-0.25 * np.exp(-x * x / 2.0)]
-    if n_max >= 1:
-        rows.append(math.sqrt(2.0) * x * rows[0])
-    for n in range(1, n_max):
-        rows.append(math.sqrt(2.0 / (n + 1)) * x * rows[n] - math.sqrt(n / (n + 1)) * rows[n - 1])
-    return rows
-
-
-def hermite_basis(L: float, m: int, n_max: int) -> list[GridFunction]:
-    """Orthonormal oscillator eigenfunctions 0..n_max on the grid,
-    renormalized in discrete L2; raises if the recurrence drifts."""
+    x = grid_points(-L, L, m)
+    rows = np.zeros((n_max + 1, m))
+    rows[0] = np.pi**-0.25 * np.exp(-x * x / 2.0)
+    for n in range(n_max):  # at n = 0, psi_{n-1} is rows[-1], still zero
+        rows[n + 1] = math.sqrt(2.0 / (n + 1)) * x * rows[n] - math.sqrt(n / (n + 1)) * rows[n - 1]
     h = 2.0 * L / m
-    out = []
-    for n, row in enumerate(_hermite_rows(L, m, n_max)):
-        nrm = math.sqrt(h) * float(np.linalg.norm(row))
-        if abs(nrm - 1.0) > 1e-6:
+    return rows, [math.sqrt(h) * float(np.linalg.norm(row)) for row in rows]
+
+
+def hermite_basis(L: float, m: int, n_max: int) -> np.ndarray:
+    """psi_0..psi_n_max on the grid of m points of [-L, L), renormalized to
+    unit discrete L2 norm, as the rows of one complex (n_max + 1) x m array;
+    raises GridResolutionError if a raw norm drifts from 1 by over 1e-6."""
+    rows, norms = _hermite_rows(L, m, n_max)
+    for n, nrm in enumerate(norms):
+        if not abs(nrm - 1.0) <= 1e-6:
             raise GridResolutionError(
                 f"recurrence norm drift {abs(nrm - 1.0):.2e} at n={n}; "
                 "enlarge L or refine the grid"
             )
-        out.append(GridFunction(-L, L, m, row / nrm))
-    return out
+    return (rows / np.array(norms)[:, None]).astype(complex)
 
 
 def hermite_norm_drift(L: float, m: int, n_max: int) -> float:
     """Worst deviation | ||psi_n||_h - 1 | of the raw recurrence output
     before renormalization; large drift signals instability."""
-    h = 2.0 * L / m
-    rows = _hermite_rows(L, m, n_max)
-    return max(abs(math.sqrt(h) * float(np.linalg.norm(r)) - 1.0) for r in rows)
+    return max(abs(nrm - 1.0) for nrm in _hermite_rows(L, m, n_max)[1])
+
+
+def _witness(L: float, m: int, n_max: int) -> np.ndarray:
+    """The witness T = sqrt(h) conj(hermite_basis): row n maps grid samples
+    to their coefficient on psi_n."""
+    return math.sqrt(2.0 * L / m) * hermite_basis(L, m, n_max).conj()
 
 
 def intertwiner_check(L: float, m: int, n_max: int) -> float:
-    """Mismatch of the unitary-equivalence witness between grid and ladder
-    representations of q.
-
-    T maps grid samples to oscillator-basis coefficients (rows are
-    sqrt(h)-weighted conjugate basis functions); returns
-    ||T q_grid T† - q_ladder|| (2-norm) on the leading block.
-    """
-    basis = hermite_basis(L, m, n_max)
-    h = 2.0 * L / m
-    T = math.sqrt(h) * np.array([b.values.conj() for b in basis])
+    """Mismatch ||T diag(x) T† - q_ladder|| (2-norm) of the unitary-equivalence
+    witness T (`_witness`, dense (n_max + 1) x m) between the grid and the
+    ladder representations of q, on the leading n_max + 1 modes."""
+    T = _witness(L, m, n_max)
     q_fock = fock.Band.position(n_max + 1).to_dense()
-    return float(np.linalg.norm((T * basis[0].points) @ T.conj().T - q_fock, 2))
+    return float(np.linalg.norm((T * grid_points(-L, L, m)) @ T.conj().T - q_fock, 2))
 
 
 def intertwiner_gram_defect(L: float, m: int, n_max: int) -> float:
     """||T T† - I|| for the same witness: orthonormality of the sampled
     basis in discrete L2."""
-    basis = hermite_basis(L, m, n_max)
-    h = 2.0 * L / m
-    T = math.sqrt(h) * np.array([b.values.conj() for b in basis])
+    T = _witness(L, m, n_max)
     return float(np.linalg.norm(T @ T.conj().T - np.eye(n_max + 1), 2))

@@ -391,10 +391,6 @@ class NormalForm:
                 out[key] = (a[0] + b0 * fb, a[1] + b1 * fb, a[2] + b2 * fb, a[3] + b3 * fb)
         return NormalForm._reduced({key: n for key, n in out.items() if any(n)}, den)
 
-    def __neg__(self) -> "NormalForm":
-        return NormalForm._reduced(
-            {key: (-n0, -n1, -n2, -n3) for key, (n0, n1, n2, n3) in self._num.items()}, self._den)
-
     def __sub__(self, other: "NormalForm") -> "NormalForm":
         return self._merge(other, -1)
 

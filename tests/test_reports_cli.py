@@ -463,17 +463,16 @@ def test_public_api_surface():
     import ccrlab
 
     assert sorted(ccrlab.__all__) == [
-        "Band", "ConvergenceError", "ExactScalar", "FockState", "GridFunction", "GridResolutionError",
-        "IntervalRepSpec", "NORMALIZED", "NormalForm", "ParseError", "Report", "RunConfig",
-        "SeriesOverflowError", "SeriesReport", "UNNORMALIZED", "WeylResidualRecord", "aligned_spec",
-        "analytic", "analytic_series", "annihilation_residual", "check_growth_bound",
-        "closed_form_wrap_residual", "conjugation_series", "corrected_growth_bound", "exact",
-        "exp_commutator_residual", "fock", "fock_norm_exact", "grid_momentum", "grid_oscillator_spectrum",
-        "hermite_basis", "inner_product", "intertwiner_check", "interval", "interval_number_spectrum",
-        "interval_vs_line_report", "interval_weyl_residual", "normal_order", "parse", "reports", "rng",
-        "run_suite", "schrodinger", "shift_identity_residual", "symbolic", "taylor_exp",
-        "vacuum_annihilation_residual", "vacuum_expectation", "vacuum_sign_check", "verify_identity",
-        "weyl", "weyl_phase_check", "weyl_residual",
+        "Band", "ConvergenceError", "ExactScalar", "FockState", "GridResolutionError", "IntervalRepSpec",
+        "NORMALIZED", "NormalForm", "ParseError", "Report", "RunConfig", "SeriesOverflowError", "SeriesReport",
+        "UNNORMALIZED", "WeylResidualRecord", "aligned_spec", "analytic", "analytic_series",
+        "check_growth_bound", "closed_form_wrap_residual", "conjugation_series", "corrected_growth_bound",
+        "exact", "exp_commutator_residual", "fock", "fock_norm_exact", "grid_momentum",
+        "grid_oscillator_spectrum", "grid_points", "hermite_basis", "inner_product", "intertwiner_check",
+        "interval", "interval_number_spectrum", "interval_vs_line_report", "interval_weyl_residual",
+        "normal_order", "parse", "reports", "rng", "run_suite", "schrodinger", "shift_identity_residual",
+        "symbolic", "taylor_exp", "vacuum_annihilation_residual", "vacuum_expectation", "vacuum_sign_check",
+        "verify_identity", "weyl", "weyl_phase_check", "weyl_residual",
     ]
 
 

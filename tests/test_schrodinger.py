@@ -12,33 +12,34 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from numpy.polynomial.hermite import hermval
 
 from ccrlab import fock, schrodinger
 from spectral_oracles import fourier_sector, rayleigh_quotients, record_sectors, record_solvers
-from ccrlab.schrodinger import GridFunction
 
 
-def test_grid_function_geometry():
-    f = GridFunction(-1.0, 1.0, 8, np.ones(8))
-    assert f.h == 0.25
-    assert f.points[0] == -1.0 and f.points[-1] == 0.75
+def test_grid_points_geometry():
+    x = schrodinger.grid_points(-1.0, 1.0, 8)
+    assert x.shape == (8,)
+    assert x[0] == -1.0 and x[-1] == 0.75  # the right endpoint is excluded
+    assert np.all(np.diff(x) == 0.25)
 
 
-def test_grid_function_validation():
-    with pytest.raises(ValueError):
-        GridFunction(1.0, -1.0, 8, np.ones(8))
-    with pytest.raises(ValueError):
-        GridFunction(-1.0, 1.0, 4, np.ones(4))
-    with pytest.raises(ValueError):
-        GridFunction(-1.0, 1.0, 8, np.full(8, np.nan))
+def test_grid_points_validation():
+    with pytest.raises(ValueError, match="exceed"):
+        schrodinger.grid_points(1.0, -1.0, 8)
+    with pytest.raises(ValueError, match="exceed"):
+        schrodinger.grid_points(1.0, 1.0, 8)
+    with pytest.raises(ValueError, match="at least 8"):
+        schrodinger.grid_points(-1.0, 1.0, 4)
 
 
 def test_spectral_momentum_on_plane_wave():
     L, m = 10.0, 256
     k = 2 * np.pi * 6 / (2 * L)
-    f = GridFunction.sample(lambda x: np.exp(1j * k * x), -L, L, m)
-    pf = schrodinger.grid_momentum(f.values, -L, L)
-    assert np.linalg.norm(pf - k * f.values) / np.linalg.norm(f.values) < 1e-10
+    f = np.exp(1j * k * schrodinger.grid_points(-L, L, m))
+    pf = schrodinger.grid_momentum(f, -L, L)
+    assert np.linalg.norm(pf - k * f) / np.linalg.norm(f) < 1e-10
 
 
 def test_spectral_momentum_on_constant():
@@ -49,17 +50,17 @@ def test_spectral_momentum_on_constant():
 
 
 def test_spectral_momentum_on_sine():
-    m = 64
-    f = GridFunction.sample(np.sin, -np.pi, np.pi, m)
-    want = -1j * np.cos(f.points)
-    assert np.abs(schrodinger.grid_momentum(f.values, -np.pi, np.pi) - want).max() < 1e-10
+    x = schrodinger.grid_points(-np.pi, np.pi, 64)
+    want = -1j * np.cos(x)
+    assert np.abs(schrodinger.grid_momentum(np.sin(x), -np.pi, np.pi) - want).max() < 1e-10
 
 
 def test_central_difference_scheme():
     L, m = 8.0, 512
-    f = GridFunction.sample(lambda x: np.exp(-(x**2)), -L, L, m)
-    pf = schrodinger.grid_momentum(f.values, -L, L, schrodinger.CENTRAL_DIFFERENCE)
-    want = -1j * (-2 * f.points) * np.exp(-(f.points**2))
+    x = schrodinger.grid_points(-L, L, m)
+    f = np.exp(-(x**2))
+    pf = schrodinger.grid_momentum(f, -L, L, schrodinger.CENTRAL_DIFFERENCE)
+    want = -1j * (-2 * x) * f
     assert np.abs(pf - want).max() < 1e-3  # second-order scheme
     # the periodic stencil -i (f[j+1] - f[j-1]) / 2h, built row by row
     h = 2 * L / m
@@ -67,7 +68,7 @@ def test_central_difference_scheme():
     for j in range(m):
         stencil[j, (j + 1) % m] = -1j / (2 * h)
         stencil[j, (j - 1) % m] = 1j / (2 * h)
-    assert np.abs(pf - stencil @ f.values).max() < 1e-13
+    assert np.abs(pf - stencil @ f).max() < 1e-13
     # both schemes are Hermitian on the periodic grid: <g, p f> = <p g, f>
     rng = np.random.default_rng(3)
     for scheme in (schrodinger.SPECTRAL, schrodinger.CENTRAL_DIFFERENCE):
@@ -94,9 +95,10 @@ def test_vacuum_opposite_sign_large():
 
 
 def test_vacuum_zero_function_rejected():
-    f = GridFunction(-10.0, 10.0, 64, np.zeros(64))
-    with pytest.raises(ValueError):
-        schrodinger.annihilation_residual(f)
+    # the grid point nearest 0 is at |x| = 1000/9, where e^{-x^2/2} underflows to 0
+    for check in (schrodinger.vacuum_sign_check, schrodinger.vacuum_annihilation_residual):
+        with pytest.raises(ValueError, match="underflows"):
+            check(1000.0, 9)
 
 
 def test_vacuum_coarse_grid_detected():
@@ -435,17 +437,31 @@ def test_grid_refuses_non_finite_bounds(bound):
             with pytest.raises(ValueError, match="finite"):
                 schrodinger.grid_momentum(np.ones(16), lo, hi, scheme)
         with pytest.raises(ValueError, match="finite"):
-            GridFunction.sample(np.cos, lo, hi, 16)
-        with pytest.raises(ValueError, match="finite"):
-            GridFunction(lo, hi, 16, np.ones(16))
+            schrodinger.grid_points(lo, hi, 16)
 
 
 def test_hermite_ground_state_is_gaussian():
-    basis = schrodinger.hermite_basis(10.0, 256, 0)
-    x = basis[0].points
+    L, m = 10.0, 256
+    basis = schrodinger.hermite_basis(L, m, 0)
+    assert basis.shape == (1, m) and basis.dtype == complex
+    x = schrodinger.grid_points(-L, L, m)
     g = np.exp(-x * x / 2)
-    g = g / (math.sqrt(basis[0].h) * np.linalg.norm(g))
-    assert np.abs(basis[0].values - g).max() < 1e-12
+    g = g / (math.sqrt(2 * L / m) * np.linalg.norm(g))
+    assert np.abs(basis[0] - g).max() < 1e-12
+
+
+@pytest.mark.parametrize("L, m, n_max", [(10.0, 256, 8), (12.0, 512, 40), (10.0, 256, 36)])
+def test_hermite_basis_is_the_closed_form(L, m, n_max):
+    # psi_n = (2^n n! sqrt(pi))^(-1/2) H_n(x) e^{-x^2/2}, H_n by numpy's physicists' Hermite series,
+    # renormalized in discrete L2; at (10, 256, 36) the raw rows' norms drift by about 1e-7
+    x = schrodinger.grid_points(-L, L, m)
+    basis = schrodinger.hermite_basis(L, m, n_max)
+    assert basis.shape == (n_max + 1, m) and basis.dtype == complex
+    for n, row in enumerate(basis):
+        psi = hermval(x, [0] * n + [1]) * np.exp(-x * x / 2)
+        psi /= math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
+        psi /= math.sqrt(2 * L / m) * np.linalg.norm(psi)
+        assert np.abs(row - psi).max() < 1e-14, n
 
 
 def test_hermite_gram_identity():
@@ -453,8 +469,10 @@ def test_hermite_gram_identity():
 
 
 def test_hermite_norms_unit():
-    for b in schrodinger.hermite_basis(10.0, 256, 8):
-        assert abs(b.norm() - 1.0) < 1e-12
+    h = 20.0 / 256
+    for n_max in (8, 36):  # the raw rows' norms drift by about 1e-7 at n_max = 36
+        for b in schrodinger.hermite_basis(10.0, 256, n_max):
+            assert abs(math.sqrt(h) * np.linalg.norm(b) - 1.0) < 1e-12
 
 
 def test_hermite_norm_drift_small():
@@ -463,13 +481,12 @@ def test_hermite_norm_drift_small():
 
 def test_hermite_number_eigenfunctions():
     L, m = 10.0, 256
-    basis = schrodinger.hermite_basis(L, m, 8)
-    x = basis[0].points
+    x = schrodinger.grid_points(-L, L, m)
     h = 2 * L / m
-    for n, b in enumerate(basis):
-        p_b = schrodinger.grid_momentum(b.values, -L, L)
-        n_b = (x * x * b.values + schrodinger.grid_momentum(p_b, -L, L) - b.values) / 2
-        assert math.sqrt(h) * np.linalg.norm(n_b - n * b.values) < 1e-4
+    for n, b in enumerate(schrodinger.hermite_basis(L, m, 8)):
+        p_b = schrodinger.grid_momentum(b, -L, L)
+        n_b = (x * x * b + schrodinger.grid_momentum(p_b, -L, L) - b) / 2
+        assert math.sqrt(h) * np.linalg.norm(n_b - n * b) < 1e-4
 
 
 def test_hermite_nmax_guard():
@@ -481,6 +498,9 @@ def test_hermite_instability_detected():
     # tiny box: the recurrence drifts because the functions do not fit
     with pytest.raises(schrodinger.GridResolutionError):
         schrodinger.hermite_basis(2.0, 64, 12)
+    # on L = 10, m = 256 the raw norms drift past 1e-6 first at n = 38
+    with pytest.raises(schrodinger.GridResolutionError, match="at n=38"):
+        schrodinger.hermite_basis(10.0, 256, 40)
 
 
 def test_intertwiner_matches_ladder_position():

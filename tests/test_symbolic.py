@@ -559,7 +559,7 @@ def test_normal_form_agrees_with_termwise_reference(ta, tb, s):
     _agrees(a + b, ra + rb)
     _agrees(a - b, ra - rb)
     _agrees(a - a, TermwiseForm())
-    _agrees(-a, -ra)
+    _agrees(a.scale(-1), -ra)
     _agrees(a.scale(s), ra.scale(s))
     _agrees(a.adjoint(), ra.adjoint())
     assert np.array_equal((a * b).to_matrix(6), (ra * rb).to_matrix(6))  # bit for bit
@@ -595,7 +595,7 @@ def test_scale_is_the_product_by_a_scalar_form(form, s):
 def test_difference_is_the_sum_with_the_negation(ta, tb):
     # one merge: the keys of a, then the new keys of b, with cancelled keys dropped
     a, b = NormalForm(ta), NormalForm(tb)
-    _same_form(a - b, a + (-b))
+    _same_form(a - b, a + b.scale(-1))
     _same_form(a - a, NormalForm())
 
 
