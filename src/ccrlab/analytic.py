@@ -24,7 +24,6 @@ the cost does not depend on dim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +47,6 @@ class ConvergenceError(RuntimeError):
     """Raised when an operation requires a converged series report."""
 
 
-@dataclass(frozen=True)
 class SeriesReport:
     """Diagnostics for sum_k t^k/k! ||A^k xi|| up to k_max.
 
@@ -57,13 +55,12 @@ class SeriesReport:
     "inconclusive".
     """
 
-    t: float
-    terms: list[float]
-    partial_sums: list[float]
-    ratios: list[float]
-    verdict: str
-    k_max: int
-    tail_estimate: float | None = None
+    __slots__ = ("t", "terms", "partial_sums", "ratios", "verdict", "k_max", "tail_estimate")
+
+    def __init__(self, t: float, terms: list[float], partial_sums: list[float], ratios: list[float],
+                 verdict: str, k_max: int, tail_estimate: float | None = None):
+        self.t, self.terms, self.partial_sums, self.ratios = t, terms, partial_sums, ratios
+        self.verdict, self.k_max, self.tail_estimate = verdict, k_max, tail_estimate
 
 
 def _verdict(ratios: list[float]) -> str:
@@ -276,7 +273,6 @@ def check_growth_bound(q: Band, phi: FockState, k: int) -> tuple[float, float]:
     return float(lhs[0]), float(bound[0])
 
 
-@dataclass(frozen=True)
 class SinglePowerBoundReport:
     """Empirical study of the one-application bound for psi supported on
     unnormalized-basis modes m..m+n with coefficient bound C.
@@ -288,9 +284,10 @@ class SinglePowerBoundReport:
     bound is reported empirically instead of asserted.
     """
 
-    direct_norm: float
-    triangle_sum: float
-    nominal_bound: float
+    __slots__ = ("direct_norm", "triangle_sum", "nominal_bound")
+
+    def __init__(self, direct_norm: float, triangle_sum: float, nominal_bound: float):
+        self.direct_norm, self.triangle_sum, self.nominal_bound = direct_norm, triangle_sum, nominal_bound
 
     @property
     def needed_constant(self) -> float:

@@ -8,13 +8,17 @@ is built.  Truncating to `dim` modes corrupts the top rows and columns of
 every operator identity; the checks read that artifact off the
 diagonals (the last entry of [p, q], for instance) and test identities
 on the leading block, `Band.cut(dim - 1)`.
+
+Bands and states are shared once built (the symbolic engine caches its
+ladder bands), so both are immutable: each sets its fields once, in its
+constructor, assigning or deleting a field raises AttributeError, and a
+state's coefficients are a read-only copy of the caller's array.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,8 +63,43 @@ def _rows_cols(k: int, n: int) -> tuple[slice, slice]:
     return (slice(0, n), slice(k, k + n)) if k >= 0 else (slice(-k, n - k), slice(0, n))
 
 
-@dataclass(frozen=True, eq=False)
-class Band:
+class _Frozen:
+    """Base of the records that are shared once built.  Their fields are
+    their __slots__, which __init__ takes in that order and sets with
+    object.__setattr__; assigning or deleting one raises, and a pickle or
+    copy is rebuilt through __init__, as restoring fields would assign."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__ if name != "__dict__")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class _Value(_Frozen):
+    """A _Frozen record that is equal to, and hashes as, any record of its
+    type with equal fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash((type(self),) + self._fields())
+
+
+class Band(_Frozen):
     """A dim x dim operator stored by its diagonals.
 
     `diagonals` maps each offset k to the entries M[n, n + k] (k >= 0) or
@@ -74,23 +113,23 @@ class Band:
     1-norm, the leading w x w block and the dense matrix.
     """
 
-    dim: int
-    diagonals: dict
+    __slots__ = ("dim", "diagonals", "__dict__")  # __dict__ holds the cached properties
     __array_ufunc__ = None  # numpy scalars on the left defer to __rmul__
 
-    def __post_init__(self):
-        _check_dim(self.dim)
-        diagonals = {}
-        for k in sorted(self.diagonals):
-            diagonal = np.asarray(self.diagonals[k])
-            length = max(0, self.dim - abs(k))
+    def __init__(self, dim: int, diagonals: dict):
+        _check_dim(dim)
+        checked = {}
+        for k in sorted(diagonals):
+            diagonal = np.asarray(diagonals[k])
+            length = max(0, dim - abs(k))
             if diagonal.shape != (length,):
-                raise ValueError(f"diagonal {k} of a {self.dim}-dim band must have shape ({length},), "
+                raise ValueError(f"diagonal {k} of a {dim}-dim band must have shape ({length},), "
                                  f"got {diagonal.shape}")
             if not np.isfinite(diagonal).all():
                 raise ValueError("band operator has non-finite entries")
-            diagonals[int(k)] = diagonal
-        object.__setattr__(self, "diagonals", diagonals)
+            checked[int(k)] = diagonal
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "diagonals", checked)
 
     @classmethod
     def _unchecked(cls, dim: int, diagonals: dict) -> "Band":
@@ -228,8 +267,7 @@ def _finite(coeffs: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-@dataclass(frozen=True)
-class FockState:
+class FockState(_Frozen):
     """Finite coefficient vector over the number basis.
 
     convention:
@@ -239,17 +277,17 @@ class FockState:
                        coefficient n by sqrt(n!).
     """
 
-    coeffs: np.ndarray
-    convention: str = NORMALIZED
+    __slots__ = ("coeffs", "convention")
 
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
+    def __init__(self, coeffs, convention: str = NORMALIZED):
+        c = np.asarray(coeffs, dtype=complex)
         if c.ndim != 1 or c.size < 1:
             raise ValueError("coeffs must be a nonempty 1-d sequence")
-        _check_convention(self.convention)
+        _check_convention(convention)
         c = _finite(c.copy())
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "convention", convention)
 
     @classmethod
     def _unchecked(cls, coeffs: np.ndarray, convention: str = NORMALIZED) -> "FockState":

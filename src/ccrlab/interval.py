@@ -27,28 +27,29 @@ whole.  Any other interval is solved as the full matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .fock import _Value
 from .schrodinger import grid_wavenumbers, reflection_block, sector_levels
 
 BOUNDARY_CONDITION = "periodic"
 
 
-@dataclass(frozen=True)
-class IntervalRepSpec:
-    """Interval (a, b) sampled at m points, periodic."""
+class IntervalRepSpec(_Value):
+    """Interval (a, b) sampled at m points, periodic.  Immutable, and equal
+    and hashed by its fields: the suites' memo is keyed by it."""
 
-    a: float
-    b: float
-    m: int
+    __slots__ = ("a", "b", "m")
 
-    def __post_init__(self):
-        if not self.b > self.a:
+    def __init__(self, a: float, b: float, m: int):
+        if not b > a:
             raise ValueError("need b > a")
-        if self.m < 16:
+        if m < 16:
             raise ValueError("need at least 16 samples")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "m", m)
 
     @property
     def length(self) -> float:
@@ -250,11 +251,11 @@ def spectral_distance_from_naturals(eigenvalues: np.ndarray) -> float:
     return float(np.mean(np.abs(ev - nearest))) if ev.size else 0.0
 
 
-@dataclass(frozen=True)
 class IntervalContrastRow:
-    length: float
-    weyl_residual: float
-    spectral_distance: float
+    __slots__ = ("length", "weyl_residual", "spectral_distance")
+
+    def __init__(self, length: float, weyl_residual: float, spectral_distance: float):
+        self.length, self.weyl_residual, self.spectral_distance = length, weyl_residual, spectral_distance
 
 
 def interval_vs_line_report(

@@ -32,7 +32,6 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
@@ -89,22 +88,18 @@ def _within_dense_limit(spec: interval.IntervalRepSpec, t: float) -> interval.In
     return spec
 
 
-@dataclass
 class RunConfig:
-    suite: str = "all"
-    dim: int | None = None
-    t: float = 0.5
-    s: float = 0.5
-    k_max: int = 40
-    grid_l: float = 10.0
-    grid_m: int = 256
-    scheme: str = schrodinger.SPECTRAL
-    interval_a: float = 0.0
-    interval_b: float = 1.0
-    interval_m: int = 256
-    seed: int = 0
-    out: str | None = None
-    fmt: str = "text"
+    __slots__ = ("suite", "dim", "t", "s", "k_max", "grid_l", "grid_m", "scheme", "interval_a", "interval_b",
+                 "interval_m", "seed", "out", "fmt")
+
+    def __init__(self, suite: str = "all", dim: int | None = None, t: float = 0.5, s: float = 0.5,
+                 k_max: int = 40, grid_l: float = 10.0, grid_m: int = 256, scheme: str = schrodinger.SPECTRAL,
+                 interval_a: float = 0.0, interval_b: float = 1.0, interval_m: int = 256, seed: int = 0,
+                 out: str | None = None, fmt: str = "text"):
+        self.suite, self.dim, self.t, self.s, self.k_max = suite, dim, t, s, k_max
+        self.grid_l, self.grid_m, self.scheme = grid_l, grid_m, scheme
+        self.interval_a, self.interval_b, self.interval_m = interval_a, interval_b, interval_m
+        self.seed, self.out, self.fmt = seed, out, fmt
 
     def validate(self) -> None:
         if self.suite not in SUITES + ("all",):
@@ -164,27 +159,26 @@ class RunConfig:
         return self.dim if self.dim is not None else default
 
     def echo(self) -> dict:
-        d = asdict(self)
-        d.pop("out")
-        return d
+        """The fields but out, in their declared order."""
+        return {name: getattr(self, name) for name in self.__slots__ if name != "out"}
 
 
-@dataclass
 class CheckRecord:
-    name: str
-    relation: str
-    status: str  # pass | fail | flagged
-    measured: object
-    tolerance: float | None = None
-    detail: str | None = None
+    __slots__ = ("name", "relation", "status", "measured", "tolerance", "detail")
+
+    def __init__(self, name: str, relation: str, status: str, measured: object,
+                 tolerance: float | None = None, detail: str | None = None):
+        self.name, self.relation, self.measured = name, relation, measured
+        self.status = status  # pass | fail | flagged
+        self.tolerance, self.detail = tolerance, detail
 
 
-@dataclass
 class Report:
-    suite: str
-    config: dict
-    checks: list[CheckRecord] = field(default_factory=list)
-    wall_time_s: float = 0.0
+    __slots__ = ("suite", "config", "checks", "wall_time_s")
+
+    def __init__(self, suite: str, config: dict, checks: list[CheckRecord] | None = None, wall_time_s: float = 0.0):
+        self.suite, self.config, self.wall_time_s = suite, config, wall_time_s
+        self.checks = [] if checks is None else checks
 
     @property
     def failed(self) -> list[CheckRecord]:
@@ -195,7 +189,7 @@ class Report:
             "schema": SCHEMA_VERSION,
             "suite": self.suite,
             "config": self.config,
-            "checks": [asdict(c) for c in self.checks],
+            "checks": [{name: getattr(c, name) for name in CheckRecord.__slots__} for c in self.checks],
             "wall_time_s": self.wall_time_s,
         }
 

@@ -48,20 +48,25 @@ ANNIHILATING_SIGN = "+"  # (q + ip)/sqrt2 kills the Gaussian; verified per run
 
 
 class GridResolutionError(ValueError):
-    """Raised when a residual is dominated by discretization error, or
-    when a grid is too coarse to resolve the oscillator's ground state."""
+    """Raised when a residual is dominated by discretization error, when a
+    grid is too coarse to resolve the oscillator's ground state, or when
+    its width overflows."""
 
 
 def _grid_step(x_min: float, x_max: float, m: int) -> float:
     """The step (x_max - x_min) / m of a valid grid: finite bounds in
-    increasing order and at least 8 samples."""
+    increasing order, a finite width and at least 8 samples."""
     if not (math.isfinite(x_min) and math.isfinite(x_max)):
         raise ValueError("grid bounds must be finite")
     if not x_max > x_min:
         raise ValueError("x_max must exceed x_min")
+    width = x_max - x_min
+    if not math.isfinite(width):
+        raise GridResolutionError(f"grid x_min={x_min!r}, x_max={x_max!r} has no finite width: "
+                                  "x_max - x_min overflows")
     if m < 8:
         raise ValueError("need at least 8 samples")
-    return (x_max - x_min) / m
+    return width / m
 
 
 def grid_points(x_min: float, x_max: float, m: int) -> np.ndarray:

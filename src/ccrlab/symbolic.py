@@ -33,7 +33,9 @@ other side's terms, which forms none of the products' terms that cancel.
 
 Each building block is made once per process and then shared, so no
 cached form, tree or array is ever mutated:
-- the parse tree of each text, frozen, for the last 256 texts parsed;
+- the parse tree of each text, for the last 256 texts parsed: each node
+  sets its fields once, in __init__, and raises AttributeError on any
+  later assignment or deletion;
 - the five symbol forms, built at import and returned by `normal_order`;
 - the integer weights of the closed form for a^k a†^m, per (k, m),
   unbounded (min(k, m) + 1 integers each);
@@ -47,7 +49,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
@@ -56,47 +57,63 @@ import numpy as np
 
 from .exact import ExactScalar, HALF_SQRT2, I, ONE, SQRT2, ZERO, _canonical, _times, _to_complex
 from . import fock
+from .fock import _Value
 
 # ---------------------------------------------------------------------------
-# AST
+# AST: every node is a fock._Value, immutable so that the parse memo can
+# share its trees, and equal and hashed by type and fields.
 
 
-@dataclass(frozen=True)
-class Scalar:
-    value: ExactScalar
+class Scalar(_Value):
+    __slots__ = ("value",)
+
+    def __init__(self, value: ExactScalar):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Symbol:
-    name: str  # one of 'a', 'ad', 'q', 'p', 'I'
+class Symbol(_Value):
+    __slots__ = ("name",)  # one of 'a', 'ad', 'q', 'p', 'I'
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Sum:
-    terms: tuple
+class Sum(_Value):
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple):
+        object.__setattr__(self, "terms", terms)
 
 
-@dataclass(frozen=True)
-class Product:
-    factors: tuple
+class Product(_Value):
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple):
+        object.__setattr__(self, "factors", factors)
 
 
-@dataclass(frozen=True)
-class Quotient:
-    num: "OperatorExpr"
-    den: "OperatorExpr"  # must normal-order to a pure scalar
+class Quotient(_Value):
+    __slots__ = ("num", "den")  # den must normal-order to a pure scalar
+
+    def __init__(self, num: OperatorExpr, den: OperatorExpr):
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
 
-@dataclass(frozen=True)
-class Power:
-    base: "OperatorExpr"
-    exponent: int  # >= 0
+class Power(_Value):
+    __slots__ = ("base", "exponent")  # exponent >= 0
+
+    def __init__(self, base: OperatorExpr, exponent: int):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
 
 
-@dataclass(frozen=True)
-class Commutator:
-    left: "OperatorExpr"
-    right: "OperatorExpr"
+class Commutator(_Value):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: OperatorExpr, right: OperatorExpr):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 OperatorExpr = Union[Scalar, Symbol, Sum, Product, Quotient, Power, Commutator]
@@ -242,7 +259,7 @@ class _Parser:
 def parse(text: str) -> OperatorExpr:
     """Parse an operator expression.  Whitespace-insensitive; ^ binds
     tighter than * and /, which bind tighter than + and -.  The tree is
-    memoized by its text and shared, as every node is frozen."""
+    memoized by its text and shared, as no node can be assigned to."""
     return _Parser(text).parse()
 
 
@@ -768,10 +785,11 @@ def vacuum_expectation(nf: NormalForm) -> ExactScalar:
     return nf.coeff(0, 0)
 
 
-@dataclass(frozen=True)
 class IdentityCheck:
-    equal: bool
-    difference: NormalForm
+    __slots__ = ("equal", "difference")
+
+    def __init__(self, equal: bool, difference: NormalForm):
+        self.equal, self.difference = equal, difference
 
 
 def verify_identity(lhs: OperatorExpr | str, rhs: OperatorExpr | str) -> IdentityCheck:
@@ -804,13 +822,13 @@ def fock_norm_exact(n: int, operator: str = "none") -> Fraction:
     return value.as_rational()
 
 
-@dataclass(frozen=True)
 class SeriesOrder:
     """One Taylor order of a formal-series identity check."""
 
-    k: int
-    lhs: NormalForm
-    rhs: NormalForm
+    __slots__ = ("k", "lhs", "rhs")
+
+    def __init__(self, k: int, lhs: NormalForm, rhs: NormalForm):
+        self.k, self.lhs, self.rhs = k, lhs, rhs
 
     @property
     def equal(self) -> bool:

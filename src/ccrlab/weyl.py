@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -224,15 +223,13 @@ def _on_window(xi: FockState, dim: int, alpha: float, applications: int = 0):
     return xi.vector(w), Band.position(w), Band.momentum(w)
 
 
-@dataclass(frozen=True)
 class WeylResidualRecord:
     """One vector-applied Weyl residual at a given truncation."""
 
-    t: float
-    s: float
-    dim: int
-    residual: float
-    test_vector_support: int
+    __slots__ = ("t", "s", "dim", "residual", "test_vector_support")
+
+    def __init__(self, t: float, s: float, dim: int, residual: float, test_vector_support: int):
+        self.t, self.s, self.dim, self.residual, self.test_vector_support = t, s, dim, residual, test_vector_support
 
 
 def _test_vector(xi: FockState | None) -> FockState:

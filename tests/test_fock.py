@@ -6,6 +6,7 @@ commutator and oscillator values from brute-force matrix arithmetic.
 """
 
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -127,6 +128,10 @@ def test_tridiagonal_validation():
         np.inf * fock.Band.position(4)
     with pytest.raises(ValueError, match="shape"):
         fock.Band(3, {-1: np.ones(3)})
+    with pytest.raises(ValueError, match="shape"):
+        fock.Band(3, {0: np.ones(2)})
+    with pytest.raises(ValueError, match="non-finite"):
+        fock.Band(3, {0: np.array([1.0, np.nan, 1.0])})
     with pytest.raises(ValueError, match="cannot apply"):
         fock.Band.momentum(4) @ np.ones(5)
 
@@ -408,6 +413,27 @@ def test_state_validation():
         fock.FockState(np.array([np.inf]))
     with pytest.raises(ValueError):
         fock.FockState(np.array([1.0]), "weird")
+    with pytest.raises(ValueError, match="1-d"):
+        fock.FockState(np.ones((2, 2)))
+
+
+def test_bands_and_states_are_immutable():
+    band, state = fock.Band.position(4), fock.FockState(np.array([1.0, 2.0]))
+    for obj, name, value in ((band, "dim", 5), (band, "diagonals", {}), (band, "_dtype", float),
+                             (state, "coeffs", np.zeros(2)), (state, "convention", fock.UNNORMALIZED)):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, value)
+    with pytest.raises(AttributeError):
+        del state.convention
+    assert band.dim == 4 and state.convention == fock.NORMALIZED
+    # the cached properties of a band are still computed once and kept
+    assert band._terms is band._terms
+    assert np.array_equal(band @ np.eye(4), band.to_dense())
+    # a pickle is rebuilt through the checked constructor
+    band_back, state_back = pickle.loads(pickle.dumps((band, state)))
+    assert band_back.dim == 4 and np.array_equal(band_back.to_dense(), band.to_dense())
+    assert np.array_equal(state_back.coeffs, state.coeffs) and not state_back.coeffs.flags.writeable
+    assert state_back.convention == fock.NORMALIZED
 
 
 def test_state_owns_a_copy_of_the_callers_array():

@@ -9,6 +9,7 @@ t = 1/2, s = pi, psi = 1 that is 4 * 1/2 = 2.
 """
 
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -21,10 +22,23 @@ from spectral_oracles import fourier_sector, rayleigh_quotients, record_sectors,
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        IntervalRepSpec(1.0, 0.0, 64)
-    with pytest.raises(ValueError):
-        IntervalRepSpec(0.0, 1.0, 8)
+    for a, b, m in ((1.0, 0.0, 64), (1.0, 0.0, 16), (0.0, 1.0, 8)):
+        with pytest.raises(ValueError):
+            IntervalRepSpec(a, b, m)
+
+
+def test_spec_is_immutable_and_keyed_by_its_fields():
+    # the suites' memo is keyed by the spec, so equal fields must give an equal key
+    spec = IntervalRepSpec(0.0, 1.0, 256)
+    with pytest.raises(AttributeError):
+        spec.m = 512
+    with pytest.raises(AttributeError):
+        del spec.a
+    assert (spec.a, spec.b, spec.m) == (0.0, 1.0, 256)
+    same = IntervalRepSpec(0.0, 1.0, 256)
+    assert same == spec and hash(same) == hash(spec) and len({spec, same}) == 1
+    assert spec != IntervalRepSpec(0.0, 1.0, 320) and spec != (0.0, 1.0, 256)
+    assert pickle.loads(pickle.dumps(spec)) == spec
 
 
 def test_constant_state_normalized():

@@ -133,6 +133,29 @@ def test_report_json_schema():
     json.dumps(obj)  # must be serializable
 
 
+def test_config_echo_and_check_keys_keep_their_order():
+    # the JSON report writes these dicts as they are, so their key order is part of the format
+    echo = RunConfig(seed=7, out="report.json").echo()
+    assert list(echo) == ["suite", "dim", "t", "s", "k_max", "grid_l", "grid_m", "scheme", "interval_a",
+                          "interval_b", "interval_m", "seed", "fmt"]
+    assert (echo["suite"], echo["dim"], echo["seed"], echo["fmt"]) == ("all", None, 7, "text")
+    record = reports.CheckRecord("c", "r", "pass", 0.5)
+    checks = reports.Report("fock", echo, [record]).to_json_obj()["checks"]
+    assert checks == [{"name": "c", "relation": "r", "status": "pass", "measured": 0.5, "tolerance": None,
+                       "detail": None}]
+    assert list(checks[0]) == ["name", "relation", "status", "measured", "tolerance", "detail"]
+    assert reports.Report("fock", echo).checks == []
+
+
+def test_import_leaves_out_dataclasses_and_copy():
+    # in a fresh interpreter: pytest and hypothesis import both modules into this one
+    code = ("import sys, numpy; before = set(sys.modules); import ccrlab, ccrlab.cli; "
+            "print(sorted({'dataclasses', 'copy'} & (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_report_csv_and_text():
     report = run_suite(RunConfig(suite="fock", dim=16))
     csv_text = report.to_csv()

@@ -440,6 +440,17 @@ def test_grid_refuses_non_finite_bounds(bound):
             schrodinger.grid_points(lo, hi, 16)
 
 
+def test_grid_refuses_an_overflowing_width():
+    # both bounds are finite, their difference is not: refused before any sample or step is formed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(schrodinger.GridResolutionError, match=r"x_min=-1e\+308, x_max=1e\+308"):
+            schrodinger.grid_points(-1e308, 1e308, 8)
+        for scheme in _SCHEMES:
+            with pytest.raises(schrodinger.GridResolutionError, match="x_max - x_min overflows"):
+                schrodinger.grid_momentum(np.ones(16), -1e308, 1e308, scheme)
+
+
 def test_hermite_ground_state_is_gaussian():
     L, m = 10.0, 256
     basis = schrodinger.hermite_basis(L, m, 0)

@@ -1,9 +1,9 @@
 """Parser, normal ordering, exact identity proofs, matrix homomorphism."""
 
-import dataclasses
 import functools
 import math
 import operator
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -95,10 +95,33 @@ def test_parse_bad_exponent():
         parse("q^p")
 
 
+def test_nodes_are_equal_by_type_and_fields():
+    a, q = symbolic.Symbol("a"), symbolic.Symbol("q")
+    two = symbolic.Scalar(ExactScalar.rational(2))
+    equal_pairs = [(symbolic.Symbol("a"), a), (symbolic.Sum((a, q)), symbolic.Sum((a, q))),
+                   (symbolic.Power(q, 2), symbolic.Power(symbolic.Symbol("q"), 2)),
+                   (symbolic.Quotient(a, two), symbolic.Quotient(a, symbolic.Scalar(ExactScalar.rational(2)))),
+                   (parse("[q, 2 * a]"), symbolic.Commutator(q, symbolic.Product((two, a))))]
+    for x, y in equal_pairs:
+        assert x == y and hash(x) == hash(y)
+    unequal_pairs = [(symbolic.Sum((a,)), symbolic.Product((a,))), (a, q), (symbolic.Power(q, 2), symbolic.Power(q, 3)),
+                     (symbolic.Quotient(a, q), symbolic.Commutator(a, q)), (symbolic.Sum((a, q)), symbolic.Sum((q, a))),
+                     (a, "a"), (symbolic.Sum((a,)), (a,))]
+    for x, y in unequal_pairs:
+        assert x != y and not x == y
+    assert len({symbolic.Sum((a,)), symbolic.Product((a,)), symbolic.Sum((a,))}) == 2
+    tree = parse("(1/2) * [q, p^3] + a")
+    assert pickle.loads(pickle.dumps(tree)) == tree
+    with pytest.raises(AttributeError):
+        parse("q * a").factors[0].name = "p"
+    with pytest.raises(AttributeError):
+        del parse("q^2").exponent
+
+
 def test_parse_memo_shares_frozen_trees_and_never_caches_errors(monkeypatch):
     tree = parse("q * ad^2 + [p, a]")
     assert parse("q * ad^2 + [p, a]") == tree
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         tree.terms = ()
     for _ in range(3):
         with pytest.raises(ParseError, match="unknown identifier"):
