@@ -9,7 +9,10 @@
 Exit codes: 0 all checks pass (flagged allowed), 1 any check failed,
 2 usage error.  `diff` compares two JSON reports check by check and
 exits 0 when no check's status flipped, 1 when one did, and 2 on a file
-that is not a readable report.
+that is not a readable report.  An option left out takes RunConfig's
+default.  A suite and a sweep take one path through `main`: validation,
+the `--out` check, the run, the write.  Sweeps write CSV only: another
+`--format` is a usage error.
 """
 
 from __future__ import annotations
@@ -39,52 +42,60 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(reports.SUITES) + ["all", "sweep"],
         help="verification suite to run, or 'sweep' for parameter sweeps",
     )
-    parser.add_argument("--dim", type=int, default=None, help="truncation dimension")
-    parser.add_argument("--t", type=float, default=0.5, help="translation parameter t")
-    parser.add_argument("--s", type=float, default=0.5, help="phase parameter s")
-    parser.add_argument("--kmax", type=int, default=40, help="series truncation order")
-    parser.add_argument(
-        "--grid",
-        default="10,256,spectral",
-        help="grid spec L,M,scheme for the differential representation",
-    )
-    parser.add_argument("--interval", default="0,1", help="interval a,b for the irregular suite")
-    parser.add_argument("--interval-m", type=int, default=256, help="interval sample count")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    parser.add_argument("--out", default=None, help="write the report to this path")
-    parser.add_argument(
-        "--format", dest="fmt", choices=("json", "csv", "text"), default="text"
-    )
-    parser.add_argument("--dims", default=None, help="sweep: comma-separated dimensions")
-    parser.add_argument(
-        "--interval-lengths", default=None, help="sweep: comma-separated interval lengths"
-    )
+    parser.add_argument("--dim", type=int, help="truncation dimension")
+    parser.add_argument("--t", type=float, help="translation parameter t")
+    parser.add_argument("--s", type=float, help="phase parameter s")
+    parser.add_argument("--kmax", type=int, help="series truncation order")
+    parser.add_argument("--grid", help="grid spec L,M,scheme for the differential representation")
+    parser.add_argument("--interval", help="interval a,b for the irregular suite")
+    parser.add_argument("--interval-m", type=int, help="interval sample count")
+    parser.add_argument("--seed", type=int, help="seed for randomized checks")
+    parser.add_argument("--out", help="write the report to this path")
+    parser.add_argument("--format", dest="fmt", choices=reports.FORMATS)
+    parser.add_argument("--dims", help="sweep: comma-separated dimensions")
+    parser.add_argument("--interval-lengths", help="sweep: comma-separated interval lengths")
     return parser
 
 
 def _config_from_args(args) -> reports.RunConfig:
-    grid_parts = args.grid.split(",")
-    if len(grid_parts) != 3:
-        raise ValueError("--grid expects L,M,scheme")
-    interval_parts = _parse_list(args.interval, float)
-    if len(interval_parts) != 2:
-        raise ValueError("--interval expects a,b")
-    return reports.RunConfig(
-        suite=args.command,
-        dim=args.dim,
-        t=args.t,
-        s=args.s,
-        k_max=args.kmax,
-        grid_l=float(grid_parts[0]),
-        grid_m=int(grid_parts[1]),
-        scheme=grid_parts[2].strip(),
-        interval_a=interval_parts[0],
-        interval_b=interval_parts[1],
-        interval_m=args.interval_m,
-        seed=args.seed,
-        out=args.out,
-        fmt=args.fmt,
-    )
+    """The RunConfig of the options given, with its own defaults for the
+    rest.  A sweep reads neither --grid nor --interval, so it leaves them
+    unparsed."""
+    given = {"suite": args.command, "dim": args.dim, "t": args.t, "s": args.s, "k_max": args.kmax,
+             "interval_m": args.interval_m, "seed": args.seed, "out": args.out, "fmt": args.fmt}
+    if args.grid is not None and args.command != "sweep":
+        grid_parts = args.grid.split(",")
+        if len(grid_parts) != 3:
+            raise ValueError("--grid expects L,M,scheme")
+        given.update(grid_l=float(grid_parts[0]), grid_m=int(grid_parts[1]), scheme=grid_parts[2].strip())
+    if args.interval is not None and args.command != "sweep":
+        interval_parts = _parse_list(args.interval, float)
+        if len(interval_parts) != 2:
+            raise ValueError("--interval expects a,b")
+        given.update(interval_a=interval_parts[0], interval_b=interval_parts[1])
+    return reports.RunConfig(**{name: value for name, value in given.items() if value is not None})
+
+
+def _run(args, config: reports.RunConfig):
+    """Validate the suite or sweep that args ask for, and return it: a
+    callable that gives the text to write and the exit code."""
+    if args.command != "sweep":
+        config.validate()
+
+        def suite() -> tuple[str, int]:
+            report = reports.run_suite(config)
+            return reports.FORMATS[config.fmt](report), 1 if report.failed else 0
+
+        return suite
+    if args.fmt not in (None, "csv"):
+        raise ValueError(f"sweeps write CSV only: give --format csv or no --format, not --format {args.fmt}")
+    if args.dims is not None:
+        dims = _parse_list(args.dims, int)
+        reports._check_sweep(config.t, config.s)
+        return lambda: (reports.sweep_dims(dims, config.t, config.s), 0)
+    lengths = _parse_list(args.interval_lengths, float)
+    reports._check_sweep(config.t, config.s, lengths, config.interval_m)
+    return lambda: (reports.sweep_interval_lengths(lengths, config.t, config.s, config.interval_m), 0)
 
 
 def _out_refused(out: str | None) -> bool:
@@ -183,44 +194,20 @@ def main(argv: list[str] | None = None) -> int:
         return _diff_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    if args.command == "sweep":
-        if (args.dims is None) == (args.interval_lengths is None):
-            parser.print_usage(sys.stderr)
-            sys.stderr.write("ccr-lab sweep: give exactly one of --dims / --interval-lengths\n")
-            return USAGE_ERROR
-        if _out_refused(args.out):
-            return USAGE_ERROR
-        try:
-            if args.dims is not None:
-                csv_text = reports.sweep_dims(_parse_list(args.dims, int), [args.t], [args.s])
-            else:
-                csv_text = reports.sweep_interval_lengths(
-                    _parse_list(args.interval_lengths, float), args.t, args.s, args.interval_m
-                )
-        except ValueError as exc:
-            sys.stderr.write(f"ccr-lab: {exc}\n")
-            return USAGE_ERROR
-        return 0 if _emit(csv_text, args.out) else USAGE_ERROR
-
+    if args.command == "sweep" and (args.dims is None) == (args.interval_lengths is None):
+        parser.print_usage(sys.stderr)
+        sys.stderr.write("ccr-lab sweep: give exactly one of --dims / --interval-lengths\n")
+        return USAGE_ERROR
     try:
         config = _config_from_args(args)
-        config.validate()
+        run = _run(args, config)
     except ValueError as exc:
         sys.stderr.write(f"ccr-lab: {exc}\n")
         return USAGE_ERROR
     if _out_refused(config.out):
         return USAGE_ERROR
-
-    report = reports.run_suite(config)
-    rendered = {
-        "json": report.to_json,
-        "csv": report.to_csv,
-        "text": report.to_text,
-    }[config.fmt]()
-    if not _emit(rendered, config.out):
-        return USAGE_ERROR
-    return 1 if report.failed else 0
+    text, code = run()
+    return code if _emit(text, config.out) else USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .fock import _Value
-from .schrodinger import grid_wavenumbers, reflection_block, sector_levels
+from .schrodinger import _sectors, grid_wavenumbers, reflection_block, sector_levels
 
 BOUNDARY_CONDITION = "periodic"
 
@@ -202,7 +202,7 @@ def _number_levels(spec: IntervalRepSpec, count: int) -> tuple[np.ndarray, np.nd
     K = spec.m // 2
     C = _x2_mode_integrals(spec.a, spec.b, 2 * K)[0]
     symbol = (2.0 * np.pi * np.arange(K + 1) / spec.length) ** 2
-    levels, bounds = sector_levels(C, symbol, ((0, K + 1, 1.0, (0,)), (1, K, -1.0, ())), spec.b * spec.b, count)
+    levels, bounds = sector_levels(C, symbol, _sectors(2 * K + 1), spec.b * spec.b, count)
     return (levels - 1.0) / 2.0, bounds / 2.0
 
 
@@ -258,11 +258,9 @@ class IntervalContrastRow:
         self.length, self.weyl_residual, self.spectral_distance = length, weyl_residual, spectral_distance
 
 
-def interval_vs_line_report(
-    specs: list[IntervalRepSpec], t: float, s: float, count: int = 3
-) -> list[IntervalContrastRow]:
-    """Contrast rows (length, Weyl residual, spectral distance from the
-    nonnegative integers) for each interval.
+def interval_vs_line_report(specs: list[IntervalRepSpec], t: float, s: float) -> list[IntervalContrastRow]:
+    """Contrast rows (length, Weyl residual, spectral distance of the
+    lowest 3 levels from the nonnegative integers) for each interval.
 
     The Weyl residual uses a normalized Gaussian bump at the midpoint
     (width 1), so the wrapped-window mass shrinks as the interval grows;
@@ -276,6 +274,6 @@ def interval_vs_line_report(
         g = np.exp(-((x - center) ** 2) / 2.0).astype(complex)
         g /= math.sqrt(spec.h) * np.linalg.norm(g)
         residual = interval_weyl_residual(spec, t, s, g)
-        distance = spectral_distance_from_naturals(interval_number_spectrum(spec, count))
+        distance = spectral_distance_from_naturals(interval_number_spectrum(spec, 3))
         rows.append(IntervalContrastRow(spec.length, residual, distance))
     return rows

@@ -52,18 +52,21 @@ _WEYL_DIM = 64
 _WEYL_TOL = 1e-8
 # Largest side of a dense square array, 64 MiB per complex array, and
 # largest band length, 16 MiB per complex diagonal, each checked before any
-# is allocated.  Each size with the suites it bounds: fock's band operators
-# (dim), the grid oscillator's two parity blocks of side about m/2
-# (grid_m), the interval's N, two parity blocks on a centred interval and
-# one real matrix of side m + 1 on any other (interval_m, after aligning
-# t).  The analytic and weyl suites build nothing of side dim: they apply
-# q and p on the mode windows of their vectors.
+# is allocated.  Each size with the least a run takes (and the message
+# refusing less) and its largest, with the suites it bounds: fock's band
+# operators (dim), the grid oscillator's two parity blocks of side about
+# m/2 (grid_m), the interval's N, two parity blocks on a centred interval
+# and one real matrix of side m + 1 on any other (interval_m, after
+# aligning t).  The analytic and weyl suites build nothing of side dim:
+# they apply q and p on the mode windows of their vectors.
 _MAX_DENSE_DIM = 2048
 _MAX_BAND_DIM = 2**20
 _SIZE_LIMITS = {
-    "dim": (_MAX_BAND_DIM, "band length", ("fock", "all")),
-    "grid_m": (_MAX_DENSE_DIM, "side of a dense array", ("schrodinger", "all")),
-    "interval_m": (_MAX_DENSE_DIM, "side of a dense array", ("irregular", "all")),
+    "dim": (2, "invalid dimension {}: suites need dim >= 2", _MAX_BAND_DIM, "band length", ("fock", "all")),
+    "grid_m": (8, "grid sample count must be at least 8", _MAX_DENSE_DIM, "side of a dense array",
+               ("schrodinger", "all")),
+    "interval_m": (16, "interval sample count must be at least 16", _MAX_DENSE_DIM, "side of a dense array",
+                   ("irregular", "all")),
 }
 # The irregular suite's contrast intervals (a, b, requested m), each aligned
 # with the run's t: lengths 1, 5 and 20.
@@ -75,6 +78,17 @@ def _require_finite(name: str, *values: float) -> None:
     for value in values:
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _check_size(name: str, size: int | None, suite: str | None) -> None:
+    """Refuse a size of _SIZE_LIMITS below its least, or above its largest
+    where it is built: by `suite`, or by a sweep when suite is None."""
+    least, too_few, limit, what, suites = _SIZE_LIMITS[name]
+    if size is not None and size < least:
+        raise ValueError(too_few.format(size))
+    if size is not None and size > limit and (suite is None or suite in suites):
+        builder = "" if suite is None else f" the {suite} suite builds"
+        raise ValueError(f"{name} {size} exceeds {limit}, the largest {what}{builder}")
 
 
 def _within_dense_limit(spec: interval.IntervalRepSpec, t: float) -> interval.IntervalRepSpec:
@@ -89,6 +103,8 @@ def _within_dense_limit(spec: interval.IntervalRepSpec, t: float) -> interval.In
 
 
 class RunConfig:
+    """One run: its suite and parameters, every default held by __init__."""
+
     __slots__ = ("suite", "dim", "t", "s", "k_max", "grid_l", "grid_m", "scheme", "interval_a", "interval_b",
                  "interval_m", "seed", "out", "fmt")
 
@@ -106,12 +122,8 @@ class RunConfig:
             raise ValueError(f"unknown suite {self.suite!r}")
         for name in ("t", "s", "grid_l", "interval_a", "interval_b"):
             _require_finite(name, getattr(self, name))
-        if self.dim is not None and self.dim < 2:
-            raise ValueError(f"invalid dimension {self.dim}: suites need dim >= 2")
-        for name, (limit, what, suites) in _SIZE_LIMITS.items():
-            size = getattr(self, name)
-            if size is not None and size > limit and self.suite in suites:
-                raise ValueError(f"{name} {size} exceeds {limit}, the largest {what} the {self.suite} suite builds")
+        for name in _SIZE_LIMITS:
+            _check_size(name, getattr(self, name), self.suite)
         if self.k_max < 1:
             raise ValueError("k_max must be positive")
         dim = self.effective_dim(_ANALYTIC_DIM)
@@ -119,15 +131,7 @@ class RunConfig:
         if self.suite in ("analytic", "all") and self.k_max > k_limit:
             raise ValueError(f"k_max {self.k_max} exceeds {k_limit}, the analytic suite's limit at dim {dim}")
         if self.suite in ("weyl", "all"):
-            weyl_dim = self.effective_dim(_WEYL_DIM)
-            alpha = math.hypot(self.t, self.s) / math.sqrt(2)
-            if weyl._tail_mode(alpha, 0, _WEYL_TOL, weyl_dim) > weyl_dim - 1:
-                raise ValueError(
-                    f"t={self.t}, s={self.s} carry e^(itp) e^(isq) e_0 past mode {weyl_dim - 1}, the last mode "
-                    f"at dim {weyl_dim}: its tail there (Poisson, mean {alpha * alpha:.3g}) is above {_WEYL_TOL:g}"
-                )
-        if self.grid_m < 8:
-            raise ValueError("grid sample count must be at least 8")
+            weyl.check_truncation(self.t, self.s, self.effective_dim(_WEYL_DIM), _WEYL_TOL)
         if self.grid_l <= 0:
             raise ValueError("grid half-width must be positive")
         if not math.isfinite(self.grid_l * self.grid_l):
@@ -138,9 +142,7 @@ class RunConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not self.interval_b > self.interval_a:
             raise ValueError("interval needs b > a")
-        if self.interval_m < 16:
-            raise ValueError("interval sample count must be at least 16")
-        if self.suite in _SIZE_LIMITS["interval_m"][2]:
+        if self.suite in _SIZE_LIMITS["interval_m"][4]:
             for a, b, m in ((self.interval_a, self.interval_b, self.interval_m),) + _CONTRAST_INTERVALS:
                 if not 0 < self.t < b - a:  # U_t shifts by t within the interval
                     raise ValueError(f"t={self.t} is outside 0 < t < {b - a}, the length of the interval "
@@ -150,7 +152,7 @@ class RunConfig:
                 except ValueError:
                     continue  # t aligns with no sample count: the suite records a failed set-up or check
                 _within_dense_limit(spec, self.t)
-        if self.fmt not in ("json", "csv", "text"):
+        if self.fmt not in FORMATS:
             raise ValueError(f"unknown format {self.fmt!r}")
         if not 0 <= self.seed < 2**64:  # SplitMix64 reads the seed mod 2^64
             raise ValueError(f"seed {self.seed} is outside 0 <= seed < 2^64")
@@ -216,6 +218,10 @@ class Report:
             f"{n_fail} failed, {n_flag} flagged  ({self.wall_time_s:.2f}s)"
         )
         return "\n".join(lines) + "\n"
+
+
+# The one list of format names, each with its renderer.
+FORMATS = {"json": Report.to_json, "csv": Report.to_csv, "text": Report.to_text}
 
 
 def _csv(header: list, rows) -> str:
@@ -655,7 +661,7 @@ def schrodinger_suite(config: RunConfig) -> list[CheckRecord]:
     def number_eigen():
         x2 = schrodinger.grid_points(-L, L, m) ** 2
         worst = 0.0
-        h = 2 * L / m
+        h = schrodinger._grid_step(-L, L, m)
         for n, b in enumerate(schrodinger.hermite_basis(L, m, 8)):
             n_b = (x2 * b + schrodinger.grid_kinetic(b, -L, L, scheme) - b) / 2.0
             worst = max(worst, math.sqrt(h) * float(np.linalg.norm(n_b - n * b)))
@@ -1000,37 +1006,34 @@ def run_suite(config: RunConfig) -> Report:
 # sweeps
 
 
-def sweep_dims(dims: list[int], ts: list[float], ss: list[float]) -> str:
-    """Cartesian product of Weyl residual runs, one CSV row per point; a
-    non-finite t or s is refused before any row."""
-    _require_finite("t", *ts)
-    _require_finite("s", *ss)
-    rows = []
-    for d in dims:
-        for t in ts:
-            for s in ss:
-                try:
-                    rec = weyl.weyl_residual(t, s, d)
-                    rows.append([t, s, d, rec.test_vector_support, rec.residual, "ok"])
-                except Exception as exc:  # noqa: BLE001 - row-level failure
-                    rows.append([t, s, d, "", "", f"failed: {type(exc).__name__}"])
-    return _csv(["t", "s", "dim", "support", "residual", "status"], rows)
-
-
-def sweep_interval_lengths(
-    lengths: list[float], t: float, s: float, m_target: int = 256
-) -> str:
-    """Contrast sweep over centered interval lengths, one CSV row each.
-    A length whose aligned sample count exceeds _MAX_DENSE_DIM is a failed row;
-    a non-finite t, s or length, or a sample count outside 16.._MAX_DENSE_DIM,
-    is refused before any row."""
+def _check_sweep(t: float, s: float, lengths: list[float] | tuple = (), m_target: int | None = None) -> None:
+    """Refuse a sweep before any row: a non-finite t, s or length, or an
+    interval sample count outside _SIZE_LIMITS."""
     _require_finite("t", t)
     _require_finite("s", s)
     _require_finite("length", *lengths)
-    if m_target < 16:
-        raise ValueError("interval sample count must be at least 16")
-    if m_target > _MAX_DENSE_DIM:
-        raise ValueError(f"interval_m {m_target} exceeds {_MAX_DENSE_DIM}, the largest side of a dense array")
+    _check_size("interval_m", m_target, None)
+
+
+def sweep_dims(dims: list[int], t: float, s: float) -> str:
+    """Weyl residual runs at each dimension, one CSV row each; a
+    non-finite t or s is refused before any row."""
+    _check_sweep(t, s)
+    rows = []
+    for d in dims:
+        try:
+            rec = weyl.weyl_residual(t, s, d)
+            rows.append([t, s, d, rec.test_vector_support, rec.residual, "ok"])
+        except Exception as exc:  # noqa: BLE001 - row-level failure
+            rows.append([t, s, d, "", "", f"failed: {type(exc).__name__}"])
+    return _csv(["t", "s", "dim", "support", "residual", "status"], rows)
+
+
+def sweep_interval_lengths(lengths: list[float], t: float, s: float, m_target: int) -> str:
+    """Contrast sweep over centered interval lengths, one CSV row each.
+    A length whose aligned sample count exceeds _MAX_DENSE_DIM is a failed
+    row; `_check_sweep` refuses bad input before any row."""
+    _check_sweep(t, s, lengths, m_target)
     rows = []
     for length in lengths:
         try:

@@ -52,7 +52,7 @@ def unit_doubles(z: np.ndarray) -> np.ndarray:
 
 
 def _signed_doubles(z: np.ndarray) -> np.ndarray:
-    """2 z / 2^64 - 1 for uint64 z, each as 2.0 * uniform() - 1.0 rounds it."""
+    """2 z / 2^64 - 1 for uint64 z, each as 2.0 * (z / 2.0**64) - 1.0 rounds it."""
     out = unit_doubles(z)
     out *= 2.0
     out -= 1.0
@@ -85,10 +85,6 @@ class SplitMix64:
         z ^= z >> _U31
         return z
 
-    def uniform(self) -> float:
-        """Uniform double in [0, 1]: output / 2^64."""
-        return self.next_u64() / 2.0**64
-
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in [low, high] inclusive."""
         if high < low:
@@ -97,7 +93,7 @@ class SplitMix64:
 
     def complex_components(self, n: int) -> np.ndarray:
         """n complex numbers with re, im uniform in [-1, 1]: each re, im
-        pair is 2 uniform() - 1 of two outputs in turn."""
+        pair is 2 output / 2^64 - 1 of two outputs in turn."""
         return _signed_doubles(self.block(2 * n)).view(complex)
 
     def ragged_components(self, count: int, bounds: tuple, size: int) -> tuple[np.ndarray, np.ndarray]:

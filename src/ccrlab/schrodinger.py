@@ -9,6 +9,12 @@ to it (a multiply, an FFT or a stencil), never stored as matrices.  p^2
 is applied by FFT as its symbol, k^2 or (2 - 2 cos(kh))/h^2 on each DFT
 mode.
 
+Every step h = (x_max - x_min) / m, 2L/m on [-L, L), is `_grid_step`'s.
+It refuses non-finite or reversed bounds or m < 8 (ValueError), and a
+step that is not positive and finite, where x_max - x_min overflows or
+the step underflows to 0 (GridResolutionError); `check_resolution` also
+refuses h > pi, too coarse for the oscillator's ground state.
+
 The lowest oscillator levels are solved in the Fourier basis, where p^2
 is diagonal, K, and x^2 is a Toeplitz +- Hankel matrix T of the Fourier
 coefficients of x^2 on each of the two parity sectors of the reflection
@@ -50,23 +56,23 @@ ANNIHILATING_SIGN = "+"  # (q + ip)/sqrt2 kills the Gaussian; verified per run
 class GridResolutionError(ValueError):
     """Raised when a residual is dominated by discretization error, when a
     grid is too coarse to resolve the oscillator's ground state, or when
-    its width overflows."""
+    its width overflows or its step underflows."""
 
 
 def _grid_step(x_min: float, x_max: float, m: int) -> float:
     """The step (x_max - x_min) / m of a valid grid: finite bounds in
-    increasing order, a finite width and at least 8 samples."""
+    increasing order, at least 8 samples and a positive finite step."""
     if not (math.isfinite(x_min) and math.isfinite(x_max)):
         raise ValueError("grid bounds must be finite")
     if not x_max > x_min:
         raise ValueError("x_max must exceed x_min")
-    width = x_max - x_min
-    if not math.isfinite(width):
-        raise GridResolutionError(f"grid x_min={x_min!r}, x_max={x_max!r} has no finite width: "
-                                  "x_max - x_min overflows")
     if m < 8:
         raise ValueError("need at least 8 samples")
-    return width / m
+    step = (x_max - x_min) / m
+    if not 0.0 < step < math.inf:
+        reason = "x_max - x_min overflows" if step == math.inf else "(x_max - x_min) / m underflows to 0"
+        raise GridResolutionError(f"grid x_min={x_min!r}, x_max={x_max!r}, m={m} has no positive finite step: {reason}")
+    return step
 
 
 def grid_points(x_min: float, x_max: float, m: int) -> np.ndarray:
@@ -106,7 +112,7 @@ def check_resolution(L: float, m: int) -> None:
     """Raise GridResolutionError unless the grid of m points on [-L, L)
     reaches the momentum width 1 of the oscillator's ground state: its
     largest wavenumber pi/h, h = 2L/m, must be at least 1."""
-    h = 2.0 * L / m
+    h = _grid_step(-L, L, m)
     if math.pi / h < 1.0:
         raise GridResolutionError(
             f"grid L={L!r}, m={m} has step h={h:.6g}: its largest wavenumber pi/h is below 1, "
@@ -428,7 +434,7 @@ def _hermite_rows(L: float, m: int, n_max: int) -> tuple[np.ndarray, list[float]
     rows[0] = np.pi**-0.25 * np.exp(-x * x / 2.0)
     for n in range(n_max):  # at n = 0, psi_{n-1} is rows[-1], still zero
         rows[n + 1] = math.sqrt(2.0 / (n + 1)) * x * rows[n] - math.sqrt(n / (n + 1)) * rows[n - 1]
-    h = 2.0 * L / m
+    h = _grid_step(-L, L, m)
     return rows, [math.sqrt(h) * float(np.linalg.norm(row)) for row in rows]
 
 
@@ -455,7 +461,7 @@ def hermite_norm_drift(L: float, m: int, n_max: int) -> float:
 def _witness(L: float, m: int, n_max: int) -> np.ndarray:
     """The witness T = sqrt(h) conj(hermite_basis): row n maps grid samples
     to their coefficient on psi_n."""
-    return math.sqrt(2.0 * L / m) * hermite_basis(L, m, n_max).conj()
+    return math.sqrt(_grid_step(-L, L, m)) * hermite_basis(L, m, n_max).conj()
 
 
 def intertwiner_check(L: float, m: int, n_max: int) -> float:

@@ -22,7 +22,7 @@ and the full-dim values agree to rounding.  The kernel takes its term
 count from the window's 1-norm, the cost stops growing with dim, and at
 W = dim the path is the full one.  The same bound at the Weyl residual's
 tolerance tells which t, s a truncation can hold at all
-(`reports.RunConfig.validate`).
+(`check_truncation`).
 
 The kernel.  Every exponential here is e^{iH} B with H = cG Hermitian:
 G is q, p, a real diagonal or 0.  `expm_multiply` takes exactly that
@@ -207,6 +207,15 @@ def _tail_mode(alpha: float, top: int, tol: float, limit: int) -> int:
         else:
             lo = mid + 1
     return lo
+
+
+def check_truncation(t: float, s: float, dim: int, tol: float) -> None:
+    """Raise ValueError unless the tail of e^{itp} e^{isq} e_0 (Poisson, mean
+    (t^2 + s^2)/2) past mode dim - 1, bounded by `_tail_mode`, is at most tol."""
+    alpha = math.hypot(t, s) / math.sqrt(2)
+    if _tail_mode(alpha, 0, tol, dim) > dim - 1:
+        raise ValueError(f"t={t}, s={s} carry e^(itp) e^(isq) e_0 past mode {dim - 1}, the last mode at dim "
+                         f"{dim}: its tail there (Poisson, mean {alpha * alpha:.3g}) is above {tol:g}")
 
 
 def _window(dim: int, top: int, alpha: float, applications: int = 0) -> int:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ccrlab import interval, reports, schrodinger, weyl
-from ccrlab.cli import main
+from ccrlab.cli import _config_from_args, build_parser, main
 from ccrlab.reports import RunConfig, run_suite
 
 
@@ -252,7 +252,7 @@ def test_run_suite_determinism_in_process():
 
 
 def test_sweep_dims_rows():
-    text = reports.sweep_dims([16, 32], [0.5], [0.5])
+    text = reports.sweep_dims([16, 32], 0.5, 0.5)
     lines = text.strip().split("\n")
     assert lines[0] == "t,s,dim,support,residual,status"
     assert len(lines) == 3
@@ -261,7 +261,7 @@ def test_sweep_dims_rows():
 
 def test_sweep_dims_reaches_16384_modes():
     # the sweep applies tridiagonal q and p, so no dense dim x dim array
-    t, s, dim, support, residual, status = reports.sweep_dims([16384], [0.5], [0.5]).split("\n")[1].split(",")
+    t, s, dim, support, residual, status = reports.sweep_dims([16384], 0.5, 0.5).split("\n")[1].split(",")
     assert (dim, support, status) == ("16384", "0", "ok")
     assert float(residual) <= 1e-8
 
@@ -271,7 +271,7 @@ def test_sweep_dims_reaches_a_million_modes():
     tracemalloc.start()
     try:
         start = time.perf_counter()
-        row = reports.sweep_dims([1048576], [0.5], [0.5]).split("\n")[1].split(",")
+        row = reports.sweep_dims([1048576], 0.5, 0.5).split("\n")[1].split(",")
         elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -293,11 +293,11 @@ def test_weyl_suite_reach():
 
 
 def test_sweep_dims_empty_is_header_only():
-    assert reports.sweep_dims([], [0.5], [0.5]).strip() == "t,s,dim,support,residual,status"
+    assert reports.sweep_dims([], 0.5, 0.5).strip() == "t,s,dim,support,residual,status"
 
 
 def test_sweep_dims_bad_row_continues():
-    text = reports.sweep_dims([0, 16], [0.5], [0.5])
+    text = reports.sweep_dims([0, 16], 0.5, 0.5)
     lines = text.strip().split("\n")
     assert "failed" in lines[1]
     assert lines[2].endswith("ok")
@@ -567,6 +567,38 @@ def test_sweep_interval_lengths_beyond_dense_limit(capsys):
 def test_cli_usage_error_unknown_suite():
     proc = run_cli(["everything"])
     assert proc.returncode == 2
+
+
+def test_cli_sweep_writes_csv_only(capsys):
+    assert main(["sweep", "--dims", "16,32"]) == 0
+    csv_text = capsys.readouterr().out
+    assert main(["sweep", "--dims", "16,32", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == csv_text
+    for fmt in ("json", "text"):
+        for argv in (["sweep", "--dims", "16"], ["sweep", "--interval-lengths", "1"]):
+            assert main(argv + ["--format", fmt]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("ccr-lab: sweeps write CSV only: give --format csv or no --format, "
+                                    f"not --format {fmt}\n")
+
+
+def test_cli_defaults_are_run_config_defaults():
+    # every option left out takes RunConfig's own default, field by field
+    for suite in reports.SUITES + ("all",):
+        config, want = _config_from_args(build_parser().parse_args([suite])), RunConfig(suite=suite)
+        for name in RunConfig.__slots__:
+            got, expected = getattr(config, name), getattr(want, name)
+            assert (type(got), got) == (type(expected), expected), (suite, name)
+
+
+def test_cli_grid_whose_step_underflows_is_a_usage_error(capsys):
+    for suite in ("schrodinger", "all"):
+        assert main([suite, "--grid", "5e-324,256,spectral"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("ccr-lab: grid x_min=-5e-324, x_max=5e-324, m=256 has no positive finite step: "
+                                "(x_max - x_min) / m underflows to 0\n")
 
 
 def test_cli_sweep_modes():

@@ -73,7 +73,6 @@ _seeds = st.one_of(st.sampled_from((0, 1, 2**63, _MASK)), st.integers(0, _MASK))
 _calls = st.lists(
     st.one_of(
         st.tuples(st.just("next_u64")),
-        st.tuples(st.just("uniform")),
         st.tuples(st.just("randint"), st.integers(-5, 5), st.integers(0, 2**64)),
         st.tuples(st.just("complex_components"), st.integers(0, 40)),
         st.tuples(st.just("block"), st.integers(0, 70)),

@@ -451,6 +451,22 @@ def test_grid_refuses_an_overflowing_width():
                 schrodinger.grid_momentum(np.ones(16), -1e308, 1e308, scheme)
 
 
+def test_grid_refuses_an_underflowing_step():
+    # (x_max - x_min) / m rounds to 0: refused with the bounds and m, not a zero step
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = r"x_min=0\.0, x_max=5e-324, m=8 has no positive finite step"
+        with pytest.raises(schrodinger.GridResolutionError, match=message):
+            schrodinger.grid_points(0.0, 5e-324, 8)
+        for scheme in _SCHEMES:
+            with pytest.raises(schrodinger.GridResolutionError, match="underflows to 0"):
+                schrodinger.grid_momentum(np.ones(16), 0.0, 5e-324, scheme)
+        with pytest.raises(schrodinger.GridResolutionError, match=r"x_min=-5e-324, x_max=5e-324, m=256"):
+            schrodinger.check_resolution(5e-324, 256)
+    # the smallest positive step is still a grid
+    assert schrodinger.grid_points(0.0, 8 * 5e-324, 8)[1] == 5e-324
+
+
 def test_hermite_ground_state_is_gaussian():
     L, m = 10.0, 256
     basis = schrodinger.hermite_basis(L, m, 0)

@@ -531,6 +531,15 @@ def test_tail_mode_support_3_at_mean_1e4():
     assert first <= mode <= 1.02 * first
 
 
+def test_truncation_check_refuses_a_tail_above_tol():
+    # e^(itp) e_0 at t = 500 is Poisson with mean 1.25e5, far past mode 63
+    weyl.check_truncation(0.5, 0.5, 64, 1e-8)
+    weyl.check_truncation(6.0, 6.0, 128, 1e-8)
+    for t, s, dim in ((500.0, 0.5, 64), (6.0, 6.0, 64), (0.5, 12.0, 128)):
+        with pytest.raises(ValueError, match=rf"past mode {dim - 1}, the last mode at dim {dim}: .* above 1e-08"):
+            weyl.check_truncation(t, s, dim, 1e-8)
+
+
 def test_tail_mode_edges():
     assert weyl._tail_mode(0.0, 5, 1e-8, 64) == 5  # no displacement, no tail
     assert weyl._tail_mode(1e-300, 0, 2.0**-53, 64) == 0  # e^{-|alpha|^2/2} alpha e_1 is below rounding
