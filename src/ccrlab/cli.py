@@ -11,8 +11,11 @@ Exit codes: 0 all checks pass (flagged allowed), 1 any check failed,
 exits 0 when no check's status flipped, 1 when one did, and 2 on a file
 that is not a readable report.  An option left out takes RunConfig's
 default.  A suite and a sweep take one path through `main`: validation,
-the `--out` check, the run, the write.  Sweeps write CSV only: another
-`--format` is a usage error.
+the `--out` check, the run, the write.  Both have one gate,
+`RunConfig.validate`: a sweep is refused every value a suite is refused
+but for the rules of the suites it does not run.  Sweeps write CSV only:
+another `--format` is a usage error, and so are `--dims` and
+`--interval-lengths` on a suite.
 """
 
 from __future__ import annotations
@@ -58,17 +61,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> reports.RunConfig:
-    """The RunConfig of the options given, with its own defaults for the
-    rest.  A sweep reads neither --grid nor --interval, so it leaves them
-    unparsed."""
+    """The RunConfig of the options given, with its own defaults for the rest."""
     given = {"suite": args.command, "dim": args.dim, "t": args.t, "s": args.s, "k_max": args.kmax,
              "interval_m": args.interval_m, "seed": args.seed, "out": args.out, "fmt": args.fmt}
-    if args.grid is not None and args.command != "sweep":
+    if args.grid is not None:
         grid_parts = args.grid.split(",")
         if len(grid_parts) != 3:
             raise ValueError("--grid expects L,M,scheme")
         given.update(grid_l=float(grid_parts[0]), grid_m=int(grid_parts[1]), scheme=grid_parts[2].strip())
-    if args.interval is not None and args.command != "sweep":
+    if args.interval is not None:
         interval_parts = _parse_list(args.interval, float)
         if len(interval_parts) != 2:
             raise ValueError("--interval expects a,b")
@@ -76,26 +77,26 @@ def _config_from_args(args) -> reports.RunConfig:
     return reports.RunConfig(**{name: value for name, value in given.items() if value is not None})
 
 
-def _run(args, config: reports.RunConfig):
-    """Validate the suite or sweep that args ask for, and return it: a
-    callable that gives the text to write and the exit code."""
-    if args.command != "sweep":
-        config.validate()
-
-        def suite() -> tuple[str, int]:
-            report = reports.run_suite(config)
-            return reports.FORMATS[config.fmt](report), 1 if report.failed else 0
-
-        return suite
-    if args.fmt not in (None, "csv"):
+def _run(args):
+    """The validated RunConfig of the suite or sweep that args ask for, and
+    a callable that runs it and gives the text to write and the exit code.
+    An unparsable or non-finite sweep list is refused before validation."""
+    if args.command == "sweep" and args.fmt not in (None, "csv"):
         raise ValueError(f"sweeps write CSV only: give --format csv or no --format, not --format {args.fmt}")
+    config = _config_from_args(args)
     if args.dims is not None:
         dims = _parse_list(args.dims, int)
-        reports._check_sweep(config.t, config.s)
-        return lambda: (reports.sweep_dims(dims, config.t, config.s), 0)
-    lengths = _parse_list(args.interval_lengths, float)
-    reports._check_sweep(config.t, config.s, lengths, config.interval_m)
-    return lambda: (reports.sweep_interval_lengths(lengths, config.t, config.s, config.interval_m), 0)
+        run = lambda: (reports.sweep_dims(config, dims), 0)
+    elif args.interval_lengths is not None:
+        lengths = _parse_list(args.interval_lengths, float)
+        reports._require_finite("length", *lengths)
+        run = lambda: (reports.sweep_interval_lengths(config, lengths), 0)
+    else:
+        def run() -> tuple[str, int]:
+            report = reports.run_suite(config)
+            return reports.FORMATS[config.fmt](report), 1 if report.failed else 0
+    config.validate()
+    return config, run
 
 
 def _out_refused(out: str | None) -> bool:
@@ -194,13 +195,15 @@ def main(argv: list[str] | None = None) -> int:
         return _diff_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "sweep" and (args.dims is None) == (args.interval_lengths is None):
+    # a sweep takes exactly one of the two sweep options, a suite neither
+    if (args.dims is not None) + (args.interval_lengths is not None) != (args.command == "sweep"):
         parser.print_usage(sys.stderr)
-        sys.stderr.write("ccr-lab sweep: give exactly one of --dims / --interval-lengths\n")
+        need = ("give exactly one of --dims / --interval-lengths" if args.command == "sweep"
+                else "--dims and --interval-lengths are sweep options")
+        sys.stderr.write(f"ccr-lab {args.command}: {need}\n")
         return USAGE_ERROR
     try:
-        config = _config_from_args(args)
-        run = _run(args, config)
+        config, run = _run(args)
     except ValueError as exc:
         sys.stderr.write(f"ccr-lab: {exc}\n")
         return USAGE_ERROR

@@ -31,22 +31,25 @@ import math
 import numpy as np
 
 from .fock import _Value
-from .schrodinger import _sectors, grid_wavenumbers, reflection_block, sector_levels
+from .schrodinger import _grid_step, _sectors, grid_points, grid_wavenumbers, reflection_block, sector_levels
 
 BOUNDARY_CONDITION = "periodic"
+# The largest side of a dense square array, 64 MiB per complex array: the
+# most samples an aligned interval may take, and the largest grid_m.
+MAX_DENSE_SIDE = 2048
 
 
 class IntervalRepSpec(_Value):
-    """Interval (a, b) sampled at m points, periodic.  Immutable, and equal
-    and hashed by its fields: the suites' memo is keyed by it."""
+    """Interval (a, b) sampled at m points, periodic, with the grid's step
+    and points (`schrodinger._grid_step`, `grid_points`).  Immutable, and
+    equal and hashed by its fields: the suites' memo is keyed by it."""
 
     __slots__ = ("a", "b", "m")
 
     def __init__(self, a: float, b: float, m: int):
-        if not b > a:
-            raise ValueError("need b > a")
         if m < 16:
             raise ValueError("need at least 16 samples")
+        _grid_step(a, b, m)  # finite bounds, b > a and a positive finite step
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "m", m)
@@ -57,11 +60,11 @@ class IntervalRepSpec(_Value):
 
     @property
     def h(self) -> float:
-        return self.length / self.m
+        return _grid_step(self.a, self.b, self.m)
 
     @property
     def points(self) -> np.ndarray:
-        return self.a + self.h * np.arange(self.m)
+        return grid_points(self.a, self.b, self.m)
 
     def constant_state(self) -> np.ndarray:
         """The normalized constant function, ||psi|| = 1 in L2(a, b)."""
@@ -78,9 +81,15 @@ def _shift_steps(spec: IntervalRepSpec, t: float) -> int:
 
 
 def aligned_spec(a: float, b: float, t: float, m_target: int) -> IntervalRepSpec:
-    """Smallest m >= m_target making t an exact multiple of the step."""
+    """Smallest m >= m_target making t an exact multiple of the step,
+    searched below 16 m_target; refused when that m exceeds MAX_DENSE_SIDE."""
     for m in range(m_target, 16 * m_target):
         if abs(t * m / (b - a) - round(t * m / (b - a))) < 1e-9:
+            if m > MAX_DENSE_SIDE:
+                raise ValueError(
+                    f"aligned interval_m {m} exceeds {MAX_DENSE_SIDE}, the largest side of a dense array: "
+                    f"t={t} is a whole number of steps of ({a}, {b}) first at m={m}"
+                )
             return IntervalRepSpec(a, b, m)
     raise ValueError(f"no grid-aligned sample count near {m_target} for t={t}")
 

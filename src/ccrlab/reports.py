@@ -50,23 +50,22 @@ _TAYLOR_CHECK_DIM = 128
 # bounds the tail of e^{itp} e^{isq} e_0 that the truncation must hold.
 _WEYL_DIM = 64
 _WEYL_TOL = 1e-8
-# Largest side of a dense square array, 64 MiB per complex array, and
-# largest band length, 16 MiB per complex diagonal, each checked before any
-# is allocated.  Each size with the least a run takes (and the message
-# refusing less) and its largest, with the suites it bounds: fock's band
-# operators (dim), the grid oscillator's two parity blocks of side about
-# m/2 (grid_m), the interval's N, two parity blocks on a centred interval
-# and one real matrix of side m + 1 on any other (interval_m, after
-# aligning t).  The analytic and weyl suites build nothing of side dim:
-# they apply q and p on the mode windows of their vectors.
-_MAX_DENSE_DIM = 2048
+# Largest band length, 16 MiB per complex diagonal, and largest side of a
+# dense square array (interval.MAX_DENSE_SIDE), each checked before any is
+# allocated.  Each size with the least a run takes (and the message
+# refusing less) and its largest, with the commands that build it: fock's
+# band operators (dim), the grid oscillator's two parity blocks of side
+# about m/2 (grid_m), the interval's N, two parity blocks on a centred
+# interval and one real matrix of side m + 1 on any other (interval_m,
+# after aligning t).  The analytic and weyl suites build nothing of side
+# dim: they apply q and p on the mode windows of their vectors.
 _MAX_BAND_DIM = 2**20
 _SIZE_LIMITS = {
-    "dim": (2, "invalid dimension {}: suites need dim >= 2", _MAX_BAND_DIM, "band length", ("fock", "all")),
-    "grid_m": (8, "grid sample count must be at least 8", _MAX_DENSE_DIM, "side of a dense array",
-               ("schrodinger", "all")),
-    "interval_m": (16, "interval sample count must be at least 16", _MAX_DENSE_DIM, "side of a dense array",
-                   ("irregular", "all")),
+    "dim": (2, "invalid dimension {}: suites need dim >= 2", _MAX_BAND_DIM, "band length", {"fock"}),
+    "grid_m": (8, "grid sample count must be at least 8", interval.MAX_DENSE_SIDE, "side of a dense array",
+               {"schrodinger"}),
+    "interval_m": (16, "interval sample count must be at least 16", interval.MAX_DENSE_SIDE,
+                   "side of a dense array", {"irregular", "sweep"}),
 }
 # The irregular suite's contrast intervals (a, b, requested m), each aligned
 # with the run's t: lengths 1, 5 and 20.
@@ -80,30 +79,9 @@ def _require_finite(name: str, *values: float) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def _check_size(name: str, size: int | None, suite: str | None) -> None:
-    """Refuse a size of _SIZE_LIMITS below its least, or above its largest
-    where it is built: by `suite`, or by a sweep when suite is None."""
-    least, too_few, limit, what, suites = _SIZE_LIMITS[name]
-    if size is not None and size < least:
-        raise ValueError(too_few.format(size))
-    if size is not None and size > limit and (suite is None or suite in suites):
-        builder = "" if suite is None else f" the {suite} suite builds"
-        raise ValueError(f"{name} {size} exceeds {limit}, the largest {what}{builder}")
-
-
-def _within_dense_limit(spec: interval.IntervalRepSpec, t: float) -> interval.IntervalRepSpec:
-    """spec, refused when aligning t raised its sample count past _MAX_DENSE_DIM
-    (interval.aligned_spec may go up to 16 times the requested count)."""
-    if spec.m > _MAX_DENSE_DIM:
-        raise ValueError(
-            f"aligned interval_m {spec.m} exceeds {_MAX_DENSE_DIM}, the largest side of a dense "
-            f"array: t={t} is a whole number of steps of ({spec.a}, {spec.b}) first at m={spec.m}"
-        )
-    return spec
-
-
 class RunConfig:
-    """One run: its suite and parameters, every default held by __init__."""
+    """One run of a suite, of "all" or of a sweep, and its parameters,
+    every default held by __init__."""
 
     __slots__ = ("suite", "dim", "t", "s", "k_max", "grid_l", "grid_m", "scheme", "interval_a", "interval_b",
                  "interval_m", "seed", "out", "fmt")
@@ -117,41 +95,53 @@ class RunConfig:
         self.interval_a, self.interval_b, self.interval_m = interval_a, interval_b, interval_m
         self.seed, self.out, self.fmt = seed, out, fmt
 
+    def suites(self) -> tuple[str, ...]:
+        """The suites this command runs: every suite for "all", none for a sweep."""
+        return SUITES if self.suite == "all" else () if self.suite == "sweep" else (self.suite,)
+
     def validate(self) -> None:
-        if self.suite not in SUITES + ("all",):
+        """The one gate of a run, suite or sweep: ValueError on the first
+        fault.  A rule tied to a suite applies when the command runs it."""
+        if self.suite not in SUITES + ("all", "sweep"):
             raise ValueError(f"unknown suite {self.suite!r}")
+        runs = self.suites()
         for name in ("t", "s", "grid_l", "interval_a", "interval_b"):
             _require_finite(name, getattr(self, name))
-        for name in _SIZE_LIMITS:
-            _check_size(name, getattr(self, name), self.suite)
+        for name, (least, too_few, limit, what, builders) in _SIZE_LIMITS.items():
+            size = getattr(self, name)
+            if size is not None and size < least:
+                raise ValueError(too_few.format(size))
+            if size is not None and size > limit and builders & {self.suite, *runs}:
+                builder = "" if self.suite == "sweep" else f" the {self.suite} suite builds"
+                raise ValueError(f"{name} {size} exceeds {limit}, the largest {what}{builder}")
         if self.k_max < 1:
             raise ValueError("k_max must be positive")
-        dim = self.effective_dim(_ANALYTIC_DIM)
-        k_limit = min(_TAYLOR_CHECK_DIM, dim - _ANALYTIC_TOP_MODE) - 1
-        if self.suite in ("analytic", "all") and self.k_max > k_limit:
-            raise ValueError(f"k_max {self.k_max} exceeds {k_limit}, the analytic suite's limit at dim {dim}")
-        if self.suite in ("weyl", "all"):
+        if "analytic" in runs:
+            dim = self.effective_dim(_ANALYTIC_DIM)
+            k_limit = min(_TAYLOR_CHECK_DIM, dim - _ANALYTIC_TOP_MODE) - 1
+            if k_limit < 1:
+                raise ValueError(f"dim {dim} is below {_ANALYTIC_TOP_MODE + 2}, the analytic suite's least dim: "
+                                 f"its random vectors reach mode {_ANALYTIC_TOP_MODE}")
+            if self.k_max > k_limit:
+                raise ValueError(f"k_max {self.k_max} exceeds {k_limit}, the analytic suite's limit at dim {dim}")
+        if "weyl" in runs:
             weyl.check_truncation(self.t, self.s, self.effective_dim(_WEYL_DIM), _WEYL_TOL)
         if self.grid_l <= 0:
             raise ValueError("grid half-width must be positive")
         if not math.isfinite(self.grid_l * self.grid_l):
             raise ValueError(f"grid half-width {self.grid_l!r} has no finite square: x^2 overflows on the grid")
-        if self.suite in ("schrodinger", "all"):
+        if "schrodinger" in runs:
             schrodinger.check_resolution(self.grid_l, self.grid_m)
         if self.scheme not in (schrodinger.SPECTRAL, schrodinger.CENTRAL_DIFFERENCE):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not self.interval_b > self.interval_a:
             raise ValueError("interval needs b > a")
-        if self.suite in _SIZE_LIMITS["interval_m"][4]:
+        if "irregular" in runs:
             for a, b, m in ((self.interval_a, self.interval_b, self.interval_m),) + _CONTRAST_INTERVALS:
                 if not 0 < self.t < b - a:  # U_t shifts by t within the interval
                     raise ValueError(f"t={self.t} is outside 0 < t < {b - a}, the length of the interval "
                                      f"({a}, {b}) that the {self.suite} suite builds")
-                try:
-                    spec = interval.aligned_spec(a, b, self.t, m)
-                except ValueError:
-                    continue  # t aligns with no sample count: the suite records a failed set-up or check
-                _within_dense_limit(spec, self.t)
+                interval.aligned_spec(a, b, self.t, m)
         if self.fmt not in FORMATS:
             raise ValueError(f"unknown format {self.fmt!r}")
         if not 0 <= self.seed < 2**64:  # SplitMix64 reads the seed mod 2^64
@@ -743,7 +733,7 @@ def schrodinger_suite(config: RunConfig) -> list[CheckRecord]:
 
 def irregular_suite(config: RunConfig) -> list[CheckRecord]:
     a, b = config.interval_a, config.interval_b
-    spec = _within_dense_limit(interval.aligned_spec(a, b, config.t, config.interval_m), config.t)
+    spec = interval.aligned_spec(a, b, config.t, config.interval_m)
     t, s = config.t, config.s
     shared = _shared()
     residual = lambda: shared(interval.interval_weyl_residual, spec, t, s)
@@ -770,8 +760,7 @@ def irregular_suite(config: RunConfig) -> list[CheckRecord]:
         return float(np.min(np.abs(ev - np.clip(np.round(ev), 0, None))))
 
     def contrast():
-        specs = [_within_dense_limit(interval.aligned_spec(lo, hi, t, m_target), t)
-                 for lo, hi, m_target in _CONTRAST_INTERVALS]
+        specs = [interval.aligned_spec(lo, hi, t, m_target) for lo, hi, m_target in _CONTRAST_INTERVALS]
         rows = interval.interval_vs_line_report(specs, t, s)
         residuals = [r.weyl_residual for r in rows]
         distances = [r.spectral_distance for r in rows]
@@ -981,8 +970,7 @@ def run_suite(config: RunConfig) -> Report:
     config.validate()
     start = time.perf_counter()
     records: list[CheckRecord] = []
-    names = SUITES if config.suite == "all" else (config.suite,)
-    for name in names:
+    for name in config.suites():
         try:
             suite_records = _SUITE_FUNCS[name](config)
         except Exception as exc:  # noqa: BLE001 - a failed set-up must not kill the run
@@ -1006,19 +994,11 @@ def run_suite(config: RunConfig) -> Report:
 # sweeps
 
 
-def _check_sweep(t: float, s: float, lengths: list[float] | tuple = (), m_target: int | None = None) -> None:
-    """Refuse a sweep before any row: a non-finite t, s or length, or an
-    interval sample count outside _SIZE_LIMITS."""
-    _require_finite("t", t)
-    _require_finite("s", s)
-    _require_finite("length", *lengths)
-    _check_size("interval_m", m_target, None)
-
-
-def sweep_dims(dims: list[int], t: float, s: float) -> str:
-    """Weyl residual runs at each dimension, one CSV row each; a
-    non-finite t or s is refused before any row."""
-    _check_sweep(t, s)
+def sweep_dims(config: RunConfig, dims: list[int]) -> str:
+    """Weyl residual runs at the sweep config's t and s at each dimension,
+    one CSV row each; the config is validated before any row."""
+    config.validate()
+    t, s = config.t, config.s
     rows = []
     for d in dims:
         try:
@@ -1029,16 +1009,19 @@ def sweep_dims(dims: list[int], t: float, s: float) -> str:
     return _csv(["t", "s", "dim", "support", "residual", "status"], rows)
 
 
-def sweep_interval_lengths(lengths: list[float], t: float, s: float, m_target: int) -> str:
-    """Contrast sweep over centered interval lengths, one CSV row each.
-    A length whose aligned sample count exceeds _MAX_DENSE_DIM is a failed
-    row; `_check_sweep` refuses bad input before any row."""
-    _check_sweep(t, s, lengths, m_target)
+def sweep_interval_lengths(config: RunConfig, lengths: list[float]) -> str:
+    """Contrast sweep over centered interval lengths at the sweep config's
+    t, s and interval_m, one CSV row each.  The config and the finiteness
+    of every length are checked before any row; a length that aligns with
+    no sample count, or first above interval.MAX_DENSE_SIDE, is a failed row."""
+    config.validate()
+    _require_finite("length", *lengths)
+    t, s = config.t, config.s
     rows = []
     for length in lengths:
         try:
-            spec = interval.aligned_spec(-float(length) / 2, float(length) / 2, t, m_target)
-            row = interval.interval_vs_line_report([_within_dense_limit(spec, t)], t, s)[0]
+            spec = interval.aligned_spec(-float(length) / 2, float(length) / 2, t, config.interval_m)
+            row = interval.interval_vs_line_report([spec], t, s)[0]
             rows.append([length, row.weyl_residual, row.spectral_distance, "ok"])
         except Exception as exc:  # noqa: BLE001 - row-level failure
             rows.append([length, "", "", f"failed: {type(exc).__name__}"])

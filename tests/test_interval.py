@@ -25,6 +25,9 @@ def test_spec_validation():
     for a, b, m in ((1.0, 0.0, 64), (1.0, 0.0, 16), (0.0, 1.0, 8)):
         with pytest.raises(ValueError):
             IntervalRepSpec(a, b, m)
+    # the grid's step rule: b - a overflows, so h and the points would be inf and nan
+    with pytest.raises(schrodinger.GridResolutionError, match="has no positive finite step: x_max - x_min overflows"):
+        IntervalRepSpec(-1e308, 1e308, 256)
 
 
 def test_spec_is_immutable_and_keyed_by_its_fields():

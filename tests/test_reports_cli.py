@@ -62,13 +62,20 @@ def test_config_validation_errors():
         RunConfig(suite="all", t=-0.25),
         RunConfig(suite="irregular", interval_b=5.0, t=1.5),  # past the contrast interval of length 1
         RunConfig(suite="irregular", interval_b=1e-300),
+        RunConfig(suite="irregular", t=0.3333333),  # aligns with no sample count
+        RunConfig(suite="all", t=1e-8),
+        RunConfig(suite="sweep", k_max=0),  # a sweep takes every rule not tied to a suite
+        RunConfig(suite="sweep", interval_m=4096),
+        RunConfig(suite="sweep", scheme="upwind"),
         RunConfig(suite="fock", seed=-1),  # seeds are read mod 2^64: outside [0, 2^64) they alias
         RunConfig(suite="all", seed=2**64),
     ):
         with pytest.raises(ValueError):
             bad.validate()
-    with pytest.raises(schrodinger.GridResolutionError):
-        RunConfig(suite="all", grid_l=1e150).validate()
+    for bad in (RunConfig(suite="all", grid_l=1e150),
+                RunConfig(suite="irregular", interval_a=-1e308, interval_b=1e308)):
+        with pytest.raises(schrodinger.GridResolutionError):
+            bad.validate()
     for good in (
         RunConfig(suite="analytic", k_max=127),
         RunConfig(suite="analytic", dim=49),
@@ -89,7 +96,8 @@ def test_config_validation_errors():
         RunConfig(suite="fock", interval_m=2048, t=1 / 30000),
         RunConfig(suite="fock", t=1 / 511),
         RunConfig(suite="irregular", t=1 / 102),  # every contrast interval aligns at m <= 2048
-        RunConfig(suite="irregular", t=0.3333333),  # aligns nowhere: a failed set-up, not a usage error
+        RunConfig(suite="sweep", t=0.3333333),  # a sweep runs no suite: its rows align t
+        RunConfig(suite="sweep", dim=2**21, grid_m=10**6, grid_l=1e150),
         RunConfig(suite="fock", t=0.0),  # t is read by other suites only
         RunConfig(suite="irregular", interval_b=5.0, t=0.75),
         RunConfig(suite="fock", seed=2**64 - 1),
@@ -224,22 +232,36 @@ def test_suite_table_holds_the_public_suite_functions():
         assert [r.name for r in records if "." in r.name] == []
 
 
-def test_setup_failure_is_recorded(capsys):
-    # t = 0.3333333 has no grid-aligned interval sample count
-    assert main(["irregular", "--t", "0.3333333", "--format", "json"]) == 1
+def test_run_config_states_the_suites_a_command_runs():
+    assert RunConfig(suite="all").suites() == reports.SUITES
+    assert RunConfig(suite="sweep").suites() == ()
+    assert [RunConfig(suite=name).suites() for name in reports.SUITES] == [(name,) for name in reports.SUITES]
+
+
+def _failing_irregular_setup(monkeypatch):
+    # a set-up that raises as the irregular suite's would for a t that aligns nowhere;
+    # RunConfig.validate refuses such a t, so the suite table entry is replaced
+    raising = lambda config: interval.aligned_spec(0.0, 1.0, 0.3333333, 256)
+    monkeypatch.setitem(reports._SUITE_FUNCS, "irregular", raising)
+
+
+def test_setup_failure_is_recorded(capsys, monkeypatch):
+    _failing_irregular_setup(monkeypatch)
+    assert main(["irregular", "--format", "json"]) == 1
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert [c["name"] for c in checks] == ["irregular.setup"]
     assert checks[0]["status"] == "fail"
     assert "no grid-aligned sample count" in checks[0]["detail"]
-    report = run_suite(RunConfig(suite="all", t=0.3333333))
+    report = run_suite(RunConfig(suite="all"))
     assert [c.name for c in report.failed] == ["irregular.setup"]
     assert {c.name.split(".")[0] for c in report.checks} == set(reports.SUITES)
 
 
-def test_missing_measured_value_formats(capsys):
-    assert main(["irregular", "--t", "0.3333333"]) == 1
+def test_missing_measured_value_formats(capsys, monkeypatch):
+    _failing_irregular_setup(monkeypatch)
+    assert main(["irregular"]) == 1
     assert "[FAIL   ] irregular.setup: n/a  |  suite set-up" in capsys.readouterr().out
-    assert main(["irregular", "--t", "0.3333333", "--format", "csv"]) == 1
+    assert main(["irregular", "--format", "csv"]) == 1
     assert capsys.readouterr().out.splitlines()[1] == "irregular.setup,suite set-up,fail,,"
 
 
@@ -251,8 +273,11 @@ def test_run_suite_determinism_in_process():
     assert json.dumps(o1) == json.dumps(o2)
 
 
+_SWEEP = RunConfig(suite="sweep", t=0.5, s=0.5)
+
+
 def test_sweep_dims_rows():
-    text = reports.sweep_dims([16, 32], 0.5, 0.5)
+    text = reports.sweep_dims(_SWEEP, [16, 32])
     lines = text.strip().split("\n")
     assert lines[0] == "t,s,dim,support,residual,status"
     assert len(lines) == 3
@@ -261,7 +286,7 @@ def test_sweep_dims_rows():
 
 def test_sweep_dims_reaches_16384_modes():
     # the sweep applies tridiagonal q and p, so no dense dim x dim array
-    t, s, dim, support, residual, status = reports.sweep_dims([16384], 0.5, 0.5).split("\n")[1].split(",")
+    t, s, dim, support, residual, status = reports.sweep_dims(_SWEEP, [16384]).split("\n")[1].split(",")
     assert (dim, support, status) == ("16384", "0", "ok")
     assert float(residual) <= 1e-8
 
@@ -271,7 +296,7 @@ def test_sweep_dims_reaches_a_million_modes():
     tracemalloc.start()
     try:
         start = time.perf_counter()
-        row = reports.sweep_dims([1048576], 0.5, 0.5).split("\n")[1].split(",")
+        row = reports.sweep_dims(_SWEEP, [1048576]).split("\n")[1].split(",")
         elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -293,11 +318,11 @@ def test_weyl_suite_reach():
 
 
 def test_sweep_dims_empty_is_header_only():
-    assert reports.sweep_dims([], 0.5, 0.5).strip() == "t,s,dim,support,residual,status"
+    assert reports.sweep_dims(_SWEEP, []).strip() == "t,s,dim,support,residual,status"
 
 
 def test_sweep_dims_bad_row_continues():
-    text = reports.sweep_dims([0, 16], 0.5, 0.5)
+    text = reports.sweep_dims(_SWEEP, [0, 16])
     lines = text.strip().split("\n")
     assert "failed" in lines[1]
     assert lines[2].endswith("ok")
@@ -385,7 +410,7 @@ def test_cli_odd_shift_counts_on_an_even_interval_pass():
 
 
 def test_sweep_interval_lengths():
-    text = reports.sweep_interval_lengths([1.0, 5.0], 0.5, 0.5, m_target=64)
+    text = reports.sweep_interval_lengths(RunConfig(suite="sweep", t=0.5, s=0.5, interval_m=64), [1.0, 5.0])
     lines = text.strip().split("\n")
     assert lines[0] == "length,weyl_residual,spectral_distance,status"
     assert len(lines) == 3
@@ -557,7 +582,7 @@ def test_sweep_interval_lengths_beyond_dense_limit(capsys):
     assert main(["sweep", "--interval-lengths", "1", "--interval-m", "4096"]) == 2
     assert "interval_m 4096 exceeds 2048" in capsys.readouterr().err
     # t = 0.5 aligns with length 1500 first at m = 3000: that row fails, the next one runs
-    text = reports.sweep_interval_lengths([1500.0, 1.0], 0.5, 0.5, m_target=256)
+    text = reports.sweep_interval_lengths(RunConfig(suite="sweep", t=0.5, s=0.5, interval_m=256), [1500.0, 1.0])
     assert time.perf_counter() - start < 1.0
     lines = text.strip().split("\n")
     assert lines[1] == "1500.0,,,failed: ValueError"
@@ -599,6 +624,107 @@ def test_cli_grid_whose_step_underflows_is_a_usage_error(capsys):
         assert captured.out == ""
         assert captured.err == ("ccr-lab: grid x_min=-5e-324, x_max=5e-324, m=256 has no positive finite step: "
                                 "(x_max - x_min) / m underflows to 0\n")
+
+
+def test_sweeps_validate_their_config():
+    # each sweep refuses its config and any non-finite length before any row
+    for sweep, config, values, message in (
+        (reports.sweep_dims, RunConfig(suite="sweep", k_max=0), [16], "k_max must be positive"),
+        (reports.sweep_interval_lengths, RunConfig(suite="sweep", t=float("nan")), [1.0], "t must be finite"),
+        (reports.sweep_interval_lengths, RunConfig(suite="sweep", interval_m=4096), [1.0],
+         "interval_m 4096 exceeds 2048, the largest side of a dense array$"),
+        (reports.sweep_interval_lengths, _SWEEP, [1.0, float("inf")], "length must be finite, got inf"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            sweep(config, values)
+
+
+_SWEEP_DIMS, _SWEEP_LENGTHS = ["sweep", "--dims", "16"], ["sweep", "--interval-lengths", "1"]
+
+
+# One invocation per fault that RunConfig.validate refuses, for a suite and, where the rule
+# applies to a sweep, for each sweep: every rule but the suite name and the format, which
+# the parser refuses first.
+@pytest.mark.parametrize("argv, message", [
+    (["weyl", "--t", "nan"], "t must be finite, got nan"),
+    (_SWEEP_DIMS + ["--t", "inf"], "t must be finite, got inf"),
+    (["weyl", "--s=-inf"], "s must be finite, got -inf"),
+    (_SWEEP_LENGTHS + ["--s", "nan"], "s must be finite, got nan"),
+    (["schrodinger", "--grid", "inf,256,spectral"], "grid_l must be finite, got inf"),
+    (_SWEEP_DIMS + ["--grid", "nan,256,spectral"], "grid_l must be finite, got nan"),
+    (["irregular", "--interval=-inf,1"], "interval_a must be finite, got -inf"),
+    (_SWEEP_LENGTHS + ["--interval=-inf,1"], "interval_a must be finite, got -inf"),
+    (["irregular", "--interval", "0,nan"], "interval_b must be finite, got nan"),
+    (_SWEEP_DIMS + ["--interval", "0,nan"], "interval_b must be finite, got nan"),
+    (["fock", "--dim", "1"], "invalid dimension 1: suites need dim >= 2"),
+    (_SWEEP_DIMS + ["--dim", "0"], "invalid dimension 0: suites need dim >= 2"),
+    (["schrodinger", "--grid", "10,4,spectral"], "grid sample count must be at least 8"),
+    (_SWEEP_DIMS + ["--kmax", "0", "--grid", "0,1,x"], "grid sample count must be at least 8"),
+    (["irregular", "--interval-m", "10"], "interval sample count must be at least 16"),
+    (_SWEEP_DIMS + ["--interval-m", "4"], "interval sample count must be at least 16"),
+    (_SWEEP_LENGTHS + ["--interval-m", "10"], "interval sample count must be at least 16"),
+    (["fock", "--dim", "1048577"], "dim 1048577 exceeds 1048576, the largest band length the fock suite builds"),
+    (["schrodinger", "--grid", "10,4096,spectral"],
+     "grid_m 4096 exceeds 2048, the largest side of a dense array the schrodinger suite builds"),
+    (["all", "--interval-m", "4096"],
+     "interval_m 4096 exceeds 2048, the largest side of a dense array the all suite builds"),
+    (_SWEEP_DIMS + ["--interval-m", "4096"], "interval_m 4096 exceeds 2048, the largest side of a dense array"),
+    (_SWEEP_LENGTHS + ["--interval-m", "4096"], "interval_m 4096 exceeds 2048, the largest side of a dense array"),
+    (["fock", "--kmax", "0"], "k_max must be positive"),
+    (_SWEEP_DIMS + ["--kmax", "0"], "k_max must be positive"),
+    (_SWEEP_LENGTHS + ["--kmax", "-3"], "k_max must be positive"),
+    (["analytic", "--kmax", "300"], "k_max 300 exceeds 127, the analytic suite's limit at dim 256"),
+    (["analytic", "--dim", "12", "--kmax", "4"], "k_max 4 exceeds 3, the analytic suite's limit at dim 12"),
+    # below dim 10 no k_max >= 1 fits: the least dim is named
+    (["analytic", "--dim", "3", "--kmax", "1"],
+     "dim 3 is below 10, the analytic suite's least dim: its random vectors reach mode 8"),
+    (["all", "--dim", "2"], "dim 2 is below 10, the analytic suite's least dim: its random vectors reach mode 8"),
+    (["weyl", "--t", "500"], "t=500.0, s=0.5 carry e^(itp) e^(isq) e_0 past mode 63, the last mode at dim 64: "
+                            "its tail there (Poisson, mean 1.25e+05) is above 1e-08"),
+    (["schrodinger", "--grid", "0,256,spectral"], "grid half-width must be positive"),
+    (_SWEEP_LENGTHS + ["--grid=-1,256,spectral"], "grid half-width must be positive"),
+    (["schrodinger", "--grid", "1e200,64,spectral"],
+     "grid half-width 1e+200 has no finite square: x^2 overflows on the grid"),
+    (_SWEEP_DIMS + ["--grid", "1e200,64,spectral"],
+     "grid half-width 1e+200 has no finite square: x^2 overflows on the grid"),
+    (["all", "--grid", "1e150,64,spectral"], "grid L=1e+150, m=64 has step h=3.125e+148: its largest wavenumber pi/h "
+                                             "is below 1, the momentum width of the oscillator's ground state"),
+    (["schrodinger", "--grid", "10,256,upwind"], "unknown scheme 'upwind'"),
+    (_SWEEP_DIMS + ["--grid", "10,256,upwind"], "unknown scheme 'upwind'"),
+    (["irregular", "--interval", "1,0"], "interval needs b > a"),
+    (_SWEEP_LENGTHS + ["--interval", "1,0"], "interval needs b > a"),
+    (["all", "--t", "0"],
+     "t=0.0 is outside 0 < t < 1.0, the length of the interval (0.0, 1.0) that the all suite builds"),
+    (["irregular", "--interval", "0,5", "--t", "1.5"],
+     "t=1.5 is outside 0 < t < 1.0, the length of the interval (-0.5, 0.5) that the irregular suite builds"),
+    (["irregular", "--t", "1e-8"], "no grid-aligned sample count near 256 for t=1e-08"),
+    (["all", "--t", "0.3333333"], "no grid-aligned sample count near 256 for t=0.3333333"),
+    (["irregular", "--interval-m", "2048", "--t", "3.3333333333333335e-05"],
+     "aligned interval_m 30000 exceeds 2048, the largest side of a dense array: t=3.3333333333333335e-05 is a whole "
+     "number of steps of (0.0, 1.0) first at m=30000"),
+    (["all", "--t", "0.0019569471624266144"],
+     "aligned interval_m 2555 exceeds 2048, the largest side of a dense array: t=0.0019569471624266144 is a whole "
+     "number of steps of (-2.5, 2.5) first at m=2555"),
+    (["irregular", "--interval=-1e308,1e308"],
+     "grid x_min=-1e+308, x_max=1e+308, m=256 has no positive finite step: x_max - x_min overflows"),
+    (["fock", "--seed", "-1"], "seed -1 is outside 0 <= seed < 2^64"),
+    (_SWEEP_DIMS + ["--seed", str(2**64)], f"seed {2**64} is outside 0 <= seed < 2^64"),
+    (_SWEEP_LENGTHS + ["--seed", "-2"], "seed -2 is outside 0 <= seed < 2^64"),
+])
+def test_cli_gate_refuses_each_fault(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ccr-lab: {message}\n"
+
+
+def test_cli_suites_refuse_the_sweep_options(capsys):
+    for argv in (["fock", "--dims", "abc"], ["all", "--interval-lengths", "1,5"], ["weyl", "--dims", "16"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ccr-lab")
+        assert captured.err.endswith(f"\nccr-lab {argv[0]}: --dims and --interval-lengths are sweep options\n")
 
 
 def test_cli_sweep_modes():
