@@ -10,12 +10,12 @@ Exit codes: 0 all checks pass (flagged allowed), 1 any check failed,
 2 usage error.  `diff` compares two JSON reports check by check and
 exits 0 when no check's status flipped, 1 when one did, and 2 on a file
 that is not a readable report.  An option left out takes RunConfig's
-default.  A suite and a sweep take one path through `main`: validation,
-the `--out` check, the run, the write.  Both have one gate,
-`RunConfig.validate`: a sweep is refused every value a suite is refused
-but for the rules of the suites it does not run.  Sweeps write CSV only:
-another `--format` is a usage error, and so are `--dims` and
-`--interval-lengths` on a suite.
+default; `--out` is no field of it.  A suite and a sweep take one path
+through `main`: validation, the `--out` check, the run, the write.  Both
+have one gate, `RunConfig.validate`: a sweep is refused every value a
+suite is refused but for the rules of the suites it does not run.
+Sweeps write CSV only: another `--format` is a usage error, and so are
+`--dims` and `--interval-lengths` on a suite.
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(reports.SUITES) + ["all", "sweep"],
         help="verification suite to run, or 'sweep' for parameter sweeps",
     )
-    parser.add_argument("--dim", type=int, help="truncation dimension")
+    parser.add_argument("--dim", type=int, help="truncation dimension of the fock and weyl suites (default 64); "
+                        "the analytic suite does not read it")
     parser.add_argument("--t", type=float, help="translation parameter t")
     parser.add_argument("--s", type=float, help="phase parameter s")
     parser.add_argument("--kmax", type=int, help="series truncation order")
@@ -63,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> reports.RunConfig:
     """The RunConfig of the options given, with its own defaults for the rest."""
     given = {"suite": args.command, "dim": args.dim, "t": args.t, "s": args.s, "k_max": args.kmax,
-             "interval_m": args.interval_m, "seed": args.seed, "out": args.out, "fmt": args.fmt}
+             "interval_m": args.interval_m, "seed": args.seed, "fmt": args.fmt}
     if args.grid is not None:
         grid_parts = args.grid.split(",")
         if len(grid_parts) != 3:
@@ -75,6 +76,18 @@ def _config_from_args(args) -> reports.RunConfig:
             raise ValueError("--interval expects a,b")
         given.update(interval_a=interval_parts[0], interval_b=interval_parts[1])
     return reports.RunConfig(**{name: value for name, value in given.items() if value is not None})
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with `--interval V` and `--grid V` as `--interval=V` and `--grid=V` where V,
+    a negative first value, starts with '-' and a digit or '.': argparse reads it as an option."""
+    joined = []
+    for arg in argv:
+        if joined[-1:] in (["--interval"], ["--grid"]) and arg[:1] == "-" and arg[1:2] in tuple("0123456789."):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
 
 
 def _run(args):
@@ -194,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
     if argv[:1] == ["diff"]:
         return _diff_main(argv[1:])
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(argv))
     # a sweep takes exactly one of the two sweep options, a suite neither
     if (args.dims is not None) + (args.interval_lengths is not None) != (args.command == "sweep"):
         parser.print_usage(sys.stderr)
@@ -207,10 +220,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"ccr-lab: {exc}\n")
         return USAGE_ERROR
-    if _out_refused(config.out):
+    if _out_refused(args.out):
         return USAGE_ERROR
     text, code = run()
-    return code if _emit(text, config.out) else USAGE_ERROR
+    return code if _emit(text, args.out) else USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -41,14 +41,15 @@ from .rng import SplitMix64
 SUITES = ("fock", "analytic", "weyl", "schrodinger", "irregular", "symbolic")
 SCHEMA_VERSION = 1
 
-# Analytic suite: default dim, top mode of its random vectors, dim of its
-# Taylor check.  Order k_max on a vector reaching mode M needs dim >= M + k_max + 1.
-_ANALYTIC_DIM = 256
+# Fock and weyl suites, the only ones that read dim: their dim when none is given.
+_DEFAULT_DIM = 64
+# Analytic suite: top mode of its random vectors, dim of its Taylor check (which bounds k_max).
 _ANALYTIC_TOP_MODE = 8
 _TAYLOR_CHECK_DIM = 128
-# Weyl suite: default dim and the tolerance of its Weyl residual, which also
-# bounds the tail of e^{itp} e^{isq} e_0 that the truncation must hold.
-_WEYL_DIM = 64
+# Schrodinger suite: the oscillator levels it solves, the top mode of its Hermite functions.
+_GRID_LEVELS, _GRID_TOP_MODE = 6, 8
+# Weyl suite: the tolerance of its Weyl residual, which also bounds the
+# tail of e^{itp} e^{isq} e_0 that the truncation must hold.
 _WEYL_TOL = 1e-8
 # Largest band length, 16 MiB per complex diagonal, and largest side of a
 # dense square array (interval.MAX_DENSE_SIDE), each checked before any is
@@ -57,8 +58,7 @@ _WEYL_TOL = 1e-8
 # band operators (dim), the grid oscillator's two parity blocks of side
 # about m/2 (grid_m), the interval's N, two parity blocks on a centred
 # interval and one real matrix of side m + 1 on any other (interval_m,
-# after aligning t).  The analytic and weyl suites build nothing of side
-# dim: they apply q and p on the mode windows of their vectors.
+# after aligning t).  The weyl suite applies q and p on mode windows.
 _MAX_BAND_DIM = 2**20
 _SIZE_LIMITS = {
     "dim": (2, "invalid dimension {}: suites need dim >= 2", _MAX_BAND_DIM, "band length", {"fock"}),
@@ -80,20 +80,20 @@ def _require_finite(name: str, *values: float) -> None:
 
 
 class RunConfig:
-    """One run of a suite, of "all" or of a sweep, and its parameters,
-    every default held by __init__."""
+    """One run of a suite, of "all" or of a sweep, and its parameters, every
+    default held by __init__; dim is read by the fock and weyl suites only."""
 
     __slots__ = ("suite", "dim", "t", "s", "k_max", "grid_l", "grid_m", "scheme", "interval_a", "interval_b",
-                 "interval_m", "seed", "out", "fmt")
+                 "interval_m", "seed", "fmt")
 
     def __init__(self, suite: str = "all", dim: int | None = None, t: float = 0.5, s: float = 0.5,
                  k_max: int = 40, grid_l: float = 10.0, grid_m: int = 256, scheme: str = schrodinger.SPECTRAL,
                  interval_a: float = 0.0, interval_b: float = 1.0, interval_m: int = 256, seed: int = 0,
-                 out: str | None = None, fmt: str = "text"):
+                 fmt: str = "text"):
         self.suite, self.dim, self.t, self.s, self.k_max = suite, dim, t, s, k_max
         self.grid_l, self.grid_m, self.scheme = grid_l, grid_m, scheme
         self.interval_a, self.interval_b, self.interval_m = interval_a, interval_b, interval_m
-        self.seed, self.out, self.fmt = seed, out, fmt
+        self.seed, self.fmt = seed, fmt
 
     def suites(self) -> tuple[str, ...]:
         """The suites this command runs: every suite for "all", none for a sweep."""
@@ -116,24 +116,19 @@ class RunConfig:
                 raise ValueError(f"{name} {size} exceeds {limit}, the largest {what}{builder}")
         if self.k_max < 1:
             raise ValueError("k_max must be positive")
-        if "analytic" in runs:
-            dim = self.effective_dim(_ANALYTIC_DIM)
-            k_limit = min(_TAYLOR_CHECK_DIM, dim - _ANALYTIC_TOP_MODE) - 1
-            if k_limit < 1:
-                raise ValueError(f"dim {dim} is below {_ANALYTIC_TOP_MODE + 2}, the analytic suite's least dim: "
-                                 f"its random vectors reach mode {_ANALYTIC_TOP_MODE}")
-            if self.k_max > k_limit:
-                raise ValueError(f"k_max {self.k_max} exceeds {k_limit}, the analytic suite's limit at dim {dim}")
+        if "analytic" in runs and self.k_max >= _TAYLOR_CHECK_DIM:
+            raise ValueError(f"k_max {self.k_max} exceeds {_TAYLOR_CHECK_DIM - 1}, the analytic suite's limit: "
+                             f"its Taylor check runs at dim {_TAYLOR_CHECK_DIM}")
         if "weyl" in runs:
-            weyl.check_truncation(self.t, self.s, self.effective_dim(_WEYL_DIM), _WEYL_TOL)
+            weyl.check_truncation(self.t, self.s, self.effective_dim(), _WEYL_TOL)
         if self.grid_l <= 0:
             raise ValueError("grid half-width must be positive")
         if not math.isfinite(self.grid_l * self.grid_l):
             raise ValueError(f"grid half-width {self.grid_l!r} has no finite square: x^2 overflows on the grid")
-        if "schrodinger" in runs:
-            schrodinger.check_resolution(self.grid_l, self.grid_m)
         if self.scheme not in (schrodinger.SPECTRAL, schrodinger.CENTRAL_DIFFERENCE):
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if "schrodinger" in runs:
+            schrodinger.check_resolution(self.grid_l, self.grid_m, self.scheme, _GRID_LEVELS, _GRID_TOP_MODE)
         if not self.interval_b > self.interval_a:
             raise ValueError("interval needs b > a")
         if "irregular" in runs:
@@ -147,12 +142,13 @@ class RunConfig:
         if not 0 <= self.seed < 2**64:  # SplitMix64 reads the seed mod 2^64
             raise ValueError(f"seed {self.seed} is outside 0 <= seed < 2^64")
 
-    def effective_dim(self, default: int) -> int:
-        return self.dim if self.dim is not None else default
+    def effective_dim(self) -> int:
+        """The truncation of the fock and weyl suites."""
+        return self.dim if self.dim is not None else _DEFAULT_DIM
 
     def echo(self) -> dict:
-        """The fields but out, in their declared order."""
-        return {name: getattr(self, name) for name in self.__slots__ if name != "out"}
+        """The fields, in their declared order."""
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class CheckRecord:
@@ -323,7 +319,7 @@ def _column_norms2(band: fock.Band) -> np.ndarray:
 
 
 def fock_suite(config: RunConfig) -> list[CheckRecord]:
-    d = config.effective_dim(64)
+    d = config.effective_dim()
     # every operator checked here is a band of offsets -2..2: each check reads its diagonals
     q, p = fock.Band.position(d), fock.Band.momentum(d)
     a, ad = fock.Band.annihilator(d), fock.Band.creator(d)
@@ -346,6 +342,10 @@ def fock_suite(config: RunConfig) -> list[CheckRecord]:
         N = ad @ a
         off = N - fock.Band(d, {0: N.diagonals[0]})
         return float(np.sqrt(_column_norms2(off).max()))
+
+    def unnormalized_norm2(n: int) -> float:
+        psi = fock.FockState.basis_state(n, fock.UNNORMALIZED)
+        return fock.inner_product(psi, psi)
 
     def round_trip():
         gen = SplitMix64(config.seed)
@@ -397,19 +397,8 @@ def fock_suite(config: RunConfig) -> list[CheckRecord]:
               "||a† e_n||^2 = n+1 below the top mode",
               lambda: float(np.abs(_column_norms2(ad)[: d - 1] - np.arange(1, d)).max()),
               tolerance=rounded(1e-12, 3)),  # t_{n+1} against n + 1
-        Check("vacuum_norm",
-              "<psi_0, psi_0> = 1",
-              lambda: abs(fock.inner_product(
-                  fock.FockState.basis_state(0, fock.UNNORMALIZED),
-                  fock.FockState.basis_state(0, fock.UNNORMALIZED),
-              ) - 1.0),
-              tolerance=1e-14),
-        Check("unnormalized_norm_n3",
-              "<psi_3, psi_3> = 3! = 6",
-              lambda: abs(fock.inner_product(
-                  fock.FockState.basis_state(3, fock.UNNORMALIZED),
-                  fock.FockState.basis_state(3, fock.UNNORMALIZED),
-              ) - 6.0),
+        Check("vacuum_norm", "<psi_0, psi_0> = 1", lambda: abs(unnormalized_norm2(0) - 1.0), tolerance=1e-14),
+        Check("unnormalized_norm_n3", "<psi_3, psi_3> = 3! = 6", lambda: abs(unnormalized_norm2(3) - 6.0),
               tolerance=1e-12),
         Check("convention_round_trip",
               "coeff_unnormalized(n) * sqrt(n!) = coeff_normalized(n), modes <= 20",
@@ -420,13 +409,12 @@ def fock_suite(config: RunConfig) -> list[CheckRecord]:
 
 
 def analytic_suite(config: RunConfig) -> list[CheckRecord]:
-    d = config.effective_dim(_ANALYTIC_DIM)
+    """Series and growth-bound checks of q and p on finite vectors.  It reads
+    no dim: q and p hold the modes the checks reach, verdict_stable runs e_0
+    up to k_max + 20 powers and every other series or bound stays within
+    k_max + 9 or 21 modes, so the values are those of the untruncated q, p."""
     k_max = config.k_max
-    # q and p on the modes the checks below reach: verdict_stable runs e_0 up to
-    # k_max + 20 powers, every other series or bound stays within k_max + 9 or 21
-    # modes; each kernel cuts them to its own window, so the values are the dim ones
-    window = min(d, k_max + 21)
-    q, p = fock.Band.position(window), fock.Band.momentum(window)
+    q, p = fock.Band.position(k_max + 21), fock.Band.momentum(k_max + 21)
 
     def converged_share():
         # 50 seeded vectors, one draw, as the columns of one block; one pass per operator serves every t
@@ -473,7 +461,7 @@ def analytic_suite(config: RunConfig) -> list[CheckRecord]:
     def verdict_stable():
         xi = fock.FockState.basis_state(0)
         r1 = analytic.analytic_series(q, xi, 1.0, k_max)
-        r2 = analytic.analytic_series(q, xi, 1.0, min(k_max + 20, d - 2))
+        r2 = analytic.analytic_series(q, xi, 1.0, k_max + 20)
         ok = r1.verdict == "converged" and r2.verdict == "converged"
         return (r2.verdict, ok)
 
@@ -533,7 +521,7 @@ def analytic_suite(config: RunConfig) -> list[CheckRecord]:
 
 
 def weyl_suite(config: RunConfig) -> list[CheckRecord]:
-    d = config.effective_dim(_WEYL_DIM)
+    d = config.effective_dim()
     t, s = config.t, config.s
     shared = _shared()
     # four seeded vectors on modes 0..7 (fewer at d < 8) for the unitarity and inverse checks
@@ -555,9 +543,12 @@ def weyl_suite(config: RunConfig) -> list[CheckRecord]:
         return (big, big <= small / 2.0 or big < 1e-10)
 
     def phases():
+        # uv - e^{-ist} vu = (uv - e^{ist} vu) + 2i sin(st) vu, and ||vu|| = ||xi||: the
+        # minus phase is 2|sin(st)| to within the plus phase, so both phases vanish at st in pi Z
         rep = weyl.weyl_phase_check(t, s, d)
-        ok = rep["vanishing"] == "+ist" and rep["plus_phase"] < _WEYL_TOL and rep["minus_phase"] > 1e-3
-        return (rep["minus_phase"], ok)
+        plus, minus = rep["plus_phase"], rep["minus_phase"]
+        ok = plus <= _WEYL_TOL and abs(minus - 2.0 * abs(math.sin(s * t))) <= plus + _WEYL_TOL
+        return (minus, ok)
 
     def group_law():
         x, _, p = weyl._on_window(fock.FockState.basis_state(0), d, 1.3 / math.sqrt(2))
@@ -633,7 +624,7 @@ def schrodinger_suite(config: RunConfig) -> list[CheckRecord]:
     eig_tol = 1e-4 if spectral else 0.5
     shared = _shared()
     vacuum_signs = lambda: shared(schrodinger.vacuum_sign_check, L, m, scheme)
-    levels = lambda count: shared(schrodinger.grid_oscillator_spectrum, L, m, scheme, count)
+    levels = lambda: shared(schrodinger.grid_oscillator_spectrum, L, m, scheme, _GRID_LEVELS)
 
     def plane_wave():
         k = 8 * np.pi / (2 * L)  # grid-resolved wavenumber
@@ -652,7 +643,7 @@ def schrodinger_suite(config: RunConfig) -> list[CheckRecord]:
         x2 = schrodinger.grid_points(-L, L, m) ** 2
         worst = 0.0
         h = schrodinger._grid_step(-L, L, m)
-        for n, b in enumerate(schrodinger.hermite_basis(L, m, 8)):
+        for n, b in enumerate(schrodinger.hermite_basis(L, m, _GRID_TOP_MODE)):
             n_b = (x2 * b + schrodinger.grid_kinetic(b, -L, L, scheme) - b) / 2.0
             worst = max(worst, math.sqrt(h) * float(np.linalg.norm(n_b - n * b)))
         return worst
@@ -667,8 +658,8 @@ def schrodinger_suite(config: RunConfig) -> list[CheckRecord]:
     def refinement():
         r1 = shared(schrodinger.vacuum_annihilation_residual, L, m, scheme)
         r2 = schrodinger.vacuum_annihilation_residual(L, 2 * m, scheme)
-        i1 = shared(schrodinger.intertwiner_check, L, m, 8)
-        i2 = schrodinger.intertwiner_check(L, 2 * m, 8)
+        i1 = shared(schrodinger.intertwiner_check, L, m, _GRID_TOP_MODE)
+        i2 = schrodinger.intertwiner_check(L, 2 * m, _GRID_TOP_MODE)
         ok = (r2 <= r1 or r2 < 1e-10) and (i2 <= i1 or i2 < 1e-10)
         return (max(r2, i2), ok)
 
@@ -691,20 +682,19 @@ def schrodinger_suite(config: RunConfig) -> list[CheckRecord]:
         Check("momentum_sine", "p sin = -i cos on [-pi, pi)", sine, tolerance=1e-10),
         Check("oscillator_spectrum_first6",
               "spec(q^2+p^2) = {1,3,5,7,9,11}",
-              lambda: float(np.abs(levels(6) - np.arange(1, 13, 2)).max()),
+              lambda: float(np.abs(levels() - np.arange(1, 13, 2)).max()),
               tolerance=osc_tol),
         Check("oscillator_gaps",
               "consecutive oscillator gaps = 2",
-              lambda: float(np.abs(np.diff(levels(6)) - 2.0).max()),
+              lambda: float(np.abs(np.diff(levels()) - 2.0).max()),
               tolerance=gap_tol),
         Check("oscillator_positive",
               "q^2 + p^2 is positive semidefinite",
-              # the same solve, unless m < 24 holds fewer than 6 levels
-              lambda: float(levels(min(6, m // 4))[0]),
+              lambda: float(levels()[0]),
               holds=lambda low: low >= -1e-10),
         Check("hermite_gram",
               "first 8 oscillator eigenfunctions orthonormal in discrete L2",
-              lambda: schrodinger.intertwiner_gram_defect(L, m, 8),
+              lambda: schrodinger.intertwiner_gram_defect(L, m, _GRID_TOP_MODE),
               tolerance=1e-8),
         Check("hermite_number_eigen",
               "grid (q^2+p^2-1)/2 has eigenvalue n on basis n",
@@ -712,11 +702,11 @@ def schrodinger_suite(config: RunConfig) -> list[CheckRecord]:
               tolerance=eig_tol),
         Check("hermite_norm_drift",
               "three-term recurrence keeps unit discrete norms",
-              lambda: schrodinger.hermite_norm_drift(L, m, 8),
+              lambda: schrodinger.hermite_norm_drift(L, m, _GRID_TOP_MODE),
               tolerance=1e-8),
         Check("intertwiner_mismatch",
               "grid q conjugated to the ladder basis matches ladder q",
-              lambda: shared(schrodinger.intertwiner_check, L, m, 8),
+              lambda: shared(schrodinger.intertwiner_check, L, m, _GRID_TOP_MODE),
               tolerance=1e-6),
         Check("intertwiner_scalar",
               "<g, x g> = 0 for the even Gaussian",
@@ -810,20 +800,13 @@ def irregular_suite(config: RunConfig) -> list[CheckRecord]:
               holds=lambda gap: gap > 0.05),
         Check("spectrum_refinement_agreement",
               "interval N eigenvalues agree between m=256 and m=512",
-              lambda: float(
-                  np.abs(
-                      unit_levels() - interval.interval_number_spectrum(interval.IntervalRepSpec(0.0, 1.0, 512), 3)
-                  ).max()
-              ),
+              lambda: float(np.abs(unit_levels() - interval.interval_number_spectrum(
+                  interval.IntervalRepSpec(0.0, 1.0, 512), 3)).max()),
               tolerance=1e-6),
         Check("line_limit_recovers_naturals",
               "(-20,20) recovers spectrum {0,1,2}",
-              lambda: float(
-                  np.abs(
-                      interval.interval_number_spectrum(interval.IntervalRepSpec(-20.0, 20.0, 1024), 3)
-                      - np.arange(3)
-                  ).max()
-              ),
+              lambda: float(np.abs(interval.interval_number_spectrum(
+                  interval.IntervalRepSpec(-20.0, 20.0, 1024), 3) - np.arange(3)).max()),
               tolerance=1e-2),
         Check("contrast_lengths_monotone",
               "Weyl residual and spectral distance both shrink as the interval grows",
@@ -896,17 +879,11 @@ def symbolic_suite(config: RunConfig) -> list[CheckRecord]:
               verdict=True),
         Check("fock_norms",
               "<psi_n, psi_n> = n! for n <= 10",
-              lambda: (
-                  "n!",
-                  all(symbolic.fock_norm_exact(n) == math.factorial(n) for n in range(11)),
-              ),
+              lambda: ("n!", all(symbolic.fock_norm_exact(n) == math.factorial(n) for n in range(11))),
               verdict=True),
         Check("creator_norms",
               "<a† psi_n, a† psi_n> = (n+1)! for n <= 10",
-              lambda: (
-                  "(n+1)!",
-                  all(symbolic.fock_norm_exact(n, "adag") == math.factorial(n + 1) for n in range(11)),
-              ),
+              lambda: ("(n+1)!", all(symbolic.fock_norm_exact(n, "adag") == math.factorial(n + 1) for n in range(11))),
               verdict=True),
         Check("annihilator_norm",
               "<a psi_n, a psi_n> = n * n! (the naive value n! fails the cross-check)",
@@ -919,13 +896,8 @@ def symbolic_suite(config: RunConfig) -> list[CheckRecord]:
               )),
         Check("commutation_identity",
               "[p, q^n] = -i n q^{n-1} exactly for n <= 10",
-              lambda: (
-                  10,
-                  all(
-                      symbolic.verify_identity(f"[p,q^{n}]", f"-{n}*i*q^{n-1}" if n > 1 else "-i*I").equal
-                      for n in range(1, 11)
-                  ),
-              ),
+              lambda: (10, all(symbolic.verify_identity(f"[p,q^{n}]", f"-{n}*i*q^{n-1}" if n > 1 else "-i*I").equal
+                               for n in range(1, 11))),
               verdict=True),
         Check("conjugation_series",
               "e^{-itq} p^n e^{itq} = (p + tI)^n order by order, n <= 4",
@@ -933,10 +905,8 @@ def symbolic_suite(config: RunConfig) -> list[CheckRecord]:
               verdict=True),
         Check("quartic_normal_form",
               "a^2 a†^2 = a†^2 a^2 + 4 a† a + 2",
-              lambda: (
-                  "2 + 4 a†a + a†^2 a^2",
-                  symbolic.normal_order("a*a*ad*ad") == symbolic.normal_order("ad^2*a^2 + 4*ad*a + 2*I"),
-              ),
+              lambda: ("2 + 4 a†a + a†^2 a^2",
+                       symbolic.normal_order("a*a*ad*ad") == symbolic.normal_order("ad^2*a^2 + 4*ad*a + 2*I")),
               verdict=True),
         Check("vacuum_expectation_matrix",
               "symbolic vacuum expectation matches matrix element",

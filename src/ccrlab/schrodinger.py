@@ -13,7 +13,8 @@ Every step h = (x_max - x_min) / m, 2L/m on [-L, L), is `_grid_step`'s.
 It refuses non-finite or reversed bounds or m < 8 (ValueError), and a
 step that is not positive and finite, where x_max - x_min overflows or
 the step underflows to 0 (GridResolutionError); `check_resolution` also
-refuses h > pi, too coarse for the oscillator's ground state.
+refuses h > pi, too coarse for the oscillator's ground state, and any
+grid on which the guards of the grid checks would raise.
 
 The lowest oscillator levels are solved in the Fourier basis, where p^2
 is diagonal, K, and x^2 is a Toeplitz +- Hankel matrix T of the Fourier
@@ -108,16 +109,22 @@ def grid_momentum(values: np.ndarray, x_min: float, x_max: float, scheme: str = 
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def check_resolution(L: float, m: int) -> None:
-    """Raise GridResolutionError unless the grid of m points on [-L, L)
-    reaches the momentum width 1 of the oscillator's ground state: its
-    largest wavenumber pi/h, h = 2L/m, must be at least 1."""
+def check_resolution(L: float, m: int, scheme: str, count: int, n_max: int) -> None:
+    """Raise GridResolutionError unless pi/h, h = 2L/m, the largest wavenumber
+    of the grid of m points on [-L, L), reaches 1, the ground state's momentum
+    width; then raise as the level count, coarseness check and norm drift of
+    checks at m and 2m that solve `count` levels and psi_0..psi_n_max would."""
     h = _grid_step(-L, L, m)
     if math.pi / h < 1.0:
         raise GridResolutionError(
             f"grid L={L!r}, m={m} has step h={h:.6g}: its largest wavenumber pi/h is below 1, "
             "the momentum width of the oscillator's ground state"
         )
+    _check_level_count(count, m)
+    r = [_vacuum_residual(L, size, scheme, ANNIHILATING_SIGN) for size in (m, 2 * m, 4 * m)]
+    for k, size in enumerate((m, 2 * m)):
+        _check_refinement(r[k], r[k + 1], size)
+        hermite_basis(L, size, n_max)
 
 
 def _vacuum_residual(L: float, m: int, scheme: str, sign: str) -> float:
@@ -151,13 +158,17 @@ def vacuum_annihilation_residual(L: float, m: int, scheme: str = SPECTRAL) -> fl
     dominates and GridResolutionError is raised.
     """
     r = _vacuum_residual(L, m, scheme, ANNIHILATING_SIGN)
-    r_fine = _vacuum_residual(L, 2 * m, scheme, ANNIHILATING_SIGN)
+    _check_refinement(r, _vacuum_residual(L, 2 * m, scheme, ANNIHILATING_SIGN), m)
+    return r
+
+
+def _check_refinement(r: float, r_fine: float, m: int) -> None:
+    """GridResolutionError when the residual r at m is large and r_fine, at 2m, below half of it."""
     if r > 1e-3 and r_fine < 0.5 * r:
         raise GridResolutionError(
             f"residual {r:.3e} at m={m} is discretization-dominated "
             f"(drops to {r_fine:.3e} at m={2 * m}); refine the grid"
         )
-    return r
 
 
 def _kinetic_symbol(x_min: float, x_max: float, m: int, scheme: str) -> np.ndarray:
@@ -417,9 +428,14 @@ def grid_oscillator_spectrum(L: float, m: int, scheme: str = SPECTRAL, count: in
     eigvalsh of its Fourier sector K + T (`sector_levels`), with rounding
     about u ||H||.
     """
-    if count < 1 or count > m // 4:
-        raise ValueError("count must be in 1..m/4")
+    _check_level_count(count, m)
     return _oscillator_levels(L, m, scheme, count)[0]
+
+
+def _check_level_count(count: int, m: int) -> None:
+    """ValueError unless 1 <= count <= m/4, the levels a grid of m points solves."""
+    if count < 1 or count > m // 4:
+        raise ValueError(f"count {count} is outside 1..m/4 = 1..{m // 4}, the levels a grid of m={m} points solves")
 
 
 def _hermite_rows(L: float, m: int, n_max: int) -> tuple[np.ndarray, list[float]]:
@@ -446,7 +462,7 @@ def hermite_basis(L: float, m: int, n_max: int) -> np.ndarray:
     for n, nrm in enumerate(norms):
         if not abs(nrm - 1.0) <= 1e-6:
             raise GridResolutionError(
-                f"recurrence norm drift {abs(nrm - 1.0):.2e} at n={n}; "
+                f"recurrence norm drift {abs(nrm - 1.0):.2e} at n={n} on the grid L={L!r}, m={m}; "
                 "enlarge L or refine the grid"
             )
     return (rows / np.array(norms)[:, None]).astype(complex)

@@ -271,8 +271,8 @@ def weyl_residual(t: float, s: float, dim: int, xi: FockState | None = None) -> 
 def weyl_phase_check(t: float, s: float, dim: int, xi: FockState | None = None) -> dict:
     """Residuals for both candidate scalar phases e^{+ist} and e^{-ist}.
 
-    Exactly one vanishes with [p, q] = -i; with these conventions it is
-    the +ist phase.
+    With [p, q] = -i the +ist phase vanishes; the -ist one is 2|sin(st)|
+    to within it, so both vanish at st in pi Z.
     """
     xi = _test_vector(xi)
     plus, minus = _weyl_residuals(t, s, xi, dim)

@@ -3,6 +3,7 @@
 import collections
 import inspect
 import json
+import math
 import pickle
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from ccrlab import interval, reports, schrodinger, weyl
-from ccrlab.cli import _config_from_args, build_parser, main
+from ccrlab.cli import _config_from_args, _join_negative_values, build_parser, main
 from ccrlab.reports import RunConfig, run_suite
 
 
@@ -45,7 +46,6 @@ def test_config_validation_errors():
         RunConfig(suite="irregular", interval_b=float("nan")),
         RunConfig(suite="analytic", k_max=128),  # the Taylor check runs at dim 128
         RunConfig(suite="all", k_max=300),
-        RunConfig(suite="analytic", dim=48),  # random vectors reach mode 8: 8 + 40 + 1 > 48
         RunConfig(suite="all", dim=2**21),  # past the longest band of the fock suite
         RunConfig(suite="fock", dim=2**20 + 1),
         RunConfig(suite="schrodinger", grid_m=2049),  # past the largest dense m x m circulant
@@ -58,6 +58,7 @@ def test_config_validation_errors():
         RunConfig(suite="weyl", t=500.0),  # e^(itp) e_0 is Poisson with mean 1.25e5: far past mode 63
         RunConfig(suite="all", t=1e200),
         RunConfig(suite="weyl", t=6.0, s=6.0, dim=64),  # mean 36: its tail is above 1e-8 at mode 63
+        RunConfig(suite="all", dim=2),  # the weyl suite's truncation: e^(itp) e^(isq) e_0 passes mode 1
         RunConfig(suite="irregular", t=0.0),  # U_t needs 0 < t < length on every interval built
         RunConfig(suite="all", t=-0.25),
         RunConfig(suite="irregular", interval_b=5.0, t=1.5),  # past the contrast interval of length 1
@@ -67,6 +68,9 @@ def test_config_validation_errors():
         RunConfig(suite="sweep", k_max=0),  # a sweep takes every rule not tied to a suite
         RunConfig(suite="sweep", interval_m=4096),
         RunConfig(suite="sweep", scheme="upwind"),
+        RunConfig(suite="schrodinger", grid_m=8),  # fewer than 6 levels: the suite's guards would raise
+        RunConfig(suite="all", grid_m=36),  # the Hermite recurrence drifts at n = 7
+        RunConfig(suite="schrodinger", grid_m=192, scheme="central_difference"),  # discretization-dominated
         RunConfig(suite="fock", seed=-1),  # seeds are read mod 2^64: outside [0, 2^64) they alias
         RunConfig(suite="all", seed=2**64),
     ):
@@ -79,6 +83,9 @@ def test_config_validation_errors():
     for good in (
         RunConfig(suite="analytic", k_max=127),
         RunConfig(suite="analytic", dim=49),
+        RunConfig(suite="analytic", dim=48),  # the analytic suite does not read dim
+        RunConfig(suite="analytic", dim=2, k_max=127),
+        RunConfig(suite="all", dim=32),
         RunConfig(suite="fock", k_max=300),  # k_max is read by the analytic suite only
         RunConfig(suite="fock", dim=2048),
         RunConfig(suite="fock", dim=2**20),  # the fock suite stores its operators as bands
@@ -90,7 +97,8 @@ def test_config_validation_errors():
         RunConfig(suite="weyl", t=6.0, s=6.0, dim=128),
         RunConfig(suite="fock", t=500.0),  # t is read by other suites only
         RunConfig(suite="schrodinger", grid_m=2048),
-        RunConfig(suite="schrodinger", grid_m=8),  # h = 2.5: coarse, so checks fail, but pi/h > 1
+        RunConfig(suite="schrodinger", grid_m=39),  # the least m at L = 10 on which no guard of the suite raises
+        RunConfig(suite="schrodinger", grid_m=256, scheme="central_difference"),
         RunConfig(suite="fock", grid_l=1e150),  # the grid is read by other suites only
         RunConfig(suite="fock", grid_m=10**6, interval_m=10**6),  # read by other suites only
         RunConfig(suite="fock", interval_m=2048, t=1 / 30000),
@@ -143,7 +151,7 @@ def test_report_json_schema():
 
 def test_config_echo_and_check_keys_keep_their_order():
     # the JSON report writes these dicts as they are, so their key order is part of the format
-    echo = RunConfig(seed=7, out="report.json").echo()
+    echo = RunConfig(seed=7).echo()
     assert list(echo) == ["suite", "dim", "t", "s", "k_max", "grid_l", "grid_m", "scheme", "interval_a",
                           "interval_b", "interval_m", "seed", "fmt"]
     assert (echo["suite"], echo["dim"], echo["seed"], echo["fmt"]) == ("all", None, 7, "text")
@@ -483,6 +491,61 @@ def test_cli_usage_error_kmax_beyond_analytic_suite(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("k_max", [1, 40, 127])
+def test_analytic_suite_does_not_read_dim(k_max, capsys):
+    # every vector of the suite stays on its first top + k_max + 1 modes: its values are the untruncated ones
+    assert main(["analytic", "--kmax", str(k_max), "--format", "csv"]) in (0, 1)
+    want = capsys.readouterr().out
+    for dim in (2, 10, 20, 32, 4096):
+        assert main(["analytic", "--dim", str(dim), "--kmax", str(k_max), "--format", "csv"]) in (0, 1)
+        assert capsys.readouterr().out == want, dim
+    checks = run_suite(RunConfig(suite="analytic", dim=2, k_max=k_max)).checks
+    assert [c.name for c in checks if c.measured is None] == []
+
+
+def test_all_runs_at_dim_32(capsys):
+    # dim is read by the fock and weyl suites only, and both hold it at 32
+    assert main(["all", "--dim", "32", "--format", "csv"]) == 0
+    assert ",fail," not in capsys.readouterr().out
+
+
+def test_default_dim_is_64():
+    records = lambda config: [(c.name, c.status, c.measured, c.detail) for c in run_suite(config).checks]
+    assert RunConfig().effective_dim() == 64
+    assert records(RunConfig(suite="all", dim=64)) == records(RunConfig(suite="all", dim=None))
+
+
+def test_phase_convention_is_decided_at_st_in_pi_z(capsys, monkeypatch):
+    # at st in pi Z both phases vanish, and near it the minus phase is about 2|st|: the closed
+    # form 2|sin(st)| decides the check there as everywhere
+    for argv in (["--t", "0"], ["--t", "0.001"], ["--t", "1e-8"], ["--t", "2", "--s", repr(math.pi / 2)]):
+        assert main(["weyl", *argv, "--format", "csv"]) == 0, argv
+        assert ",fail," not in capsys.readouterr().out
+    # the opposite convention fails it
+    phases = weyl.weyl_phase_check
+
+    def swapped(*args):
+        rep = phases(*args)
+        return {"plus_phase": rep["minus_phase"], "minus_phase": rep["plus_phase"]}
+
+    monkeypatch.setattr(weyl, "weyl_phase_check", swapped)
+    record = {r.name: r for r in reports.weyl_suite(RunConfig(suite="weyl"))}["phase_convention"]
+    assert record.status == "fail"
+
+
+def test_cli_negative_first_values(capsys):
+    # "--interval -1,1" is read as --interval's value, as "--interval=-1,1" is
+    for spellings in ((["--interval", "-1,1"], ["--interval=-1,1"]), (["--interval", "-.5,.5"], ["--interval=-.5,.5"])):
+        outputs = []
+        for spelling in spellings:
+            assert main(["irregular", *spelling, "--format", "csv"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+    argv = ["all", "--interval", "-1,1", "--grid", "-2,64,spectral", "--t", "-1", "--interval", "-", "--out", "-1"]
+    assert _join_negative_values(argv) == ["all", "--interval=-1,1", "--grid=-2,64,spectral", "--t", "-1",
+                                           "--interval", "-", "--out", "-1"]
+
+
 def test_cli_usage_error_dim_beyond_dense_limit(capsys):
     for suite, dim in (("fock", 2**20 + 1), ("all", 2**21)):
         tracemalloc.start()
@@ -673,12 +736,15 @@ _SWEEP_DIMS, _SWEEP_LENGTHS = ["sweep", "--dims", "16"], ["sweep", "--interval-l
     (["fock", "--kmax", "0"], "k_max must be positive"),
     (_SWEEP_DIMS + ["--kmax", "0"], "k_max must be positive"),
     (_SWEEP_LENGTHS + ["--kmax", "-3"], "k_max must be positive"),
-    (["analytic", "--kmax", "300"], "k_max 300 exceeds 127, the analytic suite's limit at dim 256"),
-    (["analytic", "--dim", "12", "--kmax", "4"], "k_max 4 exceeds 3, the analytic suite's limit at dim 12"),
-    # below dim 10 no k_max >= 1 fits: the least dim is named
-    (["analytic", "--dim", "3", "--kmax", "1"],
-     "dim 3 is below 10, the analytic suite's least dim: its random vectors reach mode 8"),
-    (["all", "--dim", "2"], "dim 2 is below 10, the analytic suite's least dim: its random vectors reach mode 8"),
+    (["analytic", "--kmax", "300"],
+     "k_max 300 exceeds 127, the analytic suite's limit: its Taylor check runs at dim 128"),
+    # a grid on which a guard of the schrodinger suite would raise, refused with the guard's message
+    (["schrodinger", "--grid", "10,17,spectral"],
+     "count 6 is outside 1..m/4 = 1..4, the levels a grid of m=17 points solves"),
+    (["schrodinger", "--grid", "10,36,spectral"],
+     "recurrence norm drift 4.76e-06 at n=7 on the grid L=10.0, m=36; enlarge L or refine the grid"),
+    (["all", "--dim", "2"], "t=0.5, s=0.5 carry e^(itp) e^(isq) e_0 past mode 1, the last mode at dim 2: "
+                            "its tail there (Poisson, mean 0.25) is above 1e-08"),
     (["weyl", "--t", "500"], "t=500.0, s=0.5 carry e^(itp) e^(isq) e_0 past mode 63, the last mode at dim 64: "
                             "its tail there (Poisson, mean 1.25e+05) is above 1e-08"),
     (["schrodinger", "--grid", "0,256,spectral"], "grid half-width must be positive"),
@@ -710,6 +776,10 @@ _SWEEP_DIMS, _SWEEP_LENGTHS = ["sweep", "--dims", "16"], ["sweep", "--interval-l
     (["fock", "--seed", "-1"], "seed -1 is outside 0 <= seed < 2^64"),
     (_SWEEP_DIMS + ["--seed", str(2**64)], f"seed {2**64} is outside 0 <= seed < 2^64"),
     (_SWEEP_LENGTHS + ["--seed", "-2"], "seed -2 is outside 0 <= seed < 2^64"),
+    (["schrodinger", "--grid", "10,192,central_difference"],
+     "residual 1.748e-03 at m=192 is discretization-dominated (drops to 4.375e-04 at m=384); refine the grid"),
+    (["irregular", "--interval", "-1,-2"], "interval needs b > a"),  # a negative first value, without "="
+    (_SWEEP_LENGTHS + ["--grid", "-1,256,spectral"], "grid half-width must be positive"),
 ])
 def test_cli_gate_refuses_each_fault(argv, message, capsys):
     assert main(argv) == 2

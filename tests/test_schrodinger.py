@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from numpy.polynomial.hermite import hermval
 
-from ccrlab import fock, schrodinger
+from ccrlab import fock, reports, schrodinger
 from spectral_oracles import fourier_sector, rayleigh_quotients, record_sectors, record_solvers
 
 
@@ -422,10 +422,28 @@ def test_oscillator_refuses_a_grid_whose_x2_overflows():
 
 
 def test_resolution_check_needs_the_largest_wavenumber_to_reach_1():
-    # at m = 8, pi/h = 4 pi/L reaches 1 up to L = 4 pi = 12.566...
-    schrodinger.check_resolution(12.56, 8)
+    # at m = 8, pi/h = 4 pi/L reaches 1 up to L = 4 pi = 12.566...; the wavenumber rule comes first, so
+    # below that the grid passes it, and a guard of the grid checks refuses so coarse a grid
+    with pytest.raises(schrodinger.GridResolutionError) as refused:
+        schrodinger.check_resolution(12.56, 8, schrodinger.SPECTRAL, 1, 0)
+    assert "wavenumber" not in str(refused.value)
     with pytest.raises(schrodinger.GridResolutionError, match=r"L=12\.57, m=8 has step h=3\.1425"):
-        schrodinger.check_resolution(12.57, 8)
+        schrodinger.check_resolution(12.57, 8, schrodinger.SPECTRAL, 1, 0)
+
+
+@pytest.mark.parametrize("scheme", _SCHEMES)
+def test_resolution_check_refuses_where_the_suite_guards_raise(scheme):
+    # a grid passes the gate exactly when the schrodinger suite runs every check on it without raising
+    sizes = [(10.0, m) for m in [*range(16, 48), 128, 192, 253, 254, 256]] + [(3.0, 64), (40.0, 256)]
+    for L, m in sizes:
+        config = reports.RunConfig(suite="schrodinger", grid_l=L, grid_m=m, scheme=scheme)
+        try:
+            config.validate()
+            accepted = True
+        except ValueError:
+            accepted = False
+        raised = [c.name for c in reports.schrodinger_suite(config) if c.measured is None]
+        assert accepted == (raised == []), (L, m, raised)
 
 
 @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
@@ -462,7 +480,7 @@ def test_grid_refuses_an_underflowing_step():
             with pytest.raises(schrodinger.GridResolutionError, match="underflows to 0"):
                 schrodinger.grid_momentum(np.ones(16), 0.0, 5e-324, scheme)
         with pytest.raises(schrodinger.GridResolutionError, match=r"x_min=-5e-324, x_max=5e-324, m=256"):
-            schrodinger.check_resolution(5e-324, 256)
+            schrodinger.check_resolution(5e-324, 256, schrodinger.SPECTRAL, 6, 8)
     # the smallest positive step is still a grid
     assert schrodinger.grid_points(0.0, 8 * 5e-324, 8)[1] == 5e-324
 
