@@ -8,10 +8,17 @@ One kernel, `power_log_norms`, does the linear algebra of every entry
 point.  It takes a block of column vectors, applies A k_max times (never
 forming matrix powers), and records log ||A^k x|| for every column at
 every power.  Columns are rescaled to unit norm after each product, so
-transiently huge terms cannot overflow.  The norms do not depend on t:
-one pass over a block serves every t, and `analytic_series` and
-`check_growth_bound` are the batch of one of `analytic_series_block` and
-`growth_bound_block`.
+transiently huge terms cannot overflow.  The column norms are the
+operations np.linalg.norm(V, axis=0) runs, sqrt of the sum of |v|^2 down
+each column.  In a block of two or more columns numpy sums each column in
+row order, so a column's values do not depend on the others (a block of
+one column is summed pairwise, and may differ in the last bit).  The
+norms do not depend on t: one pass over a block serves
+every t.  `analytic_series`, `check_growth_bound` and
+`single_power_bound_report` are the batch of one of
+`analytic_series_block`, `growth_bound_block` and
+`single_power_bound_block`; the analytic suite passes its 50 seeded
+single-power samples as one block.
 
 Mode window.  A `Band` whose lowest offset is -h moves a vector on
 modes <= M onto modes <= M + h, so k products of a block whose top mode
@@ -110,17 +117,17 @@ def power_log_norms(A: Band, block, k_max: int) -> np.ndarray:
     V = np.zeros((window, block.shape[1]), dtype=complex)
     V[: block.shape[0]] = block
     log_norms = np.empty((k_max + 1, block.shape[1]))
-    for k in range(k_max + 1):
-        if k:
-            V = A @ V
-        nrm = np.linalg.norm(V, axis=0)
-        if not np.all(np.isfinite(nrm)):
-            raise SeriesOverflowError(k)
-        with np.errstate(divide="ignore"):
-            log_norms[k] = np.log(nrm)
-        if k:
-            log_norms[k] += log_norms[k - 1]
-        V /= np.where(nrm > 0.0, nrm, 1.0)  # unit columns; the magnitude lives in log_norms
+    with np.errstate(divide="ignore"):  # log(0) = -inf for a vanished column
+        for k in range(k_max + 1):
+            if k:
+                V = A @ V
+            nrm = np.sqrt(np.add.reduce((V.conj() * V).real, axis=0))  # np.linalg.norm(V, axis=0)
+            if not nrm.max(initial=0.0) < np.inf:  # a norm is inf or nan
+                raise SeriesOverflowError(k)
+            np.log(nrm, out=log_norms[k])
+            if k:
+                log_norms[k] += log_norms[k - 1]
+            V /= np.where(nrm > 0.0, nrm, 1.0)  # unit columns; the magnitude lives in log_norms
     return log_norms
 
 
@@ -260,7 +267,9 @@ def growth_bound_block(q: Band, block, powers) -> tuple[np.ndarray, np.ndarray]:
     tops = _top_modes(block)
     if np.any(tops < 0):
         raise ValueError("phi must be nonzero")
-    factors = np.array([corrected_growth_bound(dim, int(M), int(k)) for M, k in zip(tops, powers)])
+    pairs = list(zip(tops.tolist(), powers.tolist()))
+    bounds = {pair: corrected_growth_bound(dim, *pair) for pair in dict.fromkeys(pairs)}  # once per (M, k)
+    factors = np.array([bounds[pair] for pair in pairs])
     log_norms = power_log_norms(q, block[: tops.max() + 1], int(powers.max()))
     return np.exp(log_norms[powers, np.arange(powers.size)]), factors * np.linalg.norm(block, axis=0)
 
@@ -294,25 +303,37 @@ class SinglePowerBoundReport:
         return self.triangle_sum / self.nominal_bound
 
 
+def single_power_bound_block(q: Band, samples) -> list[SinglePowerBoundReport]:
+    """single_power_bound_report for every (coeffs, m) of samples: ||q psi||
+    for psi = sum C_j psi_{m+j} (unnormalized basis) against the nominal
+    bound sqrt(2) C sqrt((m+n+1)!).
+
+    One power_log_norms pass of one product on one block, whose columns
+    are, sample by sample, psi and then each term C_j psi_{m+j}: at least
+    two columns, so each sample's values are those of its own block."""
+    starts, terms, nominals = [], [], []
+    for coeffs, m in samples:
+        coeffs = np.asarray(coeffs, dtype=complex)
+        if coeffs.ndim != 1 or coeffs.size == 0 or not np.any(coeffs):
+            raise ValueError("coefficients must be a nonzero 1-d sequence")
+        top = m + coeffs.size - 1
+        if top + 2 > q.dim:
+            raise ValueError("support plus one application exceeds dimension")
+        starts.append(m)
+        terms.append(coeffs * np.array([sqrt_factorial(m + j) for j in range(coeffs.size)]))
+        nominals.append(math.sqrt(2.0) * float(np.max(np.abs(coeffs))) * math.exp(0.5 * math.lgamma(top + 2)))
+    columns = np.cumsum([0] + [t.size + 1 for t in terms])  # the column of each psi, then its terms'
+    block = np.zeros((max((m + t.size for m, t in zip(starts, terms)), default=0), columns[-1]), dtype=complex)
+    for m, t, j in zip(starts, terms, columns):
+        block[m: m + t.size, j] = t
+        block[m + np.arange(t.size), j + 1 + np.arange(t.size)] = t
+    norms = np.exp(power_log_norms(q, block, 1)[1])  # a zero term contributes exp(-inf) = 0
+    return [SinglePowerBoundReport(float(norms[j]), float(np.sum(norms[j + 1: j + 1 + t.size])), nominal)
+            for t, j, nominal in zip(terms, columns, nominals)]
+
+
 def single_power_bound_report(q: Band, coeffs, m: int) -> SinglePowerBoundReport:
     """Evaluate ||q psi|| for psi = sum C_j psi_{m+j} (unnormalized basis)
-    against the nominal bound sqrt(2) C sqrt((m+n+1)!).
-
-    One power_log_norms pass of one product on the block whose columns
-    are psi and then each term C_j psi_{m+j}."""
-    dim = q.dim
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.ndim != 1 or coeffs.size == 0 or not np.any(coeffs):
-        raise ValueError("coefficients must be a nonzero 1-d sequence")
-    n = coeffs.size - 1
-    top = m + n
-    if top + 2 > dim:
-        raise ValueError("support plus one application exceeds dimension")
-    terms = coeffs * np.array([sqrt_factorial(m + j) for j in range(n + 1)])
-    block = np.zeros((top + 1, n + 2), dtype=complex)
-    block[m:, 0] = terms
-    block[m + np.arange(n + 1), 1 + np.arange(n + 1)] = terms
-    norms = np.exp(power_log_norms(q, block, 1)[1])  # a zero term contributes exp(-inf) = 0
-    c_max = float(np.max(np.abs(coeffs)))
-    nominal = math.sqrt(2.0) * c_max * math.exp(0.5 * math.lgamma(top + 2))
-    return SinglePowerBoundReport(float(norms[0]), float(np.sum(norms[1:])), nominal)
+    against the nominal bound sqrt(2) C sqrt((m+n+1)!): the batch of one
+    of single_power_bound_block."""
+    return single_power_bound_block(q, [(coeffs, m)])[0]

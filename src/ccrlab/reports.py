@@ -43,7 +43,9 @@ SCHEMA_VERSION = 1
 
 # Fock and weyl suites, the only ones that read dim: their dim when none is given.
 _DEFAULT_DIM = 64
-# Analytic suite: top mode of its random vectors, dim of its Taylor check (which bounds k_max).
+# Analytic suite: the t of its converged-share series, top mode of its random vectors, dim
+# of its Taylor check (which bounds k_max).
+_SERIES_TS = (0.5, 1.0, 2.0)
 _ANALYTIC_TOP_MODE = 8
 _TAYLOR_CHECK_DIM = 128
 # Schrodinger suite: the oscillator levels it solves, the top mode of its Hermite functions.
@@ -70,6 +72,26 @@ _SIZE_LIMITS = {
 # The irregular suite's contrast intervals (a, b, requested m), each aligned
 # with the run's t: lengths 1, 5 and 20.
 _CONTRAST_INTERVALS = ((-0.5, 0.5, 256), (-2.5, 2.5, 320), (-10.0, 10.0, 640))
+# The tolerance of the irregular suite's closed-form wrap checks.
+_CLOSED_FORM_TOL = 1e-8
+
+
+def _least_k_max(t: float, top: int) -> int:
+    """The least k_max at which the ratio test calls converged the series at
+    t of every vector on modes <= top, for A = q or p.  A^i xi lies on modes
+    <= top + i, and one more product gains at most sqrt(2 (top + i + 1))
+    (the per-step factor of analytic.corrected_growth_bound), so term ratio
+    i is at most r_i = t sqrt(2 (top + i + 1)) / (i + 1), which falls with i.
+    The verdict reads ratios k_max - 5 .. k_max - 1: all are below 0.9 once
+    r at k_max - 5 is."""
+    i = 0
+    while t * math.sqrt(2 * (top + i + 1)) / (i + 1) >= analytic.RATIO_CONVERGED:
+        i += 1
+    return i + analytic.VERDICT_WINDOW
+
+
+# 20: from there random_finite_vectors_converged decides at every seed.
+_LEAST_K_MAX = _least_k_max(max(_SERIES_TS), _ANALYTIC_TOP_MODE)
 
 
 def _require_finite(name: str, *values: float) -> None:
@@ -119,6 +141,11 @@ class RunConfig:
         if "analytic" in runs and self.k_max >= _TAYLOR_CHECK_DIM:
             raise ValueError(f"k_max {self.k_max} exceeds {_TAYLOR_CHECK_DIM - 1}, the analytic suite's limit: "
                              f"its Taylor check runs at dim {_TAYLOR_CHECK_DIM}")
+        if "analytic" in runs and self.k_max < _LEAST_K_MAX:
+            raise ValueError(f"k_max {self.k_max} is below {_LEAST_K_MAX}, the least at which the analytic suite's "
+                             f"ratio test decides: by the per-step growth bound, its last "
+                             f"{analytic.VERDICT_WINDOW} term ratios at t={max(_SERIES_TS):g} on modes <= "
+                             f"{_ANALYTIC_TOP_MODE} are below {analytic.RATIO_CONVERGED} from there")
         if "weyl" in runs:
             weyl.check_truncation(self.t, self.s, self.effective_dim(), _WEYL_TOL)
         if self.grid_l <= 0:
@@ -137,6 +164,13 @@ class RunConfig:
                     raise ValueError(f"t={self.t} is outside 0 < t < {b - a}, the length of the interval "
                                      f"({a}, {b}) that the {self.suite} suite builds")
                 interval.aligned_spec(a, b, self.t, m)
+                # the points x round by up to u max|x|, u = 2^-53: the phase s x by |s| times that,
+                # the smooth psi e^{-(x - c)^2} by at most that, both within the closed-form tolerance
+                rounding = 2.0**-53 * max(abs(a), abs(b)) * max(abs(self.s), 1.0)
+                if rounding > _CLOSED_FORM_TOL:
+                    raise ValueError(f"s={self.s!r} on the interval ({a}, {b}) that the {self.suite} suite builds: "
+                                     f"the phase s*x and the smooth psi's x - c round by up to {rounding:.3g}, "
+                                     f"above {_CLOSED_FORM_TOL:g}, the tolerance of its closed-form checks")
         if self.fmt not in FORMATS:
             raise ValueError(f"unknown format {self.fmt!r}")
         if not 0 <= self.seed < 2**64:  # SplitMix64 reads the seed mod 2^64
@@ -423,7 +457,7 @@ def analytic_suite(config: RunConfig) -> list[CheckRecord]:
         verdicts = [
             rep.verdict
             for op in (q, p)
-            for reports in analytic.analytic_series_block(op, block, (0.5, 1.0, 2.0), k_max)
+            for reports in analytic.analytic_series_block(op, block, _SERIES_TS, k_max)
             for rep in reports
         ]
         return verdicts.count("converged") / len(verdicts)
@@ -466,12 +500,11 @@ def analytic_suite(config: RunConfig) -> list[CheckRecord]:
         return (r2.verdict, ok)
 
     def needed_constant():
-        # 50 seeded (start mode m, top offset n, components) draws, e_0 for zero components
+        # 50 seeded (start mode m, top offset n, components) draws, e_0 for zero components, as one batch
         block, (starts, tops) = SplitMix64(config.seed + 3).ragged_components(50, (5, 5), 1)
         block = _e0_if_zero(block)
-        runs = (analytic.single_power_bound_report(q, block[: n + 1, j], int(m))
-                for j, (m, n) in enumerate(zip(starts, tops)))
-        return max(rep.needed_constant for rep in runs)
+        samples = [(block[: n + 1, j], int(m)) for j, (m, n) in enumerate(zip(starts, tops))]
+        return max(rep.needed_constant for rep in analytic.single_power_bound_block(q, samples))
 
     def geometric_bound_breakdown():
         e0 = fock.FockState.basis_state(0)
@@ -622,8 +655,10 @@ def schrodinger_suite(config: RunConfig) -> list[CheckRecord]:
     osc_tol = 1e-4 if spectral else 0.1
     gap_tol = 1e-3 if spectral else 0.1
     eig_tol = 1e-4 if spectral else 0.5
-    shared = _shared()
-    vacuum_signs = lambda: shared(schrodinger.vacuum_sign_check, L, m, scheme)
+    shared = _shared()  # also passed as the memo of the schrodinger functions, which share values through it
+    vacuum_signs = lambda: shared(schrodinger.vacuum_sign_check, L, m, scheme, shared)
+    vacuum = lambda: shared(schrodinger.vacuum_annihilation_residual, L, m, scheme, shared)
+    intertwiner = lambda: shared(schrodinger.intertwiner_check, L, m, _GRID_TOP_MODE, shared)
     levels = lambda: shared(schrodinger.grid_oscillator_spectrum, L, m, scheme, _GRID_LEVELS)
 
     def plane_wave():
@@ -643,7 +678,7 @@ def schrodinger_suite(config: RunConfig) -> list[CheckRecord]:
         x2 = schrodinger.grid_points(-L, L, m) ** 2
         worst = 0.0
         h = schrodinger._grid_step(-L, L, m)
-        for n, b in enumerate(schrodinger.hermite_basis(L, m, _GRID_TOP_MODE)):
+        for n, b in enumerate(shared(schrodinger.hermite_basis, L, m, _GRID_TOP_MODE, shared)):
             n_b = (x2 * b + schrodinger.grid_kinetic(b, -L, L, scheme) - b) / 2.0
             worst = max(worst, math.sqrt(h) * float(np.linalg.norm(n_b - n * b)))
         return worst
@@ -656,17 +691,15 @@ def schrodinger_suite(config: RunConfig) -> list[CheckRecord]:
         return float(np.linalg.norm(comm + 1j * v))
 
     def refinement():
-        r1 = shared(schrodinger.vacuum_annihilation_residual, L, m, scheme)
-        r2 = schrodinger.vacuum_annihilation_residual(L, 2 * m, scheme)
-        i1 = shared(schrodinger.intertwiner_check, L, m, _GRID_TOP_MODE)
-        i2 = schrodinger.intertwiner_check(L, 2 * m, _GRID_TOP_MODE)
+        r1, r2 = vacuum(), schrodinger.vacuum_annihilation_residual(L, 2 * m, scheme, shared)
+        i1, i2 = intertwiner(), schrodinger.intertwiner_check(L, 2 * m, _GRID_TOP_MODE, shared)
         ok = (r2 <= r1 or r2 < 1e-10) and (i2 <= i1 or i2 < 1e-10)
         return (max(r2, i2), ok)
 
     checks = [
         Check("vacuum_residual",
               "(q + ip)/sqrt2 annihilates e^{-x^2/2}",
-              lambda: shared(schrodinger.vacuum_annihilation_residual, L, m, scheme),
+              vacuum,
               tolerance=vac_tol),
         Check("vacuum_opposite_sign",
               "(q - ip)/sqrt2 does not annihilate the Gaussian",
@@ -694,7 +727,7 @@ def schrodinger_suite(config: RunConfig) -> list[CheckRecord]:
               holds=lambda low: low >= -1e-10),
         Check("hermite_gram",
               "first 8 oscillator eigenfunctions orthonormal in discrete L2",
-              lambda: schrodinger.intertwiner_gram_defect(L, m, _GRID_TOP_MODE),
+              lambda: schrodinger.intertwiner_gram_defect(L, m, _GRID_TOP_MODE, shared),
               tolerance=1e-8),
         Check("hermite_number_eigen",
               "grid (q^2+p^2-1)/2 has eigenvalue n on basis n",
@@ -702,11 +735,11 @@ def schrodinger_suite(config: RunConfig) -> list[CheckRecord]:
               tolerance=eig_tol),
         Check("hermite_norm_drift",
               "three-term recurrence keeps unit discrete norms",
-              lambda: schrodinger.hermite_norm_drift(L, m, _GRID_TOP_MODE),
+              lambda: schrodinger.hermite_norm_drift(L, m, _GRID_TOP_MODE, shared),
               tolerance=1e-8),
         Check("intertwiner_mismatch",
               "grid q conjugated to the ladder basis matches ladder q",
-              lambda: shared(schrodinger.intertwiner_check, L, m, _GRID_TOP_MODE),
+              intertwiner,
               tolerance=1e-6),
         Check("intertwiner_scalar",
               "<g, x g> = 0 for the even Gaussian",
@@ -768,8 +801,9 @@ def irregular_suite(config: RunConfig) -> list[CheckRecord]:
         Check("closed_form_constant",
               "residual^2 = |e^{-is(b-a)}-1|^2 * int_a^{a+t} |psi|^2, constant psi",
               lambda: abs(residual() - interval.closed_form_wrap_residual(spec, t, s)),
-              tolerance=1e-8),
-        Check("closed_form_smooth", "closed wrap formula holds for smooth psi", smooth_psi, tolerance=1e-8),
+              tolerance=_CLOSED_FORM_TOL),
+        Check("closed_form_smooth", "closed wrap formula holds for smooth psi", smooth_psi,
+              tolerance=_CLOSED_FORM_TOL),
         Check("wrap_residual_sqrt2",
               "unit interval, t=1/2, s=pi: residual = sqrt(2)",
               lambda: abs(shared(interval.interval_weyl_residual, canonical, 0.5, math.pi) - math.sqrt(2.0)),

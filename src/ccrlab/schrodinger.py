@@ -39,6 +39,12 @@ one of them annihilates the Gaussian e^{-x^2/2}: with p = -i d/dx it is
 `vacuum_sign_check` measures both and reports which sign annihilates.
 The oscillator eigenfunctions psi_0..psi_n come from their three-term
 recurrence as one (n + 1) x m array (`hermite_basis`).
+
+The Gaussian's residual and the Hermite rows are read by several checks.
+Each function that computes them takes an optional `memo`, a callable
+memo(fn, *args) = fn(*args) that its caller shares between calls (the
+reports suite's per-run memo), and computes them through it, so a run
+computes each once.
 """
 
 from __future__ import annotations
@@ -127,6 +133,11 @@ def check_resolution(L: float, m: int, scheme: str, count: int, n_max: int) -> N
         hermite_basis(L, size, n_max)
 
 
+def _call(memo, fn, *args):
+    """fn(*args), computed through memo(fn, *args) when the caller shares one."""
+    return fn(*args) if memo is None else memo(fn, *args)
+
+
 def _vacuum_residual(L: float, m: int, scheme: str, sign: str) -> float:
     """||(q + sign * ip)/sqrt2 g|| / ||g|| in discrete L2 for the Gaussian
     g = e^{-x^2/2} sampled on m points of [-L, L)."""
@@ -138,10 +149,10 @@ def _vacuum_residual(L: float, m: int, scheme: str, sign: str) -> float:
     return float(np.linalg.norm(a) / np.linalg.norm(g))
 
 
-def vacuum_sign_check(L: float, m: int, scheme: str = SPECTRAL) -> dict:
+def vacuum_sign_check(L: float, m: int, scheme: str = SPECTRAL, memo=None) -> dict:
     """Residuals of both ladder sign conventions on the sampled Gaussian
     and which one annihilates it."""
-    plus, minus = (_vacuum_residual(L, m, scheme, sign) for sign in "+-")
+    plus, minus = (_call(memo, _vacuum_residual, L, m, scheme, sign) for sign in "+-")
     return {
         "plus_residual": plus,
         "minus_residual": minus,
@@ -149,7 +160,7 @@ def vacuum_sign_check(L: float, m: int, scheme: str = SPECTRAL) -> dict:
     }
 
 
-def vacuum_annihilation_residual(L: float, m: int, scheme: str = SPECTRAL) -> float:
+def vacuum_annihilation_residual(L: float, m: int, scheme: str = SPECTRAL, memo=None) -> float:
     """Annihilation residual of the sampled Gaussian e^{-x^2/2} under the
     annihilating sign convention.
 
@@ -157,8 +168,8 @@ def vacuum_annihilation_residual(L: float, m: int, scheme: str = SPECTRAL) -> fl
     residual is large and still shrinking rapidly, discretization error
     dominates and GridResolutionError is raised.
     """
-    r = _vacuum_residual(L, m, scheme, ANNIHILATING_SIGN)
-    _check_refinement(r, _vacuum_residual(L, 2 * m, scheme, ANNIHILATING_SIGN), m)
+    r = _call(memo, _vacuum_residual, L, m, scheme, ANNIHILATING_SIGN)
+    _check_refinement(r, _call(memo, _vacuum_residual, L, 2 * m, scheme, ANNIHILATING_SIGN), m)
     return r
 
 
@@ -454,11 +465,11 @@ def _hermite_rows(L: float, m: int, n_max: int) -> tuple[np.ndarray, list[float]
     return rows, [math.sqrt(h) * float(np.linalg.norm(row)) for row in rows]
 
 
-def hermite_basis(L: float, m: int, n_max: int) -> np.ndarray:
+def hermite_basis(L: float, m: int, n_max: int, memo=None) -> np.ndarray:
     """psi_0..psi_n_max on the grid of m points of [-L, L), renormalized to
     unit discrete L2 norm, as the rows of one complex (n_max + 1) x m array;
     raises GridResolutionError if a raw norm drifts from 1 by over 1e-6."""
-    rows, norms = _hermite_rows(L, m, n_max)
+    rows, norms = _call(memo, _hermite_rows, L, m, n_max)
     for n, nrm in enumerate(norms):
         if not abs(nrm - 1.0) <= 1e-6:
             raise GridResolutionError(
@@ -468,29 +479,29 @@ def hermite_basis(L: float, m: int, n_max: int) -> np.ndarray:
     return (rows / np.array(norms)[:, None]).astype(complex)
 
 
-def hermite_norm_drift(L: float, m: int, n_max: int) -> float:
+def hermite_norm_drift(L: float, m: int, n_max: int, memo=None) -> float:
     """Worst deviation | ||psi_n||_h - 1 | of the raw recurrence output
     before renormalization; large drift signals instability."""
-    return max(abs(nrm - 1.0) for nrm in _hermite_rows(L, m, n_max)[1])
+    return max(abs(nrm - 1.0) for nrm in _call(memo, _hermite_rows, L, m, n_max)[1])
 
 
-def _witness(L: float, m: int, n_max: int) -> np.ndarray:
+def _witness(L: float, m: int, n_max: int, memo=None) -> np.ndarray:
     """The witness T = sqrt(h) conj(hermite_basis): row n maps grid samples
     to their coefficient on psi_n."""
-    return math.sqrt(_grid_step(-L, L, m)) * hermite_basis(L, m, n_max).conj()
+    return math.sqrt(_grid_step(-L, L, m)) * _call(memo, hermite_basis, L, m, n_max, memo).conj()
 
 
-def intertwiner_check(L: float, m: int, n_max: int) -> float:
+def intertwiner_check(L: float, m: int, n_max: int, memo=None) -> float:
     """Mismatch ||T diag(x) T† - q_ladder|| (2-norm) of the unitary-equivalence
     witness T (`_witness`, dense (n_max + 1) x m) between the grid and the
     ladder representations of q, on the leading n_max + 1 modes."""
-    T = _witness(L, m, n_max)
+    T = _witness(L, m, n_max, memo)
     q_fock = fock.Band.position(n_max + 1).to_dense()
     return float(np.linalg.norm((T * grid_points(-L, L, m)) @ T.conj().T - q_fock, 2))
 
 
-def intertwiner_gram_defect(L: float, m: int, n_max: int) -> float:
+def intertwiner_gram_defect(L: float, m: int, n_max: int, memo=None) -> float:
     """||T T† - I|| for the same witness: orthonormality of the sampled
     basis in discrete L2."""
-    T = _witness(L, m, n_max)
+    T = _witness(L, m, n_max, memo)
     return float(np.linalg.norm(T @ T.conj().T - np.eye(n_max + 1), 2))

@@ -8,6 +8,10 @@ through their ladder combinations q = (a + a†)/sqrt2 and
 p = (a - a†)/(i sqrt2).  Because the normal form is canonical, operator
 identities are decided exactly.
 
+A text is split into tokens by one regular expression and parsed by
+recursive descent over the token strings; a token's position is found
+only for a ParseError.
+
 A normal form stores its coefficients as integer numerator tuples
 (n0, n1, n2, n3) over one positive denominator shared by all its terms,
 reduced so that no numerator tuple is zero and the denominator has no
@@ -15,13 +19,18 @@ factor in common with every numerator.  Products and sums then run on
 plain ints, with one content reduction per result, a shift where the
 denominator is a power of 2, as it is for q and p; ExactScalar
 coefficients are built only when a caller reads them.  A product is one
-loop over every pair of terms, and a sum or difference one merge of the
-two term maps.  A word, a `Product` of symbols and scalars such as
-"(1/2) * q * a * p", is normal-ordered on one int per term: each letter
-is c (x a† + y a) with x in {0, 1} and y in {0, 1, -1}, so it moves the
-terms by integer ladder steps, and the scalars and the constants c fold
-into one exact factor that a single content reduction applies at the
-end.  A power of a linear form x a† + y a (q, p, a, ...) is built in
+loop over every pair of terms, but for a scalar form on either side,
+which moves no key: one pass over the other side's terms, in their
+order.  A sum or difference is one merge of the two term maps.  A word,
+a `Product` of symbols and scalars such as "(1/2) * q * a * p", is
+normal-ordered on one int per term: each letter is c (x a† + y a) with x
+in {0, 1} and y in {0, 1, -1}, so it moves the terms by integer ladder
+steps, and the scalars and the constants c fold into one exact factor
+that a single content reduction applies at the end.  A scalar there is
+any product or quotient of numbers, i, sqrt2 and I, such as (1/2), (-i)
+or a rendered coefficient (-1/2*i*sqrt2): its value is read off the tree as
+an unreduced numerator tuple, with no normal form built for it.  A power
+of a linear form x a† + y a (q, p, a, ...) is built in
 closed form, each coefficient an integer numerator over one denominator,
 in the term order that n right products leave: m descending, then k
 ascending, when the base lists a† first; k - m descending, then m
@@ -30,25 +39,32 @@ those rows, so n! is divided once per row.  A power of any other form is
 n right products from I.  All insert terms in the order that `to_matrix`
 sums in, but for a commutator with a linear side: one pass over the
 other side's terms, which forms none of the products' terms that cancel.
+`to_matrix` adds each term, its coefficient times the one diagonal of
+(a†)^m a^k, into that diagonal of the dense output in place, in stored
+order; the first term on a diagonal is written, so a -0.0 stays -0.0.
 
 Each building block is made once per process and then shared, so no
 cached form, tree or array is ever mutated:
 - the parse tree of each text, for the last 256 texts parsed: each node
   sets its fields once, in __init__, and raises AttributeError on any
-  later assignment or deletion;
+  later assignment or deletion; the leaves of the symbols, i, sqrt2 and
+  -1 are single nodes, and a number's leaf is kept for the last 256
+  numbers;
 - the five symbol forms, built at import and returned by `normal_order`;
 - the integer weights of the closed form for a^k a†^m, per (k, m),
   unbounded (min(k, m) + 1 integers each);
 - the band (a†)^m a^k per (dim, m, k), 256 of them, read-only;
 - the dense matrices of a, a†, q, p and I that `expr_to_matrix` starts
   from and multiplies by uncopied, ten of them, read-only: every array it
-  returns is a new one.
+  returns is a new one.  A product starts from its leading Scalar factors,
+  multiplied into one number, times the first other factor's matrix.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
@@ -131,79 +147,78 @@ class ParseError(ValueError):
         self.position = position
 
 
-_PUNCT = set("+-*/^()[],")
+_PUNCT = frozenset("+-*/^()[],")
+# A token is a number, a run of decimal digits; an identifier, a letter and
+# the letters, digits and "_" after it; or one punctuation mark.  In a str
+# pattern \d is str.isdecimal, \w str.isalnum or "_" and \s str.isspace, and
+# [^\W\d_] is a letter or a numeric character such as "²", which starts no
+# token.  Every character of an ASCII text without "_" that _OTHER does not
+# find starts a token or continues one.
+_TOKEN = re.compile(r"\d+|[^\W\d_]\w*|\S")
+_OTHER = re.compile(r"[^\s\w+\-*/^()\[\],]")
+# the leaves a token names, shared as every node is immutable
+_NAMED = {**{name: Symbol(name) for name in _SYMBOLS}, "i": Scalar(I), "sqrt2": Scalar(SQRT2)}
+_MINUS_ONE = Scalar(-ONE)
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _PUNCT:
-            tokens.append(("punct", c, i))
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("number", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(("end", "", n))
-    return tokens
+def _tokenize(text: str) -> list[str]:
+    """The tokens of text, whitespace skipped, then "" for its end.
+    ParseError at the first character that starts no token."""
+    if not text.isascii() or "_" in text or _OTHER.search(text):
+        for match in _TOKEN.finditer(text):
+            c = match.group()[0]
+            if not (c.isdecimal() or c.isalpha() or c in _PUNCT):
+                raise ParseError(f"unexpected character {c!r}", match.start())
+    return _TOKEN.findall(text) + [""]
 
 
 class _Parser:
+    """Recursive descent over the token strings; a token's position in the
+    text is found only for a ParseError."""
+
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self):
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def next(self):
+    def next(self) -> str:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
+    def error(self, message: str, index: int) -> ParseError:
+        """The ParseError at token `index`, the end counting as one past the last."""
+        starts = [match.start() for match in _TOKEN.finditer(self.text)] + [len(self.text)]
+        return ParseError(message, starts[index])
+
     def expect(self, value: str):
-        kind, val, at = self.next()
-        if val != value:
-            raise ParseError(f"expected {value!r}, found {val or 'end of input'!r}", at)
+        tok = self.next()
+        if tok != value:
+            raise self.error(f"expected {value!r}, found {tok or 'end of input'!r}", self.pos - 1)
 
     def parse(self) -> OperatorExpr:
         e = self.expr()
-        kind, val, at = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input {val!r}", at)
+        if self.peek():
+            raise self.error(f"unexpected trailing input {self.peek()!r}", self.pos)
         return e
 
     def expr(self) -> OperatorExpr:
         terms = [self.term()]
-        while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
+        while self.peek() in ("+", "-"):
+            op = self.next()
             t = self.term()
             if op == "-":
-                t = Product((Scalar(-ONE), t))
+                t = Product((_MINUS_ONE, t))
             terms.append(t)
         return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
     def term(self) -> OperatorExpr:
         node = self.unary()
-        while self.peek()[1] in ("*", "/"):
-            op = self.next()[1]
+        while self.peek() in ("*", "/"):
+            op = self.next()
             rhs = self.unary()
             if op == "*":
                 if isinstance(node, Product):
@@ -215,44 +230,46 @@ class _Parser:
         return node
 
     def unary(self) -> OperatorExpr:
-        if self.peek()[1] == "-":
+        if self.peek() == "-":
             self.next()
-            return Product((Scalar(-ONE), self.unary()))
+            return Product((_MINUS_ONE, self.unary()))
         return self.power()
 
     def power(self) -> OperatorExpr:
         base = self.primary()
-        while self.peek()[1] == "^":
+        while self.peek() == "^":
             self.next()
-            kind, val, at = self.next()
-            if kind != "number":
-                raise ParseError("power exponent must be a nonnegative integer", at)
-            base = Power(base, int(val))
+            tok = self.next()
+            if not tok.isdecimal():
+                raise self.error("power exponent must be a nonnegative integer", self.pos - 1)
+            base = Power(base, int(tok))
         return base
 
     def primary(self) -> OperatorExpr:
-        kind, val, at = self.next()
-        if kind == "number":
-            return Scalar(ExactScalar.rational(int(val)))
-        if kind == "ident":
-            if val in _SYMBOLS:
-                return Symbol(val)
-            if val == "i":
-                return Scalar(I)
-            if val == "sqrt2":
-                return Scalar(SQRT2)
-            raise ParseError(f"unknown identifier {val!r}", at)
-        if val == "(":
+        tok = self.next()
+        if tok.isdecimal():
+            return _number(tok)
+        if tok in _NAMED:
+            return _NAMED[tok]
+        if tok[:1].isalpha():
+            raise self.error(f"unknown identifier {tok!r}", self.pos - 1)
+        if tok == "(":
             e = self.expr()
             self.expect(")")
             return e
-        if val == "[":
+        if tok == "[":
             left = self.expr()
             self.expect(",")
             right = self.expr()
             self.expect("]")
             return Commutator(left, right)
-        raise ParseError(f"unexpected token {val or 'end of input'!r}", at)
+        raise self.error(f"unexpected token {tok or 'end of input'!r}", self.pos - 1)
+
+
+@lru_cache(maxsize=256)
+def _number(tok: str) -> Scalar:
+    """The leaf of a number token, shared as the named leaves are."""
+    return Scalar(ExactScalar.rational(int(tok)))
 
 
 @lru_cache(maxsize=256)
@@ -415,6 +432,11 @@ class NormalForm:
         b0, b1, b2, b3, bd = ExactScalar.coerce(s)._n
         if not (b0 or b1 or b2 or b3):
             return NormalForm()
+        return self._times_scalar((b0, b1, b2, b3), self._den * bd)
+
+    def _times_scalar(self, b: tuple, den: int) -> "NormalForm":
+        """The terms times the nonzero numerator b, over den, in their order."""
+        b0, b1, b2, b3 = b
         # i^2 = -1, (sqrt2)^2 = 2, (i*sqrt2)^2 = -2; a nonzero factor keeps every term nonzero
         return NormalForm._reduced({
             key: (a0 * b0 - a1 * b1 + 2 * (a2 * b2 - a3 * b3),
@@ -422,11 +444,18 @@ class NormalForm:
                   a0 * b2 + a2 * b0 - a1 * b3 - a3 * b1,
                   a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1)
             for key, (a0, a1, a2, a3) in self._num.items()
-        }, self._den * bd)
+        }, den)
 
     def __mul__(self, other: "NormalForm") -> "NormalForm":
         """The product: every pair of terms, self's outer and other's
-        inner, reordered by `_reorder`, its keys inserted in that order."""
+        inner, reordered by `_reorder`, its keys inserted in that order.
+        A scalar form on either side moves no key, so its product is one
+        pass over the other side's terms, in their order."""
+        den = self._den * other._den
+        for scalar, form in ((self, other), (other, self)):
+            if scalar._num.keys() <= _SCALAR_KEYS:
+                b = scalar._num.get((0, 0))
+                return NormalForm._reduced({}, den) if b is None else form._times_scalar(b, den)
         out: dict = {}
         for (m1, k1), (a0, a1, a2, a3) in self._num.items():
             for (m2, k2), (b0, b1, b2, b3) in other._num.items():
@@ -441,7 +470,7 @@ class NormalForm:
                         out[key] = (c0 * w, c1 * w, c2 * w, c3 * w)
                     else:
                         out[key] = (acc[0] + c0 * w, acc[1] + c1 * w, acc[2] + c2 * w, acc[3] + c3 * w)
-        return NormalForm._reduced({key: n for key, n in out.items() if any(n)}, self._den * other._den)
+        return NormalForm._reduced({key: n for key, n in out.items() if any(n)}, den)
 
     def _unit_moves(self) -> list:
         """[((m, k), the signed permutation that multiplies by one nonzero
@@ -562,18 +591,29 @@ class NormalForm:
         """Assemble sum of coeff * (a†)^m a^k as a dim x dim matrix, the
         terms summed in their stored order.  Each (a†)^m a^k is one band,
         a single diagonal, scaled by its coefficient as
-        ExactScalar.to_complex rounds it; only the sum is made dense."""
-        diagonals = {}
+        ExactScalar.to_complex rounds it and added into that diagonal of
+        the output in place; the first term on a diagonal is written, not
+        added to zeros, so that a -0.0 in it stays -0.0."""
+        out = np.zeros((dim, dim), dtype=complex)
+        flat, written = out.reshape(-1), set()
         for (m, k), n in self._num.items():
-            d = _to_complex(*n, self._den) * _ladder_term(dim, m, k).diagonals[k - m]
-            diagonals[k - m] = diagonals[k - m] + d if k - m in diagonals else d
-        return fock.Band._unchecked(dim, diagonals).to_dense()
+            offset = k - m
+            ladder = _ladder_term(dim, m, k).diagonals[offset]
+            # entry (j, j + offset) or (j - offset, j) sits at flat index j (dim + 1) + offset or -offset dim
+            diagonal = flat[(offset if offset >= 0 else -offset * dim):: dim + 1][: ladder.size]
+            if offset in written:
+                diagonal += _to_complex(*n, self._den) * ladder
+            else:
+                np.multiply(_to_complex(*n, self._den), ladder, out=diagonal)
+                written.add(offset)
+        return out
 
     def __repr__(self) -> str:
         return f"NormalForm({self.to_expr_text()})"
 
 
 _LINEAR_KEYS = frozenset({(1, 0), (0, 1)})
+_SCALAR_KEYS = frozenset({(0, 0)})
 # component t of a * e_j, over the basis e = (1, i, sqrt2, i*sqrt2), is f * a[i] for the
 # t-th pair (i, f) of row j: i^2 = -1 and sqrt2^2 = 2
 _UNIT_PRODUCTS = (((0, 1), (1, 1), (2, 1), (3, 1)), ((1, -1), (0, 1), (3, -1), (2, 1)),
@@ -599,15 +639,18 @@ def _word(factors: tuple) -> NormalForm:
     """The product of the factors, left to right, as the loop
     acc = acc * normal_order(f) from acc = I makes it.
 
-    While the factors are symbols or have scalar forms, it runs on int
+    While the factors are symbols or scalars, it runs on int
     coefficients: each letter moves every term as the product does on the
     right, a^k a† = a† a^k + k a^(k-1), in the order of its leaf's keys,
     and drops the terms that cancel; the scalars and the letters' constant
     factors fold into one exact factor, applied by one `_reduced` at the
-    end.  A term cancels in the int sum exactly where it does in the exact
-    one, as both differ by that nonzero factor, so the keys come out in the
-    loop's order and the canonical form is the loop's.  From the first
-    factor whose form is neither, the loop itself takes over."""
+    end.  A scalar is a product or quotient of numbers, i, sqrt2 and I,
+    such as (1/2), (-i) or a rendered coefficient (-1/2*i*sqrt2), read by
+    `_scalar_value` without a form, or a factor whose form has only the
+    (0, 0) term, such as (1 + i).  A term cancels in the int sum exactly where it does in
+    the exact one, as both differ by that nonzero factor, so the keys come
+    out in the loop's order and the canonical form is the loop's.  From
+    the first factor whose form is neither, the loop itself takes over."""
     num = {(0, 0): 1}
     scalar, roots, turns = (1, 0, 0, 0, 1), 0, 0  # the exact factor as an unreduced (n0, n1, n2, n3, den)
     for j, f in enumerate(factors):
@@ -625,11 +668,12 @@ def _word(factors: tuple) -> NormalForm:
                     out[m, k + 1] = get((m, k + 1), 0) + plain * c
             num = {key: c for key, c in out.items() if c}
             continue
-        if isinstance(f, Scalar):
-            scalar = _times(scalar, f.value._n)
+        value = _scalar_value(f)
+        if value is not None:
+            scalar = _times(scalar, value)
             continue
         form = normal_order(f)
-        if form._num.keys() <= {(0, 0)}:
+        if form._num.keys() <= _SCALAR_KEYS:
             scalar = _times(scalar, form._num.get((0, 0), (0, 0, 0, 0)) + (form._den,))
             continue
         acc = _word_form(num, scalar, roots, turns) * form
@@ -637,6 +681,34 @@ def _word(factors: tuple) -> NormalForm:
             acc = acc * normal_order(g)
         return acc
     return _word_form(num, scalar, roots, turns)
+
+
+def _scalar_value(expr: OperatorExpr) -> tuple | None:
+    """The value of a subtree made only of numbers, i, sqrt2 and I, joined by
+    * and /, as an unreduced (n0, n1, n2, n3, den); None for any other.  It
+    reads the nodes in the order normal_order does, so a zero divisor raises
+    the ZeroDivisionError that normal_order raises."""
+    if isinstance(expr, Scalar):
+        return expr.value._n
+    if isinstance(expr, Symbol):
+        return (1, 0, 0, 0, 1) if expr.name == "I" else None
+    if isinstance(expr, Product):
+        value = (1, 0, 0, 0, 1)
+        for f in expr.factors:
+            v = _scalar_value(f)
+            if v is None:
+                return None
+            value = _times(value, v)
+        return value
+    if isinstance(expr, Quotient):
+        den = _scalar_value(expr.den)
+        if den is None:
+            return None
+        if not any(den[:4]):
+            raise ZeroDivisionError("division by zero expression")
+        num = _scalar_value(expr.num)
+        return None if num is None else _times(num, _canonical(*den).inverse()._n)
+    return None
 
 
 def _word_form(num: dict, scalar: tuple, roots: int, turns: int) -> NormalForm:
@@ -742,6 +814,11 @@ def _leaf_matrix(name: str, dim: int) -> np.ndarray:
     return matrix
 
 
+def _matrix_of(expr: OperatorExpr, dim: int) -> np.ndarray:
+    """The matrix of a factor, to be read only: a symbol's is its shared leaf."""
+    return _leaf_matrix(expr.name, dim) if isinstance(expr, Symbol) else expr_to_matrix(expr, dim)
+
+
 def expr_to_matrix(expr: OperatorExpr | str, dim: int) -> np.ndarray:
     """Evaluate the expression directly as truncated matrices (the
     independent route against NormalForm.to_matrix).  The result is a
@@ -758,9 +835,16 @@ def expr_to_matrix(expr: OperatorExpr | str, dim: int) -> np.ndarray:
             out += expr_to_matrix(t, dim)
         return out
     if isinstance(expr, Product):
-        out = np.eye(dim, dtype=complex)
-        for f in expr.factors:  # `@` only reads a leaf, so it needs no copy
-            out = out @ (_leaf_matrix(f.name, dim) if isinstance(f, Symbol) else expr_to_matrix(f, dim))
+        # the leading Scalar factors as one number c, times the first other factor's matrix
+        factors, c = expr.factors, None
+        while factors and isinstance(factors[0], Scalar):
+            c = factors[0].value.to_complex() if c is None else c * factors[0].value.to_complex()
+            factors = factors[1:]
+        if not factors:
+            return c * _leaf_matrix("I", dim)
+        out = expr_to_matrix(factors[0], dim) if c is None else c * _matrix_of(factors[0], dim)
+        for f in factors[1:]:
+            out = out @ _matrix_of(f, dim)
         return out
     if isinstance(expr, Quotient):
         den = normal_order(expr.den)

@@ -474,3 +474,94 @@ def test_single_power_bound_single_mode_within_bound():
     for q in (dense.band_of(dense.build_position(32)), fock.Band.position(32)):
         rep = analytic.single_power_bound_report(q, np.array([1.0]), 4)
         assert rep.needed_constant <= 1.0 + 1e-12
+
+
+def _reference_power_log_norms(A, block, k_max):
+    """power_log_norms as it read its column norms through np.linalg.norm, with
+    an errstate per power and np.isfinite over every norm: kept as the
+    reference whose bytes the kernel must give."""
+    dim = A.dim
+    block = np.asarray(block)
+    window = analytic._mode_window(A, block.shape[0], k_max)
+    if window < dim:
+        A = A.cut(window)
+    V = np.zeros((window, block.shape[1]), dtype=complex)
+    V[: block.shape[0]] = block
+    log_norms = np.empty((k_max + 1, block.shape[1]))
+    for k in range(k_max + 1):
+        if k:
+            V = A @ V
+        nrm = np.linalg.norm(V, axis=0)
+        if not np.all(np.isfinite(nrm)):
+            raise analytic.SeriesOverflowError(k)
+        with np.errstate(divide="ignore"):
+            log_norms[k] = np.log(nrm)
+        if k:
+            log_norms[k] += log_norms[k - 1]
+        V /= np.where(nrm > 0.0, nrm, 1.0)
+    return log_norms
+
+
+def _reference_single_power_bound_report(q, coeffs, m):
+    """single_power_bound_report before its samples were batched: one block
+    and one kernel pass per sample."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    n = coeffs.size - 1
+    top = m + n
+    terms = coeffs * np.array([fock.sqrt_factorial(m + j) for j in range(n + 1)])
+    block = np.zeros((top + 1, n + 2), dtype=complex)
+    block[m:, 0] = terms
+    block[m + np.arange(n + 1), 1 + np.arange(n + 1)] = terms
+    norms = np.exp(_reference_power_log_norms(q, block, 1)[1])
+    nominal = math.sqrt(2.0) * float(np.max(np.abs(coeffs))) * math.exp(0.5 * math.lgamma(top + 2))
+    return analytic.SinglePowerBoundReport(float(norms[0]), float(np.sum(norms[1:])), nominal)
+
+
+def test_power_log_norms_is_the_norm_loop_byte_for_byte():
+    # random q and p blocks of 1 to 6 columns, the first column zero in every other block
+    gen = SplitMix64(2024)
+    for trial in range(40):
+        rows, columns, k_max = gen.randint(1, 12), gen.randint(1, 6), gen.randint(1, 50)
+        block = gen.complex_components(rows * columns).reshape(rows, columns)
+        if trial % 2:
+            block[:, 0] = 0.0
+        for A in (fock.Band.position(rows + k_max + 3), fock.Band.momentum(rows + 5)):
+            got, want = analytic.power_log_norms(A, block, k_max), _reference_power_log_norms(A, block, k_max)
+            assert got.tobytes() == want.tobytes()
+    # a column whose norm overflows raises at the same power (numpy's overflow warning silenced)
+    huge = fock.Band(6, {0: np.full(6, 1e200), 1: np.full(5, 1e200)})
+    for block, k in ((np.array([[1e300], [1e300]]), 0), (np.array([[1.0, 0.0], [1.0, 2.0]]), 1)):
+        with np.errstate(over="ignore"), pytest.raises(analytic.SeriesOverflowError) as want:
+            _reference_power_log_norms(huge, block, 3)
+        with np.errstate(over="ignore"), pytest.raises(analytic.SeriesOverflowError) as got:
+            analytic.power_log_norms(huge, block, 3)
+        assert got.value.k == want.value.k == k
+
+
+def _report_fields(rep):
+    return (rep.direct_norm, rep.triangle_sum, rep.nominal_bound)
+
+
+def test_single_power_bound_block_is_the_per_sample_reports():
+    # the analytic suite's seeded batches, and ragged ones with zero terms and longer supports
+    q = fock.Band.position(61)
+    for seed in (0, 7, 123, 2841):
+        block, (starts, tops) = SplitMix64(seed + 3).ragged_components(50, (5, 5), 1)
+        block[0] = np.where(block.any(axis=0), block[0], 1.0)
+        samples = [(block[: n + 1, j], int(m)) for j, (m, n) in enumerate(zip(starts, tops))]
+        got = analytic.single_power_bound_block(q, samples)
+        assert [_report_fields(r) for r in got] == [
+            _report_fields(_reference_single_power_bound_report(q, c, m)) for c, m in samples]
+    gen = SplitMix64(11)
+    samples = [(np.array([0.0, 1.0, 0.0, -2j]), 3), (np.ones(12), 0), (np.array([1j]), 40),
+               (gen.complex_components(20), 17)]
+    got = analytic.single_power_bound_block(q, samples)
+    assert [_report_fields(r) for r in got] == [
+        _report_fields(_reference_single_power_bound_report(q, c, m)) for c, m in samples]
+    assert [_report_fields(analytic.single_power_bound_report(q, c, m)) for c, m in samples] == [
+        _report_fields(r) for r in got]
+    assert analytic.single_power_bound_block(q, []) == []
+    with pytest.raises(ValueError, match="exceeds dimension"):
+        analytic.single_power_bound_block(q, [(np.ones(2), 0), (np.ones(2), 59)])
+    with pytest.raises(ValueError, match="nonzero"):
+        analytic.single_power_bound_block(q, [(np.ones(2), 0), (np.zeros(2), 0)])

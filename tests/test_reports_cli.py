@@ -45,6 +45,10 @@ def test_config_validation_errors():
         RunConfig(suite="irregular", interval_a=float("-inf")),
         RunConfig(suite="irregular", interval_b=float("nan")),
         RunConfig(suite="analytic", k_max=128),  # the Taylor check runs at dim 128
+        RunConfig(suite="analytic", k_max=19),  # the ratio test decides from k_max = 20 on
+        RunConfig(suite="all", k_max=1),
+        RunConfig(suite="irregular", s=1e300),  # the phase s x has no digit within 1e-8
+        RunConfig(suite="irregular", s=1e-300, interval_b=1e300),  # nor has the smooth psi's x - c
         RunConfig(suite="all", k_max=300),
         RunConfig(suite="all", dim=2**21),  # past the longest band of the fock suite
         RunConfig(suite="fock", dim=2**20 + 1),
@@ -87,6 +91,10 @@ def test_config_validation_errors():
         RunConfig(suite="analytic", dim=2, k_max=127),
         RunConfig(suite="all", dim=32),
         RunConfig(suite="fock", k_max=300),  # k_max is read by the analytic suite only
+        RunConfig(suite="fock", k_max=1),
+        RunConfig(suite="analytic", k_max=20),
+        RunConfig(suite="irregular", s=9e6),  # the phase on (-10, 10) rounds by 1.0e-8 at most
+        RunConfig(suite="irregular", interval_a=-1e7, interval_b=-1e7 + 1.0),
         RunConfig(suite="fock", dim=2048),
         RunConfig(suite="fock", dim=2**20),  # the fock suite stores its operators as bands
         RunConfig(suite="all", dim=10**6),
@@ -213,17 +221,23 @@ def test_shared_values_are_computed_once(monkeypatch):
 
     def counted(fn):
         def call(*args, **kwargs):
-            calls[fn.__name__, pickle.dumps((args, sorted(kwargs.items())))] += 1
+            # the memo a schrodinger function computes through says how, not which value
+            key = [arg for arg in args if not callable(arg)]
+            calls[fn.__name__, pickle.dumps((key, sorted(kwargs.items())))] += 1
             return fn(*args, **kwargs)
 
         return call
 
     counted_names = ((weyl, "weyl_residual"), (weyl, "exp_commutator_residual"),
                      (schrodinger, "vacuum_sign_check"), (schrodinger, "vacuum_annihilation_residual"),
-                     (schrodinger, "intertwiner_check"), (interval, "interval_weyl_residual"))
+                     (schrodinger, "intertwiner_check"), (interval, "interval_weyl_residual"),
+                     (schrodinger, "hermite_basis"), (schrodinger, "_vacuum_residual"))
+    config = RunConfig(suite="all", seed=7)
+    config.validate()  # the gate computes the Gaussian's residual and the Hermite rows on its own
     for module, name in counted_names:
         monkeypatch.setattr(module, name, counted(getattr(module, name)))
-    run_suite(RunConfig(suite="all", seed=7))
+    for suite in reports.SUITES:
+        reports._SUITE_FUNCS[suite](config)
     assert {name for name, _ in calls} == {name for _, name in counted_names}
     assert [name for (name, _), n in calls.items() if n > 1] == []
 
@@ -491,7 +505,7 @@ def test_cli_usage_error_kmax_beyond_analytic_suite(capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("k_max", [1, 40, 127])
+@pytest.mark.parametrize("k_max", [20, 40, 127])
 def test_analytic_suite_does_not_read_dim(k_max, capsys):
     # every vector of the suite stays on its first top + k_max + 1 modes: its values are the untruncated ones
     assert main(["analytic", "--kmax", str(k_max), "--format", "csv"]) in (0, 1)
@@ -780,6 +794,23 @@ _SWEEP_DIMS, _SWEEP_LENGTHS = ["sweep", "--dims", "16"], ["sweep", "--interval-l
      "residual 1.748e-03 at m=192 is discretization-dominated (drops to 4.375e-04 at m=384); refine the grid"),
     (["irregular", "--interval", "-1,-2"], "interval needs b > a"),  # a negative first value, without "="
     (_SWEEP_LENGTHS + ["--grid", "-1,256,spectral"], "grid half-width must be positive"),
+    # below 20 the ratio test of random_finite_vectors_converged cannot decide: K = 1..14 failed it
+    (["analytic", "--kmax", "10"],
+     "k_max 10 is below 20, the least at which the analytic suite's ratio test decides: by the per-step growth "
+     "bound, its last 5 term ratios at t=2 on modes <= 8 are below 0.9 from there"),
+    (["all", "--kmax", "19"],
+     "k_max 19 is below 20, the least at which the analytic suite's ratio test decides: by the per-step growth "
+     "bound, its last 5 term ratios at t=2 on modes <= 8 are below 0.9 from there"),
+    # a phase s x or a smooth psi that rounds past the closed-form checks' tolerance
+    (["irregular", "--s", "1e300"],
+     "s=1e+300 on the interval (0.0, 1.0) that the irregular suite builds: the phase s*x and the smooth psi's "
+     "x - c round by up to 1.11e+284, above 1e-08, the tolerance of its closed-form checks"),
+    (["irregular", "--interval=0,1e300"],
+     "s=0.5 on the interval (0.0, 1e+300) that the irregular suite builds: the phase s*x and the smooth psi's "
+     "x - c round by up to 1.11e+284, above 1e-08, the tolerance of its closed-form checks"),
+    (["irregular", "--s", "1e7"],
+     "s=10000000.0 on the interval (-10.0, 10.0) that the irregular suite builds: the phase s*x and the smooth psi's "
+     "x - c round by up to 1.11e-08, above 1e-08, the tolerance of its closed-form checks"),
 ])
 def test_cli_gate_refuses_each_fault(argv, message, capsys):
     assert main(argv) == 2

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ccrlab import symbolic
-from ccrlab.exact import HALF_SQRT2, ExactScalar, I, ONE, ZERO, _times
+from ccrlab import fock, symbolic
+from ccrlab.exact import HALF_SQRT2, ExactScalar, I, ONE, ZERO, _times, _to_complex
 from ccrlab.rng import SplitMix64
 from ccrlab.reports import _WORD_COEFFS, random_word_source
 from ccrlab.symbolic import (
@@ -141,6 +141,75 @@ def test_parse_memo_shares_frozen_trees_and_never_caches_errors(monkeypatch):
     normal_order(word).to_matrix(8)
     expr_to_matrix(word, 8)
     assert calls == 1
+
+
+_PUNCTUATION = set("+-*/^()[],")
+
+
+def _reference_tokenize(text):
+    """The character-by-character scanner that one regular expression
+    replaced, kept as the reference of its tokens and positions: it read a
+    number as a run of str.isdigit characters, which also takes "²"."""
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in _PUNCTUATION:
+            tokens.append((c, i))
+            i += 1
+            continue
+        if c.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append((text[i:j], i))
+            i = j
+            continue
+        if c.isalpha():
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append((text[i:j], i))
+            i = j
+            continue
+        raise ParseError(f"unexpected character {c!r}", i)
+    tokens.append(("", n))
+    return tokens
+
+
+# the grammar's characters, whitespace of several kinds, underscores, other letters, an
+# Arabic-Indic digit (decimal) and characters that start no token
+_token_texts = st.text(st.sampled_from(list("aqpdI isqrt2 0123456789+-*/^()[],_\t\n") +
+                                       ["\u00a0", "\u2028", "\u00e9", "\u03bb", "\u0663", "$", "#", "."]),
+                       max_size=24)
+
+
+@given(_token_texts)
+@example("q_1 + 2sqrt2 - \u0663*a")
+@example("(1/2)*ad^2 $")
+@settings(max_examples=400, deadline=None)
+def test_tokens_are_the_character_scanner(text):
+    # the same tokens at the same positions, or the same ParseError
+    try:
+        want = _reference_tokenize(text)
+    except ParseError as err:
+        with pytest.raises(ParseError) as got:
+            symbolic._tokenize(text)
+        assert (str(got.value), got.value.position) == (str(err), err.position)
+        return
+    assert symbolic._tokenize(text) == [tok for tok, _ in want]
+    assert [m.start() for m in symbolic._TOKEN.finditer(text)] + [len(text)] == [at for _, at in want]
+
+
+def test_a_numeric_character_that_is_no_decimal_starts_no_token():
+    # the scanner read "2²" as one number that int() then refused; "½" it refused as here
+    for text, at in (("q^2\u00b2", 3), ("\u00b2 * q", 0), ("\u00bd * q", 0)):
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            parse(text)
+        assert err.value.position == at
 
 
 def test_division_by_operator_rejected():
@@ -422,6 +491,59 @@ def test_homomorphism_random_words():
         assert np.abs(direct[:g, :g] - assembled[:g, :g]).max() < 1e-10
 
 
+def _reference_to_matrix(nf, dim):
+    """NormalForm.to_matrix before it added its terms into the output's
+    diagonals in place: a dict of diagonals, one Band, then to_dense."""
+    diagonals = {}
+    for (m, k), n in nf._num.items():
+        d = _to_complex(*n, nf._den) * symbolic._ladder_term(dim, m, k).diagonals[k - m]
+        diagonals[k - m] = diagonals[k - m] + d if k - m in diagonals else d
+    return fock.Band._unchecked(dim, diagonals).to_dense()
+
+
+def _reference_expr_to_matrix(expr, dim):
+    """expr_to_matrix before a product started from its leading scalars:
+    every product a left fold of matrix products from np.eye(dim)."""
+    if isinstance(expr, Product):
+        out = np.eye(dim, dtype=complex)
+        for f in expr.factors:
+            out = out @ _reference_expr_to_matrix(f, dim)
+        return out
+    if isinstance(expr, Sum):
+        return sum((_reference_expr_to_matrix(t, dim) for t in expr.terms), np.zeros((dim, dim), dtype=complex))
+    if isinstance(expr, symbolic.Quotient):
+        return _reference_expr_to_matrix(expr.num, dim) / normal_order(expr.den).coeff(0, 0).to_complex()
+    if isinstance(expr, Power):
+        return np.linalg.matrix_power(_reference_expr_to_matrix(expr.base, dim), expr.exponent)
+    if isinstance(expr, Commutator):
+        left, right = _reference_expr_to_matrix(expr.left, dim), _reference_expr_to_matrix(expr.right, dim)
+        return left @ right - right @ left
+    return expr_to_matrix(expr, dim)  # a Scalar or a Symbol
+
+
+def _seeded_words(seed):
+    """The symbolic suite's 200 matrix_homomorphism words at dim 12, and 48
+    words of 8 letters at dim 32 as the exact_proofs benchmark draws them."""
+    gen = SplitMix64(seed + 7)
+    words = [(random_word_source(gen, 6), 12) for _ in range(200)]
+    gen = SplitMix64(seed)
+    for _ in range(48):
+        letters = [("a", "ad", "q", "p")[gen.randint(0, 3)] for _ in range(8)]
+        words.append((f"({_WORD_COEFFS[gen.randint(0, len(_WORD_COEFFS) - 1)]}) * " + " * ".join(letters), 32))
+    return words
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_matrices_are_the_reference_routes(seed):
+    # the assembled matrix byte for byte, signed zeros included; the direct one equal
+    for src, dim in _seeded_words(seed):
+        nf = normal_order(src)
+        assert nf.to_matrix(dim).tobytes() == _reference_to_matrix(nf, dim).tobytes(), src
+        assert np.array_equal(expr_to_matrix(src, dim), _reference_expr_to_matrix(parse(src), dim)), src
+    for src in ("2", "2*i*3", "sqrt2*I", "(1+i)*q*p", "i*(q + p)*a", "q^2*3", "[q, p]*i", "-q", "(1/3)*a*2"):
+        assert np.array_equal(expr_to_matrix(src, 6), _reference_expr_to_matrix(parse(src), 6)), src
+
+
 def test_word_length():
     assert operator_word_length("q^3 * p") == 4
     assert operator_word_length("I + 2*a") == 1
@@ -633,8 +755,33 @@ def test_power_chains_are_the_general_loop():
             assert got == want and got._den == want._den and list(got._num) == list(want._num), n
 
 
+def _loop_product(a, b):
+    """NormalForm.__mul__ as every pair of terms, with no pass of its own for
+    a scalar form: the reference of that pass."""
+    out = {}
+    for (m1, k1), n1 in a._num.items():
+        for (m2, k2), n2 in b._num.items():
+            c = _times(n1 + (1,), n2 + (1,))[:4]
+            for (mm, kk), w in _reorder(k1, m2):
+                key = (m1 + mm, kk + k2)
+                out[key] = tuple(x + w * y for x, y in zip(out.get(key, (0, 0, 0, 0)), c))
+    return NormalForm._reduced({key: n for key, n in out.items() if any(n)}, a._den * b._den)
+
+
+@given(st.one_of(_words, _terms.map(NormalForm)), st.one_of(st.just(ZERO), _scalars))
+@settings(max_examples=200, deadline=None)
+def test_products_by_a_scalar_form_are_the_pair_loop(form, s):
+    scalar = NormalForm({(0, 0): s})
+    _same_form(form * scalar, _loop_product(form, scalar))
+    _same_form(scalar * form, _loop_product(scalar, form))
+    _same_form(scalar * scalar, _loop_product(scalar, scalar))
+
+
+# the rendered coefficients that adjoint_and_idempotence parses back, and other scalar subtrees
+_SCALAR_SUBTREES = ("(-1/2*i*sqrt2)", "(1/2 + 1/2*i)", "(-1/4*sqrt2 + 3/2*i*sqrt2)", "(sqrt2^2)", "(2*I)",
+                    "((1/3)/(2*i))", "(i - i)", "(2^0)")
 _word_factors = st.lists(
-    st.sampled_from(("a", "ad", "q", "p", "I") + _WORD_COEFFS + ("0", "(1+i)")).map(parse),
+    st.sampled_from(("a", "ad", "q", "p", "I") + _WORD_COEFFS + ("0", "(1+i)") + _SCALAR_SUBTREES).map(parse),
     min_size=1, max_size=12,
 )
 
@@ -644,11 +791,12 @@ _word_factors = st.lists(
 @settings(max_examples=300, deadline=None)
 def test_words_are_the_left_fold_of_the_general_loop(factors, compound, at):
     # letters and scalars in any order, as the parser gives them: a Scalar, a Quotient
-    # (1/2), a Product (-1, -i) or a Sum (1+i), which the int-coefficient word kernel
-    # runs; from a compound factor on, when one is inserted, the factor-by-factor loop
+    # (1/2), a Product (-1, -i), a Sum (1+i) or a rendered coefficient, which the
+    # int-coefficient word kernel runs; from a compound factor on, when one is
+    # inserted, the factor-by-factor loop
     if compound is not None:
         factors.insert(at, parse(compound))
-    want = functools.reduce(operator.mul, map(normal_order, factors), normal_order("I"))
+    want = functools.reduce(_loop_product, map(normal_order, factors), normal_order("I"))
     got = normal_order(Product(tuple(factors)))
     assert got._den == want._den
     assert list(got._num.items()) == list(want._num.items())  # the order to_matrix sums in
