@@ -14,11 +14,10 @@ each column.  In a block of two or more columns numpy sums each column in
 row order, so a column's values do not depend on the others (a block of
 one column is summed pairwise, and may differ in the last bit).  The
 norms do not depend on t: one pass over a block serves
-every t.  `analytic_series`, `check_growth_bound` and
-`single_power_bound_report` are the batch of one of
-`analytic_series_block`, `growth_bound_block` and
-`single_power_bound_block`; the analytic suite passes its 50 seeded
-single-power samples as one block.
+every t.  `analytic_series` and `check_growth_bound` are the batch of
+one of `analytic_series_block` and `growth_bound_block`; the analytic
+suite passes its 50 seeded single-power samples to
+`single_power_bound_block` as one block.
 
 Mode window.  A `Band` whose lowest offset is -h moves a vector on
 modes <= M onto modes <= M + h, so k products of a block whose top mode
@@ -304,9 +303,8 @@ class SinglePowerBoundReport:
 
 
 def single_power_bound_block(q: Band, samples) -> list[SinglePowerBoundReport]:
-    """single_power_bound_report for every (coeffs, m) of samples: ||q psi||
-    for psi = sum C_j psi_{m+j} (unnormalized basis) against the nominal
-    bound sqrt(2) C sqrt((m+n+1)!).
+    """For every (coeffs, m) of samples, ||q psi|| for psi = sum C_j psi_{m+j}
+    (unnormalized basis) against the nominal bound sqrt(2) C sqrt((m+n+1)!).
 
     One power_log_norms pass of one product on one block, whose columns
     are, sample by sample, psi and then each term C_j psi_{m+j}: at least
@@ -330,10 +328,3 @@ def single_power_bound_block(q: Band, samples) -> list[SinglePowerBoundReport]:
     norms = np.exp(power_log_norms(q, block, 1)[1])  # a zero term contributes exp(-inf) = 0
     return [SinglePowerBoundReport(float(norms[j]), float(np.sum(norms[j + 1: j + 1 + t.size])), nominal)
             for t, j, nominal in zip(terms, columns, nominals)]
-
-
-def single_power_bound_report(q: Band, coeffs, m: int) -> SinglePowerBoundReport:
-    """Evaluate ||q psi|| for psi = sum C_j psi_{m+j} (unnormalized basis)
-    against the nominal bound sqrt(2) C sqrt((m+n+1)!): the batch of one
-    of single_power_bound_block."""
-    return single_power_bound_block(q, [(coeffs, m)])[0]

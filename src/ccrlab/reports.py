@@ -18,7 +18,8 @@ run, and a non-finite measured value fails.  A suite function returns its
 records unprefixed; run_suite names them "<suite>.<check>" under "all",
 and records a suite whose set-up raises as one failed "<suite>.setup"
 check.  A value that two checks of a suite share is computed once per
-run, through the suite's _shared memo.
+run, through the suite's _shared memo or, for the Gaussian's residual
+and the Hermite rows, through schrodinger's own cache.
 
 Randomized checks draw from the SplitMix64 stream seeded by the config,
 so reports are byte-identical across runs up to the wall-time field.
@@ -655,10 +656,10 @@ def schrodinger_suite(config: RunConfig) -> list[CheckRecord]:
     osc_tol = 1e-4 if spectral else 0.1
     gap_tol = 1e-3 if spectral else 0.1
     eig_tol = 1e-4 if spectral else 0.5
-    shared = _shared()  # also passed as the memo of the schrodinger functions, which share values through it
-    vacuum_signs = lambda: shared(schrodinger.vacuum_sign_check, L, m, scheme, shared)
-    vacuum = lambda: shared(schrodinger.vacuum_annihilation_residual, L, m, scheme, shared)
-    intertwiner = lambda: shared(schrodinger.intertwiner_check, L, m, _GRID_TOP_MODE, shared)
+    shared = _shared()  # schrodinger caches the Gaussian's residual and the Hermite rows itself
+    vacuum_signs = lambda: schrodinger.vacuum_sign_check(L, m, scheme)
+    vacuum = lambda: schrodinger.vacuum_annihilation_residual(L, m, scheme)
+    intertwiner = lambda: shared(schrodinger.intertwiner_check, L, m, _GRID_TOP_MODE)
     levels = lambda: shared(schrodinger.grid_oscillator_spectrum, L, m, scheme, _GRID_LEVELS)
 
     def plane_wave():
@@ -678,7 +679,7 @@ def schrodinger_suite(config: RunConfig) -> list[CheckRecord]:
         x2 = schrodinger.grid_points(-L, L, m) ** 2
         worst = 0.0
         h = schrodinger._grid_step(-L, L, m)
-        for n, b in enumerate(shared(schrodinger.hermite_basis, L, m, _GRID_TOP_MODE, shared)):
+        for n, b in enumerate(schrodinger.hermite_basis(L, m, _GRID_TOP_MODE)):
             n_b = (x2 * b + schrodinger.grid_kinetic(b, -L, L, scheme) - b) / 2.0
             worst = max(worst, math.sqrt(h) * float(np.linalg.norm(n_b - n * b)))
         return worst
@@ -691,8 +692,8 @@ def schrodinger_suite(config: RunConfig) -> list[CheckRecord]:
         return float(np.linalg.norm(comm + 1j * v))
 
     def refinement():
-        r1, r2 = vacuum(), schrodinger.vacuum_annihilation_residual(L, 2 * m, scheme, shared)
-        i1, i2 = intertwiner(), schrodinger.intertwiner_check(L, 2 * m, _GRID_TOP_MODE, shared)
+        r1, r2 = vacuum(), schrodinger.vacuum_annihilation_residual(L, 2 * m, scheme)
+        i1, i2 = intertwiner(), schrodinger.intertwiner_check(L, 2 * m, _GRID_TOP_MODE)
         ok = (r2 <= r1 or r2 < 1e-10) and (i2 <= i1 or i2 < 1e-10)
         return (max(r2, i2), ok)
 
@@ -727,7 +728,7 @@ def schrodinger_suite(config: RunConfig) -> list[CheckRecord]:
               holds=lambda low: low >= -1e-10),
         Check("hermite_gram",
               "first 8 oscillator eigenfunctions orthonormal in discrete L2",
-              lambda: schrodinger.intertwiner_gram_defect(L, m, _GRID_TOP_MODE, shared),
+              lambda: schrodinger.intertwiner_gram_defect(L, m, _GRID_TOP_MODE),
               tolerance=1e-8),
         Check("hermite_number_eigen",
               "grid (q^2+p^2-1)/2 has eigenvalue n on basis n",
@@ -735,7 +736,7 @@ def schrodinger_suite(config: RunConfig) -> list[CheckRecord]:
               tolerance=eig_tol),
         Check("hermite_norm_drift",
               "three-term recurrence keeps unit discrete norms",
-              lambda: schrodinger.hermite_norm_drift(L, m, _GRID_TOP_MODE, shared),
+              lambda: schrodinger.hermite_norm_drift(L, m, _GRID_TOP_MODE),
               tolerance=1e-8),
         Check("intertwiner_mismatch",
               "grid q conjugated to the ladder basis matches ladder q",

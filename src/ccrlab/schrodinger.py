@@ -38,17 +38,14 @@ one of them annihilates the Gaussian e^{-x^2/2}: with p = -i d/dx it is
 (q + ip)/sqrt2 = (x + d/dx)/sqrt2.  Nothing here guesses a convention;
 `vacuum_sign_check` measures both and reports which sign annihilates.
 The oscillator eigenfunctions psi_0..psi_n come from their three-term
-recurrence as one (n + 1) x m array (`hermite_basis`).
-
-The Gaussian's residual and the Hermite rows are read by several checks.
-Each function that computes them takes an optional `memo`, a callable
-memo(fn, *args) = fn(*args) that its caller shares between calls (the
-reports suite's per-run memo), and computes them through it, so a run
-computes each once.
+recurrence as one (n + 1) x m array (`hermite_basis`).  The Gaussian's
+residual and the Hermite rows, which several checks and the gate read,
+are cached by their arguments.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -118,8 +115,9 @@ def grid_momentum(values: np.ndarray, x_min: float, x_max: float, scheme: str = 
 def check_resolution(L: float, m: int, scheme: str, count: int, n_max: int) -> None:
     """Raise GridResolutionError unless pi/h, h = 2L/m, the largest wavenumber
     of the grid of m points on [-L, L), reaches 1, the ground state's momentum
-    width; then raise as the level count, coarseness check and norm drift of
-    checks at m and 2m that solve `count` levels and psi_0..psi_n_max would."""
+    width; then raise as a check that solves `count` levels would, and as the
+    guards of `vacuum_annihilation_residual` and `hermite_basis` (to n_max)
+    do at m and 2m, by calling them."""
     h = _grid_step(-L, L, m)
     if math.pi / h < 1.0:
         raise GridResolutionError(
@@ -127,17 +125,14 @@ def check_resolution(L: float, m: int, scheme: str, count: int, n_max: int) -> N
             "the momentum width of the oscillator's ground state"
         )
     _check_level_count(count, m)
-    r = [_vacuum_residual(L, size, scheme, ANNIHILATING_SIGN) for size in (m, 2 * m, 4 * m)]
-    for k, size in enumerate((m, 2 * m)):
-        _check_refinement(r[k], r[k + 1], size)
+    for size in (2 * m, 4 * m):  # a step that underflows on a refined grid outranks every check at m
+        _grid_step(-L, L, size)
+    for size in (m, 2 * m):
+        vacuum_annihilation_residual(L, size, scheme)
         hermite_basis(L, size, n_max)
 
 
-def _call(memo, fn, *args):
-    """fn(*args), computed through memo(fn, *args) when the caller shares one."""
-    return fn(*args) if memo is None else memo(fn, *args)
-
-
+@functools.lru_cache(maxsize=8)  # one run reads 4: (m, +), (m, -), (2m, +) and (4m, +)
 def _vacuum_residual(L: float, m: int, scheme: str, sign: str) -> float:
     """||(q + sign * ip)/sqrt2 g|| / ||g|| in discrete L2 for the Gaussian
     g = e^{-x^2/2} sampled on m points of [-L, L)."""
@@ -149,10 +144,10 @@ def _vacuum_residual(L: float, m: int, scheme: str, sign: str) -> float:
     return float(np.linalg.norm(a) / np.linalg.norm(g))
 
 
-def vacuum_sign_check(L: float, m: int, scheme: str = SPECTRAL, memo=None) -> dict:
+def vacuum_sign_check(L: float, m: int, scheme: str = SPECTRAL) -> dict:
     """Residuals of both ladder sign conventions on the sampled Gaussian
     and which one annihilates it."""
-    plus, minus = (_call(memo, _vacuum_residual, L, m, scheme, sign) for sign in "+-")
+    plus, minus = (_vacuum_residual(L, m, scheme, sign) for sign in "+-")
     return {
         "plus_residual": plus,
         "minus_residual": minus,
@@ -160,7 +155,7 @@ def vacuum_sign_check(L: float, m: int, scheme: str = SPECTRAL, memo=None) -> di
     }
 
 
-def vacuum_annihilation_residual(L: float, m: int, scheme: str = SPECTRAL, memo=None) -> float:
+def vacuum_annihilation_residual(L: float, m: int, scheme: str = SPECTRAL) -> float:
     """Annihilation residual of the sampled Gaussian e^{-x^2/2} under the
     annihilating sign convention.
 
@@ -168,18 +163,13 @@ def vacuum_annihilation_residual(L: float, m: int, scheme: str = SPECTRAL, memo=
     residual is large and still shrinking rapidly, discretization error
     dominates and GridResolutionError is raised.
     """
-    r = _call(memo, _vacuum_residual, L, m, scheme, ANNIHILATING_SIGN)
-    _check_refinement(r, _call(memo, _vacuum_residual, L, 2 * m, scheme, ANNIHILATING_SIGN), m)
-    return r
-
-
-def _check_refinement(r: float, r_fine: float, m: int) -> None:
-    """GridResolutionError when the residual r at m is large and r_fine, at 2m, below half of it."""
+    r, r_fine = (_vacuum_residual(L, size, scheme, ANNIHILATING_SIGN) for size in (m, 2 * m))
     if r > 1e-3 and r_fine < 0.5 * r:
         raise GridResolutionError(
             f"residual {r:.3e} at m={m} is discretization-dominated "
             f"(drops to {r_fine:.3e} at m={2 * m}); refine the grid"
         )
+    return r
 
 
 def _kinetic_symbol(x_min: float, x_max: float, m: int, scheme: str) -> np.ndarray:
@@ -449,9 +439,11 @@ def _check_level_count(count: int, m: int) -> None:
         raise ValueError(f"count {count} is outside 1..m/4 = 1..{m // 4}, the levels a grid of m={m} points solves")
 
 
-def _hermite_rows(L: float, m: int, n_max: int) -> tuple[np.ndarray, list[float]]:
+@functools.lru_cache(maxsize=4)  # one run reads 3: (m, 8), (2m, 8) and (m, 0)
+def _hermite_rows(L: float, m: int, n_max: int) -> tuple[np.ndarray, tuple[float, ...]]:
     """psi_0..psi_n_max by the raw three-term recurrence, as the rows of one
-    (n_max + 1) x m array, and the discrete L2 norm sqrt(h) ||row|| of each:
+    read-only (n_max + 1) x m array, and the discrete L2 norm sqrt(h) ||row||
+    of each:
     psi_0 = pi^{-1/4} e^{-x^2/2};  psi_1 = sqrt(2) x psi_0;
     psi_{n+1} = sqrt(2/(n+1)) x psi_n - sqrt(n/(n+1)) psi_{n-1}."""
     if not 0 <= n_max <= 40:
@@ -462,14 +454,15 @@ def _hermite_rows(L: float, m: int, n_max: int) -> tuple[np.ndarray, list[float]
     for n in range(n_max):  # at n = 0, psi_{n-1} is rows[-1], still zero
         rows[n + 1] = math.sqrt(2.0 / (n + 1)) * x * rows[n] - math.sqrt(n / (n + 1)) * rows[n - 1]
     h = _grid_step(-L, L, m)
-    return rows, [math.sqrt(h) * float(np.linalg.norm(row)) for row in rows]
+    rows.flags.writeable = False
+    return rows, tuple(math.sqrt(h) * float(np.linalg.norm(row)) for row in rows)
 
 
-def hermite_basis(L: float, m: int, n_max: int, memo=None) -> np.ndarray:
+def hermite_basis(L: float, m: int, n_max: int) -> np.ndarray:
     """psi_0..psi_n_max on the grid of m points of [-L, L), renormalized to
     unit discrete L2 norm, as the rows of one complex (n_max + 1) x m array;
     raises GridResolutionError if a raw norm drifts from 1 by over 1e-6."""
-    rows, norms = _call(memo, _hermite_rows, L, m, n_max)
+    rows, norms = _hermite_rows(L, m, n_max)
     for n, nrm in enumerate(norms):
         if not abs(nrm - 1.0) <= 1e-6:
             raise GridResolutionError(
@@ -479,29 +472,29 @@ def hermite_basis(L: float, m: int, n_max: int, memo=None) -> np.ndarray:
     return (rows / np.array(norms)[:, None]).astype(complex)
 
 
-def hermite_norm_drift(L: float, m: int, n_max: int, memo=None) -> float:
+def hermite_norm_drift(L: float, m: int, n_max: int) -> float:
     """Worst deviation | ||psi_n||_h - 1 | of the raw recurrence output
     before renormalization; large drift signals instability."""
-    return max(abs(nrm - 1.0) for nrm in _call(memo, _hermite_rows, L, m, n_max)[1])
+    return max(abs(nrm - 1.0) for nrm in _hermite_rows(L, m, n_max)[1])
 
 
-def _witness(L: float, m: int, n_max: int, memo=None) -> np.ndarray:
+def _witness(L: float, m: int, n_max: int) -> np.ndarray:
     """The witness T = sqrt(h) conj(hermite_basis): row n maps grid samples
     to their coefficient on psi_n."""
-    return math.sqrt(_grid_step(-L, L, m)) * _call(memo, hermite_basis, L, m, n_max, memo).conj()
+    return math.sqrt(_grid_step(-L, L, m)) * hermite_basis(L, m, n_max).conj()
 
 
-def intertwiner_check(L: float, m: int, n_max: int, memo=None) -> float:
+def intertwiner_check(L: float, m: int, n_max: int) -> float:
     """Mismatch ||T diag(x) T† - q_ladder|| (2-norm) of the unitary-equivalence
     witness T (`_witness`, dense (n_max + 1) x m) between the grid and the
     ladder representations of q, on the leading n_max + 1 modes."""
-    T = _witness(L, m, n_max, memo)
+    T = _witness(L, m, n_max)
     q_fock = fock.Band.position(n_max + 1).to_dense()
     return float(np.linalg.norm((T * grid_points(-L, L, m)) @ T.conj().T - q_fock, 2))
 
 
-def intertwiner_gram_defect(L: float, m: int, n_max: int, memo=None) -> float:
+def intertwiner_gram_defect(L: float, m: int, n_max: int) -> float:
     """||T T† - I|| for the same witness: orthonormality of the sampled
     basis in discrete L2."""
-    T = _witness(L, m, n_max, memo)
+    T = _witness(L, m, n_max)
     return float(np.linalg.norm(T @ T.conj().T - np.eye(n_max + 1), 2))

@@ -464,7 +464,7 @@ def test_single_power_bound_report_uniform_window():
     # the triangle-step sum genuinely exceeds the nominal bound here
     # (measured 1.1815 for the uniform 6-mode window)
     for q in (dense.band_of(dense.build_position(64)), fock.Band.position(64)):
-        rep = analytic.single_power_bound_report(q, np.ones(6), 0)
+        rep = analytic.single_power_bound_block(q, [(np.ones(6), 0)])[0]
         assert rep.direct_norm <= rep.triangle_sum
         assert rep.needed_constant > 1.1
         assert rep.direct_norm / rep.nominal_bound < 1.0
@@ -472,7 +472,7 @@ def test_single_power_bound_report_uniform_window():
 
 def test_single_power_bound_single_mode_within_bound():
     for q in (dense.band_of(dense.build_position(32)), fock.Band.position(32)):
-        rep = analytic.single_power_bound_report(q, np.array([1.0]), 4)
+        rep = analytic.single_power_bound_block(q, [(np.array([1.0]), 4)])[0]
         assert rep.needed_constant <= 1.0 + 1e-12
 
 
@@ -503,8 +503,8 @@ def _reference_power_log_norms(A, block, k_max):
 
 
 def _reference_single_power_bound_report(q, coeffs, m):
-    """single_power_bound_report before its samples were batched: one block
-    and one kernel pass per sample."""
+    """The single-power report of one sample from a block and a kernel pass
+    of its own: the reference each sample of a batched block must match."""
     coeffs = np.asarray(coeffs, dtype=complex)
     n = coeffs.size - 1
     top = m + n
@@ -558,7 +558,7 @@ def test_single_power_bound_block_is_the_per_sample_reports():
     got = analytic.single_power_bound_block(q, samples)
     assert [_report_fields(r) for r in got] == [
         _report_fields(_reference_single_power_bound_report(q, c, m)) for c, m in samples]
-    assert [_report_fields(analytic.single_power_bound_report(q, c, m)) for c, m in samples] == [
+    assert [_report_fields(analytic.single_power_bound_block(q, [(c, m)])[0]) for c, m in samples] == [
         _report_fields(r) for r in got]
     assert analytic.single_power_bound_block(q, []) == []
     with pytest.raises(ValueError, match="exceeds dimension"):

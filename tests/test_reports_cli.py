@@ -216,30 +216,31 @@ def test_check_declares_exactly_one_criterion():
     assert [type(run(lambda: x, tolerance=1.0).measured) for x in (np.float64(0.25), np.int64(0))] == [float, int]
 
 
-def test_shared_values_are_computed_once(monkeypatch):
+def test_shared_values_are_computed_once(monkeypatch, capsys):
     calls = collections.Counter()
 
     def counted(fn):
         def call(*args, **kwargs):
-            # the memo a schrodinger function computes through says how, not which value
-            key = [arg for arg in args if not callable(arg)]
-            calls[fn.__name__, pickle.dumps((key, sorted(kwargs.items())))] += 1
+            calls[fn.__name__, pickle.dumps((args, sorted(kwargs.items())))] += 1
             return fn(*args, **kwargs)
 
         return call
 
     counted_names = ((weyl, "weyl_residual"), (weyl, "exp_commutator_residual"),
-                     (schrodinger, "vacuum_sign_check"), (schrodinger, "vacuum_annihilation_residual"),
-                     (schrodinger, "intertwiner_check"), (interval, "interval_weyl_residual"),
-                     (schrodinger, "hermite_basis"), (schrodinger, "_vacuum_residual"))
-    config = RunConfig(suite="all", seed=7)
-    config.validate()  # the gate computes the Gaussian's residual and the Hermite rows on its own
+                     (schrodinger, "intertwiner_check"), (interval, "interval_weyl_residual"))
     for module, name in counted_names:
         monkeypatch.setattr(module, name, counted(getattr(module, name)))
-    for suite in reports.SUITES:
-        reports._SUITE_FUNCS[suite](config)
+    cached = (schrodinger._vacuum_residual, schrodinger._hermite_rows)
+    for fn in cached:
+        fn.cache_clear()
+    # one run from the command line, both passes of the gate included
+    assert main(["all", "--seed", "7", "--format", "json"]) == 0
+    capsys.readouterr()
     assert {name for name, _ in calls} == {name for _, name in counted_names}
     assert [name for (name, _), n in calls.items() if n > 1] == []
+    # each grid value is computed once: the Gaussian's residual at (m, +), (m, -), (2m, +) and
+    # (4m, +), and the Hermite rows to n = 8 at m and 2m and to n = 0 at m
+    assert [(fn.cache_info().misses, fn.cache_info().currsize) for fn in cached] == [(4, 4), (3, 3)]
 
 
 def test_suite_table_holds_the_public_suite_functions():

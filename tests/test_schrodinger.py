@@ -548,6 +548,24 @@ def test_hermite_instability_detected():
         schrodinger.hermite_basis(10.0, 256, 40)
 
 
+def test_cached_grid_values_cannot_be_changed_by_a_caller():
+    # the Hermite rows are cached by their arguments and handed to every caller
+    rows, norms = schrodinger._hermite_rows(10.0, 256, 8)
+    assert schrodinger._hermite_rows(10.0, 256, 8)[0] is rows and isinstance(norms, tuple)
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0, 0] = 1.0
+    basis = schrodinger.hermite_basis(10.0, 256, 8)
+    assert basis.flags.writeable and not np.shares_memory(basis, rows)
+    basis[:] = 0.0
+    assert np.array_equal(schrodinger.hermite_basis(10.0, 256, 8), (rows / np.array(norms)[:, None]).astype(complex))
+    # a refusal raised inside a cached computation is raised again by the same call
+    held = schrodinger._vacuum_residual.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(schrodinger.GridResolutionError, match="underflows to 0 at every point"):
+            schrodinger.vacuum_annihilation_residual(1000.0, 9)
+    assert schrodinger._vacuum_residual.cache_info().currsize == held
+
+
 def test_intertwiner_matches_ladder_position():
     assert schrodinger.intertwiner_check(10.0, 256, 8) < 1e-6
 
