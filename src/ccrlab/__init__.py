@@ -31,7 +31,6 @@ from .weyl import (
     WeylResidualRecord,
     exp_commutator_residual,
     shift_identity_residual,
-    weyl_phase_check,
     weyl_residual,
 )
 from .schrodinger import (

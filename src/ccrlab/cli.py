@@ -11,9 +11,10 @@ Exit codes: 0 all checks pass (flagged allowed), 1 any check failed,
 exits 0 when no check's status flipped, 1 when one did, and 2 on a file
 that is not a readable report.  An option left out takes RunConfig's
 default; `--out` is no field of it.  A suite and a sweep take one path
-through `main`: validation, the `--out` check, the run, the write.  Both
-have one gate, `RunConfig.validate`: a sweep is refused every value a
-suite is refused but for the rules of the suites it does not run.
+through `main`: the RunConfig, the `--out` check, the run, the write.
+Both have one gate, the construction of their RunConfig: a sweep is
+refused every value a suite is refused but for the rules of the suites
+it does not run.
 Sweeps write CSV only: another `--format` is a usage error, and so are
 `--dims` and `--interval-lengths` on a suite.
 """
@@ -61,8 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> reports.RunConfig:
-    """The RunConfig of the options given, with its own defaults for the rest."""
+def _fields_from_args(args) -> dict:
+    """The RunConfig fields of the options given; ValueError on a malformed --grid or --interval."""
     given = {"suite": args.command, "dim": args.dim, "t": args.t, "s": args.s, "k_max": args.kmax,
              "interval_m": args.interval_m, "seed": args.seed, "fmt": args.fmt}
     if args.grid is not None:
@@ -75,7 +76,7 @@ def _config_from_args(args) -> reports.RunConfig:
         if len(interval_parts) != 2:
             raise ValueError("--interval expects a,b")
         given.update(interval_a=interval_parts[0], interval_b=interval_parts[1])
-    return reports.RunConfig(**{name: value for name, value in given.items() if value is not None})
+    return {name: value for name, value in given.items() if value is not None}
 
 
 def _join_negative_values(argv: list[str]) -> list[str]:
@@ -91,12 +92,13 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 
 def _run(args):
-    """The validated RunConfig of the suite or sweep that args ask for, and
-    a callable that runs it and gives the text to write and the exit code.
-    An unparsable or non-finite sweep list is refused before validation."""
+    """A callable that runs the suite or sweep that args ask for and gives
+    the text to write and the exit code.  ValueError on the first fault, in
+    this order: a sweep's --format, a malformed --grid or --interval, an
+    unparsable or non-finite sweep list, then the RunConfig's own gate."""
     if args.command == "sweep" and args.fmt not in (None, "csv"):
         raise ValueError(f"sweeps write CSV only: give --format csv or no --format, not --format {args.fmt}")
-    config = _config_from_args(args)
+    fields = _fields_from_args(args)
     if args.dims is not None:
         dims = _parse_list(args.dims, int)
         run = lambda: (reports.sweep_dims(config, dims), 0)
@@ -108,8 +110,8 @@ def _run(args):
         def run() -> tuple[str, int]:
             report = reports.run_suite(config)
             return reports.FORMATS[config.fmt](report), 1 if report.failed else 0
-    config.validate()
-    return config, run
+    config = reports.RunConfig(**fields)
+    return run
 
 
 def _out_refused(out: str | None) -> bool:
@@ -216,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"ccr-lab {args.command}: {need}\n")
         return USAGE_ERROR
     try:
-        config, run = _run(args)
+        run = _run(args)
     except ValueError as exc:
         sys.stderr.write(f"ccr-lab: {exc}\n")
         return USAGE_ERROR

@@ -73,18 +73,19 @@ class IntervalRepSpec(_Value):
 
 def _shift_steps(spec: IntervalRepSpec, t: float) -> int:
     steps = t / spec.h
-    if abs(steps - round(steps)) > 1e-9:
+    if abs(steps - round(steps)) > 1e-9 or round(steps) == 0:
         raise ValueError(
-            f"t={t} is not grid-aligned: t/h = {steps:.6f} must be an integer"
+            f"t={t} is not grid-aligned: t/h = {steps:.6f} must be a nonzero integer"
         )
     return int(round(steps))
 
 
 def aligned_spec(a: float, b: float, t: float, m_target: int) -> IntervalRepSpec:
-    """Smallest m >= m_target making t an exact multiple of the step,
+    """Smallest m >= m_target making t a whole number of steps, at least one,
     searched below 16 m_target; refused when that m exceeds MAX_DENSE_SIDE."""
     for m in range(m_target, 16 * m_target):
-        if abs(t * m / (b - a) - round(t * m / (b - a))) < 1e-9:
+        steps = t * m / (b - a)
+        if round(steps) >= 1 and abs(steps - round(steps)) < 1e-9:
             if m > MAX_DENSE_SIDE:
                 raise ValueError(
                     f"aligned interval_m {m} exceeds {MAX_DENSE_SIDE}, the largest side of a dense array: "

@@ -102,9 +102,13 @@ def _require_finite(name: str, *values: float) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-class RunConfig:
+class RunConfig(fock._Frozen):
     """One run of a suite, of "all" or of a sweep, and its parameters, every
-    default held by __init__; dim is read by the fock and weyl suites only."""
+    default held by __init__; dim is read by the fock and weyl suites only.
+    Valid by construction: __init__ runs the one gate of a run and raises
+    ValueError on the first fault, a rule tied to a suite applying when the
+    command runs it.  Frozen as fock._Frozen: no field can be assigned, and
+    a pickle or copy is rebuilt through __init__, so it passes the gate again."""
 
     __slots__ = ("suite", "dim", "t", "s", "k_max", "grid_l", "grid_m", "scheme", "interval_a", "interval_b",
                  "interval_m", "seed", "fmt")
@@ -113,18 +117,9 @@ class RunConfig:
                  k_max: int = 40, grid_l: float = 10.0, grid_m: int = 256, scheme: str = schrodinger.SPECTRAL,
                  interval_a: float = 0.0, interval_b: float = 1.0, interval_m: int = 256, seed: int = 0,
                  fmt: str = "text"):
-        self.suite, self.dim, self.t, self.s, self.k_max = suite, dim, t, s, k_max
-        self.grid_l, self.grid_m, self.scheme = grid_l, grid_m, scheme
-        self.interval_a, self.interval_b, self.interval_m = interval_a, interval_b, interval_m
-        self.seed, self.fmt = seed, fmt
-
-    def suites(self) -> tuple[str, ...]:
-        """The suites this command runs: every suite for "all", none for a sweep."""
-        return SUITES if self.suite == "all" else () if self.suite == "sweep" else (self.suite,)
-
-    def validate(self) -> None:
-        """The one gate of a run, suite or sweep: ValueError on the first
-        fault.  A rule tied to a suite applies when the command runs it."""
+        fields = (suite, dim, t, s, k_max, grid_l, grid_m, scheme, interval_a, interval_b, interval_m, seed, fmt)
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
         if self.suite not in SUITES + ("all", "sweep"):
             raise ValueError(f"unknown suite {self.suite!r}")
         runs = self.suites()
@@ -164,7 +159,7 @@ class RunConfig:
                 if not 0 < self.t < b - a:  # U_t shifts by t within the interval
                     raise ValueError(f"t={self.t} is outside 0 < t < {b - a}, the length of the interval "
                                      f"({a}, {b}) that the {self.suite} suite builds")
-                interval.aligned_spec(a, b, self.t, m)
+                interval.IntervalRepSpec(a, b, m)  # the interval is a grid before s and t are read on it
                 # the points x round by up to u max|x|, u = 2^-53: the phase s x by |s| times that,
                 # the smooth psi e^{-(x - c)^2} by at most that, both within the closed-form tolerance
                 rounding = 2.0**-53 * max(abs(a), abs(b)) * max(abs(self.s), 1.0)
@@ -172,10 +167,15 @@ class RunConfig:
                     raise ValueError(f"s={self.s!r} on the interval ({a}, {b}) that the {self.suite} suite builds: "
                                      f"the phase s*x and the smooth psi's x - c round by up to {rounding:.3g}, "
                                      f"above {_CLOSED_FORM_TOL:g}, the tolerance of its closed-form checks")
+                interval.aligned_spec(a, b, self.t, m)
         if self.fmt not in FORMATS:
             raise ValueError(f"unknown format {self.fmt!r}")
         if not 0 <= self.seed < 2**64:  # SplitMix64 reads the seed mod 2^64
             raise ValueError(f"seed {self.seed} is outside 0 <= seed < 2^64")
+
+    def suites(self) -> tuple[str, ...]:
+        """The suites this command runs: every suite for "all", none for a sweep."""
+        return SUITES if self.suite == "all" else () if self.suite == "sweep" else (self.suite,)
 
     def effective_dim(self) -> int:
         """The truncation of the fock and weyl suites."""
@@ -579,8 +579,8 @@ def weyl_suite(config: RunConfig) -> list[CheckRecord]:
     def phases():
         # uv - e^{-ist} vu = (uv - e^{ist} vu) + 2i sin(st) vu, and ||vu|| = ||xi||: the
         # minus phase is 2|sin(st)| to within the plus phase, so both phases vanish at st in pi Z
-        rep = weyl.weyl_phase_check(t, s, d)
-        plus, minus = rep["plus_phase"], rep["minus_phase"]
+        rec = shared(weyl.weyl_residual, t, s, d)
+        plus, minus = rec.residual, rec.minus_residual
         ok = plus <= _WEYL_TOL and abs(minus - 2.0 * abs(math.sin(s * t))) <= plus + _WEYL_TOL
         return (minus, ok)
 
@@ -972,7 +972,6 @@ _SUITE_FUNCS = {
 
 def run_suite(config: RunConfig) -> Report:
     """Run one suite (or all of them) and assemble a sorted report."""
-    config.validate()
     start = time.perf_counter()
     records: list[CheckRecord] = []
     for name in config.suites():
@@ -1000,9 +999,7 @@ def run_suite(config: RunConfig) -> Report:
 
 
 def sweep_dims(config: RunConfig, dims: list[int]) -> str:
-    """Weyl residual runs at the sweep config's t and s at each dimension,
-    one CSV row each; the config is validated before any row."""
-    config.validate()
+    """Weyl residual runs at the sweep config's t and s at each dimension, one CSV row each."""
     t, s = config.t, config.s
     rows = []
     for d in dims:
@@ -1016,10 +1013,9 @@ def sweep_dims(config: RunConfig, dims: list[int]) -> str:
 
 def sweep_interval_lengths(config: RunConfig, lengths: list[float]) -> str:
     """Contrast sweep over centered interval lengths at the sweep config's
-    t, s and interval_m, one CSV row each.  The config and the finiteness
-    of every length are checked before any row; a length that aligns with
-    no sample count, or first above interval.MAX_DENSE_SIDE, is a failed row."""
-    config.validate()
+    t, s and interval_m, one CSV row each.  The finiteness of every length
+    is checked before any row; a length that aligns with no sample count,
+    or first above interval.MAX_DENSE_SIDE, is a failed row."""
     _require_finite("length", *lengths)
     t, s = config.t, config.s
     rows = []

@@ -85,10 +85,20 @@ def grid_points(x_min: float, x_max: float, m: int) -> np.ndarray:
     return x_min + _grid_step(x_min, x_max, m) * np.arange(m)
 
 
+def _wavenumber_step(x_min: float, x_max: float, m: int) -> float:
+    """The step h of a valid grid whose largest wavenumber pi/h is finite,
+    checked before numpy forms any wavenumber or 1/(2h) from it."""
+    h = _grid_step(x_min, x_max, m)
+    if math.pi / h == math.inf:
+        raise GridResolutionError(f"grid x_min={x_min!r}, x_max={x_max!r}, m={m} has step h={h!r}: "
+                                  "its largest wavenumber pi/h overflows")
+    return h
+
+
 def grid_wavenumbers(x_min: float, x_max: float, m: int) -> np.ndarray:
     """The spectral momentum's eigenvalues on the m DFT modes, in numpy's
     FFT order; the unpaired Nyquist mode of even m gets zero."""
-    k = 2.0 * np.pi * np.fft.fftfreq(m, d=_grid_step(x_min, x_max, m))
+    k = 2.0 * np.pi * np.fft.fftfreq(m, d=_wavenumber_step(x_min, x_max, m))
     if m % 2 == 0:
         k[m // 2] = 0.0
     return k
@@ -107,7 +117,7 @@ def grid_momentum(values: np.ndarray, x_min: float, x_max: float, scheme: str = 
     if scheme == SPECTRAL:
         return np.fft.ifft(grid_wavenumbers(x_min, x_max, m) * np.fft.fft(values))
     if scheme == CENTRAL_DIFFERENCE:
-        h = _grid_step(x_min, x_max, m)
+        h = _wavenumber_step(x_min, x_max, m)
         return -1j * (np.roll(values, -1, axis=-1) - np.roll(values, 1, axis=-1)) / (2.0 * h)
     raise ValueError(f"unknown scheme {scheme!r}")
 

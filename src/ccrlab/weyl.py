@@ -233,12 +233,15 @@ def _on_window(xi: FockState, dim: int, alpha: float, applications: int = 0):
 
 
 class WeylResidualRecord:
-    """One vector-applied Weyl residual at a given truncation."""
+    """One vector-applied Weyl residual at a given truncation, with the phase
+    e^{+ist} (`residual`) and with e^{-ist} (`minus_residual`)."""
 
-    __slots__ = ("t", "s", "dim", "residual", "test_vector_support")
+    __slots__ = ("t", "s", "dim", "residual", "minus_residual", "test_vector_support")
 
-    def __init__(self, t: float, s: float, dim: int, residual: float, test_vector_support: int):
-        self.t, self.s, self.dim, self.residual, self.test_vector_support = t, s, dim, residual, test_vector_support
+    def __init__(self, t: float, s: float, dim: int, residual: float, minus_residual: float,
+                 test_vector_support: int):
+        self.t, self.s, self.dim, self.residual, self.minus_residual = t, s, dim, residual, minus_residual
+        self.test_vector_support = test_vector_support
 
 
 def _test_vector(xi: FockState | None) -> FockState:
@@ -250,33 +253,20 @@ def _test_vector(xi: FockState | None) -> FockState:
     return xi
 
 
-def _weyl_residuals(t: float, s: float, xi: FockState, dim: int) -> tuple[float, float]:
-    """||(U_t V_s - e^{ist} V_s U_t) xi|| / ||xi|| and the same with e^{-ist},
-    where U_t = e^{itp} and V_s = e^{isq}, on the window of xi."""
+def weyl_residual(t: float, s: float, dim: int, xi: FockState | None = None) -> WeylResidualRecord:
+    """||(U_t V_s - e^{ist} V_s U_t) xi|| / ||xi|| at the given truncation, and
+    the same with e^{-ist}, where U_t = e^{itp} and V_s = e^{isq}, from one
+    application of each product on the window of xi.  With [p, q] = -i the
+    +ist phase vanishes; the -ist one is 2|sin(st)| to within it, so both
+    vanish at st in pi Z."""
+    xi = _test_vector(xi)
     x, q, p = _on_window(xi, dim, math.hypot(t, s) / math.sqrt(2))
     itp, isq = 1j * t * p, 1j * s * q
     uv = expm_multiply(itp, expm_multiply(isq, x))
     vu = expm_multiply(isq, expm_multiply(itp, x))
     nrm = np.linalg.norm(x)
-    return tuple(float(np.linalg.norm(uv - np.exp(sign * 1j * s * t) * vu) / nrm) for sign in (1, -1))
-
-
-def weyl_residual(t: float, s: float, dim: int, xi: FockState | None = None) -> WeylResidualRecord:
-    """||(U_t V_s - e^{ist} V_s U_t) xi|| / ||xi|| at the given truncation."""
-    xi = _test_vector(xi)
-    residual, _ = _weyl_residuals(t, s, xi, dim)
-    return WeylResidualRecord(float(t), float(s), dim, residual, xi.support)
-
-
-def weyl_phase_check(t: float, s: float, dim: int, xi: FockState | None = None) -> dict:
-    """Residuals for both candidate scalar phases e^{+ist} and e^{-ist}.
-
-    With [p, q] = -i the +ist phase vanishes; the -ist one is 2|sin(st)|
-    to within it, so both vanish at st in pi Z.
-    """
-    xi = _test_vector(xi)
-    plus, minus = _weyl_residuals(t, s, xi, dim)
-    return {"plus_phase": plus, "minus_phase": minus, "vanishing": "+ist" if plus < minus else "-ist"}
+    plus, minus = (float(np.linalg.norm(uv - np.exp(sign * 1j * s * t) * vu) / nrm) for sign in (1, -1))
+    return WeylResidualRecord(float(t), float(s), dim, plus, minus, xi.support)
 
 
 def shift_identity_residual(t: float, n: int, dim: int, xi: FockState | None = None) -> float:

@@ -97,13 +97,12 @@ def test_criterion_05_taylor_vs_exponential():
 def test_criterion_06_weyl_relation():
     with criterion(6, "Weyl relation residual and convergence"):
         e0 = fock.FockState.basis_state(0)
-        r64 = weyl.weyl_residual(0.5, 0.5, 64, e0).residual
-        r16 = weyl.weyl_residual(0.5, 0.5, 16, e0).residual
+        rec = weyl.weyl_residual(0.5, 0.5, 64, e0)
+        r64, r16 = rec.residual, weyl.weyl_residual(0.5, 0.5, 16, e0).residual
         assert r64 < 1e-8
         assert r64 <= r16 / 2
-        phases = weyl.weyl_phase_check(0.5, 0.5, 64, e0)
-        assert phases["vanishing"] == "+ist"
-        assert phases["plus_phase"] < 1e-8 and phases["minus_phase"] > 1e-3
+        assert rec.residual < rec.minus_residual
+        assert rec.residual < 1e-8 and rec.minus_residual > 1e-3
 
 
 def test_criterion_07_shift_identity():

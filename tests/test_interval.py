@@ -153,6 +153,8 @@ def test_t_alignment_enforced():
         interval.interval_weyl_residual(spec, 0.0, 1.0)
     with pytest.raises(ValueError):
         interval.interval_weyl_residual(spec, 1.5, 1.0)
+    with pytest.raises(ValueError, match="nonzero integer"):
+        interval.interval_weyl_residual(spec, 1e-12, 1.0)  # 6.4e-11 steps: U_t would be the identity
 
 
 def test_aligned_spec_helper():
@@ -160,6 +162,9 @@ def test_aligned_spec_helper():
     assert spec.m >= 256
     steps = 0.5 / spec.h
     assert abs(steps - round(steps)) < 1e-9
+    # t is at least one step: below a step of every m searched, no m aligns it
+    with pytest.raises(ValueError, match="no grid-aligned sample count near 256 for t=1e-12"):
+        interval.aligned_spec(0.0, 1.0, 1e-12, 256)
 
 
 def test_expm_route_agrees_with_exact_shift():

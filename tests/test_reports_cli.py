@@ -1,6 +1,7 @@
 """Suite runner, report serialization, sweeps, CLI behavior."""
 
 import collections
+import copy
 import inspect
 import json
 import math
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from ccrlab import interval, reports, schrodinger, weyl
-from ccrlab.cli import _config_from_args, _join_negative_values, build_parser, main
+from ccrlab.cli import _fields_from_args, _join_negative_values, build_parser, main
 from ccrlab.reports import RunConfig, run_suite
 
 
@@ -29,96 +30,97 @@ def run_cli(args):
 
 
 def test_config_validation_errors():
+    # each config is refused, or accepted, as it is built
     for bad in (
-        RunConfig(suite="nope"),
-        RunConfig(suite="fock", dim=0),
-        RunConfig(suite="fock", dim=1),  # suites need the off-artifact block
-        RunConfig(suite="fock", k_max=0),
-        RunConfig(suite="fock", fmt="yaml"),
-        RunConfig(suite="irregular", interval_a=2.0, interval_b=1.0),
-        RunConfig(suite="schrodinger", scheme="upwind"),
-        RunConfig(suite="weyl", t=float("nan")),
-        RunConfig(suite="weyl", s=float("inf")),
-        RunConfig(suite="schrodinger", grid_l=float("inf")),
-        RunConfig(suite="schrodinger", grid_l=1e200),  # x^2 overflows on the grid
-        RunConfig(suite="schrodinger", grid_l=1e150),  # pi/h = 2e-148 < 1: the grid cannot resolve the oscillator
-        RunConfig(suite="irregular", interval_a=float("-inf")),
-        RunConfig(suite="irregular", interval_b=float("nan")),
-        RunConfig(suite="analytic", k_max=128),  # the Taylor check runs at dim 128
-        RunConfig(suite="analytic", k_max=19),  # the ratio test decides from k_max = 20 on
-        RunConfig(suite="all", k_max=1),
-        RunConfig(suite="irregular", s=1e300),  # the phase s x has no digit within 1e-8
-        RunConfig(suite="irregular", s=1e-300, interval_b=1e300),  # nor has the smooth psi's x - c
-        RunConfig(suite="all", k_max=300),
-        RunConfig(suite="all", dim=2**21),  # past the longest band of the fock suite
-        RunConfig(suite="fock", dim=2**20 + 1),
-        RunConfig(suite="schrodinger", grid_m=2049),  # past the largest dense m x m circulant
-        RunConfig(suite="irregular", interval_m=10**6),
-        RunConfig(suite="all", grid_m=10**6),
-        RunConfig(suite="irregular", interval_m=2048, t=1 / 30000),  # aligning t gives m = 30000
-        RunConfig(suite="all", interval_m=2048, t=0.001),  # aligned m = 3000
-        RunConfig(suite="irregular", t=1 / 511),  # contrast interval (-2.5, 2.5) aligns at m = 2555
-        RunConfig(suite="all", t=1 / 103),  # contrast interval (-10, 10) aligns at m = 2060
-        RunConfig(suite="weyl", t=500.0),  # e^(itp) e_0 is Poisson with mean 1.25e5: far past mode 63
-        RunConfig(suite="all", t=1e200),
-        RunConfig(suite="weyl", t=6.0, s=6.0, dim=64),  # mean 36: its tail is above 1e-8 at mode 63
-        RunConfig(suite="all", dim=2),  # the weyl suite's truncation: e^(itp) e^(isq) e_0 passes mode 1
-        RunConfig(suite="irregular", t=0.0),  # U_t needs 0 < t < length on every interval built
-        RunConfig(suite="all", t=-0.25),
-        RunConfig(suite="irregular", interval_b=5.0, t=1.5),  # past the contrast interval of length 1
-        RunConfig(suite="irregular", interval_b=1e-300),
-        RunConfig(suite="irregular", t=0.3333333),  # aligns with no sample count
-        RunConfig(suite="all", t=1e-8),
-        RunConfig(suite="sweep", k_max=0),  # a sweep takes every rule not tied to a suite
-        RunConfig(suite="sweep", interval_m=4096),
-        RunConfig(suite="sweep", scheme="upwind"),
-        RunConfig(suite="schrodinger", grid_m=8),  # fewer than 6 levels: the suite's guards would raise
-        RunConfig(suite="all", grid_m=36),  # the Hermite recurrence drifts at n = 7
-        RunConfig(suite="schrodinger", grid_m=192, scheme="central_difference"),  # discretization-dominated
-        RunConfig(suite="fock", seed=-1),  # seeds are read mod 2^64: outside [0, 2^64) they alias
-        RunConfig(suite="all", seed=2**64),
+        dict(suite="nope"),
+        dict(suite="fock", dim=0),
+        dict(suite="fock", dim=1),  # suites need the off-artifact block
+        dict(suite="fock", k_max=0),
+        dict(suite="fock", fmt="yaml"),
+        dict(suite="irregular", interval_a=2.0, interval_b=1.0),
+        dict(suite="schrodinger", scheme="upwind"),
+        dict(suite="weyl", t=float("nan")),
+        dict(suite="weyl", s=float("inf")),
+        dict(suite="schrodinger", grid_l=float("inf")),
+        dict(suite="schrodinger", grid_l=1e200),  # x^2 overflows on the grid
+        dict(suite="schrodinger", grid_l=1e150),  # pi/h = 2e-148 < 1: the grid cannot resolve the oscillator
+        dict(suite="irregular", interval_a=float("-inf")),
+        dict(suite="irregular", interval_b=float("nan")),
+        dict(suite="analytic", k_max=128),  # the Taylor check runs at dim 128
+        dict(suite="analytic", k_max=19),  # the ratio test decides from k_max = 20 on
+        dict(suite="all", k_max=1),
+        dict(suite="irregular", s=1e300),  # the phase s x has no digit within 1e-8
+        dict(suite="irregular", s=1e-300, interval_b=1e300),  # nor has the smooth psi's x - c
+        dict(suite="all", k_max=300),
+        dict(suite="all", dim=2**21),  # past the longest band of the fock suite
+        dict(suite="fock", dim=2**20 + 1),
+        dict(suite="schrodinger", grid_m=2049),  # past the largest dense m x m circulant
+        dict(suite="irregular", interval_m=10**6),
+        dict(suite="all", grid_m=10**6),
+        dict(suite="irregular", interval_m=2048, t=1 / 30000),  # aligning t gives m = 30000
+        dict(suite="all", interval_m=2048, t=0.001),  # aligned m = 3000
+        dict(suite="irregular", t=1 / 511),  # contrast interval (-2.5, 2.5) aligns at m = 2555
+        dict(suite="all", t=1 / 103),  # contrast interval (-10, 10) aligns at m = 2060
+        dict(suite="weyl", t=500.0),  # e^(itp) e_0 is Poisson with mean 1.25e5: far past mode 63
+        dict(suite="all", t=1e200),
+        dict(suite="weyl", t=6.0, s=6.0, dim=64),  # mean 36: its tail is above 1e-8 at mode 63
+        dict(suite="all", dim=2),  # the weyl suite's truncation: e^(itp) e^(isq) e_0 passes mode 1
+        dict(suite="irregular", t=0.0),  # U_t needs 0 < t < length on every interval built
+        dict(suite="all", t=-0.25),
+        dict(suite="irregular", interval_b=5.0, t=1.5),  # past the contrast interval of length 1
+        dict(suite="irregular", interval_b=1e-300),
+        dict(suite="irregular", t=0.3333333),  # aligns with no sample count
+        dict(suite="all", t=1e-8),
+        dict(suite="sweep", k_max=0),  # a sweep takes every rule not tied to a suite
+        dict(suite="sweep", interval_m=4096),
+        dict(suite="sweep", scheme="upwind"),
+        dict(suite="schrodinger", grid_m=8),  # fewer than 6 levels: the suite's guards would raise
+        dict(suite="all", grid_m=36),  # the Hermite recurrence drifts at n = 7
+        dict(suite="schrodinger", grid_m=192, scheme="central_difference"),  # discretization-dominated
+        dict(suite="fock", seed=-1),  # seeds are read mod 2^64: outside [0, 2^64) they alias
+        dict(suite="all", seed=2**64),
     ):
         with pytest.raises(ValueError):
-            bad.validate()
-    for bad in (RunConfig(suite="all", grid_l=1e150),
-                RunConfig(suite="irregular", interval_a=-1e308, interval_b=1e308)):
+            RunConfig(**bad)
+    for bad in (dict(suite="all", grid_l=1e150),
+                dict(suite="irregular", interval_a=-1e308, interval_b=1e308)):
         with pytest.raises(schrodinger.GridResolutionError):
-            bad.validate()
+            RunConfig(**bad)
     for good in (
-        RunConfig(suite="analytic", k_max=127),
-        RunConfig(suite="analytic", dim=49),
-        RunConfig(suite="analytic", dim=48),  # the analytic suite does not read dim
-        RunConfig(suite="analytic", dim=2, k_max=127),
-        RunConfig(suite="all", dim=32),
-        RunConfig(suite="fock", k_max=300),  # k_max is read by the analytic suite only
-        RunConfig(suite="fock", k_max=1),
-        RunConfig(suite="analytic", k_max=20),
-        RunConfig(suite="irregular", s=9e6),  # the phase on (-10, 10) rounds by 1.0e-8 at most
-        RunConfig(suite="irregular", interval_a=-1e7, interval_b=-1e7 + 1.0),
-        RunConfig(suite="fock", dim=2048),
-        RunConfig(suite="fock", dim=2**20),  # the fock suite stores its operators as bands
-        RunConfig(suite="all", dim=10**6),
-        RunConfig(suite="schrodinger", dim=10**6),  # builds nothing of size dim
-        RunConfig(suite="analytic", dim=4096),  # applies the tridiagonal q and p only
+        dict(suite="analytic", k_max=127),
+        dict(suite="analytic", dim=49),
+        dict(suite="analytic", dim=48),  # the analytic suite does not read dim
+        dict(suite="analytic", dim=2, k_max=127),
+        dict(suite="all", dim=32),
+        dict(suite="fock", k_max=300),  # k_max is read by the analytic suite only
+        dict(suite="fock", k_max=1),
+        dict(suite="analytic", k_max=20),
+        dict(suite="irregular", s=9e6),  # the phase on (-10, 10) rounds by 1.0e-8 at most
+        dict(suite="irregular", interval_a=-1e7, interval_b=-1e7 + 1.0),
+        dict(suite="fock", dim=2048),
+        dict(suite="fock", dim=2**20),  # the fock suite stores its operators as bands
+        dict(suite="all", dim=10**6),
+        dict(suite="schrodinger", dim=10**6),  # builds nothing of size dim
+        dict(suite="analytic", dim=4096),  # applies the tridiagonal q and p only
         # the weyl suite applies q and p on its vectors' mode window: no array of side dim
-        RunConfig(suite="weyl", dim=2049),
-        RunConfig(suite="weyl", t=6.0, s=6.0, dim=128),
-        RunConfig(suite="fock", t=500.0),  # t is read by other suites only
-        RunConfig(suite="schrodinger", grid_m=2048),
-        RunConfig(suite="schrodinger", grid_m=39),  # the least m at L = 10 on which no guard of the suite raises
-        RunConfig(suite="schrodinger", grid_m=256, scheme="central_difference"),
-        RunConfig(suite="fock", grid_l=1e150),  # the grid is read by other suites only
-        RunConfig(suite="fock", grid_m=10**6, interval_m=10**6),  # read by other suites only
-        RunConfig(suite="fock", interval_m=2048, t=1 / 30000),
-        RunConfig(suite="fock", t=1 / 511),
-        RunConfig(suite="irregular", t=1 / 102),  # every contrast interval aligns at m <= 2048
-        RunConfig(suite="sweep", t=0.3333333),  # a sweep runs no suite: its rows align t
-        RunConfig(suite="sweep", dim=2**21, grid_m=10**6, grid_l=1e150),
-        RunConfig(suite="fock", t=0.0),  # t is read by other suites only
-        RunConfig(suite="irregular", interval_b=5.0, t=0.75),
-        RunConfig(suite="fock", seed=2**64 - 1),
+        dict(suite="weyl", dim=2049),
+        dict(suite="weyl", t=6.0, s=6.0, dim=128),
+        dict(suite="fock", t=500.0),  # t is read by other suites only
+        dict(suite="schrodinger", grid_m=2048),
+        dict(suite="schrodinger", grid_m=39),  # the least m at L = 10 on which no guard of the suite raises
+        dict(suite="schrodinger", grid_m=256, scheme="central_difference"),
+        dict(suite="fock", grid_l=1e150),  # the grid is read by other suites only
+        dict(suite="fock", grid_m=10**6, interval_m=10**6),  # read by other suites only
+        dict(suite="fock", interval_m=2048, t=1 / 30000),
+        dict(suite="fock", t=1 / 511),
+        dict(suite="irregular", t=1 / 102),  # every contrast interval aligns at m <= 2048
+        dict(suite="sweep", t=0.3333333),  # a sweep runs no suite: its rows align t
+        dict(suite="sweep", dim=2**21, grid_m=10**6, grid_l=1e150),
+        dict(suite="fock", t=0.0),  # t is read by other suites only
+        dict(suite="irregular", interval_b=5.0, t=0.75),
+        dict(suite="fock", seed=2**64 - 1),
     ):
-        good.validate()
+        RunConfig(**good)
 
 
 def test_fock_suite_passes():
@@ -226,21 +228,44 @@ def test_shared_values_are_computed_once(monkeypatch, capsys):
 
         return call
 
-    counted_names = ((weyl, "weyl_residual"), (weyl, "exp_commutator_residual"),
-                     (schrodinger, "intertwiner_check"), (interval, "interval_weyl_residual"))
+    counted_names = ((weyl, "weyl_residual"), (weyl, "exp_commutator_residual"), (schrodinger, "intertwiner_check"),
+                     (schrodinger, "check_resolution"), (interval, "interval_weyl_residual"))
     for module, name in counted_names:
         monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    # a mode window, counted per function that builds it: shift_identity_residual at n = 1 and
+    # exp_commutator_residual build the same one, each for its own identity
+    windows, on_window = collections.Counter(), weyl._on_window
+
+    def counted_window(*args):
+        windows[sys._getframe(1).f_code.co_name, pickle.dumps(args)] += 1
+        return on_window(*args)
+
+    monkeypatch.setattr(weyl, "_on_window", counted_window)
     cached = (schrodinger._vacuum_residual, schrodinger._hermite_rows)
     for fn in cached:
         fn.cache_clear()
-    # one run from the command line, both passes of the gate included
+    # one run from the command line, its gate included: no function builds a window twice,
+    # and the gate, which resolves the grid, runs once
     assert main(["all", "--seed", "7", "--format", "json"]) == 0
     capsys.readouterr()
     assert {name for name, _ in calls} == {name for _, name in counted_names}
     assert [name for (name, _), n in calls.items() if n > 1] == []
+    assert sum(n for (name, _), n in calls.items() if name == "check_resolution") == 1
+    assert windows and max(windows.values()) == 1
     # each grid value is computed once: the Gaussian's residual at (m, +), (m, -), (2m, +) and
     # (4m, +), and the Hermite rows to n = 8 at m and 2m and to n = 0 at m
     assert [(fn.cache_info().misses, fn.cache_info().currsize) for fn in cached] == [(4, 4), (3, 3)]
+
+
+def test_run_config_is_frozen_and_rebuilt_through_its_gate():
+    config = RunConfig(suite="weyl", t=0.25, seed=7)
+    with pytest.raises(AttributeError):
+        config.t = 500.0  # a t the gate refuses at dim 64
+    with pytest.raises(AttributeError):
+        del config.seed
+    assert config.t == 0.25
+    for copied in (pickle.loads(pickle.dumps(config)), copy.copy(config), copy.deepcopy(config)):
+        assert type(copied) is RunConfig and copied.echo() == config.echo()
 
 
 def test_suite_table_holds_the_public_suite_functions():
@@ -263,7 +288,7 @@ def test_run_config_states_the_suites_a_command_runs():
 
 def _failing_irregular_setup(monkeypatch):
     # a set-up that raises as the irregular suite's would for a t that aligns nowhere;
-    # RunConfig.validate refuses such a t, so the suite table entry is replaced
+    # RunConfig refuses such a t, so the suite table entry is replaced
     raising = lambda config: interval.aligned_spec(0.0, 1.0, 0.3333333, 256)
     monkeypatch.setitem(reports._SUITE_FUNCS, "irregular", raising)
 
@@ -537,13 +562,14 @@ def test_phase_convention_is_decided_at_st_in_pi_z(capsys, monkeypatch):
         assert main(["weyl", *argv, "--format", "csv"]) == 0, argv
         assert ",fail," not in capsys.readouterr().out
     # the opposite convention fails it
-    phases = weyl.weyl_phase_check
+    residual = weyl.weyl_residual
 
     def swapped(*args):
-        rep = phases(*args)
-        return {"plus_phase": rep["minus_phase"], "minus_phase": rep["plus_phase"]}
+        rec = residual(*args)
+        return weyl.WeylResidualRecord(rec.t, rec.s, rec.dim, rec.minus_residual, rec.residual,
+                                       rec.test_vector_support)
 
-    monkeypatch.setattr(weyl, "weyl_phase_check", swapped)
+    monkeypatch.setattr(weyl, "weyl_residual", swapped)
     record = {r.name: r for r in reports.weyl_suite(RunConfig(suite="weyl"))}["phase_convention"]
     assert record.status == "fail"
 
@@ -598,7 +624,7 @@ def test_public_api_surface():
         "interval", "interval_number_spectrum", "interval_vs_line_report", "interval_weyl_residual",
         "normal_order", "parse", "reports", "rng", "run_suite", "schrodinger", "shift_identity_residual",
         "symbolic", "taylor_exp", "vacuum_annihilation_residual", "vacuum_expectation", "vacuum_sign_check",
-        "verify_identity", "weyl", "weyl_phase_check", "weyl_residual",
+        "verify_identity", "weyl", "weyl_residual",
     ]
 
 
@@ -689,7 +715,7 @@ def test_cli_sweep_writes_csv_only(capsys):
 def test_cli_defaults_are_run_config_defaults():
     # every option left out takes RunConfig's own default, field by field
     for suite in reports.SUITES + ("all",):
-        config, want = _config_from_args(build_parser().parse_args([suite])), RunConfig(suite=suite)
+        config, want = RunConfig(**_fields_from_args(build_parser().parse_args([suite]))), RunConfig(suite=suite)
         for name in RunConfig.__slots__:
             got, expected = getattr(config, name), getattr(want, name)
             assert (type(got), got) == (type(expected), expected), (suite, name)
@@ -705,22 +731,22 @@ def test_cli_grid_whose_step_underflows_is_a_usage_error(capsys):
 
 
 def test_sweeps_validate_their_config():
-    # each sweep refuses its config and any non-finite length before any row
-    for sweep, config, values, message in (
-        (reports.sweep_dims, RunConfig(suite="sweep", k_max=0), [16], "k_max must be positive"),
-        (reports.sweep_interval_lengths, RunConfig(suite="sweep", t=float("nan")), [1.0], "t must be finite"),
-        (reports.sweep_interval_lengths, RunConfig(suite="sweep", interval_m=4096), [1.0],
-         "interval_m 4096 exceeds 2048, the largest side of a dense array$"),
-        (reports.sweep_interval_lengths, _SWEEP, [1.0, float("inf")], "length must be finite, got inf"),
+    # a sweep's config is refused as it is built, and a non-finite length before any row
+    for fields, message in (
+        (dict(suite="sweep", k_max=0), "k_max must be positive"),
+        (dict(suite="sweep", t=float("nan")), "t must be finite"),
+        (dict(suite="sweep", interval_m=4096), "interval_m 4096 exceeds 2048, the largest side of a dense array$"),
     ):
         with pytest.raises(ValueError, match=message):
-            sweep(config, values)
+            RunConfig(**fields)
+    with pytest.raises(ValueError, match="length must be finite, got inf"):
+        reports.sweep_interval_lengths(_SWEEP, [1.0, float("inf")])
 
 
 _SWEEP_DIMS, _SWEEP_LENGTHS = ["sweep", "--dims", "16"], ["sweep", "--interval-lengths", "1"]
 
 
-# One invocation per fault that RunConfig.validate refuses, for a suite and, where the rule
+# One invocation per fault that RunConfig refuses, for a suite and, where the rule
 # applies to a sweep, for each sweep: every rule but the suite name and the format, which
 # the parser refuses first.
 @pytest.mark.parametrize("argv, message", [
@@ -812,6 +838,17 @@ _SWEEP_DIMS, _SWEEP_LENGTHS = ["sweep", "--dims", "16"], ["sweep", "--interval-l
     (["irregular", "--s", "1e7"],
      "s=10000000.0 on the interval (-10.0, 10.0) that the irregular suite builds: the phase s*x and the smooth psi's "
      "x - c round by up to 1.11e-08, above 1e-08, the tolerance of its closed-form checks"),
+    # a step whose largest wavenumber pi/h overflows, refused before numpy forms k or 1/(2h)
+    *(([suite, "--grid", f"{L},{m},{scheme}"],
+       f"grid x_min=-{L}, x_max={L}, m={m} has step h={h}: its largest wavenumber pi/h overflows")
+      for L, m, scheme, h in (("1e-320", 256, "spectral", "8e-323"), ("1e-310", 256, "spectral", "7.8125e-313"),
+                              ("1e-309", 64, "spectral", "3.125e-311"),
+                              ("1e-310", 256, "central_difference", "7.8125e-313"))
+      for suite in ("schrodinger", "all")),
+    # t below one step of every sample count searched: aligning it at zero steps would make U_t the identity
+    (["irregular", "--t", "1e-12"], "no grid-aligned sample count near 256 for t=1e-12"),
+    (["irregular", "--t", "1e-300"], "no grid-aligned sample count near 256 for t=1e-300"),
+    (["all", "--t", "1e-12"], "no grid-aligned sample count near 256 for t=1e-12"),
 ])
 def test_cli_gate_refuses_each_fault(argv, message, capsys):
     assert main(argv) == 2

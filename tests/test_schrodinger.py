@@ -7,6 +7,7 @@ the whole matrix built here."""
 
 import math
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -436,13 +437,14 @@ def test_resolution_check_refuses_where_the_suite_guards_raise(scheme):
     # a grid passes the gate exactly when the schrodinger suite runs every check on it without raising
     sizes = [(10.0, m) for m in [*range(16, 48), 128, 192, 253, 254, 256]] + [(3.0, 64), (40.0, 256)]
     for L, m in sizes:
-        config = reports.RunConfig(suite="schrodinger", grid_l=L, grid_m=m, scheme=scheme)
         try:
-            config.validate()
+            reports.RunConfig(suite="schrodinger", grid_l=L, grid_m=m, scheme=scheme)
             accepted = True
         except ValueError:
             accepted = False
-        raised = [c.name for c in reports.schrodinger_suite(config) if c.measured is None]
+        # the suite reads only the grid of its config, and a refused RunConfig does not exist
+        grid = types.SimpleNamespace(grid_l=L, grid_m=m, scheme=scheme)
+        raised = [c.name for c in reports.schrodinger_suite(grid) if c.measured is None]
         assert accepted == (raised == []), (L, m, raised)
 
 
@@ -483,6 +485,18 @@ def test_grid_refuses_an_underflowing_step():
             schrodinger.check_resolution(5e-324, 256, schrodinger.SPECTRAL, 6, 8)
     # the smallest positive step is still a grid
     assert schrodinger.grid_points(0.0, 8 * 5e-324, 8)[1] == 5e-324
+
+
+@pytest.mark.parametrize("L, m", [(1e-320, 256), (1e-310, 256), (1e-309, 64)])
+def test_grid_refuses_an_overflowing_wavenumber(L, m):
+    # pi/h overflows: refused before numpy forms a wavenumber or 1/(2h), not a NaN residual
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scheme in _SCHEMES:
+            with pytest.raises(schrodinger.GridResolutionError, match="largest wavenumber pi/h overflows"):
+                schrodinger.vacuum_sign_check(L, m, scheme)
+        with pytest.raises(schrodinger.GridResolutionError, match="largest wavenumber pi/h overflows"):
+            schrodinger.grid_wavenumbers(-L, L, m)
 
 
 def test_hermite_ground_state_is_gaussian():

@@ -216,7 +216,7 @@ def test_weyl_record_fields():
     rec = weyl.weyl_residual(0.5, 0.25, 32, fock.FockState.basis_state(1))
     assert rec.dim == 32 and rec.test_vector_support == 1
     names = set(type(rec).__slots__)
-    assert names == {"t", "s", "dim", "residual", "test_vector_support"}
+    assert names == {"t", "s", "dim", "residual", "minus_residual", "test_vector_support"}
 
 
 def test_weyl_support_violation():
@@ -226,15 +226,17 @@ def test_weyl_support_violation():
     with pytest.raises(ValueError, match="nonzero"):
         weyl.weyl_residual(0.5, 0.5, 16, fock.FockState(np.zeros(3)))
     with pytest.raises(ValueError, match="exceeds dimension 64"):
-        weyl.weyl_phase_check(0.5, 0.5, 64, fock.FockState.basis_state(64))
+        weyl.weyl_residual(0.5, 0.5, 64, fock.FockState.basis_state(64))
     assert weyl.weyl_residual(0.5, 0.5, 64, fock.FockState.basis_state(63)).test_vector_support == 63
 
 
 def test_phase_convention_exactly_one_vanishes():
-    rep = weyl.weyl_phase_check(0.5, 0.5, 64)
-    assert rep["vanishing"] == "+ist"
-    assert rep["plus_phase"] < 1e-8
-    assert rep["minus_phase"] > 1e-3
+    rec = weyl.weyl_residual(0.5, 0.5, 64)
+    assert rec.residual < rec.minus_residual
+    assert rec.residual < 1e-8
+    assert rec.minus_residual > 1e-3
+    # uv - e^{-ist} vu = (uv - e^{ist} vu) + 2i sin(st) vu, and ||vu|| = ||xi||
+    assert abs(rec.minus_residual - 2.0 * abs(math.sin(0.25))) <= rec.residual + 1e-12
 
 
 def test_group_law_on_low_modes():
@@ -402,7 +404,7 @@ def test_full_window_is_the_full_dim_path(t, s):
     e2 = fock.FockState.basis_state(2)
     assert weyl._window(16, 2, math.hypot(t, s) / math.sqrt(2)) == 16
     assert weyl.weyl_residual(t, s, 16, e2).residual == _full_weyl_residual(t, s, 16, None, e2)
-    assert weyl.weyl_phase_check(t, s, 16, e2)["minus_phase"] == _full_weyl_residuals(t, s, e2.vector(16))[1]
+    assert weyl.weyl_residual(t, s, 16, e2).minus_residual == _full_weyl_residuals(t, s, e2.vector(16))[1]
     for n in (1, 2, 3):
         assert weyl.shift_identity_residual(t, n, 16, e2) == _full_shift_identity_residual(t, n, 16, e2)
     assert weyl.exp_commutator_residual(t, 16, e2) == _full_exp_commutator_residual(t, 16, e2)
