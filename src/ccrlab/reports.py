@@ -17,9 +17,11 @@ check that cannot be computed is recorded as failed without aborting the
 run, and a non-finite measured value fails.  A suite function returns its
 records unprefixed; run_suite names them "<suite>.<check>" under "all",
 and records a suite whose set-up raises as one failed "<suite>.setup"
-check.  A value that two checks of a suite share is computed once per
-run, through the suite's _shared memo or, for the Gaussian's residual
-and the Hermite rows, through schrodinger's own cache.
+check.  Under "all" it may run the analytic and symbolic suites in a
+forked worker (see run_suite), and a worker that dies fails each of them
+as one such check.  A value that two checks of a suite share is computed
+once per run, through the suite's _shared memo or, for the Gaussian's
+residual and the Hermite rows, through schrodinger's own cache.
 
 Randomized checks draw from the SplitMix64 stream seeded by the config,
 so reports are byte-identical across runs up to the wall-time field.
@@ -32,6 +34,10 @@ import functools
 import io
 import json
 import math
+import os
+import pickle
+import sys
+import threading
 import time
 
 import numpy as np
@@ -788,9 +794,19 @@ def irregular_suite(config: RunConfig) -> list[CheckRecord]:
         rows = interval.interval_vs_line_report(specs, t, s)
         residuals = [r.weyl_residual for r in rows]
         distances = [r.spectral_distance for r in rows]
-        ok = all(x > y for x, y in zip(residuals, residuals[1:])) and all(
-            x > y for x, y in zip(distances, distances[1:])
-        )
+        # Where the wrap phase e^{-is(b-a)} is 1 to rounding the closed form vanishes, and the
+        # residual must be rounding; elsewhere it falls strictly from the shorter interval's.
+        # u = 2^-53: s rounds by u|s|, s(b - a) by as much again, cos and sin by u each, so a
+        # phase that is 1 comes out within 2u(|s|(b - a) + 1) of it; each e^{isx} rounds by
+        # u(|s||x| + 1), and the residual of a unit vector subtracts two of them.
+        u = 2.0**-53
+        shrinks = []
+        for i, (spec, r) in enumerate(zip(specs, residuals)):
+            if abs(np.exp(-1j * s * spec.length) - 1.0) <= 2 * u * (abs(s) * spec.length + 1):
+                shrinks.append(r <= 4 * u * (abs(s) * max(abs(spec.a), abs(spec.b)) + 1))
+            else:
+                shrinks.append(i == 0 or residuals[i - 1] > r)
+        ok = all(shrinks) and all(x > y for x, y in zip(distances, distances[1:]))
         return (residuals[-1], ok)
 
     checks = [
@@ -970,21 +986,96 @@ _SUITE_FUNCS = {
 }
 
 
-def run_suite(config: RunConfig) -> Report:
-    """Run one suite (or all of them) and assemble a sorted report."""
-    start = time.perf_counter()
+# The suites "all" runs in a forked worker beside the other four (see run_suite):
+# the pure-Python half of the run.  No dense eigensolve runs in it, so every value
+# that moves with the BLAS thread count is computed in the calling process.
+_WORKER_SUITES = ("analytic", "symbolic")
+
+
+def _setup_failure(name: str, detail: str) -> CheckRecord:
+    return CheckRecord(f"{name}.setup", "suite set-up", "fail", None, None, detail)
+
+
+def _run_suites(config: RunConfig, names) -> list[CheckRecord]:
+    """The records of the suites names, in order, named "<suite>.<check>"
+    under "all"; a suite whose set-up raises gives one failed
+    "<suite>.setup" record."""
     records: list[CheckRecord] = []
-    for name in config.suites():
+    for name in names:
         try:
             suite_records = _SUITE_FUNCS[name](config)
         except Exception as exc:  # noqa: BLE001 - a failed set-up must not kill the run
-            detail = f"{type(exc).__name__}: {exc}"
-            records.append(CheckRecord(f"{name}.setup", "suite set-up", "fail", None, None, detail))
+            records.append(_setup_failure(name, f"{type(exc).__name__}: {exc}"))
             continue
         if config.suite == "all":
             for record in suite_records:
                 record.name = f"{name}.{record.name}"
         records.extend(suite_records)
+    return records
+
+
+def _can_fork() -> bool:
+    """True where "all" may run _WORKER_SUITES in a forked worker: on Linux,
+    with two CPUs or more to run on and no Python thread but this one, which
+    a fork would leave half-copied."""
+    return (sys.platform.startswith("linux") and len(os.sched_getaffinity(0)) >= 2
+            and threading.active_count() == 1)
+
+
+def _run_forked(config: RunConfig, names, worker_names) -> list[CheckRecord]:
+    """The records of the suites names, run here, then those of worker_names,
+    run meanwhile in a forked worker that pickles them into a pipe and leaves
+    by os._exit.  A worker that ends with a nonzero status or writes records
+    that cannot be read gives each of worker_names one failed "<suite>.setup"
+    record naming why; on any exception here the worker is killed and reaped."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the worker: nothing it does may return into the caller
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(_run_suites(config, worker_names)))
+        except BaseException:  # noqa: BLE001 - the parent reads the exit status
+            os._exit(1)
+        os._exit(0)
+    os.close(write_fd)
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            records = _run_suites(config, names)
+            data = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    except BaseException:  # KeyboardInterrupt too: the worker ends with the run
+        os.kill(pid, 9)  # SIGKILL
+        os.waitpid(pid, 0)
+        raise
+    if code == 0:
+        try:
+            return records + pickle.loads(data)
+        except Exception as exc:  # noqa: BLE001 - unreadable records fail the worker's suites
+            reason = f"its records cannot be read ({type(exc).__name__}: {exc})"
+    else:
+        reason = f"exit status {code}" if code > 0 else f"killed by signal {-code}"
+    return records + [_setup_failure(name, f"the worker running {', '.join(worker_names)} failed: {reason}")
+                      for name in worker_names]
+
+
+def run_suite(config: RunConfig) -> Report:
+    """Run one suite (or all of them) and assemble a sorted report.
+
+    For "all", where _can_fork holds (Linux, two CPUs or more, one Python
+    thread), the analytic and symbolic suites run in one forked worker
+    while this process runs the other four.  Each suite draws from its own
+    seeded stream and the records are sorted by name, so the report is the
+    one an in-process run gives, byte for byte but for wall_time_s.  An
+    in-process monkeypatch or tracer sees only this process's suites.
+    Anywhere else, and for a single suite, every suite runs here."""
+    start = time.perf_counter()
+    names = config.suites()
+    forked = _WORKER_SUITES if config.suite == "all" and _can_fork() else ()
+    if forked:
+        records = _run_forked(config, [name for name in names if name not in forked], forked)
+    else:
+        records = _run_suites(config, names)
     records.sort(key=lambda r: r.name)
     return Report(
         suite=config.suite,

@@ -12,8 +12,10 @@ mode.
 Every step h = (x_max - x_min) / m, 2L/m on [-L, L), is `_grid_step`'s.
 It refuses non-finite or reversed bounds or m < 8 (ValueError), and a
 step that is not positive and finite, where x_max - x_min overflows or
-the step underflows to 0 (GridResolutionError); `check_resolution` also
-refuses h > pi, too coarse for the oscillator's ground state, and any
+the step underflows to 0 (GridResolutionError).  p and p^2 refuse a step
+whose largest wavenumber pi/h overflows, and the central-difference p^2
+one whose largest symbol 4/h^2 does (GridResolutionError); `check_resolution`
+also refuses h > pi, too coarse for the oscillator's ground state, and any
 grid on which the guards of the grid checks would raise.
 
 The lowest oscillator levels are solved in the Fourier basis, where p^2
@@ -60,7 +62,7 @@ ANNIHILATING_SIGN = "+"  # (q + ip)/sqrt2 kills the Gaussian; verified per run
 class GridResolutionError(ValueError):
     """Raised when a residual is dominated by discretization error, when a
     grid is too coarse to resolve the oscillator's ground state, or when
-    its width overflows or its step underflows."""
+    its width overflows, its step underflows or its pi/h or 4/h^2 overflows."""
 
 
 def _grid_step(x_min: float, x_max: float, m: int) -> float:
@@ -190,7 +192,11 @@ def _kinetic_symbol(x_min: float, x_max: float, m: int, scheme: str) -> np.ndarr
         k = grid_wavenumbers(x_min, x_max, m)
         return k * k
     if scheme == CENTRAL_DIFFERENCE:
-        return (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(m) / m)) / _grid_step(x_min, x_max, m) ** 2
+        h = _grid_step(x_min, x_max, m)
+        if h**2 == 0.0 or 4.0 / h**2 == math.inf:  # checked before numpy divides by h^2
+            raise GridResolutionError(f"grid x_min={x_min!r}, x_max={x_max!r}, m={m} has step h={h!r}: "
+                                      "the largest central-difference symbol 4/h^2 overflows")
+        return (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(m) / m)) / h**2
     raise ValueError(f"unknown scheme {scheme!r}")
 
 

@@ -5,9 +5,11 @@ import copy
 import inspect
 import json
 import math
+import os
 import pickle
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -311,6 +313,146 @@ def test_missing_measured_value_formats(capsys, monkeypatch):
     assert "[FAIL   ] irregular.setup: n/a  |  suite set-up" in capsys.readouterr().out
     assert main(["irregular", "--format", "csv"]) == 1
     assert capsys.readouterr().out.splitlines()[1] == "irregular.setup,suite set-up,fail,,"
+
+
+def _record_tuples(records):
+    return [(r.name, r.status, r.measured, r.tolerance, r.detail) for r in records]
+
+
+def _counted_forks(monkeypatch):
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_the_worker_changes_no_record(monkeypatch, seed):
+    # "all" runs the analytic and symbolic suites in one forked worker: its report is the
+    # in-process run of all six suites, record for record
+    monkeypatch.setattr(reports, "_can_fork", lambda: True)
+    forks = _counted_forks(monkeypatch)
+    config = RunConfig(suite="all", seed=seed)
+    got = run_suite(config).checks
+    assert len(forks) == 1
+    want = sorted(reports._run_suites(config, reports.SUITES), key=lambda r: r.name)
+    assert _record_tuples(got) == _record_tuples(want)
+    assert {r.name.split(".")[0] for r in got} == set(reports.SUITES)
+    # a single suite and a sweep run in-process
+    run_suite(RunConfig(suite="symbolic", seed=seed))
+    reports.sweep_dims(_SWEEP, [16])
+    assert len(forks) == 1
+
+
+def test_the_worker_runs_only_beside_a_single_thread():
+    # a fork copies only the thread that calls it
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert not reports._can_fork()
+    finally:
+        stop.set()
+        thread.join()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_cli_report_is_the_same_without_the_worker(threads, monkeypatch):
+    # the command line with the worker against the same process without it, at one BLAS thread count
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+    code = ("import sys; from ccrlab import cli, reports; reports._WORKER_SUITES = tuple(sys.argv[1:]); "
+            "sys.exit(cli.main(['all', '--seed', '7', '--format', 'json']))")
+    outputs = []
+    for worker in (["analytic", "symbolic"], []):
+        proc = subprocess.run([sys.executable, "-c", code, *worker], capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        report = json.loads(proc.stdout)
+        report.pop("wall_time_s")
+        outputs.append(report)
+    assert outputs[0] == outputs[1]
+
+
+def _worker_run(monkeypatch, capsys, suite_fn):
+    """main(["all", ...]) through the worker, with the symbolic suite, run in the worker, as suite_fn;
+    its exit code and the records of the worker's suites."""
+    monkeypatch.setattr(reports, "_can_fork", lambda: True)
+    monkeypatch.setitem(reports._SUITE_FUNCS, "symbolic", suite_fn)
+    code = main(["all", "--seed", "7", "--format", "json"])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    checks = json.loads(captured.out)["checks"]
+    assert len(checks) > 2 and {c["name"].split(".")[0] for c in checks} == set(reports.SUITES)
+    return code, {c["name"]: c for c in checks if c["name"].split(".")[0] in reports._WORKER_SUITES}
+
+
+def test_worker_suite_that_raises_is_a_failed_setup(monkeypatch, capsys):
+    def raising(config):
+        raise RuntimeError("set-up failed")
+
+    code, worker_checks = _worker_run(monkeypatch, capsys, raising)
+    assert code == 1
+    assert worker_checks["symbolic.setup"]["status"] == "fail"
+    assert worker_checks["symbolic.setup"]["detail"] == "RuntimeError: set-up failed"
+    # the other suite of the worker still reports its own checks
+    assert [name for name, c in worker_checks.items() if c["status"] == "fail"] == ["symbolic.setup"]
+    assert "analytic.taylor_exp_vs_expm" in worker_checks
+
+
+@pytest.mark.parametrize("end, reason", [
+    (lambda: os._exit(3), "exit status 3"),
+    (lambda: os.kill(os.getpid(), 9), "killed by signal 9"),
+    (lambda: sys.exit(0), "exit status 1"),  # leaves the suites by an exception no check catches
+])
+def test_worker_that_dies_fails_its_suites(monkeypatch, capsys, end, reason):
+    def dying(config):
+        end()
+
+    code, worker_checks = _worker_run(monkeypatch, capsys, dying)
+    assert code == 1
+    assert sorted(worker_checks) == ["analytic.setup", "symbolic.setup"]
+    for check in worker_checks.values():
+        assert check["status"] == "fail" and check["measured"] is None
+        assert check["detail"] == f"the worker running analytic, symbolic failed: {reason}"
+
+
+def test_worker_records_that_cannot_be_read_fail_its_suites(monkeypatch, capsys):
+    monkeypatch.setattr(pickle, "dumps", lambda obj, *args, **kwargs: b"not a pickle")  # in the worker only
+    code, worker_checks = _worker_run(monkeypatch, capsys, reports.symbolic_suite)
+    assert code == 1
+    assert sorted(worker_checks) == ["analytic.setup", "symbolic.setup"]
+    assert worker_checks["symbolic.setup"]["detail"].startswith(
+        "the worker running analytic, symbolic failed: its records cannot be read (UnpicklingError: ")
+
+
+def test_interrupted_run_kills_and_reaps_its_worker(monkeypatch):
+    # the parent is interrupted while the worker would run for a minute: the worker is killed,
+    # and reaped, at once
+    def interrupted(config):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(reports, "_can_fork", lambda: True)
+    monkeypatch.setitem(reports._SUITE_FUNCS, "symbolic", lambda config: time.sleep(60))
+    monkeypatch.setitem(reports._SUITE_FUNCS, "fock", interrupted)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run_suite(RunConfig(suite="all"))
+    assert time.perf_counter() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("s", ["0", "6.283185307179586", "1e-300"])
+def test_irregular_runs_where_the_wrap_phase_is_one(capsys, s):
+    # at s in 2 pi Z the closed form is 0 on every contrast length: the residuals are rounding,
+    # not a strict fall
+    assert main(["irregular", "--s", s, "--format", "json"]) == 0
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    contrast = checks["contrast_lengths_monotone"]
+    assert contrast["status"] == "pass" and contrast["measured"] < 1e-15
 
 
 def test_run_suite_determinism_in_process():

@@ -499,6 +499,18 @@ def test_grid_refuses_an_overflowing_wavenumber(L, m):
             schrodinger.grid_wavenumbers(-L, L, m)
 
 
+@pytest.mark.parametrize("L", [1e-200, 1e-160, 1.28e-156])
+def test_central_difference_refuses_an_overflowing_symbol(L):
+    # h^2 underflows to 0 (L = 1e-200, 1e-160), or 4/h^2 overflows (h = 1e-158): refused before
+    # numpy divides by h^2, not a divide-by-zero warning and an infinite symbol
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(schrodinger.GridResolutionError, match=r"central-difference symbol 4/h\^2 overflows"):
+            schrodinger.grid_oscillator_spectrum(L, 256, schrodinger.CENTRAL_DIFFERENCE)
+        with pytest.raises(schrodinger.GridResolutionError, match=r"central-difference symbol 4/h\^2 overflows"):
+            schrodinger.grid_kinetic(np.ones(256), -L, L, schrodinger.CENTRAL_DIFFERENCE)
+
+
 def test_hermite_ground_state_is_gaussian():
     L, m = 10.0, 256
     basis = schrodinger.hermite_basis(L, m, 0)
