@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import reports
@@ -79,12 +80,19 @@ def _fields_from_args(args) -> dict:
     return {name: value for name, value in given.items() if value is not None}
 
 
+# the values argparse itself reads as negative numbers, not as options
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
+
+
 def _join_negative_values(argv: list[str]) -> list[str]:
-    """argv with `--interval V` and `--grid V` as `--interval=V` and `--grid=V` where V,
-    a negative first value, starts with '-' and a digit or '.': argparse reads it as an option."""
+    """argv with `--opt V` as `--opt=V` for every option that takes a value (all but
+    --help), where V starts with '-' and a digit or '.' and argparse would read it as
+    an option: a list such as -1,2 or a number such as -5e-1, but not -5 or -.5."""
     joined = []
     for arg in argv:
-        if joined[-1:] in (["--interval"], ["--grid"]) and arg[:1] == "-" and arg[1:2] in tuple("0123456789."):
+        prev = joined[-1] if joined else ""
+        if (prev.startswith("--") and "=" not in prev and not "--help".startswith(prev)
+                and arg[:1] == "-" and arg[1:2] in tuple("0123456789.") and not _NEGATIVE_NUMBER.fullmatch(arg)):
             joined[-1] += "=" + arg
         else:
             joined.append(arg)
@@ -168,25 +176,30 @@ def _load_checks(path: str) -> dict:
 
 def _diff_lines(old: dict, new: dict) -> tuple[list[str], int]:
     """The lines of `ccr-lab diff` for two {name: check} maps, and the number
-    of status flips: per check in both, a status flip and a moved measured
-    value; then the checks only in new (+) and only in old (-)."""
-    value = lambda v: json.dumps(v, allow_nan=False)
-    lines, flips, moved = [], 0, 0
-    for name in old.keys() & new.keys():
+    of status flips: per check in both, by name, one line per changed field,
+    its status, its measured value, then each other field (relation,
+    tolerance, detail, ...); then the checks only in new (+) and only in
+    old (-)."""
+    value = lambda v: json.dumps(v, allow_nan=False, ensure_ascii=False)
+    shown = lambda check, field: value(check[field]) if field in check else "(absent)"
+    lines, flips, moved, changed = [], 0, 0, 0
+    for name in sorted(old.keys() & new.keys()):
         a, b = old[name], new[name]
         if a["status"] != b["status"]:
             flips += 1
-            lines.append((name, f"{name}: status {a['status']} -> {b['status']}"))
+            lines.append(f"{name}: status {a['status']} -> {b['status']}")
         if a["measured"] != b["measured"]:
             moved += 1
-            lines.append((name, f"{name}: measured {value(a['measured'])} -> {value(b['measured'])}"))
-    lines.sort(key=lambda item: item[0])  # by name; a check's flip before its value
-    lines = [line for _, line in lines]
+            lines.append(f"{name}: measured {value(a['measured'])} -> {value(b['measured'])}")
+        for field in dict.fromkeys([*a, *b]):
+            if field not in ("name", "status", "measured") and (field in a, a.get(field)) != (field in b, b.get(field)):
+                changed += 1
+                lines.append(f"{name}: {field} {shown(a, field)} -> {shown(b, field)}")
     added, removed = sorted(new.keys() - old.keys()), sorted(old.keys() - new.keys())
     lines += [f"+ {n}: {new[n]['status']}, measured {value(new[n]['measured'])}" for n in added]
     lines += [f"- {n}: {old[n]['status']}, measured {value(old[n]['measured'])}" for n in removed]
     lines.append(f"{len(old)} -> {len(new)} checks: {flips} status flips, {moved} measured values moved, "
-                 f"{len(added)} added, {len(removed)} removed")
+                 f"{changed} other fields changed, {len(added)} added, {len(removed)} removed")
     return lines, flips
 
 

@@ -31,7 +31,8 @@ import math
 import numpy as np
 
 from .fock import _Value
-from .schrodinger import _grid_step, _sectors, grid_points, grid_wavenumbers, reflection_block, sector_levels
+from .schrodinger import (_check_bracket_scale, _grid_step, _sectors, grid_points, grid_wavenumbers,
+                          reflection_block, sector_levels)
 
 BOUNDARY_CONDITION = "periodic"
 # The largest side of a dense square array, 64 MiB per complex array: the
@@ -212,6 +213,7 @@ def _number_levels(spec: IntervalRepSpec, count: int) -> tuple[np.ndarray, np.nd
     K = spec.m // 2
     C = _x2_mode_integrals(spec.a, spec.b, 2 * K)[0]
     symbol = (2.0 * np.pi * np.arange(K + 1) / spec.length) ** 2
+    _check_bracket_scale(symbol, spec.a, spec.b, spec.m)
     levels, bounds = sector_levels(C, symbol, _sectors(2 * K + 1), spec.b * spec.b, count)
     return (levels - 1.0) / 2.0, bounds / 2.0
 

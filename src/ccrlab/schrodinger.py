@@ -14,7 +14,9 @@ It refuses non-finite or reversed bounds or m < 8 (ValueError), and a
 step that is not positive and finite, where x_max - x_min overflows or
 the step underflows to 0 (GridResolutionError).  p and p^2 refuse a step
 whose largest wavenumber pi/h overflows, and the central-difference p^2
-one whose largest symbol 4/h^2 does (GridResolutionError); `check_resolution`
+one whose largest symbol 4/h^2 does (GridResolutionError); the oscillator
+and interval levels refuse a grid whose largest symbol, doubled and squared
+by the Schur bracket, overflows (`_check_bracket_scale`); `check_resolution`
 also refuses h > pi, too coarse for the oscillator's ground state, and any
 grid on which the guards of the grid checks would raise.
 
@@ -62,7 +64,8 @@ ANNIHILATING_SIGN = "+"  # (q + ip)/sqrt2 kills the Gaussian; verified per run
 class GridResolutionError(ValueError):
     """Raised when a residual is dominated by discretization error, when a
     grid is too coarse to resolve the oscillator's ground state, or when
-    its width overflows, its step underflows or its pi/h or 4/h^2 overflows."""
+    its width overflows, its step underflows, its pi/h or 4/h^2 overflows
+    or the square of twice its largest symbol does."""
 
 
 def _grid_step(x_min: float, x_max: float, m: int) -> float:
@@ -378,6 +381,17 @@ def _schur_levels(column: np.ndarray, symbol: np.ndarray, sector: tuple, tau: fl
     return None
 
 
+def _check_bracket_scale(symbol: np.ndarray, x_min: float, x_max: float, m: int) -> None:
+    """Raise GridResolutionError, before any eigensolve, when (2 max symbol)^2
+    overflows, as on a grid of tiny step: `_schur_bracket` divides by
+    (kappa_Q - mu)^2, and kappa_Q - mu < 2 max symbol, as mu >= 0 up to rounding."""
+    top = float(symbol.max())
+    if (2.0 * top) * (2.0 * top) == math.inf:
+        raise GridResolutionError(f"grid x_min={x_min!r}, x_max={x_max!r}, m={m} has step "
+                                  f"h={_grid_step(x_min, x_max, m)!r}: the Schur bracket squares up to twice "
+                                  f"its largest kinetic symbol {top!r}, and that square overflows")
+
+
 def sector_levels(column: np.ndarray, symbol: np.ndarray, sectors: tuple, tau: float,
                   count: int) -> tuple[np.ndarray, np.ndarray]:
     """The lowest `count` eigenvalues of a real symmetric K + T split into
@@ -414,7 +428,9 @@ def _oscillator_levels(L: float, m: int, scheme: str, count: int) -> tuple[np.nd
     x2 = x * x
     c_hat = np.fft.fft(x2).real / m
     c_hat = np.append(c_hat, c_hat[0])  # the Hankel part of the even sector reaches k + l = m
-    return sector_levels(c_hat, _kinetic_symbol(-L, L, m, scheme), _sectors(m), float(x2.max()), count)
+    symbol = _kinetic_symbol(-L, L, m, scheme)
+    _check_bracket_scale(symbol, -L, L, m)
+    return sector_levels(c_hat, symbol, _sectors(m), float(x2.max()), count)
 
 
 def grid_oscillator_spectrum(L: float, m: int, scheme: str = SPECTRAL, count: int = 6) -> np.ndarray:

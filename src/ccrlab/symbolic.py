@@ -27,9 +27,9 @@ normal-ordered on one int per term: each letter is c (x a† + y a) with x
 in {0, 1} and y in {0, 1, -1}, so it moves the terms by integer ladder
 steps, and the scalars and the constants c fold into one exact factor
 that a single content reduction applies at the end.  A scalar there is
-any product or quotient of numbers, i, sqrt2 and I, such as (1/2), (-i)
-or a rendered coefficient (-1/2*i*sqrt2): its value is read off the tree as
-an unreduced numerator tuple, with no normal form built for it.  A power
+any product or quotient of numbers, i, sqrt2 and I, such as (1/2) or
+(-i): its value is read off the tree as an unreduced numerator tuple,
+with no normal form built for it.  A power
 of a linear form x a† + y a (q, p, a, ...) is built in
 closed form, each coefficient an integer numerator over one denominator,
 in the term order that n right products leave: m descending, then k
@@ -570,23 +570,7 @@ class NormalForm:
         return NormalForm._reduced(
             {(k, m): (n0, -n1, n2, -n3) for (m, k), (n0, n1, n2, n3) in self._num.items()}, self._den)
 
-    # -- rendering / export ------------------------------------------------
-    def to_expr_text(self) -> str:
-        """Render as parseable source text (round-trips through parse)."""
-        if self.is_zero():
-            return "0"
-        parts = []
-        for (m, k), c in self.items():
-            factors = [f"({c})"]
-            if m:
-                factors.append(f"ad^{m}" if m > 1 else "ad")
-            if k:
-                factors.append(f"a^{k}" if k > 1 else "a")
-            if len(factors) == 1:
-                factors.append("I")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
-
+    # -- export ------------------------------------------------------------
     def to_matrix(self, dim: int) -> np.ndarray:
         """Assemble sum of coeff * (a†)^m a^k as a dim x dim matrix, the
         terms summed in their stored order.  Each (a†)^m a^k is one band,
@@ -609,7 +593,8 @@ class NormalForm:
         return out
 
     def __repr__(self) -> str:
-        return f"NormalForm({self.to_expr_text()})"
+        """The (m, k) keys and coefficients, in ascending order."""
+        return "NormalForm({" + ", ".join(f"{key}: {c}" for key, c in self.items()) + "})"
 
 
 _LINEAR_KEYS = frozenset({(1, 0), (0, 1)})
@@ -645,12 +630,12 @@ def _word(factors: tuple) -> NormalForm:
     and drops the terms that cancel; the scalars and the letters' constant
     factors fold into one exact factor, applied by one `_reduced` at the
     end.  A scalar is a product or quotient of numbers, i, sqrt2 and I,
-    such as (1/2), (-i) or a rendered coefficient (-1/2*i*sqrt2), read by
-    `_scalar_value` without a form, or a factor whose form has only the
-    (0, 0) term, such as (1 + i).  A term cancels in the int sum exactly where it does in
-    the exact one, as both differ by that nonzero factor, so the keys come
-    out in the loop's order and the canonical form is the loop's.  From
-    the first factor whose form is neither, the loop itself takes over."""
+    such as (1/2) or (-i), read by `_scalar_value` without a form, or a
+    factor whose form has only the (0, 0) term, such as (1 + i).  A term
+    cancels in the int sum exactly where it does in the exact one, as
+    both differ by that nonzero factor, so the keys come out in the loop's
+    order and the canonical form is the loop's.  From the first factor
+    whose form is neither, the loop itself takes over."""
     num = {(0, 0): 1}
     scalar, roots, turns = (1, 0, 0, 0, 1), 0, 0  # the exact factor as an unreduced (n0, n1, n2, n3, den)
     for j, f in enumerate(factors):
@@ -749,50 +734,6 @@ def normal_order(expr: OperatorExpr | str) -> NormalForm:
         return normal_order(expr.base) ** expr.exponent
     if isinstance(expr, Commutator):
         return normal_order(expr.left).commutator(normal_order(expr.right))
-    raise TypeError(f"not an operator expression: {expr!r}")
-
-
-def adjoint_expr(expr: OperatorExpr | str) -> OperatorExpr:
-    """Formal adjoint of an expression tree."""
-    if isinstance(expr, str):
-        expr = parse(expr)
-    if isinstance(expr, Scalar):
-        return Scalar(expr.value.conjugate())
-    if isinstance(expr, Symbol):
-        swap = {"a": "ad", "ad": "a"}
-        return Symbol(swap.get(expr.name, expr.name))
-    if isinstance(expr, Sum):
-        return Sum(tuple(adjoint_expr(t) for t in expr.terms))
-    if isinstance(expr, Product):
-        return Product(tuple(adjoint_expr(f) for f in reversed(expr.factors)))
-    if isinstance(expr, Quotient):
-        return Quotient(adjoint_expr(expr.num), adjoint_expr(expr.den))
-    if isinstance(expr, Power):
-        return Power(adjoint_expr(expr.base), expr.exponent)
-    if isinstance(expr, Commutator):
-        return Commutator(adjoint_expr(expr.right), adjoint_expr(expr.left))
-    raise TypeError(f"not an operator expression: {expr!r}")
-
-
-def operator_word_length(expr: OperatorExpr | str) -> int:
-    """Max ladder-word length of any monomial in the expansion; bounds how
-    far the expression can move Fock modes (guard-band sizing)."""
-    if isinstance(expr, str):
-        expr = parse(expr)
-    if isinstance(expr, Scalar):
-        return 0
-    if isinstance(expr, Symbol):
-        return 0 if expr.name == "I" else 1
-    if isinstance(expr, Sum):
-        return max(operator_word_length(t) for t in expr.terms)
-    if isinstance(expr, Product):
-        return sum(operator_word_length(f) for f in expr.factors)
-    if isinstance(expr, Quotient):
-        return operator_word_length(expr.num)
-    if isinstance(expr, Power):
-        return expr.exponent * operator_word_length(expr.base)
-    if isinstance(expr, Commutator):
-        return operator_word_length(expr.left) + operator_word_length(expr.right)
     raise TypeError(f"not an operator expression: {expr!r}")
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from ccrlab import analytic, fock, interval, schrodinger, symbolic, weyl
-from ccrlab.reports import RunConfig, random_fock_state, random_word_source, run_suite
+from ccrlab.reports import RunConfig, _word_text, random_fock_state, random_word, run_suite
 from ccrlab.rng import SplitMix64
 
 
@@ -154,9 +154,9 @@ def test_criterion_11_symbolic_numeric_homomorphism():
         gen = SplitMix64(7)
         dim = 12
         for _ in range(200):
-            src = random_word_source(gen, 6)
-            expr = symbolic.parse(src)
-            g = dim - max(symbolic.operator_word_length(expr), 1)
+            coeff, letters = random_word(gen, 6)
+            expr = symbolic.parse(_word_text(coeff, letters))
+            g = dim - max(len(letters) - letters.count("I"), 1)
             direct = symbolic.expr_to_matrix(expr, dim)
             assembled = symbolic.normal_order(expr).to_matrix(dim)
             assert np.abs(direct[:g, :g] - assembled[:g, :g]).max() < 1e-10

@@ -729,6 +729,24 @@ def test_cli_negative_first_values(capsys):
                                            "--interval", "-", "--out", "-1"]
 
 
+def test_cli_negative_values_in_exponent_form(capsys):
+    # argparse takes only -5 and -.5 for negative numbers: -5e-1 is joined to its option, as -1,1 is
+    outputs = []
+    for value in ("-5e-1", "-0.5"):
+        assert main(["weyl", "--t", value, "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        report.pop("wall_time_s")
+        outputs.append(report)
+    assert outputs[0] == outputs[1]
+    assert main(["irregular", "--s", "-1e9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ccr-lab: s=-1000000000.0 on the interval (0.0, 1.0)")
+    assert "the tolerance of its closed-form checks" in captured.err
+    assert _join_negative_values(["weyl", "--s", "-1E-1", "--kmax", "-2e1", "--help", "-1", "--", "-5e1"]) == [
+        "weyl", "--s=-1E-1", "--kmax=-2e1", "--help", "-1", "--", "-5e1"]
+
+
 def test_cli_usage_error_dim_beyond_dense_limit(capsys):
     for suite, dim in (("fock", 2**20 + 1), ("all", 2**21)):
         tracemalloc.start()
@@ -1044,7 +1062,8 @@ def test_cli_diff_lists_moves_flips_and_added_checks(tmp_path, capsys):
     assert main(["diff", old, old]) == 0
     out = capsys.readouterr().out.splitlines()
     n = len(json.loads(open(old).read())["checks"])
-    assert out == [f"{n} -> {n} checks: 0 status flips, 0 measured values moved, 0 added, 0 removed"]
+    assert out == [f"{n} -> {n} checks: 0 status flips, 0 measured values moved, 0 other fields changed, "
+                   "0 added, 0 removed"]
 
     def edit(checks):
         first, second = dict(checks[0]), dict(checks[1])
@@ -1060,7 +1079,25 @@ def test_cli_diff_lists_moves_flips_and_added_checks(tmp_path, capsys):
     assert out[1] == f"{names[1]}: status pass -> fail"
     assert out[2].startswith("+ fock.new_check: pass, measured ")
     assert out[3].startswith(f"- {names[2]}: pass, measured ")
-    assert out[4] == f"{n} -> {n} checks: 1 status flips, 1 measured values moved, 1 added, 1 removed"
+    assert out[4] == (f"{n} -> {n} checks: 1 status flips, 1 measured values moved, 0 other fields changed, "
+                      "1 added, 1 removed")
+
+
+def test_cli_diff_lists_changed_criteria(tmp_path, capsys):
+    # a changed relation, tolerance or detail is a line of its own, counted, and no status flip
+    old = _report_file(tmp_path / "old.json", lambda checks: checks)
+    changed = {"relation": "a new relation", "tolerance": 0.5, "detail": "a † note"}
+    new = _report_file(tmp_path / "new.json", lambda checks: [{**checks[0], **changed}] + checks[1:])
+    before = json.loads(open(old).read())["checks"][0]
+    n = len(json.loads(open(old).read())["checks"])
+    assert main(["diff", old, new]) == 0
+    name, shown = before["name"], lambda field: json.dumps(before[field], ensure_ascii=False)
+    assert capsys.readouterr().out.splitlines() == [
+        f"{name}: relation {shown('relation')} -> \"a new relation\"",
+        f"{name}: tolerance {shown('tolerance')} -> 0.5",
+        f"{name}: detail {shown('detail')} -> \"a † note\"",
+        f"{n} -> {n} checks: 0 status flips, 0 measured values moved, 3 other fields changed, 0 added, 0 removed",
+    ]
 
 
 def test_cli_diff_refuses_what_is_not_a_report(tmp_path, capsys):

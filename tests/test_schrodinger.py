@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from numpy.polynomial.hermite import hermval
 
-from ccrlab import fock, reports, schrodinger
+from ccrlab import fock, interval, reports, schrodinger
 from spectral_oracles import fourier_sector, rayleigh_quotients, record_sectors, record_solvers
 
 
@@ -509,6 +509,20 @@ def test_central_difference_refuses_an_overflowing_symbol(L):
             schrodinger.grid_oscillator_spectrum(L, 256, schrodinger.CENTRAL_DIFFERENCE)
         with pytest.raises(schrodinger.GridResolutionError, match=r"central-difference symbol 4/h\^2 overflows"):
             schrodinger.grid_kinetic(np.ones(256), -L, L, schrodinger.CENTRAL_DIFFERENCE)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: schrodinger.grid_oscillator_spectrum(1e-100, 256),
+    lambda: schrodinger.grid_oscillator_spectrum(1e-100, 256, schrodinger.CENTRAL_DIFFERENCE),
+    lambda: schrodinger.grid_oscillator_spectrum(1.28e-150, 256, schrodinger.CENTRAL_DIFFERENCE),
+    lambda: interval.interval_number_spectrum(interval.IntervalRepSpec(-1e-100, 1e-100, 256), 3),
+], ids=["spectral", "central_difference", "central_difference_4e304", "interval"])
+def test_schur_bracket_refuses_a_symbol_whose_square_overflows(call):
+    # (kappa_Q - mu)^2 would overflow as a Python float: refused before any eigensolve, naming the step
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(schrodinger.GridResolutionError, match=r"has step h=.*: the Schur bracket squares"):
+            call()
 
 
 def test_hermite_ground_state_is_gaussian():

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from ccrlab import fock, symbolic
 from ccrlab.exact import HALF_SQRT2, ExactScalar, I, ONE, ZERO, _times, _to_complex
 from ccrlab.rng import SplitMix64
-from ccrlab.reports import _WORD_COEFFS, random_word_source
+from ccrlab.reports import RunConfig, _WORD_COEFFS, _word_text, random_word, symbolic_suite
 from ccrlab.symbolic import (
     Commutator,
     NormalForm,
@@ -24,13 +24,11 @@ from ccrlab.symbolic import (
     Sum,
     Symbol,
     _reorder,
-    adjoint_expr,
     conjugation_series,
     exp_commutator_series,
     expr_to_matrix,
     fock_norm_exact,
     normal_order,
-    operator_word_length,
     parse,
     vacuum_expectation,
     verify_identity,
@@ -243,32 +241,66 @@ def test_power_zero_is_identity():
     assert normal_order("q^0") == normal_order("I")
 
 
-def test_linearity_exact():
-    gen = SplitMix64(3)
-    for _ in range(30):
-        x = random_word_source(gen, 4)
-        y = random_word_source(gen, 4)
-        assert normal_order(f"({x}) + ({y})") == normal_order(x) + normal_order(y)
-
-
-def test_idempotence_on_rendered_form():
-    gen = SplitMix64(4)
-    for _ in range(30):
-        nf = normal_order(random_word_source(gen, 5))
-        assert normal_order(nf.to_expr_text()) == nf
-
-
-def test_adjoint_consistency():
-    gen = SplitMix64(5)
-    for _ in range(30):
-        e = parse(random_word_source(gen, 5))
-        assert normal_order(adjoint_expr(e)) == normal_order(e).adjoint()
-
-
 def test_adjoint_of_hermitian_symbols():
     for name in ("q", "p", "I"):
         nf = normal_order(Symbol(name))
         assert nf.adjoint() == nf
+
+
+def _text_word_source(gen, max_len):
+    """The seeded word as parser text, drawn as the symbolic suite drew it when
+    a word was its text: the reference for random_word's draws."""
+    length = gen.randint(1, max_len)
+    letters = [("a", "ad", "q", "p")[gen.randint(0, 3)] for _ in range(length)]
+    if gen.randint(0, 4) == 0:
+        letters[gen.randint(0, length - 1)] = "I"
+    coeff = _WORD_COEFFS[gen.randint(0, len(_WORD_COEFFS) - 1)]
+    return f"({coeff}) * " + " * ".join(letters)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_random_words_are_the_text_draws(seed):
+    # the symbolic suite's streams: matrix_homomorphism's, adjoint_commutes' and sum_and_difference's
+    for offset, count, max_len in ((7, 200, 6), (8, 50, 5), (9, 100, 4)):
+        gen, reference = SplitMix64(seed + offset), SplitMix64(seed + offset)
+        for _ in range(count):
+            assert _word_text(*random_word(gen, max_len)) == _text_word_source(reference, max_len)
+
+
+def _symbolic_status(name, seed=7):
+    return next(r.status for r in symbolic_suite(RunConfig(suite="symbolic", seed=seed)) if r.name == name)
+
+
+@pytest.mark.parametrize("defect", ["no conjugation", "no key swap"])
+def test_adjoint_commutes_catches_a_defective_adjoint(monkeypatch, defect):
+    assert _symbolic_status("adjoint_commutes") == "pass"
+
+    def adjoint(self):
+        if defect == "no conjugation":
+            num = {(k, m): n for (m, k), n in self._num.items()}
+        else:
+            num = {key: (n0, -n1, n2, -n3) for key, (n0, n1, n2, n3) in self._num.items()}
+        return NormalForm._reduced(num, self._den)
+
+    monkeypatch.setattr(NormalForm, "adjoint", adjoint)
+    assert _symbolic_status("adjoint_commutes") == "fail"
+
+
+@pytest.mark.parametrize("defect", ["sum for difference", "no reduction"])
+def test_sum_and_difference_catches_a_defective_merge(monkeypatch, defect):
+    assert _symbolic_status("sum_and_difference") == "pass"
+    merge = NormalForm._merge
+
+    def defective(self, other, sign):
+        if defect == "sum for difference":
+            return merge(self, other, 1)
+        form = merge(self, other, sign)  # the same sum over twice the denominator, not canonical
+        wide = object.__new__(NormalForm)
+        wide._den, wide._num = 2 * form._den, {key: tuple(2 * x for x in n) for key, n in form._num.items()}
+        return wide
+
+    monkeypatch.setattr(NormalForm, "_merge", defective)
+    assert _symbolic_status("sum_and_difference") == "fail"
 
 
 # -- the literal rewriter: the oracle for _reorder ------------------------------
@@ -483,9 +515,9 @@ def test_homomorphism_random_words():
     gen = SplitMix64(99)
     dim = 12
     for _ in range(60):
-        src = random_word_source(gen, 6)
-        expr = parse(src)
-        g = dim - max(operator_word_length(expr), 1)
+        coeff, letters = random_word(gen, 6)
+        expr = parse(_word_text(coeff, letters))
+        g = dim - max(len(letters) - letters.count("I"), 1)
         direct = expr_to_matrix(expr, dim)
         assembled = normal_order(expr).to_matrix(dim)
         assert np.abs(direct[:g, :g] - assembled[:g, :g]).max() < 1e-10
@@ -525,7 +557,7 @@ def _seeded_words(seed):
     """The symbolic suite's 200 matrix_homomorphism words at dim 12, and 48
     words of 8 letters at dim 32 as the exact_proofs benchmark draws them."""
     gen = SplitMix64(seed + 7)
-    words = [(random_word_source(gen, 6), 12) for _ in range(200)]
+    words = [(_word_text(*random_word(gen, 6)), 12) for _ in range(200)]
     gen = SplitMix64(seed)
     for _ in range(48):
         letters = [("a", "ad", "q", "p")[gen.randint(0, 3)] for _ in range(8)]
@@ -542,12 +574,6 @@ def test_matrices_are_the_reference_routes(seed):
         assert np.array_equal(expr_to_matrix(src, dim), _reference_expr_to_matrix(parse(src), dim)), src
     for src in ("2", "2*i*3", "sqrt2*I", "(1+i)*q*p", "i*(q + p)*a", "q^2*3", "[q, p]*i", "-q", "(1/3)*a*2"):
         assert np.array_equal(expr_to_matrix(src, 6), _reference_expr_to_matrix(parse(src), 6)), src
-
-
-def test_word_length():
-    assert operator_word_length("q^3 * p") == 4
-    assert operator_word_length("I + 2*a") == 1
-    assert operator_word_length("[q, p^2]") == 3
 
 
 def test_normal_form_algebra():
@@ -777,7 +803,7 @@ def test_products_by_a_scalar_form_are_the_pair_loop(form, s):
     _same_form(scalar * scalar, _loop_product(scalar, scalar))
 
 
-# the rendered coefficients that adjoint_and_idempotence parses back, and other scalar subtrees
+# scalar subtrees: products, quotients, sums and powers of numbers, i, sqrt2 and I
 _SCALAR_SUBTREES = ("(-1/2*i*sqrt2)", "(1/2 + 1/2*i)", "(-1/4*sqrt2 + 3/2*i*sqrt2)", "(sqrt2^2)", "(2*I)",
                     "((1/3)/(2*i))", "(i - i)", "(2^0)")
 _word_factors = st.lists(
@@ -791,7 +817,7 @@ _word_factors = st.lists(
 @settings(max_examples=300, deadline=None)
 def test_words_are_the_left_fold_of_the_general_loop(factors, compound, at):
     # letters and scalars in any order, as the parser gives them: a Scalar, a Quotient
-    # (1/2), a Product (-1, -i), a Sum (1+i) or a rendered coefficient, which the
+    # (1/2), a Product (-1, -i), a Sum (1+i) or a scalar subtree such as (-1/2*i*sqrt2), which the
     # int-coefficient word kernel runs; from a compound factor on, when one is
     # inserted, the factor-by-factor loop
     if compound is not None:
