@@ -31,8 +31,8 @@ import math
 import numpy as np
 
 from .fock import _Value
-from .schrodinger import (_check_bracket_scale, _grid_step, _sectors, grid_points, grid_wavenumbers,
-                          reflection_block, sector_levels)
+from .schrodinger import (GridResolutionError, _check_bracket_scale, _grid_step, _sectors, grid_points,
+                          grid_wavenumbers, reflection_block, sector_levels)
 
 BOUNDARY_CONDITION = "periodic"
 # The largest side of a dense square array, 64 MiB per complex array: the
@@ -99,15 +99,27 @@ def aligned_spec(a: float, b: float, t: float, m_target: int) -> IntervalRepSpec
 def unitarity_defect(spec: IntervalRepSpec, t: float, s: float) -> float:
     """max |U U† - I| over U_t and V_s, entrywise, without forming either.
 
-    U_t is the exact cyclic shift (U_t f)(x) = f(x + t mod length): its
-    index map is a bijection, so U_t U_t† = I exactly, else the defect is
-    1.  V_s is multiplication by e^{isx}, so V_s V_s† - I is the real
-    diagonal |e^{isx}|^2 - 1."""
-    r = _shift_steps(spec, t)
-    index = np.arange(spec.m)
-    shift_defect = 0.0 if np.array_equal(np.sort(np.roll(index, -r)), index) else 1.0
+    U_t is the exact cyclic shift (U_t f)(x) = f(x + t mod length) by
+    t/h steps, which must be a nonzero integer: a permutation, so
+    U_t U_t† = I exactly, and only that alignment is checked.  V_s is
+    multiplication by e^{isx}, so V_s V_s† - I is the real diagonal
+    |e^{isx}|^2 - 1, whose defect is the result: NaN where a phase is."""
+    _shift_steps(spec, t)
     phase = np.exp(1j * s * spec.points)
-    return max(shift_defect, float(np.abs((phase * phase.conj()).real - 1.0).max()))
+    return float(np.abs((phase * phase.conj()).real - 1.0).max())
+
+
+def _shift_and_state(spec: IntervalRepSpec, t: float, psi: np.ndarray | None) -> tuple[int, np.ndarray]:
+    """The steps r = t/h of the exact shift U_t and psi as complex samples,
+    checked: 0 < t < b - a, r a nonzero integer, and psi (the normalized
+    constant function if None) of m samples."""
+    if not 0 < t < spec.length:
+        raise ValueError(f"need 0 < t < {spec.length}, got {t}")
+    r = _shift_steps(spec, t)
+    v = spec.constant_state() if psi is None else np.asarray(psi, dtype=complex)
+    if v.shape != (spec.m,):
+        raise ValueError(f"psi must have {spec.m} samples")
+    return r, v
 
 
 def interval_weyl_residual(
@@ -118,12 +130,7 @@ def interval_weyl_residual(
     U_t is the exact cyclic shift (t must be a multiple of the step and
     lie in (0, b-a)); psi defaults to the normalized constant function.
     """
-    if not 0 < t < spec.length:
-        raise ValueError(f"need 0 < t < {spec.length}, got {t}")
-    r = _shift_steps(spec, t)
-    v = spec.constant_state() if psi is None else np.asarray(psi, dtype=complex)
-    if v.shape != (spec.m,):
-        raise ValueError(f"psi must have {spec.m} samples")
+    r, v = _shift_and_state(spec, t, psi)
     phase = np.exp(1j * s * spec.points)
     shift = lambda f: np.roll(f, -r)
     diff = shift(phase * v) - np.exp(1j * s * t) * phase * shift(v)
@@ -137,9 +144,9 @@ def closed_form_wrap_residual(
 
     Derived by evaluating both Weyl products pointwise: they agree except
     where x + t wraps, where they differ by the phase jump across the
-    seam; integration over the wrapped window gives the formula."""
-    r = _shift_steps(spec, t)
-    v = spec.constant_state() if psi is None else np.asarray(psi, dtype=complex)
+    seam; integration over the wrapped window gives the formula.  t and
+    psi are checked as `interval_weyl_residual` checks them."""
+    r, v = _shift_and_state(spec, t, psi)
     jump = abs(np.exp(-1j * s * spec.length) - 1.0)
     window = spec.h * float(np.sum(np.abs(v[:r]) ** 2))
     return jump * math.sqrt(window)
@@ -150,15 +157,14 @@ def interval_weyl_residual_expm(spec: IntervalRepSpec, t: float, s: float) -> fl
     momentum, e^{itk} on each DFT mode, instead of the exact cyclic shift.
     The unpaired Nyquist mode of even m, the sawtooth (-1)^j, takes the
     phase (-1)^r of the exact shift by r = t/h steps, so t must be a
-    multiple of the step: its wavenumber zero would leave it unmoved."""
-    if not 0 < t < spec.length:
-        raise ValueError(f"need 0 < t < {spec.length}, got {t}")
+    multiple of the step, of any m: its wavenumber zero would leave it
+    unmoved.  psi is the normalized constant function."""
+    r, v = _shift_and_state(spec, t, None)
     mode_phase = np.exp(1j * t * grid_wavenumbers(spec.a, spec.b, spec.m))
     if spec.m % 2 == 0:
-        mode_phase[spec.m // 2] = (-1) ** _shift_steps(spec, t)
+        mode_phase[spec.m // 2] = (-1) ** r
     U = lambda f: np.fft.ifft(mode_phase * np.fft.fft(f))
     phase = np.exp(1j * s * spec.points)
-    v = spec.constant_state()
     diff = U(phase * v) - np.exp(1j * s * t) * phase * U(v)
     return math.sqrt(spec.h) * float(np.linalg.norm(diff))
 
@@ -168,8 +174,13 @@ def _x2_mode_integrals(a: float, b: float, n_max: int) -> tuple[np.ndarray, np.n
     for nu_n = 2 pi n/length, n = 0..n_max, exact.
 
     For n >= 1 the integral of x^2 e^{-i nu x} is e^{-i nu a} (2/nu^2 +
-    i(a+b)/nu) after dividing by the length, since e^{-i nu b} = e^{-i nu a}."""
+    i(a+b)/nu) after dividing by the length, since e^{-i nu b} = e^{-i nu a}.
+    GridResolutionError, before numpy squares nu, when nu_n_max^2 overflows."""
     length = b - a
+    top = 2.0 * math.pi * n_max / length  # nu[-1], formed as numpy forms it below
+    if top * top == math.inf:
+        raise GridResolutionError(f"interval ({a!r}, {b!r}) has mode frequency nu_{n_max} = 2 pi {n_max}/(b - a) "
+                                  f"= {top!r}, and its square overflows")
     nu = 2.0 * np.pi * np.arange(1, n_max + 1) / length
     cos, sin = np.cos(nu * a), np.sin(nu * a)
     C = np.concatenate([[(b**3 - a**3) / (3.0 * length)], 2.0 * cos / nu**2 + (a + b) * sin / nu])

@@ -13,8 +13,9 @@ Every step h = (x_max - x_min) / m, 2L/m on [-L, L), is `_grid_step`'s.
 It refuses non-finite or reversed bounds or m < 8 (ValueError), and a
 step that is not positive and finite, where x_max - x_min overflows or
 the step underflows to 0 (GridResolutionError).  p and p^2 refuse a step
-whose largest wavenumber pi/h overflows, and the central-difference p^2
-one whose largest symbol 4/h^2 does (GridResolutionError); the oscillator
+whose largest wavenumber pi/h overflows, the central-difference p^2 one
+whose largest symbol 4/h^2 does, and the spectral p^2 one whose largest
+wavenumber squared does (GridResolutionError); the oscillator
 and interval levels refuse a grid whose largest symbol, doubled and squared
 by the Schur bracket, overflows (`_check_bracket_scale`); `check_resolution`
 also refuses h > pi, too coarse for the oscillator's ground state, and any
@@ -65,7 +66,8 @@ class GridResolutionError(ValueError):
     """Raised when a residual is dominated by discretization error, when a
     grid is too coarse to resolve the oscillator's ground state, or when
     its width overflows, its step underflows, its pi/h or 4/h^2 overflows
-    or the square of twice its largest symbol does."""
+    or the square of its largest wavenumber or of twice its largest symbol
+    does."""
 
 
 def _grid_step(x_min: float, x_max: float, m: int) -> float:
@@ -193,6 +195,7 @@ def _kinetic_symbol(x_min: float, x_max: float, m: int, scheme: str) -> np.ndarr
     for central differences."""
     if scheme == SPECTRAL:
         k = grid_wavenumbers(x_min, x_max, m)
+        _check_square(float(np.abs(k).max()), x_min, x_max, m, "the spectral symbol squares its largest wavenumber")
         return k * k
     if scheme == CENTRAL_DIFFERENCE:
         h = _grid_step(x_min, x_max, m)
@@ -381,15 +384,20 @@ def _schur_levels(column: np.ndarray, symbol: np.ndarray, sector: tuple, tau: fl
     return None
 
 
+def _check_square(value: float, x_min: float, x_max: float, m: int, what: str) -> None:
+    """Raise GridResolutionError, naming the grid and its step, when value^2
+    overflows: checked as a Python float, before numpy squares it."""
+    if value * value == math.inf:
+        raise GridResolutionError(f"grid x_min={x_min!r}, x_max={x_max!r}, m={m} has step "
+                                  f"h={_grid_step(x_min, x_max, m)!r}: {what}, {value!r}, and that square overflows")
+
+
 def _check_bracket_scale(symbol: np.ndarray, x_min: float, x_max: float, m: int) -> None:
     """Raise GridResolutionError, before any eigensolve, when (2 max symbol)^2
     overflows, as on a grid of tiny step: `_schur_bracket` divides by
     (kappa_Q - mu)^2, and kappa_Q - mu < 2 max symbol, as mu >= 0 up to rounding."""
-    top = float(symbol.max())
-    if (2.0 * top) * (2.0 * top) == math.inf:
-        raise GridResolutionError(f"grid x_min={x_min!r}, x_max={x_max!r}, m={m} has step "
-                                  f"h={_grid_step(x_min, x_max, m)!r}: the Schur bracket squares up to twice "
-                                  f"its largest kinetic symbol {top!r}, and that square overflows")
+    _check_square(2.0 * float(symbol.max()), x_min, x_max, m,
+                  "the Schur bracket squares up to twice its largest kinetic symbol")
 
 
 def sector_levels(column: np.ndarray, symbol: np.ndarray, sectors: tuple, tau: float,

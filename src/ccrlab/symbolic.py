@@ -10,7 +10,11 @@ identities are decided exactly.
 
 A text is split into tokens by one regular expression and parsed by
 recursive descent over the token strings; a token's position is found
-only for a ParseError.
+only for a ParseError.  The parser folds a unary minus of a Scalar leaf
+(a number, i or sqrt2), and a product or a quotient of two Scalar leaves by
+a nonzero divisor, into one Scalar leaf, so "(1/2)" and "-16*i" each
+parse to one; a quotient by a zero Scalar stays a Quotient, which
+raises ZeroDivisionError when it is evaluated.
 
 A normal form stores its coefficients as integer numerator tuples
 (n0, n1, n2, n3) over one positive denominator shared by all its terms,
@@ -26,16 +30,13 @@ a `Product` of symbols and scalars such as "(1/2) * q * a * p", is
 normal-ordered on one int per term: each letter is c (x a† + y a) with x
 in {0, 1} and y in {0, 1, -1}, so it moves the terms by integer ladder
 steps, and the scalars and the constants c fold into one exact factor
-that a single content reduction applies at the end.  A scalar there is
-any product or quotient of numbers, i, sqrt2 and I, such as (1/2) or
-(-i): its value is read off the tree as an unreduced numerator tuple,
-with no normal form built for it.  A power
-of a linear form x a† + y a (q, p, a, ...) is built in
-closed form, each coefficient an integer numerator over one denominator,
-in the term order that n right products leave: m descending, then k
-ascending, when the base lists a† first; k - m descending, then m
-ascending, when it lists a first; its weights follow each other along
-those rows, so n! is divided once per row.  A power of any other form is
+that a single content reduction applies at the end.  A power of a
+linear form x a† + y a (q, p, a, ...) is built in closed form, each
+coefficient an integer numerator over one denominator, in the term
+order that n right products leave: m descending, then k ascending, when
+the base lists a† first; k - m descending, then m ascending, when it
+lists a first; its weights follow each other along those rows, so n! is
+divided once per row.  A power of any other form is
 n right products from I.  All insert terms in the order that `to_matrix`
 sums in, but for a commutator with a linear side: one pass over the
 other side's terms, which forms none of the products' terms that cancel.
@@ -220,7 +221,9 @@ class _Parser:
         while self.peek() in ("*", "/"):
             op = self.next()
             rhs = self.unary()
-            if op == "*":
+            if isinstance(node, Scalar) and isinstance(rhs, Scalar) and (op == "*" or not rhs.value.is_zero()):
+                node = Scalar(node.value * rhs.value if op == "*" else node.value / rhs.value)
+            elif op == "*":
                 if isinstance(node, Product):
                     node = Product(node.factors + (rhs,))
                 else:
@@ -232,7 +235,8 @@ class _Parser:
     def unary(self) -> OperatorExpr:
         if self.peek() == "-":
             self.next()
-            return Product((_MINUS_ONE, self.unary()))
+            node = self.unary()
+            return Scalar(-node.value) if isinstance(node, Scalar) else Product((_MINUS_ONE, node))
         return self.power()
 
     def power(self) -> OperatorExpr:
@@ -275,7 +279,8 @@ def _number(tok: str) -> Scalar:
 @lru_cache(maxsize=256)
 def parse(text: str) -> OperatorExpr:
     """Parse an operator expression.  Whitespace-insensitive; ^ binds
-    tighter than * and /, which bind tighter than + and -.  The tree is
+    tighter than * and /, which bind tighter than + and -.  Scalar
+    arithmetic is folded as the module docstring says.  The tree is
     memoized by its text and shared, as no node can be assigned to."""
     return _Parser(text).parse()
 
@@ -331,7 +336,7 @@ class NormalForm:
     content once; ExactScalar coefficients are built only on request.
     """
 
-    __slots__ = ("_den", "_num", "_hash", "_moves")
+    __slots__ = ("_den", "_num", "_moves")
 
     def __init__(self, terms: dict | None = None):
         scalars = {}
@@ -400,11 +405,7 @@ class NormalForm:
         return isinstance(other, NormalForm) and self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:  # computed on the first lookup; a form is never mutated
-            self._hash = hash((self._den, frozenset(self._num.items())))
-            return self._hash
+        return hash((self._den, frozenset(self._num.items())))
 
     # -- algebra ----------------------------------------------------------
     def __add__(self, other: "NormalForm") -> "NormalForm":
@@ -629,9 +630,9 @@ def _word(factors: tuple) -> NormalForm:
     right, a^k a† = a† a^k + k a^(k-1), in the order of its leaf's keys,
     and drops the terms that cancel; the scalars and the letters' constant
     factors fold into one exact factor, applied by one `_reduced` at the
-    end.  A scalar is a product or quotient of numbers, i, sqrt2 and I,
-    such as (1/2) or (-i), read by `_scalar_value` without a form, or a
-    factor whose form has only the (0, 0) term, such as (1 + i).  A term
+    end.  A scalar is a Scalar leaf, such as (1/2) or (-i) as the parser
+    folds them, whose numerator tuple is read as it stands, or a factor
+    whose form has only the (0, 0) term, such as I or (1 + i).  A term
     cancels in the int sum exactly where it does in the exact one, as
     both differ by that nonzero factor, so the keys come out in the loop's
     order and the canonical form is the loop's.  From the first factor
@@ -653,9 +654,8 @@ def _word(factors: tuple) -> NormalForm:
                     out[m, k + 1] = get((m, k + 1), 0) + plain * c
             num = {key: c for key, c in out.items() if c}
             continue
-        value = _scalar_value(f)
-        if value is not None:
-            scalar = _times(scalar, value)
+        if isinstance(f, Scalar):
+            scalar = _times(scalar, f.value._n)
             continue
         form = normal_order(f)
         if form._num.keys() <= _SCALAR_KEYS:
@@ -666,34 +666,6 @@ def _word(factors: tuple) -> NormalForm:
             acc = acc * normal_order(g)
         return acc
     return _word_form(num, scalar, roots, turns)
-
-
-def _scalar_value(expr: OperatorExpr) -> tuple | None:
-    """The value of a subtree made only of numbers, i, sqrt2 and I, joined by
-    * and /, as an unreduced (n0, n1, n2, n3, den); None for any other.  It
-    reads the nodes in the order normal_order does, so a zero divisor raises
-    the ZeroDivisionError that normal_order raises."""
-    if isinstance(expr, Scalar):
-        return expr.value._n
-    if isinstance(expr, Symbol):
-        return (1, 0, 0, 0, 1) if expr.name == "I" else None
-    if isinstance(expr, Product):
-        value = (1, 0, 0, 0, 1)
-        for f in expr.factors:
-            v = _scalar_value(f)
-            if v is None:
-                return None
-            value = _times(value, v)
-        return value
-    if isinstance(expr, Quotient):
-        den = _scalar_value(expr.den)
-        if den is None:
-            return None
-        if not any(den[:4]):
-            raise ZeroDivisionError("division by zero expression")
-        num = _scalar_value(expr.num)
-        return None if num is None else _times(num, _canonical(*den).inverse()._n)
-    return None
 
 
 def _word_form(num: dict, scalar: tuple, roots: int, turns: int) -> NormalForm:
@@ -724,17 +696,24 @@ def normal_order(expr: OperatorExpr | str) -> NormalForm:
     if isinstance(expr, Product):
         return _word(expr.factors)
     if isinstance(expr, Quotient):
-        den = normal_order(expr.den)
-        if any(key != (0, 0) for key in den._num):
-            raise ValueError("division is only defined by scalar expressions")
-        if den.is_zero():
-            raise ZeroDivisionError("division by zero expression")
-        return normal_order(expr.num).scale(den.coeff(0, 0).inverse())
+        inverse = _divisor(expr.den).inverse()
+        return normal_order(expr.num).scale(inverse)
     if isinstance(expr, Power):
         return normal_order(expr.base) ** expr.exponent
     if isinstance(expr, Commutator):
         return normal_order(expr.left).commutator(normal_order(expr.right))
     raise TypeError(f"not an operator expression: {expr!r}")
+
+
+def _divisor(den: OperatorExpr) -> ExactScalar:
+    """The value of a quotient's divisor: ValueError unless its form is a
+    scalar, ZeroDivisionError if that scalar is zero."""
+    form = normal_order(den)
+    if not form._num.keys() <= _SCALAR_KEYS:
+        raise ValueError("division is only defined by scalar expressions")
+    if form.is_zero():
+        raise ZeroDivisionError("division by zero expression")
+    return form.coeff(0, 0)
 
 
 @lru_cache(maxsize=10)
@@ -788,10 +767,8 @@ def expr_to_matrix(expr: OperatorExpr | str, dim: int) -> np.ndarray:
             out = out @ _matrix_of(f, dim)
         return out
     if isinstance(expr, Quotient):
-        den = normal_order(expr.den)
-        if any(key != (0, 0) for key in den._num) or den.is_zero():
-            raise ValueError("division is only defined by nonzero scalar expressions")
-        return expr_to_matrix(expr.num, dim) / den.coeff(0, 0).to_complex()
+        den = _divisor(expr.den).to_complex()
+        return expr_to_matrix(expr.num, dim) / den
     if isinstance(expr, Power):
         return np.linalg.matrix_power(expr_to_matrix(expr.base, dim), expr.exponent)
     if isinstance(expr, Commutator):

@@ -134,6 +134,15 @@ def test_unitarity_defect_matches_dense_matrices(a, b, m, t, s):
     assert interval.unitarity_defect(spec, t, s) == want
 
 
+def test_unitarity_defect_shows_a_nan_phase():
+    # s x overflows, so a phase is NaN: the defect is NaN, not 0.0; t must still be aligned
+    spec = IntervalRepSpec(0.0, 1e10, 256)
+    with np.errstate(all="ignore"):
+        assert math.isnan(interval.unitarity_defect(spec, 4 * spec.h, 1e300))
+    with pytest.raises(ValueError, match="not grid-aligned"):
+        interval.unitarity_defect(IntervalRepSpec(0.0, 1.0, 64), 0.3, 1.0)
+
+
 def test_unitarity_defect_memory():
     spec = IntervalRepSpec(0.0, 1.0, 2048)
     tracemalloc.start()
@@ -155,6 +164,22 @@ def test_t_alignment_enforced():
         interval.interval_weyl_residual(spec, 1.5, 1.0)
     with pytest.raises(ValueError, match="nonzero integer"):
         interval.interval_weyl_residual(spec, 1e-12, 1.0)  # 6.4e-11 steps: U_t would be the identity
+
+
+@pytest.mark.parametrize("route", [interval.interval_weyl_residual, interval.closed_form_wrap_residual,
+                                   interval.interval_weyl_residual_expm])
+@pytest.mark.parametrize("m, t, message", [(256, 2.0, "need 0 < t < 1"), (256, -0.25, "need 0 < t < 1"),
+                                           (51, 0.3, "not grid-aligned")])
+def test_every_wrap_route_checks_t_alike(route, m, t, message):
+    # 0.3 is 15.3 steps of 51: odd m has no Nyquist mode, and the expm route needs the shift's r all the same
+    with pytest.raises(ValueError, match=message):
+        route(IntervalRepSpec(0.0, 1.0, m), t, 1.0)
+
+
+@pytest.mark.parametrize("route", [interval.interval_weyl_residual, interval.closed_form_wrap_residual])
+def test_wrap_routes_check_psi_alike(route):
+    with pytest.raises(ValueError, match="psi must have 256 samples"):
+        route(IntervalRepSpec(0.0, 1.0, 256), 0.25, 1.0, np.ones(10))
 
 
 def test_aligned_spec_helper():

@@ -12,6 +12,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -541,6 +542,13 @@ def test_cli_sweep_refuses_non_finite_t_and_s(capsys):
     assert capsys.readouterr().out.split("\n")[1] == "1.0,,,failed: ValueError"
     assert main(["sweep", "--interval-lengths", "0,-1"]) == 0
     assert capsys.readouterr().out.split("\n")[1:3] == ["0.0,,,failed: ZeroDivisionError", "-1.0,,,failed: ValueError"]
+
+
+def test_cli_sweep_refuses_an_overflowing_mode_frequency_without_a_warning(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "--interval-lengths", "1e-300", "--t", "1e-301"]) == 0
+    assert capsys.readouterr().out.split("\n")[1] == "1e-300,,,failed: GridResolutionError"
 
 
 def test_cli_unwritable_out_is_a_usage_error(tmp_path, capsys):

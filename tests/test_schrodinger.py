@@ -525,6 +525,22 @@ def test_schur_bracket_refuses_a_symbol_whose_square_overflows(call):
             call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: schrodinger.grid_kinetic(np.ones(256), -1e-152, 1e-152), "the spectral symbol squares its largest wavenumber"),
+    (lambda: schrodinger.grid_oscillator_spectrum(1e-152, 256), "the spectral symbol squares its largest wavenumber"),
+    (lambda: interval.interval_number_spectrum(interval.IntervalRepSpec(-1e-152, 1e-152, 256), 3),
+     r"mode frequency nu_256 = .*, and its square overflows"),
+    (lambda: interval.interval_number_spectrum(interval.IntervalRepSpec(0.0, 1e-300, 256), 3),
+     r"mode frequency nu_256 = .*, and its square overflows"),
+], ids=["grid_kinetic", "grid_oscillator_spectrum", "centred_interval", "interval"])
+def test_a_frequency_whose_square_overflows_is_refused_before_numpy_squares_it(call, message):
+    # k^2 or nu^2 would overflow to inf, and the kinetic term to NaN, with a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(schrodinger.GridResolutionError, match=message):
+            call()
+
+
 def test_hermite_ground_state_is_gaussian():
     L, m = 10.0, 256
     basis = schrodinger.hermite_basis(L, m, 0)

@@ -66,6 +66,29 @@ def test_parse_scalar_division():
     assert nf.coeff(1, 0) == half_sqrt2
 
 
+@pytest.mark.parametrize("text, value", [
+    ("(1/2)", ExactScalar.rational(Fraction(1, 2))), ("(-i)", -I), ("-16*i", I * -16), ("1/sqrt2", HALF_SQRT2),
+    ("(-1/2*i*sqrt2)", -I * HALF_SQRT2), ("((1/3)/(2*i))", ExactScalar.rational(Fraction(1, 6)) / I),
+])
+def test_parser_folds_scalar_arithmetic_into_one_leaf(text, value):
+    assert parse(text) == Scalar(value)
+
+
+@pytest.mark.parametrize("text", ["1/0", "q/(1-1)"])
+def test_a_zero_divisor_stays_a_quotient_that_both_routes_refuse(text):
+    assert isinstance(parse(text), symbolic.Quotient)
+    with pytest.raises(ZeroDivisionError, match="division by zero expression"):
+        normal_order(text)
+    with pytest.raises(ZeroDivisionError, match="division by zero expression"):
+        expr_to_matrix(text, 4)
+
+
+def test_both_routes_refuse_an_operator_divisor_alike():
+    for route in (normal_order, lambda text: expr_to_matrix(text, 4)):
+        with pytest.raises(ValueError, match="^division is only defined by scalar expressions$"):
+            route("q/a")
+
+
 def test_parse_whitespace_insensitive():
     assert normal_order(" [ p , q ] ") == normal_order("[p,q]")
 
@@ -803,11 +826,18 @@ def test_products_by_a_scalar_form_are_the_pair_loop(form, s):
     _same_form(scalar * scalar, _loop_product(scalar, scalar))
 
 
-# scalar subtrees: products, quotients, sums and powers of numbers, i, sqrt2 and I
+# scalar subtrees of numbers, i, sqrt2 and I: the parser folds the products and quotients
+# of Scalars into one leaf, and leaves sums, powers and products with I as trees
 _SCALAR_SUBTREES = ("(-1/2*i*sqrt2)", "(1/2 + 1/2*i)", "(-1/4*sqrt2 + 3/2*i*sqrt2)", "(sqrt2^2)", "(2*I)",
                     "((1/3)/(2*i))", "(i - i)", "(2^0)")
+# scalar factors the parser does not make, built by hand, and the symbol I
+_TWO = Scalar(ExactScalar.rational(2))
+_UNFOLDED_SCALARS = (symbolic.Quotient(Scalar(ONE), _TWO), Product((Scalar(-ONE), Scalar(I))),
+                     symbolic.Quotient(Scalar(ExactScalar.rational(Fraction(1, 3))), Product((_TWO, Scalar(I)))),
+                     Symbol("I"))
 _word_factors = st.lists(
-    st.sampled_from(("a", "ad", "q", "p", "I") + _WORD_COEFFS + ("0", "(1+i)") + _SCALAR_SUBTREES).map(parse),
+    st.one_of(st.sampled_from(("a", "ad", "q", "p", "I") + _WORD_COEFFS + ("0", "(1+i)") + _SCALAR_SUBTREES).map(parse),
+              st.sampled_from(_UNFOLDED_SCALARS)),
     min_size=1, max_size=12,
 )
 
@@ -816,10 +846,10 @@ _word_factors = st.lists(
        st.integers(0, 12))
 @settings(max_examples=300, deadline=None)
 def test_words_are_the_left_fold_of_the_general_loop(factors, compound, at):
-    # letters and scalars in any order, as the parser gives them: a Scalar, a Quotient
-    # (1/2), a Product (-1, -i), a Sum (1+i) or a scalar subtree such as (-1/2*i*sqrt2), which the
-    # int-coefficient word kernel runs; from a compound factor on, when one is
-    # inserted, the factor-by-factor loop
+    # letters and scalars in any order, which the int-coefficient word kernel runs: a Scalar
+    # leaf such as (1/2) or (-1/2*i*sqrt2) as the parser folds it, a Sum (1+i) or a power, or
+    # a Quotient or Product of Scalars or I, which it reads through their forms; from a
+    # compound factor on, when one is inserted, the factor-by-factor loop
     if compound is not None:
         factors.insert(at, parse(compound))
     want = functools.reduce(_loop_product, map(normal_order, factors), normal_order("I"))
