@@ -32,8 +32,13 @@ from . import reports
 USAGE_ERROR = 2
 
 
-def _parse_list(text: str, cast):
-    return [cast(x) for x in text.split(",") if x.strip()]
+def _parse_list(option: str, text: str, cast):
+    """The comma-separated items of an option's value; ValueError, naming
+    the option, on an empty item."""
+    items = text.split(",")
+    if not all(x.strip() for x in items):
+        raise ValueError(f"{option} has an empty item in {text!r}")
+    return [cast(x) for x in items]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,7 +78,7 @@ def _fields_from_args(args) -> dict:
             raise ValueError("--grid expects L,M,scheme")
         given.update(grid_l=float(grid_parts[0]), grid_m=int(grid_parts[1]), scheme=grid_parts[2].strip())
     if args.interval is not None:
-        interval_parts = _parse_list(args.interval, float)
+        interval_parts = _parse_list("--interval", args.interval, float)
         if len(interval_parts) != 2:
             raise ValueError("--interval expects a,b")
         given.update(interval_a=interval_parts[0], interval_b=interval_parts[1])
@@ -103,15 +108,16 @@ def _run(args):
     """A callable that runs the suite or sweep that args ask for and gives
     the text to write and the exit code.  ValueError on the first fault, in
     this order: a sweep's --format, a malformed --grid or --interval, an
-    unparsable or non-finite sweep list, then the RunConfig's own gate."""
+    unparsable or non-finite sweep list or one with an empty item, then the
+    RunConfig's own gate."""
     if args.command == "sweep" and args.fmt not in (None, "csv"):
         raise ValueError(f"sweeps write CSV only: give --format csv or no --format, not --format {args.fmt}")
     fields = _fields_from_args(args)
     if args.dims is not None:
-        dims = _parse_list(args.dims, int)
+        dims = _parse_list("--dims", args.dims, int)
         run = lambda: (reports.sweep_dims(config, dims), 0)
     elif args.interval_lengths is not None:
-        lengths = _parse_list(args.interval_lengths, float)
+        lengths = _parse_list("--interval-lengths", args.interval_lengths, float)
         reports._require_finite("length", *lengths)
         run = lambda: (reports.sweep_interval_lengths(config, lengths), 0)
     else:

@@ -175,15 +175,22 @@ def _x2_mode_integrals(a: float, b: float, n_max: int) -> tuple[np.ndarray, np.n
 
     For n >= 1 the integral of x^2 e^{-i nu x} is e^{-i nu a} (2/nu^2 +
     i(a+b)/nu) after dividing by the length, since e^{-i nu b} = e^{-i nu a}.
-    GridResolutionError, before numpy squares nu, when nu_n_max^2 overflows."""
+    GridResolutionError, before numpy squares nu, when nu_n_max^2 overflows,
+    and when b^3 - a^3 does."""
     length = b - a
     top = 2.0 * math.pi * n_max / length  # nu[-1], formed as numpy forms it below
     if top * top == math.inf:
         raise GridResolutionError(f"interval ({a!r}, {b!r}) has mode frequency nu_{n_max} = 2 pi {n_max}/(b - a) "
                                   f"= {top!r}, and its square overflows")
+    try:
+        cubes = b**3 - a**3  # a float ** raises on overflow; a difference rounds to inf
+    except OverflowError:
+        cubes = math.inf
+    if cubes == math.inf:
+        raise GridResolutionError(f"interval ({a!r}, {b!r}) has x^2 integral (b^3 - a^3)/3, and b^3 - a^3 overflows")
     nu = 2.0 * np.pi * np.arange(1, n_max + 1) / length
     cos, sin = np.cos(nu * a), np.sin(nu * a)
-    C = np.concatenate([[(b**3 - a**3) / (3.0 * length)], 2.0 * cos / nu**2 + (a + b) * sin / nu])
+    C = np.concatenate([[cubes / (3.0 * length)], 2.0 * cos / nu**2 + (a + b) * sin / nu])
     S = np.concatenate([[0.0], 2.0 * sin / nu**2 - (a + b) * cos / nu])
     return C, S
 

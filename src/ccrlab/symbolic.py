@@ -1,20 +1,22 @@
 """Exact normal-ordering engine for words in {a, a†, q, p, I}.
 
-Expressions are parsed into a small AST and rewritten into the canonical
-normal form: a finite sum of monomials (a†)^m a^k with coefficients in
-Q(i, sqrt2).  The only algebraic fact used is the single rule
-a·a† -> a†·a + 1, through its closed form for a^k a†^m;  q and p enter
-through their ladder combinations q = (a + a†)/sqrt2 and
-p = (a - a†)/(i sqrt2).  Because the normal form is canonical, operator
-identities are decided exactly.
+A text is a word: scalars, symbols, powers, commutators and parentheses
+joined by *, and a unary minus.  It is parsed into a small AST and
+rewritten into the canonical normal form: a finite sum of monomials
+(a†)^m a^k with coefficients in Q(i, sqrt2).  The only algebraic fact
+used is the single rule a·a† -> a†·a + 1, through its closed form for
+a^k a†^m;  q and p enter through their ladder combinations
+q = (a + a†)/sqrt2 and p = (a - a†)/(i sqrt2).  Because the normal form
+is canonical, operator identities, sums of forms among them, are decided
+exactly.
 
 A text is split into tokens by one regular expression and parsed by
 recursive descent over the token strings; a token's position is found
 only for a ParseError.  The parser folds a unary minus of a Scalar leaf
-(a number, i or sqrt2), and a product or a quotient of two Scalar leaves by
-a nonzero divisor, into one Scalar leaf, so "(1/2)" and "-16*i" each
-parse to one; a quotient by a zero Scalar stays a Quotient, which
-raises ZeroDivisionError when it is evaluated.
+(a number, i or sqrt2), and a product of two Scalar leaves or a quotient
+of two by a nonzero divisor, into one Scalar leaf, so "(1/2)" and "-16*i"
+each parse to one.  Any other /, and any + or binary -, is a ParseError
+at its token.
 
 A normal form stores its coefficients as integer numerator tuples
 (n0, n1, n2, n3) over one positive denominator shared by all its terms,
@@ -95,26 +97,11 @@ class Symbol(_Value):
         object.__setattr__(self, "name", name)
 
 
-class Sum(_Value):
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: tuple):
-        object.__setattr__(self, "terms", terms)
-
-
 class Product(_Value):
     __slots__ = ("factors",)
 
     def __init__(self, factors: tuple):
         object.__setattr__(self, "factors", factors)
-
-
-class Quotient(_Value):
-    __slots__ = ("num", "den")  # den must normal-order to a pure scalar
-
-    def __init__(self, num: OperatorExpr, den: OperatorExpr):
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
 
 
 class Power(_Value):
@@ -133,7 +120,7 @@ class Commutator(_Value):
         object.__setattr__(self, "right", right)
 
 
-OperatorExpr = Union[Scalar, Symbol, Sum, Product, Quotient, Power, Commutator]
+OperatorExpr = Union[Scalar, Symbol, Product, Power, Commutator]
 
 _SYMBOLS = ("a", "ad", "q", "p", "I")
 
@@ -201,35 +188,28 @@ class _Parser:
             raise self.error(f"expected {value!r}, found {tok or 'end of input'!r}", self.pos - 1)
 
     def parse(self) -> OperatorExpr:
-        e = self.expr()
+        e = self.word()
         if self.peek():
             raise self.error(f"unexpected trailing input {self.peek()!r}", self.pos)
         return e
 
-    def expr(self) -> OperatorExpr:
-        terms = [self.term()]
-        while self.peek() in ("+", "-"):
-            op = self.next()
-            t = self.term()
-            if op == "-":
-                t = Product((_MINUS_ONE, t))
-            terms.append(t)
-        return terms[0] if len(terms) == 1 else Sum(tuple(terms))
-
-    def term(self) -> OperatorExpr:
+    def word(self) -> OperatorExpr:
         node = self.unary()
         while self.peek() in ("*", "/"):
-            op = self.next()
-            rhs = self.unary()
-            if isinstance(node, Scalar) and isinstance(rhs, Scalar) and (op == "*" or not rhs.value.is_zero()):
-                node = Scalar(node.value * rhs.value if op == "*" else node.value / rhs.value)
-            elif op == "*":
-                if isinstance(node, Product):
-                    node = Product(node.factors + (rhs,))
+            if self.next() == "*":
+                rhs = self.unary()
+                if isinstance(node, Scalar) and isinstance(rhs, Scalar):
+                    node = Scalar(node.value * rhs.value)
                 else:
-                    node = Product((node, rhs))
-            else:
-                node = Quotient(node, rhs)
+                    node = Product((node.factors if isinstance(node, Product) else (node,)) + (rhs,))
+                continue
+            if not isinstance(node, Scalar):
+                raise self.error("only a scalar can be divided", self.pos - 1)
+            at = self.pos
+            rhs = self.unary()
+            if not isinstance(rhs, Scalar) or rhs.value.is_zero():
+                raise self.error("a divisor must be a nonzero scalar", at)
+            node = Scalar(node.value / rhs.value)
         return node
 
     def unary(self) -> OperatorExpr:
@@ -258,13 +238,13 @@ class _Parser:
         if tok[:1].isalpha():
             raise self.error(f"unknown identifier {tok!r}", self.pos - 1)
         if tok == "(":
-            e = self.expr()
+            e = self.word()
             self.expect(")")
             return e
         if tok == "[":
-            left = self.expr()
+            left = self.word()
             self.expect(",")
-            right = self.expr()
+            right = self.word()
             self.expect("]")
             return Commutator(left, right)
         raise self.error(f"unexpected token {tok or 'end of input'!r}", self.pos - 1)
@@ -278,10 +258,10 @@ def _number(tok: str) -> Scalar:
 
 @lru_cache(maxsize=256)
 def parse(text: str) -> OperatorExpr:
-    """Parse an operator expression.  Whitespace-insensitive; ^ binds
-    tighter than * and /, which bind tighter than + and -.  Scalar
-    arithmetic is folded as the module docstring says.  The tree is
-    memoized by its text and shared, as no node can be assigned to."""
+    """Parse a word.  Whitespace-insensitive; ^ binds tighter than unary
+    -, which binds tighter than * and /.  Scalar arithmetic is folded as
+    the module docstring says.  The tree is memoized by its text and
+    shared, as no node can be assigned to."""
     return _Parser(text).parse()
 
 
@@ -632,7 +612,7 @@ def _word(factors: tuple) -> NormalForm:
     factors fold into one exact factor, applied by one `_reduced` at the
     end.  A scalar is a Scalar leaf, such as (1/2) or (-i) as the parser
     folds them, whose numerator tuple is read as it stands, or a factor
-    whose form has only the (0, 0) term, such as I or (1 + i).  A term
+    whose form has only the (0, 0) term, such as I or (2*I).  A term
     cancels in the int sum exactly where it does in the exact one, as
     both differ by that nonzero factor, so the keys come out in the loop's
     order and the canonical form is the loop's.  From the first factor
@@ -688,32 +668,13 @@ def normal_order(expr: OperatorExpr | str) -> NormalForm:
         return NormalForm({(0, 0): expr.value})
     if isinstance(expr, Symbol):
         return _LEAVES[expr.name]
-    if isinstance(expr, Sum):
-        acc = NormalForm()
-        for t in expr.terms:
-            acc = acc + normal_order(t)
-        return acc
     if isinstance(expr, Product):
         return _word(expr.factors)
-    if isinstance(expr, Quotient):
-        inverse = _divisor(expr.den).inverse()
-        return normal_order(expr.num).scale(inverse)
     if isinstance(expr, Power):
         return normal_order(expr.base) ** expr.exponent
     if isinstance(expr, Commutator):
         return normal_order(expr.left).commutator(normal_order(expr.right))
     raise TypeError(f"not an operator expression: {expr!r}")
-
-
-def _divisor(den: OperatorExpr) -> ExactScalar:
-    """The value of a quotient's divisor: ValueError unless its form is a
-    scalar, ZeroDivisionError if that scalar is zero."""
-    form = normal_order(den)
-    if not form._num.keys() <= _SCALAR_KEYS:
-        raise ValueError("division is only defined by scalar expressions")
-    if form.is_zero():
-        raise ZeroDivisionError("division by zero expression")
-    return form.coeff(0, 0)
 
 
 @lru_cache(maxsize=10)
@@ -749,11 +710,6 @@ def expr_to_matrix(expr: OperatorExpr | str, dim: int) -> np.ndarray:
         return expr.value.to_complex() * _leaf_matrix("I", dim)
     if isinstance(expr, Symbol):
         return _leaf_matrix(expr.name, dim).copy()
-    if isinstance(expr, Sum):
-        out = np.zeros((dim, dim), dtype=complex)
-        for t in expr.terms:
-            out += expr_to_matrix(t, dim)
-        return out
     if isinstance(expr, Product):
         # the leading Scalar factors as one number c, times the first other factor's matrix
         factors, c = expr.factors, None
@@ -766,9 +722,6 @@ def expr_to_matrix(expr: OperatorExpr | str, dim: int) -> np.ndarray:
         for f in factors[1:]:
             out = out @ _matrix_of(f, dim)
         return out
-    if isinstance(expr, Quotient):
-        den = _divisor(expr.den).to_complex()
-        return expr_to_matrix(expr.num, dim) / den
     if isinstance(expr, Power):
         return np.linalg.matrix_power(expr_to_matrix(expr.base, dim), expr.exponent)
     if isinstance(expr, Commutator):

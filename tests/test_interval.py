@@ -21,6 +21,14 @@ from ccrlab.interval import IntervalRepSpec
 from spectral_oracles import fourier_sector, rayleigh_quotients, record_sectors, record_solvers
 
 
+@pytest.mark.parametrize("a, b", [(0.0, 1e103), (-1e103, 1e103), (-4.6e102, 4.6e102)])
+def test_an_interval_whose_cubes_overflow_is_refused(a, b):
+    # the general path, then the centred one: b^3 overflows in a float **, and at
+    # +-4.6e102 each cube is finite but their difference is not
+    with pytest.raises(schrodinger.GridResolutionError, match=r"b\^3 - a\^3 overflows"):
+        interval.interval_number_spectrum(IntervalRepSpec(a, b, 256), 3)
+
+
 def test_spec_validation():
     for a, b, m in ((1.0, 0.0, 64), (1.0, 0.0, 16), (0.0, 1.0, 8)):
         with pytest.raises(ValueError):

@@ -551,6 +551,26 @@ def test_cli_sweep_refuses_an_overflowing_mode_frequency_without_a_warning(capsy
     assert capsys.readouterr().out.split("\n")[1] == "1e-300,,,failed: GridResolutionError"
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["irregular", "--interval=,0,1"], "--interval"),
+    (["irregular", "--interval", "0,1,"], "--interval"),
+    (["sweep", "--dims", ","], "--dims"),
+    (["sweep", "--dims", "16,,32"], "--dims"),
+    (["sweep", "--interval-lengths", "1,,5"], "--interval-lengths"),
+    (["sweep", "--interval-lengths", "1, ,5"], "--interval-lengths"),
+])
+def test_cli_an_empty_list_item_is_a_usage_error_before_any_run(argv, option, capsys, monkeypatch):
+    def refused(*args):
+        raise AssertionError("ran")
+
+    for name in ("run_suite", "sweep_dims", "sweep_interval_lengths"):
+        monkeypatch.setattr(reports, name, refused)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"ccr-lab: {option} has an empty item" in captured.err
+
+
 def test_cli_unwritable_out_is_a_usage_error(tmp_path, capsys):
     for argv, path in (
         (["fock", "--out"], tmp_path),

@@ -21,7 +21,6 @@ from ccrlab.symbolic import (
     Power,
     Product,
     Scalar,
-    Sum,
     Symbol,
     _reorder,
     conjugation_series,
@@ -52,15 +51,18 @@ def test_parse_power():
 
 
 def test_parse_precedence():
-    # ^ over *, * over +
-    e = parse("a*q^2 + p")
-    assert isinstance(e, Sum)
-    assert isinstance(e.terms[0], Product)
-    assert e.terms[0].factors[1] == Power(Symbol("q"), 2)
+    # ^ over unary -, unary - over *
+    assert parse("a*q^2*p") == Product((Symbol("a"), Power(Symbol("q"), 2), Symbol("p")))
+    assert parse("-q^2*a") == Product((Scalar(-ONE), Power(Symbol("q"), 2), Symbol("a")))
+
+
+def _form_sum(*texts):
+    """The sum of the texts' normal forms, left to right."""
+    return functools.reduce(operator.add, map(normal_order, texts))
 
 
 def test_parse_scalar_division():
-    nf = normal_order("1/sqrt2 * (a + ad)")
+    nf = _form_sum("1/sqrt2 * a", "1/sqrt2 * ad")
     half_sqrt2 = ExactScalar(Fraction(0), Fraction(0), Fraction(1, 2))
     assert nf.coeff(0, 1) == half_sqrt2
     assert nf.coeff(1, 0) == half_sqrt2
@@ -74,19 +76,18 @@ def test_parser_folds_scalar_arithmetic_into_one_leaf(text, value):
     assert parse(text) == Scalar(value)
 
 
-@pytest.mark.parametrize("text", ["1/0", "q/(1-1)"])
-def test_a_zero_divisor_stays_a_quotient_that_both_routes_refuse(text):
-    assert isinstance(parse(text), symbolic.Quotient)
-    with pytest.raises(ZeroDivisionError, match="division by zero expression"):
-        normal_order(text)
-    with pytest.raises(ZeroDivisionError, match="division by zero expression"):
-        expr_to_matrix(text, 4)
+# texts that are no word, and the position of the first token that cannot continue one:
+# a + or a binary -, a / after an operator, or a divisor that is no nonzero scalar
+_NOT_WORDS = {"a + b": 2, "a - b": 2, "(q + p)*a": 3, "q/2": 1, "q/a": 1, "q / p": 2, "q / 0": 2,
+              "q/(1-1)": 1, "2/q": 2, "1/0": 2, "1/(1-1)": 4, "1/(0)": 2}
 
 
-def test_both_routes_refuse_an_operator_divisor_alike():
-    for route in (normal_order, lambda text: expr_to_matrix(text, 4)):
-        with pytest.raises(ValueError, match="^division is only defined by scalar expressions$"):
-            route("q/a")
+@pytest.mark.parametrize("text", list(_NOT_WORDS))
+def test_a_text_that_is_no_word_is_refused_at_its_first_bad_token(text):
+    for route in (parse, normal_order, lambda text: expr_to_matrix(text, 4)):
+        with pytest.raises(ParseError) as err:
+            route(text)
+        assert err.value.position == _NOT_WORDS[text]
 
 
 def test_parse_whitespace_insensitive():
@@ -95,13 +96,13 @@ def test_parse_whitespace_insensitive():
 
 def test_parse_unknown_identifier_position():
     with pytest.raises(ParseError) as err:
-        parse("q + foo")
+        parse("q * foo")
     assert err.value.position == 4
 
 
 def test_parse_syntax_error_position():
     with pytest.raises(ParseError) as err:
-        parse("q + ")
+        parse("q * ")
     assert err.value.position == 4
     with pytest.raises(ParseError):
         parse("(q")
@@ -117,21 +118,20 @@ def test_parse_bad_exponent():
 
 
 def test_nodes_are_equal_by_type_and_fields():
-    a, q = symbolic.Symbol("a"), symbolic.Symbol("q")
-    two = symbolic.Scalar(ExactScalar.rational(2))
-    equal_pairs = [(symbolic.Symbol("a"), a), (symbolic.Sum((a, q)), symbolic.Sum((a, q))),
-                   (symbolic.Power(q, 2), symbolic.Power(symbolic.Symbol("q"), 2)),
-                   (symbolic.Quotient(a, two), symbolic.Quotient(a, symbolic.Scalar(ExactScalar.rational(2)))),
-                   (parse("[q, 2 * a]"), symbolic.Commutator(q, symbolic.Product((two, a))))]
+    a, q = Symbol("a"), Symbol("q")
+    two = Scalar(ExactScalar.rational(2))
+    equal_pairs = [(Symbol("a"), a), (Product((a, q)), Product((a, q))), (Power(q, 2), Power(Symbol("q"), 2)),
+                   (Commutator(a, two), Commutator(a, Scalar(ExactScalar.rational(2)))),
+                   (parse("[q, 2 * a]"), Commutator(q, Product((two, a))))]
     for x, y in equal_pairs:
         assert x == y and hash(x) == hash(y)
-    unequal_pairs = [(symbolic.Sum((a,)), symbolic.Product((a,))), (a, q), (symbolic.Power(q, 2), symbolic.Power(q, 3)),
-                     (symbolic.Quotient(a, q), symbolic.Commutator(a, q)), (symbolic.Sum((a, q)), symbolic.Sum((q, a))),
-                     (a, "a"), (symbolic.Sum((a,)), (a,))]
+    unequal_pairs = [(Product((a, q)), Commutator(a, q)), (a, q), (Power(q, 2), Power(q, 3)),
+                     (Commutator(a, q), Commutator(q, a)), (Product((a, q)), Product((q, a))),
+                     (a, "a"), (Product((a,)), (a,))]
     for x, y in unequal_pairs:
         assert x != y and not x == y
-    assert len({symbolic.Sum((a,)), symbolic.Product((a,)), symbolic.Sum((a,))}) == 2
-    tree = parse("(1/2) * [q, p^3] + a")
+    assert len({Product((a, q)), Commutator(a, q), Product((a, q))}) == 2
+    tree = parse("(1/2) * [q, p^3] * a")
     assert pickle.loads(pickle.dumps(tree)) == tree
     with pytest.raises(AttributeError):
         parse("q * a").factors[0].name = "p"
@@ -140,13 +140,13 @@ def test_nodes_are_equal_by_type_and_fields():
 
 
 def test_parse_memo_shares_frozen_trees_and_never_caches_errors(monkeypatch):
-    tree = parse("q * ad^2 + [p, a]")
-    assert parse("q * ad^2 + [p, a]") == tree
+    tree = parse("q * ad^2 * [p, a]")
+    assert parse("q * ad^2 * [p, a]") == tree
     with pytest.raises(AttributeError):
-        tree.terms = ()
+        tree.factors = ()
     for _ in range(3):
         with pytest.raises(ParseError, match="unknown identifier"):
-            parse("q + foo")
+            parse("q * foo")
     assert 0 < parse.cache_info().maxsize <= 1024
     calls = 0
     tokenize = symbolic._tokenize
@@ -233,13 +233,6 @@ def test_a_numeric_character_that_is_no_decimal_starts_no_token():
         assert err.value.position == at
 
 
-def test_division_by_operator_rejected():
-    with pytest.raises(ValueError):
-        normal_order("q / p")
-    with pytest.raises(ZeroDivisionError):
-        normal_order("q / 0")
-
-
 # -- normal ordering ---------------------------------------------------------
 
 
@@ -288,6 +281,27 @@ def test_random_words_are_the_text_draws(seed):
         gen, reference = SplitMix64(seed + offset), SplitMix64(seed + offset)
         for _ in range(count):
             assert _word_text(*random_word(gen, max_len)) == _text_word_source(reference, max_len)
+
+
+def _is_word(tree) -> bool:
+    """Whether a tree has only the nodes of a word."""
+    if isinstance(tree, Product):
+        return all(map(_is_word, tree.factors))
+    if isinstance(tree, Power):
+        return _is_word(tree.base)
+    if isinstance(tree, Commutator):
+        return _is_word(tree.left) and _is_word(tree.right)
+    return isinstance(tree, (Scalar, Symbol))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_the_symbolic_suite_parses_words_only(seed, monkeypatch):
+    # its fixed texts and its seeded words, parsed and normal-ordered as the suite runs them
+    texts, parse_text = [], symbolic.parse
+    monkeypatch.setattr(symbolic, "parse", lambda text: texts.append(text) or parse_text(text))
+    records = symbolic_suite(RunConfig(suite="symbolic", seed=seed))
+    assert [r.name for r in records if r.status not in ("pass", "flagged")] == []
+    assert len(texts) > 400 and all(_is_word(parse_text(text)) for text in texts)
 
 
 def _symbolic_status(name, seed=7):
@@ -564,10 +578,6 @@ def _reference_expr_to_matrix(expr, dim):
         for f in expr.factors:
             out = out @ _reference_expr_to_matrix(f, dim)
         return out
-    if isinstance(expr, Sum):
-        return sum((_reference_expr_to_matrix(t, dim) for t in expr.terms), np.zeros((dim, dim), dtype=complex))
-    if isinstance(expr, symbolic.Quotient):
-        return _reference_expr_to_matrix(expr.num, dim) / normal_order(expr.den).coeff(0, 0).to_complex()
     if isinstance(expr, Power):
         return np.linalg.matrix_power(_reference_expr_to_matrix(expr.base, dim), expr.exponent)
     if isinstance(expr, Commutator):
@@ -595,7 +605,7 @@ def test_matrices_are_the_reference_routes(seed):
         nf = normal_order(src)
         assert nf.to_matrix(dim).tobytes() == _reference_to_matrix(nf, dim).tobytes(), src
         assert np.array_equal(expr_to_matrix(src, dim), _reference_expr_to_matrix(parse(src), dim)), src
-    for src in ("2", "2*i*3", "sqrt2*I", "(1+i)*q*p", "i*(q + p)*a", "q^2*3", "[q, p]*i", "-q", "(1/3)*a*2"):
+    for src in ("2", "2*i*3", "sqrt2*I", "(2*I)*q*p", "i*(q * p)*a", "q^2*3", "[q, p]*i", "-q", "(1/3)*a*2"):
         assert np.array_equal(expr_to_matrix(src, 6), _reference_expr_to_matrix(parse(src), 6)), src
 
 
@@ -795,8 +805,8 @@ def test_difference_is_the_sum_with_the_negation(ta, tb):
 
 def test_power_chains_are_the_general_loop():
     # two-term bases listing a† first or a first, two-component coefficients, one-term bases
-    for base in ("q", "p", "-i*q", "(1/2)*p", "sqrt2*a", "a + 2*ad", "(1+i)*q + sqrt2*ad", "ad", "(1/3)*ad"):
-        base = normal_order(base)
+    bases = [normal_order(text) for text in ("q", "p", "-i*q", "(1/2)*p", "sqrt2*a", "ad", "(1/3)*ad")]
+    for base in bases + [_form_sum("a", "2*ad"), _form_sum("q", "i*q", "sqrt2*ad")]:
         want = NormalForm({(0, 0): ONE})
         for n in range(1, 65):
             want = want * base
@@ -827,29 +837,30 @@ def test_products_by_a_scalar_form_are_the_pair_loop(form, s):
 
 
 # scalar subtrees of numbers, i, sqrt2 and I: the parser folds the products and quotients
-# of Scalars into one leaf, and leaves sums, powers and products with I as trees
-_SCALAR_SUBTREES = ("(-1/2*i*sqrt2)", "(1/2 + 1/2*i)", "(-1/4*sqrt2 + 3/2*i*sqrt2)", "(sqrt2^2)", "(2*I)",
-                    "((1/3)/(2*i))", "(i - i)", "(2^0)")
-# scalar factors the parser does not make, built by hand, and the symbol I
-_TWO = Scalar(ExactScalar.rational(2))
-_UNFOLDED_SCALARS = (symbolic.Quotient(Scalar(ONE), _TWO), Product((Scalar(-ONE), Scalar(I))),
-                     symbolic.Quotient(Scalar(ExactScalar.rational(Fraction(1, 3))), Product((_TWO, Scalar(I)))),
-                     Symbol("I"))
+# of Scalars into one leaf, and leaves powers and products with I as trees
+_SCALAR_SUBTREES = ("(-1/2*i*sqrt2)", "(sqrt2^2)", "(2*I)", "((1/3)/(2*i))", "(2^0)", "(-(1/4)*sqrt2)")
+# scalar factors the parser does not make, built by hand: leaves of more than one component,
+# products of Scalars, and the symbol I
+_HAND_BUILT_SCALARS = (Scalar(ONE + I), Scalar(ExactScalar(Fraction(1, 2), Fraction(1, 2))),
+                       Scalar(ExactScalar(0, 0, Fraction(-1, 4), Fraction(3, 2))), Product((Scalar(-ONE), Scalar(I))),
+                       Product((Scalar(ExactScalar.rational(Fraction(1, 3))), Scalar(ExactScalar.rational(2)), Scalar(I))),
+                       Symbol("I"))
 _word_factors = st.lists(
-    st.one_of(st.sampled_from(("a", "ad", "q", "p", "I") + _WORD_COEFFS + ("0", "(1+i)") + _SCALAR_SUBTREES).map(parse),
-              st.sampled_from(_UNFOLDED_SCALARS)),
+    st.one_of(st.sampled_from(("a", "ad", "q", "p", "I") + _WORD_COEFFS + ("0",) + _SCALAR_SUBTREES).map(parse),
+              st.sampled_from(_HAND_BUILT_SCALARS)),
     min_size=1, max_size=12,
 )
 
 
-@given(_word_factors, st.one_of(st.none(), st.sampled_from(("q^2", "(a + ad)", "[p, q]", "2*p"))),
+@given(_word_factors, st.one_of(st.none(), st.sampled_from(("q^2", "(a * ad)", "[p, q]", "2*p"))),
        st.integers(0, 12))
 @settings(max_examples=300, deadline=None)
 def test_words_are_the_left_fold_of_the_general_loop(factors, compound, at):
     # letters and scalars in any order, which the int-coefficient word kernel runs: a Scalar
-    # leaf such as (1/2) or (-1/2*i*sqrt2) as the parser folds it, a Sum (1+i) or a power, or
-    # a Quotient or Product of Scalars or I, which it reads through their forms; from a
-    # compound factor on, when one is inserted, the factor-by-factor loop
+    # leaf such as (1/2) or (-1/2*i*sqrt2) as the parser folds it or (1 + i) as built by hand,
+    # which it reads as it stands, or a power or a Product of Scalars or I, which it reads
+    # through their forms; from a compound factor on, when one is inserted, the
+    # factor-by-factor loop
     if compound is not None:
         factors.insert(at, parse(compound))
     want = functools.reduce(_loop_product, map(normal_order, factors), normal_order("I"))
@@ -909,7 +920,8 @@ _small_terms = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), 
 
 
 @given(
-    st.one_of(st.sampled_from(["q", "p", "a", "ad", "I", "q + p", "p + q", "i*q*p - a^2"]).map(normal_order),
+    st.one_of(st.sampled_from([*map(normal_order, ("q", "p", "a", "ad", "I")), _form_sum("q", "p"), _form_sum("p", "q"),
+                               normal_order("i*q*p") - normal_order("a^2")]),
               _small_terms.map(NormalForm)),
     st.lists(st.integers(0, 9), min_size=1, max_size=6),
 )
@@ -983,12 +995,13 @@ def _per_term_power(base: NormalForm, n: int) -> NormalForm:
 
 def test_linear_powers_are_the_per_term_closed_form():
     # a† listed first (q, and the two-component sum) and a listed first, every component
-    for source in ("q", "(1+i)*q + sqrt2*ad", "a + 2*ad", "(1/3)*a + (2/5 + i*sqrt2 - (1/7)*i)*ad"):
-        base = normal_order(source)
+    for words in (("q",), ("q", "i*q", "sqrt2*ad"), ("a", "2*ad"),
+                  ("(1/3)*a", "(2/5)*ad", "i*sqrt2*ad", "-(1/7)*i*ad")):
+        base = _form_sum(*words)
         for n in [*range(40), 64, 99, 128, 157, 200]:
             got, want = base._linear_power(n), _per_term_power(base, n)
-            assert got == want and got._den == want._den, (source, n)
-            assert list(got._num.items()) == list(want._num.items()), (source, n)
+            assert got == want and got._den == want._den, (words, n)
+            assert list(got._num.items()) == list(want._num.items()), (words, n)
 
 
 _linear_forms = st.tuples(_scalars, _scalars, st.booleans()).map(
