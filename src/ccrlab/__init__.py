@@ -8,7 +8,8 @@ Subpackages by concern:
   schrodinger — the differential representation on a uniform grid
   interval    — the irregular realization on a finite periodic interval
   symbolic    — exact normal ordering over Q(i, sqrt2)
-  reports     — named suites, JSON/CSV reports, parameter sweeps
+  suites      — the six named suites, their checks, and the inputs each accepts
+  reports     — the run config and its gate, the runner, JSON/CSV reports, sweeps
 """
 
 from .fock import (

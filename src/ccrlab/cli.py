@@ -32,13 +32,24 @@ from . import reports
 USAGE_ERROR = 2
 
 
+_KINDS = {int: "an integer", float: "a number"}
+
+
+def _cast(option: str, item: str, cast):
+    """cast(item); ValueError, naming the option and the item, when it is no such value."""
+    try:
+        return cast(item)
+    except ValueError:
+        raise ValueError(f"{option} has an item {item!r} that is not {_KINDS[cast]}") from None
+
+
 def _parse_list(option: str, text: str, cast):
     """The comma-separated items of an option's value; ValueError, naming
-    the option, on an empty item."""
+    the option, on an empty item or one that cast refuses."""
     items = text.split(",")
     if not all(x.strip() for x in items):
         raise ValueError(f"{option} has an empty item in {text!r}")
-    return [cast(x) for x in items]
+    return [_cast(option, x, cast) for x in items]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,14 +80,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _fields_from_args(args) -> dict:
-    """The RunConfig fields of the options given; ValueError on a malformed --grid or --interval."""
+    """The RunConfig fields of the options given; ValueError, naming the
+    option, on a malformed --grid or --interval."""
     given = {"suite": args.command, "dim": args.dim, "t": args.t, "s": args.s, "k_max": args.kmax,
              "interval_m": args.interval_m, "seed": args.seed, "fmt": args.fmt}
     if args.grid is not None:
-        grid_parts = args.grid.split(",")
-        if len(grid_parts) != 3:
+        if args.grid.count(",") != 2:
             raise ValueError("--grid expects L,M,scheme")
-        given.update(grid_l=float(grid_parts[0]), grid_m=int(grid_parts[1]), scheme=grid_parts[2].strip())
+        grid_l, grid_m, scheme = _parse_list("--grid", args.grid, str)
+        given.update(grid_l=_cast("--grid", grid_l, float), grid_m=_cast("--grid", grid_m, int), scheme=scheme.strip())
     if args.interval is not None:
         interval_parts = _parse_list("--interval", args.interval, float)
         if len(interval_parts) != 2:
@@ -109,7 +121,8 @@ def _run(args):
     the text to write and the exit code.  ValueError on the first fault, in
     this order: a sweep's --format, a malformed --grid or --interval, an
     unparsable or non-finite sweep list or one with an empty item, then the
-    RunConfig's own gate."""
+    RunConfig's own gate: its field rules before the rules of any suite, so
+    `all --kmax 500 --seed -1` names the seed, not the analytic suite's k_max."""
     if args.command == "sweep" and args.fmt not in (None, "csv"):
         raise ValueError(f"sweeps write CSV only: give --format csv or no --format, not --format {args.fmt}")
     fields = _fields_from_args(args)
@@ -162,13 +175,21 @@ def _emit(text: str, out: str | None) -> bool:
     return True
 
 
+def _refuse_constant(name: str):
+    """json.load's parse_constant: ccr-lab writes no NaN or Infinity, but a
+    non-finite measure as its repr string."""
+    raise ValueError(f"it holds {name}, which is not JSON")
+
+
 def _load_checks(path: str) -> dict:
     """{name: check} of a JSON report; ValueError on a file that is not one."""
     try:
         with open(path, encoding="utf-8") as fh:
-            report = json.load(fh)
+            report = json.load(fh, parse_constant=_refuse_constant)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: cannot read a JSON report ({exc})") from None
+    except ValueError as exc:  # from _refuse_constant
+        raise ValueError(f"{path}: not a ccr-lab report ({exc})") from None
     checks = report.get("checks") if isinstance(report, dict) else None
     if not isinstance(checks, list) or not all(
             isinstance(c, dict) and isinstance(c.get("name"), str) and isinstance(c.get("status"), str)

@@ -83,9 +83,14 @@ def _shift_steps(spec: IntervalRepSpec, t: float) -> int:
 
 def aligned_spec(a: float, b: float, t: float, m_target: int) -> IntervalRepSpec:
     """Smallest m >= m_target making t a whole number of steps, at least one,
-    searched below 16 m_target; refused when that m exceeds MAX_DENSE_SIDE."""
+    searched below 16 m_target; refused when (a, b) at m_target is no
+    IntervalRepSpec, when t m/(b - a) is not finite, or when that m exceeds
+    MAX_DENSE_SIDE."""
+    IntervalRepSpec(a, b, m_target)
     for m in range(m_target, 16 * m_target):
         steps = t * m / (b - a)
+        if not math.isfinite(steps):
+            raise ValueError(f"t={t} is {steps} steps of the interval ({a}, {b}) at m={m}: not a finite count")
         if round(steps) >= 1 and abs(steps - round(steps)) < 1e-9:
             if m > MAX_DENSE_SIDE:
                 raise ValueError(

@@ -17,9 +17,7 @@ whose largest wavenumber pi/h overflows, the central-difference p^2 one
 whose largest symbol 4/h^2 does, and the spectral p^2 one whose largest
 wavenumber squared does (GridResolutionError); the oscillator
 and interval levels refuse a grid whose largest symbol, doubled and squared
-by the Schur bracket, overflows (`_check_bracket_scale`); `check_resolution`
-also refuses h > pi, too coarse for the oscillator's ground state, and any
-grid on which the guards of the grid checks would raise.
+by the Schur bracket, overflows (`_check_bracket_scale`).
 
 The lowest oscillator levels are solved in the Fourier basis, where p^2
 is diagonal, K, and x^2 is a Toeplitz +- Hankel matrix T of the Fourier
@@ -127,26 +125,6 @@ def grid_momentum(values: np.ndarray, x_min: float, x_max: float, scheme: str = 
         h = _wavenumber_step(x_min, x_max, m)
         return -1j * (np.roll(values, -1, axis=-1) - np.roll(values, 1, axis=-1)) / (2.0 * h)
     raise ValueError(f"unknown scheme {scheme!r}")
-
-
-def check_resolution(L: float, m: int, scheme: str, count: int, n_max: int) -> None:
-    """Raise GridResolutionError unless pi/h, h = 2L/m, the largest wavenumber
-    of the grid of m points on [-L, L), reaches 1, the ground state's momentum
-    width; then raise as a check that solves `count` levels would, and as the
-    guards of `vacuum_annihilation_residual` and `hermite_basis` (to n_max)
-    do at m and 2m, by calling them."""
-    h = _grid_step(-L, L, m)
-    if math.pi / h < 1.0:
-        raise GridResolutionError(
-            f"grid L={L!r}, m={m} has step h={h:.6g}: its largest wavenumber pi/h is below 1, "
-            "the momentum width of the oscillator's ground state"
-        )
-    _check_level_count(count, m)
-    for size in (2 * m, 4 * m):  # a step that underflows on a refined grid outranks every check at m
-        _grid_step(-L, L, size)
-    for size in (m, 2 * m):
-        vacuum_annihilation_residual(L, size, scheme)
-        hermite_basis(L, size, n_max)
 
 
 @functools.lru_cache(maxsize=8)  # one run reads 4: (m, +), (m, -), (2m, +) and (4m, +)

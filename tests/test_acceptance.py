@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from ccrlab import analytic, fock, interval, schrodinger, symbolic, weyl
-from ccrlab.reports import RunConfig, _word_text, random_fock_state, random_word, run_suite
+from ccrlab.reports import RunConfig, run_suite
+from ccrlab.suites import _word_text, random_fock_state, random_word
 from ccrlab.rng import SplitMix64
 
 

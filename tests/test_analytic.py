@@ -11,7 +11,8 @@ from scipy.linalg import expm as scipy_expm
 
 from ccrlab import analytic, fock
 from ccrlab.rng import SplitMix64
-from ccrlab.reports import RunConfig, analytic_suite, random_fock_state
+from ccrlab.reports import RunConfig
+from ccrlab.suites import analytic_suite, random_fock_state
 
 import dense_fock as dense
 

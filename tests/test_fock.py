@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from ccrlab import fock
 from ccrlab.rng import SplitMix64
-from ccrlab.reports import RunConfig, fock_suite, random_fock_state
+from ccrlab.reports import RunConfig
+from ccrlab.suites import fock_suite, random_fock_state
 from ccrlab.symbolic import normal_order, vacuum_expectation
 
 import dense_fock as dense

@@ -200,6 +200,18 @@ def test_aligned_spec_helper():
         interval.aligned_spec(0.0, 1.0, 1e-12, 256)
 
 
+@pytest.mark.parametrize("a, b, message", [
+    (0.0, 0.0, "x_max must exceed x_min"),
+    (1.0, 0.0, "x_max must exceed x_min"),
+    (0.0, 1e-320, r"t=0\.5 is inf steps of the interval \(0\.0, 1e-320\) at m=256: not a finite count"),
+])
+def test_aligned_spec_checks_its_interval_before_it_searches(a, b, message):
+    # an empty or reversed interval is no IntervalRepSpec, and a step count t m/(b - a) that
+    # overflows aligns nothing: each is refused at m_target, not searched or divided by zero
+    with pytest.raises(ValueError, match=message):
+        interval.aligned_spec(a, b, 0.5, 256)
+
+
 def test_expm_route_agrees_with_exact_shift():
     spec = IntervalRepSpec(0.0, 1.0, 128)
     r_shift = interval.interval_weyl_residual(spec, 0.25, 1.7)

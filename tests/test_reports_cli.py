@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ccrlab import interval, reports, schrodinger, weyl
+from ccrlab import interval, reports, schrodinger, suites, weyl
 from ccrlab.cli import _fields_from_args, _join_negative_values, build_parser, main
 from ccrlab.reports import RunConfig, run_suite
 
@@ -168,7 +168,7 @@ def test_config_echo_and_check_keys_keep_their_order():
     assert list(echo) == ["suite", "dim", "t", "s", "k_max", "grid_l", "grid_m", "scheme", "interval_a",
                           "interval_b", "interval_m", "seed", "fmt"]
     assert (echo["suite"], echo["dim"], echo["seed"], echo["fmt"]) == ("all", None, 7, "text")
-    record = reports.CheckRecord("c", "r", "pass", 0.5)
+    record = suites.CheckRecord("c", "r", "pass", 0.5)
     checks = reports.Report("fock", echo, [record]).to_json_obj()["checks"]
     assert checks == [{"name": "c", "relation": "r", "status": "pass", "measured": 0.5, "tolerance": None,
                        "detail": None}]
@@ -198,8 +198,8 @@ def test_failed_check_does_not_abort():
         raise RuntimeError("numeric failure")
 
     records = [
-        reports.Check("exploding", "some relation", boom, tolerance=1e-9).run(),
-        reports.Check("fine", "another relation", lambda: 0.0, tolerance=1e-9).run(),
+        suites.Check("exploding", "some relation", boom, tolerance=1e-9).run(),
+        suites.Check("fine", "another relation", lambda: 0.0, tolerance=1e-9).run(),
     ]
     assert [c.status for c in records] == ["fail", "pass"]
     assert "numeric failure" in records[0].detail
@@ -209,8 +209,8 @@ def test_check_declares_exactly_one_criterion():
     for criteria in ({}, {"tolerance": 1e-9, "flagged": True}, {"tolerance": 0.0, "holds": bool},
                      {"holds": bool, "verdict": True}, {"verdict": True, "flagged": True}):
         with pytest.raises(ValueError, match="exactly one of tolerance, holds, verdict and flagged"):
-            reports.Check("c", "r", lambda: 0.0, **criteria)
-    run = lambda measure, **criterion: reports.Check("c", "r", measure, **criterion).run()
+            suites.Check("c", "r", lambda: 0.0, **criteria)
+    run = lambda measure, **criterion: suites.Check("c", "r", measure, **criterion).run()
     assert [run(lambda: x, tolerance=0.0).status for x in (0.0, 1e-9)] == ["pass", "fail"]
     assert [run(lambda: x, holds=lambda v: v > 0.5).status for x in (0.7, 0.3)] == ["pass", "fail"]
     assert [run(lambda: ("n!", ok), verdict=True).status for ok in (True, False)] == ["pass", "fail"]
@@ -232,9 +232,12 @@ def test_shared_values_are_computed_once(monkeypatch, capsys):
         return call
 
     counted_names = ((weyl, "weyl_residual"), (weyl, "exp_commutator_residual"), (schrodinger, "intertwiner_check"),
-                     (schrodinger, "check_resolution"), (interval, "interval_weyl_residual"))
-    for module, name in counted_names:
-        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+                     (suites.DOMAINS, "schrodinger"), (interval, "interval_weyl_residual"))
+    for table, name in counted_names:
+        if isinstance(table, dict):
+            monkeypatch.setitem(table, name, counted(table[name]))
+        else:
+            monkeypatch.setattr(table, name, counted(getattr(table, name)))
     # a mode window, counted per function that builds it: shift_identity_residual at n = 1 and
     # exp_commutator_residual build the same one, each for its own identity
     windows, on_window = collections.Counter(), weyl._on_window
@@ -251,9 +254,10 @@ def test_shared_values_are_computed_once(monkeypatch, capsys):
     # and the gate, which resolves the grid, runs once
     assert main(["all", "--seed", "7", "--format", "json"]) == 0
     capsys.readouterr()
-    assert {name for name, _ in calls} == {name for _, name in counted_names}
+    assert {name for name, _ in calls} == {"weyl_residual", "exp_commutator_residual", "intertwiner_check",
+                                           "_schrodinger_domain", "interval_weyl_residual"}
     assert [name for (name, _), n in calls.items() if n > 1] == []
-    assert sum(n for (name, _), n in calls.items() if name == "check_resolution") == 1
+    assert sum(n for (name, _), n in calls.items() if name == "_schrodinger_domain") == 1
     assert windows and max(windows.values()) == 1
     # each grid value is computed once: the Gaussian's residual at (m, +), (m, -), (2m, +) and
     # (4m, +), and the Hermite rows to n = 8 at m and 2m and to n = 0 at m
@@ -276,10 +280,10 @@ def test_suite_table_holds_the_public_suite_functions():
     # finds each suite's wrapper by the identity of its _SUITE_FUNCS entry
     for name in reports.SUITES:
         fn = reports._SUITE_FUNCS[name]
-        assert fn is getattr(reports, f"{name}_suite")
-        assert inspect.isfunction(fn) and fn.__module__ == "ccrlab.reports"
+        assert fn is getattr(suites, f"{name}_suite")
+        assert inspect.isfunction(fn) and fn.__module__ == "ccrlab.suites"
         records = fn(RunConfig(suite=name, seed=7))
-        assert records and all(isinstance(r, reports.CheckRecord) for r in records)
+        assert records and all(isinstance(r, suites.CheckRecord) for r in records)
         assert [r.name for r in records if "." in r.name] == []
 
 
@@ -422,7 +426,7 @@ def test_worker_that_dies_fails_its_suites(monkeypatch, capsys, end, reason):
 
 def test_worker_records_that_cannot_be_read_fail_its_suites(monkeypatch, capsys):
     monkeypatch.setattr(pickle, "dumps", lambda obj, *args, **kwargs: b"not a pickle")  # in the worker only
-    code, worker_checks = _worker_run(monkeypatch, capsys, reports.symbolic_suite)
+    code, worker_checks = _worker_run(monkeypatch, capsys, suites.symbolic_suite)
     assert code == 1
     assert sorted(worker_checks) == ["analytic.setup", "symbolic.setup"]
     assert worker_checks["symbolic.setup"]["detail"].startswith(
@@ -541,7 +545,7 @@ def test_cli_sweep_refuses_non_finite_t_and_s(capsys):
     assert main(["sweep", "--interval-lengths", "1", "--t", "0.3333333"]) == 0
     assert capsys.readouterr().out.split("\n")[1] == "1.0,,,failed: ValueError"
     assert main(["sweep", "--interval-lengths", "0,-1"]) == 0
-    assert capsys.readouterr().out.split("\n")[1:3] == ["0.0,,,failed: ZeroDivisionError", "-1.0,,,failed: ValueError"]
+    assert capsys.readouterr().out.split("\n")[1:3] == ["0.0,,,failed: ValueError", "-1.0,,,failed: ValueError"]
 
 
 def test_cli_sweep_refuses_an_overflowing_mode_frequency_without_a_warning(capsys):
@@ -569,6 +573,21 @@ def test_cli_an_empty_list_item_is_a_usage_error_before_any_run(argv, option, ca
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"ccr-lab: {option} has an empty item" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["schrodinger", "--grid", "10,,spectral"], "--grid has an empty item in '10,,spectral'"),
+    (["schrodinger", "--grid", ",256,spectral"], "--grid has an empty item in ',256,spectral'"),
+    (["schrodinger", "--grid", "10,256.5,spectral"], "--grid has an item '256.5' that is not an integer"),
+    (["irregular", "--interval=0,x"], "--interval has an item 'x' that is not a number"),
+    (["sweep", "--dims", "16,x"], "--dims has an item 'x' that is not an integer"),
+    (["sweep", "--interval-lengths", "1,abc"], "--interval-lengths has an item 'abc' that is not a number"),
+])
+def test_cli_a_bad_list_item_names_its_option(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ccr-lab: {message}\n"
 
 
 def test_cli_unwritable_out_is_a_usage_error(tmp_path, capsys):
@@ -665,8 +684,8 @@ def _strict_json(text):
 
 def test_cli_non_finite_measured_value_is_valid_json(capsys):
     records = [
-        reports.Check("nan_value", "some relation", lambda: float("nan"), tolerance=1e-9).run(),
-        reports.Check("inf_flagged", "another relation", lambda: float("inf"), flagged=True).run(),
+        suites.Check("nan_value", "some relation", lambda: float("nan"), tolerance=1e-9).run(),
+        suites.Check("inf_flagged", "another relation", lambda: float("inf"), flagged=True).run(),
     ]
     report = reports.Report("weyl", RunConfig(suite="weyl").echo(), records)
     checks = _strict_json(report.to_json())["checks"]
@@ -740,7 +759,7 @@ def test_phase_convention_is_decided_at_st_in_pi_z(capsys, monkeypatch):
                                        rec.test_vector_support)
 
     monkeypatch.setattr(weyl, "weyl_residual", swapped)
-    record = {r.name: r for r in reports.weyl_suite(RunConfig(suite="weyl"))}["phase_convention"]
+    record = {r.name: r for r in suites.weyl_suite(RunConfig(suite="weyl"))}["phase_convention"]
     assert record.status == "fail"
 
 
@@ -811,7 +830,7 @@ def test_public_api_surface():
         "grid_oscillator_spectrum", "grid_points", "hermite_basis", "inner_product", "intertwiner_check",
         "interval", "interval_number_spectrum", "interval_vs_line_report", "interval_weyl_residual",
         "normal_order", "parse", "reports", "rng", "run_suite", "schrodinger", "shift_identity_residual",
-        "symbolic", "taylor_exp", "vacuum_annihilation_residual", "vacuum_expectation", "vacuum_sign_check",
+        "suites", "symbolic", "taylor_exp", "vacuum_annihilation_residual", "vacuum_expectation", "vacuum_sign_check",
         "verify_identity", "weyl", "weyl_residual",
     ]
 
@@ -934,9 +953,9 @@ def test_sweeps_validate_their_config():
 _SWEEP_DIMS, _SWEEP_LENGTHS = ["sweep", "--dims", "16"], ["sweep", "--interval-lengths", "1"]
 
 
-# One invocation per fault that RunConfig refuses, for a suite and, where the rule
-# applies to a sweep, for each sweep: every rule but the suite name and the format, which
-# the parser refuses first.
+# The usage-error table: one single-fault invocation per rule of the gate, for a suite
+# and, where the rule applies to a sweep, for each sweep.  The parser refuses an unknown
+# suite or format first; a sweep's one format rule is the CLI's.
 @pytest.mark.parametrize("argv, message", [
     (["weyl", "--t", "nan"], "t must be finite, got nan"),
     (_SWEEP_DIMS + ["--t", "inf"], "t must be finite, got inf"),
@@ -1037,12 +1056,27 @@ _SWEEP_DIMS, _SWEEP_LENGTHS = ["sweep", "--dims", "16"], ["sweep", "--interval-l
     (["irregular", "--t", "1e-12"], "no grid-aligned sample count near 256 for t=1e-12"),
     (["irregular", "--t", "1e-300"], "no grid-aligned sample count near 256 for t=1e-300"),
     (["all", "--t", "1e-12"], "no grid-aligned sample count near 256 for t=1e-12"),
+    # a step that underflows on the grid 4m the suite refines to, where it is positive at m and 2m
+    (["schrodinger", "--grid", "1e-322,32,spectral"],
+     "grid x_min=-1e-322, x_max=1e-322, m=128 has no positive finite step: (x_max - x_min) / m underflows to 0"),
+    (_SWEEP_DIMS + ["--format", "json"], "sweeps write CSV only: give --format csv or no --format, not --format json"),
 ])
 def test_cli_gate_refuses_each_fault(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"ccr-lab: {message}\n"
+
+
+def test_cli_field_rules_come_before_every_suites_rules(capsys):
+    # with two faults the gate names the field's: a seed outside 64 bits before the analytic
+    # suite's k_max, and an unknown scheme before the weyl suite's tail
+    for argv, message in ((["all", "--kmax", "500", "--seed", "-1"], "seed -1 is outside 0 <= seed < 2^64"),
+                          (["all", "--dim", "2", "--grid", "10,256,upwind"], "unknown scheme 'upwind'")):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ccr-lab: {message}\n"
 
 
 def test_cli_suites_refuse_the_sweep_options(capsys):
@@ -1151,3 +1185,16 @@ def test_cli_diff_refuses_what_is_not_a_report(tmp_path, capsys):
             assert captured.err.startswith("ccr-lab diff: ") and name in captured.err
     proc = run_cli(["diff", good])
     assert proc.returncode == 2 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_cli_diff_refuses_a_report_holding_a_non_finite_number(constant, tmp_path, capsys):
+    # json.load reads these, but ccr-lab writes a non-finite measure as its repr string
+    good = _report_file(tmp_path / "good.json", lambda checks: checks)
+    bad = tmp_path / "bad.json"
+    bad.write_text(open(good).read().replace('"measured": 0.0', f'"measured": {constant}', 1), encoding="utf-8")
+    for argv in (["diff", good, str(bad)], ["diff", str(bad), good]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ccr-lab diff: {bad}: not a ccr-lab report (it holds {constant}, which is not JSON)\n"

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from ccrlab.reports import _e0_if_zero
+from ccrlab.suites import _e0_if_zero
 from ccrlab.rng import SplitMix64, unit_doubles
 
 _MASK = (1 << 64) - 1

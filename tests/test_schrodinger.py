@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from numpy.polynomial.hermite import hermval
 
-from ccrlab import fock, interval, reports, schrodinger
+from ccrlab import fock, interval, reports, schrodinger, suites
 from spectral_oracles import fourier_sector, rayleigh_quotients, record_sectors, record_solvers
 
 
@@ -422,14 +422,22 @@ def test_oscillator_refuses_a_grid_whose_x2_overflows():
         schrodinger.grid_oscillator_spectrum(1e200, 64)
 
 
-def test_resolution_check_needs_the_largest_wavenumber_to_reach_1():
+def _grid(L, m, scheme=schrodinger.SPECTRAL):
+    """The fields of a config that the schrodinger suite and its domain read."""
+    return types.SimpleNamespace(grid_l=L, grid_m=m, scheme=scheme)
+
+
+def test_resolution_check_needs_the_largest_wavenumber_to_reach_1(monkeypatch):
     # at m = 8, pi/h = 4 pi/L reaches 1 up to L = 4 pi = 12.566...; the wavenumber rule comes first, so
-    # below that the grid passes it, and a guard of the grid checks refuses so coarse a grid
+    # below that the grid passes it, and a guard of the grid checks refuses so coarse a grid.  The suite's
+    # 6 levels do not fit 8 points, so here the domain solves 1 level and reads modes up to 0.
+    monkeypatch.setattr(suites, "_GRID_LEVELS", 1)
+    monkeypatch.setattr(suites, "_GRID_TOP_MODE", 0)
     with pytest.raises(schrodinger.GridResolutionError) as refused:
-        schrodinger.check_resolution(12.56, 8, schrodinger.SPECTRAL, 1, 0)
+        suites.DOMAINS["schrodinger"](_grid(12.56, 8))
     assert "wavenumber" not in str(refused.value)
     with pytest.raises(schrodinger.GridResolutionError, match=r"L=12\.57, m=8 has step h=3\.1425"):
-        schrodinger.check_resolution(12.57, 8, schrodinger.SPECTRAL, 1, 0)
+        suites.DOMAINS["schrodinger"](_grid(12.57, 8))
 
 
 @pytest.mark.parametrize("scheme", _SCHEMES)
@@ -443,8 +451,7 @@ def test_resolution_check_refuses_where_the_suite_guards_raise(scheme):
         except ValueError:
             accepted = False
         # the suite reads only the grid of its config, and a refused RunConfig does not exist
-        grid = types.SimpleNamespace(grid_l=L, grid_m=m, scheme=scheme)
-        raised = [c.name for c in reports.schrodinger_suite(grid) if c.measured is None]
+        raised = [c.name for c in suites.schrodinger_suite(_grid(L, m, scheme)) if c.measured is None]
         assert accepted == (raised == []), (L, m, raised)
 
 
@@ -482,7 +489,7 @@ def test_grid_refuses_an_underflowing_step():
             with pytest.raises(schrodinger.GridResolutionError, match="underflows to 0"):
                 schrodinger.grid_momentum(np.ones(16), 0.0, 5e-324, scheme)
         with pytest.raises(schrodinger.GridResolutionError, match=r"x_min=-5e-324, x_max=5e-324, m=256"):
-            schrodinger.check_resolution(5e-324, 256, schrodinger.SPECTRAL, 6, 8)
+            suites.DOMAINS["schrodinger"](_grid(5e-324, 256))
     # the smallest positive step is still a grid
     assert schrodinger.grid_points(0.0, 8 * 5e-324, 8)[1] == 5e-324
 

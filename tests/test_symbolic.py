@@ -13,7 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 from ccrlab import fock, symbolic
 from ccrlab.exact import HALF_SQRT2, ExactScalar, I, ONE, ZERO, _times, _to_complex
 from ccrlab.rng import SplitMix64
-from ccrlab.reports import RunConfig, _WORD_COEFFS, _word_text, random_word, symbolic_suite
+from ccrlab.reports import RunConfig
+from ccrlab.suites import _WORD_COEFFS, _word_text, random_word, symbolic_suite
 from ccrlab.symbolic import (
     Commutator,
     NormalForm,
