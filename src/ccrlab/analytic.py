@@ -14,9 +14,11 @@ each column.  In a block of two or more columns numpy sums each column in
 row order, so a column's values do not depend on the others (a block of
 one column is summed pairwise, and may differ in the last bit).  The
 norms do not depend on t: one pass over a block serves
-every t.  `analytic_series` and `check_growth_bound` are the batch of
-one of `analytic_series_block` and `growth_bound_block`; the analytic
-suite passes its 50 seeded single-power samples to
+every t.  At each t the ratio-test verdicts of all columns are one
+array, which `series_verdict_block` returns without building a
+SeriesReport per column.  `analytic_series` and `check_growth_bound` are
+the batch of one of `analytic_series_block` and `growth_bound_block`;
+the analytic suite passes its 50 seeded single-power samples to
 `single_power_bound_block` as one block.
 
 Mode window.  A `Band` whose lowest offset is -h moves a vector on
@@ -69,15 +71,6 @@ class SeriesReport:
         self.verdict, self.k_max, self.tail_estimate = verdict, k_max, tail_estimate
 
 
-def _verdict(ratios: list[float]) -> str:
-    window = ratios[-VERDICT_WINDOW:]
-    if window and all(r < RATIO_CONVERGED for r in window):
-        return "converged"
-    if window and all(r > RATIO_DIVERGING for r in window):
-        return "diverging"
-    return "inconclusive"
-
-
 def _top_modes(block: np.ndarray) -> np.ndarray:
     """The highest nonzero row of each column, -1 for a zero column."""
     nonzero = block != 0
@@ -123,15 +116,15 @@ def power_log_norms(A: Band, block, k_max: int) -> np.ndarray:
             nrm = np.sqrt(np.add.reduce((V.conj() * V).real, axis=0))  # np.linalg.norm(V, axis=0)
             if not nrm.max(initial=0.0) < np.inf:  # a norm is inf or nan
                 raise SeriesOverflowError(k)
-            np.log(nrm, out=log_norms[k])
-            if k:
-                log_norms[k] += log_norms[k - 1]
-            V /= np.where(nrm > 0.0, nrm, 1.0)  # unit columns; the magnitude lives in log_norms
-    return log_norms
+            np.log(nrm, out=log_norms[k])  # log ||A^k x|| - log ||A^(k-1) x||, summed in order below
+            np.divide(V, nrm, out=V, where=nrm > 0.0)  # unit columns; the magnitude lives in log_norms
+    return np.cumsum(log_norms, axis=0, out=log_norms)
 
 
-def _series_reports(log_norms: np.ndarray, t: float, k_max: int) -> list[SeriesReport]:
-    """One SeriesReport per column of a power_log_norms table at this t."""
+def _series_table(log_norms: np.ndarray, t: float, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The terms t^k/k! ||A^k x_j|| of each column of a power_log_norms table at
+    this t, and the columns' verdicts as one array: a ratio terms[k + 1] / terms[k]
+    counts where terms[k] > 0, and a verdict reads the last VERDICT_WINDOW that count."""
     k = np.arange(k_max + 1)
     if t > 0:
         log_gamma = np.array([math.lgamma(i + 1) for i in k])
@@ -143,20 +136,44 @@ def _series_reports(log_norms: np.ndarray, t: float, k_max: int) -> list[SeriesR
     if overflow.size:
         raise SeriesOverflowError(int(overflow[0]))
     terms = np.exp(log_terms)
+    defined = terms[:-1] > 0.0
+    window = defined & (np.cumsum(defined[::-1], axis=0)[::-1] <= VERDICT_WINDOW)  # the last ratios that count
+    ratios = np.divide(terms[1:], terms[:-1], out=np.ones_like(terms[1:]), where=defined)
+    some = window.any(axis=0)
+    converged = some & np.all(ratios < RATIO_CONVERGED, axis=0, where=window)
+    diverging = some & np.all(ratios > RATIO_DIVERGING, axis=0, where=window)
+    return terms, np.where(converged, "converged", np.where(diverging, "diverging", "inconclusive"))
+
+
+def _series_reports(log_norms: np.ndarray, t: float, k_max: int) -> list[SeriesReport]:
+    """One SeriesReport per column of a power_log_norms table at this t."""
+    terms, verdicts = _series_table(log_norms, t, k_max)
     partial_sums = np.cumsum(terms, axis=0)
     reports = []
-    for j in range(terms.shape[1]):
+    for j, verdict in enumerate(verdicts.tolist()):
         column = terms[:, j]
         defined = column[:-1] > 0.0
         ratios = (column[1:][defined] / column[:-1][defined]).tolist()
-        verdict = _verdict(ratios)
-        tail = None
-        if verdict == "converged":
-            rho = ratios[-1] if ratios else 0.0
-            tail = float(column[-1]) * rho / (1.0 - rho) if rho < 1.0 else math.inf
+        tail = float(column[-1]) * ratios[-1] / (1.0 - ratios[-1]) if verdict == "converged" else None
         reports.append(SeriesReport(float(t), column.tolist(), partial_sums[:, j].tolist(), ratios,
                                     verdict, k_max, tail))
     return reports
+
+
+def _guarded_log_norms(A: Band, block, ts, k_max: int) -> np.ndarray:
+    """power_log_norms of `block` to k_max, under analytic_series_block's guards."""
+    if any(t < 0 for t in ts):
+        raise ValueError("t must be nonnegative")
+    if k_max < 1:
+        raise ValueError("k_max must be positive")
+    block = np.asarray(block)
+    tops = _top_modes(block)
+    if np.any(tops < 0):
+        raise ValueError("xi must be a nonzero vector")
+    top = int(tops.max())
+    if top + k_max + 1 > A.dim:
+        raise ValueError(f"guard band violated: need dim >= support + k_max + 1 = {top + k_max + 1}, got dim={A.dim}")
+    return power_log_norms(A, block[: top + 1], k_max)
 
 
 def analytic_series_block(A: Band, block, ts, k_max: int = DEFAULT_K_MAX) -> list[list[SeriesReport]]:
@@ -168,23 +185,14 @@ def analytic_series_block(A: Band, block, ts, k_max: int = DEFAULT_K_MAX) -> lis
     so that every power seen by the test vectors is free of truncation
     effects.
     """
-    dim = A.dim
-    if any(t < 0 for t in ts):
-        raise ValueError("t must be nonnegative")
-    if k_max < 1:
-        raise ValueError("k_max must be positive")
-    block = np.asarray(block)
-    tops = _top_modes(block)
-    if np.any(tops < 0):
-        raise ValueError("xi must be a nonzero vector")
-    top = int(tops.max())
-    if top + k_max + 1 > dim:
-        raise ValueError(
-            f"guard band violated: need dim >= support + k_max + 1 = "
-            f"{top + k_max + 1}, got dim={dim}"
-        )
-    log_norms = power_log_norms(A, block[: top + 1], k_max)
+    log_norms = _guarded_log_norms(A, block, ts, k_max)
     return [_series_reports(log_norms, t, k_max) for t in ts]
+
+
+def series_verdict_block(A: Band, block, ts, k_max: int = DEFAULT_K_MAX) -> np.ndarray:
+    """The verdicts of analytic_series_block(A, block, ts, k_max) as a len(ts) x n array, without its reports."""
+    log_norms = _guarded_log_norms(A, block, ts, k_max)
+    return np.array([_series_table(log_norms, t, k_max)[1] for t in ts])
 
 
 def analytic_series(A: Band, xi: FockState, t: float, k_max: int = DEFAULT_K_MAX) -> SeriesReport:

@@ -241,8 +241,9 @@ def _reflection_entries(column: np.ndarray, rows: np.ndarray, cols: np.ndarray, 
         out += gathered
     else:
         out -= gathered
-    out *= np.where(np.isin(rows, fixed), math.sqrt(0.5), 1.0)[:, None]
-    out *= np.where(np.isin(cols, fixed), math.sqrt(0.5), 1.0)
+    if fixed:  # at most two indices, compared directly
+        out *= np.where(np.equal.outer(rows, fixed).any(axis=1), math.sqrt(0.5), 1.0)[:, None]
+        out *= np.where(np.equal.outer(cols, fixed).any(axis=1), math.sqrt(0.5), 1.0)
     return out
 
 

@@ -33,6 +33,7 @@ import operator
 import numpy as np
 
 from . import analytic, fock, interval, schrodinger, symbolic, weyl
+from .exact import I, ONE, SQRT2, ZERO
 from .rng import SplitMix64
 
 # Analytic suite: the t of its converged-share series, top mode of its random vectors, dim
@@ -145,6 +146,7 @@ def random_fock_state(gen: SplitMix64, max_mode: int) -> fock.FockState:
 
 _WORD_LETTERS = ("a", "ad", "q", "p", "I")
 _WORD_COEFFS = ("1", "-1", "2", "i", "1/2", "sqrt2", "-i")
+_COEFF_LEAVES = {c: symbolic.Scalar(v) for c, v in zip(_WORD_COEFFS, (ONE, -ONE, ONE + ONE, I, ONE / 2, SQRT2, -I))}
 _CONJUGATE = {"i": "-i", "-i": "i"}  # the others are real
 _DAGGER = {"a": "ad", "ad": "a"}  # q, p and I are self-adjoint
 
@@ -160,8 +162,19 @@ def random_word(gen: SplitMix64, max_len: int = 6) -> tuple[str, list[str]]:
 
 
 def _word_text(coeff: str, letters: list[str]) -> str:
-    """The parser text of a word."""
+    """The parser text of a word, for a failure's detail."""
     return f"({coeff}) * " + " * ".join(letters)
+
+
+def _word_form(coeff: str, letters: list[str]) -> symbolic.NormalForm:
+    """The normal form of a word, from its letters: what normal_order makes of its text."""
+    return symbolic._word((_COEFF_LEAVES[coeff], *map(symbolic._NAMED.__getitem__, letters)))
+
+
+def _word_matrix(coeff: str, letters: list[str], dim: int) -> np.ndarray:
+    """The matrix of a word as expr_to_matrix evaluates its text: c times the first letter's, then @ each next."""
+    first = _COEFF_LEAVES[coeff].value.to_complex() * symbolic._leaf_matrix(letters[0], dim)
+    return functools.reduce(operator.matmul, [symbolic._leaf_matrix(x, dim) for x in letters[1:]], first)
 
 
 def _max_entry(band: fock.Band) -> float:
@@ -286,13 +299,8 @@ def analytic_suite(config) -> list[CheckRecord]:
         # 50 seeded vectors, one draw, as the columns of one block; one pass per operator serves every t
         draws = SplitMix64(config.seed).complex_components(50 * (_ANALYTIC_TOP_MODE + 1))
         block = _e0_if_zero(draws.reshape(50, _ANALYTIC_TOP_MODE + 1).T.copy())
-        verdicts = [
-            rep.verdict
-            for op in (q, p)
-            for reports in analytic.analytic_series_block(op, block, _SERIES_TS, k_max)
-            for rep in reports
-        ]
-        return verdicts.count("converged") / len(verdicts)
+        verdicts = np.array([analytic.series_verdict_block(op, block, _SERIES_TS, k_max) for op in (q, p)])
+        return int(np.count_nonzero(verdicts == "converged")) / verdicts.size
 
     def growth_ratio():
         # 1000 seeded (support, power, vector) draws as the columns of one block
@@ -710,26 +718,21 @@ def symbolic_suite(config) -> list[CheckRecord]:
 
     def homomorphism():
         gen = SplitMix64(config.seed + 7)
-        dim = 12
-        worst = 0.0
-        for _ in range(200):
-            coeff, letters = random_word(gen, 6)
-            expr = symbolic.parse(_word_text(coeff, letters))
-            g = dim - max(len(letters) - letters.count("I"), 1)  # each letter but I moves a mode by at most 1
-            direct = symbolic.expr_to_matrix(expr, dim)
-            assembled = symbolic.normal_order(expr).to_matrix(dim)
-            worst = max(worst, float(np.abs(direct[:g, :g] - assembled[:g, :g]).max()))
-        return worst
+        dim, words = 12, [random_word(gen, 6) for _ in range(200)]
+        differences = np.array([_word_matrix(*word, dim) - _word_form(*word).to_matrix(dim) for word in words])
+        # each letter but I moves a mode by at most 1, so the leading g x g block is free of truncation
+        g = dim - np.array([max(len(letters) - letters.count("I"), 1) for _, letters in words])
+        window = np.maximum.outer(np.arange(dim), np.arange(dim)) < g[:, None, None]
+        return float(np.abs(differences)[window].max())
 
     def adjoint_commutes():
         # the adjoint word runs the ladder moves of other letters; nf.adjoint() only swaps keys and conjugates
         gen = SplitMix64(config.seed + 8)
         for _ in range(50):
             coeff, letters = random_word(gen, 5)
-            text = _word_text(coeff, letters)
-            adjoint = _word_text(_CONJUGATE.get(coeff, coeff), [_DAGGER.get(x, x) for x in reversed(letters)])
-            if symbolic.normal_order(adjoint) != symbolic.normal_order(text).adjoint():
-                return (text, False)
+            adjoint = _word_form(_CONJUGATE.get(coeff, coeff), [_DAGGER.get(x, x) for x in reversed(letters)])
+            if adjoint != _word_form(coeff, letters).adjoint():
+                return (_word_text(coeff, letters), False)
         return (50, True)
 
     def sum_and_difference():
@@ -737,12 +740,12 @@ def symbolic_suite(config) -> list[CheckRecord]:
         # sums of the coefficients key by key, made canonical by the NormalForm constructor
         gen = SplitMix64(config.seed + 9)
         for _ in range(50):
-            texts = [_word_text(*random_word(gen, 4)) for _ in range(2)]
-            x, y = map(symbolic.normal_order, texts)
+            words = [random_word(gen, 4) for _ in range(2)]
+            x, y = (_word_form(*word) for word in words)
             xs, ys = dict(x.items()), dict(y.items())
             for form, op in ((x + y, operator.add), (x - y, operator.sub)):
-                if form != symbolic.NormalForm({k: op(xs.get(k, 0), ys.get(k, 0)) for k in xs.keys() | ys.keys()}):
-                    return (" | ".join(texts), False)
+                if form != symbolic.NormalForm({k: op(xs.get(k, ZERO), ys.get(k, ZERO)) for k in xs.keys() | ys.keys()}):
+                    return (" | ".join(_word_text(*word) for word in words), False)
         return (50, True)
 
     checks = [

@@ -334,7 +334,7 @@ class NormalForm:
         # over the lcm of canonical denominators the numerators have content 1
         den = math.lcm(*(n[4] for n in scalars.values()))
         self._den = den
-        self._num = {key: tuple(x * (den // n[4]) for x in n[:4]) for key, n in scalars.items()}
+        self._num = {key: (n0 * (f := den // d), n1 * f, n2 * f, n3 * f) for key, (n0, n1, n2, n3, d) in scalars.items()}
 
     @classmethod
     def _reduced(cls, num: dict, den: int) -> "NormalForm":

@@ -17,6 +17,17 @@ from ccrlab.suites import analytic_suite, random_fock_state
 import dense_fock as dense
 
 
+def _plain_verdict(ratios):
+    """The ratio test of SeriesReport, stated plainly: the last five ratios
+    all below 0.9 converge, all above 1.1 diverge."""
+    window = ratios[-5:]
+    if window and all(r < 0.9 for r in window):
+        return "converged"
+    if window and all(r > 1.1 for r in window):
+        return "diverging"
+    return "inconclusive"
+
+
 def _reference_analytic_series(A, xi, t, k_max):
     """The per-vector, full-dim series evaluation that the block kernel
     replaced, kept as its oracle: a dim-length vector, one product and one
@@ -64,7 +75,7 @@ def _reference_analytic_series(A, xi, t, k_max):
 
     partial_sums = [float(s) for s in np.cumsum(terms)]
     ratios = [terms[k + 1] / terms[k] for k in range(len(terms) - 1) if terms[k] > 0.0]
-    verdict = analytic._verdict(ratios)
+    verdict = _plain_verdict(ratios)
 
     tail = None
     if verdict == "converged":
@@ -134,6 +145,7 @@ def test_block_kernel_matches_per_vector_reference(vectors, k_max, extra, ts, na
 
     reports = analytic.analytic_series_block(A, block, ts, k_max)
     assert len(reports) == len(ts) and all(len(row) == len(states) for row in reports)
+    assert analytic.series_verdict_block(A, block, ts, k_max).tolist() == [[r.verdict for r in row] for row in reports]
     for i, t in enumerate(ts):
         for j, xi in enumerate(states):
             want = _reference_analytic_series(A, xi, t, k_max)
@@ -145,6 +157,36 @@ def test_block_kernel_matches_per_vector_reference(vectors, k_max, extra, ts, na
     for j, (xi, k) in enumerate(zip(states, powers)):
         want_lhs, want_bound = _reference_check_growth_bound(A, xi, k)
         np.testing.assert_allclose([lhs[j], bound[j]], [want_lhs, want_bound], rtol=1e-12, atol=0)
+
+
+def _log_norm_column(k_max):
+    """A column of a log-norm table, log ||A^k x|| for k = 0..k_max: a walk;
+    a walk above log k!, whose series can diverge; one that vanishes (-inf)
+    from some k on; one that falls steeply, so that its terms underflow to 0
+    partway; or values far below 0, whose terms are subnormal or 0 and come
+    back.  No ratio of two terms leaves the double range, as none does for a
+    table of ||A^k x||."""
+    def walk(low, high):
+        return st.lists(st.floats(low, high), min_size=k_max, max_size=k_max).map(lambda steps: np.cumsum([0.0] + steps))
+    log_factorials = np.array([math.lgamma(k + 1) for k in range(k_max + 1)])
+    vanishing = st.tuples(walk(-3.0, 3.0), st.integers(1, k_max)).map(
+        lambda pair: np.concatenate([pair[0][: pair[1]], np.full(k_max + 1 - pair[1], -np.inf)]))
+    scattered = st.lists(st.one_of(st.floats(-800.0, -100.0), st.just(-np.inf)),
+                         min_size=k_max + 1, max_size=k_max + 1).map(np.array)
+    return st.one_of(walk(-3.0, 3.0), walk(-1.0, 3.0).map(log_factorials.__add__), vanishing, walk(-60.0, 2.0),
+                     scattered)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), k_max=st.integers(5, 60), t=st.one_of(st.just(0.0), st.floats(1e-3, 5.0)))
+def test_array_verdicts_are_the_plain_ratio_test(data, k_max, t):
+    # every column's verdict against the ratio test read off its own terms, one column at a time;
+    # t = 0 leaves every term after k = 0 zero
+    columns = data.draw(st.lists(_log_norm_column(k_max), min_size=1, max_size=5))
+    terms, verdicts = analytic._series_table(np.stack(columns, axis=1), t, k_max)
+    for j, verdict in enumerate(verdicts.tolist()):
+        column = terms[:, j].tolist()
+        assert verdict == _plain_verdict([column[k + 1] / column[k] for k in range(k_max) if column[k] > 0.0])
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

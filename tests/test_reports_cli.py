@@ -372,13 +372,28 @@ def test_cli_report_is_the_same_without_the_worker(threads, monkeypatch):
     code = ("import sys; from ccrlab import cli, reports; reports._WORKER_SUITES = tuple(sys.argv[1:]); "
             "sys.exit(cli.main(['all', '--seed', '7', '--format', 'json']))")
     outputs = []
-    for worker in (["analytic", "symbolic"], []):
+    for worker in (list(reports._WORKER_SUITES), []):
         proc = subprocess.run([sys.executable, "-c", code, *worker], capture_output=True, text=True, timeout=600)
         assert proc.returncode == 0 and proc.stderr == "", proc.stderr
         report = json.loads(proc.stdout)
         report.pop("wall_time_s")
         outputs.append(report)
     assert outputs[0] == outputs[1]
+
+
+def test_no_dense_eigensolve_runs_in_the_worker(monkeypatch):
+    # the rule that keeps every value moving with the BLAS thread count in the calling process
+    config = RunConfig(suite="all", seed=7)
+    want = [(r.name, r.status) for r in reports._run_suites(config, reports._WORKER_SUITES)]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a dense eigensolve")
+
+    for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd"):
+        monkeypatch.setattr(np.linalg, name, refused)
+    assert [(r.name, r.status) for r in reports._run_suites(config, reports._WORKER_SUITES)] == want
+    # and the patch bites where an eigensolve runs, uncached
+    assert "fail" in {r.status for r in reports._run_suites(config, ("irregular",))}
 
 
 def _worker_run(monkeypatch, capsys, suite_fn):

@@ -14,7 +14,9 @@ from ccrlab import fock, symbolic
 from ccrlab.exact import HALF_SQRT2, ExactScalar, I, ONE, ZERO, _times, _to_complex
 from ccrlab.rng import SplitMix64
 from ccrlab.reports import RunConfig
-from ccrlab.suites import _WORD_COEFFS, _word_text, random_word, symbolic_suite
+from ccrlab.suites import (
+    _CONJUGATE, _DAGGER, _WORD_COEFFS, _word_form, _word_matrix, _word_text, random_word, symbolic_suite,
+)
 from ccrlab.symbolic import (
     Commutator,
     NormalForm,
@@ -284,6 +286,27 @@ def test_random_words_are_the_text_draws(seed):
             assert _word_text(*random_word(gen, max_len)) == _text_word_source(reference, max_len)
 
 
+def _suite_words(seed):
+    """The symbolic suite's seeded words as its checks draw them: matrix_homomorphism's,
+    adjoint_commutes' each followed by its adjoint, and sum_and_difference's."""
+    for offset, count, max_len in ((7, 200, 6), (8, 50, 5), (9, 100, 4)):
+        gen = SplitMix64(seed + offset)
+        for _ in range(count):
+            coeff, letters = random_word(gen, max_len)
+            yield coeff, letters
+            if offset == 8:
+                yield _CONJUGATE.get(coeff, coeff), [_DAGGER.get(x, x) for x in reversed(letters)]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_word_records_are_their_texts(seed):
+    # each seeded word by its letters against the text route that parses it: the same form, the same matrix
+    for word in _suite_words(seed):
+        text = _word_text(*word)
+        assert _word_form(*word) == normal_order(text), text
+        assert np.array_equal(_word_matrix(*word, 12), expr_to_matrix(text, 12)), text
+
+
 def _is_word(tree) -> bool:
     """Whether a tree has only the nodes of a word."""
     if isinstance(tree, Product):
@@ -297,12 +320,14 @@ def _is_word(tree) -> bool:
 
 @pytest.mark.parametrize("seed", [0, 7, 123])
 def test_the_symbolic_suite_parses_words_only(seed, monkeypatch):
-    # its fixed texts and its seeded words, parsed and normal-ordered as the suite runs them
+    # its fixed texts, parsed and normal-ordered as the suite runs them; its seeded words are letter
+    # records, and no text of one is parsed
     texts, parse_text = [], symbolic.parse
     monkeypatch.setattr(symbolic, "parse", lambda text: texts.append(text) or parse_text(text))
     records = symbolic_suite(RunConfig(suite="symbolic", seed=seed))
     assert [r.name for r in records if r.status not in ("pass", "flagged")] == []
-    assert len(texts) > 400 and all(_is_word(parse_text(text)) for text in texts)
+    assert texts and all(_is_word(parse_text(text)) for text in texts)
+    assert set(texts).isdisjoint(_word_text(*word) for word in _suite_words(seed))
 
 
 def _symbolic_status(name, seed=7):
