@@ -106,25 +106,27 @@ def power_log_norms(A: Band, block, k_max: int) -> np.ndarray:
     window = _mode_window(A, block.shape[0], k_max)
     if window < dim:
         A = A.cut(window)
+    A = Band._unchecked(window, {k: d.astype(complex) for k, d in A.diagonals.items()})  # cast once, not per product
     V = np.zeros((window, block.shape[1]), dtype=complex)
     V[: block.shape[0]] = block
     log_norms = np.empty((k_max + 1, block.shape[1]))
-    with np.errstate(divide="ignore"):  # log(0) = -inf for a vanished column
+    with np.errstate(divide="ignore", invalid="ignore"):  # log(0) = -inf for a vanished column; nan after inf
         for k in range(k_max + 1):
             if k:
                 V = A @ V
             nrm = np.sqrt(np.add.reduce((V.conj() * V).real, axis=0))  # np.linalg.norm(V, axis=0)
-            if not nrm.max(initial=0.0) < np.inf:  # a norm is inf or nan
-                raise SeriesOverflowError(k)
             np.log(nrm, out=log_norms[k])  # log ||A^k x|| - log ||A^(k-1) x||, summed in order below
             np.divide(V, nrm, out=V, where=nrm > 0.0)  # unit columns; the magnitude lives in log_norms
+    overflow = np.flatnonzero(~(log_norms < np.inf).all(axis=1))  # the powers with a norm inf or nan
+    if overflow.size:
+        raise SeriesOverflowError(int(overflow[0]))
     return np.cumsum(log_norms, axis=0, out=log_norms)
 
 
-def _series_table(log_norms: np.ndarray, t: float, k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """The terms t^k/k! ||A^k x_j|| of each column of a power_log_norms table at
-    this t, and the columns' verdicts as one array: a ratio terms[k + 1] / terms[k]
-    counts where terms[k] > 0, and a verdict reads the last VERDICT_WINDOW that count."""
+def _series_table(log_norms: np.ndarray, t: float, k_max: int) -> tuple[np.ndarray, ...]:
+    """The terms t^k/k! ||A^k x_j|| of each column of a power_log_norms table at this t, the mask of the
+    ratios terms[k + 1] / terms[k] that count (terms[k] > 0), the ratios (1 where not), and the columns'
+    verdicts as one array, each read from the last VERDICT_WINDOW ratios that count."""
     k = np.arange(k_max + 1)
     if t > 0:
         log_gamma = np.array([math.lgamma(i + 1) for i in k])
@@ -142,20 +144,18 @@ def _series_table(log_norms: np.ndarray, t: float, k_max: int) -> tuple[np.ndarr
     some = window.any(axis=0)
     converged = some & np.all(ratios < RATIO_CONVERGED, axis=0, where=window)
     diverging = some & np.all(ratios > RATIO_DIVERGING, axis=0, where=window)
-    return terms, np.where(converged, "converged", np.where(diverging, "diverging", "inconclusive"))
+    return terms, defined, ratios, np.where(converged, "converged", np.where(diverging, "diverging", "inconclusive"))
 
 
 def _series_reports(log_norms: np.ndarray, t: float, k_max: int) -> list[SeriesReport]:
     """One SeriesReport per column of a power_log_norms table at this t."""
-    terms, verdicts = _series_table(log_norms, t, k_max)
+    terms, defined, ratios, verdicts = _series_table(log_norms, t, k_max)
     partial_sums = np.cumsum(terms, axis=0)
     reports = []
     for j, verdict in enumerate(verdicts.tolist()):
-        column = terms[:, j]
-        defined = column[:-1] > 0.0
-        ratios = (column[1:][defined] / column[:-1][defined]).tolist()
-        tail = float(column[-1]) * ratios[-1] / (1.0 - ratios[-1]) if verdict == "converged" else None
-        reports.append(SeriesReport(float(t), column.tolist(), partial_sums[:, j].tolist(), ratios,
+        counted = ratios[:, j][defined[:, j]].tolist()
+        tail = float(terms[-1, j]) * counted[-1] / (1.0 - counted[-1]) if verdict == "converged" else None
+        reports.append(SeriesReport(float(t), terms[:, j].tolist(), partial_sums[:, j].tolist(), counted,
                                     verdict, k_max, tail))
     return reports
 
@@ -192,7 +192,7 @@ def analytic_series_block(A: Band, block, ts, k_max: int = DEFAULT_K_MAX) -> lis
 def series_verdict_block(A: Band, block, ts, k_max: int = DEFAULT_K_MAX) -> np.ndarray:
     """The verdicts of analytic_series_block(A, block, ts, k_max) as a len(ts) x n array, without its reports."""
     log_norms = _guarded_log_norms(A, block, ts, k_max)
-    return np.array([_series_table(log_norms, t, k_max)[1] for t in ts])
+    return np.array([_series_table(log_norms, t, k_max)[-1] for t in ts])
 
 
 def analytic_series(A: Band, xi: FockState, t: float, k_max: int = DEFAULT_K_MAX) -> SeriesReport:

@@ -33,7 +33,7 @@ import operator
 import numpy as np
 
 from . import analytic, fock, interval, schrodinger, symbolic, weyl
-from .exact import I, ONE, SQRT2, ZERO
+from .exact import ZERO
 from .rng import SplitMix64
 
 # Analytic suite: the t of its converged-share series, top mode of its random vectors, dim
@@ -146,19 +146,27 @@ def random_fock_state(gen: SplitMix64, max_mode: int) -> fock.FockState:
 
 _WORD_LETTERS = ("a", "ad", "q", "p", "I")
 _WORD_COEFFS = ("1", "-1", "2", "i", "1/2", "sqrt2", "-i")
-_COEFF_LEAVES = {c: symbolic.Scalar(v) for c, v in zip(_WORD_COEFFS, (ONE, -ONE, ONE + ONE, I, ONE / 2, SQRT2, -I))}
+_WORD_LEAVES = {x: symbolic.parse(f"({x})") for x in _WORD_COEFFS + _WORD_LETTERS}  # the parser's folded leaves
 _CONJUGATE = {"i": "-i", "-i": "i"}  # the others are real
 _DAGGER = {"a": "ad", "ad": "a"}  # q, p and I are self-adjoint
 
 
-def random_word(gen: SplitMix64, max_len: int = 6) -> tuple[str, list[str]]:
-    """Seeded random operator word: (coeff, letters), a coefficient from
-    _WORD_COEFFS and 1..max_len letters, at most one of them I."""
-    length = gen.randint(1, max_len)
-    letters = [_WORD_LETTERS[gen.randint(0, 3)] for _ in range(length)]
-    if gen.randint(0, 4) == 0:
-        letters[gen.randint(0, length - 1)] = "I"
-    return _WORD_COEFFS[gen.randint(0, len(_WORD_COEFFS) - 1)], letters
+def random_words(gen: SplitMix64, count: int, max_len: int = 6) -> list[tuple[str, list[str]]]:
+    """`count` seeded operator words (coeff, letters): 1..max_len letters, at most one of them I, and a
+    coefficient from _WORD_COEFFS.  A word draws in turn its length, each letter, a 1-in-5 test for an I
+    (then the I's place) and its coefficient, each draw of n values one output mod n, as randint does.
+    The draws come from one block of max_len + 4 outputs per word, the most a word takes."""
+    z, at, words = gen.block(count * (max_len + 4)).tolist(), 0, []
+    for _ in range(count):
+        length = 1 + z[at] % max_len
+        letters = [_WORD_LETTERS[x % 4] for x in z[at + 1: at + 1 + length]]
+        at += length + 1
+        if z[at] % 5 == 0:
+            letters[z[at + 1] % length] = "I"
+            at += 1
+        words.append((_WORD_COEFFS[z[at + 1] % len(_WORD_COEFFS)], letters))
+        at += 2
+    return words
 
 
 def _word_text(coeff: str, letters: list[str]) -> str:
@@ -166,15 +174,9 @@ def _word_text(coeff: str, letters: list[str]) -> str:
     return f"({coeff}) * " + " * ".join(letters)
 
 
-def _word_form(coeff: str, letters: list[str]) -> symbolic.NormalForm:
-    """The normal form of a word, from its letters: what normal_order makes of its text."""
-    return symbolic._word((_COEFF_LEAVES[coeff], *map(symbolic._NAMED.__getitem__, letters)))
-
-
-def _word_matrix(coeff: str, letters: list[str], dim: int) -> np.ndarray:
-    """The matrix of a word as expr_to_matrix evaluates its text: c times the first letter's, then @ each next."""
-    first = _COEFF_LEAVES[coeff].value.to_complex() * symbolic._leaf_matrix(letters[0], dim)
-    return functools.reduce(operator.matmul, [symbolic._leaf_matrix(x, dim) for x in letters[1:]], first)
+def _word_expr(coeff: str, letters: list[str]) -> symbolic.Product:
+    """The expression the parser makes of a word's text, built from its leaves."""
+    return symbolic.Product(tuple(map(_WORD_LEAVES.__getitem__, (coeff, *letters))))
 
 
 def _max_entry(band: fock.Band) -> float:
@@ -717,9 +719,10 @@ def symbolic_suite(config) -> list[CheckRecord]:
         return float(abs(exact - mat[0, 0]))
 
     def homomorphism():
-        gen = SplitMix64(config.seed + 7)
-        dim, words = 12, [random_word(gen, 6) for _ in range(200)]
-        differences = np.array([_word_matrix(*word, dim) - _word_form(*word).to_matrix(dim) for word in words])
+        dim, words = 12, random_words(SplitMix64(config.seed + 7), 200, 6)
+        exprs = [_word_expr(*word) for word in words]
+        differences = np.array([symbolic.expr_to_matrix(x, dim) - symbolic.normal_order(x).to_matrix(dim)
+                                for x in exprs])
         # each letter but I moves a mode by at most 1, so the leading g x g block is free of truncation
         g = dim - np.array([max(len(letters) - letters.count("I"), 1) for _, letters in words])
         window = np.maximum.outer(np.arange(dim), np.arange(dim)) < g[:, None, None]
@@ -727,21 +730,18 @@ def symbolic_suite(config) -> list[CheckRecord]:
 
     def adjoint_commutes():
         # the adjoint word runs the ladder moves of other letters; nf.adjoint() only swaps keys and conjugates
-        gen = SplitMix64(config.seed + 8)
-        for _ in range(50):
-            coeff, letters = random_word(gen, 5)
-            adjoint = _word_form(_CONJUGATE.get(coeff, coeff), [_DAGGER.get(x, x) for x in reversed(letters)])
-            if adjoint != _word_form(coeff, letters).adjoint():
+        for coeff, letters in random_words(SplitMix64(config.seed + 8), 50, 5):
+            adjoint = _word_expr(_CONJUGATE.get(coeff, coeff), [_DAGGER.get(x, x) for x in reversed(letters)])
+            if symbolic.normal_order(adjoint) != symbolic.normal_order(_word_expr(coeff, letters)).adjoint():
                 return (_word_text(coeff, letters), False)
         return (50, True)
 
     def sum_and_difference():
         # the merge that decides every identity by its difference form, against ExactScalar
         # sums of the coefficients key by key, made canonical by the NormalForm constructor
-        gen = SplitMix64(config.seed + 9)
-        for _ in range(50):
-            words = [random_word(gen, 4) for _ in range(2)]
-            x, y = (_word_form(*word) for word in words)
+        drawn = random_words(SplitMix64(config.seed + 9), 100, 4)
+        for words in zip(drawn[::2], drawn[1::2]):
+            x, y = (symbolic.normal_order(_word_expr(*word)) for word in words)
             xs, ys = dict(x.items()), dict(y.items())
             for form, op in ((x + y, operator.add), (x - y, operator.sub)):
                 if form != symbolic.NormalForm({k: op(xs.get(k, ZERO), ys.get(k, ZERO)) for k in xs.keys() | ys.keys()}):

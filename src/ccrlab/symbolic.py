@@ -286,6 +286,7 @@ def _reorder(k: int, m: int) -> tuple:
 def _ladder_term(dim: int, m: int, k: int) -> fock.Band:
     """(a†)^m a^k on dim modes: one band product of the powers (a†)^m and
     a^k, each power a left product a @ a^(k-1) as a dense power would be.
+    Complex (imaginary parts +0), as to_matrix scales it by complex numbers.
     Cached, and so read-only, because the terms of many normal forms
     repeat: an entry holds one diagonal of dim entries."""
     if m and k:
@@ -294,7 +295,7 @@ def _ladder_term(dim: int, m: int, k: int) -> fock.Band:
         a = fock.Band.annihilator(dim)
         term = (a.adjoint() if m else a) @ _ladder_term(dim, max(m - 1, 0), max(k - 1, 0))
     else:
-        term = fock.Band(dim, {0: np.ones(dim)})
+        term = fock.Band(dim, {0: np.ones(dim, dtype=complex)})
     for d in term.diagonals.values():
         d.flags.writeable = False
     return term

@@ -16,7 +16,7 @@ import numpy as np
 
 from ccrlab import analytic, fock, interval, schrodinger, symbolic, weyl
 from ccrlab.reports import RunConfig, run_suite
-from ccrlab.suites import _word_text, random_fock_state, random_word
+from ccrlab.suites import _word_text, random_fock_state, random_words
 from ccrlab.rng import SplitMix64
 
 
@@ -152,10 +152,8 @@ def test_criterion_10_irregular_representation():
 
 def test_criterion_11_symbolic_numeric_homomorphism():
     with criterion(11, "normal forms assemble to the truncated matrices"):
-        gen = SplitMix64(7)
         dim = 12
-        for _ in range(200):
-            coeff, letters = random_word(gen, 6)
+        for coeff, letters in random_words(SplitMix64(7), 200, 6):
             expr = symbolic.parse(_word_text(coeff, letters))
             g = dim - max(len(letters) - letters.count("I"), 1)
             direct = symbolic.expr_to_matrix(expr, dim)

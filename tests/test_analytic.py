@@ -183,7 +183,7 @@ def test_array_verdicts_are_the_plain_ratio_test(data, k_max, t):
     # every column's verdict against the ratio test read off its own terms, one column at a time;
     # t = 0 leaves every term after k = 0 zero
     columns = data.draw(st.lists(_log_norm_column(k_max), min_size=1, max_size=5))
-    terms, verdicts = analytic._series_table(np.stack(columns, axis=1), t, k_max)
+    terms, *_, verdicts = analytic._series_table(np.stack(columns, axis=1), t, k_max)
     for j, verdict in enumerate(verdicts.tolist()):
         column = terms[:, j].tolist()
         assert verdict == _plain_verdict([column[k + 1] / column[k] for k in range(k_max) if column[k] > 0.0])

@@ -15,7 +15,7 @@ from ccrlab.exact import HALF_SQRT2, ExactScalar, I, ONE, ZERO, _times, _to_comp
 from ccrlab.rng import SplitMix64
 from ccrlab.reports import RunConfig
 from ccrlab.suites import (
-    _CONJUGATE, _DAGGER, _WORD_COEFFS, _word_form, _word_matrix, _word_text, random_word, symbolic_suite,
+    _CONJUGATE, _DAGGER, _WORD_COEFFS, _word_expr, _word_text, random_words, symbolic_suite,
 )
 from ccrlab.symbolic import (
     Commutator,
@@ -268,7 +268,7 @@ def test_adjoint_of_hermitian_symbols():
 
 def _text_word_source(gen, max_len):
     """The seeded word as parser text, drawn as the symbolic suite drew it when
-    a word was its text: the reference for random_word's draws."""
+    a word was its text: the reference for random_words' draws."""
     length = gen.randint(1, max_len)
     letters = [("a", "ad", "q", "p")[gen.randint(0, 3)] for _ in range(length)]
     if gen.randint(0, 4) == 0:
@@ -282,17 +282,15 @@ def test_random_words_are_the_text_draws(seed):
     # the symbolic suite's streams: matrix_homomorphism's, adjoint_commutes' and sum_and_difference's
     for offset, count, max_len in ((7, 200, 6), (8, 50, 5), (9, 100, 4)):
         gen, reference = SplitMix64(seed + offset), SplitMix64(seed + offset)
-        for _ in range(count):
-            assert _word_text(*random_word(gen, max_len)) == _text_word_source(reference, max_len)
+        want = [_text_word_source(reference, max_len) for _ in range(count)]
+        assert [_word_text(*word) for word in random_words(gen, count, max_len)] == want
 
 
 def _suite_words(seed):
     """The symbolic suite's seeded words as its checks draw them: matrix_homomorphism's,
     adjoint_commutes' each followed by its adjoint, and sum_and_difference's."""
     for offset, count, max_len in ((7, 200, 6), (8, 50, 5), (9, 100, 4)):
-        gen = SplitMix64(seed + offset)
-        for _ in range(count):
-            coeff, letters = random_word(gen, max_len)
+        for coeff, letters in random_words(SplitMix64(seed + offset), count, max_len):
             yield coeff, letters
             if offset == 8:
                 yield _CONJUGATE.get(coeff, coeff), [_DAGGER.get(x, x) for x in reversed(letters)]
@@ -300,11 +298,13 @@ def _suite_words(seed):
 
 @pytest.mark.parametrize("seed", [0, 7, 123])
 def test_word_records_are_their_texts(seed):
-    # each seeded word by its letters against the text route that parses it: the same form, the same matrix
+    # each seeded word built from its letters against the text route that parses it: the same tree,
+    # the same form, the same matrix
     for word in _suite_words(seed):
-        text = _word_text(*word)
-        assert _word_form(*word) == normal_order(text), text
-        assert np.array_equal(_word_matrix(*word, 12), expr_to_matrix(text, 12)), text
+        text, expr = _word_text(*word), _word_expr(*word)
+        assert expr == symbolic.parse(text), text
+        assert normal_order(expr) == normal_order(text), text
+        assert np.array_equal(expr_to_matrix(expr, 12), expr_to_matrix(text, 12)), text
 
 
 def _is_word(tree) -> bool:
@@ -575,10 +575,8 @@ def test_expr_to_matrix_returns_arrays_the_caller_owns():
 
 
 def test_homomorphism_random_words():
-    gen = SplitMix64(99)
     dim = 12
-    for _ in range(60):
-        coeff, letters = random_word(gen, 6)
+    for coeff, letters in random_words(SplitMix64(99), 60, 6):
         expr = parse(_word_text(coeff, letters))
         g = dim - max(len(letters) - letters.count("I"), 1)
         direct = expr_to_matrix(expr, dim)
@@ -616,7 +614,7 @@ def _seeded_words(seed):
     """The symbolic suite's 200 matrix_homomorphism words at dim 12, and 48
     words of 8 letters at dim 32 as the exact_proofs benchmark draws them."""
     gen = SplitMix64(seed + 7)
-    words = [(_word_text(*random_word(gen, 6)), 12) for _ in range(200)]
+    words = [(_word_text(*word), 12) for word in random_words(gen, 200, 6)]
     gen = SplitMix64(seed)
     for _ in range(48):
         letters = [("a", "ad", "q", "p")[gen.randint(0, 3)] for _ in range(8)]
