@@ -175,7 +175,7 @@ def _csv(header: list, rows) -> str:
 
 
 # The suites "all" runs in a forked worker beside the other four (see run_suite):
-# the pure-Python half of the run, 34 ms of CPU against the other half's 37 ms, each
+# the pure-Python half of the run, 29 ms of CPU against the other half's 36 ms, each
 # cold in a process of its own (medians of 15, one BLAS thread, a 2-core Xeon).  No
 # dense eigensolve runs in it, so every value that moves with the BLAS thread count
 # is computed in the calling process.
