@@ -116,7 +116,9 @@ def power_log_norms(A: Band, block, k_max: int) -> np.ndarray:
                 V = A @ V
             nrm = np.sqrt(np.add.reduce((V.conj() * V).real, axis=0))  # np.linalg.norm(V, axis=0)
             np.log(nrm, out=log_norms[k])  # log ||A^k x|| - log ||A^(k-1) x||, summed in order below
-            np.divide(V, nrm, out=V, where=nrm > 0.0)  # unit columns; the magnitude lives in log_norms
+            scale = 1.0 / nrm  # unit columns, by the factor V / nrm multiplies by; the magnitude lives in log_norms
+            np.multiply(V.real, scale, out=V.real, where=nrm > 0.0)
+            np.multiply(V.imag, scale, out=V.imag, where=nrm > 0.0)
     overflow = np.flatnonzero(~(log_norms < np.inf).all(axis=1))  # the powers with a norm inf or nan
     if overflow.size:
         raise SeriesOverflowError(int(overflow[0]))

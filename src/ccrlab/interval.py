@@ -21,7 +21,10 @@ and on the sin modes, which the grid oscillator's solver
 (`schrodinger.sector_levels`) solves as it solves the grid's: on its
 modes of lowest frequency, where a Schur-complement bound (Loewdin
 1962, Haynsworth 1968) proves the lowest levels to rounding, or else
-whole.  Any other interval is solved as the full matrix.
+whole.  On any other interval the same block search
+(`schrodinger._schur_levels`) runs on the whole K + T, and accepts a
+block once its bound is below the rounding of the whole solve it
+replaces; else that matrix is solved whole.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ import math
 import numpy as np
 
 from .fock import _Value
-from .schrodinger import (GridResolutionError, _check_bracket_scale, _grid_step, _sectors, grid_points,
-                          grid_wavenumbers, reflection_block, sector_levels)
+from .schrodinger import (_UNIT_ROUNDOFF, GridResolutionError, _check_bracket_scale, _grid_step, _schur_levels,
+                          _sectors, grid_points, grid_wavenumbers, reflection_block, sector_levels)
 
 BOUNDARY_CONDITION = "periodic"
 # The largest side of a dense square array, 64 MiB per complex array: the
@@ -200,6 +203,31 @@ def _x2_mode_integrals(a: float, b: float, n_max: int) -> tuple[np.ndarray, np.n
     return C, S
 
 
+def _x2_matrix(C: np.ndarray, S: np.ndarray, K: int) -> np.ndarray:
+    """x^2 as a real symmetric matrix in the orthonormal periodic mode
+    basis 1, sqrt2 cos(nu_j x), sqrt2 sin(nu_j x) (over sqrt(b-a)),
+    nu_j = 2 pi j/(b-a) for j = 1..K, from its exact mode integrals
+    (C, S) up to 2K: C[|j-l|] +- C[j+l] on the cos and the sin modes, and
+    <cos_j|x^2|sin_l> = S[j+l] - sign(j-l) S[|j-l|].  Each Toeplitz and
+    Hankel part is a strided view of C or S."""
+    window = np.lib.stride_tricks.sliding_window_view
+    Q2 = np.empty((2 * K + 1, 2 * K + 1))
+    Q2[0, 0] = C[0]
+    Q2[0, 1:] = Q2[1:, 0] = math.sqrt(2.0) * np.concatenate([C[1 : K + 1], S[1 : K + 1]])
+    Q2[1 : K + 1, 1 : K + 1] = reflection_block(C, 1, K, 1.0, 0.0)
+    Q2[K + 1 :, K + 1 :] = reflection_block(C, 1, K, -1.0, 0.0)
+    odd_toeplitz = window(np.concatenate([-S[K - 1 : 0 : -1], S[:K]]), K)[:, ::-1]
+    np.subtract(window(S[2 : 2 * K + 1], K), odd_toeplitz, out=Q2[1 : K + 1, K + 1 :])
+    Q2[K + 1 :, 1 : K + 1] = Q2[1 : K + 1, K + 1 :].T
+    return Q2
+
+
+def _mode_symbol(spec: IntervalRepSpec) -> np.ndarray:
+    """p^2 on the modes 1, cos_j, sin_j: (0, nu_1^2..nu_K^2, nu_1^2..nu_K^2), K = m//2."""
+    nu2 = (2.0 * np.pi * np.arange(spec.m // 2 + 1) / spec.length) ** 2
+    return np.concatenate([nu2, nu2[1:]])
+
+
 def interval_number_operator(spec: IntervalRepSpec) -> np.ndarray:
     """(q^2 + p^2 - 1)/2 as a real symmetric matrix in the orthonormal
     periodic mode basis 1, sqrt2 cos(nu_j x), sqrt2 sin(nu_j x) (over
@@ -207,38 +235,33 @@ def interval_number_operator(spec: IntervalRepSpec) -> np.ndarray:
 
     These span the Fourier modes |k| <= m//2, so the spectrum is that of
     the complex Fourier basis; p^2 is diagonal and q^2 has exact matrix
-    elements from the x^2 mode integrals: C[|j-l|] +- C[j+l] on the cos
-    and the sin modes, and <cos_j|x^2|sin_l> = S[j+l] - sign(j-l) S[|j-l|].
-    Each Toeplitz and Hankel part is a strided view of C or S."""
+    elements from the x^2 mode integrals (`_x2_matrix`)."""
     K = spec.m // 2
-    C, S = _x2_mode_integrals(spec.a, spec.b, 2 * K)
-    diagonal = (2.0 * np.pi * np.arange(1, K + 1) / spec.length) ** 2 - 1.0  # p^2 - 1 on cos_j and on sin_j
-    window = np.lib.stride_tricks.sliding_window_view
-    Q2 = np.empty((2 * K + 1, 2 * K + 1))
-    Q2[0, 0] = C[0] - 1.0
-    Q2[0, 1:] = Q2[1:, 0] = math.sqrt(2.0) * np.concatenate([C[1 : K + 1], S[1 : K + 1]])
-    Q2[1 : K + 1, 1 : K + 1] = reflection_block(C, 1, K, 1.0, diagonal)
-    Q2[K + 1 :, K + 1 :] = reflection_block(C, 1, K, -1.0, diagonal)
-    odd_toeplitz = window(np.concatenate([-S[K - 1 : 0 : -1], S[:K]]), K)[:, ::-1]
-    np.subtract(window(S[2 : 2 * K + 1], K), odd_toeplitz, out=Q2[1 : K + 1, K + 1 :])
-    Q2[K + 1 :, 1 : K + 1] = Q2[1 : K + 1, K + 1 :].T
-    Q2 /= 2.0
-    return Q2
+    N = _x2_matrix(*_x2_mode_integrals(spec.a, spec.b, 2 * K), K)
+    N.reshape(-1)[:: 2 * K + 2] += _mode_symbol(spec) - 1.0
+    N /= 2.0
+    return N
 
 
 def _number_levels(spec: IntervalRepSpec, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The lowest `count` eigenvalues of the interval number operator, and
     for each the bound on its distance below the exact one, 0 for a level
     from a sector or a matrix solved whole; see `interval_number_spectrum`."""
-    if spec.a + spec.b != 0:
+    K = spec.m // 2
+    C, S = _x2_mode_integrals(spec.a, spec.b, 2 * K)
+    symbol = _mode_symbol(spec)
+    _check_bracket_scale(symbol, spec.a, spec.b, spec.m)
+    if spec.a + spec.b == 0:
+        levels, bounds = sector_levels(C, symbol[: K + 1], _sectors(2 * K + 1), spec.b * spec.b, count)
+        return (levels - 1.0) / 2.0, bounds / 2.0
+    T = _x2_matrix(C, S, K)
+    tau = max(spec.a * spec.a, spec.b * spec.b)
+    found = _schur_levels(lambda rows, cols: T[np.ix_(rows, cols)], symbol, np.arange(2 * K + 1, dtype=np.int32),
+                          tau, count, lambda sigma: _UNIT_ROUNDOFF * (symbol[-1] + tau))
+    if found is None:
         levels = np.linalg.eigvalsh(interval_number_operator(spec))[:count]
         return levels, np.zeros(levels.size)
-    K = spec.m // 2
-    C = _x2_mode_integrals(spec.a, spec.b, 2 * K)[0]
-    symbol = (2.0 * np.pi * np.arange(K + 1) / spec.length) ** 2
-    _check_bracket_scale(symbol, spec.a, spec.b, spec.m)
-    levels, bounds = sector_levels(C, symbol, _sectors(2 * K + 1), spec.b * spec.b, count)
-    return (levels - 1.0) / 2.0, bounds / 2.0
+    return (found[0] - 1.0) / 2.0, found[1] / 2.0
 
 
 def interval_number_spectrum(spec: IntervalRepSpec, count: int) -> np.ndarray:
@@ -257,17 +280,19 @@ def interval_number_spectrum(spec: IntervalRepSpec, count: int) -> np.ndarray:
     on short ones.  A sector whose block solves would cost more than
     0.1 n^3 before one proves its levels, n its side (the cos sector of
     intervals longer than about 3 at m = 512) is solved whole by eigvalsh
-    of its Fourier sector K + T, and any interval that is not centred by
-    eigvalsh of `interval_number_operator`.
+    of its Fourier sector K + T.
 
-    Such a whole solve is exact only to the rounding of eigvalsh, about
-    u ||H||, and ||H|| grows like m^2.  On (0, 1) the lowest 3 levels at
-    m = 256 and m = 512 differ by 1.6e-10, and that is rounding, not a
-    discretization gap: u ||H|| is 3.6e-11 at m = 256 and 1.4e-10 at
-    m = 512; solving the same operator whole in the complex Fourier basis
-    e^{i nu_k x}, |k| <= m/2, instead moves the levels by 5e-11 at either
-    m; and m = 1024 against m = 512 differs by 2.2e-10, no less
-    (measured with OpenBLAS on x86-64)."""
+    Any other interval is one matrix 2N + 1 = K + T in the {1, cos, sin}
+    basis, K = diag(0, nu_j^2, nu_j^2) and 0 <= T <= tau = max(a^2, b^2),
+    searched the same way.  A block is accepted once e_count <= u (kappa_max
+    + tau), the scale of the rounding of the whole eigvalsh it replaces,
+    since ||K + T|| <= kappa_max + tau: on (0, 1), 77 modes at m = 256 and
+    37 at m = 2048, with bounds on N of 1.6e-11 and 8.1e-10.  Where no block
+    proves the levels within 0.1 n^3 ((0, 5) at m = 512, or many levels),
+    eigvalsh of `interval_number_operator` solves the matrix whole, and is
+    exact only to about u ||H||, which grows like m^2: the lowest 3 levels
+    of (0, 1) by whole solves at m = 256 and 512 differ by 1.6e-10, and move
+    with the BLAS thread count (measured with OpenBLAS on x86-64)."""
     if count < 0:
         raise ValueError("count must be nonnegative")
     if count == 0:

@@ -34,7 +34,8 @@ Haynsworth 1968).  `_schur_levels` grows P until e proves the levels to
 4 u, and gives a sector up once the blocks would cost more than a tenth
 of its whole solve; `sector_levels` then solves that Fourier sector
 whole.  The centred interval's number operator (`interval`) is one more
-K + T on the cos and sin modes, solved by the same `sector_levels`.
+K + T on the cos and sin modes, solved by the same `sector_levels`; any
+other interval's is one K + T that the same `_schur_levels` searches.
 
 The ladder combinations (q -+ ip)/sqrt2 differ only by a sign, and only
 one of them annihilates the Gaussian e^{-x^2/2}: with p = -i d/dx it is
@@ -248,8 +249,8 @@ def _reflection_entries(column: np.ndarray, rows: np.ndarray, cols: np.ndarray, 
 
 
 _UNIT_ROUNDOFF = 2.0**-53
-_CERTIFY_ULPS = 4  # a block is accepted when its bound is at most 4 u sigma_count
-_BLOCK_BUDGET = 0.1  # the block solves of one sector cost at most this share of n^3
+_CERTIFY_ULPS = 4  # a sector's block is accepted when its bound is at most 4 u sigma_count
+_BLOCK_BUDGET = 0.1  # the block solves of one search cost at most this share of n^3
 
 
 def _schur_bracket(h_pp: np.ndarray, t_qp: np.ndarray, kappa_q: np.ndarray, mu: float, tau: float,
@@ -302,33 +303,32 @@ def _schur_bracket(h_pp: np.ndarray, t_qp: np.ndarray, kappa_q: np.ndarray, mu: 
     return sigma, (mu - sigma[0] + tau) * norms / (float(kappa_q.min()) - mu) ** 2
 
 
-def _schur_levels(column: np.ndarray, symbol: np.ndarray, sector: tuple, tau: float,
-                  count: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The lowest `count` eigenvalues sigma_i of a parity sector H = K + T,
-    with bounds e_i such that sigma_i <= lambda_i <= sigma_i + e_i, from a
-    block of its modes of smallest symbol (`_schur_bracket`); None when
-    no block within the budget proves them, and `sector_levels` solves
-    the whole sector instead.
+def _schur_levels(gather, symbol: np.ndarray, modes: np.ndarray, tau: float, count: int,
+                  tolerance) -> tuple[np.ndarray, np.ndarray] | None:
+    """The lowest `count` eigenvalues sigma_i of a real symmetric H = K + T
+    on `modes`, with bounds e_i such that sigma_i <= lambda_i <= sigma_i +
+    e_i, from a block of its modes of smallest symbol (`_schur_bracket`);
+    None when no block within the budget proves them, and the caller
+    solves H whole instead.
 
-    K = diag(symbol) on the sector's modes (`sector` = (first, size,
-    sign, fixed), as `_sectors` gives it), T the Toeplitz +- Hankel
-    matrix of `column`, gathered by `_reflection_entries`, with
-    0 <= T <= tau.  P holds the p modes of smallest symbol, Q the rest.
-    mu is the count-th eigenvalue of the first block whose value lies
-    below its kappa_Q, a leading block of every later P.  A block is
-    accepted when e_count <= 4 u sigma_count (u = 2^-53).
+    K = diag(symbol[modes]), T the matrix whose entries at rows R and
+    columns C gather(R, C) returns, with 0 <= T <= tau.  P holds the p
+    modes of smallest symbol, Q the rest.  mu is the count-th eigenvalue
+    of the first block whose value lies below its kappa_Q, a leading
+    block of every later P.  A block is accepted when e_count <=
+    tolerance(sigma): 4 u sigma_count (u = 2^-53) for a parity sector
+    (`sector_levels`).
 
     p starts at 2 count and doubles after a failed block.  Once two
     blocks have a bound, the power of p at which it fell between them
     predicts the p that meets the threshold, and the next block is 1.25
     times the larger of that and p (the bound falls like p^-7 once the
     eigenvectors' tails are algebraic, faster before).  The block solves
-    of a sector, mu's eigvalsh and each block's eigh, cost at most
-    0.1 n^3 together, n its side: None is returned before a block would
+    of a search, mu's eigvalsh and each block's eigh, cost at most
+    0.1 n^3 together, n the side of H: None is returned before a block would
     pass that, or as soon as the predicted block would.
     """
-    first, size, sign, fixed = sector
-    modes = np.arange(first, first + size, dtype=np.int32)
+    size = modes.size
     order = modes[np.argsort(symbol[modes], kind="stable")]
     budget, spent = _BLOCK_BUDGET * size**3, 0
     p, mu, last = 2 * count, math.inf, None
@@ -339,17 +339,16 @@ def _schur_levels(column: np.ndarray, symbol: np.ndarray, sector: tuple, tau: fl
             return None
         spent += cost
         P, Q = order[:p], order[p:]
-        h_pp = _reflection_entries(column, P, P, sign, fixed)
+        h_pp = gather(P, P)
         h_pp.reshape(-1)[:: p + 1] += symbol[P]
         if mu >= kappa_q:
             mu = float(np.linalg.eigvalsh(h_pp)[count - 1])
         growth = 2.0
         if mu < kappa_q:
-            bracket = _schur_bracket(h_pp, _reflection_entries(column, Q, P, sign, fixed), symbol[Q], mu, tau,
-                                     count)
+            bracket = _schur_bracket(h_pp, gather(Q, P), symbol[Q], mu, tau, count)
             if bracket is not None:
                 sigma, bounds = bracket
-                ratio = bounds[-1] / (_CERTIFY_ULPS * _UNIT_ROUNDOFF * sigma[-1])
+                ratio = bounds[-1] / tolerance(sigma)
                 if 0.0 <= ratio <= 1.0:
                     return bracket
                 if 1.0 < ratio < math.inf:
@@ -392,10 +391,11 @@ def sector_levels(column: np.ndarray, symbol: np.ndarray, sectors: tuple, tau: f
     whole, by eigvalsh of its `reflection_block`; the sectors' levels are
     then merged."""
     parts = []
-    for sector in sectors:
-        found = _schur_levels(column, symbol, sector, tau, count)
+    for first, size, sign, fixed in sectors:
+        found = _schur_levels(functools.partial(_reflection_entries, column, sign=sign, fixed=fixed), symbol,
+                              np.arange(first, first + size, dtype=np.int32), tau, count,
+                              lambda sigma: _CERTIFY_ULPS * _UNIT_ROUNDOFF * sigma[-1])
         if found is None:
-            first, size, sign, fixed = sector
             sigma = np.linalg.eigvalsh(reflection_block(column, first, size, sign, symbol[first : first + size],
                                                         fixed))[:count]
             found = sigma, np.zeros(sigma.size)

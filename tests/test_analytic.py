@@ -1,5 +1,6 @@
 """Series diagnostics, Taylor exponentials, growth bounds."""
 
+import itertools
 import math
 import time
 import tracemalloc
@@ -189,18 +190,19 @@ def test_array_verdicts_are_the_plain_ratio_test(data, k_max, t):
         assert verdict == _plain_verdict([column[k + 1] / column[k] for k in range(k_max) if column[k] > 0.0])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-@pytest.mark.parametrize(
-    "A, t",
-    [
-        (fock.Band.position(64), 1e300),  # a term above e^700
-        (dense.band_of(dense.build_position(64)), 1e150),  # every diagonal stored
-        (fock.Band.momentum(64), 1e200),
-        (dense.band_of(np.full((16, 16), 1e308)), 1.0),  # ||A xi|| itself is not finite
-    ],
-)
+_OVERFLOW_CASES = [
+    (fock.Band.position(64), 1e300),  # a term above e^700
+    (dense.band_of(dense.build_position(64)), 1e150),  # every diagonal stored
+    (fock.Band.momentum(64), 1e200),
+    (dense.band_of(np.full((16, 16), 1e308)), 1.0),  # ||A xi|| itself is not finite
+]
 # four equal modes make the entries of A xi inf for the 1e308 matrix, so every later power is nan
-@pytest.mark.parametrize("coeffs", [[1.0], [2.0, 1j, -0.5], [0.0, 0.0, 0.25], [1.0, 1.0, 1.0, 1.0]])
+_OVERFLOW_COEFFS = [[1.0], [2.0, 1j, -0.5], [0.0, 0.0, 0.25], [1.0, 1.0, 1.0, 1.0]]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("A, t", _OVERFLOW_CASES)
+@pytest.mark.parametrize("coeffs", _OVERFLOW_COEFFS)
 def test_overflow_k_matches_reference(A, t, coeffs):
     xi = fock.FockState(np.array(coeffs))
     with pytest.raises(analytic.SeriesOverflowError) as want:
@@ -562,16 +564,30 @@ def _reference_single_power_bound_report(q, coeffs, m):
 
 
 def test_power_log_norms_is_the_norm_loop_byte_for_byte():
-    # random q and p blocks of 1 to 6 columns, the first column zero in every other block
+    # random q and p blocks of 1 to 6 columns, and of up to 70 x 50 like the growth check's, the
+    # first column zero in every other block; the kernel scales the real and the imaginary parts
+    # by 1/||v||, where the reference divides by ||v|| as a complex number
     gen = SplitMix64(2024)
-    for trial in range(40):
-        rows, columns, k_max = gen.randint(1, 12), gen.randint(1, 6), gen.randint(1, 50)
+    for trial in range(60):
+        wide = trial >= 40
+        rows, columns, k_max = gen.randint(1, 70 if wide else 12), gen.randint(1, 50 if wide else 6), gen.randint(1, 60)
         block = gen.complex_components(rows * columns).reshape(rows, columns)
         if trial % 2:
             block[:, 0] = 0.0
         for A in (fock.Band.position(rows + k_max + 3), fock.Band.momentum(rows + 5)):
             got, want = analytic.power_log_norms(A, block, k_max), _reference_power_log_norms(A, block, k_max)
             assert got.tobytes() == want.tobytes()
+    # the series overflow cases: the same table, or the same first power that is not finite
+    for (A, _), coeffs in itertools.product(_OVERFLOW_CASES, _OVERFLOW_COEFFS):
+        block = np.array(coeffs, dtype=complex)[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            outcomes = []
+            for kernel in (analytic.power_log_norms, _reference_power_log_norms):
+                try:
+                    outcomes.append(kernel(A, block, 10).tobytes())
+                except analytic.SeriesOverflowError as exc:
+                    outcomes.append(exc.k)
+        assert outcomes[0] == outcomes[1]
     # a column whose norm overflows raises at the same power (numpy's overflow warning silenced)
     huge = fock.Band(6, {0: np.full(6, 1e200), 1: np.full(5, 1e200)})
     for block, k in ((np.array([[1e300], [1e300]]), 0), (np.array([[1.0, 0.0], [1.0, 2.0]]), 1)):

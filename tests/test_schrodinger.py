@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 from numpy.polynomial.hermite import hermval
 
 from ccrlab import fock, interval, reports, schrodinger, suites
-from spectral_oracles import fourier_sector, rayleigh_quotients, record_sectors, record_solvers
+from spectral_oracles import fourier_sector, rayleigh_quotients, record_sectors, record_solvers, search_sector
 
 
 def test_grid_points_geometry():
@@ -345,7 +345,7 @@ def test_schur_levels_bracket_the_levels_of_random_sectors(seed, m, band, scale,
         if size <= count:
             continue
         H = fourier_sector(column, symbol, sector)
-        found = schrodinger._schur_levels(column, symbol, sector, float(w.max()), count)
+        found = search_sector(column, symbol, sector, float(w.max()), count)
         if found is None:
             # given up: the sector is solved whole, with no bound to carry
             levels, bounds = schrodinger.sector_levels(column, symbol, (sector,), float(w.max()), count)
@@ -374,8 +374,8 @@ def test_schur_levels_give_up_on_a_bound_that_barely_falls():
     even, odd = schrodinger._sectors(m)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert schrodinger._schur_levels(column, symbol, even, 1e4, 2) is None
-        assert schrodinger._schur_levels(column, symbol, odd, 1e4, 1) is None
+        assert search_sector(column, symbol, even, 1e4, 2) is None
+        assert search_sector(column, symbol, odd, 1e4, 1) is None
 
 
 @pytest.mark.parametrize("scheme", _SCHEMES)
@@ -523,7 +523,8 @@ def test_central_difference_refuses_an_overflowing_symbol(L):
     lambda: schrodinger.grid_oscillator_spectrum(1e-100, 256, schrodinger.CENTRAL_DIFFERENCE),
     lambda: schrodinger.grid_oscillator_spectrum(1.28e-150, 256, schrodinger.CENTRAL_DIFFERENCE),
     lambda: interval.interval_number_spectrum(interval.IntervalRepSpec(-1e-100, 1e-100, 256), 3),
-], ids=["spectral", "central_difference", "central_difference_4e304", "interval"])
+    lambda: interval.interval_number_spectrum(interval.IntervalRepSpec(0.0, 1e-100, 256), 3),
+], ids=["spectral", "central_difference", "central_difference_4e304", "interval", "interval_not_centred"])
 def test_schur_bracket_refuses_a_symbol_whose_square_overflows(call):
     # (kappa_Q - mu)^2 would overflow as a Python float: refused before any eigensolve, naming the step
     with warnings.catch_warnings():
