@@ -22,9 +22,10 @@ and on the sin modes, which the grid oscillator's solver
 modes of lowest frequency, where a Schur-complement bound (Loewdin
 1962, Haynsworth 1968) proves the lowest levels to rounding, or else
 whole.  On any other interval the same block search
-(`schrodinger._schur_levels`) runs on the whole K + T, and accepts a
-block once its bound is below the rounding of the whole solve it
-replaces; else that matrix is solved whole.
+(`schrodinger._schur_levels`) runs on the whole K + T, reading x^2 only
+by its columns on the block's modes, and accepts a block once its bound
+is below the rounding of the whole solve it replaces; else that matrix
+is formed and solved whole.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from .fock import _Value
 from .schrodinger import (_UNIT_ROUNDOFF, GridResolutionError, _check_bracket_scale, _grid_step, _schur_levels,
-                          _sectors, grid_points, grid_wavenumbers, reflection_block, sector_levels)
+                          _sectors, grid_points, grid_wavenumbers, sector_levels)
 
 BOUNDARY_CONDITION = "periodic"
 # The largest side of a dense square array, 64 MiB per complex array: the
@@ -203,23 +204,29 @@ def _x2_mode_integrals(a: float, b: float, n_max: int) -> tuple[np.ndarray, np.n
     return C, S
 
 
-def _x2_matrix(C: np.ndarray, S: np.ndarray, K: int) -> np.ndarray:
-    """x^2 as a real symmetric matrix in the orthonormal periodic mode
-    basis 1, sqrt2 cos(nu_j x), sqrt2 sin(nu_j x) (over sqrt(b-a)),
-    nu_j = 2 pi j/(b-a) for j = 1..K, from its exact mode integrals
-    (C, S) up to 2K: C[|j-l|] +- C[j+l] on the cos and the sin modes, and
-    <cos_j|x^2|sin_l> = S[j+l] - sign(j-l) S[|j-l|].  Each Toeplitz and
-    Hankel part is a strided view of C or S."""
-    window = np.lib.stride_tricks.sliding_window_view
-    Q2 = np.empty((2 * K + 1, 2 * K + 1))
-    Q2[0, 0] = C[0]
-    Q2[0, 1:] = Q2[1:, 0] = math.sqrt(2.0) * np.concatenate([C[1 : K + 1], S[1 : K + 1]])
-    Q2[1 : K + 1, 1 : K + 1] = reflection_block(C, 1, K, 1.0, 0.0)
-    Q2[K + 1 :, K + 1 :] = reflection_block(C, 1, K, -1.0, 0.0)
-    odd_toeplitz = window(np.concatenate([-S[K - 1 : 0 : -1], S[:K]]), K)[:, ::-1]
-    np.subtract(window(S[2 : 2 * K + 1], K), odd_toeplitz, out=Q2[1 : K + 1, K + 1 :])
-    Q2[K + 1 :, 1 : K + 1] = Q2[1 : K + 1, K + 1 :].T
-    return Q2
+def _x2_columns(C: np.ndarray, S: np.ndarray, K: int, J: int) -> np.ndarray:
+    """The columns of x^2 on the modes 1, cos_1..cos_J, sin_1..sin_J, over
+    all rows 1, cos_1..cos_K, sin_1..sin_K, J <= K (J = K is the whole
+    matrix), in the orthonormal periodic mode basis 1, sqrt2 cos(nu_j x),
+    sqrt2 sin(nu_j x) (over sqrt(b-a)), nu_j = 2 pi j/(b-a), from its
+    exact mode integrals (C, S) up to K + J: C[|j-l|] +- C[j+l] on the cos
+    and the sin modes, and <cos_j|x^2|sin_l> = S[j+l] - sign(j-l) S[|j-l|].
+    Each Toeplitz and Hankel part is a strided view of C or S."""
+    # w[start + i + step j], i < rows, j < cols: bounds-checked, and far cheaper than sliding_window_view
+    view = lambda w, start, rows, cols, step: np.ndarray((rows, cols), w.dtype, w, start * w.itemsize,
+                                                         (w.itemsize, step * w.itemsize))
+    hankel = lambda v, rows, cols: view(v, 2, rows, cols, 1)  # v[j + l]
+    toeplitz = lambda v, rows, cols, sign: view(np.concatenate([sign * v[cols - 1 : 0 : -1], v[:rows]]),
+                                                cols - 1, rows, cols, -1)  # v[|j - l|], times sign where j < l
+    X = np.empty((2 * K + 1, 2 * J + 1))
+    X[0, 0] = C[0]
+    X[1:, 0] = math.sqrt(2.0) * np.concatenate([C[1 : K + 1], S[1 : K + 1]])
+    X[0, 1:] = np.concatenate([X[1 : J + 1, 0], X[K + 1 : K + J + 1, 0]])
+    np.add(toeplitz(C, K, J, 1.0), hankel(C, K, J), out=X[1 : K + 1, 1 : J + 1])
+    np.subtract(toeplitz(C, K, J, 1.0), hankel(C, K, J), out=X[K + 1 :, J + 1 :])
+    for rows, cols, out in ((K, J, X[1 : K + 1, J + 1 :]), (J, K, X[K + 1 :, 1 : J + 1].T)):
+        np.subtract(hankel(S, rows, cols), toeplitz(S, rows, cols, -1.0), out=out)  # <cos|x^2|sin>
+    return X
 
 
 def _mode_symbol(spec: IntervalRepSpec) -> np.ndarray:
@@ -235,9 +242,9 @@ def interval_number_operator(spec: IntervalRepSpec) -> np.ndarray:
 
     These span the Fourier modes |k| <= m//2, so the spectrum is that of
     the complex Fourier basis; p^2 is diagonal and q^2 has exact matrix
-    elements from the x^2 mode integrals (`_x2_matrix`)."""
+    elements from the x^2 mode integrals (`_x2_columns`)."""
     K = spec.m // 2
-    N = _x2_matrix(*_x2_mode_integrals(spec.a, spec.b, 2 * K), K)
+    N = _x2_columns(*_x2_mode_integrals(spec.a, spec.b, 2 * K), K, K)
     N.reshape(-1)[:: 2 * K + 2] += _mode_symbol(spec) - 1.0
     N /= 2.0
     return N
@@ -254,10 +261,19 @@ def _number_levels(spec: IntervalRepSpec, count: int) -> tuple[np.ndarray, np.nd
     if spec.a + spec.b == 0:
         levels, bounds = sector_levels(C, symbol[: K + 1], _sectors(2 * K + 1), spec.b * spec.b, count)
         return (levels - 1.0) / 2.0, bounds / 2.0
-    T = _x2_matrix(C, S, K)
+    J, slab = 0, None  # the x^2 columns on modes 0..J, J doubled when the block asks for a higher mode
+
+    def gather(rows, cols):
+        nonlocal J, slab
+        modes = np.where(cols > K, cols - K, cols)
+        if modes.max() > J:
+            J = min(K, max(2 * J, int(modes.max())))
+            slab = _x2_columns(C, S, K, J)
+        return slab[np.ix_(rows, np.where(cols > K, modes + J, cols))]
+
     tau = max(spec.a * spec.a, spec.b * spec.b)
-    found = _schur_levels(lambda rows, cols: T[np.ix_(rows, cols)], symbol, np.arange(2 * K + 1, dtype=np.int32),
-                          tau, count, lambda sigma: _UNIT_ROUNDOFF * (symbol[-1] + tau))
+    found = _schur_levels(gather, symbol, np.arange(2 * K + 1, dtype=np.int32), tau, count,
+                          lambda sigma: _UNIT_ROUNDOFF * (symbol[-1] + tau))
     if found is None:
         levels = np.linalg.eigvalsh(interval_number_operator(spec))[:count]
         return levels, np.zeros(levels.size)
@@ -287,9 +303,12 @@ def interval_number_spectrum(spec: IntervalRepSpec, count: int) -> np.ndarray:
     searched the same way.  A block is accepted once e_count <= u (kappa_max
     + tau), the scale of the rounding of the whole eigvalsh it replaces,
     since ||K + T|| <= kappa_max + tau: on (0, 1), 77 modes at m = 256 and
-    37 at m = 2048, with bounds on N of 1.6e-11 and 8.1e-10.  Where no block
-    proves the levels within 0.1 n^3 ((0, 5) at m = 512, or many levels),
-    eigvalsh of `interval_number_operator` solves the matrix whole, and is
+    37 at m = 2048, with bounds on N of 1.6e-11 and 8.1e-10.  The search
+    reads T from its columns on modes 0..J (`_x2_columns`), J doubled as the
+    block grows: at m = 2048 a 1.9 MiB tracemalloc peak, against 32 MiB
+    for the whole T.  Where no block proves the levels within 0.1 n^3 ((0, 5)
+    at m = 512, or many levels), eigvalsh of `interval_number_operator`
+    solves the matrix whole, and is
     exact only to about u ||H||, which grows like m^2: the lowest 3 levels
     of (0, 1) by whole solves at m = 256 and 512 differ by 1.6e-10, and move
     with the BLAS thread count (measured with OpenBLAS on x86-64)."""

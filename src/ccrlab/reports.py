@@ -35,8 +35,9 @@ _DEFAULT_DIM = 64
 # refusing less) and its largest, with the commands that build it: fock's
 # band operators (dim), the grid oscillator's two parity blocks of side
 # about m/2 (grid_m), the interval's N, two parity blocks on a centred
-# interval and one real matrix of side m + 1 on any other (interval_m,
-# after aligning t).  The weyl suite applies q and p on mode windows.
+# interval and, on any other, x^2 columns or, where its block search
+# gives up, one real matrix of side m + 1 (interval_m, after aligning t).
+# The weyl suite applies q and p on mode windows.
 _MAX_BAND_DIM = 2**20
 _SIZE_LIMITS = {
     "dim": (2, "invalid dimension {}: suites need dim >= 2", _MAX_BAND_DIM, "band length", {"fock"}),

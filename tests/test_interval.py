@@ -16,7 +16,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ccrlab import interval, schrodinger
 from ccrlab.interval import IntervalRepSpec
@@ -255,10 +255,10 @@ def _complex_fourier_number_operator(a, b, m):
     return (Q2 + np.diag((2.0 * np.pi * ks / length) ** 2) - np.eye(ks.size)) / 2.0
 
 
-def _indexed_number_operator(a, b, m):
-    """The real-mode number operator built from K x K index arrays: the
-    construction interval_number_operator replaced by strided views."""
-    length, K = b - a, m // 2
+def _indexed_x2(a, b, m):
+    """x^2 in the real mode basis built from K x K index arrays: the
+    construction `interval._x2_columns` replaced by strided views."""
+    K = m // 2
     C, S = interval._x2_mode_integrals(a, b, 2 * K)
     j = np.arange(1, K + 1)
     diff, total = j[:, None] - j[None, :], j[:, None] + j[None, :]
@@ -270,7 +270,14 @@ def _indexed_number_operator(a, b, m):
     Q2[K + 1 :, K + 1 :] = C[np.abs(diff)] - C[total]
     Q2[1 : K + 1, K + 1 :] = cos_sin
     Q2[K + 1 :, 1 : K + 1] = cos_sin.T
-    p2 = np.tile((2.0 * np.pi * j / length) ** 2, 2)
+    return Q2
+
+
+def _indexed_number_operator(a, b, m):
+    """The real-mode number operator (x^2 + p^2 - 1)/2, x^2 from `_indexed_x2`."""
+    length, K = b - a, m // 2
+    Q2 = _indexed_x2(a, b, m)
+    p2 = np.tile((2.0 * np.pi * np.arange(1, K + 1) / length) ** 2, 2)
     Q2[np.diag_indices(2 * K + 1)] += np.concatenate([[0.0], p2]) - 1.0
     return Q2 / 2.0
 
@@ -283,8 +290,9 @@ def test_number_operator_matches_index_array_builder(a, b, m):
 
 
 def test_number_operator_memory():
-    # the non-centred interval is one matrix of side m + 1 (32 MiB at m = 2048)
-    # beside one Toeplitz + Hankel block of side m/2; index arrays took 88.1 MiB
+    # the non-centred interval is one matrix of side m + 1 (32 MiB at m = 2048), each Toeplitz
+    # +- Hankel part written into it in place; index arrays took 88.1 MiB, and forming each
+    # part of side m/2 before copying it in took 40.2 MiB
     spec = IntervalRepSpec(0.0, 1.0, 2048)
     tracemalloc.start()
     try:
@@ -292,7 +300,22 @@ def test_number_operator_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 80 * 2**20  # 40.2 MiB measured
+    assert peak < 36 * 2**20  # 32.3 MiB measured
+
+
+@settings(max_examples=40, deadline=None)
+@given(length=st.floats(0.25, 20.0), a=st.one_of(st.none(), st.floats(-20.0, 20.0)), m=st.integers(16, 640),
+       share=st.floats(0.0, 1.0))
+@example(length=1.0, a=0.0, m=256, share=1.0)  # J = K: the whole matrix
+@example(length=5.0, a=-2.5, m=17, share=0.0)  # J = 1 on a centred interval
+def test_x2_columns_are_the_columns_of_the_index_array_oracle(length, a, m, share):
+    a = -length / 2 if a is None else a
+    K = m // 2
+    J = max(1, round(share * K))
+    C, S = interval._x2_mode_integrals(a, a + length, 2 * K)
+    got = interval._x2_columns(C, S, K, J)
+    want = _indexed_x2(a, a + length, m)[:, np.r_[0 : J + 1, K + 1 : K + J + 1]]
+    assert got.shape == want.shape == (2 * K + 1, 2 * J + 1) and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("a, b, m", [(0.0, 1.0, 64), (-2.5, 2.5, 128), (0.3, 2.2, 100), (-7.0, -1.5, 257)])
@@ -435,6 +458,103 @@ def test_number_whole_sector_path_is_the_block_solve(monkeypatch):
     cos = (np.linalg.eigvalsh(fourier_sector(*sectors[0]))[:6] - 1.0) / 2.0
     assert whole.any() and np.array_equal(got[whole], cos[: np.count_nonzero(whole)])
     assert np.array_equal(interval.interval_number_spectrum(spec, 6), got)
+
+
+def _whole_x2_number_levels(spec, count):
+    """`interval._number_levels` on an interval that is not centred, with
+    every block gathered by np.ix_ from the whole x^2 matrix (`_indexed_x2`),
+    and eigvalsh of the whole operator where the search gives up."""
+    K, tau = spec.m // 2, max(spec.a * spec.a, spec.b * spec.b)
+    X, symbol = _indexed_x2(spec.a, spec.b, spec.m), interval._mode_symbol(spec)
+    found = schrodinger._schur_levels(lambda rows, cols: X[np.ix_(rows, cols)], symbol,
+                                      np.arange(2 * K + 1, dtype=np.int32), tau, count,
+                                      lambda sigma: _U * (symbol[-1] + tau))
+    if found is None:
+        return np.linalg.eigvalsh(_indexed_number_operator(spec.a, spec.b, spec.m))[:count], np.zeros(count)
+    return (found[0] - 1.0) / 2.0, found[1] / 2.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(length=st.floats(0.25, 20.0), a=st.floats(-20.0, 20.0), scale=st.sampled_from([0.1, 1.0]),
+       m=st.integers(16, 640), count=st.one_of(st.integers(1, 6), st.integers(1, 319)))
+@example(length=1.0, a=0.0, scale=1.0, m=256, count=3)  # proved on a block of 77 modes
+@example(length=5.0, a=0.0, scale=1.0, m=512, count=3)  # solved whole
+def test_non_centred_levels_are_those_of_the_whole_x2_matrix(length, a, scale, m, count):
+    # short intervals (scale 0.1) and few levels are proved on blocks, the others mostly solved whole
+    spec = IntervalRepSpec(scale * a, scale * (a + length), m)
+    assume(spec.a + spec.b != 0)
+    count = min(count, m // 2 - 1)
+    got, want = interval._number_levels(spec, count), _whole_x2_number_levels(spec, count)
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+_LEVEL_HASH = """
+import hashlib, numpy as np
+from ccrlab import interval
+rng, digest, routes = np.random.default_rng(38), hashlib.sha256(), [0, 0]
+for i in range(160):
+    reach = 2.0 if i % 4 else 20.0
+    length, m, a = float(rng.uniform(0.25, reach)), int(rng.integers(16, 640)), float(rng.uniform(-reach, reach))
+    count = int(rng.integers(1, 7 if i % 4 else 13)) if i % 8 else int(rng.integers(1, m // 2))
+    levels, bounds = interval._number_levels(interval.IntervalRepSpec(a, a + length, m), count)
+    routes[not bounds.any()] += 1
+    digest.update(levels.tobytes() + bounds.tobytes())
+print(digest.hexdigest(), *routes)
+"""
+
+
+def test_non_centred_levels_keep_their_hash(monkeypatch):
+    # levels and bounds of 160 random intervals that are not centred, 63 proved on blocks and 97
+    # solved whole, in a child process at 1 BLAS thread, where the whole solves do not move; the
+    # hash was recorded when every block was gathered from the whole x^2 matrix (numpy 2.4.6 with
+    # OpenBLAS on x86-64)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    proc = subprocess.run([sys.executable, "-c", _LEVEL_HASH], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert proc.stdout.split() == ["1114f91140192d4020cb9cae504c07b6129b88aecae17b29a84b16430bcd16b5", "63", "97"]
+
+
+def test_every_gather_reads_the_columns_of_its_block(monkeypatch):
+    # a non-centred interval keeps only the x^2 columns on its block's modes: every gather must read
+    # the columns of the current block P, a prefix of the modes in order of symbol, at rows P or at
+    # all the others; there that order is 0, cos 1, sin 1, cos 2, sin 2, ...
+    find, reads = schrodinger._schur_levels, {"sector": 0, "whole": 0}
+
+    def checked(route):
+        def search(gather, symbol, modes, *args):
+            order = modes[np.argsort(symbol[modes], kind="stable")]
+            if route == "whole":
+                assert np.array_equal(order, np.r_[0, np.arange(1, modes.size).reshape(2, -1).T.ravel()])
+
+            def read(rows, cols):
+                assert np.array_equal(cols, order[: cols.size])
+                assert np.array_equal(rows, cols) or np.array_equal(rows, order[cols.size :])
+                reads[route] += 1
+                return gather(rows, cols)
+
+            return find(read, symbol, modes, *args)
+        return search
+
+    monkeypatch.setattr(schrodinger, "_schur_levels", checked("sector"))
+    monkeypatch.setattr(interval, "_schur_levels", checked("whole"))
+    for a, b, m in ((-10.0, 10.0, 1024), (0.0, 1.0, 256), (0.0, 1.0, 2048), (-7.0, -1.5, 257), (0.0, 5.0, 512)):
+        interval._number_levels(IntervalRepSpec(a, b, m), 3)
+    schrodinger._oscillator_levels(10.0, 512, schrodinger.SPECTRAL, 6)
+    assert reads["sector"] > 0 and reads["whole"] > 0
+
+
+def test_unit_interval_levels_at_m_2048_read_x2_by_columns():
+    # the blocks read the x^2 columns on their modes (1.9 MiB measured); the whole x^2 matrix
+    # of side 2049 took 40.2 MiB
+    spec = IntervalRepSpec(0.0, 1.0, 2048)
+    interval.interval_number_spectrum(spec, 3)
+    tracemalloc.start()
+    try:
+        interval.interval_number_spectrum(spec, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @settings(max_examples=30, deadline=None)
