@@ -3,10 +3,9 @@
 RunConfig is a run's parameters and its one gate.  run_suite runs the
 suites of suites._SUITE_FUNCS, names their records "<suite>.<check>" under
 "all", and records a suite whose set-up raises as one failed
-"<suite>.setup" check.  Under "all" it may run the analytic and symbolic
-suites in a forked worker (see run_suite), and a worker that dies fails
-each of them as one such check.  Reports are byte-identical across runs
-up to the wall-time field; _csv is the one CSV writer.
+"<suite>.setup" check.  Every suite runs in the calling process.  Reports
+are byte-identical across runs up to the wall-time field; _csv is the one
+CSV writer.
 """
 
 from __future__ import annotations
@@ -15,10 +14,6 @@ import csv
 import io
 import json
 import math
-import os
-import pickle
-import sys
-import threading
 import time
 
 from . import fock, interval, schrodinger, weyl
@@ -61,7 +56,7 @@ class RunConfig(fock._Frozen):
     Valid by construction: __init__ runs the one gate of a run, its field
     rules, then suites.DOMAINS of each suite the command runs, and raises
     ValueError on the first fault.  Frozen as fock._Frozen: no field can be
-    assigned, and a pickle or copy is rebuilt through __init__ and its gate."""
+    assigned, and every copy is rebuilt through __init__ and its gate."""
 
     __slots__ = ("suite", "dim", "t", "s", "k_max", "grid_l", "grid_m", "scheme", "interval_a", "interval_b",
                  "interval_m", "seed", "fmt")
@@ -175,98 +170,26 @@ def _csv(header: list, rows) -> str:
     return buf.getvalue()
 
 
-# The suites "all" runs in a forked worker beside the other four (see run_suite):
-# the pure-Python half of the run, 31 ms of CPU against the other half's 24 ms, each
-# cold in a process of its own (medians of 15, one BLAS thread, a 2-core Xeon).  No
-# dense eigensolve runs in it, so every value that moves with the BLAS thread count
-# is computed in the calling process.
-_WORKER_SUITES = ("analytic", "symbolic")
+def run_suite(config: RunConfig) -> Report:
+    """Run one suite (or all of them) and assemble a sorted report.
 
-
-def _setup_failure(name: str, detail: str) -> CheckRecord:
-    return CheckRecord(f"{name}.setup", "suite set-up", "fail", None, None, detail)
-
-
-def _run_suites(config: RunConfig, names) -> list[CheckRecord]:
-    """The records of the suites names, in order, named "<suite>.<check>"
-    under "all"; a suite whose set-up raises gives one failed
-    "<suite>.setup" record."""
+    Every suite runs in this process, in the order of config.suites(),
+    each drawing from its own seeded stream; under "all" its records are
+    named "<suite>.<check>".  A suite whose set-up raises gives one failed
+    "<suite>.setup" record, and the others still run."""
+    start = time.perf_counter()
     records: list[CheckRecord] = []
-    for name in names:
+    for name in config.suites():
         try:
             suite_records = _SUITE_FUNCS[name](config)
         except Exception as exc:  # noqa: BLE001 - a failed set-up must not kill the run
-            records.append(_setup_failure(name, f"{type(exc).__name__}: {exc}"))
+            records.append(CheckRecord(f"{name}.setup", "suite set-up", "fail", None, None,
+                                       f"{type(exc).__name__}: {exc}"))
             continue
         if config.suite == "all":
             for record in suite_records:
                 record.name = f"{name}.{record.name}"
         records.extend(suite_records)
-    return records
-
-
-def _can_fork() -> bool:
-    """True where "all" may run _WORKER_SUITES in a forked worker: on Linux,
-    with two CPUs or more to run on and no Python thread but this one, which
-    a fork would leave half-copied."""
-    return (sys.platform.startswith("linux") and len(os.sched_getaffinity(0)) >= 2
-            and threading.active_count() == 1)
-
-
-def _run_forked(config: RunConfig, names, worker_names) -> list[CheckRecord]:
-    """The records of the suites names, run here, then those of worker_names,
-    run meanwhile in a forked worker that pickles them into a pipe and leaves
-    by os._exit.  A worker that ends with a nonzero status or writes records
-    that cannot be read gives each of worker_names one failed "<suite>.setup"
-    record naming why; on any exception here the worker is killed and reaped."""
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the worker: nothing it does may return into the caller
-        try:
-            os.close(read_fd)
-            with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(pickle.dumps(_run_suites(config, worker_names)))
-        except BaseException:  # noqa: BLE001 - the parent reads the exit status
-            os._exit(1)
-        os._exit(0)
-    os.close(write_fd)
-    try:
-        with os.fdopen(read_fd, "rb") as pipe:
-            records = _run_suites(config, names)
-            data = pipe.read()
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    except BaseException:  # KeyboardInterrupt too: the worker ends with the run
-        os.kill(pid, 9)  # SIGKILL
-        os.waitpid(pid, 0)
-        raise
-    if code == 0:
-        try:
-            return records + pickle.loads(data)
-        except Exception as exc:  # noqa: BLE001 - unreadable records fail the worker's suites
-            reason = f"its records cannot be read ({type(exc).__name__}: {exc})"
-    else:
-        reason = f"exit status {code}" if code > 0 else f"killed by signal {-code}"
-    return records + [_setup_failure(name, f"the worker running {', '.join(worker_names)} failed: {reason}")
-                      for name in worker_names]
-
-
-def run_suite(config: RunConfig) -> Report:
-    """Run one suite (or all of them) and assemble a sorted report.
-
-    For "all", where _can_fork holds (Linux, two CPUs or more, one Python
-    thread), the analytic and symbolic suites run in one forked worker
-    while this process runs the other four.  Each suite draws from its own
-    seeded stream and the records are sorted by name, so the report is the
-    one an in-process run gives, byte for byte but for wall_time_s.  An
-    in-process monkeypatch or tracer sees only this process's suites.
-    Anywhere else, and for a single suite, every suite runs here."""
-    start = time.perf_counter()
-    names = config.suites()
-    forked = _WORKER_SUITES if config.suite == "all" and _can_fork() else ()
-    if forked:
-        records = _run_forked(config, [name for name in names if name not in forked], forked)
-    else:
-        records = _run_suites(config, names)
     records.sort(key=lambda r: r.name)
     return Report(
         suite=config.suite,

@@ -605,6 +605,13 @@ def irregular_suite(config) -> list[CheckRecord]:
     residual = lambda: shared(interval.interval_weyl_residual, spec, t, s)
     canonical = interval.IntervalRepSpec(0.0, 1.0, 256)
     unit_levels = lambda: shared(interval.interval_number_spectrum, canonical, 3)
+    compatible_s = 2.0 * math.pi / spec.length
+    u = 2.0**-53
+
+    def rounding(grid, phase_s):
+        """4u(|s| max|x| + 1): a bound on the rounding of a Weyl residual of a unit vector on grid at
+        s = phase_s.  Each e^{isx} rounds by u(|s||x| + 1), and the residual subtracts two of them."""
+        return 4 * u * (abs(phase_s) * max(abs(grid.a), abs(grid.b)) + 1)
 
     def smooth_psi():
         x = spec.points
@@ -632,14 +639,12 @@ def irregular_suite(config) -> list[CheckRecord]:
         distances = [r.spectral_distance for r in rows]
         # Where the wrap phase e^{-is(b-a)} is 1 to rounding the closed form vanishes, and the
         # residual must be rounding; elsewhere it falls strictly from the shorter interval's.
-        # u = 2^-53: s rounds by u|s|, s(b - a) by as much again, cos and sin by u each, so a
-        # phase that is 1 comes out within 2u(|s|(b - a) + 1) of it; each e^{isx} rounds by
-        # u(|s||x| + 1), and the residual of a unit vector subtracts two of them.
-        u = 2.0**-53
+        # s rounds by u|s|, s(b - a) by as much again, cos and sin by u each, so a phase that is 1
+        # comes out within 2u(|s|(b - a) + 1) of it.
         shrinks = []
         for i, (spec, r) in enumerate(zip(specs, residuals)):
             if abs(np.exp(-1j * s * spec.length) - 1.0) <= 2 * u * (abs(s) * spec.length + 1):
-                shrinks.append(r <= 4 * u * (abs(s) * max(abs(spec.a), abs(spec.b)) + 1))
+                shrinks.append(r <= rounding(spec, s))
             else:
                 shrinks.append(i == 0 or residuals[i - 1] > r)
         ok = all(shrinks) and all(x > y for x, y in zip(distances, distances[1:]))
@@ -665,14 +670,15 @@ def irregular_suite(config) -> list[CheckRecord]:
               "irregularity is not a discretization artifact: m -> 2m keeps residual",
               no_refinement_decay,
               verdict=True),
+        # far from the origin, or at a large s, the residuals round by more than the literal floors
         Check("compatible_s_vanishes",
               "s(b-a) in 2 pi Z makes both Weyl orders agree",
-              lambda: interval.interval_weyl_residual(spec, t, 2.0 * math.pi / spec.length),
-              tolerance=1e-10),
+              lambda: interval.interval_weyl_residual(spec, t, compatible_s),
+              tolerance=max(1e-10, rounding(spec, compatible_s))),
         Check("residual_periodic_in_s",
               "residual has period 2 pi/(b-a) in s",
-              lambda: abs(residual() - interval.interval_weyl_residual(spec, t, s + 2.0 * math.pi / spec.length)),
-              tolerance=1e-12),
+              lambda: abs(residual() - interval.interval_weyl_residual(spec, t, s + compatible_s)),
+              tolerance=max(1e-12, rounding(spec, s) + rounding(spec, s + compatible_s))),
         Check("shift_and_phase_unitary",
               "U_t, V_s unitary on the interval",
               lambda: interval.unitarity_defect(spec, t, s),

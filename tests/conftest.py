@@ -1,8 +1,8 @@
 """Tests that run `python -m ccrlab` in a subprocess import the package
 from this checkout's src/, like the in-process tests do through the
 pytest `pythonpath` setting in pyproject.toml.  No test may leave a
-child process behind, running or unreaped: `ccr-lab all` forks a worker
-(reports.run_suite), and a subprocess a test starts must end with it."""
+child process behind, running or unreaped: tests start `python -m
+ccrlab` and other subprocesses, and each must end with its test."""
 
 import os
 from pathlib import Path

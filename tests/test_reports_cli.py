@@ -9,7 +9,6 @@ import os
 import pickle
 import subprocess
 import sys
-import threading
 import time
 import tracemalloc
 import warnings
@@ -17,7 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ccrlab import interval, reports, schrodinger, suites, weyl
+from ccrlab import analytic, interval, reports, schrodinger, suites, symbolic, weyl
 from ccrlab.cli import _fields_from_args, _join_negative_values, build_parser, main
 from ccrlab.reports import RunConfig, run_suite
 
@@ -307,9 +306,12 @@ def test_setup_failure_is_recorded(capsys, monkeypatch):
     assert [c["name"] for c in checks] == ["irregular.setup"]
     assert checks[0]["status"] == "fail"
     assert "no grid-aligned sample count" in checks[0]["detail"]
-    report = run_suite(RunConfig(suite="all"))
-    assert [c.name for c in report.failed] == ["irregular.setup"]
-    assert {c.name.split(".")[0] for c in report.checks} == set(reports.SUITES)
+    # under "all" the failed set-up is one record, with the same detail, and every other suite reports
+    assert main(["all", "--format", "json"]) == 1
+    in_all = json.loads(capsys.readouterr().out)["checks"]
+    assert [c for c in in_all if c["status"] == "fail"] == checks
+    assert {c["name"].split(".")[0] for c in in_all} == set(reports.SUITES)
+    assert len(in_all) > len(reports.SUITES)
 
 
 def test_missing_measured_value_formats(capsys, monkeypatch):
@@ -320,149 +322,47 @@ def test_missing_measured_value_formats(capsys, monkeypatch):
     assert capsys.readouterr().out.splitlines()[1] == "irregular.setup,suite set-up,fail,,"
 
 
-def _record_tuples(records):
-    return [(r.name, r.status, r.measured, r.tolerance, r.detail) for r in records]
-
-
-def _counted_forks(monkeypatch):
+def test_all_runs_every_suite_in_the_calling_process(monkeypatch, capsys):
+    # a monkeypatch in this process sees the analytic and symbolic suites of "all", each making
+    # the calls it makes when run alone, and no process is forked
     forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    calls, running = collections.Counter(), [None]
 
-    def counted():
-        forks.append(1)
-        return fork()
+    def counted(fn):
+        def call(*args, **kwargs):
+            calls[running[0], fn.__name__] += 1
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(os, "fork", counted)
-    return forks
+        return call
 
+    def in_suite(name, fn):
+        def run(config):
+            running[0] = name
+            try:
+                return fn(config)
+            finally:
+                running[0] = None
 
-@pytest.mark.parametrize("seed", [0, 7, 123])
-def test_the_worker_changes_no_record(monkeypatch, seed):
-    # "all" runs the analytic and symbolic suites in one forked worker: its report is the
-    # in-process run of all six suites, record for record
-    monkeypatch.setattr(reports, "_can_fork", lambda: True)
-    forks = _counted_forks(monkeypatch)
-    config = RunConfig(suite="all", seed=seed)
-    got = run_suite(config).checks
-    assert len(forks) == 1
-    want = sorted(reports._run_suites(config, reports.SUITES), key=lambda r: r.name)
-    assert _record_tuples(got) == _record_tuples(want)
-    assert {r.name.split(".")[0] for r in got} == set(reports.SUITES)
-    # a single suite and a sweep run in-process
-    run_suite(RunConfig(suite="symbolic", seed=seed))
-    reports.sweep_dims(_SWEEP, [16])
-    assert len(forks) == 1
+        return run
 
-
-def test_the_worker_runs_only_beside_a_single_thread():
-    # a fork copies only the thread that calls it
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    thread.start()
-    try:
-        assert not reports._can_fork()
-    finally:
-        stop.set()
-        thread.join()
-
-
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_cli_report_is_the_same_without_the_worker(threads, monkeypatch):
-    # the command line with the worker against the same process without it, at one BLAS thread count
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
-    code = ("import sys; from ccrlab import cli, reports; reports._WORKER_SUITES = tuple(sys.argv[1:]); "
-            "sys.exit(cli.main(['all', '--seed', '7', '--format', 'json']))")
-    outputs = []
-    for worker in (list(reports._WORKER_SUITES), []):
-        proc = subprocess.run([sys.executable, "-c", code, *worker], capture_output=True, text=True, timeout=600)
-        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
-        report = json.loads(proc.stdout)
-        report.pop("wall_time_s")
-        outputs.append(report)
-    assert outputs[0] == outputs[1]
-
-
-def test_no_dense_eigensolve_runs_in_the_worker(monkeypatch):
-    # the rule that keeps every value moving with the BLAS thread count in the calling process
-    config = RunConfig(suite="all", seed=7)
-    want = [(r.name, r.status) for r in reports._run_suites(config, reports._WORKER_SUITES)]
-
-    def refused(*args, **kwargs):
-        raise AssertionError("a dense eigensolve")
-
-    for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd"):
-        monkeypatch.setattr(np.linalg, name, refused)
-    assert [(r.name, r.status) for r in reports._run_suites(config, reports._WORKER_SUITES)] == want
-    # and the patch bites where an eigensolve runs, uncached
-    assert "fail" in {r.status for r in reports._run_suites(config, ("irregular",))}
-
-
-def _worker_run(monkeypatch, capsys, suite_fn):
-    """main(["all", ...]) through the worker, with the symbolic suite, run in the worker, as suite_fn;
-    its exit code and the records of the worker's suites."""
-    monkeypatch.setattr(reports, "_can_fork", lambda: True)
-    monkeypatch.setitem(reports._SUITE_FUNCS, "symbolic", suite_fn)
-    code = main(["all", "--seed", "7", "--format", "json"])
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    checks = json.loads(captured.out)["checks"]
-    assert len(checks) > 2 and {c["name"].split(".")[0] for c in checks} == set(reports.SUITES)
-    return code, {c["name"]: c for c in checks if c["name"].split(".")[0] in reports._WORKER_SUITES}
-
-
-def test_worker_suite_that_raises_is_a_failed_setup(monkeypatch, capsys):
-    def raising(config):
-        raise RuntimeError("set-up failed")
-
-    code, worker_checks = _worker_run(monkeypatch, capsys, raising)
-    assert code == 1
-    assert worker_checks["symbolic.setup"]["status"] == "fail"
-    assert worker_checks["symbolic.setup"]["detail"] == "RuntimeError: set-up failed"
-    # the other suite of the worker still reports its own checks
-    assert [name for name, c in worker_checks.items() if c["status"] == "fail"] == ["symbolic.setup"]
-    assert "analytic.taylor_exp_vs_expm" in worker_checks
-
-
-@pytest.mark.parametrize("end, reason", [
-    (lambda: os._exit(3), "exit status 3"),
-    (lambda: os.kill(os.getpid(), 9), "killed by signal 9"),
-    (lambda: sys.exit(0), "exit status 1"),  # leaves the suites by an exception no check catches
-])
-def test_worker_that_dies_fails_its_suites(monkeypatch, capsys, end, reason):
-    def dying(config):
-        end()
-
-    code, worker_checks = _worker_run(monkeypatch, capsys, dying)
-    assert code == 1
-    assert sorted(worker_checks) == ["analytic.setup", "symbolic.setup"]
-    for check in worker_checks.values():
-        assert check["status"] == "fail" and check["measured"] is None
-        assert check["detail"] == f"the worker running analytic, symbolic failed: {reason}"
-
-
-def test_worker_records_that_cannot_be_read_fail_its_suites(monkeypatch, capsys):
-    monkeypatch.setattr(pickle, "dumps", lambda obj, *args, **kwargs: b"not a pickle")  # in the worker only
-    code, worker_checks = _worker_run(monkeypatch, capsys, suites.symbolic_suite)
-    assert code == 1
-    assert sorted(worker_checks) == ["analytic.setup", "symbolic.setup"]
-    assert worker_checks["symbolic.setup"]["detail"].startswith(
-        "the worker running analytic, symbolic failed: its records cannot be read (UnpicklingError: ")
-
-
-def test_interrupted_run_kills_and_reaps_its_worker(monkeypatch):
-    # the parent is interrupted while the worker would run for a minute: the worker is killed,
-    # and reaped, at once
-    def interrupted(config):
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(reports, "_can_fork", lambda: True)
-    monkeypatch.setitem(reports._SUITE_FUNCS, "symbolic", lambda config: time.sleep(60))
-    monkeypatch.setitem(reports._SUITE_FUNCS, "fock", interrupted)
-    start = time.perf_counter()
-    with pytest.raises(KeyboardInterrupt):
-        run_suite(RunConfig(suite="all"))
-    assert time.perf_counter() - start < 30
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    monkeypatch.setattr(analytic, "power_log_norms", counted(analytic.power_log_norms))
+    monkeypatch.setattr(symbolic, "normal_order", counted(symbolic.normal_order))
+    for name in reports.SUITES:
+        monkeypatch.setitem(reports._SUITE_FUNCS, name, in_suite(name, reports._SUITE_FUNCS[name]))
+    assert main(["all", "--seed", "7", "--format", "json"]) == 0
+    checks_in_all = json.loads(capsys.readouterr().out)["checks"]
+    in_all = calls.copy()
+    assert in_all[("analytic", "power_log_norms")] > 0 and in_all[("symbolic", "normal_order")] > 0
+    for name in ("analytic", "symbolic"):
+        calls.clear()
+        assert main([name, "--seed", "7", "--format", "json"]) == 0
+        alone = json.loads(capsys.readouterr().out)["checks"]
+        assert dict(calls) == {key: n for key, n in in_all.items() if key[0] == name}
+        # and the suite's records under "all" are those it gives alone, under "<suite>." names
+        assert [dict(c, name=f"{name}.{c['name']}") for c in alone] == [
+            c for c in checks_in_all if c["name"].startswith(f"{name}.")]
+    assert forks == []
 
 
 @pytest.mark.parametrize("s", ["0", "6.283185307179586", "1e-300"])
@@ -473,6 +373,20 @@ def test_irregular_runs_where_the_wrap_phase_is_one(capsys, s):
     checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
     contrast = checks["contrast_lengths_monotone"]
     assert contrast["status"] == "pass" and contrast["measured"] < 1e-15
+
+
+@pytest.mark.parametrize("argv", [["--s", "8e6"], ["--interval=1e7,10000001"]])
+def test_irregular_runs_at_a_large_s_and_far_from_the_origin(argv, capsys):
+    # the residuals round by about 4u(|s| max|x| + 1), above the literal tolerances 1e-10 and 1e-12:
+    # the two checks read tolerances derived from it, each still far below the residual at s = pi
+    assert main(["irregular", *argv, "--format", "json"]) == 0
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    for name in ("compatible_s_vanishes", "residual_periodic_in_s"):
+        assert checks[name]["status"] == "pass" and 1e-12 < checks[name]["tolerance"] < 1e-7
+    # at the defaults both keep their literal tolerances
+    assert main(["irregular", "--format", "json"]) == 0
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert [checks[name]["tolerance"] for name in ("compatible_s_vanishes", "residual_periodic_in_s")] == [1e-10, 1e-12]
 
 
 def test_run_suite_determinism_in_process():
