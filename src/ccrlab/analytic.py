@@ -10,32 +10,33 @@ forming matrix powers), and records log ||A^k x|| for every column at
 every power.  Columns are rescaled to unit norm after each product, so
 transiently huge terms cannot overflow.  The column norms are the
 operations np.linalg.norm(V, axis=0) runs, sqrt of the sum of |v|^2 down
-each column.  In a block of two or more columns numpy sums each column in
-row order, so a column's values do not depend on the others (a block of
-one column is summed pairwise, and may differ in the last bit).  The
-norms do not depend on t: one pass over a block serves
-every t.  At each t the ratio-test verdicts of all columns are one
-array, which `series_verdict_block` returns without building a
-SeriesReport per column.  `analytic_series` and `check_growth_bound` are
-the batch of one of `analytic_series_block` and `growth_bound_block`;
-the analytic suite passes its 50 seeded single-power samples to
-`single_power_bound_block` as one block.
+each column: in row order in a block of two or more columns, so a
+column's values do not depend on the others, and pairwise in a block of
+one.  The norms do not depend on t: one pass serves every t, and
+`series_verdict_block` returns the verdicts of all columns at each t as
+one array.  `analytic_series` and `check_growth_bound` are the batch of
+one of `analytic_series_block` and `growth_bound_block`; the analytic
+suite passes its 50 single-power samples to `single_power_bound_block`
+as one block.
 
 Mode window.  A `Band` whose lowest offset is -h moves a vector on
-modes <= M onto modes <= M + h, so k products of a block whose top mode
-is M never reach past mode M + hk.  The kernel cuts A to its first
-M + h k_max + 1 modes (M + k_max + 1 for q and p); the guard band
-dim >= M + k_max + 1 makes those values the dim-dimensional ones, and
-the cost does not depend on dim.
+modes <= M onto modes <= M + h, so power k of a block whose top mode is
+M lies on its first M + hk + 1 rows; the guard band dim >= M + k_max + 1
+makes the values the dim-dimensional ones, at a cost free of dim.  Power
+k of two or more columns runs on those rows alone, as the zero rows
+below add nothing to a sum in row order; growth_bound_block stops each
+column after its own power, keeping two columns.  A one-column block,
+summed pairwise, runs on all M + h k_max + 1 rows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from .fock import Band, FockState, _finite, sqrt_factorial
+from .fock import Band, FockState, _finite, _rows_cols, sqrt_factorial
 
 RATIO_CONVERGED = 0.9
 RATIO_DIVERGING = 1.1
@@ -97,28 +98,47 @@ def power_log_norms(A: Band, block, k_max: int) -> np.ndarray:
     be fewer than A's dim.  A, with lowest offset -h, is cut to its first
     min(dim, rows + h k_max) modes, so for q and p column j is exact at
     every power k with top_j + k < dim.  Raises SeriesOverflowError(k) at
-    the first power whose norm is not finite.
-    """
-    dim = A.dim
-    block = np.asarray(block)
-    if block.ndim != 2 or block.shape[0] > dim:
-        raise ValueError(f"expected a block of at most {dim} rows, got shape {block.shape}")
-    window = _mode_window(A, block.shape[0], k_max)
-    if window < dim:
-        A = A.cut(window)
-    A = Band._unchecked(window, {k: d.astype(complex) for k, d in A.diagonals.items()})  # cast once, not per product
-    V = np.zeros((window, block.shape[1]), dtype=complex)
-    V[: block.shape[0]] = block
-    log_norms = np.empty((k_max + 1, block.shape[1]))
+    the first power whose norm is not finite."""
+    return _stopped_log_norms(A, np.asarray(block), k_max, np.full(np.shape(block)[-1], k_max))
+
+
+def _stopped_log_norms(A: Band, block: np.ndarray, k_max: int, stops: np.ndarray) -> np.ndarray:
+    """power_log_norms(A, block, k_max), column j taken to power stops[j] (ascending) only and held there,
+    with no overflow past it.  Power k runs on the rows it reaches and the columns left, never fewer than two."""
+    if block.ndim != 2 or block.shape[0] > A.dim:
+        raise ValueError(f"expected a block of at most {A.dim} rows, got shape {block.shape}")
+    rows, n = block.shape
+    window = _mode_window(A, rows, k_max)
+    terms = [(k, d.astype(complex)[:, None]) for k, d in A.cut(window).diagonals.items()]  # each cast once
+    terms = terms or [(0, np.zeros((window, 1)))]  # a zero diagonal stands in for a band of none
+    firsts = np.minimum(np.searchsorted(stops, np.arange(k_max + 1)), max(n - 2, 0)).tolist()
+    lives = [window] * (k_max + 1) if n == 1 else [_mode_window(A, rows, k) for k in range(k_max + 1)]
+    flat = [np.zeros(max(b * (n - lo) for lo, b in zip(firsts, lives)), complex) for _ in range(3)]  # 2 blocks, scratch
+    flat[0][: lives[0] * n].reshape(lives[0], n)[:rows] = block
+
+    @functools.cache
+    def views(odd: int, m: int, drop: int, a: int, b: int) -> tuple:
+        """Per diagonal of A from modes < a to modes < b: entries, source, target, scratch; the blank rows; V; V^2."""
+        src, V, T = (flat[i][: r * c].reshape(r, c) for i, r, c in ((1 - odd, a, m + drop), (odd, b, m), (2, b, m)))
+        products = [(d[:size], src[cols, drop:], V[out], T[:size]) for k, d in terms
+                    for size in [max(0, min(b - max(0, -k), a - max(0, k)))] for out, cols in [_rows_cols(k, size)]]
+        out = _rows_cols(terms[0][0], len(products[0][0]))[0]  # one of the two blanks is empty
+        return products, V[: out.start] if out.start else V[out.stop:], V, T
+
+    norms = np.ones((k_max + 1, n))
     with np.errstate(divide="ignore", invalid="ignore"):  # log(0) = -inf for a vanished column; nan after inf
-        for k in range(k_max + 1):
-            if k:
-                V = A @ V
-            nrm = np.sqrt(np.add.reduce((V.conj() * V).real, axis=0))  # np.linalg.norm(V, axis=0)
-            np.log(nrm, out=log_norms[k])  # log ||A^k x|| - log ||A^(k-1) x||, summed in order below
-            scale = 1.0 / nrm  # unit columns, by the factor V / nrm multiplies by; the magnitude lives in log_norms
-            np.multiply(V.real, scale, out=V.real, where=nrm > 0.0)
-            np.multiply(V.imag, scale, out=V.imag, where=nrm > 0.0)
+        for k, (lo, live, last, before) in enumerate(zip(firsts, lives, firsts[:1] + firsts, lives[:1] + lives)):
+            products, blank, x, sq = views(k % 2, n - lo, lo - last, before, live)
+            if k:  # A V on the columns left, from the modes the last power reached to those this one reaches
+                np.multiply(*products[0][:2], out=products[0][2])  # the first diagonal's products, the others added
+                blank.fill(0.0)
+                for d, src, out, tmp in products[1:]:
+                    np.add(out, np.multiply(d, src, out=tmp), out=out)
+            np.multiply(np.conjugate(x, out=sq), x, out=sq)  # np.linalg.norm(V, axis=0), the squares in place
+            nrm = np.sqrt(np.add.reduce(sq.real, axis=0), out=norms[k, lo:])
+            np.multiply(x, 1.0 / np.where(nrm > 0.0, nrm, 1.0), out=x)  # unit columns; one of norm 0 stays as it is
+        norms[np.arange(k_max + 1)[:, None] > stops] = 1.0  # a column kept on past its stop, to keep two
+        log_norms = np.log(norms, out=norms)  # log ||A^k x|| - log ||A^(k-1) x||, summed in order below
     overflow = np.flatnonzero(~(log_norms < np.inf).all(axis=1))  # the powers with a norm inf or nan
     if overflow.size:
         raise SeriesOverflowError(int(overflow[0]))
@@ -266,8 +286,8 @@ def growth_bound_block(q: Band, block, powers) -> tuple[np.ndarray, np.ndarray]:
     (normalized coefficients of modes 0, 1, ...) at its own power k_j,
     with B_j the corrected_growth_bound of its support.
 
-    One power_log_norms pass of max(powers) products; column j is read at
-    power k_j."""
+    One power_log_norms pass on the columns in order of power, each taken
+    to its own power k_j, which alone can raise SeriesOverflowError."""
     dim = q.dim
     block = np.asarray(block)
     powers = np.asarray(powers, dtype=int)
@@ -279,8 +299,9 @@ def growth_bound_block(q: Band, block, powers) -> tuple[np.ndarray, np.ndarray]:
     pairs = list(zip(tops.tolist(), powers.tolist()))
     bounds = {pair: corrected_growth_bound(dim, *pair) for pair in dict.fromkeys(pairs)}  # once per (M, k)
     factors = np.array([bounds[pair] for pair in pairs])
-    log_norms = power_log_norms(q, block[: tops.max() + 1], int(powers.max()))
-    return np.exp(log_norms[powers, np.arange(powers.size)]), factors * np.linalg.norm(block, axis=0)
+    order = np.argsort(powers, kind="stable")
+    log_norms = _stopped_log_norms(q, block[: tops.max() + 1, order], int(powers.max()), powers[order])
+    return np.exp(log_norms[powers, np.argsort(order)]), factors * np.linalg.norm(block, axis=0)
 
 
 def check_growth_bound(q: Band, phi: FockState, k: int) -> tuple[float, float]:
@@ -320,24 +341,29 @@ def single_power_bound_block(q: Band, samples) -> list[SinglePowerBoundReport]:
     (unnormalized basis) against the nominal bound sqrt(2) C sqrt((m+n+1)!).
 
     One power_log_norms pass of one product on one block, whose columns
-    are, sample by sample, psi and then each term C_j psi_{m+j}: at least
-    two columns, so each sample's values are those of its own block."""
-    starts, terms, nominals = [], [], []
-    for coeffs, m in samples:
-        coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.ndim != 1 or coeffs.size == 0 or not np.any(coeffs):
-            raise ValueError("coefficients must be a nonzero 1-d sequence")
-        top = m + coeffs.size - 1
-        if top + 2 > q.dim:
-            raise ValueError("support plus one application exceeds dimension")
-        starts.append(m)
-        terms.append(coeffs * np.array([sqrt_factorial(m + j) for j in range(coeffs.size)]))
-        nominals.append(math.sqrt(2.0) * float(np.max(np.abs(coeffs))) * math.exp(0.5 * math.lgamma(top + 2)))
-    columns = np.cumsum([0] + [t.size + 1 for t in terms])  # the column of each psi, then its terms'
-    block = np.zeros((max((m + t.size for m, t in zip(starts, terms)), default=0), columns[-1]), dtype=complex)
-    for m, t, j in zip(starts, terms, columns):
-        block[m: m + t.size, j] = t
-        block[m + np.arange(t.size), j + 1 + np.arange(t.size)] = t
+    are each sample's psi and then every sample's terms C_j psi_{m+j}: at
+    least two columns, so each sample's values are those of its own block."""
+    if not samples:
+        return []
+    coeffs = [np.asarray(c, dtype=complex) for c, _ in samples]
+    sizes = np.array([c.size if c.ndim == 1 else 0 for c in coeffs])
+    heads = np.cumsum(sizes) - sizes  # each sample's first coefficient in `flat`
+    if not sizes.all() or not np.logical_or.reduceat((flat := np.concatenate(coeffs)) != 0, heads).all():
+        raise ValueError("coefficients must be a nonzero 1-d sequence")
+    tops = (starts := np.array([m for _, m in samples])) + sizes - 1
+    if starts.min() < 0 or tops.max() + 2 > q.dim:
+        raise ValueError("support plus one application exceeds dimension")
+    sample = np.repeat(np.arange(sizes.size), sizes)  # the sample of each coefficient
+    modes = starts[sample] + np.arange(flat.size) - heads[sample]
+    terms = flat * np.array([sqrt_factorial(i) for i in range(tops.max() + 1)])[modes]
+    block = np.zeros((tops.max() + 1, sizes.size + flat.size), dtype=complex)
+    block[modes, sample] = block[modes, sizes.size + np.arange(flat.size)] = terms
     norms = np.exp(power_log_norms(q, block, 1)[1])  # a zero term contributes exp(-inf) = 0
-    return [SinglePowerBoundReport(float(norms[j]), float(np.sum(norms[j + 1: j + 1 + t.size])), nominal)
-            for t, j, nominal in zip(terms, columns, nominals)]
+    growth = np.array([math.exp(0.5 * math.lgamma(top + 2)) for top in range(tops.max() + 1)])[tops]
+    nominals = math.sqrt(2.0) * np.maximum.reduceat(np.abs(flat), heads) * growth
+    triangle = np.empty(sizes.size)
+    for size in set(sizes.tolist()):  # np.sum of each sample's terms: a row of `size` terms sums as they do
+        group = np.flatnonzero(sizes == size)
+        triangle[group] = np.add.reduce(norms[sizes.size + heads[group, None] + np.arange(size)], axis=1)
+    return [SinglePowerBoundReport(*values) for values in zip(
+        norms[: sizes.size].tolist(), triangle.tolist(), nominals.tolist())]

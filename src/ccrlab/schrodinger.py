@@ -205,17 +205,10 @@ def reflection_block(column: np.ndarray, first: int, size: int, sign: float, dia
     in i, acts on the even vectors (delta_i + delta_-i)/sqrt2, i >= 0
     (sign +1, first 0, the fixed points of i -> -i in `fixed`), and on the
     odd ones (delta_i - delta_-i)/sqrt2, i >= 1 (sign -1, first 1).
-    column must reach index 2 (first + size - 1).  Both parts are strided
-    views of column; the result is the only array of side `size`.
+    column must reach index 2 (first + size - 1).
     """
-    window = np.lib.stride_tricks.sliding_window_view
-    toeplitz = window(np.concatenate([column[size - 1 : 0 : -1], column[:size]]), size)[:, ::-1]
-    hankel = window(column[2 * first : 2 * (first + size) - 1], size)
-    block = toeplitz + hankel if sign > 0 else toeplitz - hankel
-    if fixed:
-        fixed = list(fixed)
-        block[:, fixed] *= math.sqrt(0.5)  # the columns, then the rows, as scaling by a vector would
-        block[fixed] *= math.sqrt(0.5)
+    modes = np.arange(first, first + size)
+    block = _reflection_entries(column, modes, modes, sign, tuple(first + i for i in fixed))
     block.reshape(-1)[:: size + 1] += diagonal
     return block
 
@@ -234,17 +227,25 @@ def _reflection_entries(column: np.ndarray, rows: np.ndarray, cols: np.ndarray, 
     """column[|i - j|] + sign * column[i + j] for i in rows, j in cols, scaled
     by 1/sqrt2 in each row and column whose index is in `fixed`: the
     entries of `reflection_block`, without its diagonal, gathered at any
-    rows and columns."""
-    index = np.abs(np.subtract.outer(rows, cols))
-    out = column[index]
-    gathered = column[np.add.outer(rows, cols, out=index)]
-    if sign > 0:
-        out += gathered
-    else:
-        out -= gathered
-    if fixed:  # at most two indices, compared directly
-        out *= np.where(np.equal.outer(rows, fixed).any(axis=1), math.sqrt(0.5), 1.0)[:, None]
-        out *= np.where(np.equal.outer(cols, fixed).any(axis=1), math.sqrt(0.5), 1.0)
+    rows and columns: on each pair of runs of consecutive rows and columns,
+    strided views of column[|i - j|] and of column from the least i + j."""
+    column = np.ascontiguousarray(column)
+    out, step = np.empty((rows.size, cols.size), column.dtype), column.itemsize
+    # (start, stop, first index) of each run of consecutive rows, then of columns
+    row_runs, col_runs = ([(a, b, int(x[a])) for a, b in zip(s, s[1:] + [x.size]) if a < b]
+                          for x in (rows, cols) for s in [[0, *(np.flatnonzero(x[1:] - x[:-1] != 1) + 1).tolist()]])
+    for r0, r1, i in row_runs:
+        for c0, c1, j in col_runs:
+            shape = (r1 - r0, c1 - c0)
+            reflected = column[np.abs(np.arange(i - j - shape[1] + 1, i - j + shape[0]))]
+            toeplitz = np.ndarray(shape, column.dtype, reflected, (shape[1] - 1) * step, (step, -step))
+            hankel = np.ndarray(shape, column.dtype, column, (i + j) * step, (step, step))
+            (np.add if sign > 0 else np.subtract)(toeplitz, hankel, out=out[r0:r1, c0:c1])
+    for f in fixed:  # the rows and the columns at the fixed indices the runs hold
+        for r in (a + f - i for a, b, i in row_runs if i <= f < i + b - a):
+            out[r] *= math.sqrt(0.5)
+        for c in (a + f - j for a, b, j in col_runs if j <= f < j + b - a):
+            out[:, c] *= math.sqrt(0.5)
     return out
 
 

@@ -54,6 +54,7 @@ cached form, tree or array is ever mutated:
   -1 are single nodes, and a number's leaf is kept for the last 256
   numbers;
 - the five symbol forms, built at import and returned by `normal_order`;
+- the powers of a linear form, the last 256, by form, key order and n;
 - the integer weights of the closed form for a^k a†^m, per (k, m),
   unbounded (min(k, m) + 1 integers each);
 - the band (a†)^m a^k per (dim, m, k), 256 of them, read-only;
@@ -496,7 +497,7 @@ class NormalForm:
         if n < 0:
             raise ValueError("negative operator powers are not defined")
         if self._is_linear():
-            return self._linear_power(n)
+            return _cached_linear_power(self, tuple(self._num), n)  # keyed by the key order too: the terms follow it
         acc = _LEAVES["I"]
         for _ in range(n):  # a loop, so no exponent is bounded by the stack
             acc = acc * self
@@ -579,6 +580,7 @@ class NormalForm:
         return "NormalForm({" + ", ".join(f"{key}: {c}" for key, c in self.items()) + "})"
 
 
+_cached_linear_power = lru_cache(maxsize=256)(lambda form, keys, n: form._linear_power(n))  # [p, q^n] and q^(n-1)
 _LINEAR_KEYS = frozenset({(1, 0), (0, 1)})
 _SCALAR_KEYS = frozenset({(0, 0)})
 # component t of a * e_j, over the basis e = (1, i, sqrt2, i*sqrt2), is f * a[i] for the

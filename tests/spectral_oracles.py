@@ -5,6 +5,7 @@ K + T gathered entry by entry, the block search on one sector, and
 recorders of the eigensolver calls and of the sectors a solve makes."""
 
 import functools
+import math
 
 import numpy as np
 
@@ -27,13 +28,31 @@ def record_solvers(monkeypatch) -> list:
     return calls
 
 
+def indexed_reflection_entries(column, rows, cols, sign, fixed):
+    """column[|i - j|] + sign * column[i + j] for i in rows, j in cols, scaled
+    by 1/sqrt2 in each row and column whose index is in `fixed`, gathered
+    through integer index arrays: the oracle of the strided
+    `schrodinger._reflection_entries`."""
+    index = np.abs(np.subtract.outer(rows, cols))
+    out = column[index]
+    gathered = column[np.add.outer(rows, cols, out=index)]
+    if sign > 0:
+        out += gathered
+    else:
+        out -= gathered
+    if fixed:
+        out *= np.where(np.equal.outer(rows, fixed).any(axis=1), math.sqrt(0.5), 1.0)[:, None]
+        out *= np.where(np.equal.outer(cols, fixed).any(axis=1), math.sqrt(0.5), 1.0)
+    return out
+
+
 def fourier_sector(column, symbol, sector):
     """The dense parity sector K + T that `schrodinger.sector_levels` solves,
-    gathered by `_reflection_entries` rather than built from strided views:
+    gathered through index arrays rather than built from strided views:
     sector = (first, size, sign, fixed), K = diag(symbol) on its modes."""
     first, size, sign, fixed = sector
     modes = np.arange(first, first + size)
-    return schrodinger._reflection_entries(column, modes, modes, sign, fixed) + np.diag(symbol[modes])
+    return indexed_reflection_entries(column, modes, modes, sign, fixed) + np.diag(symbol[modes])
 
 
 def search_sector(column, symbol, sector, tau, count):

@@ -577,6 +577,44 @@ def test_power_log_norms_is_the_norm_loop_byte_for_byte():
         for A in (fock.Band.position(rows + k_max + 3), fock.Band.momentum(rows + 5)):
             got, want = analytic.power_log_norms(A, block, k_max), _reference_power_log_norms(A, block, k_max)
             assert got.tobytes() == want.tobytes()
+    # supports far below the window: a few rows over zero ones, to k_max 60, on q, p and q^2 (offsets -2..2);
+    # and 2-column blocks, the narrowest a column is summed in row order in
+    for rows, zeros, columns in ((1, 0, 3), (2, 0, 5), (3, 40, 4), (1, 20, 2), (5, 3, 2), (9, 0, 2)):
+        block = np.vstack([gen.complex_components(rows * columns).reshape(rows, columns),
+                           np.zeros((zeros, columns))])
+        q = fock.Band.position(rows + zeros + 125)
+        for A in (q, fock.Band.momentum(rows + zeros + 61), q @ q):
+            got, want = analytic.power_log_norms(A, block, 60), _reference_power_log_norms(A, block, 60)
+            assert got.tobytes() == want.tobytes()
+    for trial in range(20):
+        rows, k_max = gen.randint(1, 12), gen.randint(0, 40)
+        block = gen.complex_components(2 * rows).reshape(rows, 2)
+        A = fock.Band.momentum(rows + k_max + 1) if trial % 2 else fock.Band.position(rows + 2)
+        got, want = analytic.power_log_norms(A, block, k_max), _reference_power_log_norms(A, block, k_max)
+        assert got.tobytes() == want.tobytes()
+    # columns that vanish mid-pass (a^k e_j = 0 from k = j + 1), scaled around while the others go on
+    a = fock.Band.annihilator(12)
+    block = np.zeros((6, 4), dtype=complex)
+    block[2, 0], block[5, 2], block[0, 3] = 1.0, 1j, -2.0
+    block[:, 1] = gen.complex_components(6)
+    got = analytic.power_log_norms(a, block, 8)
+    assert got.tobytes() == _reference_power_log_norms(a, block, 8).tobytes()
+    assert np.isneginf(got[3:, 0]).all() and np.isneginf(got[1:, 3]).all() and np.isfinite(got[:6, 1]).all()
+    # a band with no diagonal takes every column to 0 after its first power
+    for columns in (1, 3):
+        block = gen.complex_components(4 * columns).reshape(4, columns)
+        zero = fock.Band(6, {})
+        got, want = analytic.power_log_norms(zero, block, 3), _reference_power_log_norms(zero, block, 3)
+        assert got.tobytes() == want.tobytes()
+    # growth_bound_block takes each column to its own power only: its values are the full table's there
+    q = fock.Band.position(40)
+    for trial in range(20):
+        top, columns = gen.randint(0, 10), gen.randint(1, 60)
+        block = gen.complex_components((top + 1) * columns).reshape(top + 1, columns)
+        powers = np.array([gen.randint(0, 15) for _ in range(columns)])
+        lhs, _ = analytic.growth_bound_block(q, block, powers)
+        table = _reference_power_log_norms(q, block, int(powers.max()))
+        assert lhs.tobytes() == np.exp(table[powers, np.arange(columns)]).tobytes()
     # the series overflow cases: the same table, or the same first power that is not finite
     for (A, _), coeffs in itertools.product(_OVERFLOW_CASES, _OVERFLOW_COEFFS):
         block = np.array(coeffs, dtype=complex)[:, None]
@@ -596,6 +634,20 @@ def test_power_log_norms_is_the_norm_loop_byte_for_byte():
         with np.errstate(over="ignore"), pytest.raises(analytic.SeriesOverflowError) as got:
             analytic.power_log_norms(huge, block, 3)
         assert got.value.k == want.value.k == k
+
+
+def test_growth_bound_block_raises_only_at_the_powers_it_returns():
+    # e_0 meets the entry 1e200 only at its second product, where its norm overflows: a column of power 1
+    # reads a finite norm, although the pass runs it on beside a column of power 3, and power 2 raises
+    A = fock.Band(10, {-1: np.array([1.0, 1e200] + [1.0] * 7)})
+    block = np.zeros((4, 2))
+    block[0, 0] = block[3, 1] = 1.0
+    with np.errstate(over="ignore"):
+        lhs, _ = analytic.growth_bound_block(A, block, [1, 3])
+        with pytest.raises(analytic.SeriesOverflowError) as exc:
+            analytic.growth_bound_block(A, block, [2, 3])
+    assert lhs.tolist() == [1.0, 1.0]
+    assert exc.value.k == 2
 
 
 def _report_fields(rep):

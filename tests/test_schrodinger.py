@@ -16,7 +16,8 @@ from hypothesis import assume, given, settings, strategies as st
 from numpy.polynomial.hermite import hermval
 
 from ccrlab import fock, interval, reports, schrodinger, suites
-from spectral_oracles import fourier_sector, rayleigh_quotients, record_sectors, record_solvers, search_sector
+from spectral_oracles import (fourier_sector, indexed_reflection_entries, rayleigh_quotients, record_sectors,
+                              record_solvers, search_sector)
 
 
 def test_grid_points_geometry():
@@ -235,6 +236,34 @@ def test_oscillator_blocks_are_the_parity_sectors(m, monkeypatch):
         for column, symbol, (first, size, sign, fixed) in sectors:
             block = schrodinger.reflection_block(column, first, size, sign, symbol[first : first + size], fixed)
             assert np.array_equal(block, fourier_sector(column, symbol, (first, size, sign, fixed)))
+
+
+def _sector_runs(data, first, size, nyquist):
+    """Indices of a parity sector as the block search gathers them: runs of consecutive indices in any
+    order, or the spectral grid's order 0, m/2, 1, 2, ... (nyquist), then a prefix (a block P) or the
+    rest (its Q)."""
+    if nyquist:
+        index = np.array([0, size - 1, *range(1, size - 1)])
+    else:
+        cuts = sorted(data.draw(st.sets(st.integers(first + 1, first + size - 1), max_size=4)) if size > 1 else [])
+        runs = [np.arange(a, b) for a, b in zip([first, *cuts], [*cuts, first + size])]
+        index = np.concatenate([runs[i] for i in data.draw(st.permutations(range(len(runs))))])
+    cut = data.draw(st.integers(1, index.size))
+    return (index[:cut] if data.draw(st.booleans()) else index[cut - 1:]).astype(np.int32)
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(3, 300), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_reflection_entries_are_the_index_array_gather(m, seed, data):
+    # the strided gather on any runs of rows and columns, the Nyquist index of an even m second among
+    # them as the spectral search puts it, is the index-array gather bit for bit, and C-ordered
+    column = np.random.default_rng(seed).standard_normal(m + 1)
+    for first, size, sign, fixed in schrodinger._sectors(m):
+        nyquist = m % 2 == 0 and first == 0 and size > 2 and data.draw(st.booleans())
+        rows, cols = (_sector_runs(data, first, size, nyquist) for _ in range(2))
+        got = schrodinger._reflection_entries(column, rows, cols, sign, fixed)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == indexed_reflection_entries(column, rows, cols, sign, fixed).tobytes()
 
 
 def test_oscillator_parity_sectors_closed_form(monkeypatch):

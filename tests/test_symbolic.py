@@ -15,7 +15,7 @@ from ccrlab.exact import HALF_SQRT2, ExactScalar, I, ONE, ZERO, _times, _to_comp
 from ccrlab.rng import SplitMix64
 from ccrlab.reports import RunConfig
 from ccrlab.suites import (
-    _CONJUGATE, _DAGGER, _WORD_COEFFS, _word_expr, _word_text, random_words, symbolic_suite,
+    _CONJUGATE, _DAGGER, _WORD_COEFFS, _word_expr, _word_matrices, _word_text, random_words, symbolic_suite,
 )
 from ccrlab.symbolic import (
     Commutator,
@@ -987,6 +987,25 @@ def test_linear_powers_run_no_products(monkeypatch):
     for n in range(1, 17):
         normal_order(f"[p,q^{n}]")  # a commutator with a linear side is one pass
         assert products == 0, n
+
+
+def test_linear_powers_are_cached_closed_forms():
+    # [p, q^n] and its right side q^(n-1) n share q^n through a bounded cache: each power it hands out
+    # is the closed form, term order included
+    for name in ("q", "p"):
+        base = normal_order(name)
+        for n in range(31):
+            got, want = normal_order(f"{name}^{n}"), base._linear_power(n)
+            assert got._den == want._den and list(got._num.items()) == list(want._num.items()), (name, n)
+    assert 0 < symbolic._cached_linear_power.cache_info().maxsize <= 256
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_word_matrices_are_the_per_word_route(seed):
+    # the matrix_homomorphism check's stacked products give each word's expr_to_matrix, byte for byte
+    words = random_words(SplitMix64(seed + 7), 200, 6)
+    want = np.array([expr_to_matrix(_word_expr(*word), 12) for word in words])
+    assert _word_matrices(words, 12).tobytes() == want.tobytes()
 
 
 def test_leaves_are_built_once():
